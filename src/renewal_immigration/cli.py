@@ -21,7 +21,9 @@ from .config import (
     optional,
     require_grid,
     require_int,
+    require_kernel,
     require_number,
+    require_t_list,
 )
 from .diagnostics import (
     CONVERGENT_EVIDENCE,
@@ -36,7 +38,7 @@ from .diagnostics import (
 )
 from .distributions import is_lattice, mean as law_mean
 from .errors import ConfigError, NonAbsorbedPathError, TruncationError
-from .kernels import DeterministicTable, kernel_from_config
+from .kernels import DeterministicTable
 from .process import fdd_sample
 from .renewal import build_stationary_window, window_to_csv
 from .streams import stream
@@ -127,22 +129,9 @@ def cmd_stationary(config, out_dir, args):
     return EXIT_PASS, summary
 
 
-def _require_t_list(raw):
-    node = raw.get("t_list")
-    if not isinstance(node, list) or not node:
-        raise ConfigError("t_list: must be a nonempty list of numbers >= 0")
-    try:
-        values = [float(v) for v in node]
-    except (TypeError, ValueError):
-        raise ConfigError("t_list: must be a nonempty list of numbers >= 0") from None
-    if any(v < 0 for v in values):
-        raise ConfigError("t_list: must be a nonempty list of numbers >= 0")
-    return values
-
-
 def cmd_converge(config, out_dir, args):
     raw = config.raw
-    t_list = _require_t_list(raw)
+    t_list = require_t_list(raw, "t_list")
     u_grid = require_grid(raw, "u_grid")
     n = require_int(raw, "n_replicates", minimum=1)
     alpha = require_number(raw, "alpha", exclusive_minimum=0.0, maximum=0.5) if "alpha" in raw else 0.01
@@ -199,13 +188,8 @@ def cmd_dri(config, out_dir, args):
         else 8
     )
     n_mc = require_int(raw, "dri.n_mc", minimum=1) if optional(raw, "dri.n_mc") is not None else 2000
-    try:
-        mean_report = dri_mean_check(config.kernel, k_max, grid, n_mc, stream((config.seed, 10)))
-        path_report = dri_path_check(config.kernel, k_max, n_mc, stream((config.seed, 11)))
-    except NonAbsorbedPathError as exc:
-        payload = {"error": "non_absorbed_path", "message": str(exc)}
-        _write_atomic(out_dir / "dri_error.json", _json_text(payload))
-        return EXIT_WARN, {"command": "dri", "error": "non_absorbed_path", "outputs": ["dri_error.json"]}
+    mean_report = dri_mean_check(config.kernel, k_max, grid, n_mc, stream((config.seed, 10)))
+    path_report = dri_path_check(config.kernel, k_max, n_mc, stream((config.seed, 11)))
     _write_atomic(out_dir / "dri_mean.json", _json_text(mean_report.to_dict()))
     _write_atomic(out_dir / "dri_path.json", _json_text(path_report.to_dict()))
     verdicts = (mean_report.verdict, path_report.verdict)
@@ -252,13 +236,14 @@ def cmd_pointprocess(config, out_dir, args):
         else 0.25 * mu
     )
     alpha = require_number(raw, "alpha", exclusive_minimum=0.0, maximum=0.5) if "alpha" in raw else 0.01
-    h_config = optional(raw, "pointprocess.laplace.h")
-    if h_config is None:
+    if optional(raw, "pointprocess.laplace.h") is None:
         h = DeterministicTable((0.0, mu), (1.0, 0.0))
     else:
-        h = kernel_from_config(h_config)
-        if not isinstance(h, DeterministicTable):
-            raise ConfigError("pointprocess.laplace.h: must be a deterministic_table kernel")
+        h = require_kernel(raw, "pointprocess.laplace.h")
+        if h.kind != DeterministicTable.kind or min(h.values) < 0 or math.isinf(h.support_end()):
+            raise ConfigError(
+                "pointprocess.laplace.h: must be a nonnegative deterministic_table kernel with compact support"
+            )
     laplace_t = (
         require_number(raw, "pointprocess.laplace.t", exclusive_minimum=0.0)
         if optional(raw, "pointprocess.laplace.t") is not None
@@ -364,6 +349,12 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except NonAbsorbedPathError as exc:
+        # A kernel path outran its jump budget: the expected absorption
+        # time may be infinite, which is a hypothesis warning, not a crash.
+        name = f"{args.command}_error.json"
+        _write_atomic(out_dir / name, _json_text({"error": "non_absorbed_path", "message": str(exc)}))
+        code, summary = EXIT_WARN, {"command": args.command, "error": "non_absorbed_path", "outputs": [name]}
     summary["exit"] = code
     print(json.dumps(summary, sort_keys=True))
     return code

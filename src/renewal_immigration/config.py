@@ -28,6 +28,7 @@ file, never of the wall clock.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 from .distributions import Law, law_from_config
@@ -51,15 +52,23 @@ def _fail(path, message):
     raise ConfigError(f"{path}: {message}")
 
 
-def require_number(raw, path, minimum=None, exclusive_minimum=None, maximum=None):
-    keys = path.split(".")
+def _lookup(raw, path):
     node = raw
-    for key in keys:
+    for key in path.split("."):
         if not isinstance(node, dict) or key not in node:
             _fail(path, "missing required field")
         node = node[key]
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        _fail(path, f"must be a number, got {node!r}")
+    return node
+
+
+def _is_number(value):
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def require_number(raw, path, minimum=None, exclusive_minimum=None, maximum=None):
+    node = _lookup(raw, path)
+    if not _is_number(node):
+        _fail(path, f"must be a finite number, got {node!r}")
     value = float(node)
     if minimum is not None and value < minimum:
         _fail(path, f"must be >= {minimum}, got {node!r}")
@@ -77,32 +86,39 @@ def require_int(raw, path, minimum=None):
     return int(value)
 
 
+def _require_numbers(raw, path):
+    node = _lookup(raw, path)
+    if not isinstance(node, list) or not node or not all(_is_number(v) for v in node):
+        _fail(path, "must be a nonempty list of finite numbers")
+    return [float(v) for v in node]
+
+
 def require_grid(raw, path):
-    keys = path.split(".")
-    node = raw
-    for key in keys:
-        if not isinstance(node, dict) or key not in node:
-            _fail(path, "missing required field")
-        node = node[key]
-    if not isinstance(node, list) or not node:
-        _fail(path, "must be a nonempty list of numbers")
-    try:
-        values = [float(v) for v in node]
-    except (TypeError, ValueError):
-        _fail(path, "must be a nonempty list of numbers")
+    values = _require_numbers(raw, path)
     if any(b <= a for a, b in zip(values, values[1:])):
         _fail(path, "must be strictly increasing")
     return values
 
 
+def require_t_list(raw, path):
+    values = _require_numbers(raw, path)
+    if any(v < 0 for v in values):
+        _fail(path, "must be a nonempty list of numbers >= 0")
+    return values
+
+
+def require_kernel(raw, path):
+    try:
+        return kernel_from_config(_lookup(raw, path))
+    except (KernelError, LawError) as exc:
+        _fail(path, str(exc))
+
+
 def optional(raw, path, default=None):
-    keys = path.split(".")
-    node = raw
-    for key in keys:
-        if not isinstance(node, dict) or key not in node:
-            return default
-        node = node[key]
-    return node
+    try:
+        return _lookup(raw, path)
+    except ConfigError:
+        return default
 
 
 def parse_config(raw):
@@ -115,18 +131,11 @@ def parse_config(raw):
     if "seed" not in raw:
         _fail("seed", "missing required field (wall-clock seeding is not supported)")
     seed = require_int(raw, "seed", minimum=0)
-    if "law" not in raw:
-        _fail("law", "missing required field")
     try:
-        law = law_from_config(raw["law"], interarrival=True)
+        law = law_from_config(_lookup(raw, "law"), interarrival=True)
     except LawError as exc:
         _fail("law", str(exc))
-    if "kernel" not in raw:
-        _fail("kernel", "missing required field")
-    try:
-        kernel = kernel_from_config(raw["kernel"])
-    except (KernelError, LawError) as exc:
-        _fail("kernel", str(exc))
+    kernel = require_kernel(raw, "kernel")
     return ExperimentConfig(law=law, kernel=kernel, seed=seed, raw=raw)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .distributions import integrated_tail_cdf, is_lattice, mean as law_mean
 from .errors import KernelError, NonAbsorbedPathError, TruncationError
-from .kernels import sample_path, spec_support_end, unit_interval_sups
+from .kernels import sample_path
 from .process import fdd_sample
 from .renewal import build_stationary_window, shift_window, simulate_forward
 from .stats import TestResult, energy_distance, ks_one_sample, ks_two_sample
@@ -196,7 +196,7 @@ def dri_path_check(spec, k_max, n_mc, rng):
     acc = np.zeros(k_max)
     for _ in range(n_mc):
         path = sample_path(spec, rng)
-        acc += np.minimum(unit_interval_sups(path, k_max), 1.0)
+        acc += np.minimum(path.unit_sups(k_max), 1.0)
     terms = acc / n_mc
     verdict, partials, slope, residual, note = _verdict(terms, n_mc)
     return DriReport(
@@ -341,7 +341,7 @@ def _hypothesis_warnings(law, spec, seed):
     warnings = []
     if is_lattice(law):
         warnings.append("interarrival law is lattice; the limit theory assumes nonlattice laws")
-    if math.isfinite(spec_support_end(spec)):
+    if math.isfinite(spec.support_end()):
         # Compact support integrates trivially; no pre-check needed.
         return warnings
     try:

@@ -16,16 +16,25 @@ at arbitrary real times in O(log jumps).  Variants:
   ``eta ~ Uniform[0, 1)``.  Every path keeps hitting 1 while the mean decays
   like ``1/k^2``, separating the pathwise from the mean integrability
   criterion.
+
+Each spec class owns its behaviour: its config tag ``kind``, ``sample(rng)``,
+``support_end()`` (time after which every path is 0, or ``inf``),
+``tail_bound(cut, mu, window)`` (expected stationary mass missed from points
+beyond ``cut``, for unbounded support only; raises
+:class:`~renewal_immigration.errors.TruncationError` when the stationary
+series diverges), ``to_config()`` and ``from_config(body)``.  A new kind is
+one such class added to :data:`KernelSpec`, which ``_KINDS`` is built from.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import ClassVar, get_args
 
 import numpy as np
 
-from .distributions import Law, law_from_config, law_to_config
-from .errors import KernelError, NonAbsorbedPathError
+from .distributions import Law, abs_quantile, law_from_config, law_to_config
+from .errors import KernelError, NonAbsorbedPathError, TruncationError
 
 __all__ = [
     "DeterministicTable",
@@ -40,13 +49,43 @@ __all__ = [
     "eval_path",
     "sup_over_interval",
     "absorption_time",
-    "unit_interval_sups",
-    "spec_support_end",
-    "spec_is_nonnegative",
     "birth_death_tail_integral",
     "kernel_to_config",
     "kernel_from_config",
 ]
+
+# The exponential-decay tail bound majorizes |eta| by this quantile (a
+# probabilistic bound).
+EXP_DECAY_QUANTILE = 1.0 - 1e-6
+
+
+# --------------------------------------------------------------------------
+# Config fields
+
+
+def _real(value, name):
+    # Exact JSON types: a bool is not a number here.
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise KernelError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _reals(value, name):
+    if type(value) not in (list, tuple):
+        raise KernelError(f"{name} must be a list of finite numbers, got {value!r}")
+    return tuple(_real(v, name) for v in value)
+
+
+def _integer(value, name):
+    x = _real(value, name)
+    if x != int(x):
+        raise KernelError(f"{name} must be an integer, got {value!r}")
+    return int(x)
+
+
+def _eta_is_zero(eta):
+    lo, hi = eta.support()
+    return lo == 0.0 and hi == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -60,6 +99,8 @@ class DeterministicTable:
     The last value extends to infinity; the function is 0 before the first
     breakpoint.  Breakpoints must be strictly increasing and start at >= 0.
     """
+
+    kind: ClassVar[str] = "deterministic_table"
 
     breakpoints: tuple
     values: tuple
@@ -85,6 +126,9 @@ class DeterministicTable:
         out = np.where(idx >= 0, vals[np.maximum(idx, 0)], 0.0)
         return float(out) if np.ndim(t) == 0 else out
 
+    def sample(self, rng):
+        return TablePath(self, 1.0)
+
     def support_end(self):
         """Time after which the function is identically 0 (may be ``inf``)."""
         vals = self.values
@@ -98,6 +142,11 @@ class DeterministicTable:
             return 0.0
         return self.breakpoints[last_nonzero + 1]
 
+    def tail_bound(self, cut, mu, window):
+        raise TruncationError(
+            "table does not vanish at infinity, so the stationary series diverges", bound=math.inf
+        )
+
     def fixed_discontinuities(self):
         """Breakpoints where the value actually jumps (recorded, not acted on)."""
         out = []
@@ -108,13 +157,19 @@ class DeterministicTable:
             prev = v
         return tuple(out)
 
-    def max_abs(self):
-        return max(abs(v) for v in self.values)
+    def to_config(self):
+        return {"kind": self.kind, "breakpoints": list(self.breakpoints), "values": list(self.values)}
+
+    @classmethod
+    def from_config(cls, body):
+        return cls(_reals(body["breakpoints"], "breakpoints"), _reals(body["values"], "values"))
 
 
 @dataclass(frozen=True)
 class Indicator:
     """``X(t) = 1`` on ``[0, eta)``, 0 elsewhere; ``eta`` drawn per path."""
+
+    kind: ClassVar[str] = "indicator"
 
     eta: Law
 
@@ -122,10 +177,34 @@ class Indicator:
         if self.eta.support()[0] < 0:
             raise KernelError("indicator pulse length law must be nonnegative")
 
+    def sample(self, rng):
+        return IndicatorPath(float(self.eta.sample(rng)))
+
+    def support_end(self):
+        return self.eta.support()[1]
+
+    def tail_bound(self, cut, mu, window):
+        # The pulse law's integrated tail.
+        eta = self.eta
+        if math.isinf(eta.mean()):
+            raise TruncationError(
+                "pulse length has infinite mean, so the stationary series diverges a.s.", bound=math.inf
+            )
+        return max(float(eta.mean() - eta.mean_min(cut)) / mu, 0.0)
+
+    def to_config(self):
+        return {"kind": self.kind, "eta": law_to_config(self.eta)}
+
+    @classmethod
+    def from_config(cls, body):
+        return cls(law_from_config(body["eta"]))
+
 
 @dataclass(frozen=True)
 class ScaledExpDecay:
     """``X(t) = eta * exp(-decay * t)`` on ``t >= 0``."""
+
+    kind: ClassVar[str] = "scaled_exp_decay"
 
     eta: Law
     decay: float
@@ -134,13 +213,58 @@ class ScaledExpDecay:
         if not (self.decay > 0 and math.isfinite(self.decay)):
             raise KernelError("decay rate must be positive and finite")
 
+    def sample(self, rng):
+        return ExpDecayPath(float(self.eta.sample(rng)), self.decay)
+
+    def support_end(self):
+        return 0.0 if _eta_is_zero(self.eta) else math.inf
+
+    def tail_bound(self, cut, mu, window):
+        # A high-quantile majorant of |eta| times a geometric series in the
+        # window's smallest realized gap.
+        q = abs_quantile(self.eta, EXP_DECAY_QUANTILE)
+        gap = max(float(np.min(window.gaps())), 1e-12)
+        denom = -math.expm1(-self.decay * gap)
+        return q * math.exp(-self.decay * cut) / denom
+
+    def to_config(self):
+        return {"kind": self.kind, "eta": law_to_config(self.eta), "decay": self.decay}
+
+    @classmethod
+    def from_config(cls, body):
+        return cls(law_from_config(body["eta"]), _real(body["decay"], "decay"))
+
 
 @dataclass(frozen=True)
 class ScaledTable:
     """``X(t) = eta * table(t)`` with a fresh ``eta`` per path."""
 
+    kind: ClassVar[str] = "scaled_table"
+
     eta: Law
     table: DeterministicTable
+
+    def sample(self, rng):
+        return TablePath(self.table, float(self.eta.sample(rng)))
+
+    def support_end(self):
+        return self.table.support_end() if not _eta_is_zero(self.eta) else 0.0
+
+    def tail_bound(self, cut, mu, window):
+        raise TruncationError(
+            "scaled table does not vanish at infinity, so the stationary series diverges a.s.",
+            bound=math.inf,
+        )
+
+    def to_config(self):
+        return {"kind": self.kind, "eta": law_to_config(self.eta), "table": self.table.to_config()}
+
+    @classmethod
+    def from_config(cls, body):
+        table = kernel_from_config(body["table"])
+        if table.kind != DeterministicTable.kind:
+            raise KernelError(f"table must be a {DeterministicTable.kind!r} kernel, got {table.kind!r}")
+        return cls(law_from_config(body["eta"]), table)
 
 
 @dataclass(frozen=True)
@@ -153,6 +277,8 @@ class BirthDeath:
     absorbed within it raises :class:`NonAbsorbedPathError` carrying the
     partial path.
     """
+
+    kind: ClassVar[str] = "birth_death"
 
     initial: int
     birth_rates: tuple
@@ -174,13 +300,84 @@ class BirthDeath:
         if self.max_jumps < 1:
             raise KernelError("max_jumps must be >= 1")
 
+    def sample(self, rng):
+        state = self.initial
+        t = 0.0
+        times, states = [], []
+        for _ in range(self.max_jumps):
+            b = self.birth_rates[state - 1] if state < self.state_cap else 0.0
+            d = self.death_rates[state - 1]
+            rate = b + d
+            t += rng.exponential(1.0 / rate)
+            state = state + 1 if rng.random() * rate < b else state - 1
+            times.append(t)
+            states.append(state)
+            if state == 0:
+                return BirthDeathPath(np.array(times), np.array(states), self.initial, absorbed=True)
+        partial = BirthDeathPath(np.array(times), np.array(states), self.initial, absorbed=False)
+        raise NonAbsorbedPathError(
+            f"birth-death path not absorbed within {self.max_jumps} jumps "
+            "(expected absorption time may be infinite)",
+            partial,
+        )
+
+    def support_end(self):
+        return math.inf
+
+    def tail_bound(self, cut, mu, window):
+        # The phase-type integrated tail of the absorption time.
+        return self.state_cap / mu * birth_death_tail_integral(self, cut)
+
+    def to_config(self):
+        return {
+            "kind": self.kind,
+            "initial": self.initial,
+            "birth_rates": list(self.birth_rates),
+            "death_rates": list(self.death_rates),
+            "state_cap": self.state_cap,
+            "max_jumps": self.max_jumps,
+        }
+
+    @classmethod
+    def from_config(cls, body):
+        return cls(
+            initial=_integer(body["initial"], "initial"),
+            birth_rates=_reals(body["birth_rates"], "birth_rates"),
+            death_rates=_reals(body["death_rates"], "death_rates"),
+            state_cap=_integer(body["state_cap"], "state_cap"),
+            max_jumps=_integer(body.get("max_jumps", cls.max_jumps), "max_jumps"),
+        )
+
 
 @dataclass(frozen=True)
 class SpikeTrain:
     """Unit pulses with quadratically shrinking width, one per ``[k, k+1)``."""
 
+    kind: ClassVar[str] = "spike_train"
+
+    def sample(self, rng):
+        return SpikePath(float(rng.uniform()))
+
+    def support_end(self):
+        return math.inf
+
+    def tail_bound(self, cut, mu, window):
+        # The quadratic decay of the pulse-hit probability.
+        if cut <= 1.0:
+            return math.inf
+        return 1.0 / (mu * (cut - 1.0))
+
+    def to_config(self):
+        return {"kind": self.kind}
+
+    @classmethod
+    def from_config(cls, body):
+        return cls()
+
 
 KernelSpec = DeterministicTable | Indicator | ScaledExpDecay | ScaledTable | BirthDeath | SpikeTrain
+
+_KINDS = {cls.kind: cls for cls in get_args(KernelSpec)}
 
 
 # --------------------------------------------------------------------------
@@ -239,11 +436,8 @@ class TablePath:
     def unit_sups(self, k_max):
         return abs(self.scale) * _step_unit_sups(self.table.breakpoints, self.table.values, k_max)
 
-    def support_end(self):
-        return 0.0 if self.scale == 0.0 else self.table.support_end()
-
     def absorption(self):
-        end = self.support_end()
+        end = 0.0 if self.scale == 0.0 else self.table.support_end()
         return end if math.isfinite(end) else None
 
 
@@ -268,9 +462,6 @@ class IndicatorPath:
 
     def unit_sups(self, k_max):
         return (np.arange(k_max) < self.eta).astype(float)
-
-    def support_end(self):
-        return max(self.eta, 0.0)
 
     def absorption(self):
         return max(self.eta, 0.0)
@@ -298,9 +489,6 @@ class ExpDecayPath:
 
     def unit_sups(self, k_max):
         return abs(self.eta) * np.exp(-self.decay * np.arange(k_max))
-
-    def support_end(self):
-        return math.inf if self.eta != 0.0 else 0.0
 
     def absorption(self):
         # Strictly positive for eta != 0, so never absorbed.
@@ -350,9 +538,6 @@ class SpikePath:
             sups[0] = 0.0
         return sups
 
-    def support_end(self):
-        return math.inf if self.eta > 0.0 else 0.0
-
     def absorption(self):
         # Hits 0 between pulses but never stays there.
         return None if self.eta > 0.0 else 0.0
@@ -392,11 +577,6 @@ class BirthDeathPath:
         breaks, vals = self._breaks_vals()
         return _step_unit_sups(breaks, vals, k_max)
 
-    def support_end(self):
-        if not self.absorbed:
-            return math.inf
-        return float(self.jump_times[-1]) if len(self.jump_times) else 0.0
-
     def absorption(self):
         return float(self.jump_times[-1]) if self.absorbed and len(self.jump_times) else None
 
@@ -410,41 +590,7 @@ PathSample = TablePath | IndicatorPath | ExpDecayPath | SpikePath | BirthDeathPa
 
 def sample_path(spec, rng):
     """Draw one independent trajectory of the kernel."""
-    if isinstance(spec, DeterministicTable):
-        return TablePath(spec, 1.0)
-    if isinstance(spec, Indicator):
-        return IndicatorPath(float(spec.eta.sample(rng)))
-    if isinstance(spec, ScaledExpDecay):
-        return ExpDecayPath(float(spec.eta.sample(rng)), spec.decay)
-    if isinstance(spec, ScaledTable):
-        return TablePath(spec.table, float(spec.eta.sample(rng)))
-    if isinstance(spec, SpikeTrain):
-        return SpikePath(float(rng.uniform()))
-    if isinstance(spec, BirthDeath):
-        return _sample_birth_death(spec, rng)
-    raise KernelError(f"unknown kernel spec {type(spec).__name__}")
-
-
-def _sample_birth_death(spec, rng):
-    state = spec.initial
-    t = 0.0
-    times, states = [], []
-    for _ in range(spec.max_jumps):
-        b = spec.birth_rates[state - 1] if state < spec.state_cap else 0.0
-        d = spec.death_rates[state - 1]
-        rate = b + d
-        t += rng.exponential(1.0 / rate)
-        state = state + 1 if rng.random() * rate < b else state - 1
-        times.append(t)
-        states.append(state)
-        if state == 0:
-            return BirthDeathPath(np.array(times), np.array(states), spec.initial, absorbed=True)
-    partial = BirthDeathPath(np.array(times), np.array(states), spec.initial, absorbed=False)
-    raise NonAbsorbedPathError(
-        f"birth-death path not absorbed within {spec.max_jumps} jumps "
-        "(expected absorption time may be infinite)",
-        partial,
-    )
+    return spec.sample(rng)
 
 
 def eval_path(path, t):
@@ -462,42 +608,6 @@ def sup_over_interval(path, lo, hi):
 def absorption_time(path):
     """First time after which the path is identically 0, or None."""
     return path.absorption()
-
-
-def unit_interval_sups(path, k_max):
-    """Vector of sup over [k, k+1) of |path| for k = 0..k_max-1; exact."""
-    return path.unit_sups(k_max)
-
-
-def spec_support_end(spec):
-    """Deterministic time beyond which every path is 0, or ``inf``."""
-    if isinstance(spec, DeterministicTable):
-        return spec.support_end()
-    if isinstance(spec, ScaledTable):
-        return spec.table.support_end() if not _eta_is_zero(spec.eta) else 0.0
-    if isinstance(spec, Indicator):
-        return spec.eta.support()[1]
-    if isinstance(spec, ScaledExpDecay):
-        return 0.0 if _eta_is_zero(spec.eta) else math.inf
-    return math.inf
-
-
-def _eta_is_zero(eta):
-    lo, hi = eta.support()
-    return lo == 0.0 and hi == 0.0
-
-
-def spec_is_nonnegative(spec):
-    """True when every path is almost surely nonnegative."""
-    if isinstance(spec, (Indicator, BirthDeath, SpikeTrain)):
-        return True
-    if isinstance(spec, DeterministicTable):
-        return min(spec.values) >= 0.0
-    if isinstance(spec, ScaledTable):
-        return min(spec.table.values) >= 0.0 and spec.eta.support()[0] >= 0.0
-    if isinstance(spec, ScaledExpDecay):
-        return spec.eta.support()[0] >= 0.0
-    return False
 
 
 @lru_cache(maxsize=32)
@@ -550,61 +660,23 @@ def birth_death_tail_integral(spec, lo):
 
 
 def kernel_to_config(spec):
-    if isinstance(spec, DeterministicTable):
-        return {
-            "kind": "deterministic_table",
-            "breakpoints": list(spec.breakpoints),
-            "values": list(spec.values),
-        }
-    if isinstance(spec, Indicator):
-        return {"kind": "indicator", "eta": law_to_config(spec.eta)}
-    if isinstance(spec, ScaledExpDecay):
-        return {"kind": "scaled_exp_decay", "eta": law_to_config(spec.eta), "decay": spec.decay}
-    if isinstance(spec, ScaledTable):
-        return {
-            "kind": "scaled_table",
-            "eta": law_to_config(spec.eta),
-            "table": kernel_to_config(spec.table),
-        }
-    if isinstance(spec, BirthDeath):
-        return {
-            "kind": "birth_death",
-            "initial": spec.initial,
-            "birth_rates": list(spec.birth_rates),
-            "death_rates": list(spec.death_rates),
-            "state_cap": spec.state_cap,
-            "max_jumps": spec.max_jumps,
-        }
-    if isinstance(spec, SpikeTrain):
-        return {"kind": "spike_train"}
-    raise KernelError(f"cannot serialize {type(spec).__name__}")
+    return spec.to_config()
 
 
 def kernel_from_config(config):
+    """Build a kernel spec; unknown keys and non-numeric fields are errors."""
     if not isinstance(config, dict) or "kind" not in config:
         raise KernelError("kernel config must be a dict with a 'kind' key")
     kind = config["kind"]
-    body = {k: v for k, v in config.items() if k != "kind"}
     try:
-        if kind == "deterministic_table":
-            return DeterministicTable(tuple(body["breakpoints"]), tuple(body["values"]))
-        if kind == "indicator":
-            return Indicator(law_from_config(body["eta"]))
-        if kind == "scaled_exp_decay":
-            return ScaledExpDecay(law_from_config(body["eta"]), float(body["decay"]))
-        if kind == "scaled_table":
-            table = kernel_from_config(body["table"])
-            return ScaledTable(law_from_config(body["eta"]), table)
-        if kind == "birth_death":
-            return BirthDeath(
-                initial=int(body["initial"]),
-                birth_rates=tuple(body["birth_rates"]),
-                death_rates=tuple(body["death_rates"]),
-                state_cap=int(body["state_cap"]),
-                max_jumps=int(body.get("max_jumps", 100_000)),
-            )
-        if kind == "spike_train":
-            return SpikeTrain()
-    except (KeyError, TypeError) as exc:
-        raise KernelError(f"kernel config for kind {kind!r} is malformed: {exc}") from exc
-    raise KernelError(f"unknown kernel kind {kind!r}")
+        cls = _KINDS[kind]
+    except (KeyError, TypeError):
+        raise KernelError(f"unknown kernel kind {kind!r}") from None
+    body = {k: v for k, v in config.items() if k != "kind"}
+    unknown = sorted(set(body) - {f.name for f in fields(cls)})
+    if unknown:
+        raise KernelError(f"kernel config for kind {kind!r} has unknown keys {unknown}")
+    try:
+        return cls.from_config(body)
+    except KeyError as exc:
+        raise KernelError(f"kernel config for kind {kind!r} is malformed: missing {exc}") from exc

@@ -7,22 +7,12 @@ epoch.
 Stationary: ``Y*(u) = sum_k X_{k+1}(u + S*_k)`` over a stationary window,
 truncated to ``|S*_k| <= c``.  Points far to the left contribute exactly 0
 (paths vanish on negatives), so the truncation error lives entirely in the
-right tail of the window.  The half-width ``c`` grows geometrically until a
-per-kernel bound on the expected missed mass drops below the requested
-tolerance:
-
-* bounded-support kernels (tables, indicators with bounded pulse lengths):
-  a finite ``c`` captures every contributor -- exact, no bound reported;
-* unbounded pulse lengths: the pulse law's integrated tail;
-* birth-death: the phase-type integrated tail of the absorption time;
-* spike trains: the quadratic decay of the pulse-hit probability;
-* exponential decay: a high-quantile majorant of ``|eta|`` times a geometric
-  series in the window's smallest realized gap (a probabilistic bound;
-  the quantile level is ``1 - 1e-6``).
-
-Configurations whose stationary series diverges almost surely (pulse length
-with infinite mean, tables that never vanish) raise
-:class:`~renewal_immigration.errors.TruncationError` upfront.
+right tail of the window.  Kernels with a finite ``support_end()`` are
+evaluated exactly on a window that holds every possible contributor.
+Otherwise the half-width ``c`` grows geometrically until the kernel's
+``tail_bound`` on the expected missed mass drops below the requested
+tolerance; kernels whose stationary series diverges raise
+:class:`~renewal_immigration.errors.TruncationError` from that bound.
 """
 
 import math
@@ -30,26 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import abs_quantile, check_interarrival, law_to_config
+from .distributions import check_interarrival, law_to_config
 from .errors import LawError, TruncationError
-from .kernels import (
-    BirthDeath,
-    DeterministicTable,
-    Indicator,
-    ScaledExpDecay,
-    ScaledTable,
-    SpikeTrain,
-    birth_death_tail_integral,
-    kernel_to_config,
-    sample_path,
-    spec_support_end,
-)
+from .kernels import kernel_to_config, sample_path
 from .renewal import StationaryWindowSampler, simulate_forward
 from .streams import stream
 
 __all__ = ["ProcessSample", "FddSample", "eval_transient", "eval_stationary", "fdd_sample"]
-
-EXP_DECAY_QUANTILE = 1.0 - 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,9 +50,20 @@ def _validate_grid(u_grid):
     u = np.asarray(u_grid, dtype=float)
     if u.ndim != 1 or len(u) == 0:
         raise LawError("u_grid must be a nonempty 1-D array")
+    if not np.all(np.isfinite(u)):
+        raise LawError("u_grid must be finite")
     if np.any(np.diff(u) <= 0):
         raise LawError("u_grid must be strictly increasing")
     return u
+
+
+def _superpose(spec, shifts, grid, rng):
+    """``sum_k X_k(grid - shifts[k])``: one fresh path per shift, in order."""
+    values = np.zeros(len(grid))
+    for shift in shifts:
+        path = sample_path(spec, rng)
+        values += path.values(grid - shift)
+    return values
 
 
 def eval_transient(law, spec, t, u_grid, rng):
@@ -84,70 +72,14 @@ def eval_transient(law, spec, t, u_grid, rng):
     if t < 0:
         raise LawError(f"transient time must be >= 0, got {t}")
     u = _validate_grid(u_grid)
-    values = np.zeros(len(u))
     horizon = t + u[-1]
     if horizon < 0:
-        return ProcessSample(u_grid=u, values=values, kind="transient", t=float(t))
-    realization = simulate_forward(law, horizon, rng)
-    support_end = spec_support_end(spec)
-    for s in realization.epochs:
-        if t + u[0] - s >= support_end:
-            # Every path is 0 on the whole shifted grid; skip the draw.
-            continue
-        path = sample_path(spec, rng)
-        values += path.values(t + u - s)
+        return ProcessSample(u_grid=u, values=np.zeros(len(u)), kind="transient", t=float(t))
+    epochs = simulate_forward(law, horizon, rng).epochs
+    # Epochs whose path is 0 on the whole shifted grid draw no path.
+    epochs = epochs[t + u[0] - epochs < spec.support_end()]
+    values = _superpose(spec, epochs, t + u, rng)
     return ProcessSample(u_grid=u, values=values, kind="transient", t=float(t))
-
-
-def _divergence_reason(spec):
-    if isinstance(spec, Indicator) and math.isinf(spec.eta.mean()):
-        return "pulse length has infinite mean, so the stationary series diverges a.s."
-    if isinstance(spec, DeterministicTable) and math.isinf(spec.support_end()):
-        return "table does not vanish at infinity, so the stationary series diverges"
-    if isinstance(spec, ScaledTable) and math.isinf(spec_support_end(spec)):
-        return "scaled table does not vanish at infinity, so the stationary series diverges a.s."
-    return None
-
-
-def _tail_bound(spec, law, c, umin, window):
-    """Expected mass of contributions from points beyond ``c``."""
-    mu = law.mean()
-    cut = max(c + umin, 0.0)
-    if isinstance(spec, Indicator):
-        eta = spec.eta
-        return max(float(eta.mean() - eta.mean_min(cut)) / mu, 0.0)
-    if isinstance(spec, BirthDeath):
-        return spec.state_cap / mu * birth_death_tail_integral(spec, cut)
-    if isinstance(spec, SpikeTrain):
-        if cut <= 1.0:
-            return math.inf
-        return 1.0 / (mu * (cut - 1.0))
-    if isinstance(spec, ScaledExpDecay):
-        q = abs_quantile(spec.eta, EXP_DECAY_QUANTILE)
-        gap = max(float(np.min(window.gaps())), 1e-12)
-        denom = -math.expm1(-spec.decay * gap)
-        return q * math.exp(-spec.decay * cut) / denom
-    raise LawError(f"no stationary tail bound for {type(spec).__name__}")
-
-
-def _stationary_values(spec, window, c, u, rng):
-    """Sum path contributions over window points with ``|t_k| <= c``.
-
-    Paths are drawn in point order, lazily skipping points that cannot
-    reach the grid (left of ``-max(u)``, or past the deterministic support
-    bound when one exists).
-    """
-    umin, umax = u[0], u[-1]
-    support_end = spec_support_end(spec)
-    values = np.zeros(len(u))
-    pts = window.points
-    keep = (np.abs(pts) <= c) & (pts >= -umax)
-    if math.isfinite(support_end):
-        keep &= pts < support_end - umin
-    for t_k in pts[keep]:
-        path = sample_path(spec, rng)
-        values += path.values(u + t_k)
-    return values
 
 
 def eval_stationary(law, spec, u_grid, tol, rng, c_max=None):
@@ -160,40 +92,36 @@ def eval_stationary(law, spec, u_grid, tol, rng, c_max=None):
     if not tol > 0:
         raise LawError(f"tolerance must be positive, got {tol}")
     u = _validate_grid(u_grid)
-    reason = _divergence_reason(spec)
-    if reason is not None:
-        raise TruncationError(reason, bound=math.inf)
-
     mu = law.mean()
-    support_end = spec_support_end(spec)
+    support_end = spec.support_end()
     sampler = StationaryWindowSampler(law, rng)
-
+    bound = None
     if math.isfinite(support_end):
         # Every possible contributor lies in [-max(u), support_end - min(u)].
         c = max(abs(u[-1]), abs(support_end - u[0]), mu)
         window = sampler.initial(c)
-        values = _stationary_values(spec, window, c, u, rng)
-        return ProcessSample(u_grid=u, values=values, kind="stationary", c_used=c, truncation_bound=None)
-
-    c = max(abs(u[0]), abs(u[-1])) + 10.0 * mu
-    cap = c_max if c_max is not None else max(512.0, 8.0 * c)
-    window = sampler.initial(c)
-    while True:
-        bound = _tail_bound(spec, law, c, u[0], window)
-        if bound < tol:
-            break
-        if 2.0 * c > cap:
-            values = _stationary_values(spec, window, c, u, rng)
-            raise TruncationError(
-                f"tail bound {bound:.3e} above tolerance {tol:.3e} at window half-width {c:g} "
-                f"(cap {cap:g})",
-                values=values,
-                bound=bound,
-                c_used=c,
-            )
-        c *= 2.0
-        window = sampler.extend(window, c)
-    values = _stationary_values(spec, window, c, u, rng)
+    else:
+        c = max(abs(u[0]), abs(u[-1])) + 10.0 * mu
+        cap = c_max if c_max is not None else max(512.0, 8.0 * c)
+        window = sampler.initial(c)
+        while True:
+            bound = spec.tail_bound(max(c + u[0], 0.0), mu, window)
+            if bound < tol or 2.0 * c > cap:
+                break
+            c *= 2.0
+            window = sampler.extend(window, c)
+    # Points left of -max(u) or past the support cannot reach the grid.
+    pts = window.points
+    keep = (np.abs(pts) <= c) & (pts >= -u[-1]) & (pts < support_end - u[0])
+    values = _superpose(spec, -pts[keep], u, rng)
+    if bound is not None and not bound < tol:
+        raise TruncationError(
+            f"tail bound {bound:.3e} above tolerance {tol:.3e} at window half-width {c:g} "
+            f"(cap {cap:g})",
+            values=values,
+            bound=bound,
+            c_used=c,
+        )
     return ProcessSample(u_grid=u, values=values, kind="stationary", c_used=c, truncation_bound=bound)
 
 

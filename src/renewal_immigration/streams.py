@@ -18,7 +18,3 @@ def stream(seed, *key):
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
-
-def replicate_streams(seed, n):
-    """Yield ``n`` independent per-replicate generators for a root seed."""
-    return [stream(seed, i) for i in range(n)]

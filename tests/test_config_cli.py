@@ -48,6 +48,15 @@ def test_parse_config_field_errors():
         parse_config(base_config() | {"law": {"family": "uniform", "lo": -1.0, "hi": 1.0}})
     with pytest.raises(ConfigError, match="kernel"):
         parse_config({"schema": 1, "seed": 1, "law": {"family": "exponential", "rate": 1.0}})
+    table = {"kind": "deterministic_table", "breakpoints": [0.0, 1.0], "values": [1.0, 0.0]}
+    for kernel in [
+        base_config()["kernel"] | {"typo": 5},
+        table | {"values": ["a", 0]},
+        {"kind": "birth_death", "initial": 1.7, "birth_rates": [0.0, 0.0], "death_rates": [1.0, 1.0],
+         "state_cap": 2},
+    ]:
+        with pytest.raises(ConfigError, match="^kernel: "):
+            parse_config(base_config(kernel=kernel))
 
 
 def test_load_config_bad_json(tmp_path):
@@ -58,6 +67,48 @@ def test_load_config_bad_json(tmp_path):
 
 
 # ----------------------------------------------------------------- simulate
+
+
+BAD_TABLE = {"kind": "deterministic_table", "breakpoints": [0.0], "values": ["a"]}
+
+
+@pytest.mark.parametrize(
+    "command, fields, path",
+    [
+        ("simulate", {"t": 1.0, "u_grid": [0.0, float("nan")], "n_replicates": 5}, "u_grid"),
+        ("simulate", {"t": 1.0, "u_grid": [0.0, float("inf")], "n_replicates": 5}, "u_grid"),
+        ("simulate", {"t": 1.0, "u_grid": [True], "n_replicates": 5}, "u_grid"),
+        ("simulate", {"t": float("nan"), "u_grid": [0.0], "n_replicates": 5}, "t"),
+        ("stationary", {"u_grid": [float("nan")], "n_replicates": 5}, "u_grid"),
+        ("stationary", {"u_grid": [0.0], "n_replicates": 5, "tol": float("nan")}, "tol"),
+        ("converge", {"t_list": [True], "u_grid": [0.0], "n_replicates": 5}, "t_list"),
+        ("converge", {"t_list": [float("nan")], "u_grid": [0.0], "n_replicates": 5}, "t_list"),
+        ("converge", {"t_list": [1.0], "u_grid": [0.0, float("nan")], "n_replicates": 5}, "u_grid"),
+        ("simulate", {"kernel": BAD_TABLE, "t": 1.0, "u_grid": [0.0], "n_replicates": 5}, "kernel"),
+        ("pointprocess", {"pointprocess": {"laplace": {"h": BAD_TABLE}}}, "pointprocess.laplace.h"),
+        ("pointprocess", {"pointprocess": {"laplace": {"h": {"kind": "spike_train"}}}}, "pointprocess.laplace.h"),
+    ],
+)
+def test_malformed_fields_exit_1_without_traceback(tmp_path, capsys, command, fields, path):
+    cfg = write_config(tmp_path, base_config(**fields))
+    assert main([command, cfg, "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "stationary", "dri"])
+def test_non_absorbed_path_exits_3_with_report(tmp_path, capsys, command):
+    # Two states, one jump allowed: the first jump lands on 1, never on 0.
+    kernel = {"kind": "birth_death", "initial": 2, "birth_rates": [1.0, 0.0], "death_rates": [1.0, 1.0],
+              "state_cap": 2, "max_jumps": 1}
+    cfg = write_config(tmp_path, base_config(kernel=kernel, t=5.0, u_grid=[0.0], n_replicates=20))
+    out = tmp_path / "out"
+    assert main([command, cfg, "--out-dir", str(out)]) == 3
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["error"] == "non_absorbed_path" and summary["exit"] == 3
+    payload = json.loads((out / f"{command}_error.json").read_text())
+    assert payload["error"] == "non_absorbed_path" and "absorbed" in payload["message"]
 
 
 def test_simulate_minimal_shape(tmp_path):

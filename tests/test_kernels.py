@@ -221,7 +221,7 @@ def test_unit_sups_match_interval_sups(spec):
     rng = stream(14)
     for _ in range(10):
         path = kn.sample_path(spec, rng)
-        sups = kn.unit_interval_sups(path, 8)
+        sups = path.unit_sups(8)
         for k in range(8):
             assert sups[k] == pytest.approx(path.sup_abs(k, k + 1, include_right=False), abs=1e-12)
 
@@ -238,12 +238,12 @@ def test_indicator_rejects_signed_eta():
 
 
 def test_spec_support_end():
-    assert kn.spec_support_end(TABLE_STEPS) == 4.0
-    assert kn.spec_support_end(kn.Indicator(dist.Uniform(0.0, 2.0))) == 2.0
-    assert math.isinf(kn.spec_support_end(kn.Indicator(dist.Exponential(1.0))))
-    assert math.isinf(kn.spec_support_end(kn.ScaledExpDecay(dist.PointMass(1.0), 1.0)))
-    assert kn.spec_support_end(kn.ScaledExpDecay(dist.PointMass(0.0), 1.0)) == 0.0
-    assert math.isinf(kn.spec_support_end(kn.SpikeTrain()))
+    assert TABLE_STEPS.support_end() == 4.0
+    assert kn.Indicator(dist.Uniform(0.0, 2.0)).support_end() == 2.0
+    assert math.isinf(kn.Indicator(dist.Exponential(1.0)).support_end())
+    assert math.isinf(kn.ScaledExpDecay(dist.PointMass(1.0), 1.0).support_end())
+    assert kn.ScaledExpDecay(dist.PointMass(0.0), 1.0).support_end() == 0.0
+    assert math.isinf(kn.SpikeTrain().support_end())
 
 
 def test_kernel_config_round_trip():
@@ -253,6 +253,23 @@ def test_kernel_config_round_trip():
         kn.kernel_from_config({"kind": "mystery"})
     with pytest.raises(KernelError):
         kn.kernel_from_config({"kind": "indicator"})
+    table = {"kind": "deterministic_table", "breakpoints": [0.0, 1.0], "values": [1.0, 0.0]}
+    bad = [
+        {"kind": "indicator", "eta": {"family": "exponential", "rate": 1.0}, "typo": 5},
+        table | {"values": ["a", 0]},
+        table | {"breakpoints": [0.0, float("nan")]},
+        table | {"values": "10"},
+        {"kind": "birth_death", "initial": 1.7, "birth_rates": [0.0, 0.0], "death_rates": [1.0, 1.0],
+         "state_cap": 2},
+        {"kind": "birth_death", "initial": True, "birth_rates": [0.0], "death_rates": [1.0],
+         "state_cap": 1},
+        {"kind": "scaled_exp_decay", "eta": {"family": "point_mass", "value": 1.0}, "decay": "1"},
+        {"kind": "scaled_table", "eta": {"family": "point_mass", "value": 1.0}, "table": {"kind": "spike_train"}},
+        {"kind": ["indicator"]},
+    ]
+    for config in bad:
+        with pytest.raises(KernelError):
+            kn.kernel_from_config(config)
 
 
 @given(st.integers(min_value=0, max_value=10**6))

@@ -126,6 +126,10 @@ def test_fdd_validation():
         pr.fdd_sample(EXP_LAW, MM_INF, "transient", [0.0], 1, seed=1)  # t missing
     with pytest.raises(LawError):
         pr.eval_transient(EXP_LAW, MM_INF, 1.0, [0.0, 0.0], stream(1))  # not increasing
+    with pytest.raises(LawError):
+        pr.eval_stationary(EXP_LAW, MM_INF, [0.0, np.nan], 1e-6, stream(1))
+    with pytest.raises(LawError):
+        pr.eval_transient(EXP_LAW, MM_INF, 1.0, [0.0, np.inf], stream(1))
 
 
 def test_nonnegative_kernels_give_nonnegative_values():
