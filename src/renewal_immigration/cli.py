@@ -21,6 +21,7 @@ from .config import (
     optional,
     require_grid,
     require_int,
+    require_intervals,
     require_kernel,
     require_number,
     require_t_list,
@@ -229,7 +230,11 @@ def cmd_pointprocess(config, out_dir, args):
         if optional(raw, "pointprocess.n_windows") is not None
         else 10_000
     )
-    intervals = optional(raw, "pointprocess.intervals") or [[0.0, 5.0 * mu]]
+    intervals = (
+        require_intervals(raw, "pointprocess.intervals")
+        if optional(raw, "pointprocess.intervals") is not None
+        else [(0.0, 5.0 * mu)]
+    )
     shift = (
         require_number(raw, "pointprocess.shift")
         if optional(raw, "pointprocess.shift") is not None

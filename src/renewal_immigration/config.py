@@ -19,9 +19,9 @@ Command fields (all numbers unless noted):
   ``tol``, optional ``n_permutations``
 * ``dri``: ``dri`` object with ``k_max``, ``grid_per_unit``, ``n_mc``
 * ``pointprocess``: optional ``pointprocess`` object with ``horizon``,
-  ``n_realizations``, ``n_windows``, ``intervals`` (list of pairs),
-  ``shift``, ``alpha``, and a ``laplace`` object (``h`` table config,
-  ``t``, ``n_mc``)
+  ``n_realizations``, ``n_windows``, ``intervals`` (nonempty list of
+  ``[a, b]`` pairs with ``a <= b``), ``shift``, ``alpha``, and a
+  ``laplace`` object (``h`` table config, ``t``, ``n_mc``)
 
 ``seed`` is mandatory everywhere: commands are pure functions of the config
 file, never of the wall clock.
@@ -105,6 +105,19 @@ def require_t_list(raw, path):
     if any(v < 0 for v in values):
         _fail(path, "must be a nonempty list of numbers >= 0")
     return values
+
+
+def require_intervals(raw, path):
+    node = _lookup(raw, path)
+    if (
+        not isinstance(node, list)
+        or not node
+        or not all(isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair)) for pair in node)
+    ):
+        _fail(path, "must be a nonempty list of [a, b] pairs of finite numbers")
+    if any(b < a for a, b in node):
+        _fail(path, "each pair [a, b] must have a <= b")
+    return [(float(a), float(b)) for a, b in node]
 
 
 def require_kernel(raw, path):

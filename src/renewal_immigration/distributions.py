@@ -552,27 +552,49 @@ def law_to_config(law):
     return {"family": tag, **{f: getattr(law, f) for f in fields}}
 
 
+def _real(value, name):
+    # Exact JSON types: a bool or a string is not a number here.
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise LawError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _field(body, key):
+    return _real(body.pop(key), key)
+
+
+def _atoms(body):
+    atoms = body.pop("atoms")
+    if type(atoms) not in (list, tuple) or not all(type(a) in (list, tuple) and len(a) == 2 for a in atoms):
+        raise LawError(f"atoms must be a list of [value, probability] pairs, got {atoms!r}")
+    return tuple((_real(v, "atom value"), _real(p, "atom probability")) for v, p in atoms)
+
+
 def law_from_config(config, interarrival=False):
-    """Build a law from a config dict; optionally enforce the interarrival role."""
+    """Build a law from a config dict; optionally enforce the interarrival role.
+
+    Every numeric field must be a finite JSON number (not a bool or a
+    string); anything else raises :class:`LawError`.
+    """
     if not isinstance(config, dict) or "family" not in config:
         raise LawError("law config must be a dict with a 'family' key")
     body = {k: v for k, v in config.items() if k != "family"}
     family = config["family"]
     try:
         if family == "exponential":
-            law = Exponential(rate=float(body.pop("rate")))
+            law = Exponential(rate=_field(body, "rate"))
         elif family == "gamma":
-            law = Gamma(shape=float(body.pop("shape")), scale=float(body.pop("scale")))
+            law = Gamma(shape=_field(body, "shape"), scale=_field(body, "scale"))
         elif family == "uniform":
-            law = Uniform(lo=float(body.pop("lo")), hi=float(body.pop("hi")))
+            law = Uniform(lo=_field(body, "lo"), hi=_field(body, "hi"))
         elif family == "lognormal":
-            law = LogNormal(mu=float(body.pop("mu")), sigma=float(body.pop("sigma")))
+            law = LogNormal(mu=_field(body, "mu"), sigma=_field(body, "sigma"))
         elif family == "point_mass":
-            law = PointMass(value=float(body.pop("value")))
+            law = PointMass(value=_field(body, "value"))
         elif family == "finite_discrete":
-            law = FiniteDiscrete(atoms=tuple((float(v), float(p)) for v, p in body.pop("atoms")))
+            law = FiniteDiscrete(atoms=_atoms(body))
         elif family == "pareto":
-            law = Pareto(alpha=float(body.pop("alpha")), xm=float(body.pop("xm")))
+            law = Pareto(alpha=_field(body, "alpha"), xm=_field(body, "xm"))
         else:
             raise LawError(f"unknown law family {family!r}")
     except (KeyError, TypeError) as exc:

@@ -22,8 +22,9 @@ __all__ = [
     "kolmogorov_sf",
 ]
 
-# Full pairwise energy statistics are exact up to this many combined rows;
-# beyond it the inputs are subsampled (with a note in the result).
+# Energy statistics are exact up to this many distinct rows (the distance
+# matrix is k x k over distinct rows); beyond it the inputs are subsampled
+# (with a note in the result).
 ENERGY_EXACT_ROWS = 20_000
 
 
@@ -125,8 +126,11 @@ def energy_distance(a_matrix, b_matrix, n_permutations, rng):
     """Two-sample energy statistic with a permutation p-value.
 
     Statistic: ``2 E|A - B| - E|A - A'| - E|B - B'|`` with plug-in means over
-    all row pairs (Euclidean distances, diagonal included), computed exactly
-    up to ``ENERGY_EXACT_ROWS`` combined rows and on a subsample beyond.
+    all row pairs (Euclidean distances, diagonal included).  It depends on
+    the rows only through their distinct values and multiplicities, so the
+    pairwise distances are streamed over distinct rows and each labelling
+    is a vector of per-row label counts.  It is exact up to
+    ``ENERGY_EXACT_ROWS`` distinct rows and computed on a subsample beyond.
     The permutation null shuffles row labels; the p-value counts the
     observed arrangement itself, so it is never below ``1/(n_permutations+1)``.
     """
@@ -137,36 +141,40 @@ def energy_distance(a_matrix, b_matrix, n_permutations, rng):
     if n_permutations < 19:
         raise ValueError("need at least 19 permutations for a meaningful p-value")
     note = ""
-    total = len(a) + len(b)
-    if total > ENERGY_EXACT_ROWS:
+    uniq, inv = np.unique(np.vstack([a, b]), axis=0, return_inverse=True)
+    if len(uniq) > ENERGY_EXACT_ROWS:
+        total = len(a) + len(b)
         keep_a = max(1, int(round(ENERGY_EXACT_ROWS * len(a) / total)))
         keep_b = ENERGY_EXACT_ROWS - keep_a
         a = a[rng.choice(len(a), size=keep_a, replace=False)]
         b = b[rng.choice(len(b), size=keep_b, replace=False)]
         note = f"subsampled to {keep_a}+{keep_b} rows from the caller's stream"
+        uniq, inv = np.unique(np.vstack([a, b]), axis=0, return_inverse=True)
+    inv = inv.reshape(-1)  # numpy 2.0.0 returns it 2-D for axis=0
     n, m = len(a), len(b)
-    z = np.vstack([a, b])
-    big_n = n + m
+    big_n, k = n + m, len(uniq)
 
-    # Column 0 holds the observed labelling, the rest are permutations.
-    labels = np.zeros((big_n, n_permutations + 1))
-    labels[:n, 0] = 1.0
+    # Column 0 counts the observed labelling per distinct row, the rest
+    # count the permutations; w holds the multiplicities.
+    counts = np.empty((k, n_permutations + 1))
+    counts[:, 0] = np.bincount(inv[:n], minlength=k)
     for p in range(1, n_permutations + 1):
-        labels[rng.permutation(big_n)[:n], p] = 1.0
+        counts[:, p] = np.bincount(inv[rng.permutation(big_n)[:n]], minlength=k)
+    w = np.bincount(inv, minlength=k).astype(float)
 
-    # Streamed pairwise distances: accumulate D @ labels and row sums
-    # without materializing the full distance matrix.
-    dx = np.zeros((big_n, n_permutations + 1))
-    row_sums = np.zeros(big_n)
-    block = max(1, int(2**24 // max(big_n, 1)))
-    for lo in range(0, big_n, block):
-        dblk = cdist(z[lo : lo + block], z)
-        dx[lo : lo + block] = dblk @ labels
-        row_sums[lo : lo + block] = dblk.sum(axis=1)
+    # Streamed distances between distinct rows: accumulate D @ counts and
+    # D @ w without materializing the full distance matrix.
+    dx = np.empty((k, n_permutations + 1))
+    row_sums = np.empty(k)
+    block = max(1, int(2**24 // max(k, 1)))
+    for lo in range(0, k, block):
+        dblk = cdist(uniq[lo : lo + block], uniq)
+        dx[lo : lo + block] = dblk @ counts
+        row_sums[lo : lo + block] = dblk @ w
 
-    grand = float(row_sums.sum())
-    s_aa = np.einsum("ip,ip->p", labels, dx)
-    r = labels.T @ row_sums
+    grand = float(w @ row_sums)
+    s_aa = np.einsum("ip,ip->p", counts, dx)
+    r = counts.T @ row_sums
     s_ab = r - s_aa
     s_bb = grand - 2.0 * r + s_aa
     stats = 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)

@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package: the queue oracle is an event
 loop over a heap, the KS/energy oracles are direct transcriptions of the
-definitions, and integrals come from adaptive quadrature.
+definitions, the energy permutation oracle works on raw rows with one 0/1
+label column per labelling, and integrals come from adaptive quadrature.
 """
 
 import heapq
@@ -60,3 +61,32 @@ def brute_force_energy(a, b):
         return total / (len(x) * len(y))
 
     return 2.0 * mean_dist(a, b) - mean_dist(a, a) - mean_dist(b, b)
+
+
+def dense_energy_permutation(a, b, n_permutations, rng):
+    """Energy statistic and permutation p-value over raw rows.
+
+    The reference for ``stats.energy_distance``: one 0/1 label column per
+    labelling (column 0 observed, then one ``rng.permutation`` per column)
+    and the full ``N x N`` distance matrix.  Returns ``(statistic, p_value)``.
+    """
+    a = np.asarray(a, dtype=float).reshape(len(a), -1)
+    b = np.asarray(b, dtype=float).reshape(len(b), -1)
+    n, m = len(a), len(b)
+    z = np.vstack([a, b])
+    big_n = n + m
+    labels = np.zeros((big_n, n_permutations + 1))
+    labels[:n, 0] = 1.0
+    for p in range(1, n_permutations + 1):
+        labels[rng.permutation(big_n)[:n], p] = 1.0
+    d = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2))
+    dx = d @ labels
+    row_sums = d.sum(axis=1)
+    grand = float(row_sums.sum())
+    s_aa = np.einsum("ip,ip->p", labels, dx)
+    r = labels.T @ row_sums
+    s_ab = r - s_aa
+    s_bb = grand - 2.0 * r + s_aa
+    stats = 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)
+    observed = float(stats[0])
+    return observed, float((1 + np.sum(stats[1:] >= observed)) / (n_permutations + 1))

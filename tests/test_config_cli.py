@@ -87,6 +87,19 @@ BAD_TABLE = {"kind": "deterministic_table", "breakpoints": [0.0], "values": ["a"
         ("simulate", {"kernel": BAD_TABLE, "t": 1.0, "u_grid": [0.0], "n_replicates": 5}, "kernel"),
         ("pointprocess", {"pointprocess": {"laplace": {"h": BAD_TABLE}}}, "pointprocess.laplace.h"),
         ("pointprocess", {"pointprocess": {"laplace": {"h": {"kind": "spike_train"}}}}, "pointprocess.laplace.h"),
+        ("simulate", {"law": {"family": "exponential", "rate": "a"}}, "law"),
+        ("simulate", {"law": {"family": "exponential", "rate": True}}, "law"),
+        ("simulate", {"law": {"family": "finite_discrete", "atoms": [[1.0]]}}, "law"),
+        ("simulate", {"law": {"family": "finite_discrete", "atoms": [[1.0, "x"]]}}, "law"),
+        ("simulate", {"kernel": {"kind": "indicator", "eta": {"family": "exponential", "rate": "a"}}}, "kernel"),
+        ("simulate", {"kernel": {"kind": "indicator", "eta": {"family": "uniform", "lo": False, "hi": 1.0}}},
+         "kernel"),
+        ("pointprocess", {"pointprocess": {"intervals": [[2.0, 1.0]]}}, "pointprocess.intervals"),
+        ("pointprocess", {"pointprocess": {"intervals": "x"}}, "pointprocess.intervals"),
+        ("pointprocess", {"pointprocess": {"intervals": []}}, "pointprocess.intervals"),
+        ("pointprocess", {"pointprocess": {"intervals": [[0.0]]}}, "pointprocess.intervals"),
+        ("pointprocess", {"pointprocess": {"intervals": [[0.0, float("nan")]]}}, "pointprocess.intervals"),
+        ("pointprocess", {"pointprocess": {"intervals": [[True, 1.0]]}}, "pointprocess.intervals"),
     ],
 )
 def test_malformed_fields_exit_1_without_traceback(tmp_path, capsys, command, fields, path):

@@ -9,7 +9,7 @@ from scipy.special import kolmogorov as scipy_kolmogorov
 from renewal_immigration import stats as rs
 from renewal_immigration.streams import stream
 
-from oracles import brute_force_energy, brute_force_ks
+from oracles import brute_force_energy, brute_force_ks, dense_energy_permutation
 
 
 def test_ks_two_sample_trivia():
@@ -94,6 +94,36 @@ def test_energy_distance_matches_brute_force():
         b = rng.normal(size=(rng.integers(3, 12), 3)) + 0.5
         res = rs.energy_distance(a, b, 19, stream(6))
         assert res.statistic == pytest.approx(brute_force_energy(a, b), rel=1e-10)
+    # Integer rows with ties.
+    for _ in range(10):
+        a = rng.poisson(1.0, size=(rng.integers(3, 12), 2))
+        b = rng.poisson(1.5, size=(rng.integers(3, 12), 2))
+        res = rs.energy_distance(a, b, 19, stream(6))
+        assert res.statistic == pytest.approx(brute_force_energy(a, b), rel=1e-10)
+
+
+def _poisson_rows(rng, n):
+    return rng.poisson(1.0, size=(n, 3))
+
+
+def _normal_rows(rng, n):
+    return rng.normal(size=(n, 3))
+
+
+@pytest.mark.parametrize("draw", [_poisson_rows, _normal_rows])
+@pytest.mark.parametrize("shift", [0.0, 0.3])
+def test_energy_distance_matches_dense_label_loop(draw, shift):
+    # Same generator stream, same permutations: equal p-values and a
+    # statistic equal up to float64 summation order.
+    data = stream(11)
+    a = draw(data, 300)
+    b = draw(data, 200) + shift
+    ours, ref = stream(12), stream(12)
+    res = rs.energy_distance(a, b, 99, ours)
+    statistic, p_value = dense_energy_permutation(a, b, 99, ref)
+    assert res.p_value == p_value
+    assert res.statistic == pytest.approx(statistic, rel=1e-9)
+    assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_energy_distance_validation():
@@ -112,6 +142,16 @@ def test_energy_distance_subsamples_beyond_cap(monkeypatch):
     res = rs.energy_distance(a, b, 19, stream(9))
     assert "subsampled" in res.note
     assert res.n + res.m == 100
+
+
+def test_energy_distance_cap_counts_distinct_rows(monkeypatch):
+    monkeypatch.setattr(rs, "ENERGY_EXACT_ROWS", 100)
+    rng = stream(8)
+    a = rng.integers(0, 3, size=(100, 2))
+    b = rng.integers(0, 3, size=(100, 2))
+    res = rs.energy_distance(a, b, 19, stream(9))
+    assert res.note == ""
+    assert res.n + res.m == 200
 
 
 def test_energy_permutation_null_calibration():
