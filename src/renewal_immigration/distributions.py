@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy import stats as _sps
 
 from .errors import LawError
 
@@ -124,18 +123,26 @@ class Gamma:
         return rng.gamma(self.shape, self.scale, size=size)
 
     def cdf(self, x):
-        return _sps.gamma.cdf(x, self.shape, scale=self.scale)
+        from scipy.stats import gamma
+
+        return gamma.cdf(x, self.shape, scale=self.scale)
 
     def sf(self, x):
-        return _sps.gamma.sf(x, self.shape, scale=self.scale)
+        from scipy.stats import gamma
+
+        return gamma.sf(x, self.shape, scale=self.scale)
 
     def quantile(self, p):
-        return float(_sps.gamma.ppf(p, self.shape, scale=self.scale))
+        from scipy.stats import gamma
+
+        return float(gamma.ppf(p, self.shape, scale=self.scale))
 
     def mean_min(self, x):
+        from scipy.stats import gamma
+
         x = np.asarray(x, dtype=float)
-        head = self.mean() * _sps.gamma.cdf(x, self.shape + 1.0, scale=self.scale)
-        return head + x * _sps.gamma.sf(x, self.shape, scale=self.scale)
+        head = self.mean() * gamma.cdf(x, self.shape + 1.0, scale=self.scale)
+        return head + x * gamma.sf(x, self.shape, scale=self.scale)
 
     def size_biased_sample(self, rng, size=None):
         # Size-biasing a Gamma(k, theta) bumps the shape by one.
@@ -212,22 +219,28 @@ class LogNormal:
         return rng.lognormal(self.mu, self.sigma, size=size)
 
     def cdf(self, x):
+        from scipy.stats import norm
+
         x = np.asarray(x, dtype=float)
         lx = np.log(np.maximum(x, np.finfo(float).tiny))
-        return np.where(x > 0, _sps.norm.cdf((lx - self.mu) / self.sigma), 0.0)
+        return np.where(x > 0, norm.cdf((lx - self.mu) / self.sigma), 0.0)
 
     def sf(self, x):
         return 1.0 - np.asarray(self.cdf(x))
 
     def quantile(self, p):
-        return math.exp(self.mu + self.sigma * float(_sps.norm.ppf(p)))
+        from scipy.stats import norm
+
+        return math.exp(self.mu + self.sigma * float(norm.ppf(p)))
 
     def mean_min(self, x):
+        from scipy.stats import norm
+
         # Limited expected value: m*Phi((ln x - mu - sigma^2)/sigma) + x*sf(x).
         x = np.asarray(x, dtype=float)
         lx = np.log(np.maximum(x, np.finfo(float).tiny))
-        head = self.mean() * _sps.norm.cdf((lx - self.mu - self.sigma**2) / self.sigma)
-        tail = x * _sps.norm.sf((lx - self.mu) / self.sigma)
+        head = self.mean() * norm.cdf((lx - self.mu - self.sigma**2) / self.sigma)
+        tail = x * norm.sf((lx - self.mu) / self.sigma)
         return np.where(x > 0, head + tail, 0.0)
 
     def size_biased_sample(self, rng, size=None):
@@ -376,8 +389,10 @@ class Pareto:
         return self.xm, math.inf
 
     def sample(self, rng, size=None):
+        # numpy's power for one draw too: a Python float ``**`` differs from
+        # it in the last ulp, and a batched draw must equal single draws.
         u = rng.uniform(size=size)
-        return self.xm * (1.0 - u) ** (-1.0 / self.alpha)
+        return self.xm * np.power(1.0 - u, -1.0 / self.alpha)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)

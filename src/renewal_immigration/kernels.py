@@ -17,13 +17,19 @@ at arbitrary real times in O(log jumps).  Variants:
   like ``1/k^2``, separating the pathwise from the mean integrability
   criterion.
 
-Each spec class owns its behaviour: its config tag ``kind``, ``sample(rng)``,
-``support_end()`` (time after which every path is 0, or ``inf``),
-``tail_bound(cut, mu, window)`` (expected stationary mass missed from points
-beyond ``cut``, for unbounded support only; raises
+Each spec class owns its behaviour: its config tag ``kind``,
+``sample(rng, size=None)``, ``support_end()`` (time after which every path
+is 0, or ``inf``), ``tail_bound(cut, mu, window)`` (expected stationary mass
+missed from points beyond ``cut``, for unbounded support only; raises
 :class:`~renewal_immigration.errors.TruncationError` when the stationary
 series diverges), ``to_config()`` and ``from_config(body)``.  A new kind is
 one such class added to :data:`KernelSpec`, which ``_KINDS`` is built from.
+
+``sample(rng)`` draws one path; ``sample(rng, size=k)`` draws ``k`` paths
+into one object, from the same random draws in the same order as ``k``
+single calls.  A mark kernel's batched path holds a ``(k, 1)`` column of
+marks, so its ``values`` takes a ``(k, g)`` array of times and returns one
+row per path; ``path[lo:hi]`` keeps rows ``lo..hi-1``.
 """
 
 import math
@@ -45,6 +51,7 @@ __all__ = [
     "SpikeTrain",
     "KernelSpec",
     "PathSample",
+    "PathStack",
     "sample_path",
     "eval_path",
     "sup_over_interval",
@@ -81,6 +88,11 @@ def _integer(value, name):
     if x != int(x):
         raise KernelError(f"{name} must be an integer, got {value!r}")
     return int(x)
+
+
+def _marks(draws, size):
+    """One mark as a float, or ``size`` marks as a ``(size, 1)`` column."""
+    return float(draws) if size is None else np.reshape(draws, (size, 1))
 
 
 def _eta_is_zero(eta):
@@ -126,8 +138,8 @@ class DeterministicTable:
         out = np.where(idx >= 0, vals[np.maximum(idx, 0)], 0.0)
         return float(out) if np.ndim(t) == 0 else out
 
-    def sample(self, rng):
-        return TablePath(self, 1.0)
+    def sample(self, rng, size=None):
+        return TablePath(self, 1.0 if size is None else np.ones((size, 1)))
 
     def support_end(self):
         """Time after which the function is identically 0 (may be ``inf``)."""
@@ -177,8 +189,8 @@ class Indicator:
         if self.eta.support()[0] < 0:
             raise KernelError("indicator pulse length law must be nonnegative")
 
-    def sample(self, rng):
-        return IndicatorPath(float(self.eta.sample(rng)))
+    def sample(self, rng, size=None):
+        return IndicatorPath(_marks(self.eta.sample(rng, size=size), size))
 
     def support_end(self):
         return self.eta.support()[1]
@@ -213,8 +225,8 @@ class ScaledExpDecay:
         if not (self.decay > 0 and math.isfinite(self.decay)):
             raise KernelError("decay rate must be positive and finite")
 
-    def sample(self, rng):
-        return ExpDecayPath(float(self.eta.sample(rng)), self.decay)
+    def sample(self, rng, size=None):
+        return ExpDecayPath(_marks(self.eta.sample(rng, size=size), size), self.decay)
 
     def support_end(self):
         return 0.0 if _eta_is_zero(self.eta) else math.inf
@@ -244,8 +256,8 @@ class ScaledTable:
     eta: Law
     table: DeterministicTable
 
-    def sample(self, rng):
-        return TablePath(self.table, float(self.eta.sample(rng)))
+    def sample(self, rng, size=None):
+        return TablePath(self.table, _marks(self.eta.sample(rng, size=size), size))
 
     def support_end(self):
         return self.table.support_end() if not _eta_is_zero(self.eta) else 0.0
@@ -300,7 +312,14 @@ class BirthDeath:
         if self.max_jumps < 1:
             raise KernelError("max_jumps must be >= 1")
 
-    def sample(self, rng):
+    def sample(self, rng, size=None):
+        # Each jump draws an exponential and then a uniform, so k paths are
+        # drawn one after another, exactly as k single calls would.
+        if size is None:
+            return self._path(rng)
+        return PathStack(tuple(self._path(rng) for _ in range(size)))
+
+    def _path(self, rng):
         state = self.initial
         t = 0.0
         times, states = [], []
@@ -355,8 +374,8 @@ class SpikeTrain:
 
     kind: ClassVar[str] = "spike_train"
 
-    def sample(self, rng):
-        return SpikePath(float(rng.uniform()))
+    def sample(self, rng, size=None):
+        return SpikePath(_marks(rng.uniform(size=size), size))
 
     def support_end(self):
         return math.inf
@@ -420,7 +439,10 @@ class TablePath:
     """Realization of a (possibly scaled) deterministic table."""
 
     table: DeterministicTable
-    scale: float = 1.0
+    scale: float | np.ndarray = 1.0
+
+    def __getitem__(self, rows):
+        return TablePath(self.table, self.scale[rows])
 
     def value(self, t):
         return self.scale * self.table.value(t)
@@ -445,7 +467,10 @@ class TablePath:
 class IndicatorPath:
     """One pulse: 1 on [0, eta), 0 elsewhere."""
 
-    eta: float
+    eta: float | np.ndarray
+
+    def __getitem__(self, rows):
+        return IndicatorPath(self.eta[rows])
 
     def value(self, t):
         return 1.0 if 0.0 <= t < self.eta else 0.0
@@ -471,8 +496,11 @@ class IndicatorPath:
 class ExpDecayPath:
     """eta * exp(-decay t) on t >= 0."""
 
-    eta: float
+    eta: float | np.ndarray
     decay: float
+
+    def __getitem__(self, rows):
+        return ExpDecayPath(self.eta[rows], self.decay)
 
     def value(self, t):
         return self.eta * math.exp(-self.decay * t) if t >= 0.0 else 0.0
@@ -499,7 +527,10 @@ class ExpDecayPath:
 class SpikePath:
     """Pulse in [k + k^2 eta/(k^2+1), k + eta) for every k >= 1."""
 
-    eta: float
+    eta: float | np.ndarray
+
+    def __getitem__(self, rows):
+        return SpikePath(self.eta[rows])
 
     def _bounds(self, k):
         return k + k * k * self.eta / (k * k + 1.0), k + self.eta
@@ -581,6 +612,19 @@ class BirthDeathPath:
         return float(self.jump_times[-1]) if self.absorbed and len(self.jump_times) else None
 
 
+@dataclass(frozen=True)
+class PathStack:
+    """Independent paths drawn one by one, evaluated as rows of one array."""
+
+    paths: tuple
+
+    def __getitem__(self, rows):
+        return PathStack(self.paths[rows])
+
+    def values(self, ts):
+        return np.array([path.values(row) for path, row in zip(self.paths, ts)])
+
+
 PathSample = TablePath | IndicatorPath | ExpDecayPath | SpikePath | BirthDeathPath
 
 
@@ -588,9 +632,14 @@ PathSample = TablePath | IndicatorPath | ExpDecayPath | SpikePath | BirthDeathPa
 # Operations
 
 
-def sample_path(spec, rng):
-    """Draw one independent trajectory of the kernel."""
-    return spec.sample(rng)
+def sample_path(spec, rng, size=None):
+    """Draw one independent trajectory of the kernel, or ``size`` of them.
+
+    ``size`` paths come back as one batched path whose ``values`` maps a
+    ``(size, g)`` array of times to one row per path; they use the same
+    random draws as ``size`` single calls.
+    """
+    return spec.sample(rng, size=size)
 
 
 def eval_path(path, t):

@@ -28,6 +28,10 @@ from .streams import stream
 
 __all__ = ["ProcessSample", "FddSample", "eval_transient", "eval_stationary", "fdd_sample"]
 
+# Points evaluated per (points x grid) array, which bounds the temporary
+# for windows with very many points.
+SUPERPOSE_BLOCK = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class ProcessSample:
@@ -58,11 +62,21 @@ def _validate_grid(u_grid):
 
 
 def _superpose(spec, shifts, grid, rng):
-    """``sum_k X_k(grid - shifts[k])``: one fresh path per shift, in order."""
+    """``sum_k X_k(grid - shifts[k])``: one fresh path per shift, in order.
+
+    All paths come from one batched draw.  Their rows are added in point
+    order onto zeros: ``cumsum`` outputs every prefix, so it adds one row at
+    a time, and each sum rounds as a per-point loop would (pairwise
+    summation would not).
+    """
     values = np.zeros(len(grid))
-    for shift in shifts:
-        path = sample_path(spec, rng)
-        values += path.values(grid - shift)
+    if len(shifts) == 0:
+        return values
+    paths = sample_path(spec, rng, size=len(shifts))
+    for lo in range(0, len(shifts), SUPERPOSE_BLOCK):
+        block = slice(lo, lo + SUPERPOSE_BLOCK)
+        rows = paths[block].values(grid[None, :] - shifts[block, None])
+        values = np.cumsum(np.vstack([values, rows]), axis=0)[-1]
     return values
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
-from scipy.stats import chi2 as _chi2
 
 __all__ = [
     "TestResult",
@@ -193,6 +192,8 @@ def chisq_gof_counts(observed_counts, expected_probs, min_expected=5.0):
     (zero probability, positive count) yields ``statistic = inf`` and
     p-value 0.
     """
+    from scipy.stats import chi2
+
     obs = np.asarray(observed_counts, dtype=float)
     probs = np.asarray(expected_probs, dtype=float)
     if obs.shape != probs.shape or obs.ndim != 1:
@@ -220,7 +221,7 @@ def chisq_gof_counts(observed_counts, expected_probs, min_expected=5.0):
     else:
         ok = exp_bins > 0.0
         stat = float(np.sum((obs_bins[ok] - exp_bins[ok]) ** 2 / exp_bins[ok]))
-        p = float(_chi2.sf(stat, df=len(obs_bins) - 1))
+        p = float(chi2.sf(stat, df=len(obs_bins) - 1))
     return TestResult(
         statistic=stat, p_value=p, n=int(n), m=None, method="chisq_gof", note=f"bins={len(obs_bins)}"
     )

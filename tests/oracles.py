@@ -1,9 +1,11 @@
 """Independent reference implementations used only to cross-check results.
 
-Nothing here shares code with the package: the queue oracle is an event
-loop over a heap, the KS/energy oracles are direct transcriptions of the
-definitions, the energy permutation oracle works on raw rows with one 0/1
-label column per labelling, and integrals come from adaptive quadrature.
+The queue oracle is an event loop over a heap, the KS/energy oracles are
+direct transcriptions of the definitions, the energy permutation oracle
+works on raw rows with one 0/1 label column per labelling, and integrals
+come from adaptive quadrature; none of these shares code with the package.
+The superposition oracle draws through the package's single-path sampler,
+one path per point, which is what the batched superposition must equal.
 """
 
 import heapq
@@ -90,3 +92,16 @@ def dense_energy_permutation(a, b, n_permutations, rng):
     stats = 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)
     observed = float(stats[0])
     return observed, float((1 + np.sum(stats[1:] >= observed)) / (n_permutations + 1))
+
+
+def per_path_superpose(spec, shifts, grid, rng):
+    """``sum_k X_k(grid - shifts[k])`` with one path drawn and added per point.
+
+    The reference for ``process._superpose``: one ``spec.sample(rng)`` and
+    one ``values`` call per shift, added onto zeros in point order.
+    """
+    values = np.zeros(len(grid))
+    for shift in shifts:
+        path = spec.sample(rng)
+        values += path.values(grid - shift)
+    return values

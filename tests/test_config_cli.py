@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import renewal_immigration
 from renewal_immigration.cli import main
 from renewal_immigration.config import load_config, parse_config
 from renewal_immigration.errors import ConfigError
@@ -258,6 +263,26 @@ def test_converge_exit_codes(tmp_path):
     assert main(["converge", heavy, "--out-dir", str(tmp_path / "heavy")]) == 3
     report = json.loads((tmp_path / "heavy" / "report_000.json").read_text())
     assert report["decision"] == "hypothesis_violation"
+
+
+def test_converge_with_exponential_law_never_imports_scipy_stats(tmp_path):
+    # scipy.stats costs most of the start-up; only Gamma/LogNormal tails and
+    # chi-square p-values need it.  A fresh interpreter shows what loads.
+    cfg = write_config(
+        tmp_path, base_config(t_list=[1.0], u_grid=[0.0, 1.0], n_replicates=50, n_permutations=19)
+    )
+    script = (
+        "import sys\n"
+        "from renewal_immigration.cli import main\n"
+        f"assert main(['converge', {cfg!r}, '--out-dir', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src = str(Path(renewal_immigration.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120, check=True
+    )
+    assert result.stdout.strip().splitlines()[-1] == "False"
 
 
 # ----------------------------------------------------------------- dri

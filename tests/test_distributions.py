@@ -220,6 +220,28 @@ def test_determinism_same_seed_same_draws():
         assert np.array_equal(sa, sb)
 
 
+ALL_FAMILIES = [
+    dist.Exponential(1.5),
+    dist.Gamma(0.7, 2.0),
+    dist.Uniform(-1.0, 2.0),
+    dist.LogNormal(0.0, 1.0),
+    dist.PointMass(2.0),
+    dist.FiniteDiscrete(((0.5, 0.3), (1.5, 0.7))),
+    dist.Pareto(0.8, 1.0),
+]
+
+
+@pytest.mark.parametrize("law", ALL_FAMILIES, ids=lambda law: type(law).__name__)
+def test_batched_draw_equals_single_draws(law):
+    # Batched kernel paths rely on this: one draw of size k is k single draws.
+    k = 2000
+    rng, ref_rng = stream(5), stream(5)
+    batched = np.asarray(law.sample(rng, size=k), dtype=float)
+    singles = np.array([law.sample(ref_rng) for _ in range(k)], dtype=float)
+    assert batched.tobytes() == singles.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_pareto_tail_shapes():
     heavy = dist.Pareto(0.8, 1.0)
     xs = np.array([1.0, 2.0, 10.0, 100.0])

@@ -13,7 +13,8 @@ from renewal_immigration.renewal import StationaryWindowSampler
 from renewal_immigration.stats import ks_two_sample
 from renewal_immigration.streams import stream
 
-from oracles import busy_servers_event_driven
+from oracles import busy_servers_event_driven, per_path_superpose
+from test_kernels import ALL_SPECS, TABLE_STEPS
 
 ZERO_KERNEL = kn.DeterministicTable((0.0,), (0.0,))
 EXP_LAW = dist.Exponential(1.0)
@@ -221,3 +222,57 @@ def test_transient_values_integer_for_indicator(seed):
     ps = pr.eval_transient(EXP_LAW, MM_INF, 5.0, [0.0, 1.0], stream(seed))
     assert np.all(ps.values == np.round(ps.values))
     assert np.all(ps.values >= 0.0)
+
+
+MARK_LAWS = [
+    dist.Gamma(0.5, 2.0),
+    dist.LogNormal(0.0, 1.0),
+    dist.PointMass(0.7),
+    dist.FiniteDiscrete(((0.0, 0.2), (0.5, 0.3), (2.0, 0.5))),
+]
+SUPERPOSE_SPECS = (
+    ALL_SPECS
+    + [kn.Indicator(law) for law in MARK_LAWS]
+    + [kn.ScaledTable(law, TABLE_STEPS) for law in MARK_LAWS]
+)
+GRID = np.array([-0.5, 0.0, 0.3, 1.0, 2.5, 7.0])
+
+
+def spec_id(spec):
+    eta = getattr(spec, "eta", None)
+    return type(spec).__name__ + ("" if eta is None else f"-{type(eta).__name__}")
+
+
+def superpose_cases():
+    """``(name, shifts, grid, block)``; the last case spans three blocks."""
+    shifts = np.sort(stream(40).uniform(-3.0, 8.0, size=25))
+    block = pr.SUPERPOSE_BLOCK
+    yield "many", shifts, GRID, block
+    yield "empty", np.array([]), GRID, block
+    yield "one_shift", shifts[:1], GRID, block
+    yield "one_point_grid", shifts, GRID[3:4], block
+    yield "blocks", shifts[:11], GRID, 4
+
+
+@pytest.mark.parametrize("spec", SUPERPOSE_SPECS, ids=spec_id)
+def test_superpose_matches_per_path_loop(spec, monkeypatch):
+    for seed, (name, shifts, grid, block) in enumerate(superpose_cases()):
+        monkeypatch.setattr(pr, "SUPERPOSE_BLOCK", block)
+        rng, ref_rng = stream(50 + seed), stream(50 + seed)
+        got = pr._superpose(spec, shifts, grid, rng)
+        want = per_path_superpose(spec, shifts, grid, ref_rng)
+        assert got.tobytes() == want.tobytes(), name
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, name
+
+
+def test_superpose_keeps_sign_of_underflowed_terms():
+    # Points far back: exp(-0.7 * 3000) underflows, so a negative mark gives
+    # -0.0.  Added onto zeros in order, a lone -0.0 becomes +0.0.
+    spec = kn.ScaledExpDecay(dist.Uniform(-1.0, 2.0), 0.7)
+    for seed in range(10):
+        for shifts in (np.array([-3000.0]), np.array([-3000.0, -2500.0, -0.5])):
+            rng, ref_rng = stream(60 + seed), stream(60 + seed)
+            got = pr._superpose(spec, shifts, GRID, rng)
+            want = per_path_superpose(spec, shifts, GRID, ref_rng)
+            assert got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
