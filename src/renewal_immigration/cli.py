@@ -29,12 +29,14 @@ from .config import (
 from .diagnostics import (
     CONVERGENT_EVIDENCE,
     DIVERGENT_EVIDENCE,
+    MAX_ROW_POINTS,
     convergence_test,
     dri_mean_check,
     dri_path_check,
     intensity_check,
     laplace_functional_compare,
     overshoot_check,
+    pointprocess_row_points,
     shift_invariance_check,
 )
 from .distributions import is_lattice, mean as law_mean
@@ -259,6 +261,13 @@ def cmd_pointprocess(config, out_dir, args):
         if optional(raw, "pointprocess.laplace.n_mc") is not None
         else 10_000
     )
+    row_points = pointprocess_row_points(config.law, intervals, shift, horizon, h, laplace_t)
+    for field, points in row_points.items():
+        if points > MAX_ROW_POINTS:
+            raise ConfigError(
+                f"pointprocess.{field}: one window or forward run would hold about {points:.3g} "
+                f"expected points, above the budget of {MAX_ROW_POINTS}"
+            )
 
     intensity = intensity_check(config.law, intervals, n_windows, stream((config.seed, 20)))
     overshoot = overshoot_check(config.law, horizon, n_real, stream((config.seed, 21)))

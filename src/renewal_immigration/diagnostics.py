@@ -24,12 +24,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import chdtrc
 
 from .distributions import integrated_tail_cdf, is_lattice, mean as law_mean
 from .errors import KernelError, NonAbsorbedPathError, TruncationError
 from .kernels import sample_path
 from .process import fdd_sample
-from .renewal import build_stationary_window, shift_window, simulate_forward
+from .renewal import build_stationary_window, simulate_forward
 from .stats import TestResult, energy_distance, ks_one_sample, ks_two_sample
 from .streams import stream
 
@@ -50,6 +51,7 @@ __all__ = [
     "intensity_check",
     "overshoot_check",
     "shift_invariance_check",
+    "pointprocess_row_points",
 ]
 
 CONVERGENT_EVIDENCE = "ConvergentEvidence"
@@ -65,6 +67,16 @@ CONVERGENT_RESIDUAL_FRACTION = 1e-3
 GEOMETRIC_RATIO_CAP = 0.99
 MIN_FIT_POINTS = 4
 POWER_FIT_MIN_HITS = 4.0
+
+# The point-process checks draw their windows and forward runs as blocks of
+# rows; a block holds about this many expected points in all, which bounds
+# its padded (rows x points) arrays whatever the number of rows.  The arrays
+# are a few times wider than the expected points: increments are drawn with
+# a six-sigma margin and at least 16 per row and side.
+ROW_BLOCK_POINTS = 2**15
+# A single row cannot be split across blocks: configs whose rows would
+# hold more expected points than this are rejected before any draw.
+MAX_ROW_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -236,6 +248,12 @@ class LaplaceComparison:
         }
 
 
+def _exp_neg(sums):
+    """``exp(-x)`` per value with ``math.exp``, which numpy's vectorised exp
+    can differ from in the last ulp."""
+    return np.array([math.exp(-x) for x in sums.tolist()])
+
+
 def laplace_functional_compare(law, h, t, n_mc, rng):
     """Compare ``E exp(-sum h(t - S_k))`` against ``E exp(-sum h(S*_j))``.
 
@@ -245,21 +263,21 @@ def laplace_functional_compare(law, h, t, n_mc, rng):
     """
     if min(h.values) < 0:
         raise KernelError("test function h must be nonnegative")
-    support_end = h.support_end()
-    if math.isinf(support_end):
+    if math.isinf(h.support_end()):
         raise KernelError("test function h must have compact support")
-    mu = law_mean(law)
     transient = np.empty(n_mc)
-    for i in range(n_mc):
-        realization = simulate_forward(law, t, rng)
-        transient[i] = math.exp(-float(np.sum(h.value(t - realization.epochs))))
-    c = max(support_end, mu)
+    for lo, hi in _row_blocks(n_mc, _expected_points(law, t)):
+        epochs = simulate_forward(law, t, rng, size=hi - lo).epochs
+        # Padding epochs sit at +inf, where h(t - inf) = 0.
+        transient[lo:hi] = _exp_neg(np.sum(h.value(t - epochs), axis=1))
+    c = _laplace_c(law, h)
     stationary = np.empty(n_mc)
-    for i in range(n_mc):
+    for lo, hi in _row_blocks(n_mc, _expected_points(law, 2.0 * c)):
         # Sentinels lie outside [-c, c] which contains the support of h,
-        # so summing over every window point is exact.
-        window = build_stationary_window(law, c, rng)
-        stationary[i] = math.exp(-float(np.sum(h.value(window.points))))
+        # so summing over every window point (padding included, where h
+        # is 0) is exact.
+        points = build_stationary_window(law, c, rng, size=hi - lo).points
+        stationary[lo:hi] = _exp_neg(np.sum(h.value(points), axis=1))
     z99 = 2.5758293035489004
     return LaplaceComparison(
         transient_estimate=float(transient.mean()),
@@ -423,26 +441,67 @@ class IntervalIntensity:
         }
 
 
+def _expected_points(law, span):
+    """Expected renewal points in a stretch of length ``span``."""
+    return span / law_mean(law)
+
+
+def _row_blocks(n_rows, points_per_row):
+    """``(lo, hi)`` bounds of consecutive row blocks of about ``ROW_BLOCK_POINTS`` points."""
+    step = max(1, int(ROW_BLOCK_POINTS // max(points_per_row, 1.0)))
+    return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def _count_in(points, a, b):
+    """Points of each row in the closed interval ``[a, b]``; padding never counts."""
+    return np.count_nonzero((points >= a) & (points <= b), axis=1)
+
+
+def _intensity_c(law, intervals):
+    return max(max(abs(a), abs(b)) for a, b in intervals) + law_mean(law)
+
+
+def _shift_c(law, shift, interval):
+    return max(abs(interval[0]), abs(interval[1])) + abs(shift) + law_mean(law)
+
+
+def _laplace_c(law, h):
+    return max(h.support_end(), law_mean(law))
+
+
+def pointprocess_row_points(law, intervals, shift, horizon, h, laplace_t):
+    """Expected points in one row of each point-process check.
+
+    Keyed by the config field that sets the row's length: a window over
+    ``[-c, c]`` expects ``2c / mean`` points, a forward run to ``T``
+    expects ``T / mean``.
+    """
+    return {
+        "intervals": _expected_points(law, 2.0 * _intensity_c(law, intervals)),
+        "shift": _expected_points(law, 2.0 * _shift_c(law, shift, intervals[0])),
+        "horizon": _expected_points(law, horizon),
+        "laplace.t": _expected_points(law, laplace_t),
+        "laplace.h": _expected_points(law, 2.0 * _laplace_c(law, h)),
+    }
+
+
 def intensity_check(law, intervals, n_windows, rng):
     """Mean point counts of stationary windows against ``length / mean``."""
     intervals = [(float(a), float(b)) for a, b in intervals]
     if any(b < a for a, b in intervals):
         raise ValueError("intervals must satisfy a <= b")
-    c = max(max(abs(a), abs(b)) for a, b in intervals) + law_mean(law)
-    sums = np.zeros(len(intervals))
-    sq_sums = np.zeros(len(intervals))
-    for _ in range(n_windows):
-        window = build_stationary_window(law, c, rng)
+    c = _intensity_c(law, intervals)
+    counts = np.empty((len(intervals), n_windows))
+    for lo, hi in _row_blocks(n_windows, _expected_points(law, 2.0 * c)):
+        points = build_stationary_window(law, c, rng, size=hi - lo).points
         for j, (a, b) in enumerate(intervals):
-            cnt = window.count_in(a, b)
-            sums[j] += cnt
-            sq_sums[j] += cnt * cnt
+            counts[j, lo:hi] = _count_in(points, a, b)
     mu = law_mean(law)
     out = []
-    for j, (a, b) in enumerate(intervals):
-        emp = sums[j] / n_windows
+    for (a, b), cnt in zip(intervals, counts):
+        emp = cnt.sum() / n_windows
         expected = (b - a) / mu
-        var = max(sq_sums[j] / n_windows - emp**2, 0.0)
+        var = max(float(cnt @ cnt) / n_windows - emp**2, 0.0)
         se = math.sqrt(var / n_windows)
         z = 0.0 if se == 0.0 and emp == expected else (emp - expected) / se if se > 0 else math.inf
         out.append(IntervalIntensity(a, b, float(emp), float(expected), float(z)))
@@ -472,8 +531,8 @@ def overshoot_check(law, horizon, n_realizations, rng):
     if horizon < 20.0 * mu:
         warning = f"horizon {horizon:g} is below 20 means ({20 * mu:g}); overshoots may be biased"
     overshoots = np.empty(n_realizations)
-    for i in range(n_realizations):
-        overshoots[i] = simulate_forward(law, horizon, rng).overshoot
+    for lo, hi in _row_blocks(n_realizations, _expected_points(law, horizon)):
+        overshoots[lo:hi] = simulate_forward(law, horizon, rng, size=hi - lo).overshoot
     result = ks_one_sample(overshoots, lambda x: integrated_tail_cdf(law, x))
     return OvershootReport(
         result=result,
@@ -490,15 +549,20 @@ def shift_invariance_check(law, shift, interval, n_windows, rng):
     would correlate the samples), so the test is exactly valid.
     """
     a, b = float(interval[0]), float(interval[1])
-    c = max(abs(a), abs(b)) + abs(shift) + law_mean(law)
+    c = _shift_c(law, shift, (a, b))
     n_each = n_windows // 2
-    base = np.empty(n_each, dtype=int)
-    shifted = np.empty(n_each, dtype=int)
-    for i in range(n_each):
-        base[i] = build_stationary_window(law, c, rng).count_in(a, b)
-    for i in range(n_each):
-        window = shift_window(build_stationary_window(law, c, rng), shift)
-        shifted[i] = window.count_in(a, b)
+    blocks = _row_blocks(n_each, _expected_points(law, 2.0 * c))
+
+    def counts(t):
+        # Shifting every point by -t is what ``shift_window`` does.
+        out = np.empty(n_each, dtype=int)
+        for lo, hi in blocks:
+            points = build_stationary_window(law, c, rng, size=hi - lo).points
+            out[lo:hi] = _count_in(points - t, a, b)
+        return out
+
+    base = counts(0.0)
+    shifted = counts(shift)
     top = int(max(base.max(), shifted.max()))
     h1 = np.bincount(base, minlength=top + 1).astype(float)
     h2 = np.bincount(shifted, minlength=top + 1).astype(float)
@@ -511,7 +575,5 @@ def shift_invariance_check(law, shift, interval, n_windows, rng):
     o1, o2 = o1[mask], o2[mask]
     expected = (o1 + o2) / 2.0
     stat = float(np.sum((o1 - expected) ** 2 / expected) + np.sum((o2 - expected) ** 2 / expected))
-    from scipy.stats import chi2 as _chi2
-
-    p = float(_chi2.sf(stat, df=max(len(o1) - 1, 1)))
+    p = float(chdtrc(max(len(o1) - 1, 1), stat))
     return TestResult(statistic=stat, p_value=p, n=n_each, m=n_each, method="chisq_homogeneity")

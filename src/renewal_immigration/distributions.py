@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 
 import numpy as np
+from scipy.special import gammainc, gammaincc, gammaincinv, ndtr, ndtri
 
 from .errors import LawError
 
@@ -123,26 +124,20 @@ class Gamma:
         return rng.gamma(self.shape, self.scale, size=size)
 
     def cdf(self, x):
-        from scipy.stats import gamma
-
-        return gamma.cdf(x, self.shape, scale=self.scale)
+        # Regularized incomplete gamma functions of x / scale; clamping at
+        # 0 gives cdf 0 and sf 1 below the support.
+        return gammainc(self.shape, np.maximum(x, 0.0) / self.scale)
 
     def sf(self, x):
-        from scipy.stats import gamma
-
-        return gamma.sf(x, self.shape, scale=self.scale)
+        return gammaincc(self.shape, np.maximum(x, 0.0) / self.scale)
 
     def quantile(self, p):
-        from scipy.stats import gamma
-
-        return float(gamma.ppf(p, self.shape, scale=self.scale))
+        return float(gammaincinv(self.shape, p) * self.scale)
 
     def mean_min(self, x):
-        from scipy.stats import gamma
-
         x = np.asarray(x, dtype=float)
-        head = self.mean() * gamma.cdf(x, self.shape + 1.0, scale=self.scale)
-        return head + x * gamma.sf(x, self.shape, scale=self.scale)
+        head = self.mean() * gammainc(self.shape + 1.0, np.maximum(x, 0.0) / self.scale)
+        return head + x * self.sf(x)
 
     def size_biased_sample(self, rng, size=None):
         # Size-biasing a Gamma(k, theta) bumps the shape by one.
@@ -219,28 +214,22 @@ class LogNormal:
         return rng.lognormal(self.mu, self.sigma, size=size)
 
     def cdf(self, x):
-        from scipy.stats import norm
-
         x = np.asarray(x, dtype=float)
         lx = np.log(np.maximum(x, np.finfo(float).tiny))
-        return np.where(x > 0, norm.cdf((lx - self.mu) / self.sigma), 0.0)
+        return np.where(x > 0, ndtr((lx - self.mu) / self.sigma), 0.0)
 
     def sf(self, x):
         return 1.0 - np.asarray(self.cdf(x))
 
     def quantile(self, p):
-        from scipy.stats import norm
-
-        return math.exp(self.mu + self.sigma * float(norm.ppf(p)))
+        return math.exp(self.mu + self.sigma * float(ndtri(p)))
 
     def mean_min(self, x):
-        from scipy.stats import norm
-
         # Limited expected value: m*Phi((ln x - mu - sigma^2)/sigma) + x*sf(x).
         x = np.asarray(x, dtype=float)
         lx = np.log(np.maximum(x, np.finfo(float).tiny))
-        head = self.mean() * norm.cdf((lx - self.mu - self.sigma**2) / self.sigma)
-        tail = x * norm.sf((lx - self.mu) / self.sigma)
+        head = self.mean() * ndtr((lx - self.mu - self.sigma**2) / self.sigma)
+        tail = x * ndtr(-((lx - self.mu) / self.sigma))
         return np.where(x > 0, head + tail, 0.0)
 
     def size_biased_sample(self, rng, size=None):

@@ -10,6 +10,16 @@ the translation-invariant renewal point process with intensity
 ``1 / mean``.
 
 Index convention: points carry integer indices with ``t_{-1} < 0 <= t_0``.
+
+Both builders take ``size``.  ``size=None`` returns one window or one
+forward realization.  ``size=k`` returns one object holding ``k``
+independent rows, all drawn from the generator handed in (no child
+streams are spawned): window points as a ``(k, m)`` array padded with
+``-inf`` on the left and ``+inf`` on the right, forward epochs padded with
+``+inf`` plus a ``(k,)`` vector of overshoot epochs.  A single window does
+draw its forward and backward increments from two spawned child streams,
+because :meth:`StationaryWindowSampler.extend` must be able to grow each
+half-axis later without re-drawing what exists.
 """
 
 import math
@@ -23,6 +33,7 @@ from .errors import LawError
 __all__ = [
     "RenewalRealization",
     "StationaryWindow",
+    "StationaryWindowRows",
     "StationaryWindowSampler",
     "simulate_forward",
     "build_stationary_window",
@@ -36,7 +47,10 @@ class RenewalRealization:
     """Forward epochs ``S_0 = 0 < S_1 < ... <= horizon`` plus the overshooter.
 
     ``count`` is the first index whose epoch exceeds the horizon, so
-    ``overshoot_epoch - horizon`` is the overshoot at the horizon.
+    ``overshoot_epoch - horizon`` is the overshoot at the horizon.  A batch
+    of ``k`` realizations holds ``(k, m)`` epochs padded with ``+inf`` and a
+    ``(k,)`` vector of overshoot epochs; ``count`` and ``overshoot`` are
+    then per row.
     """
 
     epochs: np.ndarray
@@ -45,50 +59,77 @@ class RenewalRealization:
 
     @property
     def count(self):
-        return len(self.epochs)
+        return np.count_nonzero(np.isfinite(self.epochs), axis=-1)
 
     @property
     def overshoot(self):
         return self.overshoot_epoch - self.horizon
 
 
-def _draw_increments_until(law, rng, start, target, mu, sd):
-    """Cumulative sums ``start + xi_1 + ...`` until strictly past ``target``.
+def _moments(law):
+    """Validate an interarrival law; return its mean and standard deviation."""
+    check_interarrival(law)
+    mu = law.mean()
+    return mu, math.sqrt(max(law.second_moment() - mu**2, 0.0))
 
-    Empty when ``start`` is already past the target.  Draws in blocks sized
-    from the mean and spread of the law so the expected number of rounds
-    is O(1).
+
+def _draw_increments_until(law, rng, starts, target, mu, sd):
+    """Row-wise cumulative sums ``starts[i] + xi_1 + ...`` until strictly past ``target``.
+
+    Row ``i`` holds its sums ``<= target``, then the first sum past it, then
+    ``+inf`` padding; a row that starts past the target is all padding.
+    Increments come in ``(rows, n)`` blocks with ``n`` sized from the mean
+    and spread of the law for the row furthest from the target, so the
+    expected number of rounds is O(1); top-up rounds draw only for the rows
+    still ``<= target``.  One row consumes the generator exactly as blocks
+    of ``n`` single draws would.
     """
-    if start > target:
-        return np.empty(0)
-    out = []
-    last = start
-    remaining = target - start
-    while last <= target:
+    last = np.array(starts, dtype=float)
+    rounds = []
+    active = np.flatnonzero(last <= target)
+    while len(active):
+        remaining = target - last[active].min()
         n = max(16, int(remaining / mu + 6.0 * sd / mu * math.sqrt(max(remaining / mu, 1.0)) + 1))
-        block = last + np.cumsum(law.sample(rng, size=n))
-        out.append(block)
-        last = block[-1]
-        remaining = target - last
-    cum = np.concatenate(out) if len(out) > 1 else out[0]
-    cut = int(np.searchsorted(cum, target, side="right"))
-    return cum[: cut + 1]  # all epochs <= target plus one overshooter
+        block = last[active, None] + np.cumsum(law.sample(rng, size=(len(active), n)), axis=1)
+        rounds.append((active, block))
+        last[active] = block[:, -1]
+        active = active[block[:, -1] <= target]
+    cum = np.full((len(last), sum(block.shape[1] for _, block in rounds)), np.inf)
+    col = 0
+    for rows, block in rounds:
+        cum[rows, col : col + block.shape[1]] = block
+        col += block.shape[1]
+    # Sums increase along a row: the first one past the target sits at
+    # the count of those <= target, and everything after it is padding.
+    over = np.count_nonzero(cum <= target, axis=1)
+    cum[np.arange(cum.shape[1]) > over[:, None]] = np.inf
+    return cum[:, : over.max(initial=0) + 1]
 
 
-def simulate_forward(law, horizon, rng):
+def _finite(row):
+    """The sums of one row of ``_draw_increments_until`` without padding."""
+    return row[np.isfinite(row)]
+
+
+def simulate_forward(law, horizon, rng, size=None):
     """Simulate the zero-delayed renewal sequence on ``[0, horizon]``.
 
     The first epoch beyond the horizon is retained separately for
-    overshoot diagnostics.
+    overshoot diagnostics.  ``size=k`` simulates ``k`` independent
+    sequences as the rows of one realization.
     """
-    check_interarrival(law)
+    mu, sd = _moments(law)
     if horizon < 0:
         raise LawError(f"horizon must be >= 0, got {horizon}")
-    mu = law.mean()
-    sd = math.sqrt(max(law.second_moment() - mu**2, 0.0))
-    cum = _draw_increments_until(law, rng, 0.0, horizon, mu, sd)
-    epochs = np.concatenate([[0.0], cum[:-1]])
-    return RenewalRealization(epochs=epochs, horizon=float(horizon), overshoot_epoch=float(cum[-1]))
+    if size is None:
+        cum = _finite(_draw_increments_until(law, rng, [0.0], horizon, mu, sd)[0])
+        epochs = np.concatenate([[0.0], cum[:-1]])
+        return RenewalRealization(epochs=epochs, horizon=float(horizon), overshoot_epoch=float(cum[-1]))
+    cum = _draw_increments_until(law, rng, np.zeros(size), horizon, mu, sd)
+    inside = cum <= horizon
+    overshoot_epoch = cum[np.arange(size), np.count_nonzero(inside, axis=1)]
+    epochs = np.hstack([np.zeros((size, 1)), np.where(inside, cum, np.inf)[:, :-1]])
+    return RenewalRealization(epochs=epochs, horizon=float(horizon), overshoot_epoch=overshoot_epoch)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +174,22 @@ class StationaryWindow:
         return np.diff(self.points)
 
 
+@dataclass(frozen=True, eq=False)
+class StationaryWindowRows:
+    """``k`` independent stationary windows covering ``[-c, c]``, one per row.
+
+    ``points`` is ``(k, m)``: each row is built as a single window is, then
+    padded with ``-inf`` on the left and ``+inf`` on the right.  Column
+    ``zero_index`` holds every row's ``t_0``.  ``xi0`` and ``u`` are ``(k,)``.
+    """
+
+    points: np.ndarray
+    zero_index: int
+    c: float
+    xi0: np.ndarray
+    u: np.ndarray
+
+
 class StationaryWindowSampler:
     """Builds stationary windows and extends them to larger ``c``.
 
@@ -143,10 +200,8 @@ class StationaryWindowSampler:
     """
 
     def __init__(self, law, rng):
-        check_interarrival(law)
         self.law = law
-        self._mu = law.mean()
-        self._sd = math.sqrt(max(law.second_moment() - self._mu**2, 0.0))
+        self._mu, self._sd = _moments(law)
         s0, xi0, u = sample_stationary_delay(law, rng)
         self._s0 = s0
         self._s_minus1 = s0 - xi0
@@ -160,10 +215,13 @@ class StationaryWindowSampler:
     def initial(self, c):
         if c <= 0:
             raise LawError(f"window half-width must be positive, got {c}")
-        fwd = _draw_increments_until(self.law, self._fwd, self._s0, c, self._mu, self._sd)
-        bwd = _draw_increments_until(self.law, self._bwd, -self._s_minus1, c, self._mu, self._sd)
+        fwd = self._draw(self._fwd, self._s0, c)
+        bwd = self._draw(self._bwd, -self._s_minus1, c)
         points = np.concatenate([-bwd[::-1], [self._s_minus1, self._s0], fwd])
         return StationaryWindow(points=points, zero_index=len(bwd) + 1, c=float(c), xi0=self.xi0, u=self.u)
+
+    def _draw(self, rng, start, target):
+        return _finite(_draw_increments_until(self.law, rng, [start], target, self._mu, self._sd)[0])
 
     def extend(self, window, c):
         """Grow a window built by this sampler out to a larger ``c``."""
@@ -174,18 +232,35 @@ class StationaryWindowSampler:
         parts = [window.points]
         zero_index = window.zero_index
         if right <= c:
-            parts.append(_draw_increments_until(self.law, self._fwd, right, c, self._mu, self._sd))
+            parts.append(self._draw(self._fwd, right, c))
         if left <= c:
-            ext = _draw_increments_until(self.law, self._bwd, left, c, self._mu, self._sd)
+            ext = self._draw(self._bwd, left, c)
             parts.insert(0, -ext[::-1])
             zero_index += len(ext)
         points = np.concatenate(parts) if len(parts) > 1 else parts[0]
         return StationaryWindow(points=points, zero_index=zero_index, c=float(c), xi0=window.xi0, u=window.u)
 
 
-def build_stationary_window(law, c, rng):
-    """Draw one stationary renewal window covering ``[-c, c]``."""
-    return StationaryWindowSampler(law, rng).initial(c)
+def build_stationary_window(law, c, rng, size=None):
+    """Draw one stationary renewal window covering ``[-c, c]``.
+
+    ``size=k`` draws ``k`` independent windows as the rows of one
+    :class:`StationaryWindowRows`: the ``k`` straddling intervals and splits
+    first, then the forward and the backward increments of all rows.
+    """
+    if size is None:
+        return StationaryWindowSampler(law, rng).initial(c)
+    mu, sd = _moments(law)
+    if c <= 0:
+        raise LawError(f"window half-width must be positive, got {c}")
+    s0, xi0, u = sample_stationary_delay(law, rng, size=size)
+    s_minus1 = s0 - xi0
+    fwd = _draw_increments_until(law, rng, s0, c, mu, sd)
+    bwd = _draw_increments_until(law, rng, -s_minus1, c, mu, sd)
+    points = np.hstack([-bwd[:, ::-1], s_minus1[:, None], s0[:, None], fwd])
+    return StationaryWindowRows(
+        points=points, zero_index=bwd.shape[1] + 1, c=float(c), xi0=s0 - s_minus1, u=u
+    )
 
 
 def shift_window(window, t):

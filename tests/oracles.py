@@ -6,9 +6,12 @@ works on raw rows with one 0/1 label column per labelling, and integrals
 come from adaptive quadrature; none of these shares code with the package.
 The superposition oracle draws through the package's single-path sampler,
 one path per point, which is what the batched superposition must equal.
+The single-row increment oracle is the scalar-start renewal helper that
+the row-wise one must reproduce draw for draw.
 """
 
 import heapq
+import math
 
 import numpy as np
 
@@ -105,3 +108,27 @@ def per_path_superpose(spec, shifts, grid, rng):
         path = spec.sample(rng)
         values += path.values(grid - shift)
     return values
+
+
+def single_row_increments_until(law, rng, start, target, mu, sd):
+    """Cumulative sums ``start + xi_1 + ...`` until strictly past ``target``.
+
+    The reference for one row of ``renewal._draw_increments_until``: the
+    scalar-start helper it replaced, drawing ``law.sample(rng, size=n)``
+    blocks with the same block-width formula and trimming after the first
+    sum past the target.  Empty when ``start`` is already past the target.
+    """
+    if start > target:
+        return np.empty(0)
+    out = []
+    last = start
+    remaining = target - start
+    while last <= target:
+        n = max(16, int(remaining / mu + 6.0 * sd / mu * math.sqrt(max(remaining / mu, 1.0)) + 1))
+        block = last + np.cumsum(law.sample(rng, size=n))
+        out.append(block)
+        last = block[-1]
+        remaining = target - last
+    cum = np.concatenate(out) if len(out) > 1 else out[0]
+    cut = int(np.searchsorted(cum, target, side="right"))
+    return cum[: cut + 1]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import renewal_immigration
+from renewal_immigration import cli
 from renewal_immigration.cli import main
 from renewal_immigration.config import load_config, parse_config
 from renewal_immigration.errors import ConfigError
@@ -112,6 +113,30 @@ def test_malformed_fields_exit_1_without_traceback(tmp_path, capsys, command, fi
     assert main([command, cfg, "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "fields, path",
+    [
+        ({"shift": 1e300}, "pointprocess.shift"),
+        ({"horizon": 1e300}, "pointprocess.horizon"),
+        ({"horizon": 1e9}, "pointprocess.horizon"),
+        ({"laplace": {"t": 1e300}}, "pointprocess.laplace.t"),
+        ({"intervals": [[0.0, 1e300]]}, "pointprocess.intervals"),
+        ({"laplace": {"h": {"kind": "deterministic_table", "breakpoints": [0.0, 1e300], "values": [1.0, 0.0]}}},
+         "pointprocess.laplace.h"),
+    ],
+)
+def test_pointprocess_work_budget_exits_1_before_any_draw(tmp_path, capsys, monkeypatch, fields, path):
+    # The checks are replaced, so a missed budget fails here instead of
+    # allocating a huge window or forward run.
+    for name in ["intensity_check", "overshoot_check", "shift_invariance_check", "laplace_functional_compare"]:
+        monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    cfg = write_config(tmp_path, base_config(pointprocess=fields))
+    assert main(["pointprocess", cfg, "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and "budget" in err
     assert "Traceback" not in err
 
 
@@ -265,16 +290,12 @@ def test_converge_exit_codes(tmp_path):
     assert report["decision"] == "hypothesis_violation"
 
 
-def test_converge_with_exponential_law_never_imports_scipy_stats(tmp_path):
-    # scipy.stats costs most of the start-up; only Gamma/LogNormal tails and
-    # chi-square p-values need it.  A fresh interpreter shows what loads.
-    cfg = write_config(
-        tmp_path, base_config(t_list=[1.0], u_grid=[0.0, 1.0], n_replicates=50, n_permutations=19)
-    )
+def _loads_scipy_stats(command, cfg, out_dir, exit_code):
+    """Whether running ``command`` in a fresh interpreter imports scipy.stats."""
     script = (
         "import sys\n"
         "from renewal_immigration.cli import main\n"
-        f"assert main(['converge', {cfg!r}, '--out-dir', {str(tmp_path / 'out')!r}]) == 0\n"
+        f"assert main([{command!r}, {cfg!r}, '--out-dir', {str(out_dir)!r}]) == {exit_code}\n"
         "print('scipy.stats' in sys.modules)\n"
     )
     src = str(Path(renewal_immigration.__file__).parents[1])
@@ -282,7 +303,28 @@ def test_converge_with_exponential_law_never_imports_scipy_stats(tmp_path):
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120, check=True
     )
-    assert result.stdout.strip().splitlines()[-1] == "False"
+    return result.stdout.strip().splitlines()[-1] == "True"
+
+
+def test_converge_with_exponential_law_never_imports_scipy_stats(tmp_path):
+    # scipy.stats costs most of the start-up and the package never needs
+    # it.  A fresh interpreter shows what loads.
+    cfg = write_config(
+        tmp_path, base_config(t_list=[1.0], u_grid=[0.0, 1.0], n_replicates=50, n_permutations=19)
+    )
+    assert not _loads_scipy_stats("converge", cfg, tmp_path / "out", 0)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [{"family": "lognormal", "mu": 0.0, "sigma": 1.0}, {"family": "gamma", "shape": 2.0, "scale": 0.5}],
+    ids=lambda law: law["family"],
+)
+def test_pointprocess_never_imports_scipy_stats(tmp_path, law):
+    # Normal, gamma and chi-square tails come from scipy.special.
+    small = {"n_windows": 200, "n_realizations": 200, "laplace": {"n_mc": 200}}
+    cfg = write_config(tmp_path, base_config(law=law, pointprocess=small))
+    assert not _loads_scipy_stats("pointprocess", cfg, tmp_path / "out", 0)
 
 
 # ----------------------------------------------------------------- dri

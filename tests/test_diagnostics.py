@@ -7,7 +7,10 @@ from scipy.integrate import quad
 from renewal_immigration import diagnostics as dg
 from renewal_immigration import distributions as dist
 from renewal_immigration import kernels as kn
+from renewal_immigration import renewal as rn
 from renewal_immigration.streams import stream
+
+from test_renewal import assert_forward_rows, assert_window_rows
 
 EXP_LAW = dist.Exponential(1.0)
 MM_INF = kn.Indicator(dist.Exponential(1.0))
@@ -204,3 +207,69 @@ def test_overshoot_check_point_mass_lattice_flag():
 def test_shift_invariance_check():
     res = dg.shift_invariance_check(EXP_LAW, 0.25, (0.0, 1.0), 2 * 10**4, stream(24))
     assert res.p_value > 0.01
+
+
+class _CountingLogNormal(dist.LogNormal):
+    """LogNormal(0, 2) that records the size of every increment draw."""
+
+    draws = []
+
+    def sample(self, rng, size=None):
+        type(self).draws.append(size)
+        return super().sample(rng, size=size)
+
+
+def _point_process_run(monkeypatch, law, rng_seed):
+    """The four point-process checks with every batched draw recorded."""
+    drawn = {"build_stationary_window": [], "simulate_forward": []}
+    for name, out in drawn.items():
+        real = getattr(rn, name)
+
+        def spy(*args, real=real, out=out, **kwargs):
+            result = real(*args, **kwargs)
+            out.append(result)
+            return result
+
+        monkeypatch.setattr(dg, name, spy)
+    mu = law.mean()
+    h = kn.DeterministicTable((0.0, mu), (1.0, 0.0))
+    reports = [
+        [r.to_dict() for r in dg.intensity_check(law, [(0.0, 5.0 * mu), (-2.0 * mu, mu)], 40, stream(rng_seed))],
+        dg.overshoot_check(law, 20.0 * mu, 30, stream(rng_seed + 1)).to_dict(),
+        dg.shift_invariance_check(law, 0.25 * mu, (0.0, 5.0 * mu), 40, stream(rng_seed + 2)).to_dict(),
+        dg.laplace_functional_compare(law, h, 20.0 * mu, 30, stream(rng_seed + 3)).to_dict(),
+    ]
+    return reports, drawn
+
+
+@pytest.mark.parametrize("top_up", [False, True], ids=["natural", "forced_top_up"])
+def test_point_process_checks_in_blocks_of_one_to_three_rows(monkeypatch, top_up):
+    # Six expected points per block: one row of a window over [-6 mu, 6 mu]
+    # or of a forward run to 20 mu, three rows of a window over [-mu, mu].
+    monkeypatch.setattr(dg, "ROW_BLOCK_POINTS", 6)
+    if top_up:
+        # Overstating the mean twentyfold makes every first block of
+        # increments too short, so the rows need top-up rounds.
+        real_moments = rn._moments
+        monkeypatch.setattr(rn, "_moments", lambda law: (20.0 * real_moments(law)[0], real_moments(law)[1]))
+    law = _CountingLogNormal(0.0, 2.0)
+    runs = []
+    for _ in range(2):
+        law.draws.clear()
+        runs.append(_point_process_run(monkeypatch, law, 40) + (len(law.draws),))
+    (reports, drawn, n_draws), (rerun_reports, rerun_drawn, _) = runs
+    assert reports == rerun_reports
+    windows, forwards = drawn["build_stationary_window"], drawn["simulate_forward"]
+    assert len(windows) > 20 and len(forwards) > 20
+    for rows, again in zip(windows, rerun_drawn["build_stationary_window"]):
+        assert 1 <= len(rows.points) <= 3
+        assert np.array_equal(rows.points, again.points)
+        assert_window_rows(rows, rows.c)
+    for real, again in zip(forwards, rerun_drawn["simulate_forward"]):
+        assert 1 <= len(real.epochs) <= 3
+        assert np.array_equal(real.epochs, again.epochs)
+        assert_forward_rows(real, real.horizon)
+    # Each window draws at most one round per side, each forward run one
+    # round, unless some row needed a top-up.
+    if top_up:
+        assert n_draws > 2 * len(windows) + len(forwards)

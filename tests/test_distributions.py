@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from renewal_immigration import distributions as dist
+from renewal_immigration import stats
 from renewal_immigration.errors import LawError
 from renewal_immigration.streams import stream
 
@@ -247,3 +248,66 @@ def test_pareto_tail_shapes():
     xs = np.array([1.0, 2.0, 10.0, 100.0])
     assert np.allclose(heavy.sf(xs), (1.0 / xs) ** 0.8)
     assert float(heavy.cdf(0.5)) == 0.0
+
+
+# ------------------------------------------ scipy.special against scipy.stats
+
+# The package evaluates normal, gamma and chi-square tails with
+# scipy.special; these pin each method to the scipy.stats expression it
+# replaced, bit for bit.
+LOGNORMALS = [dist.LogNormal(0.0, 0.5), dist.LogNormal(-1.0, 2.0), dist.LogNormal(1.5, 1.0)]
+GAMMAS = [dist.Gamma(a, s) for a in (0.3, 1.0, 2.0, 5.5, 40.0) for s in (0.1, 0.5, 1.0, 7.0)]
+XS = np.concatenate([[-3.0, -0.0, 0.0, np.inf], np.geomspace(1e-6, 1e4, 400)])
+PS = np.concatenate([[0.0, 1e-12, 1.0 - 1e-12, 1.0], np.linspace(0.001, 0.999, 97)])
+
+
+def _lognormal_reference(law, x):
+    from scipy.stats import norm
+
+    lx = np.log(np.maximum(x, np.finfo(float).tiny))
+    cdf = np.where(x > 0, norm.cdf((lx - law.mu) / law.sigma), 0.0)
+    head = law.mean() * norm.cdf((lx - law.mu - law.sigma**2) / law.sigma)
+    with np.errstate(invalid="ignore"):  # inf * 0 at x = inf, in both
+        mean_min = np.where(x > 0, head + x * norm.sf((lx - law.mu) / law.sigma), 0.0)
+    return cdf, 1.0 - cdf, mean_min
+
+
+@pytest.mark.parametrize("law", LOGNORMALS, ids=repr)
+def test_lognormal_tails_equal_scipy_stats(law):
+    from scipy.stats import norm
+
+    cdf, sf, mean_min = _lognormal_reference(law, XS)
+    assert law.cdf(XS).tobytes() == cdf.tobytes()
+    assert law.sf(XS).tobytes() == sf.tobytes()
+    with np.errstate(invalid="ignore"):
+        assert np.asarray(law.mean_min(XS)).tobytes() == mean_min.tobytes()
+    for p in PS:
+        assert law.quantile(p) == math.exp(law.mu + law.sigma * float(norm.ppf(p)))
+
+
+@pytest.mark.parametrize("law", GAMMAS, ids=repr)
+def test_gamma_tails_equal_scipy_stats(law):
+    from scipy.stats import gamma
+
+    a, s = law.shape, law.scale
+    assert np.asarray(law.cdf(XS)).tobytes() == gamma.cdf(XS, a, scale=s).tobytes()
+    assert np.asarray(law.sf(XS)).tobytes() == gamma.sf(XS, a, scale=s).tobytes()
+    with np.errstate(invalid="ignore"):  # inf * 0 at x = inf, in both
+        expected = law.mean() * gamma.cdf(XS, a + 1.0, scale=s) + XS * gamma.sf(XS, a, scale=s)
+        assert np.asarray(law.mean_min(XS)).tobytes() == expected.tobytes()
+    for p in PS:
+        assert law.quantile(p) == float(gamma.ppf(p, a, scale=s))
+
+
+@pytest.mark.parametrize("df", [1, 3, 7])
+def test_chi_square_tail_equals_scipy_stats(df):
+    from scipy.special import chdtrc
+    from scipy.stats import chi2
+
+    xs = np.concatenate([[0.0, np.inf], np.geomspace(1e-4, 200.0, 300)])
+    assert chdtrc(df, xs).tobytes() == chi2.sf(xs, df).tobytes()
+    # chisq_gof_counts: df + 1 bins, none pooled.
+    probs = np.full(df + 1, 1.0 / (df + 1))
+    counts = 50.0 + np.arange(df + 1) * 3.0
+    res = stats.chisq_gof_counts(counts, probs)
+    assert res.p_value == float(chi2.sf(res.statistic, df))

@@ -11,6 +11,8 @@ from renewal_immigration.errors import LawError
 from renewal_immigration.stats import chisq_gof_counts, ks_one_sample, ks_two_sample
 from renewal_immigration.streams import stream
 
+from oracles import single_row_increments_until
+
 LAWS = [
     dist.Exponential(1.0),
     dist.Gamma(2.0, 0.5),
@@ -198,3 +200,118 @@ def test_count_in_closed_interval():
     p0 = window.point(0)
     assert window.count_in(p0, p0) == 1
     assert window.count_in(p0 + 1e-12, p0 + 0.5) == 0
+
+
+# ------------------------------------------------------- batched builders
+
+
+def _moments(law):
+    mu = law.mean()
+    return mu, math.sqrt(max(law.second_moment() - mu**2, 0.0))
+
+
+# (start, target, factor on the mean handed to the helper): a typical run,
+# a start already past the target, and a mean overstated twentyfold so the
+# first block falls short and top-up rounds follow.
+INCREMENT_CASES = {"typical": (0.3, 20.0, 1.0), "start_above": (5.0, 2.0, 1.0), "top_up": (0.0, 50.0, 20.0)}
+
+
+@pytest.mark.parametrize("case", sorted(INCREMENT_CASES))
+@pytest.mark.parametrize("law", LAWS, ids=lambda l: type(l).__name__)
+def test_row_wise_increments_match_single_row_oracle(law, case):
+    start, target, factor = INCREMENT_CASES[case]
+    mu, sd = _moments(law)
+    rng_row, rng_oracle = stream(30), stream(30)
+    row = rn._draw_increments_until(law, rng_row, [start], target, factor * mu, sd)
+    expected = single_row_increments_until(law, rng_oracle, start, target, factor * mu, sd)
+    assert row.shape == (1, len(expected))
+    assert row[0].tobytes() == expected.tobytes()
+    assert rng_row.bit_generator.state == rng_oracle.bit_generator.state
+    if case == "top_up":
+        assert len(expected) > 16  # the first block holds the minimum of 16 draws here
+
+
+def test_row_wise_increments_pad_each_row_after_its_overshooter():
+    law = dist.Exponential(1.0)
+    starts = [0.0, 3.0, 12.0, 9.5]
+    cum = rn._draw_increments_until(law, stream(31), starts, 10.0, 2.0, 1.0)  # mean overstated: top-ups
+    for start, row in zip(starts, cum):
+        finite = row[np.isfinite(row)]
+        assert np.all(np.isposinf(row[len(finite):]))
+        if start > 10.0:
+            assert len(finite) == 0
+            continue
+        assert np.all(finite[:-1] <= 10.0) and finite[-1] > 10.0
+        assert finite[0] > start and np.all(np.diff(finite) > 0.0)
+
+
+def assert_window_rows(rows, c):
+    assert rows.points.shape[0] == len(rows.xi0) == len(rows.u)
+    z = rows.zero_index
+    for i, pts in enumerate(rows.points):
+        finite = pts[np.isfinite(pts)]
+        left = np.count_nonzero(np.isneginf(pts))
+        assert np.all(np.isneginf(pts[:left])) and np.all(np.isposinf(pts[left + len(finite):]))
+        assert np.all(np.diff(finite) > 0.0)
+        assert np.count_nonzero(finite < -c) == 1 and finite[0] < -c
+        assert np.count_nonzero(finite > c) == 1 and finite[-1] > c
+        assert pts[z - 1] < 0.0 <= pts[z]
+        assert pts[z] - pts[z - 1] == rows.xi0[i]
+
+
+def assert_forward_rows(real, horizon):
+    for epochs, overshoot_epoch in zip(real.epochs, real.overshoot_epoch):
+        finite = epochs[np.isfinite(epochs)]
+        assert np.all(np.isposinf(epochs[len(finite):]))
+        assert finite[0] == 0.0 and np.all(finite <= horizon)
+        assert np.all(np.diff(finite) > 0.0)
+        assert overshoot_epoch > horizon and overshoot_epoch > finite[-1]
+
+
+@given(
+    law=st.sampled_from(LAWS),
+    c=st.floats(min_value=0.05, max_value=40.0),
+    horizon=st.floats(min_value=0.0, max_value=40.0),
+    k=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=120, deadline=None)
+def test_batched_rows_keep_the_single_row_invariants(law, c, horizon, k, seed):
+    rows = rn.build_stationary_window(law, c, stream(seed), size=k)
+    assert rows.points.shape[0] == k and rows.c == c
+    assert_window_rows(rows, c)
+    real = rn.simulate_forward(law, horizon, stream(seed), size=k)
+    assert real.epochs.shape[0] == k and real.overshoot_epoch.shape == (k,)
+    assert_forward_rows(real, horizon)
+    assert np.array_equal(real.overshoot, real.overshoot_epoch - horizon)
+    assert np.array_equal(real.count, np.count_nonzero(np.isfinite(real.epochs), axis=1))
+
+
+def test_batched_rows_draw_from_the_generator_without_spawning():
+    rng = stream(32)
+    rn.build_stationary_window(dist.Gamma(2.0, 0.5), 5.0, rng, size=4)
+    rn.simulate_forward(dist.Gamma(2.0, 0.5), 5.0, rng, size=4)
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0
+    rn.build_stationary_window(dist.Gamma(2.0, 0.5), 5.0, rng)
+    assert rng.bit_generator.seed_seq.n_children_spawned == 2
+
+
+def test_batched_forward_rows_equal_single_runs_without_top_up():
+    # Every row finishes in its first block here, so row i consumes the
+    # same draws as the i-th single run.
+    law = dist.Uniform(0.0, 2.0)
+    batch = rn.simulate_forward(law, 30.0, stream(33), size=5)
+    rng = stream(33)
+    for epochs, overshoot_epoch in zip(batch.epochs, batch.overshoot_epoch):
+        single = rn.simulate_forward(law, 30.0, rng)
+        assert epochs[np.isfinite(epochs)].tobytes() == single.epochs.tobytes()
+        assert overshoot_epoch == single.overshoot_epoch
+
+
+def test_batched_builders_reject_bad_arguments():
+    with pytest.raises(LawError):
+        rn.build_stationary_window(dist.Exponential(1.0), 0.0, stream(34), size=3)
+    with pytest.raises(LawError):
+        rn.simulate_forward(dist.Exponential(1.0), -1.0, stream(34), size=3)
+    with pytest.raises(LawError):
+        rn.simulate_forward(dist.Pareto(2.0, 1.0), 1.0, stream(34), size=3)
