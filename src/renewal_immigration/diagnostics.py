@@ -248,10 +248,16 @@ class LaplaceComparison:
         }
 
 
-def _exp_neg(sums):
-    """``exp(-x)`` per value with ``math.exp``, which numpy's vectorised exp
-    can differ from in the last ulp."""
-    return np.array([math.exp(-x) for x in sums.tolist()])
+def _exp_neg_h_sums(h, x):
+    """``exp(-sum h(x))`` per row of ``x``, over the row's finite entries only.
+
+    Each row is summed as ``np.sum`` sums a 1-D array of its finite entries,
+    so padding changes neither the terms nor their grouping in numpy's
+    pairwise sum.  ``exp`` is ``math.exp`` per value, which numpy's
+    vectorised exp can differ from in the last ulp.
+    """
+    sums = np.sum(h.value(x), axis=1, where=np.isfinite(x))
+    return np.array([math.exp(-s) for s in sums.tolist()])
 
 
 def laplace_functional_compare(law, h, t, n_mc, rng):
@@ -268,16 +274,14 @@ def laplace_functional_compare(law, h, t, n_mc, rng):
     transient = np.empty(n_mc)
     for lo, hi in _row_blocks(n_mc, _expected_points(law, t)):
         epochs = simulate_forward(law, t, rng, size=hi - lo).epochs
-        # Padding epochs sit at +inf, where h(t - inf) = 0.
-        transient[lo:hi] = _exp_neg(np.sum(h.value(t - epochs), axis=1))
+        transient[lo:hi] = _exp_neg_h_sums(h, t - epochs)
     c = _laplace_c(law, h)
     stationary = np.empty(n_mc)
     for lo, hi in _row_blocks(n_mc, _expected_points(law, 2.0 * c)):
         # Sentinels lie outside [-c, c] which contains the support of h,
-        # so summing over every window point (padding included, where h
-        # is 0) is exact.
+        # so summing over every window point is exact.
         points = build_stationary_window(law, c, rng, size=hi - lo).points
-        stationary[lo:hi] = _exp_neg(np.sum(h.value(points), axis=1))
+        stationary[lo:hi] = _exp_neg_h_sums(h, points)
     z99 = 2.5758293035489004
     return LaplaceComparison(
         transient_estimate=float(transient.mean()),
@@ -447,14 +451,10 @@ def _expected_points(law, span):
 
 
 def _row_blocks(n_rows, points_per_row):
-    """``(lo, hi)`` bounds of consecutive row blocks of about ``ROW_BLOCK_POINTS`` points."""
+    """Yield ``(lo, hi)`` bounds of consecutive row blocks of about ``ROW_BLOCK_POINTS`` points."""
     step = max(1, int(ROW_BLOCK_POINTS // max(points_per_row, 1.0)))
-    return [(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
-
-
-def _count_in(points, a, b):
-    """Points of each row in the closed interval ``[a, b]``; padding never counts."""
-    return np.count_nonzero((points >= a) & (points <= b), axis=1)
+    for lo in range(0, n_rows, step):
+        yield lo, min(lo + step, n_rows)
 
 
 def _intensity_c(law, intervals):
@@ -491,17 +491,21 @@ def intensity_check(law, intervals, n_windows, rng):
     if any(b < a for a, b in intervals):
         raise ValueError("intervals must satisfy a <= b")
     c = _intensity_c(law, intervals)
-    counts = np.empty((len(intervals), n_windows))
+    # Running sums of the integer counts and their squares are exact.
+    sums = [0] * len(intervals)
+    squares = [0] * len(intervals)
     for lo, hi in _row_blocks(n_windows, _expected_points(law, 2.0 * c)):
-        points = build_stationary_window(law, c, rng, size=hi - lo).points
+        rows = build_stationary_window(law, c, rng, size=hi - lo)
         for j, (a, b) in enumerate(intervals):
-            counts[j, lo:hi] = _count_in(points, a, b)
+            cnt = rows.count_in(a, b)
+            sums[j] += int(cnt.sum())
+            squares[j] += int(cnt @ cnt)
     mu = law_mean(law)
     out = []
-    for (a, b), cnt in zip(intervals, counts):
-        emp = cnt.sum() / n_windows
+    for (a, b), total, total_sq in zip(intervals, sums, squares):
+        emp = total / n_windows
         expected = (b - a) / mu
-        var = max(float(cnt @ cnt) / n_windows - emp**2, 0.0)
+        var = max(total_sq / n_windows - emp**2, 0.0)
         se = math.sqrt(var / n_windows)
         z = 0.0 if se == 0.0 and emp == expected else (emp - expected) / se if se > 0 else math.inf
         out.append(IntervalIntensity(a, b, float(emp), float(expected), float(z)))
@@ -551,14 +555,11 @@ def shift_invariance_check(law, shift, interval, n_windows, rng):
     a, b = float(interval[0]), float(interval[1])
     c = _shift_c(law, shift, (a, b))
     n_each = n_windows // 2
-    blocks = _row_blocks(n_each, _expected_points(law, 2.0 * c))
 
     def counts(t):
-        # Shifting every point by -t is what ``shift_window`` does.
         out = np.empty(n_each, dtype=int)
-        for lo, hi in blocks:
-            points = build_stationary_window(law, c, rng, size=hi - lo).points
-            out[lo:hi] = _count_in(points - t, a, b)
+        for lo, hi in _row_blocks(n_each, _expected_points(law, 2.0 * c)):
+            out[lo:hi] = build_stationary_window(law, c, rng, size=hi - lo).count_in(a, b, shift=t)
         return out
 
     base = counts(0.0)

@@ -80,28 +80,12 @@ def _superpose(spec, shifts, grid, rng):
     return values
 
 
-def _check_transient(law, t, u_grid):
+def eval_transient(law, spec, t, u_grid, rng):
+    """One replicate of ``(Y(t + u))_u``; an exact sum over epochs."""
     check_interarrival(law)
     if t < 0:
         raise LawError(f"transient time must be >= 0, got {t}")
-    return _validate_grid(u_grid)
-
-
-def _check_stationary(law, tol, u_grid):
-    check_interarrival(law)
-    if not tol > 0:
-        raise LawError(f"tolerance must be positive, got {tol}")
-    return _validate_grid(u_grid)
-
-
-def eval_transient(law, spec, t, u_grid, rng, check=True):
-    """One replicate of ``(Y(t + u))_u``; an exact sum over epochs.
-
-    ``check=False`` skips validating the law, ``t`` and the grid, for a
-    caller that validated them once for many replicates; ``u_grid`` must
-    then be the validated array.
-    """
-    u = _check_transient(law, t, u_grid) if check else u_grid
+    u = _validate_grid(u_grid)
     horizon = t + u[-1]
     if horizon < 0:
         return ProcessSample(u_grid=u, values=np.zeros(len(u)), kind="transient", t=float(t))
@@ -112,14 +96,16 @@ def eval_transient(law, spec, t, u_grid, rng, check=True):
     return ProcessSample(u_grid=u, values=values, kind="transient", t=float(t))
 
 
-def eval_stationary(law, spec, u_grid, tol, rng, c_max=None, check=True):
+def eval_stationary(law, spec, u_grid, tol, rng, c_max=None):
     """One replicate of ``(Y*(u))_u`` with controlled truncation.
 
     Raises :class:`TruncationError` (carrying the best values and the bound
     achieved) when the tail bound cannot reach ``tol`` within ``c_max``.
-    ``check`` is as in :func:`eval_transient`.
     """
-    u = _check_stationary(law, tol, u_grid) if check else u_grid
+    check_interarrival(law)
+    if not tol > 0:
+        raise LawError(f"tolerance must be positive, got {tol}")
+    u = _validate_grid(u_grid)
     mu = law.mean()
     support_end = spec.support_end()
     sampler = StationaryWindowSampler(law, rng)
@@ -210,8 +196,7 @@ def fdd_sample(law, spec, mode, u_grid, n_replicates, seed, t=None, tol=1e-6, c_
         raise LawError(f"mode must be 'transient' or 'stationary', got {mode!r}")
     if mode == "transient" and t is None:
         raise LawError("transient mode needs the evaluation time t")
-    # Validate once: the law, the grid and t or tol are the same for every row.
-    u = _check_transient(law, t, u_grid) if mode == "transient" else _check_stationary(law, tol, u_grid)
+    u = _validate_grid(u_grid)
     values = np.empty((n_replicates, len(u)))
     c_used = np.zeros(n_replicates) if mode == "stationary" else None
     bounds = np.zeros(n_replicates) if mode == "stationary" else None
@@ -219,10 +204,10 @@ def fdd_sample(law, spec, mode, u_grid, n_replicates, seed, t=None, tol=1e-6, c_
     for i in range(n_replicates):
         rng = stream(seed, i)
         if mode == "transient":
-            ps = eval_transient(law, spec, t, u, rng, check=False)
+            ps = eval_transient(law, spec, t, u, rng)
         else:
             try:
-                ps = eval_stationary(law, spec, u, tol, rng, c_max=c_max, check=False)
+                ps = eval_stationary(law, spec, u, tol, rng, c_max=c_max)
             except TruncationError as exc:
                 exc.replicate = i
                 raise

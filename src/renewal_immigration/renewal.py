@@ -132,6 +132,11 @@ def simulate_forward(law, horizon, rng, size=None):
     return RenewalRealization(epochs=epochs, horizon=float(horizon), overshoot_epoch=overshoot_epoch)
 
 
+def _count_closed(points, a, b):
+    """Points in the closed interval [a, b] along the last axis."""
+    return np.count_nonzero((points >= a) & (points <= b), axis=-1)
+
+
 @dataclass(frozen=True, eq=False)
 class StationaryWindow:
     """Points of the stationary renewal process covering ``[-c, c]``.
@@ -166,9 +171,7 @@ class StationaryWindow:
 
     def count_in(self, a, b):
         """Number of points in the closed interval [a, b]."""
-        lo = int(np.searchsorted(self.points, a, side="left"))
-        hi = int(np.searchsorted(self.points, b, side="right"))
-        return hi - lo
+        return int(_count_closed(self.points, a, b))
 
     def gaps(self):
         return np.diff(self.points)
@@ -188,6 +191,14 @@ class StationaryWindowRows:
     c: float
     xi0: np.ndarray
     u: np.ndarray
+
+    def count_in(self, a, b, shift=0.0):
+        """Per row, the points in the closed interval [a, b] after a shift.
+
+        Points are translated by ``-shift`` first, as :func:`shift_window`
+        translates a single window; padding never counts.
+        """
+        return _count_closed(self.points - shift if shift else self.points, a, b)
 
 
 class StationaryWindowSampler:

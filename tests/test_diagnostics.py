@@ -128,6 +128,44 @@ def test_laplace_validates_h():
         dg.laplace_functional_compare(EXP_LAW, unbounded, 10.0, 100, stream(12))
 
 
+def _non_dyadic_h(mu):
+    """A multi-step test function whose values do not add exactly, so the
+    grouping of the terms in a sum shows in its last bits."""
+    return kn.DeterministicTable((0.0, mu, 2.0 * mu, 3.0 * mu, 5.0 * mu), (0.1, 0.3, 0.2, 0.7, 0.0))
+
+
+LAPLACE_LAWS = [dist.Gamma(2.0, 0.5), dist.LogNormal(0.0, 1.0), dist.FiniteDiscrete(((0.5, 0.3), (1.5, 0.7)))]
+
+
+@pytest.mark.parametrize("law", LAPLACE_LAWS, ids=lambda law: type(law).__name__)
+def test_laplace_transient_estimate_equals_single_runs(law):
+    # Without a top-up round the forward rows consume the generator as
+    # consecutive single runs do, so the estimate must equal, bit for bit,
+    # the one from single runs each summed on its own.
+    mu = law.mean()
+    h, t, n_mc = _non_dyadic_h(mu), 40.0 * mu, 600
+    rng = stream(3)
+    single = np.array(
+        [math.exp(-float(np.sum(h.value(t - rn.simulate_forward(law, t, rng).epochs)))) for _ in range(n_mc)]
+    )
+    res = dg.laplace_functional_compare(law, h, t, n_mc, stream(3))
+    assert res.transient_estimate == float(single.mean())
+    assert res.transient_ci == 2.5758293035489004 * float(single.std(ddof=1)) / math.sqrt(n_mc)
+
+
+@pytest.mark.parametrize("law", LAPLACE_LAWS, ids=lambda law: type(law).__name__)
+def test_laplace_row_sums_skip_padding_bit_for_bit(law):
+    mu = law.mean()
+    h = _non_dyadic_h(mu)
+    t = 60.0 * mu
+    forward = t - rn.simulate_forward(law, t, stream(5), size=50).epochs
+    windows = rn.build_stationary_window(law, 8.0 * mu, stream(6), size=50).points
+    for x in (forward, windows):
+        assert np.isinf(x).any()
+        single = [math.exp(-float(np.sum(h.value(row[np.isfinite(row)])))) for row in x]
+        assert dg._exp_neg_h_sums(h, x).tobytes() == np.array(single).tobytes()
+
+
 def test_convergence_zero_kernel_trivially_non_rejecting():
     reports = dg.convergence_test(EXP_LAW, ZERO_KERNEL, [2.0], [0.0, 1.0], 200, 0.01, 13)
     assert reports[0].decision == "non_reject"

@@ -202,6 +202,22 @@ def test_count_in_closed_interval():
     assert window.count_in(p0 + 1e-12, p0 + 0.5) == 0
 
 
+@pytest.mark.parametrize("shift", [0.0, 0.7, -1.3])
+def test_row_counts_equal_single_window_counts(shift):
+    rows = rn.build_stationary_window(dist.Gamma(2.0, 0.5), 4.0, stream(16), size=30)
+    counts = rows.count_in(-1.0, 2.0, shift=shift)
+    for i, pts in enumerate(rows.points):
+        finite = np.isfinite(pts)
+        window = rn.StationaryWindow(
+            points=pts[finite],
+            zero_index=rows.zero_index - int(np.argmax(finite)),
+            c=rows.c,
+            xi0=float(rows.xi0[i]),
+            u=float(rows.u[i]),
+        )
+        assert counts[i] == rn.shift_window(window, shift).count_in(-1.0, 2.0)
+
+
 # ------------------------------------------------------- batched builders
 
 
