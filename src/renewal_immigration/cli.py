@@ -15,33 +15,20 @@ import os
 import sys
 from pathlib import Path
 
-from .config import (
-    SCHEMA_VERSION,
-    load_config,
-    optional,
-    require_grid,
-    require_int,
-    require_intervals,
-    require_kernel,
-    require_number,
-    require_t_list,
-)
+from .config import SCHEMA_VERSION, command_fields, load_config
 from .diagnostics import (
     CONVERGENT_EVIDENCE,
     DIVERGENT_EVIDENCE,
-    MAX_ROW_POINTS,
     convergence_test,
     dri_mean_check,
     dri_path_check,
     intensity_check,
     laplace_functional_compare,
     overshoot_check,
-    pointprocess_row_points,
     shift_invariance_check,
 )
-from .distributions import is_lattice, mean as law_mean
+from .distributions import is_lattice
 from .errors import ConfigError, NonAbsorbedPathError, TruncationError
-from .kernels import DeterministicTable
 from .process import fdd_sample
 from .renewal import build_stationary_window, window_to_csv
 from .streams import stream
@@ -76,12 +63,9 @@ def _log(verbose, message):
         print(message, file=sys.stderr)
 
 
-def cmd_simulate(config, out_dir, args):
-    raw = config.raw
-    t = require_number(raw, "t", minimum=0.0)
-    u_grid = require_grid(raw, "u_grid")
-    n = require_int(raw, "n_replicates", minimum=1)
-    sample = fdd_sample(config.law, config.kernel, "transient", u_grid, n, seed=config.seed, t=t)
+def cmd_simulate(config, fields, out_dir, args):
+    n = fields.n_replicates
+    sample = fdd_sample(config.law, config.kernel, "transient", fields.u_grid, n, seed=config.seed, t=fields.t)
     _write_atomic(out_dir / "matrix.csv", sample.to_csv())
     meta = sample.metadata(config.law, config.kernel)
     meta["schema"] = SCHEMA_VERSION
@@ -89,27 +73,22 @@ def cmd_simulate(config, out_dir, args):
     summary = {
         "command": "simulate",
         "rows": n,
-        "cols": len(u_grid),
+        "cols": len(fields.u_grid),
         "outputs": ["matrix.csv", "metadata.json"],
     }
     return EXIT_PASS, summary
 
 
-def cmd_stationary(config, out_dir, args):
-    raw = config.raw
-    u_grid = require_grid(raw, "u_grid")
-    n = require_int(raw, "n_replicates", minimum=1)
-    tol = require_number(raw, "tol", exclusive_minimum=0.0) if "tol" in raw else 1e-6
-    c_max = require_number(raw, "c_max", exclusive_minimum=0.0) if "c_max" in raw else None
+def cmd_stationary(config, fields, out_dir, args):
+    u_grid, n, tol = fields.u_grid, fields.n_replicates, fields.tol
     outputs = []
     if args.dump_window:
-        c = require_number(raw, "c", exclusive_minimum=0.0) if "c" in raw else 10.0 * law_mean(config.law)
-        window = build_stationary_window(config.law, c, stream((config.seed, 1)))
+        window = build_stationary_window(config.law, fields.c, stream((config.seed, 1)))
         _write_atomic(out_dir / "window.csv", window_to_csv(window))
         outputs.append("window.csv")
     try:
         sample = fdd_sample(
-            config.law, config.kernel, "stationary", u_grid, n, seed=config.seed, tol=tol, c_max=c_max
+            config.law, config.kernel, "stationary", u_grid, n, seed=config.seed, tol=tol, c_max=fields.c_max
         )
     except TruncationError as exc:
         report = {
@@ -132,24 +111,11 @@ def cmd_stationary(config, out_dir, args):
     return EXIT_PASS, summary
 
 
-def cmd_converge(config, out_dir, args):
-    raw = config.raw
-    t_list = require_t_list(raw, "t_list")
-    u_grid = require_grid(raw, "u_grid")
-    n = require_int(raw, "n_replicates", minimum=1)
-    alpha = require_number(raw, "alpha", exclusive_minimum=0.0, maximum=0.5) if "alpha" in raw else 0.01
-    tol = require_number(raw, "tol", exclusive_minimum=0.0) if "tol" in raw else 1e-6
-    n_perm = require_int(raw, "n_permutations", minimum=19) if "n_permutations" in raw else 200
+def cmd_converge(config, fields, out_dir, args):
+    u_grid = fields.u_grid
     reports = convergence_test(
-        config.law,
-        config.kernel,
-        t_list,
-        u_grid,
-        n,
-        alpha,
-        config.seed,
-        n_permutations=n_perm,
-        tol=tol,
+        config.law, config.kernel, fields.t_list, u_grid, fields.n_replicates, fields.alpha, config.seed,
+        n_permutations=fields.n_permutations, tol=fields.tol,
     )
     outputs = []
     for i, report in enumerate(reports):
@@ -182,16 +148,9 @@ def cmd_converge(config, out_dir, args):
     return code, summary
 
 
-def cmd_dri(config, out_dir, args):
-    raw = config.raw
-    k_max = require_int(raw, "dri.k_max", minimum=1) if optional(raw, "dri.k_max") is not None else 50
-    grid = (
-        require_int(raw, "dri.grid_per_unit", minimum=2)
-        if optional(raw, "dri.grid_per_unit") is not None
-        else 8
-    )
-    n_mc = require_int(raw, "dri.n_mc", minimum=1) if optional(raw, "dri.n_mc") is not None else 2000
-    mean_report = dri_mean_check(config.kernel, k_max, grid, n_mc, stream((config.seed, 10)))
+def cmd_dri(config, fields, out_dir, args):
+    k_max, n_mc = fields.k_max, fields.n_mc
+    mean_report = dri_mean_check(config.kernel, k_max, fields.grid_per_unit, n_mc, stream((config.seed, 10)))
     path_report = dri_path_check(config.kernel, k_max, n_mc, stream((config.seed, 11)))
     _write_atomic(out_dir / "dri_mean.json", _json_text(mean_report.to_dict()))
     _write_atomic(out_dir / "dri_path.json", _json_text(path_report.to_dict()))
@@ -214,71 +173,19 @@ def cmd_dri(config, out_dir, args):
     return code, summary
 
 
-def cmd_pointprocess(config, out_dir, args):
-    raw = config.raw
-    mu = law_mean(config.law)
-    horizon = (
-        require_number(raw, "pointprocess.horizon", exclusive_minimum=0.0)
-        if optional(raw, "pointprocess.horizon") is not None
-        else 50.0 * mu
-    )
-    n_real = (
-        require_int(raw, "pointprocess.n_realizations", minimum=10)
-        if optional(raw, "pointprocess.n_realizations") is not None
-        else 10_000
-    )
-    n_windows = (
-        require_int(raw, "pointprocess.n_windows", minimum=10)
-        if optional(raw, "pointprocess.n_windows") is not None
-        else 10_000
-    )
-    intervals = (
-        require_intervals(raw, "pointprocess.intervals")
-        if optional(raw, "pointprocess.intervals") is not None
-        else [(0.0, 5.0 * mu)]
-    )
-    shift = (
-        require_number(raw, "pointprocess.shift")
-        if optional(raw, "pointprocess.shift") is not None
-        else 0.25 * mu
-    )
-    alpha = require_number(raw, "alpha", exclusive_minimum=0.0, maximum=0.5) if "alpha" in raw else 0.01
-    if optional(raw, "pointprocess.laplace.h") is None:
-        h = DeterministicTable((0.0, mu), (1.0, 0.0))
-    else:
-        h = require_kernel(raw, "pointprocess.laplace.h")
-        if h.kind != DeterministicTable.kind or min(h.values) < 0 or math.isinf(h.support_end()):
-            raise ConfigError(
-                "pointprocess.laplace.h: must be a nonnegative deterministic_table kernel with compact support"
-            )
-    laplace_t = (
-        require_number(raw, "pointprocess.laplace.t", exclusive_minimum=0.0)
-        if optional(raw, "pointprocess.laplace.t") is not None
-        else horizon
-    )
-    laplace_n = (
-        require_int(raw, "pointprocess.laplace.n_mc", minimum=100)
-        if optional(raw, "pointprocess.laplace.n_mc") is not None
-        else 10_000
-    )
-    row_points = pointprocess_row_points(config.law, intervals, shift, horizon, h, laplace_t)
-    for field, points in row_points.items():
-        if points > MAX_ROW_POINTS:
-            raise ConfigError(
-                f"pointprocess.{field}: one window or forward run would hold about {points:.3g} "
-                f"expected points, above the budget of {MAX_ROW_POINTS}"
-            )
-
-    intensity = intensity_check(config.law, intervals, n_windows, stream((config.seed, 20)))
-    overshoot = overshoot_check(config.law, horizon, n_real, stream((config.seed, 21)))
-    first_interval = intervals[0]
+def cmd_pointprocess(config, fields, out_dir, args):
+    law, seed, alpha = config.law, config.seed, fields.alpha
+    intensity = intensity_check(law, fields.intervals, fields.n_windows, stream((seed, 20)))
+    overshoot = overshoot_check(law, fields.horizon, fields.n_realizations, stream((seed, 21)))
     shift_result = shift_invariance_check(
-        config.law, shift, first_interval, n_windows, stream((config.seed, 22))
+        law, fields.shift, fields.intervals[0], fields.n_windows, stream((seed, 22))
     )
-    laplace = laplace_functional_compare(config.law, h, laplace_t, laplace_n, stream((config.seed, 23)))
+    laplace = laplace_functional_compare(
+        law, fields.laplace_h, fields.laplace_t, fields.laplace_n_mc, stream((seed, 23))
+    )
 
     warnings = []
-    if is_lattice(config.law):
+    if is_lattice(law):
         warnings.append("interarrival law is lattice; the limit theory assumes nonlattice laws")
     if overshoot.horizon_warning:
         warnings.append(overshoot.horizon_warning)
@@ -359,7 +266,8 @@ def main(argv=None):
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         _log(args.verbose, f"running {args.command} with seed {config.seed}")
-        code, summary = _COMMANDS[args.command](config, out_dir, args)
+        fields = command_fields(args.command, config)
+        code, summary = _COMMANDS[args.command](config, fields, out_dir, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -51,7 +51,9 @@ __all__ = [
     "intensity_check",
     "overshoot_check",
     "shift_invariance_check",
-    "pointprocess_row_points",
+    "intensity_half_width",
+    "shift_half_width",
+    "laplace_half_width",
 ]
 
 CONVERGENT_EVIDENCE = "ConvergentEvidence"
@@ -74,9 +76,6 @@ POWER_FIT_MIN_HITS = 4.0
 # are a few times wider than the expected points: increments are drawn with
 # a six-sigma margin and at least 16 per row and side.
 ROW_BLOCK_POINTS = 2**15
-# A single row cannot be split across blocks: configs whose rows would
-# hold more expected points than this are rejected before any draw.
-MAX_ROW_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -275,7 +274,7 @@ def laplace_functional_compare(law, h, t, n_mc, rng):
     for lo, hi in _row_blocks(n_mc, _expected_points(law, t)):
         epochs = simulate_forward(law, t, rng, size=hi - lo).epochs
         transient[lo:hi] = _exp_neg_h_sums(h, t - epochs)
-    c = _laplace_c(law, h)
+    c = laplace_half_width(law, h)
     stationary = np.empty(n_mc)
     for lo, hi in _row_blocks(n_mc, _expected_points(law, 2.0 * c)):
         # Sentinels lie outside [-c, c] which contains the support of h,
@@ -457,32 +456,19 @@ def _row_blocks(n_rows, points_per_row):
         yield lo, min(lo + step, n_rows)
 
 
-def _intensity_c(law, intervals):
+def intensity_half_width(law, intervals):
+    """Half-width of the windows :func:`intensity_check` draws."""
     return max(max(abs(a), abs(b)) for a, b in intervals) + law_mean(law)
 
 
-def _shift_c(law, shift, interval):
+def shift_half_width(law, shift, interval):
+    """Half-width of the windows :func:`shift_invariance_check` draws."""
     return max(abs(interval[0]), abs(interval[1])) + abs(shift) + law_mean(law)
 
 
-def _laplace_c(law, h):
+def laplace_half_width(law, h):
+    """Half-width of the stationary windows :func:`laplace_functional_compare` draws."""
     return max(h.support_end(), law_mean(law))
-
-
-def pointprocess_row_points(law, intervals, shift, horizon, h, laplace_t):
-    """Expected points in one row of each point-process check.
-
-    Keyed by the config field that sets the row's length: a window over
-    ``[-c, c]`` expects ``2c / mean`` points, a forward run to ``T``
-    expects ``T / mean``.
-    """
-    return {
-        "intervals": _expected_points(law, 2.0 * _intensity_c(law, intervals)),
-        "shift": _expected_points(law, 2.0 * _shift_c(law, shift, intervals[0])),
-        "horizon": _expected_points(law, horizon),
-        "laplace.t": _expected_points(law, laplace_t),
-        "laplace.h": _expected_points(law, 2.0 * _laplace_c(law, h)),
-    }
 
 
 def intensity_check(law, intervals, n_windows, rng):
@@ -490,7 +476,7 @@ def intensity_check(law, intervals, n_windows, rng):
     intervals = [(float(a), float(b)) for a, b in intervals]
     if any(b < a for a, b in intervals):
         raise ValueError("intervals must satisfy a <= b")
-    c = _intensity_c(law, intervals)
+    c = intensity_half_width(law, intervals)
     # Running sums of the integer counts and their squares are exact.
     sums = [0] * len(intervals)
     squares = [0] * len(intervals)
@@ -553,7 +539,7 @@ def shift_invariance_check(law, shift, interval, n_windows, rng):
     would correlate the samples), so the test is exactly valid.
     """
     a, b = float(interval[0]), float(interval[1])
-    c = _shift_c(law, shift, (a, b))
+    c = shift_half_width(law, shift, (a, b))
     n_each = n_windows // 2
 
     def counts(t):

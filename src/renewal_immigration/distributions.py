@@ -18,9 +18,11 @@ see :func:`law_from_config`.
 """
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import cached_property, reduce
+from typing import ClassVar, get_args
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaincinv, ndtr, ndtri
@@ -45,6 +47,11 @@ __all__ = [
     "is_lattice",
     "lattice_span",
     "abs_quantile",
+    "is_finite_number",
+    "number",
+    "integer",
+    "numbers",
+    "config_fields",
     "law_to_config",
     "law_from_config",
 ]
@@ -61,6 +68,8 @@ _LATTICE_ATOL = 4e-15
 @dataclass(frozen=True)
 class Exponential:
     """Exponential law with the given rate (mean ``1/rate``)."""
+
+    family: ClassVar[str] = "exponential"
 
     rate: float
 
@@ -103,6 +112,8 @@ class Exponential:
 @dataclass(frozen=True)
 class Gamma:
     """Gamma law with shape ``k`` and scale ``theta`` (mean ``k*theta``)."""
+
+    family: ClassVar[str] = "gamma"
 
     shape: float
     scale: float
@@ -147,6 +158,8 @@ class Gamma:
 @dataclass(frozen=True)
 class Uniform:
     """Uniform law on [lo, hi]; lo may be negative only in the mark role."""
+
+    family: ClassVar[str] = "uniform"
 
     lo: float
     hi: float
@@ -193,6 +206,8 @@ class Uniform:
 @dataclass(frozen=True)
 class LogNormal:
     """Log-normal law: log X ~ Normal(mu, sigma^2)."""
+
+    family: ClassVar[str] = "lognormal"
 
     mu: float
     sigma: float
@@ -241,6 +256,8 @@ class LogNormal:
 class PointMass:
     """Degenerate law at a single value.  Lattice by definition."""
 
+    family: ClassVar[str] = "point_mass"
+
     value: float
 
     def __post_init__(self):
@@ -283,6 +300,8 @@ class PointMass:
 @dataclass(frozen=True)
 class FiniteDiscrete:
     """Law on finitely many atoms, given as ``((value, prob), ...)``."""
+
+    family: ClassVar[str] = "finite_discrete"
 
     atoms: tuple
 
@@ -356,6 +375,8 @@ class Pareto:
     Mark role only: with ``alpha <= 1`` the mean is infinite, which is
     exactly the heavy-tail regime the divergence diagnostics exercise.
     """
+
+    family: ClassVar[str] = "pareto"
 
     alpha: float
     xm: float
@@ -529,49 +550,77 @@ def is_lattice(law):
     return lattice_span(law) is not None
 
 
-_FAMILY_TAGS = {
-    Exponential: "exponential",
-    Gamma: "gamma",
-    Uniform: "uniform",
-    LogNormal: "lognormal",
-    PointMass: "point_mass",
-    FiniteDiscrete: "finite_discrete",
-    Pareto: "pareto",
-}
+_FAMILIES = {cls.family: cls for cls in get_args(Law)}
+
+
+def is_finite_number(value):
+    """Whether ``value`` is a JSON number (an int or float, not a bool) with a finite float value."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+# Config field parsers shared by laws, kernels and experiment configs; each
+# caller passes the error type it raises.
+
+
+def number(value, name, error):
+    """``value`` as a float; raises ``error`` unless it is a finite JSON number."""
+    if not is_finite_number(value):
+        raise error(f"{name}: must be a finite number, got {value!r}")
+    return float(value)
+
+
+def integer(value, name, error):
+    """``value`` as an int; raises ``error`` unless it is an integral finite JSON number."""
+    x = number(value, name, error)
+    if x != int(x):
+        raise error(f"{name}: must be an integer, got {value!r}")
+    return int(x)
+
+
+def numbers(value, name, error):
+    """``value`` as a tuple of floats; raises ``error`` unless it is a list of finite JSON numbers."""
+    if type(value) not in (list, tuple) or not all(map(is_finite_number, value)):
+        raise error(f"{name}: must be a list of finite numbers, got {value!r}")
+    return tuple(float(v) for v in value)
 
 
 def law_to_config(law):
     """Serialize a law to its flat config dict."""
-    tag = _FAMILY_TAGS[type(law)]
-    if isinstance(law, FiniteDiscrete):
-        return {"family": tag, "atoms": [[v, p] for v, p in law.atoms]}
-    fields = {
-        "exponential": ("rate",),
-        "gamma": ("shape", "scale"),
-        "uniform": ("lo", "hi"),
-        "lognormal": ("mu", "sigma"),
-        "point_mass": ("value",),
-        "pareto": ("alpha", "xm"),
-    }[tag]
-    return {"family": tag, **{f: getattr(law, f) for f in fields}}
+    body = {f.name: getattr(law, f.name) for f in fields(law)}
+    if "atoms" in body:
+        body["atoms"] = [[v, p] for v, p in law.atoms]
+    return {"family": law.family, **body}
 
 
-def _real(value, name):
-    # Exact JSON types: a bool or a string is not a number here.
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise LawError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+def config_fields(config, noun, tag, classes, error):
+    """The class that ``config[tag]`` names, and ``(field, value)`` for each field ``config`` gives.
+
+    Laws and kernel specs are dataclasses named by a tag (``family`` or
+    ``kind``).  A config that is not a dict with the tag, an unknown tag, a
+    key that is no field of the class and a missing field without a default
+    all raise ``error``.
+    """
+    if not isinstance(config, dict) or tag not in config:
+        raise error(f"{noun} config must be a dict with a {tag!r} key")
+    name = config[tag]
+    try:
+        cls = classes[name]
+    except (KeyError, TypeError):
+        raise error(f"unknown {noun} {tag} {name!r}") from None
+    body = {k: v for k, v in config.items() if k != tag}
+    unknown = sorted(set(body) - {f.name for f in fields(cls)})
+    if unknown:
+        raise error(f"{noun} config for {tag} {name!r} has unknown keys {unknown}")
+    missing = [f.name for f in fields(cls) if f.name not in body and f.default is MISSING]
+    if missing:
+        raise error(f"{noun} config for {tag} {name!r} is malformed: missing {missing}")
+    return cls, [(f, body[f.name]) for f in fields(cls) if f.name in body]
 
 
-def _field(body, key):
-    return _real(body.pop(key), key)
-
-
-def _atoms(body):
-    atoms = body.pop("atoms")
+def _atoms(atoms, name, error):
     if type(atoms) not in (list, tuple) or not all(type(a) in (list, tuple) and len(a) == 2 for a in atoms):
-        raise LawError(f"atoms must be a list of [value, probability] pairs, got {atoms!r}")
-    return tuple((_real(v, "atom value"), _real(p, "atom probability")) for v, p in atoms)
+        raise error(f"{name}: must be a list of [value, probability] pairs, got {atoms!r}")
+    return tuple((number(v, "atom value", error), number(p, "atom probability", error)) for v, p in atoms)
 
 
 def law_from_config(config, interarrival=False):
@@ -580,31 +629,8 @@ def law_from_config(config, interarrival=False):
     Every numeric field must be a finite JSON number (not a bool or a
     string); anything else raises :class:`LawError`.
     """
-    if not isinstance(config, dict) or "family" not in config:
-        raise LawError("law config must be a dict with a 'family' key")
-    body = {k: v for k, v in config.items() if k != "family"}
-    family = config["family"]
-    try:
-        if family == "exponential":
-            law = Exponential(rate=_field(body, "rate"))
-        elif family == "gamma":
-            law = Gamma(shape=_field(body, "shape"), scale=_field(body, "scale"))
-        elif family == "uniform":
-            law = Uniform(lo=_field(body, "lo"), hi=_field(body, "hi"))
-        elif family == "lognormal":
-            law = LogNormal(mu=_field(body, "mu"), sigma=_field(body, "sigma"))
-        elif family == "point_mass":
-            law = PointMass(value=_field(body, "value"))
-        elif family == "finite_discrete":
-            law = FiniteDiscrete(atoms=_atoms(body))
-        elif family == "pareto":
-            law = Pareto(alpha=_field(body, "alpha"), xm=_field(body, "xm"))
-        else:
-            raise LawError(f"unknown law family {family!r}")
-    except (KeyError, TypeError) as exc:
-        raise LawError(f"law config for family {family!r} is malformed: {exc}") from exc
-    if body:
-        raise LawError(f"law config for family {family!r} has unknown keys {sorted(body)}")
+    cls, items = config_fields(config, "law", "family", _FAMILIES, LawError)
+    law = cls(**{f.name: (number if f.type is float else _atoms)(value, f.name, LawError) for f, value in items})
     if interarrival:
         check_interarrival(law)
     return law

@@ -19,11 +19,14 @@ at arbitrary real times in O(log jumps).  Variants:
 
 Each spec class owns its behaviour: its config tag ``kind``,
 ``sample(rng, size=None)``, ``support_end()`` (time after which every path
-is 0, or ``inf``), ``tail_bound(cut, mu, window)`` (expected stationary mass
-missed from points beyond ``cut``, for unbounded support only; raises
+is 0, or ``inf``) and ``tail_bound(cut, mu, window)`` (expected stationary
+mass missed from points beyond ``cut``, for unbounded support only; raises
 :class:`~renewal_immigration.errors.TruncationError` when the stationary
-series diverges), ``to_config()`` and ``from_config(body)``.  A new kind is
-one such class added to :data:`KernelSpec`, which ``_KINDS`` is built from.
+series diverges).  Its config is ``kind`` plus one key per dataclass field,
+read by the field's annotated type (``float``, ``int``, a ``tuple`` of
+floats, a :data:`~renewal_immigration.distributions.Law` or a nested
+spec), as laws are read by theirs.  A new kind is one such class added to
+:data:`KernelSpec`, which ``_KINDS`` is built from.
 
 ``sample(rng)`` draws one path; ``sample(rng, size=k)`` draws ``k`` paths
 into one object, from the same random draws in the same order as ``k``
@@ -39,7 +42,7 @@ from typing import ClassVar, get_args
 
 import numpy as np
 
-from .distributions import Law, abs_quantile, law_from_config, law_to_config
+from .distributions import Law, abs_quantile, config_fields, integer, law_from_config, law_to_config, number, numbers
 from .errors import KernelError, NonAbsorbedPathError, TruncationError
 
 __all__ = [
@@ -67,27 +70,7 @@ EXP_DECAY_QUANTILE = 1.0 - 1e-6
 
 
 # --------------------------------------------------------------------------
-# Config fields
-
-
-def _real(value, name):
-    # Exact JSON types: a bool is not a number here.
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise KernelError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _reals(value, name):
-    if type(value) not in (list, tuple):
-        raise KernelError(f"{name} must be a list of finite numbers, got {value!r}")
-    return tuple(_real(v, name) for v in value)
-
-
-def _integer(value, name):
-    x = _real(value, name)
-    if x != int(x):
-        raise KernelError(f"{name} must be an integer, got {value!r}")
-    return int(x)
+# Helpers
 
 
 def _marks(draws, size):
@@ -169,13 +152,6 @@ class DeterministicTable:
             prev = v
         return tuple(out)
 
-    def to_config(self):
-        return {"kind": self.kind, "breakpoints": list(self.breakpoints), "values": list(self.values)}
-
-    @classmethod
-    def from_config(cls, body):
-        return cls(_reals(body["breakpoints"], "breakpoints"), _reals(body["values"], "values"))
-
 
 @dataclass(frozen=True)
 class Indicator:
@@ -203,13 +179,6 @@ class Indicator:
                 "pulse length has infinite mean, so the stationary series diverges a.s.", bound=math.inf
             )
         return max(float(eta.mean() - eta.mean_min(cut)) / mu, 0.0)
-
-    def to_config(self):
-        return {"kind": self.kind, "eta": law_to_config(self.eta)}
-
-    @classmethod
-    def from_config(cls, body):
-        return cls(law_from_config(body["eta"]))
 
 
 @dataclass(frozen=True)
@@ -239,13 +208,6 @@ class ScaledExpDecay:
         denom = -math.expm1(-self.decay * gap)
         return q * math.exp(-self.decay * cut) / denom
 
-    def to_config(self):
-        return {"kind": self.kind, "eta": law_to_config(self.eta), "decay": self.decay}
-
-    @classmethod
-    def from_config(cls, body):
-        return cls(law_from_config(body["eta"]), _real(body["decay"], "decay"))
-
 
 @dataclass(frozen=True)
 class ScaledTable:
@@ -267,16 +229,6 @@ class ScaledTable:
             "scaled table does not vanish at infinity, so the stationary series diverges a.s.",
             bound=math.inf,
         )
-
-    def to_config(self):
-        return {"kind": self.kind, "eta": law_to_config(self.eta), "table": self.table.to_config()}
-
-    @classmethod
-    def from_config(cls, body):
-        table = kernel_from_config(body["table"])
-        if table.kind != DeterministicTable.kind:
-            raise KernelError(f"table must be a {DeterministicTable.kind!r} kernel, got {table.kind!r}")
-        return cls(law_from_config(body["eta"]), table)
 
 
 @dataclass(frozen=True)
@@ -347,26 +299,6 @@ class BirthDeath:
         # The phase-type integrated tail of the absorption time.
         return self.state_cap / mu * birth_death_tail_integral(self, cut)
 
-    def to_config(self):
-        return {
-            "kind": self.kind,
-            "initial": self.initial,
-            "birth_rates": list(self.birth_rates),
-            "death_rates": list(self.death_rates),
-            "state_cap": self.state_cap,
-            "max_jumps": self.max_jumps,
-        }
-
-    @classmethod
-    def from_config(cls, body):
-        return cls(
-            initial=_integer(body["initial"], "initial"),
-            birth_rates=_reals(body["birth_rates"], "birth_rates"),
-            death_rates=_reals(body["death_rates"], "death_rates"),
-            state_cap=_integer(body["state_cap"], "state_cap"),
-            max_jumps=_integer(body.get("max_jumps", cls.max_jumps), "max_jumps"),
-        )
-
 
 @dataclass(frozen=True)
 class SpikeTrain:
@@ -385,13 +317,6 @@ class SpikeTrain:
         if cut <= 1.0:
             return math.inf
         return 1.0 / (mu * (cut - 1.0))
-
-    def to_config(self):
-        return {"kind": self.kind}
-
-    @classmethod
-    def from_config(cls, body):
-        return cls()
 
 
 KernelSpec = DeterministicTable | Indicator | ScaledExpDecay | ScaledTable | BirthDeath | SpikeTrain
@@ -709,23 +634,34 @@ def birth_death_tail_integral(spec, lo):
 
 
 def kernel_to_config(spec):
-    return spec.to_config()
+    """Serialize a kernel spec: its ``kind`` and every field, tuples as lists."""
+    config = {"kind": spec.kind}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.type is tuple:
+            value = list(value)
+        elif f.type is Law:
+            value = law_to_config(value)
+        elif f.type not in (float, int):
+            value = kernel_to_config(value)
+        config[f.name] = value
+    return config
+
+
+def _field_value(f, value):
+    """One field of a kernel config, parsed by the field's annotated type."""
+    parse = {float: number, int: integer, tuple: numbers}.get(f.type)
+    if parse is not None:
+        return parse(value, f.name, KernelError)
+    if f.type is Law:
+        return law_from_config(value)
+    spec = kernel_from_config(value)
+    if not isinstance(spec, f.type):
+        raise KernelError(f"{f.name}: must be a {f.type.kind!r} kernel, got {spec.kind!r}")
+    return spec
 
 
 def kernel_from_config(config):
     """Build a kernel spec; unknown keys and non-numeric fields are errors."""
-    if not isinstance(config, dict) or "kind" not in config:
-        raise KernelError("kernel config must be a dict with a 'kind' key")
-    kind = config["kind"]
-    try:
-        cls = _KINDS[kind]
-    except (KeyError, TypeError):
-        raise KernelError(f"unknown kernel kind {kind!r}") from None
-    body = {k: v for k, v in config.items() if k != "kind"}
-    unknown = sorted(set(body) - {f.name for f in fields(cls)})
-    if unknown:
-        raise KernelError(f"kernel config for kind {kind!r} has unknown keys {unknown}")
-    try:
-        return cls.from_config(body)
-    except KeyError as exc:
-        raise KernelError(f"kernel config for kind {kind!r} is malformed: missing {exc}") from exc
+    cls, items = config_fields(config, "kernel", "kind", _KINDS, KernelError)
+    return cls(**{f.name: _field_value(f, value) for f, value in items})

@@ -26,7 +26,7 @@ from .kernels import kernel_to_config, sample_path
 from .renewal import StationaryWindowSampler, simulate_forward
 from .streams import stream
 
-__all__ = ["ProcessSample", "FddSample", "eval_transient", "eval_stationary", "fdd_sample"]
+__all__ = ["ProcessSample", "FddSample", "eval_transient", "eval_stationary", "fdd_sample", "first_half_width"]
 
 # Points evaluated per (points x grid) array, which bounds the temporary
 # for windows with very many points.
@@ -96,6 +96,14 @@ def eval_transient(law, spec, t, u_grid, rng):
     return ProcessSample(u_grid=u, values=values, kind="transient", t=float(t))
 
 
+def first_half_width(support_end, u, mu):
+    """Half-width of the first stationary window for a kernel's ``support_end()``, the grid ``u`` and mean ``mu``."""
+    if math.isfinite(support_end):
+        # Every possible contributor lies in [-max(u), support_end - min(u)].
+        return max(abs(u[-1]), abs(support_end - u[0]), mu)
+    return max(abs(u[0]), abs(u[-1])) + 10.0 * mu
+
+
 def eval_stationary(law, spec, u_grid, tol, rng, c_max=None):
     """One replicate of ``(Y*(u))_u`` with controlled truncation.
 
@@ -108,16 +116,12 @@ def eval_stationary(law, spec, u_grid, tol, rng, c_max=None):
     u = _validate_grid(u_grid)
     mu = law.mean()
     support_end = spec.support_end()
+    c = first_half_width(support_end, u, mu)
     sampler = StationaryWindowSampler(law, rng)
+    window = sampler.initial(c)
     bound = None
-    if math.isfinite(support_end):
-        # Every possible contributor lies in [-max(u), support_end - min(u)].
-        c = max(abs(u[-1]), abs(support_end - u[0]), mu)
-        window = sampler.initial(c)
-    else:
-        c = max(abs(u[0]), abs(u[-1])) + 10.0 * mu
+    if not math.isfinite(support_end):
         cap = c_max if c_max is not None else max(512.0, 8.0 * c)
-        window = sampler.initial(c)
         while True:
             bound = spec.tail_bound(max(c + u[0], 0.0), mu, window)
             if bound < tol or 2.0 * c > cap:

@@ -1,18 +1,27 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import renewal_immigration
-from renewal_immigration import cli
+from renewal_immigration import cli, config, stats
+from renewal_immigration import diagnostics as dg
 from renewal_immigration.cli import main
 from renewal_immigration.config import load_config, parse_config
 from renewal_immigration.errors import ConfigError
+from renewal_immigration.process import first_half_width
+from renewal_immigration.renewal import build_stationary_window
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -72,6 +81,14 @@ def test_load_config_bad_json(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "too-deep"])
+def test_unreadable_json_is_a_config_error(tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match="^config: invalid JSON"):
+        load_config(str(path))
+
+
 # ----------------------------------------------------------------- simulate
 
 
@@ -106,6 +123,11 @@ BAD_TABLE = {"kind": "deterministic_table", "breakpoints": [0.0], "values": ["a"
         ("pointprocess", {"pointprocess": {"intervals": [[0.0]]}}, "pointprocess.intervals"),
         ("pointprocess", {"pointprocess": {"intervals": [[0.0, float("nan")]]}}, "pointprocess.intervals"),
         ("pointprocess", {"pointprocess": {"intervals": [[True, 1.0]]}}, "pointprocess.intervals"),
+        ("stationary", {"u_grid": [0.0], "n_replicates": 5, "tol": None}, "tol"),
+        ("dri", {"dri": {"k_max": None}}, "dri.k_max"),
+        ("pointprocess", {"pointprocess": None}, "pointprocess"),
+        ("pointprocess", {"pointprocess": {"laplace": 5}}, "pointprocess.laplace"),
+        ("simulate", {"t": 1.0, "u_grid": [0.0], "n_replicates": 10**400}, "n_replicates"),
     ],
 )
 def test_malformed_fields_exit_1_without_traceback(tmp_path, capsys, command, fields, path):
@@ -126,6 +148,8 @@ def test_malformed_fields_exit_1_without_traceback(tmp_path, capsys, command, fi
         ({"intervals": [[0.0, 1e300]]}, "pointprocess.intervals"),
         ({"laplace": {"h": {"kind": "deterministic_table", "breakpoints": [0.0, 1e300], "values": [1.0, 0.0]}}},
          "pointprocess.laplace.h"),
+        ({"n_windows": 1e12}, "pointprocess.n_windows"),
+        ({"laplace": {"n_mc": 10**7}}, "pointprocess.laplace.n_mc"),
     ],
 )
 def test_pointprocess_work_budget_exits_1_before_any_draw(tmp_path, capsys, monkeypatch, fields, path):
@@ -138,6 +162,195 @@ def test_pointprocess_work_budget_exits_1_before_any_draw(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}: ") and "budget" in err
     assert "Traceback" not in err
+
+
+# Every call of the command line that draws: a test replaces them so that
+# no case can start a large allocation.
+DRAWS = [
+    "fdd_sample",
+    "convergence_test",
+    "dri_mean_check",
+    "dri_path_check",
+    "intensity_check",
+    "overshoot_check",
+    "shift_invariance_check",
+    "laplace_functional_compare",
+    "build_stationary_window",
+]
+
+
+@pytest.mark.parametrize(
+    "command, fields, path",
+    [
+        ("simulate", {"t": 1e300, "u_grid": [0.0], "n_replicates": 5}, "t"),
+        ("simulate", {"t": 1.0, "u_grid": [0.0], "n_replicates": 10**8}, "n_replicates"),
+        ("stationary", {"u_grid": [0.0], "n_replicates": 5, "c": 1e300}, "c"),
+        ("stationary", {"u_grid": [0.0, 1e300], "n_replicates": 5}, "u_grid"),
+        ("stationary", {"u_grid": [0.0], "n_replicates": 10**7}, "n_replicates"),
+        ("converge", {"t_list": [1.0, 1e300], "u_grid": [0.0], "n_replicates": 5}, "t_list"),
+        ("converge", {"t_list": [1.0], "u_grid": [0.0], "n_replicates": 10**12}, "n_replicates"),
+        ("dri", {"dri": {"k_max": 10**7}}, "dri.k_max"),
+        ("dri", {"dri": {"n_mc": 10**12}}, "dri.n_mc"),
+        # Within the budget for the mean criterion's grid alone, not with the path criterion's rows.
+        ("dri", {"dri": {"k_max": 10**5, "grid_per_unit": 2, "n_mc": 99}}, "dri.n_mc"),
+    ],
+)
+def test_work_budget_exits_1_before_any_draw(tmp_path, capsys, monkeypatch, command, fields, path):
+    for name in DRAWS:
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: pytest.fail(f"{name} ran"))
+    cfg = write_config(tmp_path, base_config(**fields))
+    assert main([command, cfg, "--out-dir", str(tmp_path / "out"), "--dump-window"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and "budget" in err
+    assert "Traceback" not in err
+
+
+def test_readme_tables_every_config_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line")[1].split("\n## ")[0]
+    tables = {}
+    for chunk in section.split("Fields of ")[1:]:
+        title, _, rest = chunk.partition(":\n\n")
+        name = title.split("`")[1] if "`" in title else title
+        tables[name] = set(re.findall(r"^\| `([\w.]+)` \|", rest.split("\n\n")[0], re.M))
+    assert tables.pop("every command") == {"schema"} | {field.path for field in config.COMMON}
+    assert tables == {command: {field.path for field in fields} for command, (fields, _) in config.COMMANDS.items()}
+
+
+class WorkLedger:
+    """Stand-ins for the calls that draw: each checks the rows and points it was asked for."""
+
+    def __init__(self):
+        self.total = 0.0
+
+    def add(self, rows, points):
+        assert points <= config.MAX_ROW_POINTS
+        self.total += rows * (1.0 + points)
+
+    def install(self, monkeypatch):
+        for name in DRAWS:
+            monkeypatch.setattr(cli, name, getattr(self, name))
+
+    def fdd_sample(self, law, spec, mode, u_grid, n, seed, t=None, tol=1e-6, c_max=None):
+        mu = law.mean()
+        if mode == "transient":
+            span = max(t + u_grid[-1], 0.0)
+        else:
+            span = 2.0 * first_half_width(spec.support_end(), u_grid, mu)
+        self.add(n, span / mu)
+        return SimpleNamespace(to_csv=lambda: "", metadata=lambda law, spec: {})
+
+    def convergence_test(self, law, spec, t_list, u_grid, n, alpha, seed, n_permutations, tol):
+        self.fdd_sample(law, spec, "stationary", u_grid, n, seed)
+        for t in t_list:
+            self.fdd_sample(law, spec, "transient", u_grid, n, seed, t=t)
+        return [dg.ComparisonReport(t, tuple(u_grid), n, alpha, (), (), None, None, "non_reject") for t in t_list]
+
+    def _dri(self, n_mc, points, k_max):
+        self.add(n_mc, points)
+        return dg.DriReport("mean", np.zeros(1), np.zeros(1), dg.CONVERGENT_EVIDENCE, k_max, n_mc, 0.0, 0.0)
+
+    def dri_mean_check(self, spec, k_max, grid_per_unit, n_mc, rng):
+        return self._dri(n_mc, k_max * grid_per_unit, k_max)
+
+    def dri_path_check(self, spec, k_max, n_mc, rng):
+        return self._dri(n_mc, k_max, k_max)
+
+    def intensity_check(self, law, intervals, n_windows, rng):
+        self.add(n_windows, 2.0 * dg.intensity_half_width(law, intervals) / law.mean())
+        return [dg.IntervalIntensity(a, b, 0.0, 0.0, 0.0) for a, b in intervals]
+
+    def overshoot_check(self, law, horizon, n_realizations, rng):
+        self.add(n_realizations, horizon / law.mean())
+        return dg.OvershootReport(stats.TestResult(0.0, 1.0, n_realizations, None, "ks"), horizon, False, None)
+
+    def shift_invariance_check(self, law, shift, interval, n_windows, rng):
+        self.add(n_windows, 2.0 * dg.shift_half_width(law, shift, interval) / law.mean())
+        return stats.TestResult(0.0, 1.0, n_windows // 2, n_windows // 2, "chisq_homogeneity")
+
+    def laplace_functional_compare(self, law, h, t, n_mc, rng):
+        self.add(n_mc, t / law.mean())
+        self.add(n_mc, 2.0 * dg.laplace_half_width(law, h) / law.mean())
+        return dg.LaplaceComparison(1.0, 1.0, 0.1, 0.1, t, n_mc, False)
+
+    def build_stationary_window(self, law, c, rng):
+        self.add(1, 2.0 * c / law.mean())
+        return build_stationary_window(law, law.mean(), rng)
+
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=2),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([1e300, -1e300, float("nan"), 2**70, 10**400]),
+    st.lists(st.one_of(st.none(), st.floats(), st.text(max_size=1)), max_size=3),
+)
+SMALL = st.one_of(st.integers(-2, 30), st.floats(-2.0, 30.0), st.sampled_from([0.5, 19, 100, 10**4, 1e300]))
+# Values of each field type, mostly valid, so that many cases reach the
+# stand-ins; counts run from a few rows to far past the run budget.
+GOOD = {
+    "alpha": st.sampled_from([0.01, 0.2, 0.5, 0.7]),
+    config._number: SMALL,
+    config._integer: st.one_of(st.integers(-1, 300), st.sampled_from([10**4, 10**5, 10**6, 10**13])),
+    config._grid: st.lists(SMALL, min_size=1, max_size=3, unique=True).map(sorted),
+    config._times: st.lists(SMALL, min_size=1, max_size=3),
+    config._intervals: st.lists(st.lists(SMALL, min_size=2, max_size=2).map(sorted), min_size=1, max_size=2),
+    config._laplace_h: st.sampled_from([
+        {"kind": "deterministic_table", "breakpoints": [0.0, 0.5, 2.0], "values": [0.3, 1.0, 0.0]},
+        {"kind": "deterministic_table", "breakpoints": [0.0, 1e300], "values": [1.0, 0.0]},
+        {"kind": "spike_train"},
+    ]),
+}
+LAWS = [
+    {"family": "exponential", "rate": 1.0},
+    {"family": "uniform", "lo": 0.001, "hi": 0.003},
+    {"family": "gamma", "shape": 2.0, "scale": 50.0},
+]
+KERNELS = [
+    {"kind": "indicator", "eta": {"family": "exponential", "rate": 1.0}},
+    {"kind": "deterministic_table", "breakpoints": [0.0, 40.0], "values": [1.0, 0.0]},
+    {"kind": "spike_train"},
+]
+
+
+@st.composite
+def command_configs(draw):
+    command = draw(st.sampled_from(sorted(config.COMMANDS)))
+    cfg = base_config(law=draw(st.sampled_from(LAWS)), kernel=draw(st.sampled_from(KERNELS)))
+    for field in config.COMMANDS[command][0]:
+        value = draw(st.sampled_from([GOOD.get(field.path, GOOD[field.parse])] * 6 + [None, JUNK]))
+        if value is not None:
+            value = draw(value)
+            *parents, key = field.path.split(".")
+            node = cfg
+            for parent in parents:
+                node = node.setdefault(parent, {})
+            node[key] = value
+    container = draw(st.sampled_from([None] * 9 + ["dri", "pointprocess", "laplace"]))
+    if container is not None:
+        node = cfg.get("pointprocess", {}) if container == "laplace" else cfg
+        node[container] = draw(JUNK)
+    return command, cfg, draw(st.sampled_from([[], ["--dump-window"]]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=command_configs())
+def test_any_config_exits_0_to_3_within_the_work_budget(case):
+    command, cfg, flags = case
+    ledger = WorkLedger()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+        ledger.install(monkeypatch)
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, str(path), "--out-dir", str(Path(tmp) / "out")] + flags)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert code != 1 or err.getvalue().startswith("config error: ")
+    assert ledger.total <= config.MAX_RUN_POINTS
 
 
 @pytest.mark.parametrize("command", ["simulate", "stationary", "dri"])
