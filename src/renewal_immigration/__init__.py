@@ -38,7 +38,7 @@ from .kernels import (
     sample_path,
     sup_over_interval,
 )
-from .process import FddSample, ProcessSample, eval_stationary, eval_transient, fdd_sample
+from .process import FddSample, ProcessSample, eval_stationary, eval_transient, fdd_sample, stationary_half_width
 from .renewal import (
     RenewalRealization,
     StationaryWindow,

@@ -96,7 +96,6 @@ def cmd_stationary(config, fields, out_dir, args):
             "message": str(exc),
             "bound": None if exc.bound is None else float(exc.bound),
             "c_used": exc.c_used,
-            "replicate": exc.replicate,
             "tol": tol,
         }
         _write_atomic(out_dir / "truncation_report.json", _json_text(report))

@@ -29,9 +29,9 @@ from typing import Callable
 
 from .diagnostics import intensity_half_width, laplace_half_width, shift_half_width
 from .distributions import Law, integer, is_finite_number, law_from_config, number, numbers
-from .errors import ConfigError, KernelError, LawError
+from .errors import ConfigError, KernelError, LawError, TruncationError
 from .kernels import DeterministicTable, KernelSpec, kernel_from_config
-from .process import first_half_width
+from .process import first_half_width, stationary_half_width
 
 __all__ = ["COMMANDS", "ExperimentConfig", "Field", "command_fields", "load_config", "parse_config"]
 
@@ -170,9 +170,14 @@ def _window(c, law):
     return 2.0 * c / law.mean()
 
 
-def _stationary_row(v, law, kernel):
-    c = first_half_width(kernel.support_end(), v.u_grid, law.mean())
-    return "n_replicates", v.n_replicates, "u_grid", _window(c, law)
+def _stationary_row(v, law, kernel, c_max=None):
+    """Replicate windows at the half-width the run draws, charged to ``tol`` once it grows."""
+    try:
+        c, _ = stationary_half_width(law, kernel, v.u_grid, v.tol, c_max)
+    except TruncationError:
+        return "n_replicates", v.n_replicates, "tol", 0.0  # the run fails before its first draw
+    grown = c > first_half_width(kernel.support_end(), v.u_grid, law.mean())
+    return "n_replicates", v.n_replicates, "tol" if grown else "u_grid", _window(c, law)
 
 
 def _pointprocess_rows(v, law, kernel):
@@ -205,7 +210,7 @@ COMMANDS = {
             Field("c_max", _number, _POSITIVE, None),
             Field("c", _number, _POSITIVE, lambda mu, v: 10.0 * mu),
         ),
-        lambda v, law, kernel: [_stationary_row(v, law, kernel), ("c", 1, "c", _window(v.c, law))],
+        lambda v, law, kernel: [_stationary_row(v, law, kernel, v.c_max), ("c", 1, "c", _window(v.c, law))],
     ),
     "converge": (
         (

@@ -25,7 +25,7 @@ from functools import cached_property, reduce
 from typing import ClassVar, get_args
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaincinv, ndtr, ndtri
+from scipy.special import gammainc, gammaincc, ndtr
 
 from .errors import LawError
 
@@ -46,7 +46,6 @@ __all__ = [
     "integrated_tail_cdf",
     "is_lattice",
     "lattice_span",
-    "abs_quantile",
     "is_finite_number",
     "number",
     "integer",
@@ -96,9 +95,6 @@ class Exponential:
     def sf(self, x):
         return 1.0 - self.cdf(x)
 
-    def quantile(self, p):
-        return -math.log1p(-p) / self.rate
-
     def mean_min(self, x):
         """E[min(X, x)] for x >= 0."""
         x = np.asarray(x, dtype=float)
@@ -142,9 +138,6 @@ class Gamma:
     def sf(self, x):
         return gammaincc(self.shape, np.maximum(x, 0.0) / self.scale)
 
-    def quantile(self, p):
-        return float(gammaincinv(self.shape, p) * self.scale)
-
     def mean_min(self, x):
         x = np.asarray(x, dtype=float)
         head = self.mean() * gammainc(self.shape + 1.0, np.maximum(x, 0.0) / self.scale)
@@ -186,9 +179,6 @@ class Uniform:
 
     def sf(self, x):
         return 1.0 - self.cdf(x)
-
-    def quantile(self, p):
-        return self.lo + p * (self.hi - self.lo)
 
     def mean_min(self, x):
         # Valid in the interarrival role (lo >= 0).
@@ -236,9 +226,6 @@ class LogNormal:
     def sf(self, x):
         return 1.0 - np.asarray(self.cdf(x))
 
-    def quantile(self, p):
-        return math.exp(self.mu + self.sigma * float(ndtri(p)))
-
     def mean_min(self, x):
         # Limited expected value: m*Phi((ln x - mu - sigma^2)/sigma) + x*sf(x).
         x = np.asarray(x, dtype=float)
@@ -284,9 +271,6 @@ class PointMass:
 
     def sf(self, x):
         return 1.0 - self.cdf(x)
-
-    def quantile(self, p):
-        return self.value
 
     def mean_min(self, x):
         return np.minimum(np.asarray(x, dtype=float), self.value)
@@ -351,12 +335,6 @@ class FiniteDiscrete:
     def sf(self, x):
         return 1.0 - self.cdf(x)
 
-    def quantile(self, p):
-        vals, probs = self._sorted
-        cum = np.cumsum(probs)
-        idx = int(np.searchsorted(cum, p, side="left"))
-        return float(vals[min(idx, len(vals) - 1)])
-
     def mean_min(self, x):
         vals, probs = self._sorted
         x = np.asarray(x, dtype=float)
@@ -413,9 +391,6 @@ class Pareto:
     def sf(self, x):
         return 1.0 - self.cdf(x)
 
-    def quantile(self, p):
-        return self.xm * (1.0 - p) ** (-1.0 / self.alpha)
-
     def mean_min(self, x):
         x = np.asarray(x, dtype=float)
         xm, a = self.xm, self.alpha
@@ -438,8 +413,9 @@ _INTERARRIVAL_FAMILIES = (Exponential, Gamma, Uniform, LogNormal, PointMass, Fin
 def check_interarrival(law):
     """Validate that ``law`` is legal as a renewal-increment law.
 
-    All mass must lie on (0, inf) and the mean must be finite and positive.
-    Returns the law unchanged so it can be used inline.
+    All mass must lie on (0, inf), the mean must be finite and positive,
+    and the second moment finite.  Returns the law unchanged so it can be
+    used inline.
     """
     if not isinstance(law, _INTERARRIVAL_FAMILIES):
         raise LawError(f"{type(law).__name__} is not an interarrival family")
@@ -448,9 +424,12 @@ def check_interarrival(law):
         raise LawError(f"interarrival law must have nonnegative support, got lower end {lo}")
     if isinstance(law, (PointMass, FiniteDiscrete)) and lo <= 0:
         raise LawError("interarrival law must put no mass at 0")
-    mu = law.mean()
-    if not (mu > 0 and math.isfinite(mu)):
-        raise LawError(f"interarrival law needs a finite positive mean, got {mu}")
+    try:
+        mu, m2 = law.mean(), law.second_moment()
+    except ArithmeticError:  # a moment overflows a float
+        raise LawError("interarrival law's mean or second moment is not a finite float") from None
+    if not (mu > 0 and math.isfinite(mu) and math.isfinite(m2)):
+        raise LawError(f"interarrival law needs a finite positive mean and a finite second moment, got {mu}, {m2}")
     return law
 
 
@@ -508,12 +487,6 @@ def integrated_tail_cdf(law, x):
     out = np.asarray(law.mean_min(arr) / law.mean())
     out = np.clip(out, 0.0, 1.0)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def abs_quantile(law, p):
-    """Upper bound for the ``p``-quantile of ``|X|`` (valid for signed laws)."""
-    half = 0.5 * (1.0 - p)
-    return max(abs(law.quantile(half)), abs(law.quantile(1.0 - half)))
 
 
 def _rational(value):

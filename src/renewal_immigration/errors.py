@@ -27,15 +27,14 @@ class NonAbsorbedPathError(RuntimeError):
 
 
 class TruncationError(RuntimeError):
-    """Stationary evaluation could not push the tail bound below tolerance.
+    """A stationary run cannot push the kernel's tail bound below tolerance.
 
-    Carries the best truncated values and the bound actually achieved;
-    ``replicate`` is filled in when raised from a replicated run.
+    Raised before anything is drawn.  Carries the bound at the largest
+    half-width tried (``inf`` when the expected missed mass is infinite)
+    and that half-width, or ``None`` when the kernel alone rules it out.
     """
 
-    def __init__(self, message, values=None, bound=None, c_used=None, replicate=None):
+    def __init__(self, message, bound=None, c_used=None):
         super().__init__(message)
-        self.values = values
         self.bound = bound
         self.c_used = c_used
-        self.replicate = replicate

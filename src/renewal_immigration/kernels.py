@@ -19,13 +19,17 @@ at arbitrary real times in O(log jumps).  Variants:
 
 Each spec class owns its behaviour: its config tag ``kind``,
 ``sample(rng, size=None)``, ``support_end()`` (time after which every path
-is 0, or ``inf``) and ``tail_bound(cut, mu, window)`` (expected stationary
-mass missed from points beyond ``cut``, for unbounded support only; raises
-:class:`~renewal_immigration.errors.TruncationError` when the stationary
-series diverges).  Its config is ``kind`` plus one key per dataclass field,
-read by the field's annotated type (``float``, ``int``, a ``tuple`` of
-floats, a :data:`~renewal_immigration.distributions.Law` or a nested
-spec), as laws are read by theirs.  A new kind is one such class added to
+is 0, or ``inf``) and ``tail_bound(cut, mu)``.  For unbounded support only,
+``tail_bound`` bounds the expected stationary mass missed from points
+beyond ``cut`` when interarrivals have mean ``mu``.  By Campbell's formula
+that mass is ``int_cut^inf E|X(s)| ds / mu``, so the bound depends on the
+kernel, ``cut`` and ``mu`` alone and nothing has to be drawn to find it.
+It raises :class:`~renewal_immigration.errors.TruncationError` when the
+expected missed mass is infinite.  A spec's config is ``kind`` plus one
+key per dataclass field, read by the field's annotated type (``float``,
+``int``, a ``tuple`` of floats, a
+:data:`~renewal_immigration.distributions.Law` or a nested spec), as laws
+are read by theirs.  A new kind is one such class added to
 :data:`KernelSpec`, which ``_KINDS`` is built from.
 
 ``sample(rng)`` draws one path; ``sample(rng, size=k)`` draws ``k`` paths
@@ -42,7 +46,7 @@ from typing import ClassVar, get_args
 
 import numpy as np
 
-from .distributions import Law, abs_quantile, config_fields, integer, law_from_config, law_to_config, number, numbers
+from .distributions import Law, config_fields, integer, law_from_config, law_to_config, number, numbers
 from .errors import KernelError, NonAbsorbedPathError, TruncationError
 
 __all__ = [
@@ -63,11 +67,6 @@ __all__ = [
     "kernel_to_config",
     "kernel_from_config",
 ]
-
-# The exponential-decay tail bound majorizes |eta| by this quantile (a
-# probabilistic bound).
-EXP_DECAY_QUANTILE = 1.0 - 1e-6
-
 
 # --------------------------------------------------------------------------
 # Helpers
@@ -137,7 +136,7 @@ class DeterministicTable:
             return 0.0
         return self.breakpoints[last_nonzero + 1]
 
-    def tail_bound(self, cut, mu, window):
+    def tail_bound(self, cut, mu):
         raise TruncationError(
             "table does not vanish at infinity, so the stationary series diverges", bound=math.inf
         )
@@ -171,7 +170,7 @@ class Indicator:
     def support_end(self):
         return self.eta.support()[1]
 
-    def tail_bound(self, cut, mu, window):
+    def tail_bound(self, cut, mu):
         # The pulse law's integrated tail.
         eta = self.eta
         if math.isinf(eta.mean()):
@@ -200,13 +199,16 @@ class ScaledExpDecay:
     def support_end(self):
         return 0.0 if _eta_is_zero(self.eta) else math.inf
 
-    def tail_bound(self, cut, mu, window):
-        # A high-quantile majorant of |eta| times a geometric series in the
-        # window's smallest realized gap.
-        q = abs_quantile(self.eta, EXP_DECAY_QUANTILE)
-        gap = max(float(np.min(window.gaps())), 1e-12)
-        denom = -math.expm1(-self.decay * gap)
-        return q * math.exp(-self.decay * cut) / denom
+    def tail_bound(self, cut, mu):
+        # E|eta| int_cut^inf exp(-decay s) ds / mu.  The signed mark laws are
+        # all bounded, so their largest |value| stands in for E|eta|.
+        lo, hi = self.eta.support()
+        mean_abs = self.eta.mean() if lo >= 0 else max(abs(lo), abs(hi))
+        if math.isinf(mean_abs):
+            raise TruncationError(
+                "mark |eta| has infinite mean, so the expected missed mass is infinite", bound=math.inf
+            )
+        return mean_abs * math.exp(-self.decay * cut) / (self.decay * mu)
 
 
 @dataclass(frozen=True)
@@ -224,7 +226,7 @@ class ScaledTable:
     def support_end(self):
         return self.table.support_end() if not _eta_is_zero(self.eta) else 0.0
 
-    def tail_bound(self, cut, mu, window):
+    def tail_bound(self, cut, mu):
         raise TruncationError(
             "scaled table does not vanish at infinity, so the stationary series diverges a.s.",
             bound=math.inf,
@@ -295,7 +297,7 @@ class BirthDeath:
     def support_end(self):
         return math.inf
 
-    def tail_bound(self, cut, mu, window):
+    def tail_bound(self, cut, mu):
         # The phase-type integrated tail of the absorption time.
         return self.state_cap / mu * birth_death_tail_integral(self, cut)
 
@@ -312,7 +314,7 @@ class SpikeTrain:
     def support_end(self):
         return math.inf
 
-    def tail_bound(self, cut, mu, window):
+    def tail_bound(self, cut, mu):
         # The quadratic decay of the pulse-hit probability.
         if cut <= 1.0:
             return math.inf

@@ -9,10 +9,14 @@ truncated to ``|S*_k| <= c``.  Points far to the left contribute exactly 0
 (paths vanish on negatives), so the truncation error lives entirely in the
 right tail of the window.  Kernels with a finite ``support_end()`` are
 evaluated exactly on a window that holds every possible contributor.
-Otherwise the half-width ``c`` grows geometrically until the kernel's
+Otherwise :func:`stationary_half_width` doubles ``c`` until the kernel's
 ``tail_bound`` on the expected missed mass drops below the requested
-tolerance; kernels whose stationary series diverges raise
-:class:`~renewal_immigration.errors.TruncationError` from that bound.
+tolerance.  That bound is Campbell's formula, a function of the kernel,
+``c`` and the mean interarrival alone, so ``c`` is fixed once per run,
+before anything is drawn, and every replicate draws one window at it.  A
+run that cannot reach the tolerance, or whose kernel misses infinite
+expected mass, raises :class:`~renewal_immigration.errors.TruncationError`
+before its first draw.
 """
 
 import math
@@ -26,7 +30,8 @@ from .kernels import kernel_to_config, sample_path
 from .renewal import StationaryWindowSampler, simulate_forward
 from .streams import stream
 
-__all__ = ["ProcessSample", "FddSample", "eval_transient", "eval_stationary", "fdd_sample", "first_half_width"]
+__all__ = ["ProcessSample", "FddSample", "eval_transient", "eval_stationary", "fdd_sample", "first_half_width",
+           "stationary_half_width"]
 
 # Points evaluated per (points x grid) array, which bounds the temporary
 # for windows with very many points.
@@ -35,19 +40,13 @@ SUPERPOSE_BLOCK = 4096
 
 @dataclass(frozen=True, eq=False)
 class ProcessSample:
-    """Values of one replicate on a u-grid.
-
-    ``truncation_bound`` is present exactly when the evaluation is
-    stationary and the kernel support is unbounded; it bounds the expected
-    mass missed beyond ``c_used``.
-    """
+    """Values of one replicate on a u-grid; ``c_used`` is a stationary window's half-width."""
 
     u_grid: np.ndarray
     values: np.ndarray
     kind: str
     t: float | None = None
     c_used: float | None = None
-    truncation_bound: float | None = None
 
 
 def _validate_grid(u_grid):
@@ -104,11 +103,16 @@ def first_half_width(support_end, u, mu):
     return max(abs(u[0]), abs(u[-1])) + 10.0 * mu
 
 
-def eval_stationary(law, spec, u_grid, tol, rng, c_max=None):
-    """One replicate of ``(Y*(u))_u`` with controlled truncation.
+def stationary_half_width(law, spec, u_grid, tol, c_max=None):
+    """The half-width ``c`` of a stationary run's windows, and the tail bound at ``c``.
 
-    Raises :class:`TruncationError` (carrying the best values and the bound
-    achieved) when the tail bound cannot reach ``tol`` within ``c_max``.
+    A pure function of its arguments that draws nothing.  A kernel with a
+    finite ``support_end()`` is exact at :func:`first_half_width` and has
+    no bound (``None``).  Otherwise ``c`` doubles from there until the
+    kernel's ``tail_bound`` drops below ``tol``.  Raises
+    :class:`TruncationError` when that needs ``c`` above ``c_max``
+    (default ``max(512, 8 c)`` for the first ``c``), or when the kernel's
+    expected missed mass is infinite.
     """
     check_interarrival(law)
     if not tol > 0:
@@ -116,36 +120,47 @@ def eval_stationary(law, spec, u_grid, tol, rng, c_max=None):
     u = _validate_grid(u_grid)
     mu = law.mean()
     support_end = spec.support_end()
-    c = first_half_width(support_end, u, mu)
-    sampler = StationaryWindowSampler(law, rng)
-    window = sampler.initial(c)
-    bound = None
-    if not math.isfinite(support_end):
-        cap = c_max if c_max is not None else max(512.0, 8.0 * c)
-        while True:
-            bound = spec.tail_bound(max(c + u[0], 0.0), mu, window)
-            if bound < tol or 2.0 * c > cap:
-                break
-            c *= 2.0
-            window = sampler.extend(window, c)
+    c = float(first_half_width(support_end, u, mu))
+    if math.isfinite(support_end):
+        return c, None
+    cap = c_max if c_max is not None else max(512.0, 8.0 * c)
+    while True:
+        # The smallest u sees the most of the tail.
+        bound = float(spec.tail_bound(max(c + u[0], 0.0), mu))
+        if bound < tol:
+            return c, bound
+        if 2.0 * c > cap:
+            raise TruncationError(
+                f"tail bound {bound:.3e} above tolerance {tol:.3e} at window half-width {c:g} (cap {cap:g})",
+                bound=bound,
+                c_used=c,
+            )
+        c *= 2.0
+
+
+def eval_stationary(law, spec, u_grid, c, rng):
+    """One replicate of ``(Y*(u))_u`` over the points with ``|S*_k| <= c``.
+
+    Draws one window of half-width ``c``; :func:`stationary_half_width`
+    gives the ``c`` that meets a tolerance.
+    """
+    u = _validate_grid(u_grid)
+    window = StationaryWindowSampler(law, rng).initial(c)
     # Points left of -max(u) or past the support cannot reach the grid.
     pts = window.points
-    keep = (np.abs(pts) <= c) & (pts >= -u[-1]) & (pts < support_end - u[0])
+    keep = (np.abs(pts) <= c) & (pts >= -u[-1]) & (pts < spec.support_end() - u[0])
     values = _superpose(spec, -pts[keep], u, rng)
-    if bound is not None and not bound < tol:
-        raise TruncationError(
-            f"tail bound {bound:.3e} above tolerance {tol:.3e} at window half-width {c:g} "
-            f"(cap {cap:g})",
-            values=values,
-            bound=bound,
-            c_used=c,
-        )
-    return ProcessSample(u_grid=u, values=values, kind="stationary", c_used=c, truncation_bound=bound)
+    return ProcessSample(u_grid=u, values=values, kind="stationary", c_used=c)
 
 
 @dataclass(frozen=True, eq=False)
 class FddSample:
-    """Replicated finite-dimensional samples, one row per replicate."""
+    """Replicated finite-dimensional samples, one row per replicate.
+
+    A stationary run draws every replicate's window at one half-width
+    ``c_used``.  ``truncation_bound`` bounds the expected mass missed beyond
+    it, and is present exactly when the kernel support is unbounded.
+    """
 
     u_grid: np.ndarray
     values: np.ndarray
@@ -153,8 +168,8 @@ class FddSample:
     seed: int
     t: float | None = None
     tol: float | None = None
-    c_used: np.ndarray | None = None
-    truncation_bounds: np.ndarray | None = None
+    c_used: float | None = None
+    truncation_bound: float | None = None
 
     def to_csv(self):
         header = ",".join(f"u={v:.17g}" for v in self.u_grid)
@@ -176,14 +191,9 @@ class FddSample:
             meta["t"] = self.t
         else:
             meta["tol"] = self.tol
-            cs = self.c_used
-            meta["c_used"] = {
-                "min": float(np.min(cs)),
-                "max": float(np.max(cs)),
-                "mean": float(np.mean(cs)),
-            }
-            if self.truncation_bounds is not None:
-                meta["truncation_bound_max"] = float(np.max(self.truncation_bounds))
+            meta["c_used"] = self.c_used
+            if self.truncation_bound is not None:
+                meta["truncation_bound_max"] = self.truncation_bound
         return meta
 
 
@@ -191,8 +201,10 @@ def fdd_sample(law, spec, mode, u_grid, n_replicates, seed, t=None, tol=1e-6, c_
     """Independent replicates of the fdd vector, one derived stream each.
 
     Row ``i`` depends only on ``(seed, i)``, so the matrix is reproducible
-    and independent of evaluation order.  Truncation failures propagate
-    with the replicate index attached.
+    and independent of evaluation order.  A stationary run fixes its
+    half-width with :func:`stationary_half_width` before the first draw, so
+    a run that cannot reach ``tol`` raises :class:`TruncationError` having
+    drawn nothing.
     """
     if n_replicates < 1:
         raise LawError("n_replicates must be >= 1")
@@ -201,25 +213,16 @@ def fdd_sample(law, spec, mode, u_grid, n_replicates, seed, t=None, tol=1e-6, c_
     if mode == "transient" and t is None:
         raise LawError("transient mode needs the evaluation time t")
     u = _validate_grid(u_grid)
+    c = bound = None
+    if mode == "stationary":
+        c, bound = stationary_half_width(law, spec, u, tol, c_max)
     values = np.empty((n_replicates, len(u)))
-    c_used = np.zeros(n_replicates) if mode == "stationary" else None
-    bounds = np.zeros(n_replicates) if mode == "stationary" else None
-    any_bound = False
     for i in range(n_replicates):
         rng = stream(seed, i)
         if mode == "transient":
-            ps = eval_transient(law, spec, t, u, rng)
+            values[i] = eval_transient(law, spec, t, u, rng).values
         else:
-            try:
-                ps = eval_stationary(law, spec, u, tol, rng, c_max=c_max)
-            except TruncationError as exc:
-                exc.replicate = i
-                raise
-            c_used[i] = ps.c_used
-            if ps.truncation_bound is not None:
-                bounds[i] = ps.truncation_bound
-                any_bound = True
-        values[i] = ps.values
+            values[i] = eval_stationary(law, spec, u, c, rng).values
     return FddSample(
         u_grid=u,
         values=values,
@@ -227,6 +230,6 @@ def fdd_sample(law, spec, mode, u_grid, n_replicates, seed, t=None, tol=1e-6, c_
         seed=seed,
         t=None if t is None else float(t),
         tol=tol if mode == "stationary" else None,
-        c_used=c_used,
-        truncation_bounds=bounds if any_bound else None,
+        c_used=c,
+        truncation_bound=bound,
     )

@@ -9,6 +9,10 @@ strictly outside ``[-c, c]``.  The resulting point set is a realization of
 the translation-invariant renewal point process with intensity
 ``1 / mean``.
 
+Points are nondecreasing, not strictly increasing: an increment below half
+an ulp of the running sum (a gamma law with a small shape draws many)
+repeats the previous point.  Every such tied point is kept and counted.
+
 Index convention: points carry integer indices with ``t_{-1} < 0 <= t_0``.
 
 Both builders take ``size``.  ``size=None`` returns one window or one
@@ -18,8 +22,10 @@ streams are spawned): window points as a ``(k, m)`` array padded with
 ``-inf`` on the left and ``+inf`` on the right, forward epochs padded with
 ``+inf`` plus a ``(k,)`` vector of overshoot epochs.  A single window does
 draw its forward and backward increments from two spawned child streams,
-because :meth:`StationaryWindowSampler.extend` must be able to grow each
-half-axis later without re-drawing what exists.
+so that :meth:`StationaryWindowSampler.extend` can grow each half-axis
+later without re-drawing what exists.  Stationary evaluation fixes its
+half-width before drawing and never grows a window, so ``extend`` has no
+caller in the package; the benchmark's tracer wraps it by name.
 """
 
 import math
@@ -44,7 +50,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RenewalRealization:
-    """Forward epochs ``S_0 = 0 < S_1 < ... <= horizon`` plus the overshooter.
+    """Forward epochs ``S_0 = 0 <= S_1 <= ... <= horizon`` plus the overshooter.
 
     ``count`` is the first index whose epoch exceeds the horizon, so
     ``overshoot_epoch - horizon`` is the overshoot at the horizon.  A batch
@@ -76,8 +82,9 @@ def _moments(law):
 def _draw_increments_until(law, rng, starts, target, mu, sd):
     """Row-wise cumulative sums ``starts[i] + xi_1 + ...`` until strictly past ``target``.
 
-    Row ``i`` holds its sums ``<= target``, then the first sum past it, then
-    ``+inf`` padding; a row that starts past the target is all padding.
+    Row ``i`` holds its sums ``<= target`` (nondecreasing, with ties kept),
+    then the first sum past it, then ``+inf`` padding; a row that starts
+    past the target is all padding.
     Increments come in ``(rows, n)`` blocks with ``n`` sized from the mean
     and spread of the law for the row furthest from the target, so the
     expected number of rounds is O(1); top-up rounds draw only for the rows
@@ -99,7 +106,7 @@ def _draw_increments_until(law, rng, starts, target, mu, sd):
     for rows, block in rounds:
         cum[rows, col : col + block.shape[1]] = block
         col += block.shape[1]
-    # Sums increase along a row: the first one past the target sits at
+    # Sums never decrease along a row: the first one past the target sits at
     # the count of those <= target, and everything after it is padding.
     over = np.count_nonzero(cum <= target, axis=1)
     cum[np.arange(cum.shape[1]) > over[:, None]] = np.inf
@@ -139,7 +146,7 @@ def _count_closed(points, a, b):
 
 @dataclass(frozen=True, eq=False)
 class StationaryWindow:
-    """Points of the stationary renewal process covering ``[-c, c]``.
+    """Points of the stationary renewal process covering ``[-c, c]``, nondecreasing.
 
     ``points[zero_index]`` is the first point >= 0; the point just before it
     is strictly negative.  The outermost points lie strictly outside
@@ -172,9 +179,6 @@ class StationaryWindow:
     def count_in(self, a, b):
         """Number of points in the closed interval [a, b]."""
         return int(_count_closed(self.points, a, b))
-
-    def gaps(self):
-        return np.diff(self.points)
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,17 +28,17 @@ TOL = {"SpikeTrain": 1e-2}
 
 DIGESTS = {
     ("DeterministicTable", "transient"): "4f6ef03c4147db830bf6278001355adbfb6c21220536f19c81a40141a2f40015",
-    ("DeterministicTable", "stationary"): "d8aae4773f58b1513f39509cdce9c66bd59cc53e59765b12291128a25168ebd7",
+    ("DeterministicTable", "stationary"): "f0094623b7f8aac82836c359ebaf063d7c16743c7562eee058607365c45d1081",
     ("Indicator", "transient"): "424792ba5070bdf76ca593008d8a1bfa3c7b1f429e1977132cebd8f09f54d972",
-    ("Indicator", "stationary"): "c547cdc2540b88c4cd2bc9f20ba541e13749a295ff4f5160cf8cb374ca4283d7",
+    ("Indicator", "stationary"): "233a731ff3848f1ca1090470e05a99795e89a03966b15f7adc17581e5f3bedc3",
     ("ScaledExpDecay", "transient"): "10d6a920024cb1e162674c44b09e2d189c8545f309ae011f78cb9ff0cec3b01b",
-    ("ScaledExpDecay", "stationary"): "f28d8002bb6ca4399f9be628da7eb28958417aaad58d96c172c40728b5cde8a7",
+    ("ScaledExpDecay", "stationary"): "3fac52e1a3b9a7d4002f6b1067a3af23ed232d8999ddb9c9c042b99d7edc557f",
     ("ScaledTable", "transient"): "12122edf28e9c41ea1eebf557e43c59c53b8b909427e6f585d3936bae19ec7d8",
-    ("ScaledTable", "stationary"): "b226634976658bcdde9cee9ff7c94366ccca6b66d0073114b698b94d05ca88f9",
+    ("ScaledTable", "stationary"): "5d14f2b2cf3e46370509114978a31be13d2303a504679d83255b7063c5fd7293",
     ("BirthDeath", "transient"): "1d6709e78e3d36c4e63464e8f36fda96669c060916d7185d79e8f661402fc615",
-    ("BirthDeath", "stationary"): "3f325406fa4cc56ae0595da23fea0513db7a9eab76a5785ea9adaae6e7e5d1a2",
+    ("BirthDeath", "stationary"): "ec38d03f3930475bdfd338fcac64ff774a1e1bf205c4393946d53543a8032bb4",
     ("SpikeTrain", "transient"): "784d9f5c1c469aa2fee92c6c857df99162c510dcf598c572bd3d64246562aa44",
-    ("SpikeTrain", "stationary"): "497d08c722c9468b051ef3a5478f4d417a507390c04d451713d6416e1b576659",
+    ("SpikeTrain", "stationary"): "95b0ba1096b73b2fde40c8918e4a668d1756381e168a054ee09de36c8426b811",
 }
 
 

@@ -19,8 +19,8 @@ from renewal_immigration import cli, config, stats
 from renewal_immigration import diagnostics as dg
 from renewal_immigration.cli import main
 from renewal_immigration.config import load_config, parse_config
-from renewal_immigration.errors import ConfigError
-from renewal_immigration.process import first_half_width
+from renewal_immigration.errors import ConfigError, TruncationError
+from renewal_immigration.process import stationary_half_width
 from renewal_immigration.renewal import build_stationary_window
 
 
@@ -128,6 +128,8 @@ BAD_TABLE = {"kind": "deterministic_table", "breakpoints": [0.0], "values": ["a"
         ("pointprocess", {"pointprocess": None}, "pointprocess"),
         ("pointprocess", {"pointprocess": {"laplace": 5}}, "pointprocess.laplace"),
         ("simulate", {"t": 1.0, "u_grid": [0.0], "n_replicates": 10**400}, "n_replicates"),
+        ("simulate", {"law": {"family": "lognormal", "mu": 0, "sigma": 1e200}}, "law"),
+        ("simulate", {"law": {"family": "uniform", "lo": 0, "hi": 1e308}}, "law"),
     ],
 )
 def test_malformed_fields_exit_1_without_traceback(tmp_path, capsys, command, fields, path):
@@ -193,6 +195,9 @@ DRAWS = [
         ("dri", {"dri": {"n_mc": 10**12}}, "dri.n_mc"),
         # Within the budget for the mean criterion's grid alone, not with the path criterion's rows.
         ("dri", {"dri": {"k_max": 10**5, "grid_per_unit": 2, "n_mc": 99}}, "dri.n_mc"),
+        # The tail bound 1/(c - 1) reaches 1e-9 at c = 10 * 2^27, a window of 2.7e9 points.
+        ("stationary", {"kernel": {"kind": "spike_train"}, "u_grid": [0.0], "n_replicates": 5, "tol": 1e-9,
+                        "c_max": 1e12}, "tol"),
     ],
 )
 def test_work_budget_exits_1_before_any_draw(tmp_path, capsys, monkeypatch, command, fields, path):
@@ -236,12 +241,17 @@ class WorkLedger:
         if mode == "transient":
             span = max(t + u_grid[-1], 0.0)
         else:
-            span = 2.0 * first_half_width(spec.support_end(), u_grid, mu)
+            # The window every replicate draws; raises, as the run does, when tol is out of reach.
+            span = 2.0 * stationary_half_width(law, spec, u_grid, tol, c_max)[0]
         self.add(n, span / mu)
         return SimpleNamespace(to_csv=lambda: "", metadata=lambda law, spec: {})
 
     def convergence_test(self, law, spec, t_list, u_grid, n, alpha, seed, n_permutations, tol):
-        self.fdd_sample(law, spec, "stationary", u_grid, n, seed)
+        try:
+            self.fdd_sample(law, spec, "stationary", u_grid, n, seed, tol=tol)
+        except TruncationError:
+            return [dg.ComparisonReport(t, tuple(u_grid), n, alpha, (), (), None, None, "hypothesis_violation")
+                    for t in t_list]
         for t in t_list:
             self.fdd_sample(law, spec, "transient", u_grid, n, seed, t=t)
         return [dg.ComparisonReport(t, tuple(u_grid), n, alpha, (), (), None, None, "non_reject") for t in t_list]
@@ -463,7 +473,46 @@ def test_stationary_truncation_failure_exits_2(tmp_path):
     report = json.loads((out / "truncation_report.json").read_text())
     assert report["error"] == "truncation"
     assert report["bound"] > 1e-300
-    assert report["replicate"] == 0
+    # The half-width is fixed before the first draw, so no replicate failed and nothing was written.
+    assert "replicate" not in report and report["c_used"] == 320.0
+    assert not (out / "matrix.csv").exists()
+
+
+BURSTY_LAW = {"family": "gamma", "shape": 0.1, "scale": 10.0}
+EXP_DECAY_KERNEL = {"kind": "scaled_exp_decay", "eta": {"family": "point_mass", "value": 1.0}, "decay": 0.1}
+
+
+def test_bursty_stationary_config_exits_0(tmp_path):
+    # Campbell's bound is 10 e^-0.1c: it passes 1e-6 at c = 320 (doubling
+    # from 10), within the default cap of 512.
+    cfg = write_config(tmp_path, base_config(law=BURSTY_LAW, kernel=EXP_DECAY_KERNEL, u_grid=[0.0], n_replicates=50))
+    out = tmp_path / "out"
+    assert main(["stationary", cfg, "--out-dir", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["c_used"] == 320.0 and meta["truncation_bound_max"] < 1e-6
+
+
+@pytest.mark.parametrize(
+    "kernel, tol",
+    [
+        (EXP_DECAY_KERNEL, 1e-300),
+        ({"kind": "scaled_exp_decay", "eta": {"family": "pareto", "alpha": 0.8, "xm": 1.0}, "decay": 1.0}, 1e-6),
+        ({"kind": "indicator", "eta": {"family": "pareto", "alpha": 0.8, "xm": 1.0}}, 1e-6),
+    ],
+    ids=["tol-out-of-reach", "exp-decay-infinite-mean-marks", "indicator-infinite-mean-pulses"],
+)
+def test_unreachable_tolerance_exits_2_from_stationary_and_3_from_converge(tmp_path, capsys, kernel, tol):
+    base = base_config(kernel=kernel, tol=tol, u_grid=[0.0], n_replicates=20)
+    cfg = write_config(tmp_path, base)
+    out = tmp_path / "stationary"
+    assert main(["stationary", cfg, "--out-dir", str(out)]) == 2
+    assert json.loads((out / "truncation_report.json").read_text())["bound"] > tol
+    assert not (out / "matrix.csv").exists()
+    cfg = write_config(tmp_path, base | {"t_list": [1.0, 5.0]}, name="converge.json")
+    assert main(["converge", cfg, "--out-dir", str(tmp_path / "converge")]) == 3
+    captured = capsys.readouterr()
+    assert json.loads(captured.out.splitlines()[-1])["decisions"] == ["hypothesis_violation"] * 2
+    assert "Traceback" not in captured.err
 
 
 # ----------------------------------------------------------------- converge

@@ -171,6 +171,22 @@ def test_interarrival_validation():
     dist.check_interarrival(dist.Uniform(0.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "law",
+    [
+        dist.LogNormal(0.0, 1e200),
+        dist.LogNormal(0.0, 30.0),  # finite mean, second moment past the float range
+        dist.Uniform(0.0, 1e308),
+        dist.Gamma(1.0, 1e200),
+        dist.Exponential(1e-200),  # rate**2 underflows to 0
+    ],
+    ids=repr,
+)
+def test_interarrival_moments_must_be_finite_floats(law):
+    with pytest.raises(LawError, match="interarrival law"):
+        dist.check_interarrival(law)
+
+
 def test_family_parameter_validation():
     with pytest.raises(LawError):
         dist.Exponential(0.0)
@@ -258,7 +274,6 @@ def test_pareto_tail_shapes():
 LOGNORMALS = [dist.LogNormal(0.0, 0.5), dist.LogNormal(-1.0, 2.0), dist.LogNormal(1.5, 1.0)]
 GAMMAS = [dist.Gamma(a, s) for a in (0.3, 1.0, 2.0, 5.5, 40.0) for s in (0.1, 0.5, 1.0, 7.0)]
 XS = np.concatenate([[-3.0, -0.0, 0.0, np.inf], np.geomspace(1e-6, 1e4, 400)])
-PS = np.concatenate([[0.0, 1e-12, 1.0 - 1e-12, 1.0], np.linspace(0.001, 0.999, 97)])
 
 
 def _lognormal_reference(law, x):
@@ -274,15 +289,11 @@ def _lognormal_reference(law, x):
 
 @pytest.mark.parametrize("law", LOGNORMALS, ids=repr)
 def test_lognormal_tails_equal_scipy_stats(law):
-    from scipy.stats import norm
-
     cdf, sf, mean_min = _lognormal_reference(law, XS)
     assert law.cdf(XS).tobytes() == cdf.tobytes()
     assert law.sf(XS).tobytes() == sf.tobytes()
     with np.errstate(invalid="ignore"):
         assert np.asarray(law.mean_min(XS)).tobytes() == mean_min.tobytes()
-    for p in PS:
-        assert law.quantile(p) == math.exp(law.mu + law.sigma * float(norm.ppf(p)))
 
 
 @pytest.mark.parametrize("law", GAMMAS, ids=repr)
@@ -295,8 +306,6 @@ def test_gamma_tails_equal_scipy_stats(law):
     with np.errstate(invalid="ignore"):  # inf * 0 at x = inf, in both
         expected = law.mean() * gamma.cdf(XS, a + 1.0, scale=s) + XS * gamma.sf(XS, a, scale=s)
         assert np.asarray(law.mean_min(XS)).tobytes() == expected.tobytes()
-    for p in PS:
-        assert law.quantile(p) == float(gamma.ppf(p, a, scale=s))
 
 
 @pytest.mark.parametrize("df", [1, 3, 7])

@@ -9,7 +9,7 @@ from renewal_immigration import distributions as dist
 from renewal_immigration import kernels as kn
 from renewal_immigration import process as pr
 from renewal_immigration.errors import LawError, TruncationError
-from renewal_immigration.renewal import StationaryWindowSampler
+from renewal_immigration.renewal import StationaryWindowSampler, build_stationary_window
 from renewal_immigration.stats import ks_two_sample
 from renewal_immigration.streams import stream
 
@@ -21,12 +21,18 @@ EXP_LAW = dist.Exponential(1.0)
 MM_INF = kn.Indicator(dist.Exponential(1.0))
 
 
+def stationary_once(law, spec, u_grid, tol, rng, c_max=None):
+    """One stationary replicate at the half-width a run with ``tol`` would use, and its bound."""
+    c, bound = pr.stationary_half_width(law, spec, u_grid, tol, c_max)
+    return pr.eval_stationary(law, spec, u_grid, c, rng), bound
+
+
 def test_zero_kernel_transient_and_stationary():
     ps = pr.eval_transient(EXP_LAW, ZERO_KERNEL, 5.0, [0.0, 1.0], stream(0))
     assert np.all(ps.values == 0.0)
-    ps = pr.eval_stationary(EXP_LAW, ZERO_KERNEL, [0.0, 1.0], 1e-6, stream(1))
+    ps, bound = stationary_once(EXP_LAW, ZERO_KERNEL, [0.0, 1.0], 1e-6, stream(1))
     assert np.all(ps.values == 0.0)
-    assert ps.truncation_bound is None
+    assert bound is None
 
 
 def test_transient_point_mass_enumeration():
@@ -68,7 +74,7 @@ def test_transient_negative_u_allowed():
 
 def test_stationary_zero_pulse():
     spec = kn.Indicator(dist.PointMass(0.0))
-    ps = pr.eval_stationary(EXP_LAW, spec, [0.0, 2.0], 1e-6, stream(7))
+    ps, _ = stationary_once(EXP_LAW, spec, [0.0, 2.0], 1e-6, stream(7))
     assert np.all(ps.values == 0.0)
 
 
@@ -77,7 +83,7 @@ def test_stationary_campbell_mean_exp_decay():
     sample = pr.fdd_sample(EXP_LAW, spec, "stationary", [0.0], 2 * 10**4, seed=8)
     se = sample.values.std(ddof=1) / math.sqrt(sample.values.shape[0])
     assert abs(sample.values.mean() - 1.0) < 4.0 * se
-    assert np.all(sample.truncation_bounds < 1e-6)
+    assert sample.truncation_bound < 1e-6
 
 
 def test_stationary_campbell_mean_two_u_values():
@@ -114,7 +120,7 @@ def test_fdd_determinism_and_single_replicate_equivalence():
     a = pr.fdd_sample(EXP_LAW, MM_INF, "stationary", [0.0, 1.0], 50, seed=12)
     b = pr.fdd_sample(EXP_LAW, MM_INF, "stationary", [0.0, 1.0], 50, seed=12)
     assert np.array_equal(a.values, b.values)
-    single = pr.eval_stationary(EXP_LAW, MM_INF, [0.0, 1.0], 1e-6, stream(12, 0))
+    single = pr.eval_stationary(EXP_LAW, MM_INF, [0.0, 1.0], a.c_used, stream(12, 0))
     assert np.array_equal(a.values[0], single.values)
 
 
@@ -128,7 +134,11 @@ def test_fdd_validation():
     with pytest.raises(LawError):
         pr.eval_transient(EXP_LAW, MM_INF, 1.0, [0.0, 0.0], stream(1))  # not increasing
     with pytest.raises(LawError):
-        pr.eval_stationary(EXP_LAW, MM_INF, [0.0, np.nan], 1e-6, stream(1))
+        pr.eval_stationary(EXP_LAW, MM_INF, [0.0, np.nan], 12.0, stream(1))
+    with pytest.raises(LawError):
+        pr.stationary_half_width(EXP_LAW, MM_INF, [0.0, np.nan], 1e-6)
+    with pytest.raises(LawError):
+        pr.stationary_half_width(EXP_LAW, MM_INF, [0.0], 0.0)
     with pytest.raises(LawError):
         pr.eval_transient(EXP_LAW, MM_INF, 1.0, [0.0, np.inf], stream(1))
 
@@ -137,7 +147,7 @@ def test_nonnegative_kernels_give_nonnegative_values():
     # The spike train's polynomial tail needs a wider window cap.
     specs = [MM_INF, kn.ScaledExpDecay(dist.Exponential(1.0), 0.5), kn.SpikeTrain()]
     for i, spec in enumerate(specs):
-        ps = pr.eval_stationary(EXP_LAW, spec, [0.0, 2.0], 1e-4, stream(13, i), c_max=4 * 10**4)
+        ps, _ = stationary_once(EXP_LAW, spec, [0.0, 2.0], 1e-4, stream(13, i), c_max=4 * 10**4)
         assert np.all(ps.values >= 0.0)
         pt = pr.eval_transient(EXP_LAW, spec, 10.0, [0.0, 2.0], stream(14, i))
         assert np.all(pt.values >= 0.0)
@@ -155,52 +165,77 @@ def test_truncation_monotone_in_c_pathwise():
     assert all(t2 >= t1 for t1, t2 in zip(totals, totals[1:]))
 
 
-def test_truncation_error_carries_best_value_and_bound():
+def test_truncation_error_carries_bound_and_half_width():
     spec = kn.ScaledExpDecay(dist.PointMass(1.0), 1.0)
     with pytest.raises(TruncationError) as info:
-        pr.eval_stationary(EXP_LAW, spec, [0.0], 1e-300, stream(17))
+        pr.stationary_half_width(EXP_LAW, spec, [0.0], 1e-300)
     err = info.value
     assert err.bound > 1e-300
-    assert err.c_used is not None
-    assert err.values is not None and np.all(np.isfinite(err.values))
+    # Doubled from 10 while 2c stays within the default cap of 512.
+    assert err.c_used == 320.0
+    assert err.bound == math.exp(-320.0)
 
 
-def test_truncation_error_in_fdd_carries_replicate():
+def test_truncation_error_in_fdd_raises_before_any_draw(monkeypatch):
+    def fail(*args, **kwargs):
+        pytest.fail("a stationary run that cannot reach tol drew")
+
+    for name in ["StationaryWindowSampler", "sample_path", "simulate_forward", "stream", "eval_stationary"]:
+        monkeypatch.setattr(pr, name, fail)
     spec = kn.ScaledExpDecay(dist.PointMass(1.0), 1.0)
     with pytest.raises(TruncationError) as info:
         pr.fdd_sample(EXP_LAW, spec, "stationary", [0.0], 3, seed=18, tol=1e-300)
-    assert info.value.replicate == 0
+    assert info.value.bound > 1e-300
 
 
 def test_stationary_diverging_configs_fail_fast():
     heavy = kn.Indicator(dist.Pareto(0.8, 1.0))
     with pytest.raises(TruncationError):
-        pr.eval_stationary(EXP_LAW, heavy, [0.0], 1e-6, stream(19))
+        pr.stationary_half_width(EXP_LAW, heavy, [0.0], 1e-6)
     never_zero = kn.DeterministicTable((0.0,), (1.0,))
     with pytest.raises(TruncationError):
-        pr.eval_stationary(EXP_LAW, never_zero, [0.0], 1e-6, stream(20))
+        pr.stationary_half_width(EXP_LAW, never_zero, [0.0], 1e-6)
+    # Exp-decay shot noise with infinite-mean marks converges a.s., but its
+    # expected missed mass is infinite, so no tolerance can be met.
+    heavy_marks = kn.ScaledExpDecay(dist.Pareto(0.8, 1.0), 1.0)
+    with pytest.raises(TruncationError, match="expected missed mass is infinite") as info:
+        pr.stationary_half_width(EXP_LAW, heavy_marks, [0.0], 1e-6)
+    assert "diverge" not in str(info.value) and info.value.bound == math.inf
 
 
 def test_bounded_kernels_are_exact_with_no_bound():
     spec = kn.Indicator(dist.Uniform(0.0, 2.0))
-    ps = pr.eval_stationary(EXP_LAW, spec, [0.0], 1e-6, stream(21))
-    assert ps.truncation_bound is None
+    ps, bound = stationary_once(EXP_LAW, spec, [0.0], 1e-6, stream(21))
+    assert bound is None
     table = kn.ScaledTable(dist.Exponential(1.0), kn.DeterministicTable((0.0, 3.0), (1.0, 0.0)))
-    ps = pr.eval_stationary(EXP_LAW, table, [0.0], 1e-6, stream(22))
-    assert ps.truncation_bound is None
+    ps, bound = stationary_once(EXP_LAW, table, [0.0], 1e-6, stream(22))
+    assert bound is None
 
 
 def test_stationary_birth_death_runs_with_phase_type_bound():
     spec = kn.BirthDeath(initial=1, birth_rates=(0.3, 0.0), death_rates=(1.0, 1.0), state_cap=2)
-    ps = pr.eval_stationary(EXP_LAW, spec, [0.0], 1e-6, stream(23))
-    assert ps.truncation_bound is not None and ps.truncation_bound < 1e-6
+    ps, bound = stationary_once(EXP_LAW, spec, [0.0], 1e-6, stream(23))
+    assert bound is not None and bound < 1e-6
     assert ps.values[0] >= 0.0
 
 
 def test_spike_train_stationary_value():
-    ps = pr.eval_stationary(EXP_LAW, kn.SpikeTrain(), [0.0], 1e-3, stream(24), c_max=4096.0)
+    ps, bound = stationary_once(EXP_LAW, kn.SpikeTrain(), [0.0], 1e-3, stream(24), c_max=4096.0)
     assert np.isfinite(ps.values[0])
-    assert ps.truncation_bound < 1e-3
+    assert bound < 1e-3
+
+
+def test_bursty_law_reaches_tol_at_a_half_width_fixed_per_run():
+    # Gamma(0.1, 10) gaps cluster points, so the smallest realized gap is
+    # tiny; Campbell's bound does not look at the window and reaches
+    # 10 e^-32 = 1.27e-13 at c = 320 (c doubles from 10).
+    law, spec = dist.Gamma(0.1, 10.0), kn.ScaledExpDecay(dist.PointMass(1.0), 0.1)
+    c, bound = pr.stationary_half_width(law, spec, [0.0], 1e-6)
+    assert c == 320.0 and bound == 10.0 * math.exp(-32.0)
+    sample = pr.fdd_sample(law, spec, "stationary", [0.0], 20, seed=26)
+    meta = sample.metadata(law, spec)
+    assert meta["c_used"] == 320.0 and meta["truncation_bound_max"] == bound
+    assert np.all(sample.values > 0.0)
 
 
 def test_fdd_csv_and_metadata():
@@ -212,8 +247,36 @@ def test_fdd_csv_and_metadata():
     meta = sample.metadata(EXP_LAW, MM_INF)
     assert meta["mode"] == "stationary"
     assert meta["law"] == {"family": "exponential", "rate": 1.0}
-    assert meta["c_used"]["max"] >= meta["c_used"]["min"] > 0
+    assert meta["c_used"] == sample.c_used > 0
     assert meta["seed"] == 25
+
+
+# Campbell's formula: the points past ``cut`` miss, at u = 0, the mass
+# sum_{t_k > cut} |X_k(t_k)|, whose mean is int_cut^inf E|X(s)| ds / mu.
+# With mu = 1 and cut = 2 the means and bounds are, worked out beforehand:
+#   Indicator(Exp(1)):            e^-2 = 0.135, bound e^-2 (equal);
+#   ScaledExpDecay(U(-1, 2), 0.7): E|eta| = 5/6, so 0.294, bound 2 e^-1.4 / 0.7 = 0.705;
+#   BirthDeath (cap 3):            at most the bound 3 int_2^inf P(tau > x) dx, since X <= 3;
+#   SpikeTrain:                    about sum_{k>=2} 1 / (2 (k^2 + 1)) = 0.29, bound 1 / (cut - 1) = 1.
+# Windows reach ``MISSED_REACH`` past the cut; what lies further only lowers
+# the estimate (spike train: about 1/400).  The band is the bound plus 6
+# standard errors of the mean over ``MISSED_WINDOWS`` windows.
+MISSED_CUT = 2.0
+MISSED_REACH = {"SpikeTrain": 200.0}
+MISSED_WINDOWS = 2000
+
+
+@pytest.mark.parametrize("spec", [s for s in ALL_SPECS if math.isinf(s.support_end())], ids=lambda s: type(s).__name__)
+def test_tail_bound_bounds_the_missed_mass(spec):
+    reach = MISSED_CUT + MISSED_REACH.get(type(spec).__name__, 30.0)
+    rows = build_stationary_window(EXP_LAW, reach, stream(70), size=MISSED_WINDOWS)
+    row, col = np.nonzero((rows.points > MISSED_CUT) & (rows.points <= reach))
+    pts = rows.points[row, col]
+    paths = kn.sample_path(spec, stream(71), size=len(pts))
+    mass = np.bincount(row, np.abs(paths.values(pts[:, None])[:, 0]), minlength=MISSED_WINDOWS)
+    se = mass.std(ddof=1) / math.sqrt(MISSED_WINDOWS)
+    assert mass.mean() > 0.0
+    assert mass.mean() <= spec.tail_bound(MISSED_CUT, EXP_LAW.mean()) + 6.0 * se
 
 
 @given(st.integers(min_value=0, max_value=10**5))

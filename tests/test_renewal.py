@@ -55,6 +55,45 @@ def test_forward_epochs_strictly_increasing():
         assert real.epochs[-1] <= 50.0 < real.overshoot_epoch
 
 
+BURSTY = dist.Gamma(0.1, 10.0)
+
+
+def test_tied_points_are_kept_and_counted():
+    # Gamma(0.1, 10) draws many increments below half an ulp of the running
+    # sum, so points repeat: every row here has ties.
+    mu, sd = _moments(BURSTY)
+    real = rn.simulate_forward(BURSTY, 500.0, stream(40), size=50)
+    for epochs, count, overshoot_epoch in zip(real.epochs, real.count, real.overshoot_epoch):
+        finite = epochs[np.isfinite(epochs)]
+        assert np.any(np.diff(finite) == 0.0) and np.all(np.diff(finite) >= 0.0)
+        assert count == len(finite) and finite[0] == 0.0
+        assert finite[-1] <= 500.0 < overshoot_epoch
+    # A single run holds every sum the scalar reference keeps, ties included.
+    single = rn.simulate_forward(BURSTY, 500.0, stream(41))
+    sums = single_row_increments_until(BURSTY, stream(41), 0.0, 500.0, mu, sd)
+    assert np.any(np.diff(single.epochs) == 0.0)
+    assert single.epochs.tobytes() == np.concatenate([[0.0], sums[:-1]]).tobytes()
+    assert single.count == len(sums) and single.overshoot_epoch == sums[-1]
+
+    c = 200.0
+    rows = rn.build_stationary_window(BURSTY, c, stream(42), size=50)
+    inside = rows.count_in(-c, c)
+    z = rows.zero_index
+    for pts, n_inside in zip(rows.points, inside):
+        finite = pts[np.isfinite(pts)]
+        assert np.any(np.diff(finite) == 0.0) and np.all(np.diff(finite) >= 0.0)
+        assert pts[z - 1] < 0.0 <= pts[z]
+        # One sentinel on each side, strictly outside [-c, c]; every point
+        # between them, tied or not, is counted.
+        assert np.count_nonzero(finite < -c) == 1 and np.count_nonzero(finite > c) == 1
+        assert n_inside == len(finite) - 2
+    window = rn.build_stationary_window(BURSTY, c, stream(43))
+    assert np.any(np.diff(window.points) == 0.0)
+    assert window.point(-1) < 0.0 <= window.point(0)
+    assert window.points[0] < -c < window.points[1] and window.points[-2] < c < window.points[-1]
+    assert window.count_in(-c, c) == len(window.points) - 2
+
+
 def test_overshoot_matches_integrated_tail():
     rng = stream(5)
     overshoots = np.array(
@@ -66,7 +105,7 @@ def test_overshoot_matches_integrated_tail():
 
 def test_window_point_mass_exact_grid():
     window = rn.build_stationary_window(dist.PointMass(2.0), 3.0, stream(6))
-    gaps = window.gaps()
+    gaps = np.diff(window.points)
     assert np.allclose(gaps, 2.0, atol=1e-12)
     assert 0.0 <= window.point(0) < 2.0
     assert window.points[0] < -3.0 and window.points[-1] > 3.0
@@ -134,7 +173,7 @@ def test_shift_identity_and_gap_preservation():
     window = rn.build_stationary_window(dist.PointMass(1.0), 4.0, stream(10))
     assert rn.shift_window(window, 0.0) is window
     shifted = rn.shift_window(window, 0.25)
-    assert np.allclose(shifted.gaps(), 1.0, atol=1e-12)
+    assert np.allclose(np.diff(shifted.points), 1.0, atol=1e-12)
     assert shifted.point(-1) < 0.0 <= shifted.point(0)
     assert np.array_equal(shifted.points, window.points - 0.25)
 
