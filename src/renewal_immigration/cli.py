@@ -2,7 +2,8 @@
 
 Every command is a pure function of ``(config file, seed)``: reruns produce
 byte-identical artifacts (sorted JSON keys, 17-significant-digit CSV
-floats, no wall-clock anywhere).  Output files are written atomically.
+floats, no wall-clock anywhere).  JSON is strict: a non-finite float (an
+infinite bound, say) is written as ``null``.  Output files are written atomically.
 
 Exit codes: 0 pass, 1 usage/config error, 2 statistical rejection or
 truncation failure, 3 inconclusive / hypothesis warning.
@@ -31,7 +32,7 @@ from .distributions import is_lattice
 from .errors import ConfigError, NonAbsorbedPathError, TruncationError
 from .process import fdd_sample
 from .renewal import build_stationary_window, window_to_csv
-from .streams import stream
+from .streams import DRI_MEAN, DRI_PATH, DUMP_WINDOW, INTENSITY, LAPLACE, OVERSHOOT, SHIFT, stream
 
 __all__ = ["main", "cmd_simulate", "cmd_stationary", "cmd_converge", "cmd_dri", "cmd_pointprocess"]
 
@@ -47,8 +48,20 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
+def _strict(obj):
+    """``obj`` with every non-finite float replaced by ``None``."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
+
+
 def _json_text(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: non-finite floats are written as ``null``."""
+    return json.dumps(_strict(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _write_atomic(path, text):
@@ -83,7 +96,7 @@ def cmd_stationary(config, fields, out_dir, args):
     u_grid, n, tol = fields.u_grid, fields.n_replicates, fields.tol
     outputs = []
     if args.dump_window:
-        window = build_stationary_window(config.law, fields.c, stream((config.seed, 1)))
+        window = build_stationary_window(config.law, fields.c, stream(config.seed, DUMP_WINDOW, 0))
         _write_atomic(out_dir / "window.csv", window_to_csv(window))
         outputs.append("window.csv")
     try:
@@ -149,8 +162,8 @@ def cmd_converge(config, fields, out_dir, args):
 
 def cmd_dri(config, fields, out_dir, args):
     k_max, n_mc = fields.k_max, fields.n_mc
-    mean_report = dri_mean_check(config.kernel, k_max, fields.grid_per_unit, n_mc, stream((config.seed, 10)))
-    path_report = dri_path_check(config.kernel, k_max, n_mc, stream((config.seed, 11)))
+    mean_report = dri_mean_check(config.kernel, k_max, fields.grid_per_unit, n_mc, stream(config.seed, DRI_MEAN, 0))
+    path_report = dri_path_check(config.kernel, k_max, n_mc, stream(config.seed, DRI_PATH, 0))
     _write_atomic(out_dir / "dri_mean.json", _json_text(mean_report.to_dict()))
     _write_atomic(out_dir / "dri_path.json", _json_text(path_report.to_dict()))
     verdicts = (mean_report.verdict, path_report.verdict)
@@ -174,13 +187,13 @@ def cmd_dri(config, fields, out_dir, args):
 
 def cmd_pointprocess(config, fields, out_dir, args):
     law, seed, alpha = config.law, config.seed, fields.alpha
-    intensity = intensity_check(law, fields.intervals, fields.n_windows, stream((seed, 20)))
-    overshoot = overshoot_check(law, fields.horizon, fields.n_realizations, stream((seed, 21)))
+    intensity = intensity_check(law, fields.intervals, fields.n_windows, stream(seed, INTENSITY, 0))
+    overshoot = overshoot_check(law, fields.horizon, fields.n_realizations, stream(seed, OVERSHOOT, 0))
     shift_result = shift_invariance_check(
-        law, fields.shift, fields.intervals[0], fields.n_windows, stream((seed, 22))
+        law, fields.shift, fields.intervals[0], fields.n_windows, stream(seed, SHIFT, 0)
     )
     laplace = laplace_functional_compare(
-        law, fields.laplace_h, fields.laplace_t, fields.laplace_n_mc, stream((seed, 23))
+        law, fields.laplace_h, fields.laplace_t, fields.laplace_n_mc, stream(seed, LAPLACE, 0)
     )
 
     warnings = []

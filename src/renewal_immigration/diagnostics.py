@@ -30,9 +30,9 @@ from .distributions import integrated_tail_cdf, is_lattice, mean as law_mean
 from .errors import KernelError, NonAbsorbedPathError, TruncationError
 from .kernels import sample_path
 from .process import fdd_sample
-from .renewal import build_stationary_window, simulate_forward
+from .renewal import build_stationary_window, row_blocks, simulate_forward
 from .stats import TestResult, energy_distance, ks_one_sample, ks_two_sample
-from .streams import stream
+from .streams import ENERGY, PRECHECK, stream
 
 __all__ = [
     "CONVERGENT_EVIDENCE",
@@ -69,14 +69,6 @@ CONVERGENT_RESIDUAL_FRACTION = 1e-3
 GEOMETRIC_RATIO_CAP = 0.99
 MIN_FIT_POINTS = 4
 POWER_FIT_MIN_HITS = 4.0
-
-# The point-process checks draw their windows and forward runs as blocks of
-# rows; a block holds about this many expected points in all, which bounds
-# its padded (rows x points) arrays whatever the number of rows.  The arrays
-# are a few times wider than the expected points: increments are drawn with
-# a six-sigma margin and at least 16 per row and side.
-ROW_BLOCK_POINTS = 2**15
-
 
 @dataclass(frozen=True)
 class DriReport:
@@ -271,12 +263,12 @@ def laplace_functional_compare(law, h, t, n_mc, rng):
     if math.isinf(h.support_end()):
         raise KernelError("test function h must have compact support")
     transient = np.empty(n_mc)
-    for lo, hi in _row_blocks(n_mc, _expected_points(law, t)):
+    for lo, hi in row_blocks(n_mc, law, t):
         epochs = simulate_forward(law, t, rng, size=hi - lo).epochs
         transient[lo:hi] = _exp_neg_h_sums(h, t - epochs)
     c = laplace_half_width(law, h)
     stationary = np.empty(n_mc)
-    for lo, hi in _row_blocks(n_mc, _expected_points(law, 2.0 * c)):
+    for lo, hi in row_blocks(n_mc, law, 2.0 * c):
         # Sentinels lie outside [-c, c] which contains the support of h,
         # so summing over every window point is exact.
         points = build_stationary_window(law, c, rng, size=hi - lo).points
@@ -366,7 +358,7 @@ def _hypothesis_warnings(law, spec, seed):
         # Compact support integrates trivially; no pre-check needed.
         return warnings
     try:
-        quick = dri_mean_check(spec, k_max=40, grid_per_unit=4, n_mc=400, rng=stream((seed, 90)))
+        quick = dri_mean_check(spec, k_max=40, grid_per_unit=4, n_mc=400, rng=stream(seed, PRECHECK, 0))
         if quick.verdict == DIVERGENT_EVIDENCE:
             warnings.append(
                 "mean summability pre-check looks divergent; the stationary limit may not exist"
@@ -392,7 +384,7 @@ def convergence_test(
     warnings = _hypothesis_warnings(law, spec, seed)
     u = np.asarray(u_grid, dtype=float)
     try:
-        stationary = fdd_sample(law, spec, "stationary", u, n_replicates, seed=(seed, 0), tol=tol)
+        stationary = fdd_sample(law, spec, "stationary", u, n_replicates, seed=seed, tol=tol)
     except (TruncationError, NonAbsorbedPathError) as exc:
         warnings = warnings + [f"stationary evaluation failed: {exc}"]
         return [
@@ -412,14 +404,14 @@ def convergence_test(
         ]
     reports = []
     for i, t in enumerate(t_list):
-        transient = fdd_sample(law, spec, "transient", u, n_replicates, seed=(seed, 1 + i), t=t)
+        transient = fdd_sample(law, spec, "transient", u, n_replicates, seed=seed, t=t, sample=i)
         report = compare_fdd_samples(
             transient.values,
             stationary.values,
             u,
             alpha,
             n_permutations,
-            stream((seed, 2_000_000 + i)),
+            stream(seed, ENERGY, i),
             t=float(t),
             warnings=warnings,
         )
@@ -442,18 +434,6 @@ class IntervalIntensity:
             "expected_mean": self.expected_mean,
             "z_score": self.z_score,
         }
-
-
-def _expected_points(law, span):
-    """Expected renewal points in a stretch of length ``span``."""
-    return span / law_mean(law)
-
-
-def _row_blocks(n_rows, points_per_row):
-    """Yield ``(lo, hi)`` bounds of consecutive row blocks of about ``ROW_BLOCK_POINTS`` points."""
-    step = max(1, int(ROW_BLOCK_POINTS // max(points_per_row, 1.0)))
-    for lo in range(0, n_rows, step):
-        yield lo, min(lo + step, n_rows)
 
 
 def intensity_half_width(law, intervals):
@@ -480,7 +460,7 @@ def intensity_check(law, intervals, n_windows, rng):
     # Running sums of the integer counts and their squares are exact.
     sums = [0] * len(intervals)
     squares = [0] * len(intervals)
-    for lo, hi in _row_blocks(n_windows, _expected_points(law, 2.0 * c)):
+    for lo, hi in row_blocks(n_windows, law, 2.0 * c):
         rows = build_stationary_window(law, c, rng, size=hi - lo)
         for j, (a, b) in enumerate(intervals):
             cnt = rows.count_in(a, b)
@@ -521,7 +501,7 @@ def overshoot_check(law, horizon, n_realizations, rng):
     if horizon < 20.0 * mu:
         warning = f"horizon {horizon:g} is below 20 means ({20 * mu:g}); overshoots may be biased"
     overshoots = np.empty(n_realizations)
-    for lo, hi in _row_blocks(n_realizations, _expected_points(law, horizon)):
+    for lo, hi in row_blocks(n_realizations, law, horizon):
         overshoots[lo:hi] = simulate_forward(law, horizon, rng, size=hi - lo).overshoot
     result = ks_one_sample(overshoots, lambda x: integrated_tail_cdf(law, x))
     return OvershootReport(
@@ -544,7 +524,7 @@ def shift_invariance_check(law, shift, interval, n_windows, rng):
 
     def counts(t):
         out = np.empty(n_each, dtype=int)
-        for lo, hi in _row_blocks(n_each, _expected_points(law, 2.0 * c)):
+        for lo, hi in row_blocks(n_each, law, 2.0 * c):
             out[lo:hi] = build_stationary_window(law, c, rng, size=hi - lo).count_in(a, b, shift=t)
         return out
 

@@ -25,9 +25,12 @@ beyond ``cut`` when interarrivals have mean ``mu``.  By Campbell's formula
 that mass is ``int_cut^inf E|X(s)| ds / mu``, so the bound depends on the
 kernel, ``cut`` and ``mu`` alone and nothing has to be drawn to find it.
 It raises :class:`~renewal_immigration.errors.TruncationError` when the
-expected missed mass is infinite.  A spec's config is ``kind`` plus one
-key per dataclass field, read by the field's annotated type (``float``,
-``int``, a ``tuple`` of floats, a
+expected missed mass is infinite.  A mark law ``eta`` may have an
+infinite mean but not one that overflows a float: such a spec raises
+:class:`~renewal_immigration.errors.KernelError` when it is built.
+
+A spec's config is ``kind`` plus one key per dataclass field, read by the
+field's annotated type (``float``, ``int``, a ``tuple`` of floats, a
 :data:`~renewal_immigration.distributions.Law` or a nested spec), as laws
 are read by theirs.  A new kind is one such class added to
 :data:`KernelSpec`, which ``_KINDS`` is built from.
@@ -36,7 +39,7 @@ are read by theirs.  A new kind is one such class added to
 into one object, from the same random draws in the same order as ``k``
 single calls.  A mark kernel's batched path holds a ``(k, 1)`` column of
 marks, so its ``values`` takes a ``(k, g)`` array of times and returns one
-row per path; ``path[lo:hi]`` keeps rows ``lo..hi-1``.
+row per path.
 """
 
 import math
@@ -75,6 +78,14 @@ __all__ = [
 def _marks(draws, size):
     """One mark as a float, or ``size`` marks as a ``(size, 1)`` column."""
     return float(draws) if size is None else np.reshape(draws, (size, 1))
+
+
+def _check_mark(eta):
+    """Reject a mark law whose mean overflows a float; an infinite mean is allowed."""
+    try:
+        eta.mean()
+    except ArithmeticError:
+        raise KernelError("mark law's mean overflows a float") from None
 
 
 def _eta_is_zero(eta):
@@ -161,6 +172,7 @@ class Indicator:
     eta: Law
 
     def __post_init__(self):
+        _check_mark(self.eta)
         if self.eta.support()[0] < 0:
             raise KernelError("indicator pulse length law must be nonnegative")
 
@@ -190,6 +202,7 @@ class ScaledExpDecay:
     decay: float
 
     def __post_init__(self):
+        _check_mark(self.eta)
         if not (self.decay > 0 and math.isfinite(self.decay)):
             raise KernelError("decay rate must be positive and finite")
 
@@ -219,6 +232,9 @@ class ScaledTable:
 
     eta: Law
     table: DeterministicTable
+
+    def __post_init__(self):
+        _check_mark(self.eta)
 
     def sample(self, rng, size=None):
         return TablePath(self.table, _marks(self.eta.sample(rng, size=size), size))
@@ -368,9 +384,6 @@ class TablePath:
     table: DeterministicTable
     scale: float | np.ndarray = 1.0
 
-    def __getitem__(self, rows):
-        return TablePath(self.table, self.scale[rows])
-
     def value(self, t):
         return self.scale * self.table.value(t)
 
@@ -395,9 +408,6 @@ class IndicatorPath:
     """One pulse: 1 on [0, eta), 0 elsewhere."""
 
     eta: float | np.ndarray
-
-    def __getitem__(self, rows):
-        return IndicatorPath(self.eta[rows])
 
     def value(self, t):
         return 1.0 if 0.0 <= t < self.eta else 0.0
@@ -426,9 +436,6 @@ class ExpDecayPath:
     eta: float | np.ndarray
     decay: float
 
-    def __getitem__(self, rows):
-        return ExpDecayPath(self.eta[rows], self.decay)
-
     def value(self, t):
         return self.eta * math.exp(-self.decay * t) if t >= 0.0 else 0.0
 
@@ -455,9 +462,6 @@ class SpikePath:
     """Pulse in [k + k^2 eta/(k^2+1), k + eta) for every k >= 1."""
 
     eta: float | np.ndarray
-
-    def __getitem__(self, rows):
-        return SpikePath(self.eta[rows])
 
     def _bounds(self, k):
         return k + k * k * self.eta / (k * k + 1.0), k + self.eta
@@ -544,9 +548,6 @@ class PathStack:
     """Independent paths drawn one by one, evaluated as rows of one array."""
 
     paths: tuple
-
-    def __getitem__(self, rows):
-        return PathStack(self.paths[rows])
 
     def values(self, ts):
         return np.array([path.values(row) for path, row in zip(self.paths, ts)])

@@ -17,6 +17,12 @@ before anything is drawn, and every replicate draws one window at it.  A
 run that cannot reach the tolerance, or whose kernel misses infinite
 expected mass, raises :class:`~renewal_immigration.errors.TruncationError`
 before its first draw.
+
+Replicates come in blocks of rows.  A block draws its forward runs or
+windows with one ``size=k`` call, then the paths of its kept points with
+one :func:`~renewal_immigration.kernels.sample_path` call per chunk of
+``SUPERPOSE_BLOCK`` points, and sums each row over its own points; padding
+never reaches a path.
 """
 
 import math
@@ -27,8 +33,8 @@ import numpy as np
 from .distributions import check_interarrival, law_to_config
 from .errors import LawError, TruncationError
 from .kernels import kernel_to_config, sample_path
-from .renewal import StationaryWindowSampler, simulate_forward
-from .streams import stream
+from .renewal import StationaryWindowSampler, row_blocks, simulate_forward
+from .streams import STATIONARY_BLOCK, TRANSIENT_BLOCK, stream
 
 __all__ = ["ProcessSample", "FddSample", "eval_transient", "eval_stationary", "fdd_sample", "first_half_width",
            "stationary_half_width"]
@@ -40,7 +46,10 @@ SUPERPOSE_BLOCK = 4096
 
 @dataclass(frozen=True, eq=False)
 class ProcessSample:
-    """Values of one replicate on a u-grid; ``c_used`` is a stationary window's half-width."""
+    """Values on a u-grid: one replicate's ``(g,)`` row or a block's ``(k, g)`` rows.
+
+    ``c_used`` is the stationary windows' half-width.
+    """
 
     u_grid: np.ndarray
     values: np.ndarray
@@ -60,39 +69,51 @@ def _validate_grid(u_grid):
     return u
 
 
-def _superpose(spec, shifts, grid, rng):
-    """``sum_k X_k(grid - shifts[k])``: one fresh path per shift, in order.
+def _superpose(spec, row, shifts, grid, k, rng):
+    """Per row ``i < k``, ``sum_j X_j(grid - shifts[j])`` over the points ``j`` with ``row[j] == i``.
 
-    All paths come from one batched draw.  Their rows are added in point
-    order onto zeros: ``cumsum`` outputs every prefix, so it adds one row at
-    a time, and each sum rounds as a per-point loop would (pairwise
-    summation would not).
+    Points come row-major (``row`` is nondecreasing), and each draws one
+    fresh path.  Paths are drawn and evaluated in chunks of
+    ``SUPERPOSE_BLOCK`` points, one batched draw per chunk: that draws as
+    one call for all points would (see :mod:`.kernels`) and holds at most a
+    chunk of path objects.  Each grid column of a chunk is summed per row
+    by one ``np.bincount``, which adds its weights one at a time in index
+    order; a row the chunk touches restarts from its running sum, so every
+    row adds its terms in point order, as a per-point loop would (pairwise
+    summation would not).  Rows with no point stay 0.
     """
-    values = np.zeros(len(grid))
-    if len(shifts) == 0:
-        return values
-    paths = sample_path(spec, rng, size=len(shifts))
+    values = np.zeros((k, len(grid)))
     for lo in range(0, len(shifts), SUPERPOSE_BLOCK):
         block = slice(lo, lo + SUPERPOSE_BLOCK)
-        rows = paths[block].values(grid[None, :] - shifts[block, None])
-        values = np.cumsum(np.vstack([values, rows]), axis=0)[-1]
+        paths = sample_path(spec, rng, size=len(shifts[block]))
+        terms = paths.values(grid[None, :] - shifts[block, None])
+        rows = slice(row[block][0], row[block][-1] + 1)
+        index = np.concatenate([np.arange(rows.stop - rows.start), row[block] - rows.start])
+        for j in range(len(grid)):
+            weights = np.concatenate([values[rows, j], terms[:, j]])
+            values[rows, j] = np.bincount(index, weights, minlength=rows.stop - rows.start)
     return values
 
 
-def eval_transient(law, spec, t, u_grid, rng):
-    """One replicate of ``(Y(t + u))_u``; an exact sum over epochs."""
+def eval_transient(law, spec, t, u_grid, rng, size=None):
+    """Replicates of ``(Y(t + u))_u``: exact sums over epochs.
+
+    ``size=None`` draws one replicate; ``size=k`` draws a block of ``k`` as
+    the rows of one ``(k, g)`` array, from one batched forward run.
+    """
     check_interarrival(law)
     if t < 0:
         raise LawError(f"transient time must be >= 0, got {t}")
     u = _validate_grid(u_grid)
-    horizon = t + u[-1]
-    if horizon < 0:
-        return ProcessSample(u_grid=u, values=np.zeros(len(u)), kind="transient", t=float(t))
-    epochs = simulate_forward(law, horizon, rng).epochs
-    # Epochs whose path is 0 on the whole shifted grid draw no path.
-    epochs = epochs[t + u[0] - epochs < spec.support_end()]
-    values = _superpose(spec, epochs, t + u, rng)
-    return ProcessSample(u_grid=u, values=values, kind="transient", t=float(t))
+    k = 1 if size is None else size
+    values = np.zeros((k, len(u)))
+    if t + u[-1] >= 0:
+        epochs = simulate_forward(law, t + u[-1], rng, size=k).epochs
+        # Padding, and epochs whose path is 0 on the whole shifted grid,
+        # draw no path.
+        row, col = np.nonzero(np.isfinite(epochs) & (t + u[0] - epochs < spec.support_end()))
+        values = _superpose(spec, row, epochs[row, col], t + u, k, rng)
+    return ProcessSample(u_grid=u, values=values[0] if size is None else values, kind="transient", t=float(t))
 
 
 def first_half_width(support_end, u, mu):
@@ -138,19 +159,22 @@ def stationary_half_width(law, spec, u_grid, tol, c_max=None):
         c *= 2.0
 
 
-def eval_stationary(law, spec, u_grid, c, rng):
-    """One replicate of ``(Y*(u))_u`` over the points with ``|S*_k| <= c``.
+def eval_stationary(law, spec, u_grid, c, rng, size=None):
+    """Replicates of ``(Y*(u))_u`` over the points with ``|S*_k| <= c``.
 
-    Draws one window of half-width ``c``; :func:`stationary_half_width`
-    gives the ``c`` that meets a tolerance.
+    ``size=None`` draws one replicate; ``size=k`` draws a block of ``k`` as
+    the rows of one ``(k, g)`` array, from ``k`` windows of half-width
+    ``c`` drawn together.  :func:`stationary_half_width` gives the ``c``
+    that meets a tolerance.
     """
     u = _validate_grid(u_grid)
-    window = StationaryWindowSampler(law, rng).initial(c)
-    # Points left of -max(u) or past the support cannot reach the grid.
-    pts = window.points
-    keep = (np.abs(pts) <= c) & (pts >= -u[-1]) & (pts < spec.support_end() - u[0])
-    values = _superpose(spec, -pts[keep], u, rng)
-    return ProcessSample(u_grid=u, values=values, kind="stationary", c_used=c)
+    k = 1 if size is None else size
+    pts = StationaryWindowSampler(law, rng, size=k).initial(c).points
+    # Padding (+-inf), points left of -max(u) and points past the support
+    # cannot reach the grid.
+    row, col = np.nonzero((np.abs(pts) <= c) & (pts >= -u[-1]) & (pts < spec.support_end() - u[0]))
+    values = _superpose(spec, row, -pts[row, col], u, k, rng)
+    return ProcessSample(u_grid=u, values=values[0] if size is None else values, kind="stationary", c_used=c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,14 +221,18 @@ class FddSample:
         return meta
 
 
-def fdd_sample(law, spec, mode, u_grid, n_replicates, seed, t=None, tol=1e-6, c_max=None):
-    """Independent replicates of the fdd vector, one derived stream each.
+def fdd_sample(law, spec, mode, u_grid, n_replicates, seed, t=None, tol=1e-6, c_max=None, sample=0):
+    """Independent replicates of the fdd vector, drawn in blocks of rows.
 
-    Row ``i`` depends only on ``(seed, i)``, so the matrix is reproducible
-    and independent of evaluation order.  A stationary run fixes its
-    half-width with :func:`stationary_half_width` before the first draw, so
-    a run that cannot reach ``tol`` raises :class:`TruncationError` having
-    drawn nothing.
+    Blocks come from :func:`~renewal_immigration.renewal.row_blocks`: each
+    holds about ``ROW_BLOCK_POINTS`` expected points, over rows of ``2 c``
+    (stationary) or ``t + max(u)`` (transient) time.  Block ``b`` draws
+    from the stream keyed by ``(seed, mode tag, (sample, b))``, so the
+    matrix is reproducible and does not depend on evaluation order; the
+    ``sample`` index tells apart the fdd samples of one run.  A stationary
+    run fixes its half-width with :func:`stationary_half_width` before the
+    first draw, so a run that cannot reach ``tol`` raises
+    :class:`TruncationError` having drawn nothing.
     """
     if n_replicates < 1:
         raise LawError("n_replicates must be >= 1")
@@ -212,17 +240,19 @@ def fdd_sample(law, spec, mode, u_grid, n_replicates, seed, t=None, tol=1e-6, c_
         raise LawError(f"mode must be 'transient' or 'stationary', got {mode!r}")
     if mode == "transient" and t is None:
         raise LawError("transient mode needs the evaluation time t")
+    check_interarrival(law)
     u = _validate_grid(u_grid)
     c = bound = None
     if mode == "stationary":
         c, bound = stationary_half_width(law, spec, u, tol, c_max)
     values = np.empty((n_replicates, len(u)))
-    for i in range(n_replicates):
-        rng = stream(seed, i)
+    span, tag = (2.0 * c, STATIONARY_BLOCK) if mode == "stationary" else (t + u[-1], TRANSIENT_BLOCK)
+    for b, (lo, hi) in enumerate(row_blocks(n_replicates, law, span)):
+        rng = stream(seed, tag, sample, b)
         if mode == "transient":
-            values[i] = eval_transient(law, spec, t, u, rng).values
+            values[lo:hi] = eval_transient(law, spec, t, u, rng, size=hi - lo).values
         else:
-            values[i] = eval_stationary(law, spec, u, c, rng).values
+            values[lo:hi] = eval_stationary(law, spec, u, c, rng, size=hi - lo).values
     return FddSample(
         u_grid=u,
         values=values,

@@ -20,12 +20,16 @@ forward realization.  ``size=k`` returns one object holding ``k``
 independent rows, all drawn from the generator handed in (no child
 streams are spawned): window points as a ``(k, m)`` array padded with
 ``-inf`` on the left and ``+inf`` on the right, forward epochs padded with
-``+inf`` plus a ``(k,)`` vector of overshoot epochs.  A single window does
-draw its forward and backward increments from two spawned child streams,
-so that :meth:`StationaryWindowSampler.extend` can grow each half-axis
-later without re-drawing what exists.  Stationary evaluation fixes its
-half-width before drawing and never grows a window, so ``extend`` has no
-caller in the package; the benchmark's tracer wraps it by name.
+``+inf`` plus a ``(k,)`` vector of overshoot epochs.  Both kinds of window
+come from :class:`StationaryWindowSampler`.  A single window draws its
+forward and backward increments from two spawned child streams, so that
+:meth:`StationaryWindowSampler.extend` can grow each half-axis later
+without re-drawing what exists; nothing in the package extends windows,
+and the benchmark's tracer wraps ``extend`` by name.
+
+Callers that draw many rows do so in blocks (:func:`row_blocks`) of about
+``ROW_BLOCK_POINTS`` expected points each, which bounds the padded
+``(rows x points)`` arrays whatever the number of rows.
 """
 
 import math
@@ -43,9 +47,15 @@ __all__ = [
     "StationaryWindowSampler",
     "simulate_forward",
     "build_stationary_window",
+    "row_blocks",
     "shift_window",
     "window_to_csv",
 ]
+
+# Expected points per block of rows.  The padded arrays are a few times
+# wider than the expected points: increments are drawn with a six-sigma
+# margin and at least 16 per row and side.
+ROW_BLOCK_POINTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -206,18 +216,21 @@ class StationaryWindowRows:
 
 
 class StationaryWindowSampler:
-    """Builds stationary windows and extends them to larger ``c``.
+    """Builds stationary windows: one, or ``size`` rows drawn together.
 
-    Forward and backward extensions draw from independent child streams of
-    the generator handed in, so the two half-axes use independent increment
-    sequences and a window can be grown monotonically without re-drawing
-    what exists.
+    The constructor draws the straddling intervals and their splits, and
+    :meth:`initial` the increments out to ``[-c, c]``, forward then
+    backward.  Rows draw everything from the generator handed in.  A single
+    window draws its forward and backward increments from two child
+    streams, so that :meth:`extend` can grow each half-axis later without
+    re-drawing what exists.
     """
 
-    def __init__(self, law, rng):
+    def __init__(self, law, rng, size=None):
         self.law = law
+        self.size = size
         self._mu, self._sd = _moments(law)
-        s0, xi0, u = sample_stationary_delay(law, rng)
+        s0, xi0, u = sample_stationary_delay(law, rng, size=size)
         self._s0 = s0
         self._s_minus1 = s0 - xi0
         # Recompute so the straddling-gap identity t_0 - t_{-1} == xi0 is
@@ -225,21 +238,26 @@ class StationaryWindowSampler:
         # will evaluate).
         self.xi0 = s0 - self._s_minus1
         self.u = u
-        self._fwd, self._bwd = rng.spawn(2)
+        self._fwd, self._bwd = rng.spawn(2) if size is None else (rng, rng)
 
     def initial(self, c):
+        """The window over ``[-c, c]``, or a :class:`StationaryWindowRows` of ``size`` rows."""
         if c <= 0:
             raise LawError(f"window half-width must be positive, got {c}")
-        fwd = self._draw(self._fwd, self._s0, c)
-        bwd = self._draw(self._bwd, -self._s_minus1, c)
-        points = np.concatenate([-bwd[::-1], [self._s_minus1, self._s0], fwd])
-        return StationaryWindow(points=points, zero_index=len(bwd) + 1, c=float(c), xi0=self.xi0, u=self.u)
+        s0, s_minus1 = np.atleast_1d(self._s0), np.atleast_1d(self._s_minus1)
+        fwd = _draw_increments_until(self.law, self._fwd, s0, c, self._mu, self._sd)
+        bwd = _draw_increments_until(self.law, self._bwd, -s_minus1, c, self._mu, self._sd)
+        points = np.hstack([-bwd[:, ::-1], s_minus1[:, None], s0[:, None], fwd])
+        # A single row has no padding: it is exactly as wide as its points.
+        if self.size is None:
+            return StationaryWindow(points=points[0], zero_index=bwd.shape[1] + 1, c=float(c), xi0=self.xi0, u=self.u)
+        return StationaryWindowRows(points=points, zero_index=bwd.shape[1] + 1, c=float(c), xi0=self.xi0, u=self.u)
 
     def _draw(self, rng, start, target):
         return _finite(_draw_increments_until(self.law, rng, [start], target, self._mu, self._sd)[0])
 
     def extend(self, window, c):
-        """Grow a window built by this sampler out to a larger ``c``."""
+        """Grow a single window built by this sampler out to a larger ``c``."""
         if c <= window.c:
             return window
         right = window.points[-1]
@@ -263,19 +281,18 @@ def build_stationary_window(law, c, rng, size=None):
     :class:`StationaryWindowRows`: the ``k`` straddling intervals and splits
     first, then the forward and the backward increments of all rows.
     """
-    if size is None:
-        return StationaryWindowSampler(law, rng).initial(c)
-    mu, sd = _moments(law)
-    if c <= 0:
-        raise LawError(f"window half-width must be positive, got {c}")
-    s0, xi0, u = sample_stationary_delay(law, rng, size=size)
-    s_minus1 = s0 - xi0
-    fwd = _draw_increments_until(law, rng, s0, c, mu, sd)
-    bwd = _draw_increments_until(law, rng, -s_minus1, c, mu, sd)
-    points = np.hstack([-bwd[:, ::-1], s_minus1[:, None], s0[:, None], fwd])
-    return StationaryWindowRows(
-        points=points, zero_index=bwd.shape[1] + 1, c=float(c), xi0=s0 - s_minus1, u=u
-    )
+    return StationaryWindowSampler(law, rng, size).initial(c)
+
+
+def row_blocks(n_rows, law, span):
+    """Yield ``(lo, hi)`` bounds of consecutive blocks of rows that each span ``span``.
+
+    A row holds ``span / mean`` expected points, so a block of ``ROW_BLOCK_POINTS``
+    over that many rows (at least one) has about ``ROW_BLOCK_POINTS`` points.
+    """
+    step = max(1, int(ROW_BLOCK_POINTS // max(span / law.mean(), 1.0)))
+    for lo in range(0, n_rows, step):
+        yield lo, min(lo + step, n_rows)
 
 
 def shift_window(window, t):

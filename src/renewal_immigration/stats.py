@@ -131,8 +131,11 @@ def energy_distance(a_matrix, b_matrix, n_permutations, rng):
     pairwise distances are streamed over distinct rows and each labelling
     is a vector of per-row label counts.  It is exact up to
     ``ENERGY_EXACT_ROWS`` distinct rows and computed on a subsample beyond.
-    The permutation null shuffles row labels; the p-value counts the
-    observed arrangement itself, so it is never below ``1/(n_permutations+1)``.
+    The permutation null labels a uniform random ``n``-subset of the pooled
+    rows; only its label counts per distinct row matter, and those are
+    multivariate hypergeometric, drawn for every labelling in one call.
+    The p-value counts the observed arrangement itself, so it is never
+    below ``1/(n_permutations+1)``.
     """
     a = _as_matrix(a_matrix)
     b = _as_matrix(b_matrix)
@@ -152,15 +155,20 @@ def energy_distance(a_matrix, b_matrix, n_permutations, rng):
         uniq, inv = np.unique(np.vstack([a, b]), axis=0, return_inverse=True)
     inv = inv.reshape(-1)  # numpy 2.0.0 returns it 2-D for axis=0
     n, m = len(a), len(b)
-    big_n, k = n + m, len(uniq)
+    k = len(uniq)
 
     # Column 0 counts the observed labelling per distinct row, the rest
-    # count the permutations; w holds the multiplicities.
+    # count the permutations; w holds the multiplicities.  A uniform
+    # n-subset of the pooled rows has multivariate hypergeometric counts
+    # per distinct row, drawn in one call by the cheaper of numpy's two
+    # methods: "marginals" costs O(k) per labelling, "count" O(n).
+    w = np.bincount(inv, minlength=k)
     counts = np.empty((k, n_permutations + 1))
     counts[:, 0] = np.bincount(inv[:n], minlength=k)
-    for p in range(1, n_permutations + 1):
-        counts[:, p] = np.bincount(inv[rng.permutation(big_n)[:n]], minlength=k)
-    w = np.bincount(inv, minlength=k).astype(float)
+    drawn = rng.multivariate_hypergeometric(w, n, size=n_permutations, method="marginals" if k < n else "count")
+    counts[:, 1:] = drawn.T
+    del drawn  # before the distance pass allocates its own (k, P + 1) array
+    w = w.astype(float)
 
     # Streamed distances between distinct rows: accumulate D @ counts and
     # D @ w without materializing the full distance matrix.

@@ -72,18 +72,30 @@ def dense_energy_permutation(a, b, n_permutations, rng):
     """Energy statistic and permutation p-value over raw rows.
 
     The reference for ``stats.energy_distance``: one 0/1 label column per
-    labelling (column 0 observed, then one ``rng.permutation`` per column)
-    and the full ``N x N`` distance matrix.  Returns ``(statistic, p_value)``.
+    labelling (column 0 observed) and the full ``N x N`` distance matrix.
+    A permuted labelling gets the per-distinct-row label counts that
+    ``energy_distance`` draws from the same generator (one multivariate
+    hypergeometric call over the sorted distinct rows); the first that many
+    raw copies of each distinct row get label 1, which leaves the statistic
+    unchanged.  Returns ``(statistic, p_value)``.
     """
     a = np.asarray(a, dtype=float).reshape(len(a), -1)
     b = np.asarray(b, dtype=float).reshape(len(b), -1)
     n, m = len(a), len(b)
     z = np.vstack([a, b])
     big_n = n + m
+    inv = np.unique(z, axis=0, return_inverse=True)[1].reshape(-1)
+    w = np.bincount(inv)
+    k = len(w)
+    drawn = rng.multivariate_hypergeometric(w, n, size=n_permutations, method="marginals" if k < n else "count")
     labels = np.zeros((big_n, n_permutations + 1))
     labels[:n, 0] = 1.0
-    for p in range(1, n_permutations + 1):
-        labels[rng.permutation(big_n)[:n], p] = 1.0
+    for p, wanted in enumerate(drawn, start=1):
+        given = np.zeros(k, dtype=int)
+        for i, j in enumerate(inv):
+            if given[j] < wanted[j]:
+                labels[i, p] = 1.0
+                given[j] += 1
     d = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2))
     dx = d @ labels
     row_sums = d.sum(axis=1)
@@ -100,8 +112,9 @@ def dense_energy_permutation(a, b, n_permutations, rng):
 def per_path_superpose(spec, shifts, grid, rng):
     """``sum_k X_k(grid - shifts[k])`` with one path drawn and added per point.
 
-    The reference for ``process._superpose``: one ``spec.sample(rng)`` and
-    one ``values`` call per shift, added onto zeros in point order.
+    The reference for each row of ``process._superpose``: one
+    ``spec.sample(rng)`` and one ``values`` call per shift, added onto zeros
+    in point order.
     """
     values = np.zeros(len(grid))
     for shift in shifts:

@@ -27,18 +27,18 @@ T = 5.0
 TOL = {"SpikeTrain": 1e-2}
 
 DIGESTS = {
-    ("DeterministicTable", "transient"): "4f6ef03c4147db830bf6278001355adbfb6c21220536f19c81a40141a2f40015",
-    ("DeterministicTable", "stationary"): "f0094623b7f8aac82836c359ebaf063d7c16743c7562eee058607365c45d1081",
-    ("Indicator", "transient"): "424792ba5070bdf76ca593008d8a1bfa3c7b1f429e1977132cebd8f09f54d972",
-    ("Indicator", "stationary"): "233a731ff3848f1ca1090470e05a99795e89a03966b15f7adc17581e5f3bedc3",
-    ("ScaledExpDecay", "transient"): "10d6a920024cb1e162674c44b09e2d189c8545f309ae011f78cb9ff0cec3b01b",
-    ("ScaledExpDecay", "stationary"): "3fac52e1a3b9a7d4002f6b1067a3af23ed232d8999ddb9c9c042b99d7edc557f",
-    ("ScaledTable", "transient"): "12122edf28e9c41ea1eebf557e43c59c53b8b909427e6f585d3936bae19ec7d8",
-    ("ScaledTable", "stationary"): "5d14f2b2cf3e46370509114978a31be13d2303a504679d83255b7063c5fd7293",
-    ("BirthDeath", "transient"): "1d6709e78e3d36c4e63464e8f36fda96669c060916d7185d79e8f661402fc615",
-    ("BirthDeath", "stationary"): "ec38d03f3930475bdfd338fcac64ff774a1e1bf205c4393946d53543a8032bb4",
-    ("SpikeTrain", "transient"): "784d9f5c1c469aa2fee92c6c857df99162c510dcf598c572bd3d64246562aa44",
-    ("SpikeTrain", "stationary"): "95b0ba1096b73b2fde40c8918e4a668d1756381e168a054ee09de36c8426b811",
+    ("DeterministicTable", "transient"): "2e6ac3ed06155e683549246b9884331b45b1940846956f6bf771ea65a7db132b",
+    ("DeterministicTable", "stationary"): "88a85008babe20f5275212373647b23ccf86b748969634d6b389e08586f71ef8",
+    ("Indicator", "transient"): "97068661ed12c35bd1d8892a2347deaa5ef885a8d8523d529bd46377d915a965",
+    ("Indicator", "stationary"): "46b91034918ea7bcce57023704985a8b14e5f6187f681d2f8e4cb9ba7becf354",
+    ("ScaledExpDecay", "transient"): "bd9f55453f60ab999433104a9b749c43a9de214ca1f76d84b31fa320b0215ec5",
+    ("ScaledExpDecay", "stationary"): "8bd5f3f8a6bae1cb7f5bd663a7f0aa03731d4bb9cbc05567e95af194933b6e4d",
+    ("ScaledTable", "transient"): "301f7fd029b94c9bd33bb6a9b184ca10b91584806d6929927c5400a68a43af40",
+    ("ScaledTable", "stationary"): "39ef2e64c60abec0a33a1bd300762243e99faf0a6c2df08f41ac3a416158b939",
+    ("BirthDeath", "transient"): "ea907b1fa93417b0c347966a098ea6fcd40e706bf0044c50dcb453a64a77a49c",
+    ("BirthDeath", "stationary"): "a407a35395cc7e1a34e0e51ec7d359f76d9b955f24ef21b42448578ac5a31364",
+    ("SpikeTrain", "transient"): "c960bf0866b785edaa055f1bcd6515a575824bf192f7bebfff55cae9983dc841",
+    ("SpikeTrain", "stationary"): "210f2d283e6c5f82ee0e935c4df55fb66696db833cb9e3693ddd94e02090d62e",
 }
 
 

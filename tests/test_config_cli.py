@@ -130,6 +130,8 @@ BAD_TABLE = {"kind": "deterministic_table", "breakpoints": [0.0], "values": ["a"
         ("simulate", {"t": 1.0, "u_grid": [0.0], "n_replicates": 10**400}, "n_replicates"),
         ("simulate", {"law": {"family": "lognormal", "mu": 0, "sigma": 1e200}}, "law"),
         ("simulate", {"law": {"family": "uniform", "lo": 0, "hi": 1e308}}, "law"),
+        ("stationary", {"kernel": {"kind": "scaled_exp_decay", "eta": {"family": "lognormal", "mu": 0, "sigma": 1e200},
+                                   "decay": 1.0}, "u_grid": [0.0], "n_replicates": 5}, "kernel"),
     ],
 )
 def test_malformed_fields_exit_1_without_traceback(tmp_path, capsys, command, fields, path):
@@ -506,7 +508,12 @@ def test_unreachable_tolerance_exits_2_from_stationary_and_3_from_converge(tmp_p
     cfg = write_config(tmp_path, base)
     out = tmp_path / "stationary"
     assert main(["stationary", cfg, "--out-dir", str(out)]) == 2
-    assert json.loads((out / "truncation_report.json").read_text())["bound"] > tol
+    report = json.loads((out / "truncation_report.json").read_text())
+    if kernel is EXP_DECAY_KERNEL:
+        assert report["bound"] > tol
+    else:
+        # The expected missed mass is infinite; strict JSON writes it as null.
+        assert report["bound"] is None and "infinite" in report["message"]
     assert not (out / "matrix.csv").exists()
     cfg = write_config(tmp_path, base | {"t_list": [1.0, 5.0]}, name="converge.json")
     assert main(["converge", cfg, "--out-dir", str(tmp_path / "converge")]) == 3
@@ -628,6 +635,42 @@ def test_dri_exit_codes(tmp_path):
         name="heavy.json",
     )
     assert main(["dri", heavy, "--out-dir", str(tmp_path / "heavy")]) == 2
+
+
+# ----------------------------------------------------------------- strict JSON
+
+
+PARETO_08 = {"family": "pareto", "alpha": 0.8, "xm": 1.0}
+# One small run of each command; the marked ones hold an infinite float.
+JSON_RUNS = [
+    ("simulate", {"t": 2.0, "u_grid": [0.0, 1.0], "n_replicates": 20}),
+    # Infinite expected missed mass: the truncation report's bound.
+    ("stationary", {"kernel": {"kind": "scaled_exp_decay", "eta": PARETO_08, "decay": 1.0}, "u_grid": [0.0],
+                    "n_replicates": 5}),
+    ("stationary", {"u_grid": [0.0, 1.0], "n_replicates": 20}),
+    ("converge", {"t_list": [1.0], "u_grid": [0.0], "n_replicates": 200, "n_permutations": 19}),
+    ("converge", {"kernel": {"kind": "indicator", "eta": PARETO_08}, "t_list": [1.0], "u_grid": [0.0],
+                  "n_replicates": 20}),
+    # No tail fit: the mean and path reports' residual estimates.
+    ("dri", {"kernel": {"kind": "indicator", "eta": PARETO_08}, "dri": {"k_max": 40, "grid_per_unit": 2, "n_mc": 100}}),
+    ("pointprocess", {"pointprocess": {"n_windows": 100, "n_realizations": 100, "laplace": {"n_mc": 100}}}),
+]
+
+
+def test_json_outputs_are_strict(tmp_path, capsys):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    for i, (command, fields) in enumerate(JSON_RUNS):
+        cfg = write_config(tmp_path, base_config(**fields), name=f"{i}.json")
+        assert main([command, cfg, "--out-dir", str(tmp_path / str(i))]) in (0, 2, 3)
+        for path in (tmp_path / str(i)).glob("*.json"):
+            json.loads(path.read_text(), parse_constant=reject)
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "1" / "truncation_report.json").read_text())
+    assert report["bound"] is None and "infinite" in report["message"]
+    for name in ("dri_mean.json", "dri_path.json"):
+        assert json.loads((tmp_path / "5" / name).read_text())["residual_estimate"] is None
 
 
 # ----------------------------------------------------------------- pointprocess

@@ -284,7 +284,7 @@ def _point_process_run(monkeypatch, law, rng_seed):
 def test_point_process_checks_in_blocks_of_one_to_three_rows(monkeypatch, top_up):
     # Six expected points per block: one row of a window over [-6 mu, 6 mu]
     # or of a forward run to 20 mu, three rows of a window over [-mu, mu].
-    monkeypatch.setattr(dg, "ROW_BLOCK_POINTS", 6)
+    monkeypatch.setattr(rn, "ROW_BLOCK_POINTS", 6)
     if top_up:
         # Overstating the mean twentyfold makes every first block of
         # increments too short, so the rows need top-up rounds.

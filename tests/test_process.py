@@ -9,9 +9,10 @@ from renewal_immigration import distributions as dist
 from renewal_immigration import kernels as kn
 from renewal_immigration import process as pr
 from renewal_immigration.errors import LawError, TruncationError
-from renewal_immigration.renewal import StationaryWindowSampler, build_stationary_window
+from renewal_immigration import renewal as rn
+from renewal_immigration.renewal import StationaryWindowSampler, build_stationary_window, simulate_forward
 from renewal_immigration.stats import ks_two_sample
-from renewal_immigration.streams import stream
+from renewal_immigration.streams import STATIONARY_BLOCK, TRANSIENT_BLOCK, stream
 
 from oracles import busy_servers_event_driven, per_path_superpose
 from test_kernels import ALL_SPECS, TABLE_STEPS
@@ -120,8 +121,13 @@ def test_fdd_determinism_and_single_replicate_equivalence():
     a = pr.fdd_sample(EXP_LAW, MM_INF, "stationary", [0.0, 1.0], 50, seed=12)
     b = pr.fdd_sample(EXP_LAW, MM_INF, "stationary", [0.0, 1.0], 50, seed=12)
     assert np.array_equal(a.values, b.values)
-    single = pr.eval_stationary(EXP_LAW, MM_INF, [0.0, 1.0], a.c_used, stream(12, 0))
-    assert np.array_equal(a.values[0], single.values)
+    # 50 rows of 2 c = 44 expected points make one block, drawn from its block stream.
+    block = pr.eval_stationary(EXP_LAW, MM_INF, [0.0, 1.0], a.c_used, stream(12, STATIONARY_BLOCK, 0, 0), size=50)
+    assert np.array_equal(a.values, block.values)
+    # One replicate is the one-row block squeezed to 1-D.
+    single = pr.eval_stationary(EXP_LAW, MM_INF, [0.0, 1.0], a.c_used, stream(12, STATIONARY_BLOCK, 0, 0))
+    row = pr.eval_stationary(EXP_LAW, MM_INF, [0.0, 1.0], a.c_used, stream(12, STATIONARY_BLOCK, 0, 0), size=1)
+    assert single.values.shape == (2,) and np.array_equal(single.values, row.values[0])
 
 
 def test_fdd_validation():
@@ -307,23 +313,32 @@ def spec_id(spec):
 
 
 def superpose_cases():
-    """``(name, shifts, grid, block)``; the last case spans three blocks."""
+    """``(name, row, shifts, grid, k, block)``; the last case spans three blocks and four rows."""
     shifts = np.sort(stream(40).uniform(-3.0, 8.0, size=25))
+    # Rows 0..3 in order, some of them possibly empty; row 4 is always empty.
+    rows = np.sort(stream(41).integers(0, 4, size=25))
+    one = np.zeros(25, dtype=int)
     block = pr.SUPERPOSE_BLOCK
-    yield "many", shifts, GRID, block
-    yield "empty", np.array([]), GRID, block
-    yield "one_shift", shifts[:1], GRID, block
-    yield "one_point_grid", shifts, GRID[3:4], block
-    yield "blocks", shifts[:11], GRID, 4
+    yield "many", one, shifts, GRID, 1, block
+    yield "rows", rows, shifts, GRID, 5, block
+    yield "empty", one[:0], shifts[:0], GRID, 3, block
+    yield "one_shift", one[:1], shifts[:1], GRID, 1, block
+    yield "one_point_grid", rows, shifts, GRID[3:4], 5, block
+    yield "blocks", rows[:11], shifts[:11], GRID, 5, 4
+
+
+def per_row_superpose(spec, row, shifts, grid, k, rng):
+    """The oracle row by row, drawing each row's paths in turn from one generator."""
+    return np.array([per_path_superpose(spec, shifts[row == i], grid, rng) for i in range(k)])
 
 
 @pytest.mark.parametrize("spec", SUPERPOSE_SPECS, ids=spec_id)
 def test_superpose_matches_per_path_loop(spec, monkeypatch):
-    for seed, (name, shifts, grid, block) in enumerate(superpose_cases()):
+    for seed, (name, row, shifts, grid, k, block) in enumerate(superpose_cases()):
         monkeypatch.setattr(pr, "SUPERPOSE_BLOCK", block)
         rng, ref_rng = stream(50 + seed), stream(50 + seed)
-        got = pr._superpose(spec, shifts, grid, rng)
-        want = per_path_superpose(spec, shifts, grid, ref_rng)
+        got = pr._superpose(spec, row, shifts, grid, k, rng)
+        want = per_row_superpose(spec, row, shifts, grid, k, ref_rng)
         assert got.tobytes() == want.tobytes(), name
         assert rng.bit_generator.state == ref_rng.bit_generator.state, name
 
@@ -333,9 +348,90 @@ def test_superpose_keeps_sign_of_underflowed_terms():
     # -0.0.  Added onto zeros in order, a lone -0.0 becomes +0.0.
     spec = kn.ScaledExpDecay(dist.Uniform(-1.0, 2.0), 0.7)
     for seed in range(10):
-        for shifts in (np.array([-3000.0]), np.array([-3000.0, -2500.0, -0.5])):
+        for shifts, row in ((np.array([-3000.0]), [0]), (np.array([-3000.0, -2500.0, -0.5]), [0, 1, 1])):
+            row = np.array(row)
             rng, ref_rng = stream(60 + seed), stream(60 + seed)
-            got = pr._superpose(spec, shifts, GRID, rng)
-            want = per_path_superpose(spec, shifts, GRID, ref_rng)
+            got = pr._superpose(spec, row, shifts, GRID, 2, rng)
+            want = per_row_superpose(spec, row, shifts, GRID, 2, ref_rng)
             assert got.tobytes() == want.tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# Blocks of about 20 expected points: one to ten rows each at these spans.
+BLOCK_POINTS = 20
+BOUNDED_PULSE = kn.Indicator(dist.Uniform(0.0, 0.5))
+BLOCK_SPECS = [MM_INF, BOUNDED_PULSE, kn.ScaledExpDecay(dist.Uniform(-1.0, 2.0), 0.7)]
+BLOCK_U = np.array([0.0, 0.5])
+
+
+def block_points(law, spec, mode, u, c, rng, k, t):
+    """Each row's kept points (as path shifts), drawn as the block draws them."""
+    if mode == "transient":
+        epochs = simulate_forward(law, t + u[-1], rng, size=k).epochs
+        return [e[np.isfinite(e) & (t + u[0] - e < spec.support_end())] for e in epochs]
+    points = StationaryWindowSampler(law, rng, size=k).initial(c).points
+    keep = (np.abs(points) <= c) & (points >= -u[-1]) & (points < spec.support_end() - u[0])
+    return [-p[kept] for p, kept in zip(points, keep)]
+
+
+@pytest.mark.parametrize("mode", ["transient", "stationary"])
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=spec_id)
+def test_fdd_rows_are_per_point_sums_over_their_block(spec, mode, monkeypatch):
+    monkeypatch.setattr(rn, "ROW_BLOCK_POINTS", BLOCK_POINTS)
+    # At t = 4 a transient row spans 4.5, so blocks of 4 rows (5 if rows spanned t alone).
+    law, n, t, seed, sample = dist.Gamma(2.0, 0.5), 23, 4.0, 31, 2
+    fdd = pr.fdd_sample(law, spec, mode, BLOCK_U, n, seed=seed, t=t, sample=sample)
+    c = fdd.c_used
+    span = 2.0 * c if mode == "stationary" else t + BLOCK_U[-1]
+    blocks = list(rn.row_blocks(n, law, span))
+    assert len(blocks) >= 3
+    tag = STATIONARY_BLOCK if mode == "stationary" else TRANSIENT_BLOCK
+    grid = t + BLOCK_U if mode == "transient" else BLOCK_U
+    empty = 0
+    for b, (lo, hi) in enumerate(blocks):
+        rng = stream(seed, tag, sample, b)
+        if mode == "transient":
+            got = pr.eval_transient(law, spec, t, BLOCK_U, rng, size=hi - lo).values
+        else:
+            got = pr.eval_stationary(law, spec, BLOCK_U, c, rng, size=hi - lo).values
+        assert got.tobytes() == fdd.values[lo:hi].tobytes()
+        # The block's paths follow its windows or forward runs, row by row.
+        ref_rng = stream(seed, tag, sample, b)
+        for row, shifts in zip(got, block_points(law, spec, mode, BLOCK_U, c, ref_rng, hi - lo, t)):
+            assert row.tobytes() == per_path_superpose(spec, shifts, grid, ref_rng).tobytes()
+            if len(shifts) == 0:
+                assert row.tobytes() == np.zeros(len(grid)).tobytes()
+                empty += 1
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if spec is BOUNDED_PULSE:
+        assert empty > 0
+
+
+def test_padding_never_reaches_a_path(monkeypatch):
+    # Gamma(0.1, 10) rows have very unequal lengths, so most are padded, and a
+    # table whose last value is 2 would count every right-hand +inf slot.
+    law, u, k = dist.Gamma(0.1, 10.0), np.array([0.0, 1.0]), 40
+    table = kn.DeterministicTable((0.0, 1.0), (1.0, 2.0))
+    sizes = []
+
+    def sample_path(spec, rng, size=None):
+        sizes.append(size)
+        return kn.sample_path(spec, rng, size)
+
+    monkeypatch.setattr(pr, "sample_path", sample_path)
+
+    epochs = simulate_forward(law, 5.0 + u[-1], stream(80), size=k).epochs
+    assert np.isinf(epochs).any()
+    got = pr.eval_transient(law, table, 5.0, u, stream(80), size=k).values
+    finite = [e[np.isfinite(e)] for e in epochs]
+    assert sizes == [sum(map(len, finite))]
+    assert np.array_equal(got, [table.value(5.0 + u[None, :] - e[:, None]).sum(axis=0) for e in finite])
+
+    sizes.clear()
+    c = 20.0
+    points = rn.build_stationary_window(law, c, stream(81), size=k).points
+    assert np.isinf(points).any()
+    got = pr.eval_stationary(law, table, u, c, stream(81), size=k).values
+    kept = [p[(np.abs(p) <= c) & (p >= -u[-1])] for p in points]
+    assert sizes == [sum(map(len, kept))]
+    assert np.array_equal(got, [table.value(u[None, :] + p[:, None]).sum(axis=0) for p in kept])

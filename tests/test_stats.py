@@ -113,7 +113,7 @@ def _normal_rows(rng, n):
 @pytest.mark.parametrize("draw", [_poisson_rows, _normal_rows])
 @pytest.mark.parametrize("shift", [0.0, 0.3])
 def test_energy_distance_matches_dense_label_loop(draw, shift):
-    # Same generator stream, same permutations: equal p-values and a
+    # Same generator stream, same drawn label counts: equal p-values and a
     # statistic equal up to float64 summation order.
     data = stream(11)
     a = draw(data, 300)
