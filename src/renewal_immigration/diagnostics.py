@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .distributions import integrated_tail_cdf, is_lattice, mean as law_mean
 from .errors import KernelError, NonAbsorbedPathError, TruncationError
@@ -542,5 +541,7 @@ def shift_invariance_check(law, shift, interval, n_windows, rng):
     o1, o2 = o1[mask], o2[mask]
     expected = (o1 + o2) / 2.0
     stat = float(np.sum((o1 - expected) ** 2 / expected) + np.sum((o2 - expected) ** 2 / expected))
+    from scipy.special import chdtrc
+
     p = float(chdtrc(max(len(o1) - 1, 1), stat))
     return TestResult(statistic=stat, p_value=p, n=n_each, m=n_each, method="chisq_homogeneity")

@@ -15,6 +15,8 @@ stationary delay / limiting overshoot.
 
 Laws serialize to flat dicts, e.g. ``{"family": "exponential", "rate": 1.0}``;
 see :func:`law_from_config`.
+
+The gamma and log-normal tails import ``scipy.special`` when called.
 """
 
 import math
@@ -25,7 +27,6 @@ from functools import cached_property, reduce
 from typing import ClassVar, get_args
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, ndtr
 
 from .errors import LawError
 
@@ -133,12 +134,18 @@ class Gamma:
     def cdf(self, x):
         # Regularized incomplete gamma functions of x / scale; clamping at
         # 0 gives cdf 0 and sf 1 below the support.
+        from scipy.special import gammainc
+
         return gammainc(self.shape, np.maximum(x, 0.0) / self.scale)
 
     def sf(self, x):
+        from scipy.special import gammaincc
+
         return gammaincc(self.shape, np.maximum(x, 0.0) / self.scale)
 
     def mean_min(self, x):
+        from scipy.special import gammainc
+
         x = np.asarray(x, dtype=float)
         head = self.mean() * gammainc(self.shape + 1.0, np.maximum(x, 0.0) / self.scale)
         return head + x * self.sf(x)
@@ -219,6 +226,8 @@ class LogNormal:
         return rng.lognormal(self.mu, self.sigma, size=size)
 
     def cdf(self, x):
+        from scipy.special import ndtr
+
         x = np.asarray(x, dtype=float)
         lx = np.log(np.maximum(x, np.finfo(float).tiny))
         return np.where(x > 0, ndtr((lx - self.mu) / self.sigma), 0.0)
@@ -228,6 +237,8 @@ class LogNormal:
 
     def mean_min(self, x):
         # Limited expected value: m*Phi((ln x - mu - sigma^2)/sigma) + x*sf(x).
+        from scipy.special import ndtr
+
         x = np.asarray(x, dtype=float)
         lx = np.log(np.maximum(x, np.finfo(float).tiny))
         head = self.mean() * ndtr((lx - self.mu - self.sigma**2) / self.sigma)

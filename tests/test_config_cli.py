@@ -559,20 +559,19 @@ def test_converge_exit_codes(tmp_path):
     assert report["decision"] == "hypothesis_violation"
 
 
-def _loads_scipy_stats(command, cfg, out_dir, exit_code):
-    """Whether running ``command`` in a fresh interpreter imports scipy.stats."""
-    script = (
-        "import sys\n"
-        "from renewal_immigration.cli import main\n"
-        f"assert main([{command!r}, {cfg!r}, '--out-dir', {str(out_dir)!r}]) == {exit_code}\n"
-        "print('scipy.stats' in sys.modules)\n"
-    )
+def _loaded_modules(prefix, argv=None, exit_code=0):
+    """Modules named ``prefix`` or ``prefix.*`` in a fresh interpreter after
+    importing the CLI and, if ``argv`` is given, running it."""
+    script = "import json, sys\nfrom renewal_immigration.cli import main\n"
+    if argv is not None:
+        script += f"assert main({argv!r}) == {exit_code}\n"
+    script += f"print(json.dumps(sorted(m for m in sys.modules if m == {prefix!r} or m.startswith({prefix + '.'!r}))))\n"
     src = str(Path(renewal_immigration.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120, check=True
     )
-    return result.stdout.strip().splitlines()[-1] == "True"
+    return json.loads(result.stdout.strip().splitlines()[-1])
 
 
 def test_converge_with_exponential_law_never_imports_scipy_stats(tmp_path):
@@ -581,7 +580,7 @@ def test_converge_with_exponential_law_never_imports_scipy_stats(tmp_path):
     cfg = write_config(
         tmp_path, base_config(t_list=[1.0], u_grid=[0.0, 1.0], n_replicates=50, n_permutations=19)
     )
-    assert not _loads_scipy_stats("converge", cfg, tmp_path / "out", 0)
+    assert _loaded_modules("scipy.stats", ["converge", cfg, "--out-dir", str(tmp_path / "out")]) == []
 
 
 @pytest.mark.parametrize(
@@ -593,7 +592,37 @@ def test_pointprocess_never_imports_scipy_stats(tmp_path, law):
     # Normal, gamma and chi-square tails come from scipy.special.
     small = {"n_windows": 200, "n_realizations": 200, "laplace": {"n_mc": 200}}
     cfg = write_config(tmp_path, base_config(law=law, pointprocess=small))
-    assert not _loads_scipy_stats("pointprocess", cfg, tmp_path / "out", 0)
+    assert _loaded_modules("scipy.stats", ["pointprocess", cfg, "--out-dir", str(tmp_path / "out")]) == []
+
+
+def test_cli_import_loads_no_scipy():
+    assert _loaded_modules("scipy") == []
+
+
+# Exponential law, indicator kernel: nothing needs a scipy function.
+NUMPY_ONLY_RUNS = {
+    "converge": {"t_list": [1.0], "u_grid": [0.0, 1.0], "n_replicates": 50, "n_permutations": 19},
+    "simulate": {"t": 2.0, "u_grid": [0.0, 1.0], "n_replicates": 20},
+    "stationary": {"u_grid": [0.0, 1.0], "n_replicates": 20},
+    "dri": {"dri": {"k_max": 40, "grid_per_unit": 2, "n_mc": 50}},
+}
+
+
+@pytest.mark.parametrize("command", NUMPY_ONLY_RUNS)
+def test_exponential_indicator_runs_load_no_scipy(tmp_path, command):
+    cfg = write_config(tmp_path, base_config(**NUMPY_ONLY_RUNS[command]))
+    assert _loaded_modules("scipy", [command, cfg, "--out-dir", str(tmp_path / "out")]) == []
+
+
+def test_pointprocess_lognormal_loads_no_scipy_spatial(tmp_path):
+    # The energy test's distances are numpy's; the normal tails still come
+    # from scipy.special.
+    small = {"n_windows": 200, "n_realizations": 200, "laplace": {"n_mc": 200}}
+    law = {"family": "lognormal", "mu": 0.0, "sigma": 1.0}
+    cfg = write_config(tmp_path, base_config(law=law, pointprocess=small))
+    loaded = _loaded_modules("scipy", ["pointprocess", cfg, "--out-dir", str(tmp_path / "out")])
+    assert "scipy.special" in loaded
+    assert [m for m in loaded if m.startswith("scipy.spatial")] == []
 
 
 # ----------------------------------------------------------------- dri

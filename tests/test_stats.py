@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 from scipy.special import kolmogorov as scipy_kolmogorov
 
 from renewal_immigration import stats as rs
@@ -152,6 +153,53 @@ def test_energy_distance_cap_counts_distinct_rows(monkeypatch):
     res = rs.energy_distance(a, b, 19, stream(9))
     assert res.note == ""
     assert res.n + res.m == 200
+
+
+def _distances(a, b):
+    return rs._euclidean_into(np.empty((len(a), len(b))), a, b)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("cols", range(1, 9))
+def test_distances_equal_cdist_bit_for_bit(cols, scale):
+    rng = stream(13, cols)
+    a = rng.exponential(size=(70, cols)) * scale
+    b = rng.exponential(size=(90, cols)) * scale
+    assert _distances(a, b).tobytes() == cdist(a, b).tobytes()
+
+
+def test_distances_equal_cdist_on_signed_integer_and_single_rows():
+    rng = stream(14)
+    signed = rng.normal(size=(60, 5)), rng.normal(size=(40, 5))
+    integer = [rng.integers(-4, 5, size=(n, 3)).astype(float) for n in (50, 30)]
+    single = rng.normal(size=(1, 4))
+    for a, b in [signed, integer, (single, single), (np.zeros((3, 0)), np.zeros((2, 0)))]:
+        assert _distances(a, b).tobytes() == cdist(a, b).tobytes()
+
+
+@pytest.mark.parametrize("tile", [1, 24, 40])
+def test_distances_over_several_tiles_equal_cdist(monkeypatch, tile):
+    # 12 columns of out: 1, 2 and 3 rows per tile; the 11 rows of a end in a
+    # ragged tile at 2 and 3.
+    monkeypatch.setattr(rs, "DISTANCE_TILE", tile)
+    rng = stream(15)
+    a, b = rng.normal(size=(11, 6)) * 1e3, rng.normal(size=(12, 6)) * 1e3
+    assert _distances(a, b).tobytes() == cdist(a, b).tobytes()
+
+
+@pytest.mark.parametrize("draw", [_poisson_rows, _normal_rows])
+def test_energy_distance_over_several_blocks(monkeypatch, draw):
+    # One distance buffer refilled block by block, the last block ragged,
+    # gives the one-block statistic and p-value.
+    data = stream(16)
+    a, b = draw(data, 40), draw(data, 30) + 0.2
+    one = rs.energy_distance(a, b, 99, stream(17))
+    k = len(np.unique(np.vstack([a, b]), axis=0))
+    assert k % 3  # 3-row blocks leave a ragged last block
+    monkeypatch.setattr(rs, "ENERGY_BLOCK_ENTRIES", 3 * k)
+    several = rs.energy_distance(a, b, 99, stream(17))
+    assert several.p_value == one.p_value
+    assert several.statistic == pytest.approx(one.statistic, rel=1e-12)
 
 
 def test_energy_permutation_null_calibration():
