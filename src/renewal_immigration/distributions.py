@@ -16,7 +16,8 @@ stationary delay / limiting overshoot.
 Laws serialize to flat dicts, e.g. ``{"family": "exponential", "rate": 1.0}``;
 see :func:`law_from_config`.
 
-The gamma and log-normal tails import ``scipy.special`` when called.
+Normal (hence log-normal) tails are computed with ``math.erfc``; only the
+gamma tails import ``scipy.special``, when called.
 """
 
 import math
@@ -45,6 +46,7 @@ __all__ = [
     "sample_size_biased",
     "sample_stationary_delay",
     "integrated_tail_cdf",
+    "normal_cdf",
     "is_lattice",
     "lattice_span",
     "is_finite_number",
@@ -63,6 +65,17 @@ __all__ = [
 # away, while decimal literals round to within a few ulp.
 LATTICE_MAX_DENOMINATOR = 10**6
 _LATTICE_ATOL = 4e-15
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def normal_cdf(z):
+    """Standard normal CDF, ``erfc(-z / sqrt 2) / 2`` element-wise, as float64.
+
+    The argument is scaled by the rounded ``1 / sqrt 2`` as ``scipy.special.ndtr``
+    scales it, so both see the same ``erfc`` argument.
+    """
+    return 0.5 * np.asarray(_erfc(np.asarray(z, dtype=float) * -math.sqrt(0.5)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -226,23 +239,19 @@ class LogNormal:
         return rng.lognormal(self.mu, self.sigma, size=size)
 
     def cdf(self, x):
-        from scipy.special import ndtr
-
         x = np.asarray(x, dtype=float)
         lx = np.log(np.maximum(x, np.finfo(float).tiny))
-        return np.where(x > 0, ndtr((lx - self.mu) / self.sigma), 0.0)
+        return np.where(x > 0, normal_cdf((lx - self.mu) / self.sigma), 0.0)
 
     def sf(self, x):
         return 1.0 - np.asarray(self.cdf(x))
 
     def mean_min(self, x):
         # Limited expected value: m*Phi((ln x - mu - sigma^2)/sigma) + x*sf(x).
-        from scipy.special import ndtr
-
         x = np.asarray(x, dtype=float)
         lx = np.log(np.maximum(x, np.finfo(float).tiny))
-        head = self.mean() * ndtr((lx - self.mu - self.sigma**2) / self.sigma)
-        tail = x * ndtr(-((lx - self.mu) / self.sigma))
+        head = self.mean() * normal_cdf((lx - self.mu - self.sigma**2) / self.sigma)
+        tail = x * normal_cdf(-((lx - self.mu) / self.sigma))
         return np.where(x > 0, head + tail, 0.0)
 
     def size_biased_sample(self, rng, size=None):

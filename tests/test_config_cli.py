@@ -574,6 +574,9 @@ def _loaded_modules(prefix, argv=None, exit_code=0):
     return json.loads(result.stdout.strip().splitlines()[-1])
 
 
+SMALL_POINTPROCESS = {"n_windows": 200, "n_realizations": 200, "laplace": {"n_mc": 200}}
+
+
 def test_converge_with_exponential_law_never_imports_scipy_stats(tmp_path):
     # scipy.stats costs most of the start-up and the package never needs
     # it.  A fresh interpreter shows what loads.
@@ -589,10 +592,12 @@ def test_converge_with_exponential_law_never_imports_scipy_stats(tmp_path):
     ids=lambda law: law["family"],
 )
 def test_pointprocess_never_imports_scipy_stats(tmp_path, law):
-    # Normal, gamma and chi-square tails come from scipy.special.
-    small = {"n_windows": 200, "n_realizations": 200, "laplace": {"n_mc": 200}}
-    cfg = write_config(tmp_path, base_config(law=law, pointprocess=small))
-    assert _loaded_modules("scipy.stats", ["pointprocess", cfg, "--out-dir", str(tmp_path / "out")]) == []
+    # Gamma tails come from scipy.special; normal and chi-square tails are
+    # computed without scipy.
+    cfg = write_config(tmp_path, base_config(law=law, pointprocess=SMALL_POINTPROCESS))
+    loaded = _loaded_modules("scipy", ["pointprocess", cfg, "--out-dir", str(tmp_path / "out")])
+    assert [m for m in loaded if m.startswith("scipy.stats")] == []
+    assert ("scipy.special" in loaded) == (law["family"] == "gamma")
 
 
 def test_cli_import_loads_no_scipy():
@@ -615,14 +620,37 @@ def test_exponential_indicator_runs_load_no_scipy(tmp_path, command):
 
 
 def test_pointprocess_lognormal_loads_no_scipy_spatial(tmp_path):
-    # The energy test's distances are numpy's; the normal tails still come
-    # from scipy.special.
-    small = {"n_windows": 200, "n_realizations": 200, "laplace": {"n_mc": 200}}
+    # The energy test's distances, the normal tails and the chi-square
+    # p-value are all computed without scipy.
     law = {"family": "lognormal", "mu": 0.0, "sigma": 1.0}
-    cfg = write_config(tmp_path, base_config(law=law, pointprocess=small))
-    loaded = _loaded_modules("scipy", ["pointprocess", cfg, "--out-dir", str(tmp_path / "out")])
-    assert "scipy.special" in loaded
-    assert [m for m in loaded if m.startswith("scipy.spatial")] == []
+    cfg = write_config(tmp_path, base_config(law=law, pointprocess=SMALL_POINTPROCESS))
+    assert _loaded_modules("scipy", ["pointprocess", cfg, "--out-dir", str(tmp_path / "out")]) == []
+
+
+# Chi-square p-values (every pointprocess law) and log-normal tails (an
+# indicator kernel's tail bound calls eta.mean_min) need no scipy.
+CLOSED_FORM_TAIL_RUNS = {
+    "pointprocess-exponential": ("pointprocess", {"pointprocess": SMALL_POINTPROCESS}),
+    "pointprocess-uniform": (
+        "pointprocess",
+        {"law": {"family": "uniform", "lo": 0.0, "hi": 2.0}, "pointprocess": SMALL_POINTPROCESS},
+    ),
+    "stationary-lognormal-eta": (
+        "stationary",
+        {
+            "kernel": {"kind": "indicator", "eta": {"family": "lognormal", "mu": 0.0, "sigma": 1.0}},
+            "u_grid": [0.0, 1.0],
+            "n_replicates": 20,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CLOSED_FORM_TAIL_RUNS)
+def test_closed_form_tail_runs_load_no_scipy(tmp_path, case):
+    command, extra = CLOSED_FORM_TAIL_RUNS[case]
+    cfg = write_config(tmp_path, base_config(**extra))
+    assert _loaded_modules("scipy", [command, cfg, "--out-dir", str(tmp_path / "out")]) == []
 
 
 # ----------------------------------------------------------------- dri

@@ -266,34 +266,76 @@ def test_pareto_tail_shapes():
     assert float(heavy.cdf(0.5)) == 0.0
 
 
-# ------------------------------------------ scipy.special against scipy.stats
+# ------------------------------------------ closed-form tails against scipy
 
-# The package evaluates normal, gamma and chi-square tails with
-# scipy.special; these pin each method to the scipy.stats expression it
-# replaced, bit for bit.
+# Normal (hence log-normal) tails come from normal_cdf and chi-square tails
+# from stats.chi2_sf; scipy is the oracle.  Relative error bounds, fixed in
+# advance: 5e-14 for z >= -20 and 1e-12 below.  scipy.special.ndtr flushes
+# to 0 once exp(-z^2/2) would underflow (z below about -37.7); there both
+# values must lie below the smallest normal float.
+NORMAL_RTOL, NORMAL_RTOL_FAR = 5e-14, 1e-12
+TINY = np.finfo(float).tiny
+
+
+def _normal_rtol(z):
+    return np.where(np.asarray(z) >= -20.0, NORMAL_RTOL, NORMAL_RTOL_FAR)
+
+
+def _assert_close(ours, ref, rtol):
+    ours, ref = np.asarray(ours), np.asarray(ref)
+    assert np.array_equal(np.isnan(ours), np.isnan(ref))
+    ok = ~np.isnan(ref)
+    normal = ok & (np.abs(ref) >= TINY)
+    assert np.all(np.abs(ours - ref)[normal] <= np.broadcast_to(rtol, ref.shape)[normal] * np.abs(ref[normal]))
+    assert np.all(np.abs(ours[ok & ~normal]) < TINY)
+
+
+def test_normal_cdf_matches_ndtr():
+    from scipy.special import ndtr
+
+    z = np.concatenate([np.linspace(-38.0, 38.0, 40_001), np.linspace(-1.0, 1.0, 2001), [-0.0, 0.0]])
+    _assert_close(dist.normal_cdf(z), ndtr(z), _normal_rtol(z))
+    assert dist.normal_cdf(z).dtype == np.float64
+    edges = dist.normal_cdf([-np.inf, -0.0, 0.0, np.inf, np.nan])
+    assert edges[:4].tolist() == [0.0, 0.5, 0.5, 1.0] and np.isnan(edges[4])
+    assert dist.normal_cdf(1.0).shape == ()
+
+
 LOGNORMALS = [dist.LogNormal(0.0, 0.5), dist.LogNormal(-1.0, 2.0), dist.LogNormal(1.5, 1.0)]
 GAMMAS = [dist.Gamma(a, s) for a in (0.3, 1.0, 2.0, 5.5, 40.0) for s in (0.1, 0.5, 1.0, 7.0)]
 XS = np.concatenate([[-3.0, -0.0, 0.0, np.inf], np.geomspace(1e-6, 1e4, 400)])
 
 
-def _lognormal_reference(law, x):
-    from scipy.stats import norm
-
+def _lognormal_tails(law, x, phi):
+    """cdf, sf and mean_min of ``law`` over the normal CDF ``phi``, by formula."""
     lx = np.log(np.maximum(x, np.finfo(float).tiny))
-    cdf = np.where(x > 0, norm.cdf((lx - law.mu) / law.sigma), 0.0)
-    head = law.mean() * norm.cdf((lx - law.mu - law.sigma**2) / law.sigma)
-    with np.errstate(invalid="ignore"):  # inf * 0 at x = inf, in both
-        mean_min = np.where(x > 0, head + x * norm.sf((lx - law.mu) / law.sigma), 0.0)
+    z = (lx - law.mu) / law.sigma
+    cdf = np.where(x > 0, phi(z), 0.0)
+    head = law.mean() * phi((lx - law.mu - law.sigma**2) / law.sigma)
+    with np.errstate(invalid="ignore"):  # inf * 0 at x = inf
+        mean_min = np.where(x > 0, head + x * phi(-z), 0.0)
     return cdf, 1.0 - cdf, mean_min
 
 
 @pytest.mark.parametrize("law", LOGNORMALS, ids=repr)
 def test_lognormal_tails_equal_scipy_stats(law):
-    cdf, sf, mean_min = _lognormal_reference(law, XS)
-    assert law.cdf(XS).tobytes() == cdf.tobytes()
-    assert law.sf(XS).tobytes() == sf.tobytes()
+    # Bit for bit the formulas over normal_cdf, and within the normal_cdf
+    # bounds of the same formulas over scipy.stats.norm.
+    from scipy.stats import norm
+
+    cdf, sf, mean_min = _lognormal_tails(law, XS, dist.normal_cdf)
     with np.errstate(invalid="ignore"):
-        assert np.asarray(law.mean_min(XS)).tobytes() == mean_min.tobytes()
+        got = law.cdf(XS), law.sf(XS), np.asarray(law.mean_min(XS))
+    assert [g.tobytes() for g in got] == [cdf.tobytes(), sf.tobytes(), mean_min.tobytes()]
+
+    ref_cdf, ref_sf, ref_mean_min = _lognormal_tails(law, XS, norm.cdf)
+    lx = np.log(np.maximum(XS, np.finfo(float).tiny))
+    z = (lx - law.mu) / law.sigma
+    _assert_close(cdf, ref_cdf, _normal_rtol(z))
+    # sf is 1 - cdf: its error is the cdf's absolute error.
+    assert np.all(np.abs(sf - ref_sf) <= _normal_rtol(z) * ref_cdf)
+    head_rtol = _normal_rtol((lx - law.mu - law.sigma**2) / law.sigma)
+    _assert_close(mean_min, ref_mean_min, np.maximum(head_rtol, _normal_rtol(-z)))
 
 
 @pytest.mark.parametrize("law", GAMMAS, ids=repr)
@@ -313,10 +355,13 @@ def test_chi_square_tail_equals_scipy_stats(df):
     from scipy.special import chdtrc
     from scipy.stats import chi2
 
+    # chdtrc, the oracle of the chi2_sf accuracy test, is scipy.stats' tail.
     xs = np.concatenate([[0.0, np.inf], np.geomspace(1e-4, 200.0, 300)])
     assert chdtrc(df, xs).tobytes() == chi2.sf(xs, df).tobytes()
-    # chisq_gof_counts: df + 1 bins, none pooled.
+    # chisq_gof_counts: df + 1 bins, none pooled; its p-value is chi2_sf's,
+    # within 1e-13 of scipy.stats.
     probs = np.full(df + 1, 1.0 / (df + 1))
     counts = 50.0 + np.arange(df + 1) * 3.0
     res = stats.chisq_gof_counts(counts, probs)
-    assert res.p_value == float(chi2.sf(res.statistic, df))
+    assert res.p_value == stats.chi2_sf(df, res.statistic)
+    assert res.p_value == pytest.approx(float(chi2.sf(res.statistic, df)), rel=1e-13, abs=0.0)

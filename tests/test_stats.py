@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
+from scipy.special import chdtrc
 from scipy.special import kolmogorov as scipy_kolmogorov
 
 from renewal_immigration import stats as rs
@@ -74,6 +75,36 @@ def test_ks_one_sample_rejects_decreasing_cdf():
 def test_kolmogorov_sf_matches_scipy():
     for x in [0.3, 0.5, 0.8, 1.0, 1.36, 2.0, 3.0]:
         assert rs.kolmogorov_sf(x) == pytest.approx(float(scipy_kolmogorov(x)), abs=1e-12)
+
+
+@pytest.mark.parametrize("df", [*range(1, 41), 99, 100, 1000])
+def test_chi2_sf_matches_chdtrc(df):
+    # Relative error bounds fixed in advance: 1e-13 up to df = 100, 1e-12 beyond.
+    rtol = 1e-13 if df <= 100 else 1e-12
+    sd = math.sqrt(2.0 * df)
+    xs = np.concatenate([np.geomspace(1e-4, 400.0, 400), np.linspace(df - 6.0 * sd, df + 6.0 * sd, 201)])
+    xs = xs[xs > 0]
+    ours = np.array([rs.chi2_sf(df, x) for x in xs])
+    ref = chdtrc(df, xs)
+    assert np.all(np.abs(ours - ref) <= rtol * ref)
+    assert rs.chi2_sf(df, 0.0) == 1.0 and rs.chi2_sf(df, -1.0) == 1.0
+    assert rs.chi2_sf(df, math.inf) == 0.0
+    assert math.isnan(rs.chi2_sf(df, math.nan))
+
+
+def test_chi2_sf_past_exp_underflow():
+    # e^{-x/2} is 0.0 in float64 beyond x = 1490; the log-space terms are not.
+    for df in (1999, 2000):
+        xs = np.linspace(1500.0, 2600.0, 111)
+        ours = np.array([rs.chi2_sf(df, x) for x in xs])
+        ref = chdtrc(df, xs)
+        assert np.all(np.abs(ours - ref) <= 1e-11 * ref)
+
+
+@pytest.mark.parametrize("df", [0, -1, 2.5, 3.0, "3", None])
+def test_chi2_sf_rejects_bad_df(df):
+    with pytest.raises(ValueError):
+        rs.chi2_sf(df, 1.0)
 
 
 def test_energy_distance_trivia():
