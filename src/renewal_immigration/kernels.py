@@ -125,10 +125,8 @@ class DeterministicTable:
             raise KernelError("table values must be finite")
 
     def value(self, t):
-        bp = np.asarray(self.breakpoints)
-        vals = np.asarray(self.values)
-        idx = np.searchsorted(bp, t, side="right") - 1
-        out = np.where(idx >= 0, vals[np.maximum(idx, 0)], 0.0)
+        # 0 before the first breakpoint, then the value of the last one passed.
+        out = np.array((0.0,) + self.values)[np.searchsorted(self.breakpoints, t, side="right")]
         return float(out) if np.ndim(t) == 0 else out
 
     def sample(self, rng, size=None):

@@ -27,6 +27,11 @@ forward and backward increments from two spawned child streams, so that
 without re-drawing what exists; nothing in the package extends windows,
 and the benchmark's tracer wraps ``extend`` by name.
 
+Increments come in rounds: each gives every row still at or below its
+target the same number of draws (:func:`_round_width`), until every row
+is past it.  That rule decides how the generator is consumed, so it is
+part of the ``(config, seed) -> bytes`` contract, as the row blocks are.
+
 Callers that draw many rows do so in blocks (:func:`row_blocks`) of about
 ``ROW_BLOCK_POINTS`` expected points each, which bounds the padded
 ``(rows x points)`` arrays whatever the number of rows.
@@ -52,9 +57,9 @@ __all__ = [
     "window_to_csv",
 ]
 
-# Expected points per block of rows.  The padded arrays are a few times
-# wider than the expected points: increments are drawn with a six-sigma
-# margin and at least 16 per row and side.
+# Expected points per block of rows.  A block's padded arrays are as wide
+# as its longest row, and the rounds of :func:`_round_width` draw about
+# 1.1 to 1.4 increments per sum kept.
 ROW_BLOCK_POINTS = 2**15
 
 
@@ -89,43 +94,58 @@ def _moments(law):
     return mu, math.sqrt(max(law.second_moment() - mu**2, 0.0))
 
 
-def _draw_increments_until(law, rng, starts, target, mu, sd):
-    """Row-wise cumulative sums ``starts[i] + xi_1 + ...`` until strictly past ``target``.
+def _round_width(remaining, mu, sd):
+    """Increments per row in a round that covers ``remaining`` on average.
 
-    Row ``i`` holds its sums ``<= target`` (nondecreasing, with ties kept),
-    then the first sum past it, then ``+inf`` padding; a row that starts
-    past the target is all padding.
-    Increments come in ``(rows, n)`` blocks with ``n`` sized from the mean
-    and spread of the law for the row furthest from the target, so the
-    expected number of rounds is O(1); top-up rounds draw only for the rows
-    still ``<= target``.  One row consumes the generator exactly as blocks
-    of ``n`` single draws would.
+    The expected count to go ``remaining`` past a renewal epoch is about
+    ``m + 1`` with ``m = remaining / mu`` (exactly so for exponential
+    increments); half a standard deviation of that count,
+    ``(sd / mu) sqrt(m) / 2``, is added.  The floor is one draw.
     """
-    last = np.array(starts, dtype=float)
+    m = max(remaining / mu, 0.0)
+    return int(m + 0.5 * sd / mu * math.sqrt(m) + 1.0)
+
+
+def _draw_increments_until(law, rng, starts, target, mu, sd):
+    """Row-wise sums ``starts[i] + xi_1 + ...`` until strictly past ``target``.
+
+    Returns ``(sums, kept)``.  Row ``i`` of ``sums`` holds its start, its
+    sums ``<= target`` (nondecreasing, with ties kept), then the first sum
+    past the target, then ``+inf`` padding; ``kept[i]`` is the column of
+    that last sum, which is 0 for a row that starts past the target.
+    Increments come in rounds of ``(active rows, n)`` blocks, with ``n``
+    from :func:`_round_width` at the mean distance of the active rows to
+    the target; each top-up round draws only for the rows still
+    ``<= target``.  One row consumes the generator exactly as rounds of
+    ``n`` single draws would.
+    """
+    starts = np.asarray(starts, dtype=float)
+    kept = np.zeros(len(starts), dtype=np.intp)
     rounds = []
-    active = np.flatnonzero(last <= target)
-    while len(active):
-        remaining = target - last[active].min()
-        n = max(16, int(remaining / mu + 6.0 * sd / mu * math.sqrt(max(remaining / mu, 1.0)) + 1))
-        block = last[active, None] + np.cumsum(law.sample(rng, size=(len(active), n)), axis=1)
-        rounds.append((active, block))
-        last[active] = block[:, -1]
-        active = active[block[:, -1] <= target]
-    cum = np.full((len(last), sum(block.shape[1] for _, block in rounds)), np.inf)
+    active = np.flatnonzero(starts <= target)
+    last = starts[active]
     col = 0
+    while len(active):
+        n = _round_width(target - last.mean(), mu, sd)
+        block = np.cumsum(law.sample(rng, size=(len(active), n)), axis=1)
+        block += last[:, None]
+        past = block > target
+        # Sums never decrease along a row, so everything after a row's
+        # first sum past the target is padding.
+        np.copyto(block[:, 1:], np.inf, where=past[:, :-1])
+        rounds.append((active, block))
+        # A finished row's first sum past the target is its last one kept.
+        done = past[:, -1]
+        kept[active[done]] = col + 1 + np.argmax(past, axis=1)[done]
+        col += n
+        active, last = active[~done], block[~done, -1]
+    sums = np.full((len(starts), kept.max(initial=0) + 1), np.inf)
+    sums[:, 0] = starts
+    col = 1
     for rows, block in rounds:
-        cum[rows, col : col + block.shape[1]] = block
+        sums[rows, col : col + block.shape[1]] = block[:, : sums.shape[1] - col]
         col += block.shape[1]
-    # Sums never decrease along a row: the first one past the target sits at
-    # the count of those <= target, and everything after it is padding.
-    over = np.count_nonzero(cum <= target, axis=1)
-    cum[np.arange(cum.shape[1]) > over[:, None]] = np.inf
-    return cum[:, : over.max(initial=0) + 1]
-
-
-def _finite(row):
-    """The sums of one row of ``_draw_increments_until`` without padding."""
-    return row[np.isfinite(row)]
+    return sums, kept
 
 
 def simulate_forward(law, horizon, rng, size=None):
@@ -138,15 +158,15 @@ def simulate_forward(law, horizon, rng, size=None):
     mu, sd = _moments(law)
     if horizon < 0:
         raise LawError(f"horizon must be >= 0, got {horizon}")
+    sums, kept = _draw_increments_until(law, rng, np.zeros(1 if size is None else size), horizon, mu, sd)
     if size is None:
-        cum = _finite(_draw_increments_until(law, rng, [0.0], horizon, mu, sd)[0])
-        epochs = np.concatenate([[0.0], cum[:-1]])
-        return RenewalRealization(epochs=epochs, horizon=float(horizon), overshoot_epoch=float(cum[-1]))
-    cum = _draw_increments_until(law, rng, np.zeros(size), horizon, mu, sd)
-    inside = cum <= horizon
-    overshoot_epoch = cum[np.arange(size), np.count_nonzero(inside, axis=1)]
-    epochs = np.hstack([np.zeros((size, 1)), np.where(inside, cum, np.inf)[:, :-1]])
-    return RenewalRealization(epochs=epochs, horizon=float(horizon), overshoot_epoch=overshoot_epoch)
+        # A single row has no padding.
+        return RenewalRealization(epochs=sums[0, :-1], horizon=float(horizon), overshoot_epoch=float(sums[0, -1]))
+    # The overshooter moves out of the epochs; the last column is then padding only.
+    rows = np.arange(size)
+    overshoot_epoch = sums[rows, kept]
+    sums[rows, kept] = np.inf
+    return RenewalRealization(epochs=sums[:, :-1], horizon=float(horizon), overshoot_epoch=overshoot_epoch)
 
 
 def _count_closed(points, a, b):
@@ -244,17 +264,19 @@ class StationaryWindowSampler:
         """The window over ``[-c, c]``, or a :class:`StationaryWindowRows` of ``size`` rows."""
         if c <= 0:
             raise LawError(f"window half-width must be positive, got {c}")
-        s0, s_minus1 = np.atleast_1d(self._s0), np.atleast_1d(self._s_minus1)
-        fwd = _draw_increments_until(self.law, self._fwd, s0, c, self._mu, self._sd)
-        bwd = _draw_increments_until(self.law, self._bwd, -s_minus1, c, self._mu, self._sd)
-        points = np.hstack([-bwd[:, ::-1], s_minus1[:, None], s0[:, None], fwd])
+        fwd, _ = _draw_increments_until(self.law, self._fwd, np.atleast_1d(self._s0), c, self._mu, self._sd)
+        bwd, _ = _draw_increments_until(self.law, self._bwd, -np.atleast_1d(self._s_minus1), c, self._mu, self._sd)
+        # Column 0 of each half is its start, so ``t_{-1}`` and ``t_0`` meet
+        # in the middle; negation is exact.
+        points = np.hstack([-bwd[:, ::-1], fwd])
         # A single row has no padding: it is exactly as wide as its points.
         if self.size is None:
-            return StationaryWindow(points=points[0], zero_index=bwd.shape[1] + 1, c=float(c), xi0=self.xi0, u=self.u)
-        return StationaryWindowRows(points=points, zero_index=bwd.shape[1] + 1, c=float(c), xi0=self.xi0, u=self.u)
+            return StationaryWindow(points=points[0], zero_index=bwd.shape[1], c=float(c), xi0=self.xi0, u=self.u)
+        return StationaryWindowRows(points=points, zero_index=bwd.shape[1], c=float(c), xi0=self.xi0, u=self.u)
 
     def _draw(self, rng, start, target):
-        return _finite(_draw_increments_until(self.law, rng, [start], target, self._mu, self._sd)[0])
+        sums, _ = _draw_increments_until(self.law, rng, [start], target, self._mu, self._sd)
+        return sums[0, 1:]
 
     def extend(self, window, c):
         """Grow a single window built by this sampler out to a larger ``c``."""

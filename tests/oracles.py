@@ -6,14 +6,15 @@ works on raw rows with one 0/1 label column per labelling, and integrals
 come from adaptive quadrature; none of these shares code with the package.
 The superposition oracle draws through the package's single-path sampler,
 one path per point, which is what the batched superposition must equal.
-The single-row increment oracle is the scalar-start renewal helper that
-the row-wise one must reproduce draw for draw.
+The increment oracles build renewal sums row by row, from the package's
+width rule, and must match the batched rows draw for draw.
 """
 
 import heapq
-import math
 
 import numpy as np
+
+from renewal_immigration.renewal import _round_width
 
 
 def busy_servers_event_driven(sample_interarrival, sample_service, t_obs, rng):
@@ -127,21 +128,48 @@ def single_row_increments_until(law, rng, start, target, mu, sd):
     """Cumulative sums ``start + xi_1 + ...`` until strictly past ``target``.
 
     The reference for one row of ``renewal._draw_increments_until``: the
-    scalar-start helper it replaced, drawing ``law.sample(rng, size=n)``
-    blocks with the same block-width formula and trimming after the first
-    sum past the target.  Empty when ``start`` is already past the target.
+    scalar-start helper, drawing ``law.sample(rng, size=n)`` rounds with
+    ``n`` from the package's one width rule, ``renewal._round_width``, and
+    trimming after the first sum past the target.  Empty when ``start`` is
+    already past the target.
     """
     if start > target:
         return np.empty(0)
     out = []
     last = start
-    remaining = target - start
     while last <= target:
-        n = max(16, int(remaining / mu + 6.0 * sd / mu * math.sqrt(max(remaining / mu, 1.0)) + 1))
+        n = _round_width(target - last, mu, sd)
         block = last + np.cumsum(law.sample(rng, size=n))
         out.append(block)
         last = block[-1]
-        remaining = target - last
     cum = np.concatenate(out) if len(out) > 1 else out[0]
     cut = int(np.searchsorted(cum, target, side="right"))
     return cum[: cut + 1]
+
+
+def replayed_increments_until(law, rng, starts, target, mu, sd):
+    """Per row, the sums ``starts[i] + xi_1 + ...`` until strictly past ``target``.
+
+    The reference for the rows of ``renewal._draw_increments_until``: it
+    replays the batched rounds (one ``(active rows, n)`` draw per round,
+    ``n`` from ``renewal._round_width`` at the mean distance of the active
+    rows to the target), then builds each row on its own: a Python list
+    per row, extended round by round and trimmed after its first sum past
+    the target.  Returns a list of 1-D arrays; a row that starts past the
+    target is empty.
+    """
+    rows = [[] for _ in starts]
+    last = [float(s) for s in starts]
+    active = [i for i, s in enumerate(last) if s <= target]
+    while active:
+        n = _round_width(target - np.mean([last[i] for i in active]), mu, sd)
+        for i, draws in zip(active, law.sample(rng, size=(len(active), n))):
+            block = last[i] + np.cumsum(draws)
+            rows[i].extend(block.tolist())
+            last[i] = float(block[-1])
+        active = [i for i in active if last[i] <= target]
+    out = []
+    for row in rows:
+        row = np.array(row, dtype=float)
+        out.append(row[: int(np.searchsorted(row, target, side="right")) + 1])
+    return out

@@ -27,18 +27,18 @@ T = 5.0
 TOL = {"SpikeTrain": 1e-2}
 
 DIGESTS = {
-    ("DeterministicTable", "transient"): "2e6ac3ed06155e683549246b9884331b45b1940846956f6bf771ea65a7db132b",
-    ("DeterministicTable", "stationary"): "88a85008babe20f5275212373647b23ccf86b748969634d6b389e08586f71ef8",
-    ("Indicator", "transient"): "97068661ed12c35bd1d8892a2347deaa5ef885a8d8523d529bd46377d915a965",
-    ("Indicator", "stationary"): "46b91034918ea7bcce57023704985a8b14e5f6187f681d2f8e4cb9ba7becf354",
-    ("ScaledExpDecay", "transient"): "bd9f55453f60ab999433104a9b749c43a9de214ca1f76d84b31fa320b0215ec5",
-    ("ScaledExpDecay", "stationary"): "8bd5f3f8a6bae1cb7f5bd663a7f0aa03731d4bb9cbc05567e95af194933b6e4d",
-    ("ScaledTable", "transient"): "301f7fd029b94c9bd33bb6a9b184ca10b91584806d6929927c5400a68a43af40",
-    ("ScaledTable", "stationary"): "39ef2e64c60abec0a33a1bd300762243e99faf0a6c2df08f41ac3a416158b939",
-    ("BirthDeath", "transient"): "ea907b1fa93417b0c347966a098ea6fcd40e706bf0044c50dcb453a64a77a49c",
-    ("BirthDeath", "stationary"): "a407a35395cc7e1a34e0e51ec7d359f76d9b955f24ef21b42448578ac5a31364",
-    ("SpikeTrain", "transient"): "c960bf0866b785edaa055f1bcd6515a575824bf192f7bebfff55cae9983dc841",
-    ("SpikeTrain", "stationary"): "210f2d283e6c5f82ee0e935c4df55fb66696db833cb9e3693ddd94e02090d62e",
+    ("DeterministicTable", "transient"): "26c193d32ef3e623f31dd22ca0a028761512dae30c567876bb201742fdd9b8f8",
+    ("DeterministicTable", "stationary"): "e22a8332248c4abca5f94ac66e90de2cdcb17fa2537dda4ae546dcbf0f45a483",
+    ("Indicator", "transient"): "e42bd94977872f3f15af85a171463cdb80c456be09f1332d1670cd43f9731fd4",
+    ("Indicator", "stationary"): "c9bf3f025c466c3e215dac9c8ae38b668e6d64bd8b2c0ac8163c45fc2880deb0",
+    ("ScaledExpDecay", "transient"): "4eb064d7b66c935adda8f332c384a520e2302c7f921ac9865443ff8b80321c98",
+    ("ScaledExpDecay", "stationary"): "c7d8ba220f7e4aa613b96a35fba717fcd7c9a3d4421e8c9d35b9555be2db01e4",
+    ("ScaledTable", "transient"): "bff54908c5710a21ff751c7680602d9c9ce9f3568cb7bcff84126b9af9a59868",
+    ("ScaledTable", "stationary"): "a02016a0e02924c5d6e73792e3f380cc5d3e1f3a050c91b6c22f1b4e8feed74e",
+    ("BirthDeath", "transient"): "2b2efc844aecf9e49b8b0e3b7e965629962ff48c4e0435b2df2a9629998961d4",
+    ("BirthDeath", "stationary"): "38e9b9c24ae0e78c31e0030496455267e25c0f23327682a54db98813606eba54",
+    ("SpikeTrain", "transient"): "4a04867899490d39fd1af0e10c709507879882280d9c3d43dc4b2b4af39eb264",
+    ("SpikeTrain", "stationary"): "8f615c4387a49e8c4dcafebabd54e9455a6191a62f44fad4c665906a6a89be09",
 }
 
 

@@ -10,6 +10,7 @@ from renewal_immigration import kernels as kn
 from renewal_immigration import renewal as rn
 from renewal_immigration.streams import stream
 
+from oracles import replayed_increments_until
 from test_renewal import assert_forward_rows, assert_window_rows
 
 EXP_LAW = dist.Exponential(1.0)
@@ -139,15 +140,14 @@ LAPLACE_LAWS = [dist.Gamma(2.0, 0.5), dist.LogNormal(0.0, 1.0), dist.FiniteDiscr
 
 @pytest.mark.parametrize("law", LAPLACE_LAWS, ids=lambda law: type(law).__name__)
 def test_laplace_transient_estimate_equals_single_runs(law):
-    # Without a top-up round the forward rows consume the generator as
-    # consecutive single runs do, so the estimate must equal, bit for bit,
-    # the one from single runs each summed on its own.
+    # The n_mc forward rows form one row block.  The oracle replays its
+    # rounds of increments and builds each run on its own, so the estimate
+    # must equal, bit for bit, the one from those runs each summed alone.
     mu = law.mean()
     h, t, n_mc = _non_dyadic_h(mu), 40.0 * mu, 600
-    rng = stream(3)
-    single = np.array(
-        [math.exp(-float(np.sum(h.value(t - rn.simulate_forward(law, t, rng).epochs)))) for _ in range(n_mc)]
-    )
+    assert list(rn.row_blocks(n_mc, law, t)) == [(0, n_mc)]
+    runs = replayed_increments_until(law, stream(3), np.zeros(n_mc), t, *rn._moments(law))
+    single = np.array([math.exp(-float(np.sum(h.value(t - np.append(0.0, run[:-1]))))) for run in runs])
     res = dg.laplace_functional_compare(law, h, t, n_mc, stream(3))
     assert res.transient_estimate == float(single.mean())
     assert res.transient_ci == 2.5758293035489004 * float(single.std(ddof=1)) / math.sqrt(n_mc)

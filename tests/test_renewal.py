@@ -11,7 +11,7 @@ from renewal_immigration.errors import LawError
 from renewal_immigration.stats import chisq_gof_counts, ks_one_sample, ks_two_sample
 from renewal_immigration.streams import stream
 
-from oracles import single_row_increments_until
+from oracles import replayed_increments_until, single_row_increments_until
 
 LAWS = [
     dist.Exponential(1.0),
@@ -265,9 +265,21 @@ def _moments(law):
     return mu, math.sqrt(max(law.second_moment() - mu**2, 0.0))
 
 
+class _RecordedSample:
+    """Stands in for a law inside the increment helper and records every ``sample`` size."""
+
+    def __init__(self, law):
+        self.law = law
+        self.sizes = []
+
+    def sample(self, rng, size=None):
+        self.sizes.append(size)
+        return self.law.sample(rng, size=size)
+
+
 # (start, target, factor on the mean handed to the helper): a typical run,
 # a start already past the target, and a mean overstated twentyfold so the
-# first block falls short and top-up rounds follow.
+# first round falls short and top-up rounds follow.
 INCREMENT_CASES = {"typical": (0.3, 20.0, 1.0), "start_above": (5.0, 2.0, 1.0), "top_up": (0.0, 50.0, 20.0)}
 
 
@@ -277,27 +289,84 @@ def test_row_wise_increments_match_single_row_oracle(law, case):
     start, target, factor = INCREMENT_CASES[case]
     mu, sd = _moments(law)
     rng_row, rng_oracle = stream(30), stream(30)
-    row = rn._draw_increments_until(law, rng_row, [start], target, factor * mu, sd)
+    recorded = _RecordedSample(law)
+    sums, kept = rn._draw_increments_until(recorded, rng_row, [start], target, factor * mu, sd)
     expected = single_row_increments_until(law, rng_oracle, start, target, factor * mu, sd)
-    assert row.shape == (1, len(expected))
-    assert row[0].tobytes() == expected.tobytes()
+    assert sums.shape == (1, 1 + len(expected)) and kept.tolist() == [len(expected)]
+    assert sums[0, 0] == start
+    assert sums[0, 1:].tobytes() == expected.tobytes()
     assert rng_row.bit_generator.state == rng_oracle.bit_generator.state
     if case == "top_up":
-        assert len(expected) > 16  # the first block holds the minimum of 16 draws here
+        assert len(recorded.sizes) > 1
 
 
 def test_row_wise_increments_pad_each_row_after_its_overshooter():
     law = dist.Exponential(1.0)
     starts = [0.0, 3.0, 12.0, 9.5]
-    cum = rn._draw_increments_until(law, stream(31), starts, 10.0, 2.0, 1.0)  # mean overstated: top-ups
-    for start, row in zip(starts, cum):
+    sums, kept = rn._draw_increments_until(law, stream(31), starts, 10.0, 2.0, 1.0)  # mean overstated: top-ups
+    for start, row, last in zip(starts, sums, kept):
         finite = row[np.isfinite(row)]
         assert np.all(np.isposinf(row[len(finite):]))
+        assert finite[0] == start and len(finite) == last + 1
         if start > 10.0:
-            assert len(finite) == 0
+            assert last == 0
             continue
         assert np.all(finite[:-1] <= 10.0) and finite[-1] > 10.0
-        assert finite[0] > start and np.all(np.diff(finite) > 0.0)
+        assert np.all(np.diff(finite) > 0.0)
+
+
+def test_batched_rows_equal_replayed_rounds():
+    # Rows start at different distances from the target, so they finish in
+    # different rounds; each row must equal its replayed single-row build.
+    law = dist.LogNormal(0.0, 1.0)
+    mu, sd = _moments(law)
+    starts = np.array([0.0, 2.5, 7.9, 11.0, 0.4, 9.99, 5.0])
+    rng_rows, rng_oracle = stream(32), stream(32)
+    recorded = _RecordedSample(law)
+    sums, kept = rn._draw_increments_until(recorded, rng_rows, starts, 10.0, mu, sd)
+    expected = replayed_increments_until(law, rng_oracle, starts, 10.0, mu, sd)
+    assert len(recorded.sizes) > 2
+    assert sums.shape == (len(starts), 1 + max(len(e) for e in expected))
+    for row, last, start, want in zip(sums, kept, starts, expected):
+        assert last == len(want) and row[0] == start
+        assert row[1 : 1 + last].tobytes() == want.tobytes()
+        assert np.all(np.isposinf(row[1 + last :]))
+    assert rng_rows.bit_generator.state == rng_oracle.bit_generator.state
+
+
+# The three row shapes of a ``pointprocess`` run at its defaults, at 10^4
+# rows in ``row_blocks``: forward runs to 50 means (overshoot and Laplace
+# checks), windows at 6 means (intensity and shift checks) and windows at
+# 1 mean (Laplace check).
+DRAW_SHAPES = {"forward_50_means": 50.0, "window_6_means": 6.0, "window_1_mean": 1.0}
+MAX_DRAWN_PER_KEPT = 1.4
+MAX_ROUNDS_PER_CALL = 12
+
+
+@pytest.mark.parametrize("shape", sorted(DRAW_SHAPES))
+@pytest.mark.parametrize("law", [dist.LogNormal(0.0, 1.0), dist.Exponential(1.0)], ids=lambda l: type(l).__name__)
+def test_increments_drawn_stay_close_to_the_sums_kept(monkeypatch, law, shape):
+    calls = []
+    real = rn._draw_increments_until
+
+    def recorded(law, rng, starts, target, mu, sd):
+        rec = _RecordedSample(law)
+        sums, kept = real(rec, rng, starts, target, mu, sd)
+        calls.append((rec.sizes, int(kept.sum())))
+        return sums, kept
+
+    monkeypatch.setattr(rn, "_draw_increments_until", recorded)
+    span, rng = DRAW_SHAPES[shape] * law.mean(), stream(51)
+    if shape.startswith("forward"):
+        for lo, hi in rn.row_blocks(10**4, law, span):
+            rn.simulate_forward(law, span, rng, size=hi - lo)
+    else:
+        for lo, hi in rn.row_blocks(10**4, law, 2.0 * span):
+            rn.build_stationary_window(law, span, rng, size=hi - lo)
+    drawn = sum(rows * n for sizes, _ in calls for rows, n in sizes)
+    kept = sum(k for _, k in calls)
+    assert drawn <= MAX_DRAWN_PER_KEPT * kept
+    assert max(len(sizes) for sizes, _ in calls) <= MAX_ROUNDS_PER_CALL
 
 
 def assert_window_rows(rows, c):
@@ -352,9 +421,14 @@ def test_batched_rows_draw_from_the_generator_without_spawning():
 
 
 def test_batched_forward_rows_equal_single_runs_without_top_up():
-    # Every row finishes in its first block here, so row i consumes the
-    # same draws as the i-th single run.
-    law = dist.Uniform(0.0, 2.0)
+    # Every row finishes in its first round here (the count to 30 has a
+    # spread of about 0.3 draws), so row i consumes the same draws as the
+    # i-th single run.
+    law = dist.Uniform(0.9, 1.1)
+    recorded = _RecordedSample(law)
+    mu, sd = _moments(law)
+    rn._draw_increments_until(recorded, stream(33), np.zeros(5), 30.0, mu, sd)
+    assert len(recorded.sizes) == 1
     batch = rn.simulate_forward(law, 30.0, stream(33), size=5)
     rng = stream(33)
     for epochs, overshoot_epoch in zip(batch.epochs, batch.overshoot_epoch):
