@@ -31,19 +31,15 @@ from .kernels import (
     ScaledExpDecay,
     ScaledTable,
     SpikeTrain,
-    absorption_time,
-    eval_path,
     kernel_from_config,
     kernel_to_config,
     sample_path,
-    sup_over_interval,
 )
 from .process import FddSample, ProcessSample, eval_stationary, eval_transient, fdd_sample, stationary_half_width
 from .renewal import (
     RenewalRealization,
     StationaryWindow,
     build_stationary_window,
-    shift_window,
     simulate_forward,
     window_to_csv,
 )

@@ -29,7 +29,7 @@ from .distributions import integrated_tail_cdf, is_lattice, mean as law_mean
 from .errors import KernelError, NonAbsorbedPathError, TruncationError
 from .kernels import sample_path
 from .process import fdd_sample
-from .renewal import build_stationary_window, row_blocks, simulate_forward
+from .renewal import ROW_BLOCK_POINTS, build_stationary_window, row_blocks, simulate_forward
 from .stats import TestResult, chi2_sf, energy_distance, ks_one_sample, ks_two_sample
 from .streams import ENERGY, PRECHECK, stream
 
@@ -162,6 +162,24 @@ def _verdict(terms, n_mc):
     return INCONCLUSIVE, partials, slope, residual, note
 
 
+def _capped_path_mean(spec, n_mc, width, terms, rng):
+    """Mean over ``n_mc`` paths of ``min(terms(paths), 1)``.
+
+    ``terms`` maps a batched path to one ``width``-long row per path.
+    Paths are drawn in chunks of ``max(1, ROW_BLOCK_POINTS // width)``, one
+    batched draw each, which draws as ``n_mc`` one-row calls would (see
+    :mod:`.kernels`).  Each chunk's rows are added onto the running sum in
+    path order: ``np.add.reduce`` along axis 0 adds row after row, as a
+    per-path loop would (pairwise summation would not).
+    """
+    step = max(1, ROW_BLOCK_POINTS // width)
+    acc = np.zeros(width)
+    for lo in range(0, n_mc, step):
+        chunk = np.minimum(terms(sample_path(spec, rng, size=min(step, n_mc - lo))), 1.0)
+        acc = np.add.reduce(np.vstack([acc, chunk]), axis=0)
+    return acc / n_mc
+
+
 def dri_mean_check(spec, k_max, grid_per_unit, n_mc, rng):
     """Estimate per-unit sups of ``E[|X(t)| ^ 1]`` on a left-anchored grid.
 
@@ -171,11 +189,7 @@ def dri_mean_check(spec, k_max, grid_per_unit, n_mc, rng):
     if k_max < 1 or grid_per_unit < 2 or n_mc < 1:
         raise KernelError("need k_max >= 1, grid_per_unit >= 2, n_mc >= 1")
     ts = np.arange(k_max * grid_per_unit) / grid_per_unit
-    acc = np.zeros(len(ts))
-    for _ in range(n_mc):
-        path = sample_path(spec, rng)
-        acc += np.minimum(np.abs(path.values(ts)), 1.0)
-    g_hat = acc / n_mc
+    g_hat = _capped_path_mean(spec, n_mc, len(ts), lambda paths: np.abs(paths.values(ts)), rng)
     terms = g_hat.reshape(k_max, grid_per_unit).max(axis=1)
     verdict, partials, slope, residual, note = _verdict(terms, n_mc)
     return DriReport(
@@ -195,11 +209,7 @@ def dri_path_check(spec, k_max, n_mc, rng):
     """Estimate ``E[sup over [k, k+1) of |X| ^ 1]`` from exact path sups."""
     if k_max < 1 or n_mc < 1:
         raise KernelError("need k_max >= 1 and n_mc >= 1")
-    acc = np.zeros(k_max)
-    for _ in range(n_mc):
-        path = sample_path(spec, rng)
-        acc += np.minimum(path.unit_sups(k_max), 1.0)
-    terms = acc / n_mc
+    terms = _capped_path_mean(spec, n_mc, k_max, lambda paths: paths.unit_sups(k_max), rng)
     verdict, partials, slope, residual, note = _verdict(terms, n_mc)
     return DriReport(
         criterion="path",

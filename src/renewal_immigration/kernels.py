@@ -18,7 +18,7 @@ at arbitrary real times in O(log jumps).  Variants:
   criterion.
 
 Each spec class owns its behaviour: its config tag ``kind``,
-``sample(rng, size=None)``, ``support_end()`` (time after which every path
+``sample(rng, size)``, ``support_end()`` (time after which every path
 is 0, or ``inf``) and ``tail_bound(cut, mu)``.  For unbounded support only,
 ``tail_bound`` bounds the expected stationary mass missed from points
 beyond ``cut`` when interarrivals have mean ``mu``.  By Campbell's formula
@@ -35,11 +35,17 @@ field's annotated type (``float``, ``int``, a ``tuple`` of floats, a
 are read by theirs.  A new kind is one such class added to
 :data:`KernelSpec`, which ``_KINDS`` is built from.
 
-``sample(rng)`` draws one path; ``sample(rng, size=k)`` draws ``k`` paths
-into one object, from the same random draws in the same order as ``k``
-single calls.  A mark kernel's batched path holds a ``(k, 1)`` column of
-marks, so its ``values`` takes a ``(k, g)`` array of times and returns one
-row per path.
+``sample(rng, size=k)`` draws ``k`` paths as one batched path, from the
+same random draws in the same order as ``k`` calls with ``size=1``; a
+single path is a one-row batch.  A batched path has three methods, each
+with one result row per path: ``values(ts)`` at times that broadcast
+against a ``(k, 1)`` column (a shared ``(g,)`` grid or a ``(k, g)``
+array), ``sup_abs(lo, hi)``, the exact sup of ``|X|`` over ``[lo, hi]``
+as a ``(k,)`` vector, and ``unit_sups(k_max)``, the sups over
+``[j, j + 1)`` for ``j < k_max`` as a ``(k, k_max)`` array.  A mark
+kernel's batch holds a ``(k, 1)`` column of marks; birth-death chains are
+drawn one after another into a :class:`PathStack`, which stacks its
+chains' results.
 """
 
 import math
@@ -63,9 +69,6 @@ __all__ = [
     "PathSample",
     "PathStack",
     "sample_path",
-    "eval_path",
-    "sup_over_interval",
-    "absorption_time",
     "birth_death_tail_integral",
     "kernel_to_config",
     "kernel_from_config",
@@ -76,8 +79,8 @@ __all__ = [
 
 
 def _marks(draws, size):
-    """One mark as a float, or ``size`` marks as a ``(size, 1)`` column."""
-    return float(draws) if size is None else np.reshape(draws, (size, 1))
+    """``size`` marks as a ``(size, 1)`` column."""
+    return np.reshape(draws, (size, 1))
 
 
 def _check_mark(eta):
@@ -126,11 +129,10 @@ class DeterministicTable:
 
     def value(self, t):
         # 0 before the first breakpoint, then the value of the last one passed.
-        out = np.array((0.0,) + self.values)[np.searchsorted(self.breakpoints, t, side="right")]
-        return float(out) if np.ndim(t) == 0 else out
+        return np.array((0.0,) + self.values)[np.searchsorted(self.breakpoints, t, side="right")]
 
-    def sample(self, rng, size=None):
-        return TablePath(self, 1.0 if size is None else np.ones((size, 1)))
+    def sample(self, rng, size):
+        return TablePath(self, np.ones((size, 1)))
 
     def support_end(self):
         """Time after which the function is identically 0 (may be ``inf``)."""
@@ -150,16 +152,6 @@ class DeterministicTable:
             "table does not vanish at infinity, so the stationary series diverges", bound=math.inf
         )
 
-    def fixed_discontinuities(self):
-        """Breakpoints where the value actually jumps (recorded, not acted on)."""
-        out = []
-        prev = 0.0
-        for b, v in zip(self.breakpoints, self.values):
-            if v != prev:
-                out.append(b)
-            prev = v
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class Indicator:
@@ -174,7 +166,7 @@ class Indicator:
         if self.eta.support()[0] < 0:
             raise KernelError("indicator pulse length law must be nonnegative")
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return IndicatorPath(_marks(self.eta.sample(rng, size=size), size))
 
     def support_end(self):
@@ -204,7 +196,7 @@ class ScaledExpDecay:
         if not (self.decay > 0 and math.isfinite(self.decay)):
             raise KernelError("decay rate must be positive and finite")
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return ExpDecayPath(_marks(self.eta.sample(rng, size=size), size), self.decay)
 
     def support_end(self):
@@ -234,7 +226,7 @@ class ScaledTable:
     def __post_init__(self):
         _check_mark(self.eta)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return TablePath(self.table, _marks(self.eta.sample(rng, size=size), size))
 
     def support_end(self):
@@ -280,11 +272,9 @@ class BirthDeath:
         if self.max_jumps < 1:
             raise KernelError("max_jumps must be >= 1")
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         # Each jump draws an exponential and then a uniform, so k paths are
-        # drawn one after another, exactly as k single calls would.
-        if size is None:
-            return self._path(rng)
+        # drawn one after another, exactly as k one-row calls would.
         return PathStack(tuple(self._path(rng) for _ in range(size)))
 
     def _path(self, rng):
@@ -322,7 +312,7 @@ class SpikeTrain:
 
     kind: ClassVar[str] = "spike_train"
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return SpikePath(_marks(rng.uniform(size=size), size))
 
     def support_end(self):
@@ -377,65 +367,48 @@ def _step_unit_sups(breaks, vals, k_max):
 
 @dataclass(frozen=True)
 class TablePath:
-    """Realization of a (possibly scaled) deterministic table."""
+    """Realizations of a (possibly scaled) deterministic table, one scale per row."""
 
     table: DeterministicTable
-    scale: float | np.ndarray = 1.0
-
-    def value(self, t):
-        return self.scale * self.table.value(t)
+    scale: np.ndarray
 
     def values(self, ts):
         return self.scale * self.table.value(np.asarray(ts, dtype=float))
 
     def sup_abs(self, lo, hi, include_right=True):
-        return abs(self.scale) * _step_sup(
+        return np.abs(self.scale[:, 0]) * _step_sup(
             np.asarray(self.table.breakpoints), np.asarray(self.table.values), lo, hi, include_right
         )
 
     def unit_sups(self, k_max):
-        return abs(self.scale) * _step_unit_sups(self.table.breakpoints, self.table.values, k_max)
-
-    def absorption(self):
-        end = 0.0 if self.scale == 0.0 else self.table.support_end()
-        return end if math.isfinite(end) else None
+        return np.abs(self.scale) * _step_unit_sups(self.table.breakpoints, self.table.values, k_max)
 
 
 @dataclass(frozen=True)
 class IndicatorPath:
-    """One pulse: 1 on [0, eta), 0 elsewhere."""
+    """Pulses: row ``i`` is 1 on [0, eta[i]), 0 elsewhere."""
 
-    eta: float | np.ndarray
-
-    def value(self, t):
-        return 1.0 if 0.0 <= t < self.eta else 0.0
+    eta: np.ndarray
 
     def values(self, ts):
         ts = np.asarray(ts, dtype=float)
         return ((ts >= 0.0) & (ts < self.eta)).astype(float)
 
     def sup_abs(self, lo, hi, include_right=True):
-        if self.eta <= 0.0:
-            return 0.0
+        eta = self.eta[:, 0]
         right_ok = hi >= 0.0 if include_right else hi > 0.0
-        return 1.0 if (lo < self.eta and right_ok) else 0.0
+        return ((eta > 0.0) & (lo < eta) & right_ok).astype(float)
 
     def unit_sups(self, k_max):
         return (np.arange(k_max) < self.eta).astype(float)
 
-    def absorption(self):
-        return max(self.eta, 0.0)
-
 
 @dataclass(frozen=True)
 class ExpDecayPath:
-    """eta * exp(-decay t) on t >= 0."""
+    """Row ``i`` is eta[i] * exp(-decay t) on t >= 0."""
 
-    eta: float | np.ndarray
+    eta: np.ndarray
     decay: float
-
-    def value(self, t):
-        return self.eta * math.exp(-self.decay * t) if t >= 0.0 else 0.0
 
     def values(self, ts):
         ts = np.asarray(ts, dtype=float)
@@ -443,33 +416,17 @@ class ExpDecayPath:
 
     def sup_abs(self, lo, hi, include_right=True):
         right_ok = hi >= 0.0 if include_right else hi > 0.0
-        if not right_ok:
-            return 0.0
-        return abs(self.eta) * math.exp(-self.decay * max(lo, 0.0))
+        return np.abs(self.eta[:, 0]) * (math.exp(-self.decay * max(lo, 0.0)) if right_ok else 0.0)
 
     def unit_sups(self, k_max):
-        return abs(self.eta) * np.exp(-self.decay * np.arange(k_max))
-
-    def absorption(self):
-        # Strictly positive for eta != 0, so never absorbed.
-        return None if self.eta != 0.0 else 0.0
+        return np.abs(self.eta) * np.exp(-self.decay * np.arange(k_max))
 
 
 @dataclass(frozen=True)
 class SpikePath:
-    """Pulse in [k + k^2 eta/(k^2+1), k + eta) for every k >= 1."""
+    """Row ``i`` pulses in [k + k^2 eta[i]/(k^2+1), k + eta[i]) for every k >= 1."""
 
-    eta: float | np.ndarray
-
-    def _bounds(self, k):
-        return k + k * k * self.eta / (k * k + 1.0), k + self.eta
-
-    def value(self, t):
-        if t < 1.0 or self.eta <= 0.0:
-            return 0.0
-        k = math.floor(t)
-        x = t - k
-        return 1.0 if (x < self.eta and x * (k * k + 1.0) >= k * k * self.eta) else 0.0
+    eta: np.ndarray
 
     def values(self, ts):
         ts = np.asarray(ts, dtype=float)
@@ -479,28 +436,17 @@ class SpikePath:
         return hit.astype(float)
 
     def sup_abs(self, lo, hi, include_right=True):
-        if self.eta <= 0.0 or hi < 1.0:
-            return 0.0
-        k0 = max(1, int(math.ceil(lo)))
-        if k0 + 1 <= hi:
-            # A whole unit interval (hence a whole pulse) fits inside.
-            return 1.0
-        for k in range(max(1, int(math.floor(lo))), int(math.floor(hi)) + 1):
-            a, b = self._bounds(k)
-            right_ok = a <= hi if include_right else a < hi
-            if right_ok and b > lo:
-                return 1.0
-        return 0.0
+        eta = self.eta[:, 0]
+        # A whole unit interval (hence a whole pulse) inside [lo, hi] hits.
+        hit = np.full(len(eta), max(1, math.ceil(lo)) + 1 <= hi)
+        if not hit.all():
+            for k in range(max(1, math.floor(lo)), math.floor(hi) + 1):
+                a, b = k + k * k * eta / (k * k + 1.0), k + eta
+                hit |= (a <= hi if include_right else a < hi) & (b > lo)
+        return (hit & (eta > 0.0)).astype(float)
 
     def unit_sups(self, k_max):
-        sups = np.ones(k_max) if self.eta > 0.0 else np.zeros(k_max)
-        if k_max > 0:
-            sups[0] = 0.0
-        return sups
-
-    def absorption(self):
-        # Hits 0 between pulses but never stays there.
-        return None if self.eta > 0.0 else 0.0
+        return ((self.eta > 0.0) & (np.arange(k_max) >= 1)).astype(float)
 
 
 @dataclass(frozen=True)
@@ -517,12 +463,6 @@ class BirthDeathPath:
         vals = np.concatenate([[float(self.initial)], self.states.astype(float)])
         return breaks, vals
 
-    def value(self, t):
-        if t < 0.0:
-            return 0.0
-        idx = int(np.searchsorted(self.jump_times, t, side="right"))
-        return float(self.initial) if idx == 0 else float(self.states[idx - 1])
-
     def values(self, ts):
         ts = np.asarray(ts, dtype=float)
         idx = np.searchsorted(self.jump_times, ts, side="right")
@@ -537,52 +477,39 @@ class BirthDeathPath:
         breaks, vals = self._breaks_vals()
         return _step_unit_sups(breaks, vals, k_max)
 
-    def absorption(self):
-        return float(self.jump_times[-1]) if self.absorbed and len(self.jump_times) else None
-
 
 @dataclass(frozen=True)
 class PathStack:
-    """Independent paths drawn one by one, evaluated as rows of one array."""
+    """Independent paths drawn one by one, their results stacked as rows."""
 
     paths: tuple
 
     def values(self, ts):
+        ts = np.broadcast_to(ts, (len(self.paths), np.shape(ts)[-1]))
         return np.array([path.values(row) for path, row in zip(self.paths, ts)])
 
+    def sup_abs(self, lo, hi, include_right=True):
+        return np.array([path.sup_abs(lo, hi, include_right) for path in self.paths])
 
-PathSample = TablePath | IndicatorPath | ExpDecayPath | SpikePath | BirthDeathPath
+    def unit_sups(self, k_max):
+        return np.array([path.unit_sups(k_max) for path in self.paths])
+
+
+PathSample = TablePath | IndicatorPath | ExpDecayPath | SpikePath | PathStack
 
 
 # --------------------------------------------------------------------------
 # Operations
 
 
-def sample_path(spec, rng, size=None):
-    """Draw one independent trajectory of the kernel, or ``size`` of them.
+def sample_path(spec, rng, size):
+    """Draw ``size`` independent trajectories of the kernel as one batched path.
 
-    ``size`` paths come back as one batched path whose ``values`` maps a
-    ``(size, g)`` array of times to one row per path; they use the same
-    random draws as ``size`` single calls.
+    Its ``values`` maps times broadcast against a ``(size, 1)`` column to
+    one row per path; the paths use the same random draws as ``size``
+    one-row calls.
     """
     return spec.sample(rng, size=size)
-
-
-def eval_path(path, t):
-    """Trajectory value at time ``t``; exactly 0 for ``t < 0``."""
-    return path.value(t)
-
-
-def sup_over_interval(path, lo, hi):
-    """Sup of ``|path|`` over the closed interval [lo, hi]; exact."""
-    if lo > hi:
-        raise KernelError(f"need lo <= hi, got [{lo}, {hi}]")
-    return path.sup_abs(lo, hi, include_right=True)
-
-
-def absorption_time(path):
-    """First time after which the path is identically 0, or None."""
-    return path.absorption()
 
 
 @lru_cache(maxsize=32)
@@ -596,18 +523,6 @@ def _bd_generator(spec):
     if cap > 1:
         gen += np.diag(b[:-1], 1) + np.diag(d[1:], -1)
     return gen
-
-
-def birth_death_survival(spec, x):
-    """P(tau > x) for the absorption time of the capped chain; exact."""
-    from scipy.linalg import expm
-
-    gen = _bd_generator(spec)
-    ones = np.ones(len(gen))
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = np.array([float((expm(gen * xi) @ ones)[spec.initial - 1]) for xi in xs])
-    vals = np.clip(vals, 0.0, 1.0)
-    return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
 @lru_cache(maxsize=512)

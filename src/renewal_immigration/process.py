@@ -18,9 +18,10 @@ run that cannot reach the tolerance, or whose kernel misses infinite
 expected mass, raises :class:`~renewal_immigration.errors.TruncationError`
 before its first draw.
 
-Replicates come in blocks of rows.  A block draws its forward runs or
-windows with one ``size=k`` call, then the paths of its kept points with
-one :func:`~renewal_immigration.kernels.sample_path` call per chunk of
+Replicates come in blocks of rows; one replicate is a one-row block.  A
+block draws its forward runs or windows with one ``size=k`` call, then
+the paths of its kept points with one
+:func:`~renewal_immigration.kernels.sample_path` call per chunk of
 ``SUPERPOSE_BLOCK`` points, and sums each row over its own points; padding
 never reaches a path.
 """
@@ -46,7 +47,7 @@ SUPERPOSE_BLOCK = 4096
 
 @dataclass(frozen=True, eq=False)
 class ProcessSample:
-    """Values on a u-grid: one replicate's ``(g,)`` row or a block's ``(k, g)`` rows.
+    """Values on a u-grid: a block's replicates as ``(k, g)`` rows.
 
     ``c_used`` is the stationary windows' half-width.
     """
@@ -95,25 +96,24 @@ def _superpose(spec, row, shifts, grid, k, rng):
     return values
 
 
-def eval_transient(law, spec, t, u_grid, rng, size=None):
-    """Replicates of ``(Y(t + u))_u``: exact sums over epochs.
+def eval_transient(law, spec, t, u_grid, rng, size):
+    """``size`` replicates of ``(Y(t + u))_u``: exact sums over epochs.
 
-    ``size=None`` draws one replicate; ``size=k`` draws a block of ``k`` as
-    the rows of one ``(k, g)`` array, from one batched forward run.
+    The replicates are the rows of one ``(size, g)`` array, from one
+    batched forward run.
     """
     check_interarrival(law)
     if t < 0:
         raise LawError(f"transient time must be >= 0, got {t}")
     u = _validate_grid(u_grid)
-    k = 1 if size is None else size
-    values = np.zeros((k, len(u)))
+    values = np.zeros((size, len(u)))
     if t + u[-1] >= 0:
-        epochs = simulate_forward(law, t + u[-1], rng, size=k).epochs
+        epochs = simulate_forward(law, t + u[-1], rng, size=size).epochs
         # Padding, and epochs whose path is 0 on the whole shifted grid,
         # draw no path.
         row, col = np.nonzero(np.isfinite(epochs) & (t + u[0] - epochs < spec.support_end()))
-        values = _superpose(spec, row, epochs[row, col], t + u, k, rng)
-    return ProcessSample(u_grid=u, values=values[0] if size is None else values, kind="transient", t=float(t))
+        values = _superpose(spec, row, epochs[row, col], t + u, size, rng)
+    return ProcessSample(u_grid=u, values=values, kind="transient", t=float(t))
 
 
 def first_half_width(support_end, u, mu):
@@ -159,22 +159,20 @@ def stationary_half_width(law, spec, u_grid, tol, c_max=None):
         c *= 2.0
 
 
-def eval_stationary(law, spec, u_grid, c, rng, size=None):
-    """Replicates of ``(Y*(u))_u`` over the points with ``|S*_k| <= c``.
+def eval_stationary(law, spec, u_grid, c, rng, size):
+    """``size`` replicates of ``(Y*(u))_u`` over the points with ``|S*_k| <= c``.
 
-    ``size=None`` draws one replicate; ``size=k`` draws a block of ``k`` as
-    the rows of one ``(k, g)`` array, from ``k`` windows of half-width
-    ``c`` drawn together.  :func:`stationary_half_width` gives the ``c``
-    that meets a tolerance.
+    The replicates are the rows of one ``(size, g)`` array, from ``size``
+    windows of half-width ``c`` drawn together.
+    :func:`stationary_half_width` gives the ``c`` that meets a tolerance.
     """
     u = _validate_grid(u_grid)
-    k = 1 if size is None else size
-    pts = StationaryWindowSampler(law, rng, size=k).initial(c).points
+    pts = StationaryWindowSampler(law, rng, size=size).initial(c).points
     # Padding (+-inf), points left of -max(u) and points past the support
     # cannot reach the grid.
     row, col = np.nonzero((np.abs(pts) <= c) & (pts >= -u[-1]) & (pts < spec.support_end() - u[0]))
-    values = _superpose(spec, row, -pts[row, col], u, k, rng)
-    return ProcessSample(u_grid=u, values=values[0] if size is None else values, kind="stationary", c_used=c)
+    values = _superpose(spec, row, -pts[row, col], u, size, rng)
+    return ProcessSample(u_grid=u, values=values, kind="stationary", c_used=c)
 
 
 @dataclass(frozen=True, eq=False)

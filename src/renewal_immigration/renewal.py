@@ -15,17 +15,18 @@ repeats the previous point.  Every such tied point is kept and counted.
 
 Index convention: points carry integer indices with ``t_{-1} < 0 <= t_0``.
 
-Both builders take ``size``.  ``size=None`` returns one window or one
-forward realization.  ``size=k`` returns one object holding ``k``
-independent rows, all drawn from the generator handed in (no child
-streams are spawned): window points as a ``(k, m)`` array padded with
-``-inf`` on the left and ``+inf`` on the right, forward epochs padded with
-``+inf`` plus a ``(k,)`` vector of overshoot epochs.  Both kinds of window
-come from :class:`StationaryWindowSampler`.  A single window draws its
-forward and backward increments from two spawned child streams, so that
-:meth:`StationaryWindowSampler.extend` can grow each half-axis later
-without re-drawing what exists; nothing in the package extends windows,
-and the benchmark's tracer wraps ``extend`` by name.
+Forward runs come as rows: ``simulate_forward(..., size=k)`` returns one
+object holding ``k`` independent rows of epochs, padded with ``+inf``,
+plus a ``(k,)`` vector of overshoot epochs.  Windows come as rows too
+(``size=k``): a ``(k, m)`` array of points padded with ``-inf`` on the
+left and ``+inf`` on the right.  Rows draw everything from the generator
+handed in; no child streams are spawned.  Both kinds of window come from
+:class:`StationaryWindowSampler`, which also builds the one window
+``stationary --dump-window`` writes (``size=None``).  That single window
+draws its forward and backward increments from two spawned child
+streams, so that :meth:`StationaryWindowSampler.extend` can grow each
+half-axis later without re-drawing what exists; nothing in the package
+extends windows, and the benchmark's tracer wraps ``extend`` by name.
 
 Increments come in rounds: each gives every row still at or below its
 target the same number of draws (:func:`_round_width`), until every row
@@ -53,7 +54,6 @@ __all__ = [
     "simulate_forward",
     "build_stationary_window",
     "row_blocks",
-    "shift_window",
     "window_to_csv",
 ]
 
@@ -65,13 +65,12 @@ ROW_BLOCK_POINTS = 2**15
 
 @dataclass(frozen=True)
 class RenewalRealization:
-    """Forward epochs ``S_0 = 0 <= S_1 <= ... <= horizon`` plus the overshooter.
+    """Forward epochs ``S_0 = 0 <= S_1 <= ... <= horizon`` plus the overshooter, per row.
 
-    ``count`` is the first index whose epoch exceeds the horizon, so
-    ``overshoot_epoch - horizon`` is the overshoot at the horizon.  A batch
-    of ``k`` realizations holds ``(k, m)`` epochs padded with ``+inf`` and a
-    ``(k,)`` vector of overshoot epochs; ``count`` and ``overshoot`` are
-    then per row.
+    ``k`` realizations hold ``(k, m)`` epochs padded with ``+inf`` and a
+    ``(k,)`` vector of overshoot epochs.  Per row, ``count`` is the first
+    index whose epoch exceeds the horizon, and ``overshoot_epoch - horizon``
+    is the overshoot at the horizon.
     """
 
     epochs: np.ndarray
@@ -148,30 +147,21 @@ def _draw_increments_until(law, rng, starts, target, mu, sd):
     return sums, kept
 
 
-def simulate_forward(law, horizon, rng, size=None):
-    """Simulate the zero-delayed renewal sequence on ``[0, horizon]``.
+def simulate_forward(law, horizon, rng, size):
+    """Simulate ``size`` zero-delayed renewal sequences on ``[0, horizon]``.
 
-    The first epoch beyond the horizon is retained separately for
-    overshoot diagnostics.  ``size=k`` simulates ``k`` independent
-    sequences as the rows of one realization.
+    The sequences are the rows of one realization.  The first epoch beyond
+    the horizon is retained separately for overshoot diagnostics.
     """
     mu, sd = _moments(law)
     if horizon < 0:
         raise LawError(f"horizon must be >= 0, got {horizon}")
-    sums, kept = _draw_increments_until(law, rng, np.zeros(1 if size is None else size), horizon, mu, sd)
-    if size is None:
-        # A single row has no padding.
-        return RenewalRealization(epochs=sums[0, :-1], horizon=float(horizon), overshoot_epoch=float(sums[0, -1]))
+    sums, kept = _draw_increments_until(law, rng, np.zeros(size), horizon, mu, sd)
     # The overshooter moves out of the epochs; the last column is then padding only.
     rows = np.arange(size)
     overshoot_epoch = sums[rows, kept]
     sums[rows, kept] = np.inf
     return RenewalRealization(epochs=sums[:, :-1], horizon=float(horizon), overshoot_epoch=overshoot_epoch)
-
-
-def _count_closed(points, a, b):
-    """Points in the closed interval [a, b] along the last axis."""
-    return np.count_nonzero((points >= a) & (points <= b), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,20 +185,8 @@ class StationaryWindow:
         if not (0 < self.zero_index < len(self.points)):
             raise ValueError("window must straddle 0")
 
-    def index_range(self):
-        """(k_min, k_max) of the canonical point indices."""
-        return -self.zero_index, len(self.points) - 1 - self.zero_index
-
-    def point(self, k):
-        """Point with canonical index ``k`` (t_{-1} < 0 <= t_0)."""
-        return float(self.points[k + self.zero_index])
-
     def indices(self):
         return np.arange(len(self.points)) - self.zero_index
-
-    def count_in(self, a, b):
-        """Number of points in the closed interval [a, b]."""
-        return int(_count_closed(self.points, a, b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,10 +207,10 @@ class StationaryWindowRows:
     def count_in(self, a, b, shift=0.0):
         """Per row, the points in the closed interval [a, b] after a shift.
 
-        Points are translated by ``-shift`` first, as :func:`shift_window`
-        translates a single window; padding never counts.
+        Points are translated by ``-shift`` first; padding never counts.
         """
-        return _count_closed(self.points - shift if shift else self.points, a, b)
+        points = self.points - shift if shift else self.points
+        return np.count_nonzero((points >= a) & (points <= b), axis=-1)
 
 
 class StationaryWindowSampler:
@@ -315,27 +293,6 @@ def row_blocks(n_rows, law, span):
     step = max(1, int(ROW_BLOCK_POINTS // max(span / law.mean(), 1.0)))
     for lo in range(0, n_rows, step):
         yield lo, min(lo + step, n_rows)
-
-
-def shift_window(window, t):
-    """Translate all points by ``-t`` and re-establish the index convention.
-
-    The nominal half-width shrinks to ``c - |t|`` (the sentinels only cover
-    that much after translation), so ``|t|`` must be smaller than ``c``.
-    """
-    if abs(t) >= window.c:
-        raise ValueError(f"shift {t} exceeds window half-width {window.c}")
-    if t == 0:
-        return window
-    points = window.points - t
-    zero_index = int(np.searchsorted(points, 0.0, side="left"))
-    return StationaryWindow(
-        points=points,
-        zero_index=zero_index,
-        c=window.c - abs(t),
-        xi0=window.xi0,
-        u=window.u,
-    )
 
 
 def window_to_csv(window):

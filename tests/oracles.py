@@ -4,8 +4,8 @@ The queue oracle is an event loop over a heap, the KS/energy oracles are
 direct transcriptions of the definitions, the energy permutation oracle
 works on raw rows with one 0/1 label column per labelling, and integrals
 come from adaptive quadrature; none of these shares code with the package.
-The superposition oracle draws through the package's single-path sampler,
-one path per point, which is what the batched superposition must equal.
+The superposition oracle draws one one-row batch of paths per point,
+which is what the batched superposition must equal.
 The increment oracles build renewal sums row by row, from the package's
 width rule, and must match the batched rows draw for draw.
 """
@@ -114,13 +114,13 @@ def per_path_superpose(spec, shifts, grid, rng):
     """``sum_k X_k(grid - shifts[k])`` with one path drawn and added per point.
 
     The reference for each row of ``process._superpose``: one
-    ``spec.sample(rng)`` and one ``values`` call per shift, added onto zeros
-    in point order.
+    ``spec.sample(rng, size=1)`` and one ``values`` call per shift, added
+    onto zeros in point order.
     """
     values = np.zeros(len(grid))
     for shift in shifts:
-        path = spec.sample(rng)
-        values += path.values(grid - shift)
+        path = spec.sample(rng, size=1)
+        values += path.values(grid - shift)[0]
     return values
 
 

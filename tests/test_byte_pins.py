@@ -1,8 +1,10 @@
-"""Byte pins: fixed-seed fdd matrices of every kernel kind, both modes.
+"""Byte pins: fixed-seed fdd matrices and dri reports of every kernel kind.
 
-Each digest is the sha256 of ``fdd_sample(...).to_csv()`` followed by the
-sorted-key JSON of its metadata, at 20 replicates.  A refactor that keeps
-the ``(config, seed) -> bytes`` contract leaves every digest unchanged; a
+Each fdd digest is the sha256 of ``fdd_sample(...).to_csv()`` followed by
+the sorted-key JSON of its metadata, at 20 replicates, in both modes.  Each
+dri digest is the sha256 of the sorted-key JSON of the mean and the path
+reports' ``to_dict()``, at two shapes.  A refactor that keeps the
+``(config, seed) -> bytes`` contract leaves every digest unchanged; a
 change that moves any value by one ulp, reorders a random draw or alters a
 serialized kernel config does not.
 """
@@ -13,7 +15,9 @@ import json
 import pytest
 
 from renewal_immigration import distributions as dist
+from renewal_immigration.diagnostics import dri_mean_check, dri_path_check
 from renewal_immigration.process import fdd_sample
+from renewal_immigration.streams import stream
 
 from test_kernels import ALL_SPECS
 
@@ -52,3 +56,34 @@ def test_fdd_bytes_are_pinned(spec, mode):
     )
     text = sample.to_csv() + json.dumps(sample.metadata(LAW, spec), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[(name, mode)]
+
+
+# dri reports at the converge pre-check's shape and at one whose mean grid
+# is drawn in 60 chunks of paths: (k_max, grid_per_unit, n_mc).
+DRI_SHAPES = {"precheck": (40, 4, 400), "chunked": (800, 8, 300)}
+DRI_SEED = 23
+
+DRI_DIGESTS = {
+    ("DeterministicTable", "chunked"): "5d03141a7976ea2da7fcd0cf7c2dad0ddee550234ac150fe4307797ec471cab1",
+    ("DeterministicTable", "precheck"): "ce771be37199e49f4bcf563f2fbefd33aa27cf42e59e6342e6469a3b1a8e3113",
+    ("Indicator", "chunked"): "ea7fcb357a8edb23a2f1d89b87c31e4929fa2e022df9a31b4b229f4a6c783897",
+    ("Indicator", "precheck"): "37d84ba1c4157eedf4f044c23e6877e6371b5cf39caeeee1046e804d471b9974",
+    ("ScaledExpDecay", "chunked"): "b300b2da0460724f55e1576116daf634b960ebad870892081c0f74bdcd5ffc10",
+    ("ScaledExpDecay", "precheck"): "9f26a70e418bc336b772ea37842f7e6b66eeaf1d5350da5036824dec0fe18e94",
+    ("ScaledTable", "chunked"): "eb5ebd54cc7d9f46cd971eb38e663c5b897e51ffa2debd0af53d8dc15ae1e2a1",
+    ("ScaledTable", "precheck"): "ea179cab5279bd3eeab20cbac6c0b7bbde3e42c44fccb11243539a292e65b263",
+    ("BirthDeath", "chunked"): "eb0953f6bd43dda6b6001b864dde26078ca74b840359996a79ef419b4ad6b7dc",
+    ("BirthDeath", "precheck"): "c660d75e65aa76ad24ab3f907a9d5db675f70e39731f062a85fab00538bc87e7",
+    ("SpikeTrain", "chunked"): "4241db67a7ed32ab4936df6e87db9bdaf4798c70d9d57842bd4fd9a577f5ea3b",
+    ("SpikeTrain", "precheck"): "ad2a3facf6ad08bb8f4979e60e33a7df8a634a2dd884a52744f9243562b28e41",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DRI_SHAPES))
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+def test_dri_bytes_are_pinned(spec, shape):
+    k_max, grid_per_unit, n_mc = DRI_SHAPES[shape]
+    mean = dri_mean_check(spec, k_max, grid_per_unit, n_mc, stream(DRI_SEED, 0))
+    path = dri_path_check(spec, k_max, n_mc, stream(DRI_SEED, 1))
+    text = json.dumps([mean.to_dict(), path.to_dict()], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DRI_DIGESTS[(type(spec).__name__, shape)]

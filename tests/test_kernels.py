@@ -24,14 +24,10 @@ ALL_SPECS = [
 
 
 def test_table_eval_semantics():
-    path = kn.sample_path(TABLE_STEPS, stream(0))
-    assert kn.eval_path(path, -0.001) == 0.0
-    assert kn.eval_path(path, 0.0) == 2.0
-    assert kn.eval_path(path, 0.999) == 2.0
-    assert kn.eval_path(path, 1.0) == -1.0  # right-continuous at the jump
-    assert kn.eval_path(path, 3.0) == 0.5
-    assert kn.eval_path(path, 4.0) == 0.0
-    assert kn.eval_path(path, 100.0) == 0.0
+    path = kn.sample_path(TABLE_STEPS, stream(0), size=1)
+    ts = [-0.001, 0.0, 0.999, 1.0, 3.0, 4.0, 100.0]
+    # Right-continuous at the jumps.
+    assert path.values(ts).tolist() == [[0.0, 2.0, 2.0, -1.0, 0.5, 0.0, 0.0]]
 
 
 def test_table_validation():
@@ -45,57 +41,37 @@ def test_table_validation():
 
 def test_indicator_paths():
     spec = kn.Indicator(dist.PointMass(3.0))
-    path = kn.sample_path(spec, stream(1))
-    assert kn.absorption_time(path) == 3.0
-    assert kn.eval_path(path, 2.999) == 1.0
-    assert kn.eval_path(path, 3.0) == 0.0  # support is [0, eta)
-    assert kn.eval_path(path, -0.001) == 0.0
-    path25 = kn.IndicatorPath(2.5)
-    assert kn.eval_path(path25, 2.5) == 0.0
-    assert kn.sup_over_interval(path25, 2.0, 3.0) == 1.0
-    assert kn.sup_over_interval(path25, 2.5, 3.0) == 0.0
+    path = kn.sample_path(spec, stream(1), size=1)
+    assert path.values([2.999, 3.0, -0.001]).tolist() == [[1.0, 0.0, 0.0]]  # support is [0, eta)
+    path25 = kn.IndicatorPath(np.array([[2.5]]))
+    assert path25.values([2.5]).tolist() == [[0.0]]
+    assert path25.sup_abs(2.0, 3.0).tolist() == [1.0]
+    assert path25.sup_abs(2.5, 3.0).tolist() == [0.0]
     vals = path25.values(np.linspace(-1.0, 4.0, 100))
     assert set(np.unique(vals)) <= {0.0, 1.0}
 
 
 def test_scaled_exp_decay_eval():
-    path = kn.ExpDecayPath(2.0, 1.0)
-    assert kn.eval_path(path, math.log(2.0)) == pytest.approx(1.0, rel=1e-15)
-    assert kn.eval_path(path, -1e-9) == 0.0
-    assert kn.sup_over_interval(path, 0.0, 1.0) == 2.0
-    assert kn.sup_over_interval(path, -5.0, -0.001) == 0.0
-    assert kn.absorption_time(path) is None
-    assert kn.absorption_time(kn.ExpDecayPath(0.0, 1.0)) == 0.0
-
-
-def test_table_absorption():
-    assert kn.absorption_time(kn.sample_path(TABLE_1_ON_01, stream(2))) == 1.0
-    four = kn.DeterministicTable((0.0, 4.0), (1.0, 0.0))
-    assert kn.absorption_time(kn.sample_path(four, stream(2))) == 4.0
-    zero = kn.DeterministicTable((0.0,), (0.0,))
-    assert kn.absorption_time(kn.sample_path(zero, stream(2))) == 0.0
-    tail = kn.DeterministicTable((0.0,), (1.0,))
-    assert kn.absorption_time(kn.sample_path(tail, stream(2))) is None
+    path = kn.ExpDecayPath(np.array([[2.0]]), 1.0)
+    assert path.values([math.log(2.0)])[0, 0] == pytest.approx(1.0, rel=1e-15)
+    assert path.values([-1e-9]).tolist() == [[0.0]]
+    assert path.sup_abs(0.0, 1.0).tolist() == [2.0]
+    assert path.sup_abs(-5.0, -0.001).tolist() == [0.0]
 
 
 def test_birth_death_pure_death_absorption():
     spec = kn.BirthDeath(initial=1, birth_rates=(0.0,), death_rates=(1.0,), state_cap=1)
-    rng = stream(3)
-    taus = np.array([kn.absorption_time(kn.sample_path(spec, rng)) for _ in range(10**5)])
+    taus = np.array([path.jump_times[-1] for path in kn.sample_path(spec, stream(3), size=10**5).paths])
     assert abs(taus.mean() - 1.0) < 0.013
-    path = kn.sample_path(spec, stream(4))
-    tau = kn.absorption_time(path)
-    assert kn.eval_path(path, tau) == 0.0
-    assert kn.eval_path(path, tau + 5.0) == 0.0
-    assert kn.eval_path(path, tau - 1e-9) == 1.0
+    path = kn.sample_path(spec, stream(4), size=1)
+    tau = path.paths[0].jump_times[-1]
+    assert path.values([tau, tau + 5.0, tau - 1e-9]).tolist() == [[0.0, 0.0, 1.0]]
 
 
 def test_birth_death_states_are_nonnegative_integers():
     spec = kn.BirthDeath(initial=3, birth_rates=(1.0, 1.0, 1.0, 1.0, 0.0),
                          death_rates=(2.0, 2.0, 2.0, 2.0, 2.0), state_cap=5)
-    rng = stream(5)
-    for _ in range(50):
-        path = kn.sample_path(spec, rng)
+    for path in kn.sample_path(spec, stream(5), size=50).paths:
         assert np.all(path.states >= 0)
         assert np.all(path.states == path.states.astype(int))
         assert path.states[-1] == 0
@@ -109,11 +85,10 @@ def test_birth_death_budget_error_carries_partial_path():
     spec = kn.BirthDeath(initial=1, birth_rates=(100.0, 100.0), death_rates=(0.1, 0.1),
                          state_cap=2, max_jumps=50)
     with pytest.raises(NonAbsorbedPathError) as info:
-        kn.sample_path(spec, stream(6))
+        kn.sample_path(spec, stream(6), size=1)
     partial = info.value.partial_path
     assert len(partial.jump_times) == 50
     assert not partial.absorbed
-    assert kn.absorption_time(partial) is None
 
 
 def test_birth_death_validation():
@@ -130,14 +105,12 @@ def test_birth_death_tail_integral_matches_pure_death():
     spec = kn.BirthDeath(initial=1, birth_rates=(0.0,), death_rates=(1.0,), state_cap=1)
     for lo in [0.0, 1.0, 3.0]:
         assert kn.birth_death_tail_integral(spec, lo) == pytest.approx(math.exp(-lo), rel=1e-9)
-    assert kn.birth_death_survival(spec, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-9)
 
 
 def test_birth_death_tail_integral_matches_monte_carlo():
     spec = kn.BirthDeath(initial=2, birth_rates=(0.6, 0.6, 0.0), death_rates=(1.2, 1.2, 1.2),
                          state_cap=3)
-    rng = stream(7)
-    taus = np.array([kn.absorption_time(kn.sample_path(spec, rng)) for _ in range(4 * 10**4)])
+    taus = np.array([path.jump_times[-1] for path in kn.sample_path(spec, stream(7), size=4 * 10**4).paths])
     # tail_integral(0) = E[tau]; tail_integral(L) = E[(tau - L)+].
     for lo in [0.0, 1.0]:
         mc = np.maximum(taus - lo, 0.0)
@@ -146,30 +119,30 @@ def test_birth_death_tail_integral_matches_monte_carlo():
 
 
 def test_spike_train_geometry():
-    path = kn.SpikePath(0.5)
-    # Pulse in [k + 0.5 k^2/(k^2+1), k + 0.5).
-    assert kn.eval_path(path, 0.4) == 0.0  # no pulse before k=1
+    path = kn.SpikePath(np.array([[0.5]]))
+    # Pulse in [k + 0.5 k^2/(k^2+1), k + 0.5); none before k=1.
     lo1 = 1.0 + 0.5 * 1.0 / 2.0
-    assert kn.eval_path(path, lo1) == 1.0
-    assert kn.eval_path(path, lo1 - 1e-9) == 0.0
-    assert kn.eval_path(path, 1.4999) == 1.0
-    assert kn.eval_path(path, 1.5) == 0.0
-    assert kn.sup_over_interval(path, 0.0, 0.9) == 0.0
-    assert kn.sup_over_interval(path, 1.0, 2.0) == 1.0
-    assert kn.sup_over_interval(path, -10.0, 100.0) == 1.0
-    sups = path.unit_sups(6)
-    assert list(sups) == [0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
-    assert kn.absorption_time(path) is None
+    assert path.values([0.4, lo1, lo1 - 1e-9, 1.4999, 1.5]).tolist() == [[0.0, 1.0, 0.0, 1.0, 0.0]]
+    assert path.sup_abs(0.0, 0.9).tolist() == [0.0]
+    assert path.sup_abs(1.0, 2.0).tolist() == [1.0]
+    assert path.sup_abs(-10.0, 100.0).tolist() == [1.0]
+    assert path.unit_sups(6).tolist() == [[0.0, 1.0, 1.0, 1.0, 1.0, 1.0]]
+    # A zero mark gives empty pulses: that row's sups are 0 wherever the other's hit.
+    rows = kn.SpikePath(np.array([[0.0], [0.5]]))
+    assert rows.sup_abs(0.5, 1.3).tolist() == [0.0, 1.0]
+    assert rows.sup_abs(-10.0, 100.0).tolist() == [0.0, 1.0]
+    assert rows.unit_sups(3).tolist() == [[0.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
 
 
 def test_spike_train_brute_force_scan():
     for seed in range(5):
-        path = kn.sample_path(kn.SpikeTrain(), stream(100 + seed))
+        path = kn.sample_path(kn.SpikeTrain(), stream(100 + seed), size=1)
+        eta = path.eta[0, 0]
         ts = np.linspace(0.0, 12.0, 4001)
-        vals = path.values(ts)
+        vals = path.values(ts)[0]
         for k in range(1, 12):
-            a = k + k * k * path.eta / (k * k + 1.0)
-            b = k + path.eta
+            a = k + k * k * eta / (k * k + 1.0)
+            b = k + eta
             inside = (ts >= a) & (ts < b)
             assert np.array_equal(vals[inside], np.ones(inside.sum()))
             outside = ((ts >= k) & (ts < a)) | ((ts >= b) & (ts < k + 1))
@@ -178,12 +151,10 @@ def test_spike_train_brute_force_scan():
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
 def test_zero_on_negative_times(spec):
-    rng = stream(8)
-    for _ in range(20):
-        path = kn.sample_path(spec, rng)
-        ts = -np.abs(stream(9).uniform(1e-9, 50.0, size=50))
-        assert np.all(path.values(ts) == 0.0)
-        assert kn.sup_over_interval(path, -20.0, -1e-12) == 0.0
+    path = kn.sample_path(spec, stream(8), size=20)
+    ts = -np.abs(stream(9).uniform(1e-9, 50.0, size=50))
+    assert np.all(path.values(ts) == 0.0)
+    assert np.all(path.sup_abs(-20.0, -1e-12) == 0.0)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
@@ -191,45 +162,48 @@ def test_right_continuity_on_random_grid(spec):
     # Exact equality for piecewise-constant paths; the exponential decay is
     # continuous, so its limit check carries a derivative-sized tolerance.
     exact = not isinstance(spec, kn.ScaledExpDecay)
-    rng = stream(10)
-    grid_rng = stream(11)
-    for _ in range(10):
-        path = kn.sample_path(spec, rng)
-        ts = grid_rng.uniform(-2.0, 12.0, size=100)
-        for t in ts:
-            left, right = kn.eval_path(path, t), kn.eval_path(path, t + 1e-12)
-            if exact:
-                assert left == right
-            else:
-                assert left == pytest.approx(right, abs=1e-10)
+    path = kn.sample_path(spec, stream(10), size=10)
+    ts = stream(11).uniform(-2.0, 12.0, size=(10, 100))
+    left, right = path.values(ts), path.values(ts + 1e-12)
+    if exact:
+        assert np.array_equal(left, right)
+    else:
+        assert left == pytest.approx(right, abs=1e-10)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
 def test_sup_dominates_pointwise(spec):
-    rng = stream(12)
+    path = kn.sample_path(spec, stream(12), size=10)
     pt_rng = stream(13)
     for _ in range(10):
-        path = kn.sample_path(spec, rng)
         lo, hi = sorted(pt_rng.uniform(-2.0, 10.0, size=2))
-        sup = kn.sup_over_interval(path, lo, hi)
-        for t in pt_rng.uniform(lo, hi, size=100):
-            assert sup >= abs(kn.eval_path(path, t)) - 1e-12
+        sup = path.sup_abs(lo, hi)
+        assert sup.shape == (10,)
+        ts = pt_rng.uniform(lo, hi, size=100)
+        assert np.all(sup[:, None] >= np.abs(path.values(ts)) - 1e-12)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
 def test_unit_sups_match_interval_sups(spec):
-    rng = stream(14)
-    for _ in range(10):
-        path = kn.sample_path(spec, rng)
-        sups = path.unit_sups(8)
-        for k in range(8):
-            assert sups[k] == pytest.approx(path.sup_abs(k, k + 1, include_right=False), abs=1e-12)
+    path = kn.sample_path(spec, stream(14), size=10)
+    sups = path.unit_sups(8)
+    assert sups.shape == (10, 8)
+    for k in range(8):
+        assert sups[:, k] == pytest.approx(path.sup_abs(k, k + 1, include_right=False), abs=1e-12)
 
 
-def test_sup_interval_validation():
-    path = kn.IndicatorPath(1.0)
-    with pytest.raises(KernelError):
-        kn.sup_over_interval(path, 2.0, 1.0)
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+def test_batch_equals_one_row_batches(spec):
+    # k paths drawn at once use the same draws, in the same order, as k
+    # successive one-row draws, and every method gives the same rows.
+    k, ts = 7, np.linspace(-1.0, 9.0, 37)
+    rng_batch, rng_rows = stream(15), stream(15)
+    batch = kn.sample_path(spec, rng_batch, size=k)
+    rows = [kn.sample_path(spec, rng_rows, size=1) for _ in range(k)]
+    assert rng_batch.bit_generator.state == rng_rows.bit_generator.state
+    for method in (lambda p: p.values(ts), lambda p: p.sup_abs(0.5, 3.0), lambda p: p.unit_sups(12)):
+        want = np.concatenate([method(row) for row in rows])
+        assert method(batch).tobytes() == want.tobytes()
 
 
 def test_indicator_rejects_signed_eta():
@@ -276,13 +250,7 @@ def test_kernel_config_round_trip():
 @settings(max_examples=30, deadline=None)
 def test_sampling_deterministic_given_seed(seed):
     for spec in ALL_SPECS:
-        a = kn.sample_path(spec, stream(seed))
-        b = kn.sample_path(spec, stream(seed))
+        a = kn.sample_path(spec, stream(seed), size=1)
+        b = kn.sample_path(spec, stream(seed), size=1)
         ts = np.linspace(-1.0, 9.0, 37)
         assert np.array_equal(a.values(ts), b.values(ts))
-
-
-def test_fixed_discontinuities_recorded():
-    assert TABLE_STEPS.fixed_discontinuities() == (0.0, 1.0, 2.5, 4.0)
-    flat = kn.DeterministicTable((0.0, 1.0), (2.0, 2.0))
-    assert flat.fixed_discontinuities() == (0.0,)

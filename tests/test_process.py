@@ -25,11 +25,11 @@ MM_INF = kn.Indicator(dist.Exponential(1.0))
 def stationary_once(law, spec, u_grid, tol, rng, c_max=None):
     """One stationary replicate at the half-width a run with ``tol`` would use, and its bound."""
     c, bound = pr.stationary_half_width(law, spec, u_grid, tol, c_max)
-    return pr.eval_stationary(law, spec, u_grid, c, rng), bound
+    return pr.eval_stationary(law, spec, u_grid, c, rng, size=1), bound
 
 
 def test_zero_kernel_transient_and_stationary():
-    ps = pr.eval_transient(EXP_LAW, ZERO_KERNEL, 5.0, [0.0, 1.0], stream(0))
+    ps = pr.eval_transient(EXP_LAW, ZERO_KERNEL, 5.0, [0.0, 1.0], stream(0), size=1)
     assert np.all(ps.values == 0.0)
     ps, bound = stationary_once(EXP_LAW, ZERO_KERNEL, [0.0, 1.0], 1e-6, stream(1))
     assert np.all(ps.values == 0.0)
@@ -40,8 +40,8 @@ def test_transient_point_mass_enumeration():
     # Law with epochs 0..10; kernel 1 on [0,1): only the epoch at 10 lands
     # inside the support when evaluating at 10.5.
     table = kn.DeterministicTable((0.0, 1.0), (1.0, 0.0))
-    ps = pr.eval_transient(dist.PointMass(1.0), table, 10.5, [0.0], stream(2))
-    assert ps.values[0] == 1.0
+    ps = pr.eval_transient(dist.PointMass(1.0), table, 10.5, [0.0], stream(2), size=1)
+    assert ps.values.tolist() == [[1.0]]
 
 
 def test_transient_mminf_mean_matches_event_driven_oracle():
@@ -63,12 +63,12 @@ def test_transient_mminf_mean_matches_event_driven_oracle():
 
 
 def test_transient_below_zero_is_exact_zero():
-    ps = pr.eval_transient(EXP_LAW, MM_INF, 2.0, [-5.0, -3.0], stream(5))
+    ps = pr.eval_transient(EXP_LAW, MM_INF, 2.0, [-5.0, -3.0], stream(5), size=1)
     assert np.all(ps.values == 0.0)
 
 
 def test_transient_negative_u_allowed():
-    ps = pr.eval_transient(EXP_LAW, MM_INF, 3.0, [-2.0, 0.0, 1.0], stream(6))
+    ps = pr.eval_transient(EXP_LAW, MM_INF, 3.0, [-2.0, 0.0, 1.0], stream(6), size=1)
     assert np.all(np.isfinite(ps.values))
     assert np.all(ps.values >= 0.0)
 
@@ -124,10 +124,9 @@ def test_fdd_determinism_and_single_replicate_equivalence():
     # 50 rows of 2 c = 44 expected points make one block, drawn from its block stream.
     block = pr.eval_stationary(EXP_LAW, MM_INF, [0.0, 1.0], a.c_used, stream(12, STATIONARY_BLOCK, 0, 0), size=50)
     assert np.array_equal(a.values, block.values)
-    # One replicate is the one-row block squeezed to 1-D.
-    single = pr.eval_stationary(EXP_LAW, MM_INF, [0.0, 1.0], a.c_used, stream(12, STATIONARY_BLOCK, 0, 0))
+    # One replicate is a one-row block.
     row = pr.eval_stationary(EXP_LAW, MM_INF, [0.0, 1.0], a.c_used, stream(12, STATIONARY_BLOCK, 0, 0), size=1)
-    assert single.values.shape == (2,) and np.array_equal(single.values, row.values[0])
+    assert row.values.shape == (1, 2)
 
 
 def test_fdd_validation():
@@ -138,15 +137,15 @@ def test_fdd_validation():
     with pytest.raises(LawError):
         pr.fdd_sample(EXP_LAW, MM_INF, "transient", [0.0], 1, seed=1)  # t missing
     with pytest.raises(LawError):
-        pr.eval_transient(EXP_LAW, MM_INF, 1.0, [0.0, 0.0], stream(1))  # not increasing
+        pr.eval_transient(EXP_LAW, MM_INF, 1.0, [0.0, 0.0], stream(1), size=1)  # not increasing
     with pytest.raises(LawError):
-        pr.eval_stationary(EXP_LAW, MM_INF, [0.0, np.nan], 12.0, stream(1))
+        pr.eval_stationary(EXP_LAW, MM_INF, [0.0, np.nan], 12.0, stream(1), size=1)
     with pytest.raises(LawError):
         pr.stationary_half_width(EXP_LAW, MM_INF, [0.0, np.nan], 1e-6)
     with pytest.raises(LawError):
         pr.stationary_half_width(EXP_LAW, MM_INF, [0.0], 0.0)
     with pytest.raises(LawError):
-        pr.eval_transient(EXP_LAW, MM_INF, 1.0, [0.0, np.inf], stream(1))
+        pr.eval_transient(EXP_LAW, MM_INF, 1.0, [0.0, np.inf], stream(1), size=1)
 
 
 def test_nonnegative_kernels_give_nonnegative_values():
@@ -155,7 +154,7 @@ def test_nonnegative_kernels_give_nonnegative_values():
     for i, spec in enumerate(specs):
         ps, _ = stationary_once(EXP_LAW, spec, [0.0, 2.0], 1e-4, stream(13, i), c_max=4 * 10**4)
         assert np.all(ps.values >= 0.0)
-        pt = pr.eval_transient(EXP_LAW, spec, 10.0, [0.0, 2.0], stream(14, i))
+        pt = pr.eval_transient(EXP_LAW, spec, 10.0, [0.0, 2.0], stream(14, i), size=1)
         assert np.all(pt.values >= 0.0)
 
 
@@ -222,12 +221,12 @@ def test_stationary_birth_death_runs_with_phase_type_bound():
     spec = kn.BirthDeath(initial=1, birth_rates=(0.3, 0.0), death_rates=(1.0, 1.0), state_cap=2)
     ps, bound = stationary_once(EXP_LAW, spec, [0.0], 1e-6, stream(23))
     assert bound is not None and bound < 1e-6
-    assert ps.values[0] >= 0.0
+    assert ps.values[0, 0] >= 0.0
 
 
 def test_spike_train_stationary_value():
     ps, bound = stationary_once(EXP_LAW, kn.SpikeTrain(), [0.0], 1e-3, stream(24), c_max=4096.0)
-    assert np.isfinite(ps.values[0])
+    assert np.isfinite(ps.values[0, 0])
     assert bound < 1e-3
 
 
@@ -288,7 +287,7 @@ def test_tail_bound_bounds_the_missed_mass(spec):
 @given(st.integers(min_value=0, max_value=10**5))
 @settings(max_examples=20, deadline=None)
 def test_transient_values_integer_for_indicator(seed):
-    ps = pr.eval_transient(EXP_LAW, MM_INF, 5.0, [0.0, 1.0], stream(seed))
+    ps = pr.eval_transient(EXP_LAW, MM_INF, 5.0, [0.0, 1.0], stream(seed), size=1)
     assert np.all(ps.values == np.round(ps.values))
     assert np.all(ps.values >= 0.0)
 
@@ -414,7 +413,7 @@ def test_padding_never_reaches_a_path(monkeypatch):
     table = kn.DeterministicTable((0.0, 1.0), (1.0, 2.0))
     sizes = []
 
-    def sample_path(spec, rng, size=None):
+    def sample_path(spec, rng, size):
         sizes.append(size)
         return kn.sample_path(spec, rng, size)
 

@@ -23,36 +23,42 @@ LAWS = [
 ]
 
 
+def point(window, k):
+    """A single window's point with canonical index ``k`` (t_{-1} < 0 <= t_0)."""
+    return window.points[window.zero_index + k]
+
+
 def test_forward_point_mass_grid():
-    real = rn.simulate_forward(dist.PointMass(1.0), 5.5, stream(0))
-    assert np.array_equal(real.epochs, np.arange(6.0))
-    assert real.overshoot_epoch == 6.0
-    assert real.count == 6
-    assert real.overshoot == 0.5
+    real = rn.simulate_forward(dist.PointMass(1.0), 5.5, stream(0), size=1)
+    assert np.array_equal(real.epochs, [np.arange(6.0)])
+    assert real.overshoot_epoch.tolist() == [6.0]
+    assert real.count.tolist() == [6]
+    assert real.overshoot.tolist() == [0.5]
 
 
 def test_forward_zero_horizon():
-    real = rn.simulate_forward(dist.Exponential(1.0), 0.0, stream(1))
-    assert np.array_equal(real.epochs, [0.0])
-    assert real.overshoot_epoch > 0.0
+    real = rn.simulate_forward(dist.Exponential(1.0), 0.0, stream(1), size=1)
+    assert np.array_equal(real.epochs, [[0.0]])
+    assert real.overshoot_epoch[0] > 0.0
 
 
 def test_forward_rejects_negative_horizon():
     with pytest.raises(LawError):
-        rn.simulate_forward(dist.Exponential(1.0), -1.0, stream(2))
+        rn.simulate_forward(dist.Exponential(1.0), -1.0, stream(2), size=1)
 
 
 def test_elementary_renewal_rate():
-    real = rn.simulate_forward(dist.Exponential(1.0), 10**4, stream(3))
-    assert abs(real.count / 10**4 - 1.0) < 0.03
+    real = rn.simulate_forward(dist.Exponential(1.0), 10**4, stream(3), size=1)
+    assert abs(real.count[0] / 10**4 - 1.0) < 0.03
 
 
 def test_forward_epochs_strictly_increasing():
     for law in LAWS:
-        real = rn.simulate_forward(law, 50.0, stream(4))
-        assert real.epochs[0] == 0.0
-        assert np.all(np.diff(real.epochs) > 0.0)
-        assert real.epochs[-1] <= 50.0 < real.overshoot_epoch
+        real = rn.simulate_forward(law, 50.0, stream(4), size=1)
+        epochs = real.epochs[0]
+        assert epochs[0] == 0.0
+        assert np.all(np.diff(epochs) > 0.0)
+        assert epochs[-1] <= 50.0 < real.overshoot_epoch[0]
 
 
 BURSTY = dist.Gamma(0.1, 10.0)
@@ -68,12 +74,12 @@ def test_tied_points_are_kept_and_counted():
         assert np.any(np.diff(finite) == 0.0) and np.all(np.diff(finite) >= 0.0)
         assert count == len(finite) and finite[0] == 0.0
         assert finite[-1] <= 500.0 < overshoot_epoch
-    # A single run holds every sum the scalar reference keeps, ties included.
-    single = rn.simulate_forward(BURSTY, 500.0, stream(41))
+    # A one-row run holds every sum the scalar reference keeps, ties included.
+    single = rn.simulate_forward(BURSTY, 500.0, stream(41), size=1)
     sums = single_row_increments_until(BURSTY, stream(41), 0.0, 500.0, mu, sd)
-    assert np.any(np.diff(single.epochs) == 0.0)
-    assert single.epochs.tobytes() == np.concatenate([[0.0], sums[:-1]]).tobytes()
-    assert single.count == len(sums) and single.overshoot_epoch == sums[-1]
+    assert np.any(np.diff(single.epochs[0]) == 0.0)
+    assert single.epochs[0].tobytes() == np.concatenate([[0.0], sums[:-1]]).tobytes()
+    assert single.count.tolist() == [len(sums)] and single.overshoot_epoch.tolist() == [sums[-1]]
 
     c = 200.0
     rows = rn.build_stationary_window(BURSTY, c, stream(42), size=50)
@@ -89,16 +95,12 @@ def test_tied_points_are_kept_and_counted():
         assert n_inside == len(finite) - 2
     window = rn.build_stationary_window(BURSTY, c, stream(43))
     assert np.any(np.diff(window.points) == 0.0)
-    assert window.point(-1) < 0.0 <= window.point(0)
+    assert point(window, -1) < 0.0 <= point(window, 0)
     assert window.points[0] < -c < window.points[1] and window.points[-2] < c < window.points[-1]
-    assert window.count_in(-c, c) == len(window.points) - 2
 
 
 def test_overshoot_matches_integrated_tail():
-    rng = stream(5)
-    overshoots = np.array(
-        [rn.simulate_forward(dist.Uniform(0.0, 1.0), 50.0, rng).overshoot for _ in range(2 * 10**4)]
-    )
+    overshoots = rn.simulate_forward(dist.Uniform(0.0, 1.0), 50.0, stream(5), size=2 * 10**4).overshoot
     res = ks_one_sample(overshoots, lambda x: dist.integrated_tail_cdf(dist.Uniform(0.0, 1.0), x))
     assert res.p_value > 0.01
 
@@ -107,13 +109,11 @@ def test_window_point_mass_exact_grid():
     window = rn.build_stationary_window(dist.PointMass(2.0), 3.0, stream(6))
     gaps = np.diff(window.points)
     assert np.allclose(gaps, 2.0, atol=1e-12)
-    assert 0.0 <= window.point(0) < 2.0
+    assert 0.0 <= point(window, 0) < 2.0
     assert window.points[0] < -3.0 and window.points[-1] > 3.0
     # The grid offset is the stationary delay: uniform on [0, 2).
-    rng = stream(66)
-    offsets = np.array(
-        [rn.build_stationary_window(dist.PointMass(2.0), 3.0, rng).point(0) for _ in range(10**4)]
-    )
+    rows = rn.build_stationary_window(dist.PointMass(2.0), 3.0, stream(66), size=10**4)
+    offsets = rows.points[:, rows.zero_index]
     res = ks_one_sample(offsets, lambda x: np.clip(np.asarray(x) / 2.0, 0.0, 1.0))
     assert res.p_value > 0.01
 
@@ -124,19 +124,16 @@ def test_window_invariants(law):
     for _ in range(200):
         window = rn.build_stationary_window(law, 5.0, rng)
         # Index convention and the exact straddling-gap identity.
-        assert window.point(-1) < 0.0 <= window.point(0)
-        assert window.point(0) - window.point(-1) == window.xi0
+        assert point(window, -1) < 0.0 <= point(window, 0)
+        assert point(window, 0) - point(window, -1) == window.xi0
         assert window.points[0] < -5.0
         assert window.points[-1] > 5.0
         assert np.all(np.diff(window.points) > 0.0)
 
 
 def test_window_intensity():
-    rng = stream(8)
     n = 2 * 10**4
-    counts = np.empty(n)
-    for i in range(n):
-        counts[i] = rn.build_stationary_window(dist.Gamma(2.0, 0.5), 6.0, rng).count_in(0.0, 5.0)
+    counts = rn.build_stationary_window(dist.Gamma(2.0, 0.5), 6.0, stream(8), size=n).count_in(0.0, 5.0)
     expected = 5.0 / 1.0
     z = (counts.mean() - expected) / (counts.std(ddof=1) / math.sqrt(n))
     assert abs(z) < 4.0
@@ -146,18 +143,13 @@ def test_window_poisson_case():
     # With exponential increments the window is a homogeneous Poisson
     # process: counts on an interval are Poisson, and the first interior
     # gap is a fresh exponential.
-    rng = stream(9)
     n = 2 * 10**4
-    counts = np.empty(n, dtype=int)
-    first_gap = []
-    for i in range(n):
-        window = rn.build_stationary_window(dist.Exponential(1.0), 6.0, rng)
-        counts[i] = window.count_in(-3.0, 2.0)
-        if window.index_range()[1] >= 1:
-            # The first interior gap is a fresh increment independent of the
-            # delay, so skipping the rare windows without one is unbiased.
-            first_gap.append(window.point(1) - window.point(0))
-    first_gap = np.array(first_gap)
+    rows = rn.build_stationary_window(dist.Exponential(1.0), 6.0, stream(9), size=n)
+    counts = rows.count_in(-3.0, 2.0)
+    # The first interior gap is a fresh increment independent of the delay,
+    # so skipping the rare windows without one (padding there) is unbiased.
+    first_gap = rows.points[:, rows.zero_index + 1] - rows.points[:, rows.zero_index]
+    first_gap = first_gap[np.isfinite(first_gap)]
     from scipy.stats import poisson
 
     kmax = counts.max()
@@ -169,32 +161,12 @@ def test_window_poisson_case():
     assert gap_res.p_value > 0.01
 
 
-def test_shift_identity_and_gap_preservation():
-    window = rn.build_stationary_window(dist.PointMass(1.0), 4.0, stream(10))
-    assert rn.shift_window(window, 0.0) is window
-    shifted = rn.shift_window(window, 0.25)
-    assert np.allclose(np.diff(shifted.points), 1.0, atol=1e-12)
-    assert shifted.point(-1) < 0.0 <= shifted.point(0)
-    assert np.array_equal(shifted.points, window.points - 0.25)
-
-
-def test_shift_beyond_half_width_rejected():
-    window = rn.build_stationary_window(dist.Exponential(1.0), 2.0, stream(11))
-    with pytest.raises(ValueError):
-        rn.shift_window(window, 2.5)
-
-
 def test_shift_count_equidistribution():
     # Counts in [0, 1] from fresh windows vs independently shifted windows.
     rng = stream(12)
     n = 10**4
-    base = np.empty(n, dtype=int)
-    shifted = np.empty(n, dtype=int)
-    for i in range(n):
-        base[i] = rn.build_stationary_window(dist.Gamma(2.0, 0.5), 3.0, rng).count_in(0.0, 1.0)
-    for i in range(n):
-        w = rn.shift_window(rn.build_stationary_window(dist.Gamma(2.0, 0.5), 3.0, rng), 0.7)
-        shifted[i] = w.count_in(0.0, 1.0)
+    base = rn.build_stationary_window(dist.Gamma(2.0, 0.5), 3.0, rng, size=n).count_in(0.0, 1.0)
+    shifted = rn.build_stationary_window(dist.Gamma(2.0, 0.5), 3.0, rng, size=n).count_in(0.0, 1.0, shift=0.7)
     res = ks_two_sample(base, shifted)
     assert res.p_value > 0.01
 
@@ -207,7 +179,7 @@ def test_window_extension_preserves_points():
     inner = np.isin(small.points, big.points)
     assert inner.all()
     assert big.points[0] < -16.0 and big.points[-1] > 16.0
-    assert big.point(0) == small.point(0)
+    assert point(big, 0) == point(small, 0)
     assert big.xi0 == small.xi0
     # Extending to a smaller or equal c is a no-op.
     assert sampler.extend(big, 10.0) is big
@@ -235,26 +207,20 @@ def test_window_determinism(seed):
 
 
 def test_count_in_closed_interval():
-    window = rn.build_stationary_window(dist.PointMass(1.0), 3.0, stream(15))
-    p0 = window.point(0)
-    assert window.count_in(p0, p0) == 1
-    assert window.count_in(p0 + 1e-12, p0 + 0.5) == 0
+    rows = rn.build_stationary_window(dist.PointMass(1.0), 3.0, stream(15), size=1)
+    p0 = rows.points[0, rows.zero_index]
+    assert rows.count_in(p0, p0).tolist() == [1]
+    assert rows.count_in(p0 + 1e-12, p0 + 0.5).tolist() == [0]
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.7, -1.3])
 def test_row_counts_equal_single_window_counts(shift):
+    # Each row counts as its finite points alone would, one at a time:
+    # padding never counts.
     rows = rn.build_stationary_window(dist.Gamma(2.0, 0.5), 4.0, stream(16), size=30)
     counts = rows.count_in(-1.0, 2.0, shift=shift)
-    for i, pts in enumerate(rows.points):
-        finite = np.isfinite(pts)
-        window = rn.StationaryWindow(
-            points=pts[finite],
-            zero_index=rows.zero_index - int(np.argmax(finite)),
-            c=rows.c,
-            xi0=float(rows.xi0[i]),
-            u=float(rows.u[i]),
-        )
-        assert counts[i] == rn.shift_window(window, shift).count_in(-1.0, 2.0)
+    for pts, count in zip(rows.points, counts):
+        assert count == sum(-1.0 <= p - shift <= 2.0 for p in pts[np.isfinite(pts)].tolist())
 
 
 # ------------------------------------------------------- batched builders
@@ -432,9 +398,9 @@ def test_batched_forward_rows_equal_single_runs_without_top_up():
     batch = rn.simulate_forward(law, 30.0, stream(33), size=5)
     rng = stream(33)
     for epochs, overshoot_epoch in zip(batch.epochs, batch.overshoot_epoch):
-        single = rn.simulate_forward(law, 30.0, rng)
-        assert epochs[np.isfinite(epochs)].tobytes() == single.epochs.tobytes()
-        assert overshoot_epoch == single.overshoot_epoch
+        single = rn.simulate_forward(law, 30.0, rng, size=1)
+        assert epochs[np.isfinite(epochs)].tobytes() == single.epochs[0].tobytes()
+        assert overshoot_epoch == single.overshoot_epoch[0]
 
 
 def test_batched_builders_reject_bad_arguments():
