@@ -167,10 +167,11 @@ def _capped_path_mean(spec, n_mc, width, terms, rng):
 
     ``terms`` maps a batched path to one ``width``-long row per path.
     Paths are drawn in chunks of ``max(1, ROW_BLOCK_POINTS // width)``, one
-    batched draw each, which draws as ``n_mc`` one-row calls would (see
-    :mod:`.kernels`).  Each chunk's rows are added onto the running sum in
-    path order: ``np.add.reduce`` along axis 0 adds row after row, as a
-    per-path loop would (pairwise summation would not).
+    batched draw each.  Every kernel but the birth-death chain draws as
+    ``n_mc`` one-row calls would (see :mod:`.kernels`); birth-death draws
+    depend on the chunk sizes.  Each chunk's rows are added onto the
+    running sum in path order: ``np.add.reduce`` along axis 0 adds row
+    after row, as a per-path loop would (pairwise summation would not).
     """
     step = max(1, ROW_BLOCK_POINTS // width)
     acc = np.zeros(width)

@@ -35,17 +35,16 @@ field's annotated type (``float``, ``int``, a ``tuple`` of floats, a
 are read by theirs.  A new kind is one such class added to
 :data:`KernelSpec`, which ``_KINDS`` is built from.
 
-``sample(rng, size=k)`` draws ``k`` paths as one batched path, from the
-same random draws in the same order as ``k`` calls with ``size=1``; a
-single path is a one-row batch.  A batched path has three methods, each
-with one result row per path: ``values(ts)`` at times that broadcast
-against a ``(k, 1)`` column (a shared ``(g,)`` grid or a ``(k, g)``
-array), ``sup_abs(lo, hi)``, the exact sup of ``|X|`` over ``[lo, hi]``
-as a ``(k,)`` vector, and ``unit_sups(k_max)``, the sups over
-``[j, j + 1)`` for ``j < k_max`` as a ``(k, k_max)`` array.  A mark
-kernel's batch holds a ``(k, 1)`` column of marks; birth-death chains are
-drawn one after another into a :class:`PathStack`, which stacks its
-chains' results.
+``sample(rng, size=k)`` draws ``k`` paths as one batched path.  It has
+two methods, each with one result row per path: ``values(ts)`` at times
+that broadcast against a ``(k, 1)`` column (a shared ``(g,)`` grid or a
+``(k, g)`` array), and ``unit_sups(k_max)``, the exact sups of ``|X|``
+over ``[j, j + 1)`` for ``j < k_max`` as a ``(k, k_max)`` array.  A
+mark kernel's batch holds a ``(k, 1)`` column of marks and uses the same
+random draws, in the same order, as ``k`` calls with ``size=1``.  A
+birth-death batch steps all its chains at once, one array draw per step
+for the holding times and one for the moves, so its draws depend on
+``k``; it holds their jumps as ragged rows.
 """
 
 import math
@@ -67,7 +66,6 @@ __all__ = [
     "SpikeTrain",
     "KernelSpec",
     "PathSample",
-    "PathStack",
     "sample_path",
     "birth_death_tail_integral",
     "kernel_to_config",
@@ -245,9 +243,9 @@ class BirthDeath:
 
     ``birth_rates[i-1]`` / ``death_rates[i-1]`` are the rates out of state
     ``i`` (1-based, up to ``state_cap``); births out of ``state_cap`` are
-    suppressed.  ``max_jumps`` is the simulation budget: a path that is not
-    absorbed within it raises :class:`NonAbsorbedPathError` carrying the
-    partial path.
+    suppressed.  ``max_jumps`` is the simulation budget: a batch with a
+    chain not absorbed within it raises :class:`NonAbsorbedPathError`
+    carrying the lowest such chain's partial path.
     """
 
     kind: ClassVar[str] = "birth_death"
@@ -273,30 +271,33 @@ class BirthDeath:
             raise KernelError("max_jumps must be >= 1")
 
     def sample(self, rng, size):
-        # Each jump draws an exponential and then a uniform, so k paths are
-        # drawn one after another, exactly as k one-row calls would.
-        return PathStack(tuple(self._path(rng) for _ in range(size)))
-
-    def _path(self, rng):
-        state = self.initial
-        t = 0.0
-        times, states = [], []
+        # Every live row jumps once per step: one exponential holding time
+        # per live row, then one uniform per live row, both in row order.
+        # Rows absorbed at 0 drop out, so a batch's draws depend on its size.
+        birth = np.array(self.birth_rates[:-1] + (0.0,))
+        rate = birth + np.array(self.death_rates)
+        scale = 1.0 / rate
+        row, t, state = np.arange(size), np.zeros(size), np.full(size, self.initial)
+        jumps = []
         for _ in range(self.max_jumps):
-            b = self.birth_rates[state - 1] if state < self.state_cap else 0.0
-            d = self.death_rates[state - 1]
-            rate = b + d
-            t += rng.exponential(1.0 / rate)
-            state = state + 1 if rng.random() * rate < b else state - 1
-            times.append(t)
-            states.append(state)
-            if state == 0:
-                return BirthDeathPath(np.array(times), np.array(states), self.initial, absorbed=True)
-        partial = BirthDeathPath(np.array(times), np.array(states), self.initial, absorbed=False)
-        raise NonAbsorbedPathError(
-            f"birth-death path not absorbed within {self.max_jumps} jumps "
-            "(expected absorption time may be infinite)",
-            partial,
-        )
+            i = state - 1
+            t = t + rng.exponential(scale[i])
+            state = state + np.where(rng.random(len(row)) * rate[i] < birth[i], 1, -1)
+            jumps.append((row, t, state))
+            live = state > 0
+            row, t, state = row[live], t[live], state[live]
+            if not len(row):
+                break
+        rows, times, states = (np.concatenate(column) for column in zip(*jumps))
+        if len(row):
+            lowest = rows == row[0]
+            raise NonAbsorbedPathError(
+                f"birth-death path not absorbed within {self.max_jumps} jumps "
+                "(expected absorption time may be infinite)",
+                BirthDeathPath(self.initial, np.array([self.max_jumps]), times[lowest], states[lowest]),
+            )
+        order = np.argsort(rows, kind="stable")
+        return BirthDeathPath(self.initial, np.bincount(rows, minlength=size), times[order], states[order])
 
     def support_end(self):
         return math.inf
@@ -334,22 +335,6 @@ _KINDS = {cls.kind: cls for cls in get_args(KernelSpec)}
 # Path samples
 
 
-def _step_sup(breaks, vals, lo, hi, include_right):
-    """Sup of |step function| over [lo, hi] (or [lo, hi)); exact.
-
-    ``breaks``/``vals`` describe a right-continuous step function that is 0
-    before ``breaks[0]``.  The sup over a closed interval of such a function
-    is attained at ``lo`` or at a breakpoint inside the interval.
-    """
-    v_lo_idx = int(np.searchsorted(breaks, lo, side="right")) - 1
-    best = abs(vals[v_lo_idx]) if v_lo_idx >= 0 else 0.0
-    i0 = int(np.searchsorted(breaks, lo, side="right"))
-    i1 = int(np.searchsorted(breaks, hi, side="right" if include_right else "left"))
-    if i1 > i0:
-        best = max(best, float(np.max(np.abs(vals[i0:i1]))))
-    return best
-
-
 def _step_unit_sups(breaks, vals, k_max):
     """Per-unit-interval sups of |step function| for k = 0..k_max-1."""
     sups = np.zeros(k_max)
@@ -375,11 +360,6 @@ class TablePath:
     def values(self, ts):
         return self.scale * self.table.value(np.asarray(ts, dtype=float))
 
-    def sup_abs(self, lo, hi, include_right=True):
-        return np.abs(self.scale[:, 0]) * _step_sup(
-            np.asarray(self.table.breakpoints), np.asarray(self.table.values), lo, hi, include_right
-        )
-
     def unit_sups(self, k_max):
         return np.abs(self.scale) * _step_unit_sups(self.table.breakpoints, self.table.values, k_max)
 
@@ -393,11 +373,6 @@ class IndicatorPath:
     def values(self, ts):
         ts = np.asarray(ts, dtype=float)
         return ((ts >= 0.0) & (ts < self.eta)).astype(float)
-
-    def sup_abs(self, lo, hi, include_right=True):
-        eta = self.eta[:, 0]
-        right_ok = hi >= 0.0 if include_right else hi > 0.0
-        return ((eta > 0.0) & (lo < eta) & right_ok).astype(float)
 
     def unit_sups(self, k_max):
         return (np.arange(k_max) < self.eta).astype(float)
@@ -413,10 +388,6 @@ class ExpDecayPath:
     def values(self, ts):
         ts = np.asarray(ts, dtype=float)
         return np.where(ts >= 0.0, self.eta * np.exp(-self.decay * np.maximum(ts, 0.0)), 0.0)
-
-    def sup_abs(self, lo, hi, include_right=True):
-        right_ok = hi >= 0.0 if include_right else hi > 0.0
-        return np.abs(self.eta[:, 0]) * (math.exp(-self.decay * max(lo, 0.0)) if right_ok else 0.0)
 
     def unit_sups(self, k_max):
         return np.abs(self.eta) * np.exp(-self.decay * np.arange(k_max))
@@ -435,67 +406,50 @@ class SpikePath:
         hit = (ts >= 1.0) & (x < self.eta) & (x * (k * k + 1.0) >= k * k * self.eta)
         return hit.astype(float)
 
-    def sup_abs(self, lo, hi, include_right=True):
-        eta = self.eta[:, 0]
-        # A whole unit interval (hence a whole pulse) inside [lo, hi] hits.
-        hit = np.full(len(eta), max(1, math.ceil(lo)) + 1 <= hi)
-        if not hit.all():
-            for k in range(max(1, math.floor(lo)), math.floor(hi) + 1):
-                a, b = k + k * k * eta / (k * k + 1.0), k + eta
-                hit |= (a <= hi if include_right else a < hi) & (b > lo)
-        return (hit & (eta > 0.0)).astype(float)
-
     def unit_sups(self, k_max):
         return ((self.eta > 0.0) & (np.arange(k_max) >= 1)).astype(float)
 
 
 @dataclass(frozen=True)
 class BirthDeathPath:
-    """Jump times and post-jump states of one absorbed (or budget-cut) chain."""
+    """Chains started at ``initial``, their jumps as ragged rows.
 
-    jump_times: np.ndarray
-    states: np.ndarray
+    Row ``i`` jumps ``counts[i]`` times; its jump times and post-jump
+    states are the next ``counts[i]`` entries of ``times`` and ``states``,
+    rows in order.
+    """
+
     initial: int
-    absorbed: bool = True
-
-    def _breaks_vals(self):
-        breaks = np.concatenate([[0.0], self.jump_times])
-        vals = np.concatenate([[float(self.initial)], self.states.astype(float)])
-        return breaks, vals
+    counts: np.ndarray
+    times: np.ndarray
+    states: np.ndarray
 
     def values(self, ts):
         ts = np.asarray(ts, dtype=float)
-        idx = np.searchsorted(self.jump_times, ts, side="right")
-        vals = np.concatenate([[float(self.initial)], self.states.astype(float)])
-        return np.where(ts >= 0.0, vals[idx], 0.0)
-
-    def sup_abs(self, lo, hi, include_right=True):
-        breaks, vals = self._breaks_vals()
-        return _step_sup(breaks, vals, lo, hi, include_right)
-
-    def unit_sups(self, k_max):
-        breaks, vals = self._breaks_vals()
-        return _step_unit_sups(breaks, vals, k_max)
-
-
-@dataclass(frozen=True)
-class PathStack:
-    """Independent paths drawn one by one, their results stacked as rows."""
-
-    paths: tuple
-
-    def values(self, ts):
-        ts = np.broadcast_to(ts, (len(self.paths), np.shape(ts)[-1]))
-        return np.array([path.values(row) for path, row in zip(self.paths, ts)])
-
-    def sup_abs(self, lo, hi, include_right=True):
-        return np.array([path.sup_abs(lo, hi, include_right) for path in self.paths])
+        ends = np.cumsum(self.counts)
+        starts = (ends - self.counts)[:, None]
+        shape = (len(ends), ts.shape[-1])
+        lo, hi = np.broadcast_to(starts, shape), np.broadcast_to(ends[:, None], shape)
+        # Lock-step bisection over each row's slice: ``lo`` ends at the row's
+        # first jump after ``t``, as np.searchsorted(row, t, "right") does.
+        last = len(self.times) - 1
+        for _ in range(int(self.counts.max()).bit_length()):
+            mid = (lo + hi) // 2
+            right = (lo < hi) & ~(ts < self.times[np.minimum(mid, last)])
+            lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
+        return np.where(ts >= 0.0, np.where(lo > starts, self.states[lo - 1], self.initial), 0.0)
 
     def unit_sups(self, k_max):
-        return np.array([path.unit_sups(k_max) for path in self.paths])
+        # The value at each j, raised by the states entered in [j, j + 1).
+        sups = self.values(np.arange(k_max, dtype=float))
+        unit = np.floor(self.times)
+        rows = np.repeat(np.arange(len(self.counts)), self.counts)
+        inside = unit < k_max
+        np.maximum.at(sups, (rows[inside], unit[inside].astype(np.intp)), self.states[inside])
+        return sups
 
 
-PathSample = TablePath | IndicatorPath | ExpDecayPath | SpikePath | PathStack
+PathSample = TablePath | IndicatorPath | ExpDecayPath | SpikePath | BirthDeathPath
 
 
 # --------------------------------------------------------------------------
@@ -506,8 +460,8 @@ def sample_path(spec, rng, size):
     """Draw ``size`` independent trajectories of the kernel as one batched path.
 
     Its ``values`` maps times broadcast against a ``(size, 1)`` column to
-    one row per path; the paths use the same random draws as ``size``
-    one-row calls.
+    one row per path.  Every kernel but the birth-death chain draws as
+    ``size`` one-row calls would.
     """
     return spec.sample(rng, size=size)
 

@@ -75,13 +75,14 @@ def _superpose(spec, row, shifts, grid, k, rng):
 
     Points come row-major (``row`` is nondecreasing), and each draws one
     fresh path.  Paths are drawn and evaluated in chunks of
-    ``SUPERPOSE_BLOCK`` points, one batched draw per chunk: that draws as
-    one call for all points would (see :mod:`.kernels`) and holds at most a
-    chunk of path objects.  Each grid column of a chunk is summed per row
-    by one ``np.bincount``, which adds its weights one at a time in index
-    order; a row the chunk touches restarts from its running sum, so every
-    row adds its terms in point order, as a per-point loop would (pairwise
-    summation would not).  Rows with no point stay 0.
+    ``SUPERPOSE_BLOCK`` points, one batched draw per chunk, so at most a
+    chunk of paths is held.  Every kernel but the birth-death chain draws
+    as one call for all points would (see :mod:`.kernels`); birth-death
+    draws depend on the chunk sizes.  Each grid column of a chunk is summed
+    per row by one ``np.bincount``, which adds its weights one at a time in
+    index order; a row the chunk touches restarts from its running sum, so
+    every row adds its terms in point order, as a per-point loop would
+    (pairwise summation would not).  Rows with no point stay 0.
     """
     values = np.zeros((k, len(grid)))
     for lo in range(0, len(shifts), SUPERPOSE_BLOCK):

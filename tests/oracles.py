@@ -5,7 +5,11 @@ direct transcriptions of the definitions, the energy permutation oracle
 works on raw rows with one 0/1 label column per labelling, and integrals
 come from adaptive quadrature; none of these shares code with the package.
 The superposition oracle draws one one-row batch of paths per point,
-which is what the batched superposition must equal.
+which is what the batched superposition must equal; for birth-death
+chains, whose draws depend on the batch size, a second one draws one
+batch per chunk of points and adds the terms point by point.  The
+birth-death oracle steps each chain in Python lists from the same array
+draws as the batched sampler, and evaluates it with ``np.searchsorted``.
 The increment oracles build renewal sums row by row, from the package's
 width rule, and must match the batched rows draw for draw.
 """
@@ -122,6 +126,63 @@ def per_path_superpose(spec, shifts, grid, rng):
         path = spec.sample(rng, size=1)
         values += path.values(grid - shift)[0]
     return values
+
+
+def chunked_superpose(spec, row, shifts, grid, k, rng, block):
+    """Per row ``i < k``, ``sum_j X_j(grid - shifts[j])`` over the points with ``row[j] == i``.
+
+    The reference for ``process._superpose`` on kernels whose draws depend
+    on the batch size: one ``spec.sample`` call per chunk of ``block``
+    points, then each point's term added onto its row, in point order.
+    """
+    values = np.zeros((k, len(grid)))
+    for lo in range(0, len(shifts), block):
+        paths = spec.sample(rng, size=len(shifts[lo : lo + block]))
+        for i, term in zip(row[lo : lo + block], paths.values(grid - shifts[lo : lo + block, None])):
+            values[i] += term
+    return values
+
+
+def stepped_birth_death(spec, rng, size):
+    """``size`` birth-death chains as ``(times, states)`` pairs of Python lists.
+
+    The reference for ``BirthDeath.sample``: each step draws one
+    ``rng.exponential(size=live)`` and then one ``rng.random(size=live)``
+    over the chains not yet at 0, in chain order; each chain looks up its
+    rates one at a time and appends its jump to its own lists.  Stops after
+    ``spec.max_jumps`` steps, chains still live included.
+    """
+    chains = [([], []) for _ in range(size)]
+    live = list(range(size))
+    for _ in range(spec.max_jumps):
+        if not live:
+            break
+        holds, moves = rng.exponential(size=len(live)), rng.random(size=len(live))
+        for i, hold, move in zip(live, holds, moves):
+            times, states = chains[i]
+            state = states[-1] if states else spec.initial
+            birth = spec.birth_rates[state - 1] if state < spec.state_cap else 0.0
+            rate = birth + spec.death_rates[state - 1]
+            times.append((times[-1] if times else 0.0) + float(hold) * (1.0 / rate))
+            states.append(state + 1 if move * rate < birth else state - 1)
+        live = [i for i in live if chains[i][1][-1] != 0]
+    return chains
+
+
+def chain_values(initial, times, states, ts):
+    """One chain's values at ``ts``: its state after ``np.searchsorted(times, t, "right")`` jumps."""
+    ts = np.asarray(ts, dtype=float)
+    vals = np.array([float(initial)] + [float(s) for s in states])
+    return np.where(ts >= 0.0, vals[np.searchsorted(times, ts, side="right")], 0.0)
+
+
+def chain_unit_sups(initial, times, states, k_max):
+    """One chain's sups over ``[j, j + 1)``: its value at ``j`` or a state entered inside."""
+    sups = chain_values(initial, times, states, np.arange(k_max, dtype=float))
+    for t, state in zip(times, states):
+        if t < k_max:
+            sups[int(t)] = max(sups[int(t)], float(state))
+    return sups
 
 
 def single_row_increments_until(law, rng, start, target, mu, sd):

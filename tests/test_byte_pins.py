@@ -6,7 +6,9 @@ dri digest is the sha256 of the sorted-key JSON of the mean and the path
 reports' ``to_dict()``, at two shapes.  A refactor that keeps the
 ``(config, seed) -> bytes`` contract leaves every digest unchanged; a
 change that moves any value by one ulp, reorders a random draw or alters a
-serialized kernel config does not.
+serialized kernel config does not.  Birth-death draws depend on the
+chunk sizes (``process.SUPERPOSE_BLOCK`` and the dri path chunks), so their
+pins hold those too.
 """
 
 import hashlib
@@ -39,8 +41,8 @@ DIGESTS = {
     ("ScaledExpDecay", "stationary"): "c7d8ba220f7e4aa613b96a35fba717fcd7c9a3d4421e8c9d35b9555be2db01e4",
     ("ScaledTable", "transient"): "bff54908c5710a21ff751c7680602d9c9ce9f3568cb7bcff84126b9af9a59868",
     ("ScaledTable", "stationary"): "a02016a0e02924c5d6e73792e3f380cc5d3e1f3a050c91b6c22f1b4e8feed74e",
-    ("BirthDeath", "transient"): "2b2efc844aecf9e49b8b0e3b7e965629962ff48c4e0435b2df2a9629998961d4",
-    ("BirthDeath", "stationary"): "38e9b9c24ae0e78c31e0030496455267e25c0f23327682a54db98813606eba54",
+    ("BirthDeath", "transient"): "71d1ff31d7b79422ff0704fdf2b2a7f8a20bcbe12b74a76b82ff8d6cfca79d47",
+    ("BirthDeath", "stationary"): "905612bec040d4bb2cdc52c00a9f108db021b14663efac04ec7e7d7288d9811b",
     ("SpikeTrain", "transient"): "4a04867899490d39fd1af0e10c709507879882280d9c3d43dc4b2b4af39eb264",
     ("SpikeTrain", "stationary"): "8f615c4387a49e8c4dcafebabd54e9455a6191a62f44fad4c665906a6a89be09",
 }
@@ -72,8 +74,8 @@ DRI_DIGESTS = {
     ("ScaledExpDecay", "precheck"): "9f26a70e418bc336b772ea37842f7e6b66eeaf1d5350da5036824dec0fe18e94",
     ("ScaledTable", "chunked"): "eb5ebd54cc7d9f46cd971eb38e663c5b897e51ffa2debd0af53d8dc15ae1e2a1",
     ("ScaledTable", "precheck"): "ea179cab5279bd3eeab20cbac6c0b7bbde3e42c44fccb11243539a292e65b263",
-    ("BirthDeath", "chunked"): "eb0953f6bd43dda6b6001b864dde26078ca74b840359996a79ef419b4ad6b7dc",
-    ("BirthDeath", "precheck"): "c660d75e65aa76ad24ab3f907a9d5db675f70e39731f062a85fab00538bc87e7",
+    ("BirthDeath", "chunked"): "864beaccac3cae0f70be0184a9393cc543b466b759055f584de0aac12e9483f1",
+    ("BirthDeath", "precheck"): "5c1091a4ce73d8d1d867d854073cfbe8c9191be170bc6212ccc457c3a40e4ab3",
     ("SpikeTrain", "chunked"): "4241db67a7ed32ab4936df6e87db9bdaf4798c70d9d57842bd4fd9a577f5ea3b",
     ("SpikeTrain", "precheck"): "ad2a3facf6ad08bb8f4979e60e33a7df8a634a2dd884a52744f9243562b28e41",
 }

@@ -10,6 +10,8 @@ from renewal_immigration import kernels as kn
 from renewal_immigration.errors import KernelError, NonAbsorbedPathError
 from renewal_immigration.streams import stream
 
+from oracles import chain_unit_sups, chain_values, stepped_birth_death
+
 TABLE_1_ON_01 = kn.DeterministicTable((0.0, 1.0), (1.0, 0.0))
 TABLE_STEPS = kn.DeterministicTable((0.0, 1.0, 2.5, 4.0), (2.0, -1.0, 0.5, 0.0))
 
@@ -45,8 +47,6 @@ def test_indicator_paths():
     assert path.values([2.999, 3.0, -0.001]).tolist() == [[1.0, 0.0, 0.0]]  # support is [0, eta)
     path25 = kn.IndicatorPath(np.array([[2.5]]))
     assert path25.values([2.5]).tolist() == [[0.0]]
-    assert path25.sup_abs(2.0, 3.0).tolist() == [1.0]
-    assert path25.sup_abs(2.5, 3.0).tolist() == [0.0]
     vals = path25.values(np.linspace(-1.0, 4.0, 100))
     assert set(np.unique(vals)) <= {0.0, 1.0}
 
@@ -55,30 +55,40 @@ def test_scaled_exp_decay_eval():
     path = kn.ExpDecayPath(np.array([[2.0]]), 1.0)
     assert path.values([math.log(2.0)])[0, 0] == pytest.approx(1.0, rel=1e-15)
     assert path.values([-1e-9]).tolist() == [[0.0]]
-    assert path.sup_abs(0.0, 1.0).tolist() == [2.0]
-    assert path.sup_abs(-5.0, -0.001).tolist() == [0.0]
+
+
+def absorption_times(paths):
+    """Each chain's last jump time, where it hits 0."""
+    return paths.times[np.cumsum(paths.counts) - 1]
 
 
 def test_birth_death_pure_death_absorption():
     spec = kn.BirthDeath(initial=1, birth_rates=(0.0,), death_rates=(1.0,), state_cap=1)
-    taus = np.array([path.jump_times[-1] for path in kn.sample_path(spec, stream(3), size=10**5).paths])
+    paths = kn.sample_path(spec, stream(3), size=10**5)
+    assert np.all(paths.counts == 1)
+    taus = absorption_times(paths)
     assert abs(taus.mean() - 1.0) < 0.013
     path = kn.sample_path(spec, stream(4), size=1)
-    tau = path.paths[0].jump_times[-1]
+    tau = path.times[-1]
     assert path.values([tau, tau + 5.0, tau - 1e-9]).tolist() == [[0.0, 0.0, 1.0]]
 
 
 def test_birth_death_states_are_nonnegative_integers():
     spec = kn.BirthDeath(initial=3, birth_rates=(1.0, 1.0, 1.0, 1.0, 0.0),
                          death_rates=(2.0, 2.0, 2.0, 2.0, 2.0), state_cap=5)
-    for path in kn.sample_path(spec, stream(5), size=50).paths:
-        assert np.all(path.states >= 0)
-        assert np.all(path.states == path.states.astype(int))
-        assert path.states[-1] == 0
-        ts = np.linspace(-1.0, float(path.jump_times[-1]) + 2.0, 200)
-        vals = path.values(ts)
-        assert np.all(vals[ts < 0] == 0.0)
-        assert np.all(vals[ts >= path.jump_times[-1]] == 0.0)
+    paths = kn.sample_path(spec, stream(5), size=50)
+    ends = np.cumsum(paths.counts)
+    assert paths.states.dtype.kind == "i" and len(paths.times) == len(paths.states) == ends[-1]
+    assert np.all(paths.states >= 0)
+    # Each chain enters 0 once, at its last jump, and its jump times increase.
+    assert np.flatnonzero(paths.states == 0).tolist() == (ends - 1).tolist()
+    assert np.all(np.delete(np.diff(paths.times), ends[:-1] - 1) > 0.0)
+    taus = absorption_times(paths)
+    ts = np.linspace(-1.0, float(taus.max()) + 2.0, 200)
+    vals = paths.values(ts)
+    assert np.all(vals[:, ts < 0] == 0.0)
+    assert np.all(vals[ts >= taus[:, None]] == 0.0)
+    assert np.all(vals[(ts >= 0) & (ts < taus[:, None])] > 0.0)
 
 
 def test_birth_death_budget_error_carries_partial_path():
@@ -87,8 +97,27 @@ def test_birth_death_budget_error_carries_partial_path():
     with pytest.raises(NonAbsorbedPathError) as info:
         kn.sample_path(spec, stream(6), size=1)
     partial = info.value.partial_path
-    assert len(partial.jump_times) == 50
-    assert not partial.absorbed
+    assert partial.counts.tolist() == [50]
+    assert len(partial.times) == len(partial.states) == 50
+    assert partial.states[-1] != 0
+
+
+def test_birth_death_budget_error_reports_lowest_live_row():
+    # From 1 a chain dies or climbs to the cap with equal odds, and from the
+    # cap it falls back to 1, so it is absorbed at an odd jump or not at all
+    # within four.  Row 0 is absorbed and at least two later rows are not.
+    spec = kn.BirthDeath(initial=1, birth_rates=(1.0, 0.0), death_rates=(1.0, 1.0),
+                         state_cap=2, max_jumps=4)
+    chains = stepped_birth_death(spec, stream(29), 5)
+    live = [i for i, (_, states) in enumerate(chains) if states[-1] != 0]
+    assert chains[0][1][-1] == 0 and len(live) >= 2 and live[0] > 0
+    with pytest.raises(NonAbsorbedPathError) as info:
+        kn.sample_path(spec, stream(29), size=5)
+    partial = info.value.partial_path
+    times, states = chains[live[0]]
+    assert partial.counts.tolist() == [4] and states[-1] != 0
+    assert partial.times.tobytes() == np.array(times).tobytes()
+    assert partial.states.tolist() == states
 
 
 def test_birth_death_validation():
@@ -110,7 +139,7 @@ def test_birth_death_tail_integral_matches_pure_death():
 def test_birth_death_tail_integral_matches_monte_carlo():
     spec = kn.BirthDeath(initial=2, birth_rates=(0.6, 0.6, 0.0), death_rates=(1.2, 1.2, 1.2),
                          state_cap=3)
-    taus = np.array([path.jump_times[-1] for path in kn.sample_path(spec, stream(7), size=4 * 10**4).paths])
+    taus = absorption_times(kn.sample_path(spec, stream(7), size=4 * 10**4))
     # tail_integral(0) = E[tau]; tail_integral(L) = E[(tau - L)+].
     for lo in [0.0, 1.0]:
         mc = np.maximum(taus - lo, 0.0)
@@ -123,14 +152,9 @@ def test_spike_train_geometry():
     # Pulse in [k + 0.5 k^2/(k^2+1), k + 0.5); none before k=1.
     lo1 = 1.0 + 0.5 * 1.0 / 2.0
     assert path.values([0.4, lo1, lo1 - 1e-9, 1.4999, 1.5]).tolist() == [[0.0, 1.0, 0.0, 1.0, 0.0]]
-    assert path.sup_abs(0.0, 0.9).tolist() == [0.0]
-    assert path.sup_abs(1.0, 2.0).tolist() == [1.0]
-    assert path.sup_abs(-10.0, 100.0).tolist() == [1.0]
     assert path.unit_sups(6).tolist() == [[0.0, 1.0, 1.0, 1.0, 1.0, 1.0]]
     # A zero mark gives empty pulses: that row's sups are 0 wherever the other's hit.
     rows = kn.SpikePath(np.array([[0.0], [0.5]]))
-    assert rows.sup_abs(0.5, 1.3).tolist() == [0.0, 1.0]
-    assert rows.sup_abs(-10.0, 100.0).tolist() == [0.0, 1.0]
     assert rows.unit_sups(3).tolist() == [[0.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
 
 
@@ -154,7 +178,6 @@ def test_zero_on_negative_times(spec):
     path = kn.sample_path(spec, stream(8), size=20)
     ts = -np.abs(stream(9).uniform(1e-9, 50.0, size=50))
     assert np.all(path.values(ts) == 0.0)
-    assert np.all(path.sup_abs(-20.0, -1e-12) == 0.0)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
@@ -171,39 +194,79 @@ def test_right_continuity_on_random_grid(spec):
         assert left == pytest.approx(right, abs=1e-10)
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
-def test_sup_dominates_pointwise(spec):
-    path = kn.sample_path(spec, stream(12), size=10)
-    pt_rng = stream(13)
-    for _ in range(10):
-        lo, hi = sorted(pt_rng.uniform(-2.0, 10.0, size=2))
-        sup = path.sup_abs(lo, hi)
-        assert sup.shape == (10,)
-        ts = pt_rng.uniform(lo, hi, size=100)
-        assert np.all(sup[:, None] >= np.abs(path.values(ts)) - 1e-12)
+def change_points(path, k_max):
+    """Per row, the times where the path may jump, padded with -1 as a ``(k, m)`` array.
+
+    Table breakpoints, the indicator's pulse end, the spike train's pulses
+    and birth-death jump times; an exp-decay path has none.  A spike pulse
+    is 1 throughout, so it is represented by its midpoint: its start,
+    rounded, may fall just outside it.
+    """
+    k = len(path.values([0.0]))
+    if isinstance(path, kn.TablePath):
+        return np.broadcast_to(path.table.breakpoints, (k, len(path.table.breakpoints)))
+    if isinstance(path, kn.IndicatorPath):
+        return path.eta
+    if isinstance(path, kn.SpikePath):
+        units = np.arange(1.0, k_max)
+        return units + path.eta * (units**2 + 0.5) / (units**2 + 1.0)
+    if isinstance(path, kn.BirthDeathPath):
+        rows = np.split(path.times, np.cumsum(path.counts)[:-1])
+        points = np.full((k, max(len(r) for r in rows)), -1.0)
+        for row, times in zip(points, rows):
+            row[: len(times)] = times
+        return points
+    return np.empty((k, 0))
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
 def test_unit_sups_match_interval_sups(spec):
-    path = kn.sample_path(spec, stream(14), size=10)
-    sups = path.unit_sups(8)
-    assert sups.shape == (10, 8)
-    for k in range(8):
-        assert sups[:, k] == pytest.approx(path.sup_abs(k, k + 1, include_right=False), abs=1e-12)
+    # A right-continuous path that is piecewise constant, or monotone in
+    # |X| between its change points, has its sup over [j, j + 1) at j or at
+    # a change point inside.
+    k, k_max = 10, 8
+    path = kn.sample_path(spec, stream(14), size=k)
+    ts = np.concatenate([np.broadcast_to(np.arange(k_max, dtype=float), (k, k_max)), change_points(path, k_max)], axis=1)
+    vals, units = np.abs(path.values(ts)), np.floor(ts)
+    want = np.array([[vals[i, units[i] == j].max() for j in range(k_max)] for i in range(k)])
+    assert path.unit_sups(k_max).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
 def test_batch_equals_one_row_batches(spec):
     # k paths drawn at once use the same draws, in the same order, as k
-    # successive one-row draws, and every method gives the same rows.
+    # successive one-row draws, and every method gives the same rows.  A
+    # birth-death batch steps all its chains at once instead, so it is
+    # checked against the stepping oracle.
     k, ts = 7, np.linspace(-1.0, 9.0, 37)
     rng_batch, rng_rows = stream(15), stream(15)
     batch = kn.sample_path(spec, rng_batch, size=k)
-    rows = [kn.sample_path(spec, rng_rows, size=1) for _ in range(k)]
+    if isinstance(spec, kn.BirthDeath):
+        chains = stepped_birth_death(spec, rng_rows, k)
+        want_values = np.array([chain_values(spec.initial, *chain, ts) for chain in chains])
+        want_sups = np.array([chain_unit_sups(spec.initial, *chain, 12) for chain in chains])
+    else:
+        rows = [kn.sample_path(spec, rng_rows, size=1) for _ in range(k)]
+        want_values = np.concatenate([row.values(ts) for row in rows])
+        want_sups = np.concatenate([row.unit_sups(12) for row in rows])
     assert rng_batch.bit_generator.state == rng_rows.bit_generator.state
-    for method in (lambda p: p.values(ts), lambda p: p.sup_abs(0.5, 3.0), lambda p: p.unit_sups(12)):
-        want = np.concatenate([method(row) for row in rows])
-        assert method(batch).tobytes() == want.tobytes()
+    assert batch.values(ts).tobytes() == want_values.tobytes()
+    assert batch.unit_sups(12).tobytes() == want_sups.tobytes()
+
+
+def test_birth_death_values_equal_per_row_searchsorted():
+    # Shared and per-row grids, with times at and next to the jumps.
+    spec = ALL_SPECS[4]
+    paths = kn.sample_path(spec, stream(17), size=300)
+    rows = np.split(paths.times, np.cumsum(paths.counts)[:-1])
+    states = np.split(paths.states, np.cumsum(paths.counts)[:-1])
+    shared = np.concatenate([np.linspace(-1.0, 15.0, 41), paths.times[:20], np.nextafter(paths.times[:20], 0.0)])
+    # Every chain starts at 2, so it jumps at least twice.
+    own = np.array([np.concatenate([r[:2], np.nextafter(r[:2], np.inf), [-0.5, 0.0, 30.0]]) for r in rows])
+    for ts in (shared, own):
+        grids = np.broadcast_to(ts, (300, ts.shape[-1]))
+        want = np.array([chain_values(spec.initial, r, s.tolist(), t) for r, s, t in zip(rows, states, grids)])
+        assert paths.values(ts).tobytes() == want.tobytes()
 
 
 def test_indicator_rejects_signed_eta():

@@ -14,7 +14,7 @@ from renewal_immigration.renewal import StationaryWindowSampler, build_stationar
 from renewal_immigration.stats import ks_two_sample
 from renewal_immigration.streams import STATIONARY_BLOCK, TRANSIENT_BLOCK, stream
 
-from oracles import busy_servers_event_driven, per_path_superpose
+from oracles import busy_servers_event_driven, chunked_superpose, per_path_superpose
 from test_kernels import ALL_SPECS, TABLE_STEPS
 
 ZERO_KERNEL = kn.DeterministicTable((0.0,), (0.0,))
@@ -333,11 +333,16 @@ def per_row_superpose(spec, row, shifts, grid, k, rng):
 
 @pytest.mark.parametrize("spec", SUPERPOSE_SPECS, ids=spec_id)
 def test_superpose_matches_per_path_loop(spec, monkeypatch):
+    # Birth-death draws depend on the batch size, so their oracle draws one
+    # batch per chunk of points as the superposition does.
     for seed, (name, row, shifts, grid, k, block) in enumerate(superpose_cases()):
         monkeypatch.setattr(pr, "SUPERPOSE_BLOCK", block)
         rng, ref_rng = stream(50 + seed), stream(50 + seed)
         got = pr._superpose(spec, row, shifts, grid, k, rng)
-        want = per_row_superpose(spec, row, shifts, grid, k, ref_rng)
+        if isinstance(spec, kn.BirthDeath):
+            want = chunked_superpose(spec, row, shifts, grid, k, ref_rng, block)
+        else:
+            want = per_row_superpose(spec, row, shifts, grid, k, ref_rng)
         assert got.tobytes() == want.tobytes(), name
         assert rng.bit_generator.state == ref_rng.bit_generator.state, name
 
