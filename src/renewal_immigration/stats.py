@@ -31,7 +31,11 @@ __all__ = [
 ENERGY_EXACT_ROWS = 20_000
 
 # Distances are streamed in blocks of about this many entries, each block
-# filled one cache-sized tile at a time.
+# filled one cache-sized tile at a time.  An energy test holds one block,
+# its (P, k) integer label draws and two float buffers of labelling tiles.
+# When the k x k distances fit one block, a tile holds max(k, DISTANCE_TILE
+# // k) labellings, so neither buffer is larger than the distance matrix or
+# one distance tile; otherwise all P + 1 labellings form one tile.
 ENERGY_BLOCK_ENTRIES = 2**24
 DISTANCE_TILE = 2**15
 
@@ -181,6 +185,47 @@ def _euclidean_into(out, a, b):
     return out
 
 
+def _distinct_rows(z):
+    """Distinct rows of ``z`` in lexicographic order, and each row's index among them.
+
+    The rows and inverse of ``np.unique(z, axis=0, return_inverse=True)``, from
+    a stable lexsort over the columns and a row-change mask in place of a sort
+    of a structured dtype.  Rows equal as floats share one entry, which is
+    their first occurrence (``np.unique`` may keep the other sign of a zero).
+    """
+    order = np.lexsort(z.T[::-1]) if z.shape[1] else np.arange(len(z))
+    ranked = z[order]
+    new = np.empty(len(z), dtype=bool)
+    new[:1] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    inv = np.empty(len(z), dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return ranked[new], inv
+
+
+def _count_tiles(observed, drawn, width):
+    """Float label counts per distinct row, ``width`` labellings per tile.
+
+    Yields ``(lo, tile)`` with ``tile`` a contiguous ``(k, width)`` array
+    (the last one ragged) holding labellings ``lo, lo + 1, ...``: labelling 0
+    is ``observed``, labelling ``p >= 1`` is row ``p - 1`` of ``drawn``.  The
+    draws are released once the last tile is converted, so the caller must
+    hold no other reference to them.
+    """
+    total = len(drawn) + 1
+    for lo in range(0, total, width):
+        hi = min(lo + width, total)
+        tile = np.empty((len(observed), hi - lo))
+        if lo == 0:
+            tile[:, 0] = observed
+            tile[:, 1:] = drawn[: hi - 1].T
+        else:
+            tile[:] = drawn[lo - 1 : hi - 1].T
+        if hi == total:
+            del drawn
+        yield lo, tile
+
+
 def energy_distance(a_matrix, b_matrix, n_permutations, rng):
     """Two-sample energy statistic with a permutation p-value.
 
@@ -195,15 +240,28 @@ def energy_distance(a_matrix, b_matrix, n_permutations, rng):
     multivariate hypergeometric, drawn for every labelling in one call.
     The p-value counts the observed arrangement itself, so it is never
     below ``1/(n_permutations+1)``.
+
+    Memory: with ``k`` distinct rows and ``P`` permutations the call holds
+    the ``(P, k)`` integer draws, one distance block of at most
+    ``ENERGY_BLOCK_ENTRIES`` entries, and two float tile buffers (counts and
+    distance-weighted counts) of ``max(k, DISTANCE_TILE // k)`` labellings
+    each, no larger than the distance matrix or one distance tile.  That
+    tile rule applies when the whole ``k x k`` matrix fits in one block, so
+    its distances are computed once for every tile (and a few distinct rows
+    do not make thousands of tiles); otherwise all ``P + 1`` labellings form
+    one tile, converted before the draws are released, and the blocks are
+    computed once for it.
     """
     a = _as_matrix(a_matrix)
     b = _as_matrix(b_matrix)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"column counts differ: {a.shape[1]} vs {b.shape[1]}")
+    if len(a) < 1 or len(b) < 1:
+        raise ValueError("both samples must be nonempty")
     if n_permutations < 19:
         raise ValueError("need at least 19 permutations for a meaningful p-value")
     note = ""
-    uniq, inv = np.unique(np.vstack([a, b]), axis=0, return_inverse=True)
+    uniq, inv = _distinct_rows(np.vstack([a, b]))
     if len(uniq) > ENERGY_EXACT_ROWS:
         total = len(a) + len(b)
         keep_a = max(1, int(round(ENERGY_EXACT_ROWS * len(a) / total)))
@@ -211,40 +269,48 @@ def energy_distance(a_matrix, b_matrix, n_permutations, rng):
         a = a[rng.choice(len(a), size=keep_a, replace=False)]
         b = b[rng.choice(len(b), size=keep_b, replace=False)]
         note = f"subsampled to {keep_a}+{keep_b} rows from the caller's stream"
-        uniq, inv = np.unique(np.vstack([a, b]), axis=0, return_inverse=True)
-    inv = inv.reshape(-1)  # numpy 2.0.0 returns it 2-D for axis=0
+        uniq, inv = _distinct_rows(np.vstack([a, b]))
     n, m = len(a), len(b)
     k = len(uniq)
+    labellings = n_permutations + 1
 
-    # Column 0 counts the observed labelling per distinct row, the rest
-    # count the permutations; w holds the multiplicities.  A uniform
-    # n-subset of the pooled rows has multivariate hypergeometric counts
-    # per distinct row, drawn in one call by the cheaper of numpy's two
-    # methods: "marginals" costs O(k) per labelling, "count" O(n).
+    # Labelling 0 is observed, the rest are permutations; w holds the
+    # multiplicities.  A uniform n-subset of the pooled rows has
+    # multivariate hypergeometric counts per distinct row, drawn in one call
+    # by the cheaper of numpy's two methods: "marginals" costs O(k) per
+    # labelling, "count" O(n).  The draws go straight to the tile generator,
+    # which holds the only reference to them.
     w = np.bincount(inv, minlength=k)
-    counts = np.empty((k, n_permutations + 1))
-    counts[:, 0] = np.bincount(inv[:n], minlength=k)
-    drawn = rng.multivariate_hypergeometric(w, n, size=n_permutations, method="marginals" if k < n else "count")
-    counts[:, 1:] = drawn.T
-    del drawn  # before the distance pass allocates its own (k, P + 1) array
+    block = max(1, int(ENERGY_BLOCK_ENTRIES // k))
+    tiles = _count_tiles(
+        np.bincount(inv[:n], minlength=k),
+        rng.multivariate_hypergeometric(w, n, size=n_permutations, method="marginals" if k < n else "count"),
+        max(k, DISTANCE_TILE // k) if block >= k else labellings,
+    )
     w = w.astype(float)
 
-    # Streamed distances between distinct rows: accumulate D @ counts and
-    # D @ w without materializing the full distance matrix; all blocks share
-    # one buffer.
-    dx = np.empty((k, n_permutations + 1))
+    # Per tile, streamed distances between distinct rows give D @ counts
+    # (and D @ w on the first tile) in one shared block buffer.  Distances
+    # are computed on the first tile only: either one block holds them all,
+    # or the first tile is the only one.
     row_sums = np.empty(k)
-    block = max(1, int(ENERGY_BLOCK_ENTRIES // max(k, 1)))
     dist = np.empty((min(block, k), k))
-    for lo in range(0, k, block):
-        rows = uniq[lo : lo + block]
-        dblk = _euclidean_into(dist[: len(rows)], rows, uniq)
-        dx[lo : lo + block] = dblk @ counts
-        row_sums[lo : lo + block] = dblk @ w
+    s_aa = np.empty(labellings)
+    r = np.empty(labellings)
+    for lo, counts in tiles:
+        dx = np.empty_like(counts)
+        for start in range(0, k, block):
+            rows = uniq[start : start + block]
+            dblk = dist[: len(rows)]
+            if lo == 0:
+                _euclidean_into(dblk, rows, uniq)
+                row_sums[start : start + block] = dblk @ w
+            np.matmul(dblk, counts, out=dx[start : start + block])
+        hi = lo + counts.shape[1]
+        s_aa[lo:hi] = np.einsum("ip,ip->p", counts, dx)
+        r[lo:hi] = counts.T @ row_sums
 
     grand = float(w @ row_sums)
-    s_aa = np.einsum("ip,ip->p", counts, dx)
-    r = counts.T @ row_sums
     s_ab = r - s_aa
     s_bb = grand - 2.0 * r + s_aa
     stats = 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)

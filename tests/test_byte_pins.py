@@ -17,6 +17,7 @@ import json
 import pytest
 
 from renewal_immigration import distributions as dist
+from renewal_immigration import stats
 from renewal_immigration.diagnostics import dri_mean_check, dri_path_check
 from renewal_immigration.process import fdd_sample
 from renewal_immigration.streams import stream
@@ -89,3 +90,35 @@ def test_dri_bytes_are_pinned(spec, shape):
     path = dri_path_check(spec, k_max, n_mc, stream(DRI_SEED, 1))
     text = json.dumps([mean.to_dict(), path.to_dict()], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == DRI_DIGESTS[(type(spec).__name__, shape)]
+
+
+# Energy permutation tests on 149 distinct Poisson rows (of 6000) at 2999
+# and 200 labellings, on 500 distinct continuous rows (numpy's "count"
+# hypergeometric method, since k >= n), and on the Poisson rows with the
+# distances streamed in 3-row blocks.
+ENERGY_SHAPES = {"poisson-2999": 2999, "poisson-200": 200, "continuous": 199, "blocks": 200}
+ENERGY_SEED = 31
+
+ENERGY_DIGESTS = {
+    "poisson-2999": "329e1edf96aade8a015f4695103dbd1ab3e2d93be7219c4ed3c636f36826b20c",
+    "poisson-200": "853af71051c5e1a9366bf8523b1e13c21d2cd84f8cc8a02fd48c510d2904a6bb",
+    "continuous": "89d8dbebf99e57439eb42276504dc6c40cf014f4bc6740cc47e4649e27f1c3f6",
+    "blocks": "410fbdebd5793926e3341b4435ca9ba6a0e2522199b100895cbd3acf12628af0",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ENERGY_SHAPES))
+def test_energy_bytes_are_pinned(shape, monkeypatch):
+    if shape == "continuous":
+        data = stream(ENERGY_SEED + 2)
+        a, b = data.normal(size=(300, 3)), data.normal(size=(200, 3)) + 0.1
+        rng = stream(ENERGY_SEED + 3)
+    else:
+        data = stream(ENERGY_SEED)
+        a, b = data.poisson(1.0, size=(3000, 3)), data.poisson(1.0, size=(3000, 3))
+        rng = stream(ENERGY_SEED + 1)
+    if shape == "blocks":
+        monkeypatch.setattr(stats, "ENERGY_BLOCK_ENTRIES", 3 * 149)
+    result = stats.energy_distance(a, b, ENERGY_SHAPES[shape], rng)
+    text = json.dumps(result.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ENERGY_DIGESTS[shape]

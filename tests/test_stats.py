@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,19 +143,39 @@ def _normal_rows(rng, n):
     return rng.normal(size=(n, 3))
 
 
+def _tile_widths(monkeypatch, distance_tile=None):
+    # Records the labellings per tile; a small DISTANCE_TILE makes the tiles
+    # k labellings wide, so small samples span several.
+    if distance_tile is not None:
+        monkeypatch.setattr(rs, "DISTANCE_TILE", distance_tile)
+    widths = []
+    count_tiles = rs._count_tiles
+
+    def recording(observed, drawn, width):
+        widths.append(width)
+        return count_tiles(observed, drawn, width)
+
+    monkeypatch.setattr(rs, "_count_tiles", recording)
+    return widths
+
+
 @pytest.mark.parametrize("draw", [_poisson_rows, _normal_rows])
 @pytest.mark.parametrize("shift", [0.0, 0.3])
-def test_energy_distance_matches_dense_label_loop(draw, shift):
+def test_energy_distance_matches_dense_label_loop(draw, shift, monkeypatch):
     # Same generator stream, same drawn label counts: equal p-values and a
-    # statistic equal up to float64 summation order.
+    # statistic equal up to float64 summation order.  With 2^10-entry
+    # distance tiles, the 76 distinct Poisson rows without a shift take the
+    # 100 labellings in tiles of 76 and 24; the others fit one tile.
     data = stream(11)
     a = draw(data, 300)
     b = draw(data, 200) + shift
+    widths = _tile_widths(monkeypatch, 2**10)
     ours, ref = stream(12), stream(12)
     res = rs.energy_distance(a, b, 99, ours)
     statistic, p_value = dense_energy_permutation(a, b, 99, ref)
+    assert widths == [len(np.unique(np.vstack([a, b]), axis=0))]
     assert res.p_value == p_value
-    assert res.statistic == pytest.approx(statistic, rel=1e-9)
+    assert res.statistic == pytest.approx(statistic, rel=1e-10)
     assert ours.bit_generator.state == ref.bit_generator.state
 
 
@@ -164,6 +185,9 @@ def test_energy_distance_validation():
         rs.energy_distance(np.zeros((5, 2)), np.zeros((5, 3)), 30, rng)
     with pytest.raises(ValueError):
         rs.energy_distance(np.zeros((5, 2)), np.zeros((5, 2)), 5, rng)
+    for a, b in [(np.zeros((0, 2)), np.zeros((5, 2))), (np.zeros((5, 2)), np.zeros((0, 2))), (np.zeros((0, 2)),) * 2]:
+        with pytest.raises(ValueError, match="nonempty"):
+            rs.energy_distance(a, b, 19, rng)
 
 
 def test_energy_distance_subsamples_beyond_cap(monkeypatch):
@@ -221,16 +245,107 @@ def test_distances_over_several_tiles_equal_cdist(monkeypatch, tile):
 @pytest.mark.parametrize("draw", [_poisson_rows, _normal_rows])
 def test_energy_distance_over_several_blocks(monkeypatch, draw):
     # One distance buffer refilled block by block, the last block ragged,
-    # gives the one-block statistic and p-value.
+    # with all 100 labellings in one tile, gives the statistic and p-value
+    # of one resident block under tiles of k labellings.
     data = stream(16)
     a, b = draw(data, 40), draw(data, 30) + 0.2
+    widths = _tile_widths(monkeypatch, 2**10)
     one = rs.energy_distance(a, b, 99, stream(17))
     k = len(np.unique(np.vstack([a, b]), axis=0))
     assert k % 3  # 3-row blocks leave a ragged last block
     monkeypatch.setattr(rs, "ENERGY_BLOCK_ENTRIES", 3 * k)
     several = rs.energy_distance(a, b, 99, stream(17))
+    assert widths == [k, 100] and k < 100
     assert several.p_value == one.p_value
     assert several.statistic == pytest.approx(one.statistic, rel=1e-12)
+
+
+@pytest.mark.parametrize("distance_tile", [1, None])
+def test_energy_distance_on_one_distinct_row(monkeypatch, distance_tile):
+    # k = 1: every statistic is 0, whether every labelling is its own tile
+    # or, by default, one tile holds DISTANCE_TILE of them.
+    rows = np.full((40, 2), 3.0)
+    widths = _tile_widths(monkeypatch, distance_tile)
+    res = rs.energy_distance(rows[:25], rows[25:], 99, stream(23))
+    assert widths == [1 if distance_tile else rs.DISTANCE_TILE]
+    assert res.statistic == 0.0
+    assert res.p_value == 1.0
+
+
+def test_energy_tiles_with_count_method_match_dense_label_loop(monkeypatch):
+    # 60 distinct continuous rows against n = 30 draws with numpy's "count"
+    # method; 200 labellings make tiles of 60, 60, 60 and 20.
+    data = stream(24)
+    a, b = data.normal(size=(30, 2)), data.normal(size=(30, 2)) + 0.5
+    widths = _tile_widths(monkeypatch, 2**10)
+    ours, ref = stream(25), stream(25)
+    res = rs.energy_distance(a, b, 199, ours)
+    statistic, p_value = dense_energy_permutation(a, b, 199, ref)
+    assert widths == [60]
+    assert res.p_value == p_value
+    assert res.statistic == pytest.approx(statistic, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rng: rng.poisson(1.0, size=(500, 3)).astype(float),
+        lambda rng: rng.normal(size=(300, 4)),
+        lambda rng: np.repeat(rng.normal(size=(40, 2)), 7, axis=0)[rng.permutation(280)],
+        lambda rng: rng.integers(-3, 4, size=(1, 5)).astype(float),
+        lambda rng: np.zeros((6, 0)),
+    ],
+    ids=["integer", "continuous", "duplicated", "single", "no-columns"],
+)
+def test_distinct_rows_equal_numpy_unique(draw):
+    z = draw(stream(26))
+    rows, inv = rs._distinct_rows(z)
+    expected, expected_inv = np.unique(z, axis=0, return_inverse=True)
+    assert rows.tobytes() == expected.tobytes() and rows.shape == expected.shape
+    assert inv.tobytes() == expected_inv.reshape(-1).astype(np.intp).tobytes()
+
+
+def test_distinct_rows_merge_signed_zeros_as_numpy_unique():
+    # np.unique keeps whichever sign of a zero its unstable sort puts first;
+    # the lexsort keeps the first occurrence.  Rows, inverse and distances
+    # agree all the same.
+    rng = stream(27)
+    z = rng.integers(-1, 2, size=(400, 2)).astype(float)
+    z[rng.random(z.shape) < 0.5] *= -1.0
+    rows, inv = rs._distinct_rows(z)
+    expected, expected_inv = np.unique(z, axis=0, return_inverse=True)
+    assert np.array_equal(rows, expected)
+    assert np.array_equal(inv, expected_inv.reshape(-1))
+    assert rows.tobytes() == z[np.unique(inv, return_index=True)[1]].tobytes()
+    assert _distances(rows, rows).tobytes() == _distances(expected, expected).tobytes()
+
+
+@pytest.mark.parametrize("one_tile", [False, True], ids=["tiles", "one-tile"])
+def test_energy_distance_allocates_little_beyond_the_draws(monkeypatch, one_tile):
+    # About 150 distinct integer rows and 2999 labellings in tiles of
+    # DISTANCE_TILE // k: the (P, k) integer draws are the one array of
+    # k * P entries that the call holds.  In one tile over several blocks,
+    # the draws are released before the distance-weighted counts are
+    # allocated, so at most two such arrays are live at once.
+    data = stream(41)
+    a, b = data.poisson(1.0, size=(3000, 3)), data.poisson(1.0, size=(3000, 3))
+    k = len(np.unique(np.vstack([a, b]), axis=0))
+    n_permutations = 2999
+    if one_tile:
+        monkeypatch.setattr(rs, "ENERGY_BLOCK_ENTRIES", k * k - 1)
+    widths = _tile_widths(monkeypatch)
+    tracemalloc.start()
+    try:
+        rs.energy_distance(a, b, n_permutations, stream(42))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if one_tile:
+        assert widths == [n_permutations + 1]
+        assert peak <= 2.5 * k * n_permutations * 8
+    else:
+        assert widths == [rs.DISTANCE_TILE // k] and widths[0] < n_permutations
+        assert peak <= 1.6 * k * n_permutations * 8
 
 
 def test_energy_permutation_null_calibration():
