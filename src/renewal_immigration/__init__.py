@@ -18,8 +18,6 @@ from .distributions import (
     is_lattice,
     law_from_config,
     law_to_config,
-    mean,
-    sample,
     sample_size_biased,
     sample_stationary_delay,
 )

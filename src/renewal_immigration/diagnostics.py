@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import integrated_tail_cdf, is_lattice, mean as law_mean
+from .distributions import integrated_tail_cdf, is_lattice
 from .errors import KernelError, NonAbsorbedPathError, TruncationError
 from .kernels import sample_path
 from .process import fdd_sample
@@ -448,17 +448,17 @@ class IntervalIntensity:
 
 def intensity_half_width(law, intervals):
     """Half-width of the windows :func:`intensity_check` draws."""
-    return max(max(abs(a), abs(b)) for a, b in intervals) + law_mean(law)
+    return max(max(abs(a), abs(b)) for a, b in intervals) + law.mean()
 
 
 def shift_half_width(law, shift, interval):
     """Half-width of the windows :func:`shift_invariance_check` draws."""
-    return max(abs(interval[0]), abs(interval[1])) + abs(shift) + law_mean(law)
+    return max(abs(interval[0]), abs(interval[1])) + abs(shift) + law.mean()
 
 
 def laplace_half_width(law, h):
     """Half-width of the stationary windows :func:`laplace_functional_compare` draws."""
-    return max(h.support_end(), law_mean(law))
+    return max(h.support_end(), law.mean())
 
 
 def intensity_check(law, intervals, n_windows, rng):
@@ -476,7 +476,7 @@ def intensity_check(law, intervals, n_windows, rng):
             cnt = rows.count_in(a, b)
             sums[j] += int(cnt.sum())
             squares[j] += int(cnt @ cnt)
-    mu = law_mean(law)
+    mu = law.mean()
     out = []
     for (a, b), total, total_sq in zip(intervals, sums, squares):
         emp = total / n_windows
@@ -506,7 +506,7 @@ class OvershootReport:
 
 def overshoot_check(law, horizon, n_realizations, rng):
     """KS of forward-simulation overshoots against the integrated-tail CDF."""
-    mu = law_mean(law)
+    mu = law.mean()
     warning = None
     if horizon < 20.0 * mu:
         warning = f"horizon {horizon:g} is below 20 means ({20 * mu:g}); overshoots may be biased"

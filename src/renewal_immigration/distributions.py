@@ -13,11 +13,16 @@ stationary renewal construction needs: the size-biased law of the interval
 straddling a uniform time point, and the integrated-tail law of the
 stationary delay / limiting overshoot.
 
+Every law has one tail method, ``tail_mean(x) = E[(X - x)^+]`` for
+``x >= 0``, in closed form and not as ``E[X] - E[min(X, x)]``, which
+cancels, so it keeps its relative accuracy far out in the tail.  The
+integrated-tail CDF and the indicator kernel's truncation bound are both
+read from it.
+Normal (hence log-normal) tails are computed with ``math.erfc``; only the
+gamma tail imports ``scipy.special``, when called.
+
 Laws serialize to flat dicts, e.g. ``{"family": "exponential", "rate": 1.0}``;
 see :func:`law_from_config`.
-
-Normal (hence log-normal) tails are computed with ``math.erfc``; only the
-gamma tails import ``scipy.special``, when called.
 """
 
 import math
@@ -41,8 +46,6 @@ __all__ = [
     "Pareto",
     "Law",
     "check_interarrival",
-    "mean",
-    "sample",
     "sample_size_biased",
     "sample_stationary_delay",
     "integrated_tail_cdf",
@@ -78,6 +81,21 @@ def normal_cdf(z):
     return 0.5 * np.asarray(_erfc(np.asarray(z, dtype=float) * -math.sqrt(0.5)), dtype=float)
 
 
+def _mills(w):
+    """Mills ratio ``Phi(-w) / phi(w)``; from w = 20 on, by its continued fraction.
+
+    ``w / (w^2 + 1) < Phi(-w) / phi(w) < 1 / w``, so it stays a normal
+    float where ``Phi(-w)`` and ``phi(w)`` underflow.  Twelve levels of
+    ``1 / (w + 1 / (w + 2 / (w + ...)))`` are exact to rounding at w >= 20.
+    """
+    w = np.asarray(w, dtype=float)
+    near, far = np.minimum(w, 20.0), np.maximum(w, 20.0)
+    t = far
+    for k in range(12, 0, -1):
+        t = far + k / t
+    return np.where(w < 20.0, normal_cdf(-near) * math.sqrt(2.0 * math.pi) * np.exp(0.5 * near**2), 1.0 / t)
+
+
 @dataclass(frozen=True)
 class Exponential:
     """Exponential law with the given rate (mean ``1/rate``)."""
@@ -102,17 +120,9 @@ class Exponential:
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size=size)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))
-
-    def sf(self, x):
-        return 1.0 - self.cdf(x)
-
-    def mean_min(self, x):
-        """E[min(X, x)] for x >= 0."""
-        x = np.asarray(x, dtype=float)
-        return -np.expm1(-self.rate * x) / self.rate
+    def tail_mean(self, x):
+        """``E[(X - x)^+]`` for ``x >= 0``."""
+        return np.exp(-self.rate * np.asarray(x, dtype=float)) / self.rate
 
     def size_biased_sample(self, rng, size=None):
         # x * rate * e^{-rate x} / mean is a Gamma(2, 1/rate) density.
@@ -144,24 +154,13 @@ class Gamma:
     def sample(self, rng, size=None):
         return rng.gamma(self.shape, self.scale, size=size)
 
-    def cdf(self, x):
-        # Regularized incomplete gamma functions of x / scale; clamping at
-        # 0 gives cdf 0 and sf 1 below the support.
-        from scipy.special import gammainc
-
-        return gammainc(self.shape, np.maximum(x, 0.0) / self.scale)
-
-    def sf(self, x):
+    def tail_mean(self, x):
+        # theta (k Q(k + 1, y) - y Q(k, y)) at y = x / theta, Q the upper
+        # regularized incomplete gamma function.
         from scipy.special import gammaincc
 
-        return gammaincc(self.shape, np.maximum(x, 0.0) / self.scale)
-
-    def mean_min(self, x):
-        from scipy.special import gammainc
-
-        x = np.asarray(x, dtype=float)
-        head = self.mean() * gammainc(self.shape + 1.0, np.maximum(x, 0.0) / self.scale)
-        return head + x * self.sf(x)
+        y = np.asarray(x, dtype=float) / self.scale
+        return self.scale * (self.shape * gammaincc(self.shape + 1.0, y) - y * gammaincc(self.shape, y))
 
     def size_biased_sample(self, rng, size=None):
         # Size-biasing a Gamma(k, theta) bumps the shape by one.
@@ -193,19 +192,10 @@ class Uniform:
     def sample(self, rng, size=None):
         return rng.uniform(self.lo, self.hi, size=size)
 
-    def cdf(self, x):
+    def tail_mean(self, x):
         x = np.asarray(x, dtype=float)
-        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-
-    def sf(self, x):
-        return 1.0 - self.cdf(x)
-
-    def mean_min(self, x):
-        # Valid in the interarrival role (lo >= 0).
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.lo, self.hi
-        mid = lo + (hi * (x - lo) - 0.5 * (x**2 - lo**2)) / (hi - lo)
-        return np.where(x <= lo, x, np.where(x >= hi, self.mean(), mid))
+        inside = np.maximum(self.hi - x, 0.0) ** 2 / (2.0 * (self.hi - self.lo))
+        return np.where(x <= self.lo, self.mean() - x, inside)
 
     def size_biased_sample(self, rng, size=None):
         # Inverse transform of the density x / (mean * (hi - lo)) on [lo, hi].
@@ -238,21 +228,18 @@ class LogNormal:
     def sample(self, rng, size=None):
         return rng.lognormal(self.mu, self.sigma, size=size)
 
-    def cdf(self, x):
+    def tail_mean(self, x):
+        # m Phi(sigma - z) - x Phi(-z) with z = (ln x - mu) / sigma; at
+        # x = 0 the clamped log makes it m exactly.  Past z = 30, before
+        # Phi(-z) goes subnormal, the same difference is taken as
+        # x phi(z) (R(z - sigma) - R(z)) with R the Mills ratio.
         x = np.asarray(x, dtype=float)
-        lx = np.log(np.maximum(x, np.finfo(float).tiny))
-        return np.where(x > 0, normal_cdf((lx - self.mu) / self.sigma), 0.0)
-
-    def sf(self, x):
-        return 1.0 - np.asarray(self.cdf(x))
-
-    def mean_min(self, x):
-        # Limited expected value: m*Phi((ln x - mu - sigma^2)/sigma) + x*sf(x).
-        x = np.asarray(x, dtype=float)
-        lx = np.log(np.maximum(x, np.finfo(float).tiny))
-        head = self.mean() * normal_cdf((lx - self.mu - self.sigma**2) / self.sigma)
-        tail = x * normal_cdf(-((lx - self.mu) / self.sigma))
-        return np.where(x > 0, head + tail, 0.0)
+        mu, sigma = self.mu, self.sigma
+        z = (np.log(np.maximum(x, np.finfo(float).tiny)) - mu) / sigma
+        far = np.maximum(z, 30.0)
+        x_phi = np.exp(mu + sigma * far - 0.5 * far**2) / math.sqrt(2.0 * math.pi)
+        near = self.mean() * normal_cdf(sigma - z) - x * normal_cdf(-z)
+        return np.where(z < 30.0, near, x_phi * (_mills(far - sigma) - _mills(far)))
 
     def size_biased_sample(self, rng, size=None):
         # x * lognormal(mu, sigma) density / mean is lognormal(mu + sigma^2, sigma).
@@ -285,15 +272,8 @@ class PointMass:
             return self.value
         return np.full(size, self.value)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= self.value, 1.0, 0.0)
-
-    def sf(self, x):
-        return 1.0 - self.cdf(x)
-
-    def mean_min(self, x):
-        return np.minimum(np.asarray(x, dtype=float), self.value)
+    def tail_mean(self, x):
+        return np.maximum(self.value - np.asarray(x, dtype=float), 0.0)
 
     def size_biased_sample(self, rng, size=None):
         if size is None:
@@ -345,20 +325,9 @@ class FiniteDiscrete:
         vals, probs = self._sorted
         return rng.choice(vals, size=size, p=probs)
 
-    def cdf(self, x):
+    def tail_mean(self, x):
         vals, probs = self._sorted
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(vals, x, side="right")
-        cum = np.concatenate([[0.0], np.cumsum(probs)])
-        return cum[idx]
-
-    def sf(self, x):
-        return 1.0 - self.cdf(x)
-
-    def mean_min(self, x):
-        vals, probs = self._sorted
-        x = np.asarray(x, dtype=float)
-        return np.minimum(vals, x[..., None]) @ probs
+        return np.maximum(vals - np.asarray(x, dtype=float)[..., None], 0.0) @ probs
 
     def size_biased_sample(self, rng, size=None):
         vals, probs = self._sorted
@@ -402,24 +371,13 @@ class Pareto:
         u = rng.uniform(size=size)
         return self.xm * np.power(1.0 - u, -1.0 / self.alpha)
 
-    def cdf(self, x):
+    def tail_mean(self, x):
+        # xm (xm / x)^(alpha - 1) / (alpha - 1) past xm; infinite for alpha <= 1.
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = 1.0 - (self.xm / np.maximum(x, self.xm)) ** self.alpha
-        return np.where(x < self.xm, 0.0, out)
-
-    def sf(self, x):
-        return 1.0 - self.cdf(x)
-
-    def mean_min(self, x):
-        x = np.asarray(x, dtype=float)
-        xm, a = self.xm, self.alpha
-        xc = np.maximum(x, xm)
-        if a == 1.0:
-            tail = xm * (1.0 + np.log(xc / xm))
-        else:
-            tail = xm + xm**a * (xc ** (1.0 - a) - xm ** (1.0 - a)) / (1.0 - a)
-        return np.where(x <= xm, x, tail)
+        a, xm = self.alpha, self.xm
+        if a <= 1.0:
+            return np.full(x.shape, math.inf)
+        return np.where(x <= xm, self.mean() - x, xm * (xm / np.maximum(x, xm)) ** (a - 1.0) / (a - 1.0))
 
     def size_biased_sample(self, rng, size=None):
         raise LawError("pareto is a mark law; size-biased sampling is an interarrival operation")
@@ -453,16 +411,6 @@ def check_interarrival(law):
     return law
 
 
-def mean(law):
-    """Exact mean of the law; may be ``inf`` for heavy-tailed mark laws."""
-    return law.mean()
-
-
-def sample(law, rng, size=None):
-    """Draw from the law.  Deterministic given the generator state."""
-    return law.sample(rng, size=size)
-
-
 def sample_size_biased(law, rng, size=None):
     """Draw the interval containing a uniform random time point.
 
@@ -494,18 +442,16 @@ def sample_stationary_delay(law, rng, size=None):
 
 
 def integrated_tail_cdf(law, x):
-    """CDF of the integrated-tail law: ``F*(x) = E[min(X, x)] / E[X]``.
+    """CDF of the integrated-tail law: ``F*(x) = 1 - E[(X - x)^+] / E[X]``.
 
-    Closed form for every family (the limited-expected-value identity turns
-    the tail integral into family CDFs).  ``x`` may be a scalar or array;
-    negative ``x`` is a domain error.
+    Closed form for every family through its ``tail_mean``.  ``x`` may be a
+    scalar or array; negative ``x`` is a domain error.
     """
     check_interarrival(law)
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise LawError("integrated tail CDF is defined on x >= 0")
-    out = np.asarray(law.mean_min(arr) / law.mean())
-    out = np.clip(out, 0.0, 1.0)
+    out = np.clip(1.0 - law.tail_mean(arr) / law.mean(), 0.0, 1.0)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 

@@ -24,6 +24,9 @@ is 0, or ``inf``) and ``tail_bound(cut, mu)``.  For unbounded support only,
 beyond ``cut`` when interarrivals have mean ``mu``.  By Campbell's formula
 that mass is ``int_cut^inf E|X(s)| ds / mu``, so the bound depends on the
 kernel, ``cut`` and ``mu`` alone and nothing has to be drawn to find it.
+For an indicator it is ``eta.tail_mean(cut) / mu``, formed directly as
+``E[(eta - cut)^+]`` rather than as a difference of two means, so it
+does not cancel to 0 however small the tail is.
 It raises :class:`~renewal_immigration.errors.TruncationError` when the
 expected missed mass is infinite.  A mark law ``eta`` may have an
 infinite mean but not one that overflows a float: such a spec raises
@@ -171,13 +174,13 @@ class Indicator:
         return self.eta.support()[1]
 
     def tail_bound(self, cut, mu):
-        # The pulse law's integrated tail.
+        # The pulse law's integrated tail, E[(eta - cut)^+].
         eta = self.eta
         if math.isinf(eta.mean()):
             raise TruncationError(
                 "pulse length has infinite mean, so the stationary series diverges a.s.", bound=math.inf
             )
-        return max(float(eta.mean() - eta.mean_min(cut)) / mu, 0.0)
+        return float(eta.tail_mean(cut)) / mu
 
 
 @dataclass(frozen=True)

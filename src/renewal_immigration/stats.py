@@ -125,10 +125,11 @@ def ks_two_sample(a, b):
 def ks_one_sample(a, cdf):
     """One-sample KS distance of a sample against a CDF callable.
 
-    ``cdf`` is evaluated on the sorted sample and must be nondecreasing with
-    values in [0, 1]; a CDF that is identically 0 across the sample violates
-    the precondition (the null puts no mass at or below the data).  The
-    p-value is asymptotic, intended for n of at least ~50.
+    ``cdf`` is evaluated once on the whole sorted sample, so it must be
+    vectorised (one value per point), nondecreasing, with values in [0, 1];
+    a CDF that is identically 0 across the sample violates the precondition
+    (the null puts no mass at or below the data).  The p-value is
+    asymptotic, intended for n of at least ~50.
     """
     a = np.sort(np.asarray(a, dtype=float).ravel())
     n = len(a)
@@ -136,7 +137,7 @@ def ks_one_sample(a, cdf):
         raise ValueError("sample must be nonempty")
     f = np.asarray(cdf(a), dtype=float)
     if f.shape != a.shape:
-        f = np.array([float(cdf(x)) for x in a])
+        raise ValueError(f"cdf must return one value per sample point, got shape {f.shape} for {a.shape}")
     if np.any(f < -1e-12) or np.any(f > 1.0 + 1e-12):
         raise ValueError("cdf values must lie in [0, 1]")
     if np.any(np.diff(f) < -1e-12):

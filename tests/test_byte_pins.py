@@ -37,7 +37,7 @@ DIGESTS = {
     ("DeterministicTable", "transient"): "26c193d32ef3e623f31dd22ca0a028761512dae30c567876bb201742fdd9b8f8",
     ("DeterministicTable", "stationary"): "e22a8332248c4abca5f94ac66e90de2cdcb17fa2537dda4ae546dcbf0f45a483",
     ("Indicator", "transient"): "e42bd94977872f3f15af85a171463cdb80c456be09f1332d1670cd43f9731fd4",
-    ("Indicator", "stationary"): "c9bf3f025c466c3e215dac9c8ae38b668e6d64bd8b2c0ac8163c45fc2880deb0",
+    ("Indicator", "stationary"): "86dba248ff45533080cc3adabc996bb6edba556365062715b22cf5bbba0dd839",
     ("ScaledExpDecay", "transient"): "4eb064d7b66c935adda8f332c384a520e2302c7f921ac9865443ff8b80321c98",
     ("ScaledExpDecay", "stationary"): "c7d8ba220f7e4aa613b96a35fba717fcd7c9a3d4421e8c9d35b9555be2db01e4",
     ("ScaledTable", "transient"): "bff54908c5710a21ff751c7680602d9c9ce9f3568cb7bcff84126b9af9a59868",

@@ -628,7 +628,7 @@ def test_pointprocess_lognormal_loads_no_scipy_spatial(tmp_path):
 
 
 # Chi-square p-values (every pointprocess law) and log-normal tails (an
-# indicator kernel's tail bound calls eta.mean_min) need no scipy.
+# indicator kernel's tail bound calls eta.tail_mean) need no scipy.
 CLOSED_FORM_TAIL_RUNS = {
     "pointprocess-exponential": ("pointprocess", {"pointprocess": SMALL_POINTPROCESS}),
     "pointprocess-uniform": (

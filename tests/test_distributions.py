@@ -11,6 +11,23 @@ from renewal_immigration import stats
 from renewal_immigration.errors import LawError
 from renewal_immigration.streams import stream
 
+
+def _scipy_law(law):
+    """The same law as a frozen ``scipy.stats`` distribution, for its ``sf``."""
+    from scipy import stats as ss
+
+    if isinstance(law, dist.Exponential):
+        return ss.expon(scale=1.0 / law.rate)
+    if isinstance(law, dist.Gamma):
+        return ss.gamma(law.shape, scale=law.scale)
+    if isinstance(law, dist.Uniform):
+        return ss.uniform(law.lo, law.hi - law.lo)
+    if isinstance(law, dist.LogNormal):
+        return ss.lognorm(law.sigma, scale=math.exp(law.mu))
+    atoms = law.atoms if isinstance(law, dist.FiniteDiscrete) else ((law.value, 1.0),)
+    return ss.rv_discrete(values=tuple(zip(*atoms)))
+
+
 INTERARRIVAL_LAWS = [
     dist.Exponential(1.0),
     dist.Exponential(0.25),
@@ -24,24 +41,24 @@ INTERARRIVAL_LAWS = [
 
 
 def test_mean_examples():
-    assert dist.mean(dist.Exponential(1.0)) == 1.0
-    assert dist.mean(dist.Uniform(0.0, 2.0)) == 1.0
-    assert dist.mean(dist.FiniteDiscrete(((1.0, 0.5), (3.0, 0.5)))) == 2.0
+    assert dist.Exponential(1.0).mean() == 1.0
+    assert dist.Uniform(0.0, 2.0).mean() == 1.0
+    assert dist.FiniteDiscrete(((1.0, 0.5), (3.0, 0.5))).mean() == 2.0
 
 
 def test_point_mass_sampling_is_constant():
     rng = stream(0)
-    assert dist.sample(dist.PointMass(5.0), rng) == 5.0
-    assert np.all(dist.sample(dist.PointMass(5.0), rng, size=10) == 5.0)
+    assert dist.PointMass(5.0).sample(rng) == 5.0
+    assert np.all(dist.PointMass(5.0).sample(rng, size=10) == 5.0)
 
 
 def test_exponential_sample_moments():
-    draws = dist.sample(dist.Exponential(1.0), stream(1), size=10**6)
+    draws = dist.Exponential(1.0).sample(stream(1), size=10**6)
     assert abs(draws.mean() - 1.0) < 0.004
 
 
 def test_uniform_sample_variance():
-    draws = dist.sample(dist.Uniform(0.0, 2.0), stream(2), size=10**6)
+    draws = dist.Uniform(0.0, 2.0).sample(stream(2), size=10**6)
     assert abs(draws.var() - 1.0 / 3.0) < 0.003
 
 
@@ -94,7 +111,8 @@ def test_stationary_delay_exponential_is_exponential():
 def test_stationary_delay_mean_matches_tail_quadrature(law):
     # E[s0] = integral of x * P(xi > x) / mean, evaluated by quadrature.
     mu = law.mean()
-    oracle, err = quad(lambda x: x * float(law.sf(x)) / mu, 0.0, np.inf, limit=200)
+    sf = _scipy_law(law).sf
+    oracle, err = quad(lambda x: x * float(sf(x)) / mu, 0.0, np.inf, limit=200)
     assert err < 1e-8
     s0, _, _ = dist.sample_stationary_delay(law, stream(9), size=4 * 10**5)
     se = s0.std(ddof=1) / math.sqrt(len(s0))
@@ -131,10 +149,10 @@ def test_integrated_tail_cdf_rejects_negative_x():
 
 @pytest.mark.parametrize("law", INTERARRIVAL_LAWS, ids=lambda l: type(l).__name__)
 def test_integrated_tail_cdf_against_quadrature(law):
-    mu = law.mean()
+    mu, sf = law.mean(), _scipy_law(law).sf
     for x in [0.1, 0.5, 1.0, 2.5, 7.0]:
         oracle, err = quad(
-            lambda y: float(law.sf(y)) / mu, 0.0, x, limit=400, epsabs=1e-13, epsrel=1e-13
+            lambda y: float(sf(y)) / mu, 0.0, x, limit=400, epsabs=1e-13, epsrel=1e-13
         )
         assert err < 1e-10
         assert dist.integrated_tail_cdf(law, x) == pytest.approx(oracle, abs=1e-10)
@@ -229,8 +247,8 @@ def test_config_errors():
 
 def test_determinism_same_seed_same_draws():
     for law in INTERARRIVAL_LAWS:
-        a = dist.sample(law, stream(123), size=50)
-        b = dist.sample(law, stream(123), size=50)
+        a = law.sample(stream(123), size=50)
+        b = law.sample(stream(123), size=50)
         assert np.array_equal(a, b)
         sa = dist.sample_size_biased(law, stream(77), size=20)
         sb = dist.sample_size_biased(law, stream(77), size=20)
@@ -260,10 +278,11 @@ def test_batched_draw_equals_single_draws(law):
 
 
 def test_pareto_tail_shapes():
-    heavy = dist.Pareto(0.8, 1.0)
     xs = np.array([1.0, 2.0, 10.0, 100.0])
-    assert np.allclose(heavy.sf(xs), (1.0 / xs) ** 0.8)
-    assert float(heavy.cdf(0.5)) == 0.0
+    assert np.all(np.isinf(dist.Pareto(0.8, 1.0).tail_mean(xs)))
+    light = dist.Pareto(1.5, 1.0)
+    assert np.allclose(light.tail_mean(xs), 2.0 / np.sqrt(xs), rtol=1e-15, atol=0.0)
+    assert float(light.tail_mean(0.5)) == light.mean() - 0.5
 
 
 # ------------------------------------------ closed-form tails against scipy
@@ -303,51 +322,38 @@ def test_normal_cdf_matches_ndtr():
 
 LOGNORMALS = [dist.LogNormal(0.0, 0.5), dist.LogNormal(-1.0, 2.0), dist.LogNormal(1.5, 1.0)]
 GAMMAS = [dist.Gamma(a, s) for a in (0.3, 1.0, 2.0, 5.5, 40.0) for s in (0.1, 0.5, 1.0, 7.0)]
-XS = np.concatenate([[-3.0, -0.0, 0.0, np.inf], np.geomspace(1e-6, 1e4, 400)])
+XS = np.concatenate([[-0.0, 0.0], np.geomspace(1e-6, 1e4, 400)])
 
 
-def _lognormal_tails(law, x, phi):
-    """cdf, sf and mean_min of ``law`` over the normal CDF ``phi``, by formula."""
-    lx = np.log(np.maximum(x, np.finfo(float).tiny))
-    z = (lx - law.mu) / law.sigma
-    cdf = np.where(x > 0, phi(z), 0.0)
-    head = law.mean() * phi((lx - law.mu - law.sigma**2) / law.sigma)
-    with np.errstate(invalid="ignore"):  # inf * 0 at x = inf
-        mean_min = np.where(x > 0, head + x * phi(-z), 0.0)
-    return cdf, 1.0 - cdf, mean_min
+def _lognormal_tail_terms(law, x, phi):
+    """``m Phi(sigma - z)`` and ``x Phi(-z)`` over the normal CDF ``phi``, and ``z``."""
+    z = (np.log(np.maximum(x, TINY)) - law.mu) / law.sigma
+    return law.mean() * phi(law.sigma - z), x * phi(-z), z
 
 
 @pytest.mark.parametrize("law", LOGNORMALS, ids=repr)
 def test_lognormal_tails_equal_scipy_stats(law):
-    # Bit for bit the formulas over normal_cdf, and within the normal_cdf
-    # bounds of the same formulas over scipy.stats.norm.
+    # Below z = 30 tail_mean is bit for bit the difference of the two terms
+    # over normal_cdf, and each term lies within the normal_cdf bounds of
+    # the same term over scipy.stats.norm.
     from scipy.stats import norm
 
-    cdf, sf, mean_min = _lognormal_tails(law, XS, dist.normal_cdf)
-    with np.errstate(invalid="ignore"):
-        got = law.cdf(XS), law.sf(XS), np.asarray(law.mean_min(XS))
-    assert [g.tobytes() for g in got] == [cdf.tobytes(), sf.tobytes(), mean_min.tobytes()]
-
-    ref_cdf, ref_sf, ref_mean_min = _lognormal_tails(law, XS, norm.cdf)
-    lx = np.log(np.maximum(XS, np.finfo(float).tiny))
-    z = (lx - law.mu) / law.sigma
-    _assert_close(cdf, ref_cdf, _normal_rtol(z))
-    # sf is 1 - cdf: its error is the cdf's absolute error.
-    assert np.all(np.abs(sf - ref_sf) <= _normal_rtol(z) * ref_cdf)
-    head_rtol = _normal_rtol((lx - law.mu - law.sigma**2) / law.sigma)
-    _assert_close(mean_min, ref_mean_min, np.maximum(head_rtol, _normal_rtol(-z)))
+    head, tail, z = _lognormal_tail_terms(law, XS, dist.normal_cdf)
+    assert np.all(z < 30.0)
+    assert np.asarray(law.tail_mean(XS)).tobytes() == (head - tail).tobytes()
+    ref_head, ref_tail, _ = _lognormal_tail_terms(law, XS, norm.cdf)
+    _assert_close(head, ref_head, _normal_rtol(law.sigma - z))
+    _assert_close(tail, ref_tail, _normal_rtol(-z))
 
 
 @pytest.mark.parametrize("law", GAMMAS, ids=repr)
 def test_gamma_tails_equal_scipy_stats(law):
+    # Bit for bit theta (k Q(k + 1, y) - y Q(k, y)) over scipy.stats.gamma's sf.
     from scipy.stats import gamma
 
     a, s = law.shape, law.scale
-    assert np.asarray(law.cdf(XS)).tobytes() == gamma.cdf(XS, a, scale=s).tobytes()
-    assert np.asarray(law.sf(XS)).tobytes() == gamma.sf(XS, a, scale=s).tobytes()
-    with np.errstate(invalid="ignore"):  # inf * 0 at x = inf, in both
-        expected = law.mean() * gamma.cdf(XS, a + 1.0, scale=s) + XS * gamma.sf(XS, a, scale=s)
-        assert np.asarray(law.mean_min(XS)).tobytes() == expected.tobytes()
+    expected = s * (a * gamma.sf(XS, a + 1.0, scale=s) - XS / s * gamma.sf(XS, a, scale=s))
+    assert np.asarray(law.tail_mean(XS)).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("df", [1, 3, 7])
@@ -365,3 +371,103 @@ def test_chi_square_tail_equals_scipy_stats(df):
     res = stats.chisq_gof_counts(counts, probs)
     assert res.p_value == stats.chi2_sf(df, res.statistic)
     assert res.p_value == pytest.approx(float(chi2.sf(res.statistic, df)), rel=1e-13, abs=0.0)
+
+
+# ------------------------------------------------- tail means against mpmath
+
+# tail_mean(x) = E[(X - x)^+] for every law, against closed forms evaluated
+# in 60-digit arithmetic.  The bound, fixed before the first run, is 1e-9
+# relative wherever the true value is at least 1e-300, and 1e-309 absolute
+# below.  Each grid runs from 0 to where the true tail falls below 1e-305
+# (past the top of a bounded support, or to 1e300 for slow tails).
+TAIL_RTOL, TAIL_FLOOR = 1e-9, 1e-300
+
+TAIL_LAWS = [
+    dist.Exponential(1.5),
+    dist.Exponential(0.25),
+    *(dist.Gamma(a, s) for a in (0.3, 1.0, 2.0, 5.5, 40.0) for s in (0.1, 7.0)),
+    dist.Uniform(0.0, 2.0),
+    dist.Uniform(0.5, 1.5),
+    dist.Uniform(-1.0, 2.0),
+    dist.LogNormal(0.0, 1.0),
+    dist.LogNormal(0.0, 0.5),
+    dist.LogNormal(-1.0, 2.0),
+    dist.LogNormal(1.5, 1.0),
+    dist.LogNormal(0.0, 0.1),
+    dist.LogNormal(0.0, 5.0),
+    dist.LogNormal(0.0, 20.0),
+    dist.PointMass(2.0),
+    dist.PointMass(0.0),
+    dist.FiniteDiscrete(((0.5, 0.3), (1.5, 0.7))),
+    dist.FiniteDiscrete(((1.0, 0.5), (3.0, 0.5))),
+    dist.Pareto(1.5, 2.0),
+    dist.Pareto(3.0, 1.0),
+    dist.Pareto(40.0, 0.5),
+    dist.Pareto(0.8, 1.0),
+]
+
+
+def _tail_oracle(law, x):
+    """``E[(X - x)^+]`` as an mpmath number, evaluated with 60 digits."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        x = mp.mpf(float(x))
+        if isinstance(law, dist.Exponential):
+            rate = mp.mpf(law.rate)
+            return mp.exp(-rate * x) / rate
+        if isinstance(law, dist.Gamma):
+            # (k - y) Q(k, y) + y^k e^-y / Gamma(k), in units of theta.
+            k, theta = mp.mpf(law.shape), mp.mpf(law.scale)
+            y = x / theta
+            q = mp.gammainc(k, y, mp.inf, regularized=True)
+            return theta * ((k - y) * q + mp.power(y, k) * mp.exp(-y) / mp.gamma(k))
+        if isinstance(law, dist.Uniform):
+            lo, hi = mp.mpf(law.lo), mp.mpf(law.hi)
+            if x <= lo:
+                return (lo + hi) / 2 - x
+            return (hi - x) ** 2 / (2 * (hi - lo)) if x < hi else mp.mpf(0)
+        if isinstance(law, dist.LogNormal):
+            mu, sigma = mp.mpf(law.mu), mp.mpf(law.sigma)
+            m = mp.exp(mu + sigma**2 / 2)
+            if x == 0:
+                return m
+            z = (mp.log(x) - mu) / sigma
+            return m * mp.ncdf(sigma - z) - x * mp.ncdf(-z)
+        if isinstance(law, dist.Pareto):
+            a, xm = mp.mpf(law.alpha), mp.mpf(law.xm)
+            if a <= 1:
+                return mp.inf
+            return a * xm / (a - 1) - x if x <= xm else xm**a * x ** (1 - a) / (a - 1)
+        atoms = law.atoms if isinstance(law, dist.FiniteDiscrete) else ((law.value, 1.0),)
+        return mp.fsum(mp.mpf(p) * max(mp.mpf(v) - x, 0) for v, p in atoms)
+
+
+def _tail_grid(law):
+    top = 2.0 * law.support()[1] + 1.0
+    if math.isinf(top):
+        # Bisect in log x for the point where the tail crosses 1e-305.
+        lo, top = 0.0, 300.0 * math.log(10.0)
+        if _tail_oracle(law, math.exp(top)) < 1e-305:
+            for _ in range(60):
+                mid = 0.5 * (lo + top)
+                lo, top = (mid, top) if _tail_oracle(law, math.exp(mid)) >= 1e-305 else (lo, mid)
+        top = math.exp(top)
+    return np.unique(np.concatenate([[0.0], np.linspace(0.0, top, 200), np.geomspace(1e-6, top, 200)]))
+
+
+@pytest.mark.parametrize("law", TAIL_LAWS, ids=repr)
+def test_tail_mean_against_mpmath(law):
+    xs = _tail_grid(law)
+    ref = np.array([float(_tail_oracle(law, x)) for x in xs])
+    got = np.asarray(law.tail_mean(xs))
+    assert got.shape == xs.shape
+    assert np.all(got >= 0.0)
+    if math.isinf(law.mean()):
+        assert np.all(np.isinf(got))
+    else:
+        assert np.all(np.abs(got - ref) <= TAIL_RTOL * np.maximum(ref, TAIL_FLOOR))
+        # Every grid reaches tails below 1e-300, or x = 1e300.
+        assert ref.min() < TAIL_FLOOR or xs[-1] > 1e299
+    if law.support()[0] >= 0.0:
+        assert float(law.tail_mean(0.0)) == law.mean()

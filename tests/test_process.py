@@ -208,6 +208,22 @@ def test_stationary_diverging_configs_fail_fast():
     assert "diverge" not in str(info.value) and info.value.bound == math.inf
 
 
+def test_indicator_bound_keeps_relative_accuracy_far_out():
+    # LogNormal(0, 1) pulses: the missed mass at c is m Phi(1 - ln c) - c Phi(-ln c).
+    # At c = 10240 it is 1.58e-17, above tol; formed as mean - E[min(eta, c)]
+    # it cancelled to 0 there.  At c = 20480 it is 3.554e-20.
+    import mpmath as mp
+
+    spec = kn.Indicator(dist.LogNormal(0.0, 1.0))
+    c, bound = pr.stationary_half_width(EXP_LAW, spec, [0.0], 1e-17, 1e5)
+    with mp.workdps(40):
+        z = mp.log(c)
+        missed = float(mp.e**0.5 * mp.ncdf(1 - z) - c * mp.ncdf(-z))
+    assert c == 20480.0
+    assert bound == pytest.approx(missed, rel=1e-9, abs=0.0)
+    assert bound == pytest.approx(3.5543703e-20, rel=1e-7, abs=0.0)
+
+
 def test_bounded_kernels_are_exact_with_no_bound():
     spec = kn.Indicator(dist.Uniform(0.0, 2.0))
     ps, bound = stationary_once(EXP_LAW, spec, [0.0], 1e-6, stream(21))

@@ -71,6 +71,9 @@ def test_ks_one_sample_rejects_flat_zero_cdf():
 def test_ks_one_sample_rejects_decreasing_cdf():
     with pytest.raises(ValueError):
         rs.ks_one_sample([1.0, 2.0], lambda x: 1.0 - np.asarray(x, dtype=float) / 10.0)
+    # So is a CDF that does not return one value per sample point.
+    with pytest.raises(ValueError, match="one value per sample point"):
+        rs.ks_one_sample([1.0, 2.0], lambda x: 0.5)
 
 
 def test_kolmogorov_sf_matches_scipy():
