@@ -2,19 +2,25 @@
 
 Every command is a pure function of ``(config file, seed)``: reruns produce
 byte-identical artifacts (sorted JSON keys, 17-significant-digit CSV
-floats, no wall-clock anywhere).  JSON is strict: a non-finite float (an
-infinite bound, say) is written as ``null``.  Output files are written atomically.
+floats, no wall-clock anywhere).  A JSON report is its result's fields:
+this module is the one place that turns a result dataclass into JSON, with
+its field names as keys and arrays and tuples as lists.  JSON is strict: a
+non-finite float (an infinite bound, say) is written as ``null``.  Output
+files are written atomically.
 
 Exit codes: 0 pass, 1 usage/config error, 2 statistical rejection or
 truncation failure, 3 inconclusive / hypothesis warning.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .config import SCHEMA_VERSION, command_fields, load_config
 from .diagnostics import (
@@ -25,10 +31,10 @@ from .diagnostics import (
     dri_path_check,
     intensity_check,
     laplace_functional_compare,
+    lattice_warnings,
     overshoot_check,
     shift_invariance_check,
 )
-from .distributions import is_lattice
 from .errors import ConfigError, NonAbsorbedPathError, TruncationError
 from .process import fdd_sample
 from .renewal import build_stationary_window, window_to_csv
@@ -49,7 +55,12 @@ def _fmt(x):
 
 
 def _strict(obj):
-    """``obj`` with every non-finite float replaced by ``None``."""
+    """``obj`` as JSON values: a dataclass as the dict of its fields, an array
+    or tuple as a list, and every non-finite float as ``None``."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _strict(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return _strict(obj.tolist())
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     if isinstance(obj, dict):
@@ -132,7 +143,7 @@ def cmd_converge(config, fields, out_dir, args):
     outputs = []
     for i, report in enumerate(reports):
         name = f"report_{i:03d}.json"
-        _write_atomic(out_dir / name, _json_text(report.to_dict()))
+        _write_atomic(out_dir / name, _json_text(report))
         outputs.append(name)
     header = ["t"] + [f"ks_p_u={_fmt(v)}" for v in u_grid] + ["energy_p", "decision"]
     lines = [",".join(header)]
@@ -164,8 +175,8 @@ def cmd_dri(config, fields, out_dir, args):
     k_max, n_mc = fields.k_max, fields.n_mc
     mean_report = dri_mean_check(config.kernel, k_max, fields.grid_per_unit, n_mc, stream(config.seed, DRI_MEAN, 0))
     path_report = dri_path_check(config.kernel, k_max, n_mc, stream(config.seed, DRI_PATH, 0))
-    _write_atomic(out_dir / "dri_mean.json", _json_text(mean_report.to_dict()))
-    _write_atomic(out_dir / "dri_path.json", _json_text(path_report.to_dict()))
+    _write_atomic(out_dir / "dri_mean.json", _json_text(mean_report))
+    _write_atomic(out_dir / "dri_path.json", _json_text(path_report))
     verdicts = (mean_report.verdict, path_report.verdict)
     if all(v == CONVERGENT_EVIDENCE for v in verdicts):
         code = EXIT_PASS
@@ -196,27 +207,25 @@ def cmd_pointprocess(config, fields, out_dir, args):
         law, fields.laplace_h, fields.laplace_t, fields.laplace_n_mc, stream(seed, LAPLACE, 0)
     )
 
-    warnings = []
-    if is_lattice(law):
-        warnings.append("interarrival law is lattice; the limit theory assumes nonlattice laws")
+    warnings = lattice_warnings(law)
     if overshoot.horizon_warning:
         warnings.append(overshoot.horizon_warning)
 
     intensity_pass = all(abs(r.z_score) <= INTENSITY_Z_LIMIT for r in intensity)
-    overshoot_pass = overshoot.result.p_value > alpha
+    overshoot_pass = overshoot.ks.p_value > alpha
     shift_pass = shift_result.p_value > alpha
     laplace_gap = abs(laplace.transient_estimate - laplace.stationary_estimate)
-    laplace_tol = math.sqrt(laplace.transient_ci**2 + laplace.stationary_ci**2)
+    laplace_tol = math.sqrt(laplace.transient_ci99**2 + laplace.stationary_ci99**2)
     laplace_pass = laplace_gap <= laplace_tol
 
     payload = {
-        "intensity": [r.to_dict() for r in intensity],
+        "intensity": intensity,
         "intensity_pass": intensity_pass,
-        "overshoot": overshoot.to_dict(),
+        "overshoot": overshoot,
         "overshoot_pass": overshoot_pass,
-        "shift_invariance": shift_result.to_dict(),
+        "shift_invariance": shift_result,
         "shift_invariance_pass": shift_pass,
-        "laplace": laplace.to_dict(),
+        "laplace": laplace,
         "laplace_pass": laplace_pass,
         "alpha": alpha,
         "warnings": warnings,

@@ -17,7 +17,8 @@ per-coordinate KS tests (Bonferroni) plus a joint energy-distance
 permutation test, after warning about violated hypotheses (lattice
 interarrival laws, divergent-looking kernels).  Point-process checks
 (intensity, overshoot, shift invariance, Laplace functionals) validate the
-stationary window construction itself.
+stationary window construction itself.  Every check returns a frozen
+dataclass; :mod:`.cli` writes its fields as the JSON report.
 """
 
 import math
@@ -53,6 +54,7 @@ __all__ = [
     "intensity_half_width",
     "shift_half_width",
     "laplace_half_width",
+    "lattice_warnings",
 ]
 
 CONVERGENT_EVIDENCE = "ConvergentEvidence"
@@ -82,19 +84,6 @@ class DriReport:
     slope: float
     residual_estimate: float
     note: str = ""
-
-    def to_dict(self):
-        return {
-            "criterion": self.criterion,
-            "terms": [float(x) for x in self.terms],
-            "partial_sums": [float(x) for x in self.partial_sums],
-            "verdict": self.verdict,
-            "k_max": self.k_max,
-            "n_mc": self.n_mc,
-            "slope": self.slope,
-            "residual_estimate": self.residual_estimate,
-            "note": self.note,
-        }
 
 
 def _fit_line(x, y):
@@ -162,6 +151,12 @@ def _verdict(terms, n_mc):
     return INCONCLUSIVE, partials, slope, residual, note
 
 
+def _dri_report(criterion, terms, n_mc):
+    """The ``criterion`` report of per-unit ``terms`` estimated from ``n_mc`` paths."""
+    verdict, partials, slope, residual, note = _verdict(terms, n_mc)
+    return DriReport(criterion, terms, partials, verdict, len(terms), n_mc, slope, residual, note)
+
+
 def _capped_path_mean(spec, n_mc, width, terms, rng):
     """Mean over ``n_mc`` paths of ``min(terms(paths), 1)``.
 
@@ -192,18 +187,7 @@ def dri_mean_check(spec, k_max, grid_per_unit, n_mc, rng):
     ts = np.arange(k_max * grid_per_unit) / grid_per_unit
     g_hat = _capped_path_mean(spec, n_mc, len(ts), lambda paths: np.abs(paths.values(ts)), rng)
     terms = g_hat.reshape(k_max, grid_per_unit).max(axis=1)
-    verdict, partials, slope, residual, note = _verdict(terms, n_mc)
-    return DriReport(
-        criterion="mean",
-        terms=terms,
-        partial_sums=partials,
-        verdict=verdict,
-        k_max=k_max,
-        n_mc=n_mc,
-        slope=slope,
-        residual_estimate=residual,
-        note=note,
-    )
+    return _dri_report("mean", terms, n_mc)
 
 
 def dri_path_check(spec, k_max, n_mc, rng):
@@ -211,18 +195,7 @@ def dri_path_check(spec, k_max, n_mc, rng):
     if k_max < 1 or n_mc < 1:
         raise KernelError("need k_max >= 1 and n_mc >= 1")
     terms = _capped_path_mean(spec, n_mc, k_max, lambda paths: paths.unit_sups(k_max), rng)
-    verdict, partials, slope, residual, note = _verdict(terms, n_mc)
-    return DriReport(
-        criterion="path",
-        terms=terms,
-        partial_sums=partials,
-        verdict=verdict,
-        k_max=k_max,
-        n_mc=n_mc,
-        slope=slope,
-        residual_estimate=residual,
-        note=note,
-    )
+    return _dri_report("path", terms, n_mc)
 
 
 @dataclass(frozen=True)
@@ -231,22 +204,11 @@ class LaplaceComparison:
 
     transient_estimate: float
     stationary_estimate: float
-    transient_ci: float
-    stationary_ci: float
+    transient_ci99: float
+    stationary_ci99: float
     t: float
     n_mc: int
     lattice_warning: bool
-
-    def to_dict(self):
-        return {
-            "transient_estimate": self.transient_estimate,
-            "stationary_estimate": self.stationary_estimate,
-            "transient_ci99": self.transient_ci,
-            "stationary_ci99": self.stationary_ci,
-            "t": self.t,
-            "n_mc": self.n_mc,
-            "lattice_warning": self.lattice_warning,
-        }
 
 
 def _exp_neg_h_sums(h, x):
@@ -287,8 +249,8 @@ def laplace_functional_compare(law, h, t, n_mc, rng):
     return LaplaceComparison(
         transient_estimate=float(transient.mean()),
         stationary_estimate=float(stationary.mean()),
-        transient_ci=z99 * float(transient.std(ddof=1)) / math.sqrt(n_mc),
-        stationary_ci=z99 * float(stationary.std(ddof=1)) / math.sqrt(n_mc),
+        transient_ci99=z99 * float(transient.std(ddof=1)) / math.sqrt(n_mc),
+        stationary_ci99=z99 * float(stationary.std(ddof=1)) / math.sqrt(n_mc),
         t=float(t),
         n_mc=n_mc,
         lattice_warning=is_lattice(law),
@@ -308,26 +270,11 @@ class ComparisonReport:
     energy_statistic: float | None
     energy_p_value: float | None
     decision: str
-    warnings: tuple = field(default_factory=tuple)
+    warnings: tuple = ()
+    bonferroni: str = field(init=False)
 
-    @property
-    def reject(self):
-        return self.decision == "reject"
-
-    def to_dict(self):
-        return {
-            "t": self.t,
-            "u_grid": list(self.u_grid),
-            "n": self.n,
-            "alpha": self.alpha,
-            "ks_statistics": list(self.ks_statistics),
-            "ks_p_values": list(self.ks_p_values),
-            "energy_statistic": self.energy_statistic,
-            "energy_p_value": self.energy_p_value,
-            "decision": self.decision,
-            "warnings": list(self.warnings),
-            "bonferroni": f"KS level split over {len(self.u_grid)} coordinates",
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "bonferroni", f"KS level split over {len(self.u_grid)} coordinates")
 
 
 def compare_fdd_samples(a_matrix, b_matrix, u_grid, alpha, n_permutations, rng, t=None, warnings=()):
@@ -360,10 +307,13 @@ def compare_fdd_samples(a_matrix, b_matrix, u_grid, alpha, n_permutations, rng, 
     )
 
 
+def lattice_warnings(law):
+    """The lattice-law warning, in a list, when ``law`` is lattice; else ``[]``."""
+    return ["interarrival law is lattice; the limit theory assumes nonlattice laws"] if is_lattice(law) else []
+
+
 def _hypothesis_warnings(law, spec, seed):
-    warnings = []
-    if is_lattice(law):
-        warnings.append("interarrival law is lattice; the limit theory assumes nonlattice laws")
+    warnings = lattice_warnings(law)
     if math.isfinite(spec.support_end()):
         # Compact support integrates trivially; no pre-check needed.
         return warnings
@@ -431,19 +381,10 @@ def convergence_test(
 
 @dataclass(frozen=True)
 class IntervalIntensity:
-    a: float
-    b: float
+    interval: tuple
     empirical_mean: float
     expected_mean: float
     z_score: float
-
-    def to_dict(self):
-        return {
-            "interval": [self.a, self.b],
-            "empirical_mean": self.empirical_mean,
-            "expected_mean": self.expected_mean,
-            "z_score": self.z_score,
-        }
 
 
 def intensity_half_width(law, intervals):
@@ -484,24 +425,16 @@ def intensity_check(law, intervals, n_windows, rng):
         var = max(total_sq / n_windows - emp**2, 0.0)
         se = math.sqrt(var / n_windows)
         z = 0.0 if se == 0.0 and emp == expected else (emp - expected) / se if se > 0 else math.inf
-        out.append(IntervalIntensity(a, b, float(emp), float(expected), float(z)))
+        out.append(IntervalIntensity((a, b), float(emp), float(expected), float(z)))
     return out
 
 
 @dataclass(frozen=True)
 class OvershootReport:
-    result: TestResult
+    ks: TestResult
     horizon: float
     lattice_warning: bool
     horizon_warning: str | None
-
-    def to_dict(self):
-        return {
-            "ks": self.result.to_dict(),
-            "horizon": self.horizon,
-            "lattice_warning": self.lattice_warning,
-            "horizon_warning": self.horizon_warning,
-        }
 
 
 def overshoot_check(law, horizon, n_realizations, rng):
@@ -513,9 +446,8 @@ def overshoot_check(law, horizon, n_realizations, rng):
     overshoots = np.empty(n_realizations)
     for lo, hi in row_blocks(n_realizations, law, horizon):
         overshoots[lo:hi] = simulate_forward(law, horizon, rng, size=hi - lo).overshoot
-    result = ks_one_sample(overshoots, lambda x: integrated_tail_cdf(law, x))
     return OvershootReport(
-        result=result,
+        ks=ks_one_sample(overshoots, lambda x: integrated_tail_cdf(law, x)),
         horizon=float(horizon),
         lattice_warning=is_lattice(law),
         horizon_warning=warning,

@@ -156,11 +156,14 @@ class Gamma:
 
     def tail_mean(self, x):
         # theta (k Q(k + 1, y) - y Q(k, y)) at y = x / theta, Q the upper
-        # regularized incomplete gamma function.
+        # regularized incomplete gamma function; 0 at x = inf, where y is
+        # capped at the largest float so that no inf * 0 term arises.
         from scipy.special import gammaincc
 
-        y = np.asarray(x, dtype=float) / self.scale
-        return self.scale * (self.shape * gammaincc(self.shape + 1.0, y) - y * gammaincc(self.shape, y))
+        x = np.asarray(x, dtype=float)
+        y = np.minimum(x / self.scale, np.finfo(float).max)
+        out = self.scale * (self.shape * gammaincc(self.shape + 1.0, y) - y * gammaincc(self.shape, y))
+        return np.where(x < math.inf, out, 0.0)
 
     def size_biased_sample(self, rng, size=None):
         # Size-biasing a Gamma(k, theta) bumps the shape by one.
@@ -232,14 +235,18 @@ class LogNormal:
         # m Phi(sigma - z) - x Phi(-z) with z = (ln x - mu) / sigma; at
         # x = 0 the clamped log makes it m exactly.  Past z = 30, before
         # Phi(-z) goes subnormal, the same difference is taken as
-        # x phi(z) (R(z - sigma) - R(z)) with R the Mills ratio.
+        # x phi(z) (R(z - sigma) - R(z)) with R the Mills ratio.  It is 0
+        # at x = inf, where x is capped at the largest float so that no
+        # inf * 0 term arises.
         x = np.asarray(x, dtype=float)
+        top = np.minimum(x, np.finfo(float).max)
         mu, sigma = self.mu, self.sigma
-        z = (np.log(np.maximum(x, np.finfo(float).tiny)) - mu) / sigma
+        z = (np.log(np.maximum(top, np.finfo(float).tiny)) - mu) / sigma
         far = np.maximum(z, 30.0)
         x_phi = np.exp(mu + sigma * far - 0.5 * far**2) / math.sqrt(2.0 * math.pi)
-        near = self.mean() * normal_cdf(sigma - z) - x * normal_cdf(-z)
-        return np.where(z < 30.0, near, x_phi * (_mills(far - sigma) - _mills(far)))
+        near = self.mean() * normal_cdf(sigma - z) - top * normal_cdf(-z)
+        out = np.where(z < 30.0, near, x_phi * (_mills(far - sigma) - _mills(far)))
+        return np.where(x < math.inf, out, 0.0)
 
     def size_biased_sample(self, rng, size=None):
         # x * lognormal(mu, sigma) density / mean is lognormal(mu + sigma^2, sigma).

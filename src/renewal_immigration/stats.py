@@ -49,16 +49,6 @@ class TestResult:
     method: str
     note: str = ""
 
-    def to_dict(self):
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "n": self.n,
-            "m": self.m,
-            "method": self.method,
-            "note": self.note,
-        }
-
 
 def kolmogorov_sf(x):
     """Survival function of the Kolmogorov distribution, Q(x) = 2 sum (-1)^{j-1} e^{-2 j^2 x^2}."""

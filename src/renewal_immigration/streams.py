@@ -11,7 +11,8 @@ independent of execution order and reproducible bit-for-bit from the key.
 import numpy as np
 
 # Purpose tags, one per call site: in cli the ``--dump-window`` window, the
-# two dri criteria and the four point-process checks; in diagnostics the
+# two dri criteria (index: the kernel's position in scripts/run_dri_survey.py,
+# 0 in cli) and the four point-process checks; in diagnostics the
 # pre-check and the energy tests of converge (index: position in t_list); in
 # process the stationary and the transient fdd blocks.
 (DUMP_WINDOW, DRI_MEAN, DRI_PATH, INTENSITY, OVERSHOOT, SHIFT, LAPLACE, PRECHECK, ENERGY, STATIONARY_BLOCK,

@@ -1,11 +1,12 @@
-"""Byte pins: fixed-seed fdd matrices and dri reports of every kernel kind.
+"""Byte pins: fixed-seed fdd matrices and dri reports of every kernel kind,
+energy tests, and the files the CLI writes.
 
 Each fdd digest is the sha256 of ``fdd_sample(...).to_csv()`` followed by
 the sorted-key JSON of its metadata, at 20 replicates, in both modes.  Each
 dri digest is the sha256 of the sorted-key JSON of the mean and the path
-reports' ``to_dict()``, at two shapes.  A refactor that keeps the
-``(config, seed) -> bytes`` contract leaves every digest unchanged; a
-change that moves any value by one ulp, reorders a random draw or alters a
+reports' fields (``asdict``, arrays as lists), at two shapes.  A refactor
+that keeps the ``(config, seed) -> bytes`` contract leaves every digest
+unchanged; a change that moves any value by one ulp, reorders a random draw or alters a
 serialized kernel config does not.  Birth-death draws depend on the
 chunk sizes (``process.SUPERPOSE_BLOCK`` and the dri path chunks), so their
 pins hold those too.
@@ -13,11 +14,14 @@ pins hold those too.
 
 import hashlib
 import json
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from renewal_immigration import distributions as dist
 from renewal_immigration import stats
+from renewal_immigration.cli import main
 from renewal_immigration.diagnostics import dri_mean_check, dri_path_check
 from renewal_immigration.process import fdd_sample
 from renewal_immigration.streams import stream
@@ -88,7 +92,7 @@ def test_dri_bytes_are_pinned(spec, shape):
     k_max, grid_per_unit, n_mc = DRI_SHAPES[shape]
     mean = dri_mean_check(spec, k_max, grid_per_unit, n_mc, stream(DRI_SEED, 0))
     path = dri_path_check(spec, k_max, n_mc, stream(DRI_SEED, 1))
-    text = json.dumps([mean.to_dict(), path.to_dict()], sort_keys=True)
+    text = json.dumps([asdict(mean), asdict(path)], sort_keys=True, default=np.ndarray.tolist)
     assert hashlib.sha256(text.encode()).hexdigest() == DRI_DIGESTS[(type(spec).__name__, shape)]
 
 
@@ -120,5 +124,95 @@ def test_energy_bytes_are_pinned(shape, monkeypatch):
     if shape == "blocks":
         monkeypatch.setattr(stats, "ENERGY_BLOCK_ENTRIES", 3 * 149)
     result = stats.energy_distance(a, b, ENERGY_SHAPES[shape], rng)
-    text = json.dumps(result.to_dict(), sort_keys=True)
+    text = json.dumps(asdict(result), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == ENERGY_DIGESTS[shape]
+
+
+# What the CLI writes: one small run per case, the sha256 of each JSON
+# and CSV file it writes, and its exit code.  Together they cover every
+# report type the CLI serializes, a lattice warning from converge and from
+# pointprocess, a truncation failure that turns every converge report into
+# a ``hypothesis_violation``, and non-finite floats written as ``null``.
+_EXPONENTIAL = {"family": "exponential", "rate": 1.0}
+_INDICATOR = {"kind": "indicator", "eta": _EXPONENTIAL}
+_PARETO_08_INDICATOR = {"kind": "indicator", "eta": {"family": "pareto", "alpha": 0.8, "xm": 1.0}}
+_SMALL_POINTPROCESS = {"n_windows": 200, "n_realizations": 200, "laplace": {"n_mc": 200}}
+CLI_RUNS = {
+    "converge": ("converge", {"t_list": [1.0, 5.0], "u_grid": [0.0, 1.0], "n_replicates": 200,
+                              "n_permutations": 19}),
+    "converge-lattice": ("converge", {"law": {"family": "point_mass", "value": 1.0}, "t_list": [2.5],
+                                      "u_grid": [0.0], "n_replicates": 100, "n_permutations": 19}),
+    "converge-truncation": ("converge", {"kernel": _PARETO_08_INDICATOR, "t_list": [1.0, 5.0],
+                                         "u_grid": [0.0], "n_replicates": 20}),
+    "pointprocess": ("pointprocess", {"pointprocess": _SMALL_POINTPROCESS}),
+    "pointprocess-lattice": ("pointprocess", {"law": {"family": "point_mass", "value": 1.0},
+                                              "pointprocess": _SMALL_POINTPROCESS | {"horizon": 10.5}}),
+    "dri": ("dri", {"dri": {"k_max": 40, "grid_per_unit": 2, "n_mc": 50}}),
+    "dri-pareto": ("dri", {"kernel": _PARETO_08_INDICATOR, "dri": {"k_max": 40, "grid_per_unit": 2, "n_mc": 100}}),
+}
+
+CLI_DIGESTS = {
+    "converge": (
+        0,
+        {
+            "report_000.json": "5347bf34718ae7c5f2bb054c70c8e7288a1587e6a72af4cb1c9fbd52dc569b47",
+            "report_001.json": "d559edd7cf6ff2db2e3bf1ad8e78ba175c86dbb0c70c6ee00bd36c62d28cf5e7",
+            "summary.csv": "de6ee499679262f1b24356540f1c6389597584dcfef0e372496cbefc473bdc8d",
+        },
+    ),
+    "converge-lattice": (
+        3,
+        {
+            "report_000.json": "82388eb70a5fd9636ef44105004a2f23a6df7a97ae555310aa180e2d6be7a257",
+            "summary.csv": "32a15fec6c9623ccf321689b28efd7809b7c07d228a7a28e863fab3de39fa2d5",
+        },
+    ),
+    "converge-truncation": (
+        3,
+        {
+            "report_000.json": "3f1f5a75cc9a3a6f067a726618db1a28a61280ecf7ad71f5f1832c5121fa4e60",
+            "report_001.json": "0b224334d619bc4f028929597cf427749521d7a7f57af501b5bb30265f5a0bf3",
+            "summary.csv": "921c2fec67e8125e1b9239bef3db49195ef033d047861afb1ea1830b48406eb8",
+        },
+    ),
+    "dri": (
+        0,
+        {
+            "dri_mean.json": "c0e3db90639b70132666ead42b95cf9cb17dadcb139a72f256e1131287affb36",
+            "dri_path.json": "f5c279bddbbd54b30cfbe0886fed7e5eeaaf987136f4ecd3a37e7becf4feb721",
+            "dri_summary.json": "0a9688983795373537f68e4648a683c73bae6548f98ffc4d09efaaefcb89016e",
+        },
+    ),
+    "dri-pareto": (
+        2,
+        {
+            "dri_mean.json": "0fb0ec37e2a8eb9a5992694cbcc8a14c567fcf8559f2470d19ecbf0158e0744f",
+            "dri_path.json": "a7ebcff92c9ac91bdf05145cfb36373d89546aa76a746ed10683face3702689a",
+            "dri_summary.json": "26c94cfac83601b5b45403c0ac604c664d6e5b0f8e19cf4ed075d84d2aba4b3a",
+        },
+    ),
+    "pointprocess": (
+        0,
+        {
+            "pointprocess.json": "24836c65562478125eaa28bf87372f9e47ef3357fb95a81a8e2a058801ad3f8d",
+        },
+    ),
+    "pointprocess-lattice": (
+        3,
+        {
+            "pointprocess.json": "485718a49084e246edde4cc9d2cdd7b4337ab6295d9c30fb447c535a4650e7d3",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_RUNS))
+def test_cli_output_bytes_are_pinned(case, tmp_path, capsys):
+    command, fields = CLI_RUNS[case]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"schema": 1, "seed": 7, "law": _EXPONENTIAL, "kernel": _INDICATOR} | fields))
+    out = tmp_path / "out"
+    code = main([command, str(cfg), "--out-dir", str(out)])
+    assert "Traceback" not in capsys.readouterr().err
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())}
+    assert (code, digests) == CLI_DIGESTS[case]

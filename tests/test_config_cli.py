@@ -270,7 +270,7 @@ class WorkLedger:
 
     def intensity_check(self, law, intervals, n_windows, rng):
         self.add(n_windows, 2.0 * dg.intensity_half_width(law, intervals) / law.mean())
-        return [dg.IntervalIntensity(a, b, 0.0, 0.0, 0.0) for a, b in intervals]
+        return [dg.IntervalIntensity(interval, 0.0, 0.0, 0.0) for interval in intervals]
 
     def overshoot_check(self, law, horizon, n_realizations, rng):
         self.add(n_realizations, horizon / law.mean())

@@ -106,8 +106,8 @@ def test_laplace_poisson_closed_form():
     integral, err = quad(lambda x: 1.0 - math.exp(-1.0), 0.0, 1.0)
     assert err < 1e-12
     oracle = math.exp(-integral)
-    assert abs(res.transient_estimate - oracle) < res.transient_ci
-    assert abs(res.stationary_estimate - oracle) < res.stationary_ci
+    assert abs(res.transient_estimate - oracle) < res.transient_ci99
+    assert abs(res.stationary_estimate - oracle) < res.stationary_ci99
     assert not res.lattice_warning
     # h >= 0 and not identically 0: the functionals live strictly inside (0, 1).
     assert 0.0 < res.transient_estimate < 1.0
@@ -150,7 +150,7 @@ def test_laplace_transient_estimate_equals_single_runs(law):
     single = np.array([math.exp(-float(np.sum(h.value(t - np.append(0.0, run[:-1]))))) for run in runs])
     res = dg.laplace_functional_compare(law, h, t, n_mc, stream(3))
     assert res.transient_estimate == float(single.mean())
-    assert res.transient_ci == 2.5758293035489004 * float(single.std(ddof=1)) / math.sqrt(n_mc)
+    assert res.transient_ci99 == 2.5758293035489004 * float(single.std(ddof=1)) / math.sqrt(n_mc)
 
 
 @pytest.mark.parametrize("law", LAPLACE_LAWS, ids=lambda law: type(law).__name__)
@@ -224,21 +224,21 @@ def test_intensity_check_examples():
 
 def test_overshoot_check_exponential_memoryless():
     report = dg.overshoot_check(EXP_LAW, 30.0, 2 * 10**4, stream(21))
-    assert report.result.p_value > 0.01
+    assert report.ks.p_value > 0.01
     assert not report.lattice_warning
     assert report.horizon_warning is None
 
 
 def test_overshoot_check_uniform_closed_form():
     report = dg.overshoot_check(dist.Uniform(0.0, 1.0), 50.0, 2 * 10**4, stream(22))
-    assert report.result.p_value > 0.01
+    assert report.ks.p_value > 0.01
 
 
 def test_overshoot_check_point_mass_lattice_flag():
     report = dg.overshoot_check(dist.PointMass(1.0), 10.5, 2000, stream(23))
     assert report.lattice_warning
     # Degenerate overshoot 0.5 against the uniform integrated tail: rejected.
-    assert report.result.p_value < 0.01
+    assert report.ks.p_value < 0.01
     assert report.horizon_warning is not None  # 10.5 < 20 means
 
 
@@ -272,10 +272,10 @@ def _point_process_run(monkeypatch, law, rng_seed):
     mu = law.mean()
     h = kn.DeterministicTable((0.0, mu), (1.0, 0.0))
     reports = [
-        [r.to_dict() for r in dg.intensity_check(law, [(0.0, 5.0 * mu), (-2.0 * mu, mu)], 40, stream(rng_seed))],
-        dg.overshoot_check(law, 20.0 * mu, 30, stream(rng_seed + 1)).to_dict(),
-        dg.shift_invariance_check(law, 0.25 * mu, (0.0, 5.0 * mu), 40, stream(rng_seed + 2)).to_dict(),
-        dg.laplace_functional_compare(law, h, 20.0 * mu, 30, stream(rng_seed + 3)).to_dict(),
+        dg.intensity_check(law, [(0.0, 5.0 * mu), (-2.0 * mu, mu)], 40, stream(rng_seed)),
+        dg.overshoot_check(law, 20.0 * mu, 30, stream(rng_seed + 1)),
+        dg.shift_invariance_check(law, 0.25 * mu, (0.0, 5.0 * mu), 40, stream(rng_seed + 2)),
+        dg.laplace_functional_compare(law, h, 20.0 * mu, 30, stream(rng_seed + 3)),
     ]
     return reports, drawn
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -471,3 +472,29 @@ def test_tail_mean_against_mpmath(law):
         assert ref.min() < TAIL_FLOOR or xs[-1] > 1e299
     if law.support()[0] >= 0.0:
         assert float(law.tail_mean(0.0)) == law.mean()
+
+
+# One law or more per family, each with a finite mean; all but Pareto are
+# interarrival laws.
+LAWS_AT_INFINITY = [
+    dist.Exponential(1.5),
+    dist.Gamma(2.0, 1.0),
+    dist.Gamma(0.3, 7.0),
+    dist.Uniform(0.5, 1.5),
+    dist.LogNormal(0.0, 1.0),
+    dist.LogNormal(-1.0, 2.0),
+    dist.PointMass(2.0),
+    dist.FiniteDiscrete(((1.0, 0.5), (3.0, 0.5))),
+    dist.Pareto(1.5, 2.0),
+]
+
+
+@pytest.mark.parametrize("law", LAWS_AT_INFINITY, ids=repr)
+def test_tail_mean_at_infinity_is_zero(law):
+    # No inf * 0 term: exactly 0, with no RuntimeWarning, alone and in an array.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert float(law.tail_mean(math.inf)) == 0.0
+        assert np.asarray(law.tail_mean(np.array([1.0, math.inf])))[1] == 0.0
+        if not isinstance(law, dist.Pareto):
+            assert dist.integrated_tail_cdf(law, math.inf) == 1.0
