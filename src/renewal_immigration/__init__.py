@@ -18,7 +18,6 @@ from .distributions import (
     is_lattice,
     law_from_config,
     law_to_config,
-    sample_size_biased,
     sample_stationary_delay,
 )
 from .errors import ConfigError, KernelError, LawError, NonAbsorbedPathError, TruncationError

@@ -1,12 +1,15 @@
 """Config-driven command line front end.
 
-Every command is a pure function of ``(config file, seed)``: reruns produce
-byte-identical artifacts (sorted JSON keys, 17-significant-digit CSV
-floats, no wall-clock anywhere).  A JSON report is its result's fields:
-this module is the one place that turns a result dataclass into JSON, with
-its field names as keys and arrays and tuples as lists.  JSON is strict: a
-non-finite float (an infinite bound, say) is written as ``null``.  Output
-files are written atomically.
+Every command is a pure function of ``(config file, seed)``: it writes
+nothing and returns its exit code, its files as ``{name: text}`` and its
+summary fields.  Once it returns, :func:`main` writes each file atomically,
+in order, and prints one JSON summary whose ``outputs`` are exactly those
+files.  Reruns produce byte-identical artifacts (sorted JSON keys,
+17-significant-digit CSV floats, no wall-clock anywhere).  A JSON report is
+its result's fields: this module is the one place that turns a result
+dataclass into JSON, with its field names as keys and arrays and tuples as
+lists.  JSON is strict: a non-finite float (an infinite bound, say) is
+written as ``null``.
 
 Exit codes: 0 pass, 1 usage/config error, 2 statistical rejection or
 truncation failure, 3 inconclusive / hypothesis warning.
@@ -87,29 +90,26 @@ def _log(verbose, message):
         print(message, file=sys.stderr)
 
 
-def cmd_simulate(config, fields, out_dir, args):
-    n = fields.n_replicates
-    sample = fdd_sample(config.law, config.kernel, "transient", fields.u_grid, n, seed=config.seed, t=fields.t)
-    _write_atomic(out_dir / "matrix.csv", sample.to_csv())
+def _sample_files(config, sample):
     meta = sample.metadata(config.law, config.kernel)
     meta["schema"] = SCHEMA_VERSION
-    _write_atomic(out_dir / "metadata.json", _json_text(meta))
-    summary = {
-        "command": "simulate",
-        "rows": n,
-        "cols": len(fields.u_grid),
-        "outputs": ["matrix.csv", "metadata.json"],
-    }
-    return EXIT_PASS, summary
+    return {"matrix.csv": sample.to_csv(), "metadata.json": _json_text(meta)}
 
 
-def cmd_stationary(config, fields, out_dir, args):
+def cmd_simulate(config, fields, args):
+    sample = fdd_sample(
+        config.law, config.kernel, "transient", fields.u_grid, fields.n_replicates, seed=config.seed, t=fields.t
+    )
+    return EXIT_PASS, _sample_files(config, sample), {"rows": fields.n_replicates, "cols": len(fields.u_grid)}
+
+
+def cmd_stationary(config, fields, args):
     u_grid, n, tol = fields.u_grid, fields.n_replicates, fields.tol
-    outputs = []
+    dumped = {}
     if args.dump_window:
-        window = build_stationary_window(config.law, fields.c, stream(config.seed, DUMP_WINDOW, 0))
-        _write_atomic(out_dir / "window.csv", window_to_csv(window))
-        outputs.append("window.csv")
+        dumped["window.csv"] = window_to_csv(
+            build_stationary_window(config.law, fields.c, stream(config.seed, DUMP_WINDOW, 0))
+        )
     try:
         sample = fdd_sample(
             config.law, config.kernel, "stationary", u_grid, n, seed=config.seed, tol=tol, c_max=fields.c_max
@@ -122,29 +122,17 @@ def cmd_stationary(config, fields, out_dir, args):
             "c_used": exc.c_used,
             "tol": tol,
         }
-        _write_atomic(out_dir / "truncation_report.json", _json_text(report))
-        summary = {"command": "stationary", "error": "truncation", "outputs": outputs + ["truncation_report.json"]}
-        return EXIT_REJECT, summary
-    _write_atomic(out_dir / "matrix.csv", sample.to_csv())
-    meta = sample.metadata(config.law, config.kernel)
-    meta["schema"] = SCHEMA_VERSION
-    _write_atomic(out_dir / "metadata.json", _json_text(meta))
-    outputs = ["matrix.csv", "metadata.json"] + outputs
-    summary = {"command": "stationary", "rows": n, "cols": len(u_grid), "outputs": outputs}
-    return EXIT_PASS, summary
+        return EXIT_REJECT, dumped | {"truncation_report.json": _json_text(report)}, {"error": "truncation"}
+    return EXIT_PASS, _sample_files(config, sample) | dumped, {"rows": n, "cols": len(u_grid)}
 
 
-def cmd_converge(config, fields, out_dir, args):
+def cmd_converge(config, fields, args):
     u_grid = fields.u_grid
     reports = convergence_test(
         config.law, config.kernel, fields.t_list, u_grid, fields.n_replicates, fields.alpha, config.seed,
         n_permutations=fields.n_permutations, tol=fields.tol,
     )
-    outputs = []
-    for i, report in enumerate(reports):
-        name = f"report_{i:03d}.json"
-        _write_atomic(out_dir / name, _json_text(report))
-        outputs.append(name)
+    files = {f"report_{i:03d}.json": _json_text(report) for i, report in enumerate(reports)}
     header = ["t"] + [f"ks_p_u={_fmt(v)}" for v in u_grid] + ["energy_p", "decision"]
     lines = [",".join(header)]
     for report in reports:
@@ -154,8 +142,7 @@ def cmd_converge(config, fields, out_dir, args):
         cells.append("" if report.energy_p_value is None else _fmt(report.energy_p_value))
         cells.append(report.decision)
         lines.append(",".join(cells))
-    _write_atomic(out_dir / "summary.csv", "\n".join(lines) + "\n")
-    outputs.append("summary.csv")
+    files["summary.csv"] = "\n".join(lines) + "\n"
     warned = any(report.warnings or report.decision == "hypothesis_violation" for report in reports)
     if warned:
         code = EXIT_WARN
@@ -163,20 +150,13 @@ def cmd_converge(config, fields, out_dir, args):
         code = EXIT_REJECT
     else:
         code = EXIT_PASS
-    summary = {
-        "command": "converge",
-        "decisions": [report.decision for report in reports],
-        "outputs": outputs,
-    }
-    return code, summary
+    return code, files, {"decisions": [report.decision for report in reports]}
 
 
-def cmd_dri(config, fields, out_dir, args):
+def cmd_dri(config, fields, args):
     k_max, n_mc = fields.k_max, fields.n_mc
     mean_report = dri_mean_check(config.kernel, k_max, fields.grid_per_unit, n_mc, stream(config.seed, DRI_MEAN, 0))
     path_report = dri_path_check(config.kernel, k_max, n_mc, stream(config.seed, DRI_PATH, 0))
-    _write_atomic(out_dir / "dri_mean.json", _json_text(mean_report))
-    _write_atomic(out_dir / "dri_path.json", _json_text(path_report))
     verdicts = (mean_report.verdict, path_report.verdict)
     if all(v == CONVERGENT_EVIDENCE for v in verdicts):
         code = EXIT_PASS
@@ -191,12 +171,15 @@ def cmd_dri(config, fields, out_dir, args):
             "a mean-convergent, path-divergent kernel fades in probability but not pathwise"
         )
     combined = {"mean_verdict": verdicts[0], "path_verdict": verdicts[1], "explanation": explanation}
-    _write_atomic(out_dir / "dri_summary.json", _json_text(combined))
-    summary = {"command": "dri", "verdicts": list(verdicts), "outputs": ["dri_mean.json", "dri_path.json", "dri_summary.json"]}
-    return code, summary
+    files = {
+        "dri_mean.json": _json_text(mean_report),
+        "dri_path.json": _json_text(path_report),
+        "dri_summary.json": _json_text(combined),
+    }
+    return code, files, {"verdicts": list(verdicts)}
 
 
-def cmd_pointprocess(config, fields, out_dir, args):
+def cmd_pointprocess(config, fields, args):
     law, seed, alpha = config.law, config.seed, fields.alpha
     intensity = intensity_check(law, fields.intervals, fields.n_windows, stream(seed, INTENSITY, 0))
     overshoot = overshoot_check(law, fields.horizon, fields.n_realizations, stream(seed, OVERSHOOT, 0))
@@ -211,44 +194,28 @@ def cmd_pointprocess(config, fields, out_dir, args):
     if overshoot.horizon_warning:
         warnings.append(overshoot.horizon_warning)
 
-    intensity_pass = all(abs(r.z_score) <= INTENSITY_Z_LIMIT for r in intensity)
-    overshoot_pass = overshoot.ks.p_value > alpha
-    shift_pass = shift_result.p_value > alpha
     laplace_gap = abs(laplace.transient_estimate - laplace.stationary_estimate)
-    laplace_tol = math.sqrt(laplace.transient_ci99**2 + laplace.stationary_ci99**2)
-    laplace_pass = laplace_gap <= laplace_tol
-
+    passes = {
+        "intensity": all(abs(r.z_score) <= INTENSITY_Z_LIMIT for r in intensity),
+        "overshoot": overshoot.ks.p_value > alpha,
+        "shift_invariance": shift_result.p_value > alpha,
+        "laplace": laplace_gap <= math.sqrt(laplace.transient_ci99**2 + laplace.stationary_ci99**2),
+    }
     payload = {
         "intensity": intensity,
-        "intensity_pass": intensity_pass,
         "overshoot": overshoot,
-        "overshoot_pass": overshoot_pass,
         "shift_invariance": shift_result,
-        "shift_invariance_pass": shift_pass,
         "laplace": laplace,
-        "laplace_pass": laplace_pass,
         "alpha": alpha,
         "warnings": warnings,
-    }
-    _write_atomic(out_dir / "pointprocess.json", _json_text(payload))
-    all_pass = intensity_pass and overshoot_pass and shift_pass and laplace_pass
+    } | {f"{name}_pass": passed for name, passed in passes.items()}
     if warnings:
         code = EXIT_WARN
-    elif not all_pass:
+    elif not all(passes.values()):
         code = EXIT_REJECT
     else:
         code = EXIT_PASS
-    summary = {
-        "command": "pointprocess",
-        "passes": {
-            "intensity": intensity_pass,
-            "overshoot": overshoot_pass,
-            "shift_invariance": shift_pass,
-            "laplace": laplace_pass,
-        },
-        "outputs": ["pointprocess.json"],
-    }
-    return code, summary
+    return code, {"pointprocess.json": _json_text(payload)}, {"passes": passes}
 
 
 _COMMANDS = {
@@ -288,18 +255,18 @@ def main(argv=None):
         out_dir.mkdir(parents=True, exist_ok=True)
         _log(args.verbose, f"running {args.command} with seed {config.seed}")
         fields = command_fields(args.command, config)
-        code, summary = _COMMANDS[args.command](config, fields, out_dir, args)
+        code, files, summary = _COMMANDS[args.command](config, fields, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonAbsorbedPathError as exc:
         # A kernel path outran its jump budget: the expected absorption
         # time may be infinite, which is a hypothesis warning, not a crash.
-        name = f"{args.command}_error.json"
-        _write_atomic(out_dir / name, _json_text({"error": "non_absorbed_path", "message": str(exc)}))
-        code, summary = EXIT_WARN, {"command": args.command, "error": "non_absorbed_path", "outputs": [name]}
-    summary["exit"] = code
-    print(json.dumps(summary, sort_keys=True))
+        error = {"error": "non_absorbed_path", "message": str(exc)}
+        code, files, summary = EXIT_WARN, {f"{args.command}_error.json": _json_text(error)}, {"error": error["error"]}
+    for name, text in files.items():
+        _write_atomic(out_dir / name, text)
+    print(json.dumps({"command": args.command, **summary, "outputs": list(files), "exit": code}, sort_keys=True))
     return code
 
 

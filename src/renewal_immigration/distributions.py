@@ -46,7 +46,6 @@ __all__ = [
     "Pareto",
     "Law",
     "check_interarrival",
-    "sample_size_biased",
     "sample_stationary_delay",
     "integrated_tail_cdf",
     "normal_cdf",
@@ -156,12 +155,14 @@ class Gamma:
 
     def tail_mean(self, x):
         # theta (k Q(k + 1, y) - y Q(k, y)) at y = x / theta, Q the upper
-        # regularized incomplete gamma function; 0 at x = inf, where y is
-        # capped at the largest float so that no inf * 0 term arises.
+        # regularized incomplete gamma function.  Where x / theta overflows
+        # (x = inf included), y is capped at the largest float, so that no
+        # inf * 0 term arises and the tail is 0.
         from scipy.special import gammaincc
 
         x = np.asarray(x, dtype=float)
-        y = np.minimum(x / self.scale, np.finfo(float).max)
+        with np.errstate(over="ignore"):
+            y = np.minimum(x / self.scale, np.finfo(float).max)
         out = self.scale * (self.shape * gammaincc(self.shape + 1.0, y) - y * gammaincc(self.shape, y))
         return np.where(x < math.inf, out, 0.0)
 
@@ -235,15 +236,16 @@ class LogNormal:
         # m Phi(sigma - z) - x Phi(-z) with z = (ln x - mu) / sigma; at
         # x = 0 the clamped log makes it m exactly.  Past z = 30, before
         # Phi(-z) goes subnormal, the same difference is taken as
-        # x phi(z) (R(z - sigma) - R(z)) with R the Mills ratio.  It is 0
-        # at x = inf, where x is capped at the largest float so that no
-        # inf * 0 term arises.
+        # x phi(z) (R(z - sigma) - R(z)) with R the Mills ratio, and
+        # x phi(z) is 0 where z^2 overflows.  It is 0 at x = inf, where x is
+        # capped at the largest float so that no inf * 0 term arises.
         x = np.asarray(x, dtype=float)
         top = np.minimum(x, np.finfo(float).max)
         mu, sigma = self.mu, self.sigma
         z = (np.log(np.maximum(top, np.finfo(float).tiny)) - mu) / sigma
         far = np.maximum(z, 30.0)
-        x_phi = np.exp(mu + sigma * far - 0.5 * far**2) / math.sqrt(2.0 * math.pi)
+        with np.errstate(over="ignore"):
+            x_phi = np.exp(mu + sigma * far - 0.5 * far**2) / math.sqrt(2.0 * math.pi)
         near = self.mean() * normal_cdf(sigma - z) - top * normal_cdf(-z)
         out = np.where(z < 30.0, near, x_phi * (_mills(far - sigma) - _mills(far)))
         return np.where(x < math.inf, out, 0.0)
@@ -416,18 +418,6 @@ def check_interarrival(law):
     if not (mu > 0 and math.isfinite(mu) and math.isfinite(m2)):
         raise LawError(f"interarrival law needs a finite positive mean and a finite second moment, got {mu}, {m2}")
     return law
-
-
-def sample_size_biased(law, rng, size=None):
-    """Draw the interval containing a uniform random time point.
-
-    The size-biased law has density ``x / mean`` times the original one;
-    each family uses an exact method (conjugate shift, inverse transform, or
-    atom reweighting).
-    """
-    check_interarrival(law)
-    out = law.size_biased_sample(rng, size=size)
-    return float(out) if size is None else np.asarray(out, dtype=float)
 
 
 def sample_stationary_delay(law, rng, size=None):

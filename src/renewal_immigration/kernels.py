@@ -68,7 +68,6 @@ __all__ = [
     "BirthDeath",
     "SpikeTrain",
     "KernelSpec",
-    "PathSample",
     "sample_path",
     "birth_death_tail_integral",
     "kernel_to_config",
@@ -452,9 +451,6 @@ class BirthDeathPath:
         return sups
 
 
-PathSample = TablePath | IndicatorPath | ExpDecayPath | SpikePath | BirthDeathPath
-
-
 # --------------------------------------------------------------------------
 # Operations
 
@@ -482,24 +478,21 @@ def _bd_generator(spec):
     return gen
 
 
-@lru_cache(maxsize=512)
-def _bd_tail_integral_cached(spec, lo):
-    from scipy.linalg import expm
-
-    gen = _bd_generator(spec)
-    y = expm(gen * lo) @ np.ones(len(gen))
-    z = np.linalg.solve(gen, y)
-    return max(float(-z[spec.initial - 1]), 0.0)
-
-
 def birth_death_tail_integral(spec, lo):
     """``integral_lo^inf P(tau > x) dx`` for the capped chain; exact.
 
     This is the phase-type integrated tail used to bound how much mass a
     stationary evaluation can miss beyond its window (the generator is
     stable because every death rate is positive, so the inverse exists).
+    ``lo`` is used as given: rounded up, the integral would miss the mass
+    just past the cut and no longer bound it.
     """
-    return _bd_tail_integral_cached(spec, max(round(float(lo), 9), 0.0))
+    from scipy.linalg import expm
+
+    gen = _bd_generator(spec)
+    y = expm(gen * max(float(lo), 0.0)) @ np.ones(len(gen))
+    z = np.linalg.solve(gen, y)
+    return max(float(-z[spec.initial - 1]), 0.0)
 
 
 # --------------------------------------------------------------------------

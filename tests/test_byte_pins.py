@@ -216,3 +216,31 @@ def test_cli_output_bytes_are_pinned(case, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())}
     assert (code, digests) == CLI_DIGESTS[case]
+
+
+# Every case above, and ``simulate`` and ``stationary --dump-window`` runs
+# that pass, that fail truncation, and that end in a birth-death path never
+# absorbed within its jump budget (births 1000 times faster than deaths).
+_NON_ABSORBED = {"kind": "birth_death", "initial": 1, "birth_rates": [1000.0, 0.0], "death_rates": [0.01, 0.01],
+                 "state_cap": 2, "max_jumps": 50}
+SUMMARY_RUNS = CLI_RUNS | {
+    "simulate": ("simulate", {"t": 5.0, "u_grid": [0.0, 1.0], "n_replicates": 20}),
+    "stationary": ("stationary", {"u_grid": [0.0, 1.0], "n_replicates": 20}),
+    "stationary-truncation": ("stationary", {"kernel": _PARETO_08_INDICATOR, "u_grid": [0.0], "n_replicates": 20}),
+    "stationary-non-absorbed": ("stationary", {"kernel": _NON_ABSORBED, "u_grid": [0.0], "n_replicates": 20,
+                                               "tol": 1e30}),
+}
+SUMMARY_ERRORS = {"stationary-truncation": "truncation", "stationary-non-absorbed": "non_absorbed_path"}
+
+
+@pytest.mark.parametrize("case", sorted(SUMMARY_RUNS))
+def test_summary_outputs_are_the_files_on_disk(case, tmp_path, capsys):
+    command, fields = SUMMARY_RUNS[case]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"schema": 1, "seed": 7, "law": _EXPONENTIAL, "kernel": _INDICATOR} | fields))
+    out = tmp_path / "out"
+    flags = ["--dump-window"] if command == "stationary" else []
+    code = main([command, str(cfg), "--out-dir", str(out)] + flags)
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["exit"], summary.get("error")) == (code, SUMMARY_ERRORS.get(case))
+    assert sorted(summary["outputs"]) == sorted(path.name for path in out.iterdir())

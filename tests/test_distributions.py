@@ -66,27 +66,25 @@ def test_uniform_sample_variance():
 def test_size_biased_point_mass_identity():
     rng = stream(3)
     for _ in range(10):
-        assert dist.sample_size_biased(dist.PointMass(5.0), rng) == 5.0
+        assert dist.PointMass(5.0).size_biased_sample(rng) == 5.0
 
 
 def test_size_biased_exponential_mean_matches_quadrature():
     # E[xi0] = E[xi^2] / E[xi]; the oracle integrates x^2 e^{-x} directly.
     oracle, err = quad(lambda x: x * x * math.exp(-x), 0.0, np.inf)
     assert err < 1e-9
-    draws = dist.sample_size_biased(dist.Exponential(1.0), stream(4), size=10**6)
+    draws = dist.Exponential(1.0).size_biased_sample(stream(4), size=10**6)
     assert abs(draws.mean() - oracle) < 0.005
 
 
 def test_size_biased_finite_discrete_reweights():
-    draws = dist.sample_size_biased(
-        dist.FiniteDiscrete(((1.0, 0.5), (3.0, 0.5))), stream(5), size=10**6
-    )
+    draws = dist.FiniteDiscrete(((1.0, 0.5), (3.0, 0.5))).size_biased_sample(stream(5), size=10**6)
     assert abs(np.mean(draws == 3.0) - 0.75) < 0.002
 
 
 @pytest.mark.parametrize("law", INTERARRIVAL_LAWS, ids=lambda l: type(l).__name__)
 def test_size_biased_mean_all_families(law):
-    draws = dist.sample_size_biased(law, stream(6), size=10**6)
+    draws = law.size_biased_sample(stream(6), size=10**6)
     target = law.second_moment() / law.mean()
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean() - target) < max(4.0 * se, 1e-12)
@@ -251,8 +249,8 @@ def test_determinism_same_seed_same_draws():
         a = law.sample(stream(123), size=50)
         b = law.sample(stream(123), size=50)
         assert np.array_equal(a, b)
-        sa = dist.sample_size_biased(law, stream(77), size=20)
-        sb = dist.sample_size_biased(law, stream(77), size=20)
+        sa = law.size_biased_sample(stream(77), size=20)
+        sb = law.size_biased_sample(stream(77), size=20)
         assert np.array_equal(sa, sb)
 
 
@@ -498,3 +496,12 @@ def test_tail_mean_at_infinity_is_zero(law):
         assert np.asarray(law.tail_mean(np.array([1.0, math.inf])))[1] == 0.0
         if not isinstance(law, dist.Pareto):
             assert dist.integrated_tail_cdf(law, math.inf) == 1.0
+
+
+@pytest.mark.parametrize("law", [dist.LogNormal(0.0, 1e-200), dist.Gamma(1e5, 1e-300)], ids=repr)
+def test_tail_mean_where_the_standardized_cut_overflows_is_zero(law):
+    # z^2 (log-normal) and x / scale (gamma) overflow to inf at x = 1e300;
+    # the true tail there is 0, and it comes with no RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert float(law.tail_mean(1e300)) == 0.0

@@ -147,6 +147,27 @@ def test_birth_death_tail_integral_matches_monte_carlo():
         assert kn.birth_death_tail_integral(spec, lo) == pytest.approx(mc.mean(), abs=4.0 * se)
 
 
+def test_birth_death_tail_integral_bounds_the_tail_at_the_exact_cut():
+    # The stationary birth-death kernel at cut 20/3 (mean 2/3, u_grid [0]):
+    # the integral at the cut itself, against a 60-digit expm, and not at a
+    # cut rounded up past it, which would return 8e-11 less.
+    import mpmath as mp
+
+    spec = kn.BirthDeath(initial=1, birth_rates=(0.5, 0.5, 0.5, 0.0), death_rates=(1.0,) * 4, state_cap=4)
+    lo = 20.0 / 3.0
+    with mp.workdps(60):
+        gen = mp.matrix(4, 4)
+        for i in range(4):
+            birth = spec.birth_rates[i]
+            gen[i, i] = -(birth + spec.death_rates[i])
+            if i < 3:
+                gen[i, i + 1] = birth
+            if i > 0:
+                gen[i, i - 1] = spec.death_rates[i]
+        exact = -mp.lu_solve(gen, mp.expm(gen * mp.mpf(lo)) * mp.matrix([1] * 4))[spec.initial - 1]
+    assert kn.birth_death_tail_integral(spec, lo) >= float(exact) * (1.0 - 1e-13)
+
+
 def test_spike_train_geometry():
     path = kn.SpikePath(np.array([[0.5]]))
     # Pulse in [k + 0.5 k^2/(k^2+1), k + 0.5); none before k=1.
