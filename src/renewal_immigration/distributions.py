@@ -238,13 +238,14 @@ class LogNormal:
         # Phi(-z) goes subnormal, the same difference is taken as
         # x phi(z) (R(z - sigma) - R(z)) with R the Mills ratio, and
         # x phi(z) is 0 where z^2 overflows.  It is 0 at x = inf, where x is
-        # capped at the largest float so that no inf * 0 term arises.
+        # capped at the largest float so that no inf * 0 term arises; z
+        # itself overflows for a subnormal sigma, and is capped there too.
         x = np.asarray(x, dtype=float)
         top = np.minimum(x, np.finfo(float).max)
         mu, sigma = self.mu, self.sigma
-        z = (np.log(np.maximum(top, np.finfo(float).tiny)) - mu) / sigma
-        far = np.maximum(z, 30.0)
         with np.errstate(over="ignore"):
+            z = (np.log(np.maximum(top, np.finfo(float).tiny)) - mu) / sigma
+            far = np.clip(z, 30.0, np.finfo(float).max)
             x_phi = np.exp(mu + sigma * far - 0.5 * far**2) / math.sqrt(2.0 * math.pi)
         near = self.mean() * normal_cdf(sigma - z) - top * normal_cdf(-z)
         out = np.where(z < 30.0, near, x_phi * (_mills(far - sigma) - _mills(far)))

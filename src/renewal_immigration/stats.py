@@ -11,12 +11,13 @@ scipy.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "TestResult",
+    "PermutationResult",
     "ks_two_sample",
     "ks_one_sample",
     "energy_distance",
@@ -31,13 +32,17 @@ __all__ = [
 ENERGY_EXACT_ROWS = 20_000
 
 # Distances are streamed in blocks of about this many entries, each block
-# filled one cache-sized tile at a time.  An energy test holds one block,
-# its (P, k) integer label draws and two float buffers of labelling tiles.
+# filled one cache-sized tile at a time.  An energy test holds one block and
+# two float buffers of labelling tiles, plus one tile's integer label draws.
 # When the k x k distances fit one block, a tile holds max(k, DISTANCE_TILE
 # // k) labellings, so neither buffer is larger than the distance matrix or
 # one distance tile; otherwise all P + 1 labellings form one tile.
 ENERGY_BLOCK_ENTRIES = 2**24
 DISTANCE_TILE = 2**15
+
+# A permutation test stops at the labelling whose statistic is the
+# EXCEEDANCES-th to reach the observed one (Besag & Clifford 1991).
+EXCEEDANCES = 10
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,13 @@ class TestResult:
     m: int | None
     method: str
     note: str = ""
+
+
+@dataclass(frozen=True)
+class PermutationResult(TestResult):
+    """A permutation test's result and the number of permuted labellings it ran."""
+
+    labellings: int = field(kw_only=True)
 
 
 def kolmogorov_sf(x):
@@ -194,31 +206,35 @@ def _distinct_rows(z):
     return ranked[new], inv
 
 
-def _count_tiles(observed, drawn, width):
+def _count_tiles(observed, w, n_permutations, rng, width):
     """Float label counts per distinct row, ``width`` labellings per tile.
 
     Yields ``(lo, tile)`` with ``tile`` a contiguous ``(k, width)`` array
     (the last one ragged) holding labellings ``lo, lo + 1, ...``: labelling 0
-    is ``observed``, labelling ``p >= 1`` is row ``p - 1`` of ``drawn``.  The
-    draws are released once the last tile is converted, so the caller must
-    hold no other reference to them.
+    is ``observed``, labelling ``p >= 1`` the label counts of a uniform
+    ``n``-subset of the pooled rows (``n = observed.sum()``, ``w`` the
+    multiplicities).  Those are multivariate hypergeometric, drawn from
+    ``rng`` as each tile is formed, by the cheaper of numpy's two methods:
+    "marginals" costs O(k) per labelling, "count" O(n).  Draws by
+    "marginals" split over tiles equal one call's; draws by "count" depend on
+    how many one call makes, since it reshuffles one pooled array from draw
+    to draw, but consume the stream alike.  Tiles left unread are not drawn.
     """
-    total = len(drawn) + 1
+    k, n = len(w), int(observed.sum())
+    method = "marginals" if k < n else "count"
+    total = n_permutations + 1
     for lo in range(0, total, width):
         hi = min(lo + width, total)
-        tile = np.empty((len(observed), hi - lo))
+        first = max(lo, 1)
+        tile = np.empty((k, hi - lo))
         if lo == 0:
             tile[:, 0] = observed
-            tile[:, 1:] = drawn[: hi - 1].T
-        else:
-            tile[:] = drawn[lo - 1 : hi - 1].T
-        if hi == total:
-            del drawn
+        tile[:, first - lo :] = rng.multivariate_hypergeometric(w, n, size=hi - first, method=method).T
         yield lo, tile
 
 
 def energy_distance(a_matrix, b_matrix, n_permutations, rng):
-    """Two-sample energy statistic with a permutation p-value.
+    """Two-sample energy statistic with a sequential permutation p-value.
 
     Statistic: ``2 E|A - B| - E|A - A'| - E|B - B'|`` with plug-in means over
     all row pairs (Euclidean distances, diagonal included).  It depends on
@@ -228,20 +244,27 @@ def energy_distance(a_matrix, b_matrix, n_permutations, rng):
     ``ENERGY_EXACT_ROWS`` distinct rows and computed on a subsample beyond.
     The permutation null labels a uniform random ``n``-subset of the pooled
     rows; only its label counts per distinct row matter, and those are
-    multivariate hypergeometric, drawn for every labelling in one call.
-    The p-value counts the observed arrangement itself, so it is never
-    below ``1/(n_permutations+1)``.
+    multivariate hypergeometric, drawn one tile of labellings at a time.
 
-    Memory: with ``k`` distinct rows and ``P`` permutations the call holds
-    the ``(P, k)`` integer draws, one distance block of at most
-    ``ENERGY_BLOCK_ENTRIES`` entries, and two float tile buffers (counts and
-    distance-weighted counts) of ``max(k, DISTANCE_TILE // k)`` labellings
-    each, no larger than the distance matrix or one distance tile.  That
-    tile rule applies when the whole ``k x k`` matrix fits in one block, so
-    its distances are computed once for every tile (and a few distinct rows
-    do not make thousands of tiles); otherwise all ``P + 1`` labellings form
-    one tile, converted before the draws are released, and the blocks are
-    computed once for it.
+    The p-value is Besag and Clifford's sequential Monte Carlo p-value
+    (Biometrika 78, 1991, 301-304), at most ``n_permutations`` labellings.
+    When labelling ``l`` is the ``EXCEEDANCES``-th whose statistic reaches
+    the observed one, the test stops there with ``p = EXCEEDANCES / l``;
+    otherwise it runs all ``P = n_permutations`` and ``p = (1 + count) /
+    (P + 1)``, never below ``1/(P+1)``.  Either way the test is valid, and a
+    p-value below ``EXCEEDANCES / P`` comes from a run of all ``P``.  The
+    stopping labelling, not the end of its tile, sets the p-value; tiles past
+    it are not drawn.  ``labellings`` in the result is how many were run.
+
+    Memory: with ``k`` distinct rows the call holds one distance block of at
+    most ``ENERGY_BLOCK_ENTRIES`` entries and two float tile buffers (counts
+    and distance-weighted counts) of ``max(k, DISTANCE_TILE // k)``
+    labellings each, no larger than the distance matrix or one distance
+    tile, plus one tile's integer draws while the tile is formed.  That tile
+    rule applies when the whole ``k x k`` matrix fits in one block, so its
+    distances are computed once for every tile (and a few distinct rows do
+    not make thousands of tiles); otherwise all ``P + 1`` labellings form
+    one tile, and the blocks are computed once for it.
     """
     a = _as_matrix(a_matrix)
     b = _as_matrix(b_matrix)
@@ -263,31 +286,28 @@ def energy_distance(a_matrix, b_matrix, n_permutations, rng):
         uniq, inv = _distinct_rows(np.vstack([a, b]))
     n, m = len(a), len(b)
     k = len(uniq)
-    labellings = n_permutations + 1
 
     # Labelling 0 is observed, the rest are permutations; w holds the
-    # multiplicities.  A uniform n-subset of the pooled rows has
-    # multivariate hypergeometric counts per distinct row, drawn in one call
-    # by the cheaper of numpy's two methods: "marginals" costs O(k) per
-    # labelling, "count" O(n).  The draws go straight to the tile generator,
-    # which holds the only reference to them.
+    # multiplicities.
     w = np.bincount(inv, minlength=k)
     block = max(1, int(ENERGY_BLOCK_ENTRIES // k))
     tiles = _count_tiles(
         np.bincount(inv[:n], minlength=k),
-        rng.multivariate_hypergeometric(w, n, size=n_permutations, method="marginals" if k < n else "count"),
-        max(k, DISTANCE_TILE // k) if block >= k else labellings,
+        w,
+        n_permutations,
+        rng,
+        max(k, DISTANCE_TILE // k) if block >= k else n_permutations + 1,
     )
     w = w.astype(float)
 
     # Per tile, streamed distances between distinct rows give D @ counts
-    # (and D @ w on the first tile) in one shared block buffer.  Distances
-    # are computed on the first tile only: either one block holds them all,
-    # or the first tile is the only one.
+    # (and D @ w on the first tile) in one shared block buffer, and from
+    # them the tile's statistics.  Distances are computed on the first tile
+    # only: either one block holds them all, or the first tile is the only
+    # one.
     row_sums = np.empty(k)
     dist = np.empty((min(block, k), k))
-    s_aa = np.empty(labellings)
-    r = np.empty(labellings)
+    reached = 0
     for lo, counts in tiles:
         dx = np.empty_like(counts)
         for start in range(0, k, block):
@@ -297,18 +317,27 @@ def energy_distance(a_matrix, b_matrix, n_permutations, rng):
                 _euclidean_into(dblk, rows, uniq)
                 row_sums[start : start + block] = dblk @ w
             np.matmul(dblk, counts, out=dx[start : start + block])
-        hi = lo + counts.shape[1]
-        s_aa[lo:hi] = np.einsum("ip,ip->p", counts, dx)
-        r[lo:hi] = counts.T @ row_sums
-
-    grand = float(w @ row_sums)
-    s_ab = r - s_aa
-    s_bb = grand - 2.0 * r + s_aa
-    stats = 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)
-    observed = float(stats[0])
-    p_value = float((1 + np.sum(stats[1:] >= observed)) / (n_permutations + 1))
-    return TestResult(
-        statistic=observed, p_value=p_value, n=n, m=m, method="energy_permutation", note=note
+        if lo == 0:
+            grand = float(w @ row_sums)
+        s_aa = np.einsum("ip,ip->p", counts, dx)
+        r = counts.T @ row_sums
+        s_ab = r - s_aa
+        s_bb = grand - 2.0 * r + s_aa
+        stats = 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)
+        if lo == 0:
+            observed = float(stats[0])
+        hits = lo + np.flatnonzero(stats >= observed)
+        hits = hits[hits > 0]
+        if reached + len(hits) >= EXCEEDANCES:
+            run = int(hits[EXCEEDANCES - reached - 1])
+            p_value = EXCEEDANCES / run
+            break
+        reached += len(hits)
+    else:
+        run = n_permutations
+        p_value = (1 + reached) / (n_permutations + 1)
+    return PermutationResult(
+        statistic=observed, p_value=p_value, n=n, m=m, method="energy_permutation", note=note, labellings=run
     )
 
 

@@ -2,7 +2,8 @@
 
 The queue oracle is an event loop over a heap, the KS/energy oracles are
 direct transcriptions of the definitions, the energy permutation oracle
-works on raw rows with one 0/1 label column per labelling, and integrals
+works on raw rows with one 0/1 label column per labelling and scans its
+statistics one by one for the sequential p-value, and integrals
 come from adaptive quadrature; none of these shares code with the package.
 The superposition oracle draws one one-row batch of paths per point,
 which is what the batched superposition must equal; for birth-death
@@ -73,16 +74,21 @@ def brute_force_energy(a, b):
     return 2.0 * mean_dist(a, b) - mean_dist(a, a) - mean_dist(b, b)
 
 
-def dense_energy_permutation(a, b, n_permutations, rng):
-    """Energy statistic and permutation p-value over raw rows.
+def dense_energy_permutation(a, b, n_permutations, exceedances, rng, width=None):
+    """Energy statistic, sequential permutation p-value and labellings run, over raw rows.
 
     The reference for ``stats.energy_distance``: one 0/1 label column per
     labelling (column 0 observed) and the full ``N x N`` distance matrix.
     A permuted labelling gets the per-distinct-row label counts that
-    ``energy_distance`` draws from the same generator (one multivariate
-    hypergeometric call over the sorted distinct rows); the first that many
-    raw copies of each distinct row get label 1, which leaves the statistic
-    unchanged.  Returns ``(statistic, p_value)``.
+    ``energy_distance`` draws from the same generator (multivariate
+    hypergeometric over the sorted distinct rows, ``width`` labellings per
+    call with labelling 0 the first of the first call; all in one call by
+    default); the first that many raw copies of each distinct row get
+    label 1, which leaves the statistic unchanged.  Every labelling is
+    drawn and evaluated; the p-value then scans the statistics in order:
+    ``exceedances / l`` at the labelling ``l`` that is the ``exceedances``-th
+    to reach the observed statistic, else ``(1 + count) / (P + 1)``.
+    Returns ``(statistic, p_value, labellings)``.
     """
     a = np.asarray(a, dtype=float).reshape(len(a), -1)
     b = np.asarray(b, dtype=float).reshape(len(b), -1)
@@ -92,8 +98,14 @@ def dense_energy_permutation(a, b, n_permutations, rng):
     inv = np.unique(z, axis=0, return_inverse=True)[1].reshape(-1)
     w = np.bincount(inv)
     k = len(w)
-    drawn = rng.multivariate_hypergeometric(w, n, size=n_permutations, method="marginals" if k < n else "count")
-    labels = np.zeros((big_n, n_permutations + 1))
+    total = n_permutations + 1
+    width = width or total
+    method = "marginals" if k < n else "count"
+    drawn = np.vstack([
+        rng.multivariate_hypergeometric(w, n, size=min(lo + width, total) - max(lo, 1), method=method)
+        for lo in range(0, total, width)
+    ])
+    labels = np.zeros((big_n, total))
     labels[:n, 0] = 1.0
     for p, wanted in enumerate(drawn, start=1):
         given = np.zeros(k, dtype=int)
@@ -111,7 +123,12 @@ def dense_energy_permutation(a, b, n_permutations, rng):
     s_bb = grand - 2.0 * r + s_aa
     stats = 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)
     observed = float(stats[0])
-    return observed, float((1 + np.sum(stats[1:] >= observed)) / (n_permutations + 1))
+    count = 0
+    for p in range(1, n_permutations + 1):
+        count += bool(stats[p] >= observed)
+        if count == exceedances:
+            return observed, exceedances / p, p
+    return observed, (1 + count) / (n_permutations + 1), n_permutations
 
 
 def per_path_superpose(spec, shifts, grid, rng):

@@ -99,15 +99,17 @@ def test_dri_bytes_are_pinned(spec, shape):
 # Energy permutation tests on 149 distinct Poisson rows (of 6000) at 2999
 # and 200 labellings, on 500 distinct continuous rows (numpy's "count"
 # hypergeometric method, since k >= n), and on the Poisson rows with the
-# distances streamed in 3-row blocks.
+# distances streamed in 3-row blocks.  Every one stops early (the Poisson
+# tests at their 16th labelling, so both counts of labellings pin the same
+# bytes).
 ENERGY_SHAPES = {"poisson-2999": 2999, "poisson-200": 200, "continuous": 199, "blocks": 200}
 ENERGY_SEED = 31
 
 ENERGY_DIGESTS = {
-    "poisson-2999": "329e1edf96aade8a015f4695103dbd1ab3e2d93be7219c4ed3c636f36826b20c",
-    "poisson-200": "853af71051c5e1a9366bf8523b1e13c21d2cd84f8cc8a02fd48c510d2904a6bb",
-    "continuous": "89d8dbebf99e57439eb42276504dc6c40cf014f4bc6740cc47e4649e27f1c3f6",
-    "blocks": "410fbdebd5793926e3341b4435ca9ba6a0e2522199b100895cbd3acf12628af0",
+    "poisson-2999": "b7eab7f4f3a94d8cba49b2f0fb4a5a969be73101feb27aa490b92fc554441f0e",
+    "poisson-200": "b7eab7f4f3a94d8cba49b2f0fb4a5a969be73101feb27aa490b92fc554441f0e",
+    "continuous": "d6bf22fc3faef1b70dd6330ab2998bcab35ea1821825cbed38e5e2d503f1a57d",
+    "blocks": "50a556c9c08b04c7c6535818e675808f0edec0a387774e33743f16ec1db62f59",
 }
 
 

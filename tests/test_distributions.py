@@ -498,10 +498,22 @@ def test_tail_mean_at_infinity_is_zero(law):
             assert dist.integrated_tail_cdf(law, math.inf) == 1.0
 
 
-@pytest.mark.parametrize("law", [dist.LogNormal(0.0, 1e-200), dist.Gamma(1e5, 1e-300)], ids=repr)
-def test_tail_mean_where_the_standardized_cut_overflows_is_zero(law):
-    # z^2 (log-normal) and x / scale (gamma) overflow to inf at x = 1e300;
-    # the true tail there is 0, and it comes with no RuntimeWarning.
+@pytest.mark.parametrize(
+    "law, x",
+    [
+        pytest.param(law, x, id=repr(law))
+        for law, x in [
+            (dist.LogNormal(0.0, 1e-200), 1e300),
+            (dist.Gamma(1e5, 1e-300), 1e300),
+            (dist.LogNormal(0.0, 5e-324), 2.0),
+            (dist.LogNormal(0.0, 1e-310), 1.5),
+        ]
+    ],
+)
+def test_tail_mean_where_the_standardized_cut_overflows_is_zero(law, x):
+    # z^2 (log-normal) and x / scale (gamma) overflow to inf at x = 1e300,
+    # and z itself does past e^mu when sigma is subnormal; the true tail
+    # there is 0, and it comes with no RuntimeWarning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert float(law.tail_mean(1e300)) == 0.0
+        assert float(law.tail_mean(x)) == 0.0

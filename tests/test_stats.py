@@ -154,9 +154,9 @@ def _tile_widths(monkeypatch, distance_tile=None):
     widths = []
     count_tiles = rs._count_tiles
 
-    def recording(observed, drawn, width):
+    def recording(observed, w, n_permutations, rng, width):
         widths.append(width)
-        return count_tiles(observed, drawn, width)
+        return count_tiles(observed, w, n_permutations, rng, width)
 
     monkeypatch.setattr(rs, "_count_tiles", recording)
     return widths
@@ -165,21 +165,26 @@ def _tile_widths(monkeypatch, distance_tile=None):
 @pytest.mark.parametrize("draw", [_poisson_rows, _normal_rows])
 @pytest.mark.parametrize("shift", [0.0, 0.3])
 def test_energy_distance_matches_dense_label_loop(draw, shift, monkeypatch):
-    # Same generator stream, same drawn label counts: equal p-values and a
-    # statistic equal up to float64 summation order.  With 2^10-entry
-    # distance tiles, the 76 distinct Poisson rows without a shift take the
-    # 100 labellings in tiles of 76 and 24; the others fit one tile.
+    # Same generator stream, same drawn label counts: equal sequential
+    # p-values and labellings run, and a statistic equal up to float64
+    # summation order.  With 2^10-entry distance tiles, the 76 distinct
+    # Poisson rows without a shift take the 100 labellings in tiles of 76
+    # and 24; the others fit one tile.  Without a shift the tests stop
+    # early; the shifted ones reject, run all 99 and leave the stream where
+    # the oracle's one call leaves it.
     data = stream(11)
     a = draw(data, 300)
     b = draw(data, 200) + shift
     widths = _tile_widths(monkeypatch, 2**10)
     ours, ref = stream(12), stream(12)
     res = rs.energy_distance(a, b, 99, ours)
-    statistic, p_value = dense_energy_permutation(a, b, 99, ref)
+    statistic, p_value, labellings = dense_energy_permutation(a, b, 99, rs.EXCEEDANCES, ref)
     assert widths == [len(np.unique(np.vstack([a, b]), axis=0))]
-    assert res.p_value == p_value
+    assert (res.p_value, res.labellings) == (p_value, labellings)
     assert res.statistic == pytest.approx(statistic, rel=1e-10)
-    assert ours.bit_generator.state == ref.bit_generator.state
+    assert (labellings == 99) == (shift > 0)
+    if shift:
+        assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_energy_distance_validation():
@@ -277,16 +282,50 @@ def test_energy_distance_on_one_distinct_row(monkeypatch, distance_tile):
 
 def test_energy_tiles_with_count_method_match_dense_label_loop(monkeypatch):
     # 60 distinct continuous rows against n = 30 draws with numpy's "count"
-    # method; 200 labellings make tiles of 60, 60, 60 and 20.
+    # method; 200 labellings make tiles of 60, 60, 60 and 20.  "count" draws
+    # depend on how many one call makes, so the oracle draws 60 per call too;
+    # the test stops in the third tile.
     data = stream(24)
     a, b = data.normal(size=(30, 2)), data.normal(size=(30, 2)) + 0.5
     widths = _tile_widths(monkeypatch, 2**10)
     ours, ref = stream(25), stream(25)
     res = rs.energy_distance(a, b, 199, ours)
-    statistic, p_value = dense_energy_permutation(a, b, 199, ref)
+    statistic, p_value, labellings = dense_energy_permutation(a, b, 199, rs.EXCEEDANCES, ref, width=60)
     assert widths == [60]
-    assert res.p_value == p_value
+    assert (res.p_value, res.labellings) == (p_value, labellings)
+    assert 120 < labellings < 180
     assert res.statistic == pytest.approx(statistic, rel=1e-10)
+
+
+@pytest.mark.parametrize("width", [1, 7, 219, 3000])
+def test_marginals_draws_split_at_tile_widths_equal_one_call(width):
+    # The energy statistic, and every p-value of a test that runs all its
+    # labellings, keep their bytes across tile widths only because numpy's
+    # "marginals" method draws the same label counts in tile-sized calls as
+    # in one call, and leaves the stream where that call leaves it.
+    w = np.bincount(stream(45).integers(0, 149, size=6000), minlength=149)
+    observed = np.bincount(stream(45, 1).integers(0, 149, size=3000), minlength=149)
+    one_call = stream(46)
+    drawn = one_call.multivariate_hypergeometric(w, 3000, size=2999, method="marginals")
+    tiled = stream(46)
+    tiles = [tile for _, tile in rs._count_tiles(observed, w, 2999, tiled, width)]
+    counts = np.hstack(tiles)
+    assert [tile.shape[1] for tile in tiles[:-1]] == [width] * (len(tiles) - 1)
+    assert counts[:, 0].tobytes() == observed.astype(float).tobytes()
+    assert counts[:, 1:].T.tobytes() == drawn.astype(float).tobytes()
+    assert tiled.bit_generator.state == one_call.bit_generator.state
+
+
+def test_energy_distance_runs_every_labelling_when_it_rejects(monkeypatch):
+    # Samples one apart in every coordinate: no permuted labelling reaches
+    # the observed statistic, so all 999 labellings run, over several tiles,
+    # and p = 1/(P+1).
+    data = stream(47)
+    a, b = data.poisson(1.0, size=(300, 3)), data.poisson(1.0, size=(200, 3)) + 1.0
+    widths = _tile_widths(monkeypatch)
+    res = rs.energy_distance(a, b, 999, stream(48))
+    assert widths[0] < 1000
+    assert (res.p_value, res.labellings) == (1 / 1000, 999)
 
 
 @pytest.mark.parametrize(
@@ -325,13 +364,14 @@ def test_distinct_rows_merge_signed_zeros_as_numpy_unique():
 
 @pytest.mark.parametrize("one_tile", [False, True], ids=["tiles", "one-tile"])
 def test_energy_distance_allocates_little_beyond_the_draws(monkeypatch, one_tile):
-    # About 150 distinct integer rows and 2999 labellings in tiles of
-    # DISTANCE_TILE // k: the (P, k) integer draws are the one array of
-    # k * P entries that the call holds.  In one tile over several blocks,
-    # the draws are released before the distance-weighted counts are
-    # allocated, so at most two such arrays are live at once.
+    # About 200 distinct integer rows, samples one apart so that all 2999
+    # labellings run.  In tiles of k labellings, each tile's label
+    # draws are made as the tile is formed, so the call never holds an
+    # array of k * P entries.  In one tile over several blocks, the draws
+    # are released before the distance-weighted counts are allocated, so at
+    # most two such arrays are live at once.
     data = stream(41)
-    a, b = data.poisson(1.0, size=(3000, 3)), data.poisson(1.0, size=(3000, 3))
+    a, b = data.poisson(1.0, size=(3000, 3)), data.poisson(1.0, size=(3000, 3)) + 1.0
     k = len(np.unique(np.vstack([a, b]), axis=0))
     n_permutations = 2999
     if one_tile:
@@ -339,16 +379,17 @@ def test_energy_distance_allocates_little_beyond_the_draws(monkeypatch, one_tile
     widths = _tile_widths(monkeypatch)
     tracemalloc.start()
     try:
-        rs.energy_distance(a, b, n_permutations, stream(42))
+        res = rs.energy_distance(a, b, n_permutations, stream(42))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert res.labellings == n_permutations
     if one_tile:
         assert widths == [n_permutations + 1]
         assert peak <= 2.5 * k * n_permutations * 8
     else:
-        assert widths == [rs.DISTANCE_TILE // k] and widths[0] < n_permutations
-        assert peak <= 1.6 * k * n_permutations * 8
+        assert widths == [max(k, rs.DISTANCE_TILE // k)] and widths[0] < n_permutations
+        assert peak < k * n_permutations * 8
 
 
 def test_energy_permutation_null_calibration():
@@ -365,6 +406,25 @@ def test_energy_permutation_null_calibration():
         rejections += res.p_value < alpha
     limit = alpha + 3.0 * math.sqrt(alpha * (1 - alpha) / trials)
     assert rejections / trials <= limit
+
+
+def test_sequential_p_value_null_calibration():
+    # Exchangeable rows: P(p <= u) <= u for Besag and Clifford's p-value, so
+    # over 200 tests each rate stays within 3 binomial standard errors above
+    # u.  Most tests stop early, at their 10th exceedance.
+    trials = 200
+    p_values, labellings = [], []
+    for trial in range(trials):
+        rng = stream((49, trial))
+        a = rng.poisson(1.0, size=(100, 3))
+        b = rng.poisson(1.0, size=(100, 3))
+        res = rs.energy_distance(a, b, 199, rng)
+        p_values.append(res.p_value)
+        labellings.append(res.labellings)
+    for u in (0.1, 0.2, 0.5):
+        rate = np.mean(np.array(p_values) <= u)
+        assert rate <= u + 3.0 * math.sqrt(u * (1.0 - u) / trials), (u, rate)
+    assert sum(run < 199 for run in labellings) > trials // 2
 
 
 def test_chisq_gof_examples():
