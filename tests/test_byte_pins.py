@@ -135,10 +135,16 @@ def test_energy_bytes_are_pinned(shape, monkeypatch):
 # report type the CLI serializes, a lattice warning from converge and from
 # pointprocess, a truncation failure that turns every converge report into
 # a ``hypothesis_violation``, and non-finite floats written as ``null``.
+# ``stationary-dump-window`` pins ``window.csv`` for a gamma law with many
+# tied points; ``pointprocess-non-dyadic`` uses a test function whose
+# values do not add exactly, so the Laplace fields show the order in which
+# each row's terms are summed (with the default ``h`` every sum is a small
+# integer).
 _EXPONENTIAL = {"family": "exponential", "rate": 1.0}
 _INDICATOR = {"kind": "indicator", "eta": _EXPONENTIAL}
 _PARETO_08_INDICATOR = {"kind": "indicator", "eta": {"family": "pareto", "alpha": 0.8, "xm": 1.0}}
 _SMALL_POINTPROCESS = {"n_windows": 200, "n_realizations": 200, "laplace": {"n_mc": 200}}
+_NON_DYADIC_H = {"kind": "deterministic_table", "breakpoints": [0.0, 1.0, 2.0, 3.0, 5.0], "values": [0.1, 0.3, 0.2, 0.7, 0.0]}
 CLI_RUNS = {
     "converge": ("converge", {"t_list": [1.0, 5.0], "u_grid": [0.0, 1.0], "n_replicates": 200,
                               "n_permutations": 19}),
@@ -149,6 +155,11 @@ CLI_RUNS = {
     "pointprocess": ("pointprocess", {"pointprocess": _SMALL_POINTPROCESS}),
     "pointprocess-lattice": ("pointprocess", {"law": {"family": "point_mass", "value": 1.0},
                                               "pointprocess": _SMALL_POINTPROCESS | {"horizon": 10.5}}),
+    "pointprocess-non-dyadic": ("pointprocess", {"law": {"family": "gamma", "shape": 2.0, "scale": 0.5},
+                                                 "pointprocess": _SMALL_POINTPROCESS | {"laplace": {
+                                                     "n_mc": 200, "h": _NON_DYADIC_H}}}),
+    "stationary-dump-window": ("stationary", {"law": {"family": "gamma", "shape": 0.1, "scale": 10.0},
+                                              "u_grid": [0.0, 1.0], "n_replicates": 20, "c": 40.0}),
     "dri": ("dri", {"dri": {"k_max": 40, "grid_per_unit": 2, "n_mc": 50}}),
     "dri-pareto": ("dri", {"kernel": _PARETO_08_INDICATOR, "dri": {"k_max": 40, "grid_per_unit": 2, "n_mc": 100}}),
 }
@@ -205,7 +216,24 @@ CLI_DIGESTS = {
             "pointprocess.json": "485718a49084e246edde4cc9d2cdd7b4337ab6295d9c30fb447c535a4650e7d3",
         },
     ),
+    "pointprocess-non-dyadic": (
+        0,
+        {
+            "pointprocess.json": "b1804074d9e2e747a6a2c2f976ee79430c6cc2ff7d179b13e884fbd98ba9b247",
+        },
+    ),
+    "stationary-dump-window": (
+        0,
+        {
+            "matrix.csv": "d86cc500490265935888ce738b73e29351ad1b440dfa87a646d5d7c37e4f344f",
+            "metadata.json": "c7e82a0118ac417e21a5a17c513a7406cf244d7416b08f4447f4571e79449e2c",
+            "window.csv": "6980a321f0ec9f8af0412d0ab497eb7feec847c4273923c6777ef06afe02043c",
+        },
+    ),
 }
+
+
+CLI_FLAGS = {"stationary-dump-window": ["--dump-window"]}
 
 
 @pytest.mark.parametrize("case", sorted(CLI_RUNS))
@@ -214,7 +242,7 @@ def test_cli_output_bytes_are_pinned(case, tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"schema": 1, "seed": 7, "law": _EXPONENTIAL, "kernel": _INDICATOR} | fields))
     out = tmp_path / "out"
-    code = main([command, str(cfg), "--out-dir", str(out)])
+    code = main([command, str(cfg), "--out-dir", str(out)] + CLI_FLAGS.get(case, []))
     assert "Traceback" not in capsys.readouterr().err
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())}
     assert (code, digests) == CLI_DIGESTS[case]
