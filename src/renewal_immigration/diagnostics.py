@@ -30,7 +30,7 @@ from .distributions import integrated_tail_cdf, is_lattice
 from .errors import KernelError, NonAbsorbedPathError, TruncationError
 from .kernels import sample_path
 from .process import fdd_sample
-from .renewal import ROW_BLOCK_POINTS, build_stationary_window, row_blocks, simulate_forward
+from .renewal import ROW_BLOCK_POINTS, build_stationary_window, point_rows, row_blocks, simulate_forward
 from .stats import TestResult, chi2_sf, energy_distance, ks_one_sample, ks_two_sample
 from .streams import ENERGY, PRECHECK, stream
 
@@ -211,15 +211,15 @@ class LaplaceComparison:
     lattice_warning: bool
 
 
-def _exp_neg_h_sums(h, x):
-    """``exp(-sum h(x))`` per row of ``x``, over the row's finite entries only.
+def _exp_neg_h_sums(h, x, counts):
+    """``exp(-sum h(x))`` per row of ragged rows holding ``counts`` of the points ``x`` each.
 
-    Each row is summed as ``np.sum`` sums a 1-D array of its finite entries,
-    so padding changes neither the terms nor their grouping in numpy's
-    pairwise sum.  ``exp`` is ``math.exp`` per value, which numpy's
-    vectorised exp can differ from in the last ulp.
+    One ``np.bincount`` adds each row's terms one at a time in point order,
+    as ``_superpose`` does, so a row's sum does not depend on the other
+    rows.  ``exp`` is ``math.exp`` per value, which numpy's vectorised exp
+    can differ from in the last ulp.
     """
-    sums = np.sum(h.value(x), axis=1, where=np.isfinite(x))
+    sums = np.bincount(point_rows(counts), h.value(x), minlength=len(counts))
     return np.array([math.exp(-s) for s in sums.tolist()])
 
 
@@ -236,15 +236,15 @@ def laplace_functional_compare(law, h, t, n_mc, rng):
         raise KernelError("test function h must have compact support")
     transient = np.empty(n_mc)
     for lo, hi in row_blocks(n_mc, law, t):
-        epochs = simulate_forward(law, t, rng, size=hi - lo).epochs
-        transient[lo:hi] = _exp_neg_h_sums(h, t - epochs)
+        real = simulate_forward(law, t, rng, size=hi - lo)
+        transient[lo:hi] = _exp_neg_h_sums(h, t - real.epochs, real.counts)
     c = laplace_half_width(law, h)
     stationary = np.empty(n_mc)
     for lo, hi in row_blocks(n_mc, law, 2.0 * c):
         # Sentinels lie outside [-c, c] which contains the support of h,
         # so summing over every window point is exact.
-        points = build_stationary_window(law, c, rng, size=hi - lo).points
-        stationary[lo:hi] = _exp_neg_h_sums(h, points)
+        window = build_stationary_window(law, c, rng, size=hi - lo)
+        stationary[lo:hi] = _exp_neg_h_sums(h, window.points, window.counts)
     z99 = 2.5758293035489004
     return LaplaceComparison(
         transient_estimate=float(transient.mean()),
@@ -412,9 +412,9 @@ def intensity_check(law, intervals, n_windows, rng):
     sums = [0] * len(intervals)
     squares = [0] * len(intervals)
     for lo, hi in row_blocks(n_windows, law, 2.0 * c):
-        rows = build_stationary_window(law, c, rng, size=hi - lo)
+        window = build_stationary_window(law, c, rng, size=hi - lo)
         for j, (a, b) in enumerate(intervals):
-            cnt = rows.count_in(a, b)
+            cnt = window.count_in(a, b)
             sums[j] += int(cnt.sum())
             squares[j] += int(cnt @ cnt)
     mu = law.mean()

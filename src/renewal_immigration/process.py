@@ -19,11 +19,11 @@ expected mass, raises :class:`~renewal_immigration.errors.TruncationError`
 before its first draw.
 
 Replicates come in blocks of rows; one replicate is a one-row block.  A
-block draws its forward runs or windows with one ``size=k`` call, then
-the paths of its kept points with one
-:func:`~renewal_immigration.kernels.sample_path` call per chunk of
-``SUPERPOSE_BLOCK`` points, and sums each row over its own points; padding
-never reaches a path.
+block draws its forward runs or windows with one ``size=k`` call, as
+ragged rows of flat points, then the paths of the points that can reach
+the grid with one :func:`~renewal_immigration.kernels.sample_path` call
+per chunk of ``SUPERPOSE_BLOCK`` points, and sums each row over its own
+points.
 """
 
 import math
@@ -34,7 +34,7 @@ import numpy as np
 from .distributions import check_interarrival, law_to_config
 from .errors import LawError, TruncationError
 from .kernels import kernel_to_config, sample_path
-from .renewal import StationaryWindowSampler, row_blocks, simulate_forward
+from .renewal import StationaryWindowSampler, point_rows, row_blocks, simulate_forward
 from .streams import STATIONARY_BLOCK, TRANSIENT_BLOCK, stream
 
 __all__ = ["ProcessSample", "FddSample", "eval_transient", "eval_stationary", "fdd_sample", "first_half_width",
@@ -109,11 +109,10 @@ def eval_transient(law, spec, t, u_grid, rng, size):
     u = _validate_grid(u_grid)
     values = np.zeros((size, len(u)))
     if t + u[-1] >= 0:
-        epochs = simulate_forward(law, t + u[-1], rng, size=size).epochs
-        # Padding, and epochs whose path is 0 on the whole shifted grid,
-        # draw no path.
-        row, col = np.nonzero(np.isfinite(epochs) & (t + u[0] - epochs < spec.support_end()))
-        values = _superpose(spec, row, epochs[row, col], t + u, size, rng)
+        real = simulate_forward(law, t + u[-1], rng, size=size)
+        # Epochs whose path is 0 on the whole shifted grid draw no path.
+        keep = t + u[0] - real.epochs < spec.support_end()
+        values = _superpose(spec, point_rows(real.counts)[keep], real.epochs[keep], t + u, size, rng)
     return ProcessSample(u_grid=u, values=values, kind="transient", t=float(t))
 
 
@@ -168,11 +167,12 @@ def eval_stationary(law, spec, u_grid, c, rng, size):
     :func:`stationary_half_width` gives the ``c`` that meets a tolerance.
     """
     u = _validate_grid(u_grid)
-    pts = StationaryWindowSampler(law, rng, size=size).initial(c).points
-    # Padding (+-inf), points left of -max(u) and points past the support
-    # cannot reach the grid.
-    row, col = np.nonzero((np.abs(pts) <= c) & (pts >= -u[-1]) & (pts < spec.support_end() - u[0]))
-    values = _superpose(spec, row, -pts[row, col], u, size, rng)
+    window = StationaryWindowSampler(law, rng, size=size).initial(c)
+    pts = window.points
+    # Sentinels, points left of -max(u) and points past the support cannot
+    # reach the grid.
+    keep = (np.abs(pts) <= c) & (pts >= -u[-1]) & (pts < spec.support_end() - u[0])
+    values = _superpose(spec, point_rows(window.counts)[keep], -pts[keep], u, size, rng)
     return ProcessSample(u_grid=u, values=values, kind="stationary", c_used=c)
 
 

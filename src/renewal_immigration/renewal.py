@@ -15,27 +15,30 @@ repeats the previous point.  Every such tied point is kept and counted.
 
 Index convention: points carry integer indices with ``t_{-1} < 0 <= t_0``.
 
-Forward runs come as rows: ``simulate_forward(..., size=k)`` returns one
-object holding ``k`` independent rows of epochs, padded with ``+inf``,
-plus a ``(k,)`` vector of overshoot epochs.  Windows come as rows too
-(``size=k``): a ``(k, m)`` array of points padded with ``-inf`` on the
-left and ``+inf`` on the right.  Rows draw everything from the generator
-handed in; no child streams are spawned.  Both kinds of window come from
-:class:`StationaryWindowSampler`, which also builds the one window
-``stationary --dump-window`` writes (``size=None``).  That single window
-draws its forward and backward increments from two spawned child
-streams, so that :meth:`StationaryWindowSampler.extend` can grow each
-half-axis later without re-drawing what exists; nothing in the package
-extends windows, and the benchmark's tracer wraps ``extend`` by name.
+Forward runs and windows come as ragged rows: ``size=k`` draws ``k``
+independent point sets held as per-row ``counts`` and one flat array of
+points, rows in order and each row's points in order (the layout of a
+birth-death path's jumps); :func:`point_rows` gives each point's row.  A
+forward run's rows hold its epochs, next to a ``(k,)`` vector of overshoot
+epochs.  Rows draw everything from the generator handed in; no child
+streams are spawned.  Windows come from :class:`StationaryWindowSampler`,
+which also builds the one-row window ``stationary --dump-window`` writes
+(``size=None``).  That window draws its forward and backward increments
+from two spawned child streams, so that
+:meth:`StationaryWindowSampler.extend` can grow each half-axis later
+without re-drawing what exists; nothing in the package extends windows,
+and the benchmark's tracer wraps ``extend`` by name.
 
 Increments come in rounds: each gives every row still at or below its
 target the same number of draws (:func:`_round_width`), until every row
 is past it.  That rule decides how the generator is consumed, so it is
 part of the ``(config, seed) -> bytes`` contract, as the row blocks are.
+The rounds fill arrays as wide as the longest row, and each builder
+compacts its result into ragged rows once.
 
 Callers that draw many rows do so in blocks (:func:`row_blocks`) of about
-``ROW_BLOCK_POINTS`` expected points each, which bounds the padded
-``(rows x points)`` arrays whatever the number of rows.
+``ROW_BLOCK_POINTS`` expected points each, which bounds a block's arrays
+whatever the number of rows.
 """
 
 import math
@@ -49,37 +52,38 @@ from .errors import LawError
 __all__ = [
     "RenewalRealization",
     "StationaryWindow",
-    "StationaryWindowRows",
     "StationaryWindowSampler",
     "simulate_forward",
     "build_stationary_window",
+    "point_rows",
     "row_blocks",
     "window_to_csv",
 ]
 
-# Expected points per block of rows.  A block's padded arrays are as wide
-# as its longest row, and the rounds of :func:`_round_width` draw about
-# 1.1 to 1.4 increments per sum kept.
+# Expected points per block of rows.  The rounds of :func:`_round_width`
+# draw about 1.1 to 1.4 increments per sum kept, into arrays as wide as
+# the block's longest row.
 ROW_BLOCK_POINTS = 2**15
+
+
+def point_rows(counts):
+    """The row of each point of ragged rows holding ``counts`` points each."""
+    return np.repeat(np.arange(len(counts)), counts)
 
 
 @dataclass(frozen=True)
 class RenewalRealization:
     """Forward epochs ``S_0 = 0 <= S_1 <= ... <= horizon`` plus the overshooter, per row.
 
-    ``k`` realizations hold ``(k, m)`` epochs padded with ``+inf`` and a
-    ``(k,)`` vector of overshoot epochs.  Per row, ``count`` is the first
-    index whose epoch exceeds the horizon, and ``overshoot_epoch - horizon``
-    is the overshoot at the horizon.
+    Row ``i`` holds the next ``counts[i]`` entries of ``epochs``.
+    ``overshoot_epoch[i]`` is its first epoch past the horizon, and
+    ``overshoot_epoch - horizon`` the overshoot at the horizon.
     """
 
+    counts: np.ndarray
     epochs: np.ndarray
     horizon: float
-    overshoot_epoch: float
-
-    @property
-    def count(self):
-        return np.count_nonzero(np.isfinite(self.epochs), axis=-1)
+    overshoot_epoch: np.ndarray
 
     @property
     def overshoot(self):
@@ -157,78 +161,52 @@ def simulate_forward(law, horizon, rng, size):
     if horizon < 0:
         raise LawError(f"horizon must be >= 0, got {horizon}")
     sums, kept = _draw_increments_until(law, rng, np.zeros(size), horizon, mu, sd)
-    # The overshooter moves out of the epochs; the last column is then padding only.
-    rows = np.arange(size)
-    overshoot_epoch = sums[rows, kept]
-    sums[rows, kept] = np.inf
-    return RenewalRealization(epochs=sums[:, :-1], horizon=float(horizon), overshoot_epoch=overshoot_epoch)
+    # Column ``kept`` holds each row's overshooter, after its epochs.
+    epochs = sums[np.arange(sums.shape[1]) < kept[:, None]]
+    overshoot_epoch = sums[np.arange(size), kept]
+    return RenewalRealization(counts=kept, epochs=epochs, horizon=float(horizon), overshoot_epoch=overshoot_epoch)
 
 
 @dataclass(frozen=True, eq=False)
 class StationaryWindow:
-    """Points of the stationary renewal process covering ``[-c, c]``, nondecreasing.
+    """Points of stationary renewal windows covering ``[-c, c]``, one window per row.
 
-    ``points[zero_index]`` is the first point >= 0; the point just before it
-    is strictly negative.  The outermost points lie strictly outside
+    Row ``i`` holds the next ``counts[i]`` entries of ``points``,
+    nondecreasing.  The point just before a row's first point >= 0 is
+    strictly negative, and the row's outermost points lie strictly outside
     ``[-c, c]`` (sentinels), so every point inside the window has both
-    neighbours present.  ``xi0``/``u`` record the size-biased straddling
-    interval and its uniform split at construction time.
+    neighbours present.  ``xi0`` and ``u`` hold each row's size-biased
+    straddling interval and its uniform split.
     """
 
+    counts: np.ndarray
     points: np.ndarray
-    zero_index: int
-    c: float
-    xi0: float
-    u: float
-
-    def __post_init__(self):
-        if not (0 < self.zero_index < len(self.points)):
-            raise ValueError("window must straddle 0")
-
-    def indices(self):
-        return np.arange(len(self.points)) - self.zero_index
-
-
-@dataclass(frozen=True, eq=False)
-class StationaryWindowRows:
-    """``k`` independent stationary windows covering ``[-c, c]``, one per row.
-
-    ``points`` is ``(k, m)``: each row is built as a single window is, then
-    padded with ``-inf`` on the left and ``+inf`` on the right.  Column
-    ``zero_index`` holds every row's ``t_0``.  ``xi0`` and ``u`` are ``(k,)``.
-    """
-
-    points: np.ndarray
-    zero_index: int
     c: float
     xi0: np.ndarray
     u: np.ndarray
 
     def count_in(self, a, b, shift=0.0):
-        """Per row, the points in the closed interval [a, b] after a shift.
-
-        Points are translated by ``-shift`` first; padding never counts.
-        """
+        """Per row, the points in the closed interval [a, b] after translating them by ``-shift``."""
         points = self.points - shift if shift else self.points
-        return np.count_nonzero((points >= a) & (points <= b), axis=-1)
+        inside = (points >= a) & (points <= b)
+        return np.bincount(point_rows(self.counts)[inside], minlength=len(self.counts))
 
 
 class StationaryWindowSampler:
-    """Builds stationary windows: one, or ``size`` rows drawn together.
+    """Builds stationary windows: ``size`` rows drawn together, or one (``size=None``).
 
     The constructor draws the straddling intervals and their splits, and
     :meth:`initial` the increments out to ``[-c, c]``, forward then
-    backward.  Rows draw everything from the generator handed in.  A single
-    window draws its forward and backward increments from two child
-    streams, so that :meth:`extend` can grow each half-axis later without
-    re-drawing what exists.
+    backward.  Rows draw everything from the generator handed in.  The
+    one-row window of ``size=None`` draws its forward and backward
+    increments from two child streams, so that :meth:`extend` can grow each
+    half-axis later without re-drawing what exists.
     """
 
     def __init__(self, law, rng, size=None):
         self.law = law
-        self.size = size
         self._mu, self._sd = _moments(law)
-        s0, xi0, u = sample_stationary_delay(law, rng, size=size)
+        s0, xi0, u = (np.atleast_1d(v) for v in sample_stationary_delay(law, rng, size=size))
         self._s0 = s0
         self._s_minus1 = s0 - xi0
         # Recompute so the straddling-gap identity t_0 - t_{-1} == xi0 is
@@ -239,47 +217,39 @@ class StationaryWindowSampler:
         self._fwd, self._bwd = rng.spawn(2) if size is None else (rng, rng)
 
     def initial(self, c):
-        """The window over ``[-c, c]``, or a :class:`StationaryWindowRows` of ``size`` rows."""
+        """The windows over ``[-c, c]``."""
         if c <= 0:
             raise LawError(f"window half-width must be positive, got {c}")
-        fwd, _ = _draw_increments_until(self.law, self._fwd, np.atleast_1d(self._s0), c, self._mu, self._sd)
-        bwd, _ = _draw_increments_until(self.law, self._bwd, -np.atleast_1d(self._s_minus1), c, self._mu, self._sd)
+        fwd, fwd_kept = _draw_increments_until(self.law, self._fwd, self._s0, c, self._mu, self._sd)
+        bwd, bwd_kept = _draw_increments_until(self.law, self._bwd, -self._s_minus1, c, self._mu, self._sd)
         # Column 0 of each half is its start, so ``t_{-1}`` and ``t_0`` meet
-        # in the middle; negation is exact.
+        # in the middle; negation is exact.  Boolean indexing keeps the
+        # finite points in row-major order.
         points = np.hstack([-bwd[:, ::-1], fwd])
-        # A single row has no padding: it is exactly as wide as its points.
-        if self.size is None:
-            return StationaryWindow(points=points[0], zero_index=bwd.shape[1], c=float(c), xi0=self.xi0, u=self.u)
-        return StationaryWindowRows(points=points, zero_index=bwd.shape[1], c=float(c), xi0=self.xi0, u=self.u)
+        counts = bwd_kept + fwd_kept + 2
+        return StationaryWindow(counts=counts, points=points[np.isfinite(points)], c=float(c), xi0=self.xi0, u=self.u)
 
     def _draw(self, rng, start, target):
         sums, _ = _draw_increments_until(self.law, rng, [start], target, self._mu, self._sd)
         return sums[0, 1:]
 
     def extend(self, window, c):
-        """Grow a single window built by this sampler out to a larger ``c``."""
+        """Grow a one-row window built by this sampler (``size=None``) out to a larger ``c``."""
         if c <= window.c:
             return window
-        right = window.points[-1]
-        left = -window.points[0]
-        parts = [window.points]
-        zero_index = window.zero_index
-        if right <= c:
-            parts.append(self._draw(self._fwd, right, c))
-        if left <= c:
-            ext = self._draw(self._bwd, left, c)
-            parts.insert(0, -ext[::-1])
-            zero_index += len(ext)
-        points = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        return StationaryWindow(points=points, zero_index=zero_index, c=float(c), xi0=window.xi0, u=window.u)
+        points = window.points
+        if points[-1] <= c:
+            points = np.concatenate([points, self._draw(self._fwd, points[-1], c)])
+        if -points[0] <= c:
+            points = np.concatenate([-self._draw(self._bwd, -points[0], c)[::-1], points])
+        return StationaryWindow(counts=np.array([len(points)]), points=points, c=float(c), xi0=window.xi0, u=window.u)
 
 
 def build_stationary_window(law, c, rng, size=None):
-    """Draw one stationary renewal window covering ``[-c, c]``.
+    """Draw stationary renewal windows covering ``[-c, c]``: ``size`` rows, or one.
 
-    ``size=k`` draws ``k`` independent windows as the rows of one
-    :class:`StationaryWindowRows`: the ``k`` straddling intervals and splits
-    first, then the forward and the backward increments of all rows.
+    ``size=k`` draws the ``k`` straddling intervals and splits first, then
+    the forward and the backward increments of all rows.
     """
     return StationaryWindowSampler(law, rng, size).initial(c)
 
@@ -296,8 +266,11 @@ def row_blocks(n_rows, law, span):
 
 
 def window_to_csv(window):
-    """Render a window as ``index,point`` CSV text (17 significant digits)."""
+    """Render a one-row window as ``index,point`` CSV text (17 significant digits).
+
+    Index 0 is the first point >= 0, so the negative points count the indices below it.
+    """
     lines = ["index,point"]
-    for k, p in zip(window.indices(), window.points):
+    for k, p in enumerate(window.points.tolist(), start=-np.count_nonzero(window.points < 0)):
         lines.append(f"{k},{p:.17g}")
     return "\n".join(lines) + "\n"

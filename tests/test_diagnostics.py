@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from renewal_immigration import renewal as rn
 from renewal_immigration.streams import stream
 
 from oracles import replayed_increments_until
-from test_renewal import assert_forward_rows, assert_window_rows
+from test_renewal import assert_forward_rows, assert_window_rows, split_rows
 
 EXP_LAW = dist.Exponential(1.0)
 MM_INF = kn.Indicator(dist.Exponential(1.0))
@@ -135,6 +137,11 @@ def _non_dyadic_h(mu):
     return kn.DeterministicTable((0.0, mu, 2.0 * mu, 3.0 * mu, 5.0 * mu), (0.1, 0.3, 0.2, 0.7, 0.0))
 
 
+def _exp_neg_sum_in_order(values):
+    """``exp(-sum)`` of ``values`` added one at a time, in order."""
+    return math.exp(-functools.reduce(operator.add, values.tolist(), 0.0))
+
+
 LAPLACE_LAWS = [dist.Gamma(2.0, 0.5), dist.LogNormal(0.0, 1.0), dist.FiniteDiscrete(((0.5, 0.3), (1.5, 0.7)))]
 
 
@@ -147,23 +154,25 @@ def test_laplace_transient_estimate_equals_single_runs(law):
     h, t, n_mc = _non_dyadic_h(mu), 40.0 * mu, 600
     assert list(rn.row_blocks(n_mc, law, t)) == [(0, n_mc)]
     runs = replayed_increments_until(law, stream(3), np.zeros(n_mc), t, *rn._moments(law))
-    single = np.array([math.exp(-float(np.sum(h.value(t - np.append(0.0, run[:-1]))))) for run in runs])
+    single = np.array([_exp_neg_sum_in_order(h.value(t - np.append(0.0, run[:-1]))) for run in runs])
     res = dg.laplace_functional_compare(law, h, t, n_mc, stream(3))
     assert res.transient_estimate == float(single.mean())
     assert res.transient_ci99 == 2.5758293035489004 * float(single.std(ddof=1)) / math.sqrt(n_mc)
 
 
 @pytest.mark.parametrize("law", LAPLACE_LAWS, ids=lambda law: type(law).__name__)
-def test_laplace_row_sums_skip_padding_bit_for_bit(law):
+def test_laplace_row_sums_add_in_point_order_bit_for_bit(law):
+    # Each row's sum equals that row summed alone, one term at a time in
+    # point order, whatever the other rows hold.
     mu = law.mean()
     h = _non_dyadic_h(mu)
     t = 60.0 * mu
-    forward = t - rn.simulate_forward(law, t, stream(5), size=50).epochs
-    windows = rn.build_stationary_window(law, 8.0 * mu, stream(6), size=50).points
-    for x in (forward, windows):
-        assert np.isinf(x).any()
-        single = [math.exp(-float(np.sum(h.value(row[np.isfinite(row)])))) for row in x]
-        assert dg._exp_neg_h_sums(h, x).tobytes() == np.array(single).tobytes()
+    real = rn.simulate_forward(law, t, stream(5), size=50)
+    window = rn.build_stationary_window(law, 8.0 * mu, stream(6), size=50)
+    for x, counts in ((t - real.epochs, real.counts), (window.points, window.counts)):
+        assert counts.min() < counts.max()
+        single = [_exp_neg_sum_in_order(h.value(row)) for row in split_rows(counts, x)]
+        assert dg._exp_neg_h_sums(h, x, counts).tobytes() == np.array(single).tobytes()
 
 
 def test_convergence_zero_kernel_trivially_non_rejecting():
@@ -300,12 +309,12 @@ def test_point_process_checks_in_blocks_of_one_to_three_rows(monkeypatch, top_up
     windows, forwards = drawn["build_stationary_window"], drawn["simulate_forward"]
     assert len(windows) > 20 and len(forwards) > 20
     for rows, again in zip(windows, rerun_drawn["build_stationary_window"]):
-        assert 1 <= len(rows.points) <= 3
-        assert np.array_equal(rows.points, again.points)
+        assert 1 <= len(rows.counts) <= 3
+        assert np.array_equal(rows.counts, again.counts) and np.array_equal(rows.points, again.points)
         assert_window_rows(rows, rows.c)
     for real, again in zip(forwards, rerun_drawn["simulate_forward"]):
-        assert 1 <= len(real.epochs) <= 3
-        assert np.array_equal(real.epochs, again.epochs)
+        assert 1 <= len(real.counts) <= 3
+        assert np.array_equal(real.counts, again.counts) and np.array_equal(real.epochs, again.epochs)
         assert_forward_rows(real, real.horizon)
     # Each window draws at most one round per side, each forward run one
     # round, unless some row needed a top-up.

@@ -16,6 +16,7 @@ from renewal_immigration.streams import STATIONARY_BLOCK, TRANSIENT_BLOCK, strea
 
 from oracles import busy_servers_event_driven, chunked_superpose, per_path_superpose
 from test_kernels import ALL_SPECS, TABLE_STEPS
+from test_renewal import split_rows
 
 ZERO_KERNEL = kn.DeterministicTable((0.0,), (0.0,))
 EXP_LAW = dist.Exponential(1.0)
@@ -291,8 +292,8 @@ MISSED_WINDOWS = 2000
 def test_tail_bound_bounds_the_missed_mass(spec):
     reach = MISSED_CUT + MISSED_REACH.get(type(spec).__name__, 30.0)
     rows = build_stationary_window(EXP_LAW, reach, stream(70), size=MISSED_WINDOWS)
-    row, col = np.nonzero((rows.points > MISSED_CUT) & (rows.points <= reach))
-    pts = rows.points[row, col]
+    keep = (rows.points > MISSED_CUT) & (rows.points <= reach)
+    row, pts = rn.point_rows(rows.counts)[keep], rows.points[keep]
     paths = kn.sample_path(spec, stream(71), size=len(pts))
     mass = np.bincount(row, np.abs(paths.values(pts[:, None])[:, 0]), minlength=MISSED_WINDOWS)
     se = mass.std(ddof=1) / math.sqrt(MISSED_WINDOWS)
@@ -387,11 +388,11 @@ BLOCK_U = np.array([0.0, 0.5])
 def block_points(law, spec, mode, u, c, rng, k, t):
     """Each row's kept points (as path shifts), drawn as the block draws them."""
     if mode == "transient":
-        epochs = simulate_forward(law, t + u[-1], rng, size=k).epochs
-        return [e[np.isfinite(e) & (t + u[0] - e < spec.support_end())] for e in epochs]
-    points = StationaryWindowSampler(law, rng, size=k).initial(c).points
-    keep = (np.abs(points) <= c) & (points >= -u[-1]) & (points < spec.support_end() - u[0])
-    return [-p[kept] for p, kept in zip(points, keep)]
+        real = simulate_forward(law, t + u[-1], rng, size=k)
+        return [e[t + u[0] - e < spec.support_end()] for e in split_rows(real.counts, real.epochs)]
+    window = StationaryWindowSampler(law, rng, size=k).initial(c)
+    rows = split_rows(window.counts, window.points)
+    return [-p[(np.abs(p) <= c) & (p >= -u[-1]) & (p < spec.support_end() - u[0])] for p in rows]
 
 
 @pytest.mark.parametrize("mode", ["transient", "stationary"])
@@ -427,9 +428,10 @@ def test_fdd_rows_are_per_point_sums_over_their_block(spec, mode, monkeypatch):
         assert empty > 0
 
 
-def test_padding_never_reaches_a_path(monkeypatch):
-    # Gamma(0.1, 10) rows have very unequal lengths, so most are padded, and a
-    # table whose last value is 2 would count every right-hand +inf slot.
+def test_ragged_points_reach_paths_in_row_major_order(monkeypatch):
+    # Gamma(0.1, 10) rows have very unequal lengths.  Row i is the next
+    # counts[i] points, each kept point draws one path, and a table whose
+    # last value is 2 shows a point summed into another row.
     law, u, k = dist.Gamma(0.1, 10.0), np.array([0.0, 1.0]), 40
     table = kn.DeterministicTable((0.0, 1.0), (1.0, 2.0))
     sizes = []
@@ -440,18 +442,18 @@ def test_padding_never_reaches_a_path(monkeypatch):
 
     monkeypatch.setattr(pr, "sample_path", sample_path)
 
-    epochs = simulate_forward(law, 5.0 + u[-1], stream(80), size=k).epochs
-    assert np.isinf(epochs).any()
+    real = simulate_forward(law, 5.0 + u[-1], stream(80), size=k)
+    assert real.counts.min() < real.counts.max()
     got = pr.eval_transient(law, table, 5.0, u, stream(80), size=k).values
-    finite = [e[np.isfinite(e)] for e in epochs]
-    assert sizes == [sum(map(len, finite))]
-    assert np.array_equal(got, [table.value(5.0 + u[None, :] - e[:, None]).sum(axis=0) for e in finite])
+    rows = split_rows(real.counts, real.epochs)
+    assert sizes == [len(real.epochs)]
+    assert np.array_equal(got, [table.value(5.0 + u[None, :] - e[:, None]).sum(axis=0) for e in rows])
 
     sizes.clear()
     c = 20.0
-    points = rn.build_stationary_window(law, c, stream(81), size=k).points
-    assert np.isinf(points).any()
+    window = rn.build_stationary_window(law, c, stream(81), size=k)
+    assert window.counts.min() < window.counts.max()
     got = pr.eval_stationary(law, table, u, c, stream(81), size=k).values
-    kept = [p[(np.abs(p) <= c) & (p >= -u[-1])] for p in points]
+    kept = [p[(np.abs(p) <= c) & (p >= -u[-1])] for p in split_rows(window.counts, window.points)]
     assert sizes == [sum(map(len, kept))]
     assert np.array_equal(got, [table.value(u[None, :] + p[:, None]).sum(axis=0) for p in kept])

@@ -23,22 +23,27 @@ LAWS = [
 ]
 
 
+def split_rows(counts, points):
+    """Each row's points, of ragged rows holding ``counts`` of the flat ``points`` each."""
+    return np.split(points, np.cumsum(counts)[:-1])
+
+
 def point(window, k):
-    """A single window's point with canonical index ``k`` (t_{-1} < 0 <= t_0)."""
-    return window.points[window.zero_index + k]
+    """A one-row window's point with canonical index ``k`` (t_{-1} < 0 <= t_0)."""
+    return window.points[np.count_nonzero(window.points < 0.0) + k]
 
 
 def test_forward_point_mass_grid():
     real = rn.simulate_forward(dist.PointMass(1.0), 5.5, stream(0), size=1)
-    assert np.array_equal(real.epochs, [np.arange(6.0)])
+    assert np.array_equal(real.epochs, np.arange(6.0))
     assert real.overshoot_epoch.tolist() == [6.0]
-    assert real.count.tolist() == [6]
+    assert real.counts.tolist() == [6]
     assert real.overshoot.tolist() == [0.5]
 
 
 def test_forward_zero_horizon():
     real = rn.simulate_forward(dist.Exponential(1.0), 0.0, stream(1), size=1)
-    assert np.array_equal(real.epochs, [[0.0]])
+    assert np.array_equal(real.epochs, [0.0]) and real.counts.tolist() == [1]
     assert real.overshoot_epoch[0] > 0.0
 
 
@@ -49,13 +54,13 @@ def test_forward_rejects_negative_horizon():
 
 def test_elementary_renewal_rate():
     real = rn.simulate_forward(dist.Exponential(1.0), 10**4, stream(3), size=1)
-    assert abs(real.count[0] / 10**4 - 1.0) < 0.03
+    assert abs(real.counts[0] / 10**4 - 1.0) < 0.03
 
 
 def test_forward_epochs_strictly_increasing():
     for law in LAWS:
         real = rn.simulate_forward(law, 50.0, stream(4), size=1)
-        epochs = real.epochs[0]
+        epochs = real.epochs
         assert epochs[0] == 0.0
         assert np.all(np.diff(epochs) > 0.0)
         assert epochs[-1] <= 50.0 < real.overshoot_epoch[0]
@@ -69,31 +74,29 @@ def test_tied_points_are_kept_and_counted():
     # sum, so points repeat: every row here has ties.
     mu, sd = _moments(BURSTY)
     real = rn.simulate_forward(BURSTY, 500.0, stream(40), size=50)
-    for epochs, count, overshoot_epoch in zip(real.epochs, real.count, real.overshoot_epoch):
-        finite = epochs[np.isfinite(epochs)]
-        assert np.any(np.diff(finite) == 0.0) and np.all(np.diff(finite) >= 0.0)
-        assert count == len(finite) and finite[0] == 0.0
-        assert finite[-1] <= 500.0 < overshoot_epoch
+    for epochs, overshoot_epoch in zip(split_rows(real.counts, real.epochs), real.overshoot_epoch):
+        assert np.any(np.diff(epochs) == 0.0) and np.all(np.diff(epochs) >= 0.0)
+        assert epochs[0] == 0.0 and epochs[-1] <= 500.0 < overshoot_epoch
     # A one-row run holds every sum the scalar reference keeps, ties included.
     single = rn.simulate_forward(BURSTY, 500.0, stream(41), size=1)
     sums = single_row_increments_until(BURSTY, stream(41), 0.0, 500.0, mu, sd)
-    assert np.any(np.diff(single.epochs[0]) == 0.0)
-    assert single.epochs[0].tobytes() == np.concatenate([[0.0], sums[:-1]]).tobytes()
-    assert single.count.tolist() == [len(sums)] and single.overshoot_epoch.tolist() == [sums[-1]]
+    assert np.any(np.diff(single.epochs) == 0.0)
+    assert single.epochs.tobytes() == np.concatenate([[0.0], sums[:-1]]).tobytes()
+    assert single.counts.tolist() == [len(sums)] and single.overshoot_epoch.tolist() == [sums[-1]]
 
     c = 200.0
     rows = rn.build_stationary_window(BURSTY, c, stream(42), size=50)
     inside = rows.count_in(-c, c)
-    z = rows.zero_index
-    for pts, n_inside in zip(rows.points, inside):
-        finite = pts[np.isfinite(pts)]
-        assert np.any(np.diff(finite) == 0.0) and np.all(np.diff(finite) >= 0.0)
-        assert pts[z - 1] < 0.0 <= pts[z]
+    for pts, n_inside, xi0 in zip(split_rows(rows.counts, rows.points), inside, rows.xi0):
+        assert np.any(np.diff(pts) == 0.0) and np.all(np.diff(pts) >= 0.0)
+        z = np.count_nonzero(pts < 0.0)
+        assert 0 < z < len(pts) and pts[z] - pts[z - 1] == xi0
         # One sentinel on each side, strictly outside [-c, c]; every point
         # between them, tied or not, is counted.
-        assert np.count_nonzero(finite < -c) == 1 and np.count_nonzero(finite > c) == 1
-        assert n_inside == len(finite) - 2
+        assert np.count_nonzero(pts < -c) == 1 and np.count_nonzero(pts > c) == 1
+        assert n_inside == len(pts) - 2
     window = rn.build_stationary_window(BURSTY, c, stream(43))
+    assert window.counts.tolist() == [len(window.points)]
     assert np.any(np.diff(window.points) == 0.0)
     assert point(window, -1) < 0.0 <= point(window, 0)
     assert window.points[0] < -c < window.points[1] and window.points[-2] < c < window.points[-1]
@@ -113,7 +116,7 @@ def test_window_point_mass_exact_grid():
     assert window.points[0] < -3.0 and window.points[-1] > 3.0
     # The grid offset is the stationary delay: uniform on [0, 2).
     rows = rn.build_stationary_window(dist.PointMass(2.0), 3.0, stream(66), size=10**4)
-    offsets = rows.points[:, rows.zero_index]
+    offsets = np.array([pts[pts >= 0.0][0] for pts in split_rows(rows.counts, rows.points)])
     res = ks_one_sample(offsets, lambda x: np.clip(np.asarray(x) / 2.0, 0.0, 1.0))
     assert res.p_value > 0.01
 
@@ -125,7 +128,7 @@ def test_window_invariants(law):
         window = rn.build_stationary_window(law, 5.0, rng)
         # Index convention and the exact straddling-gap identity.
         assert point(window, -1) < 0.0 <= point(window, 0)
-        assert point(window, 0) - point(window, -1) == window.xi0
+        assert point(window, 0) - point(window, -1) == window.xi0[0]
         assert window.points[0] < -5.0
         assert window.points[-1] > 5.0
         assert np.all(np.diff(window.points) > 0.0)
@@ -147,9 +150,10 @@ def test_window_poisson_case():
     rows = rn.build_stationary_window(dist.Exponential(1.0), 6.0, stream(9), size=n)
     counts = rows.count_in(-3.0, 2.0)
     # The first interior gap is a fresh increment independent of the delay,
-    # so skipping the rare windows without one (padding there) is unbiased.
-    first_gap = rows.points[:, rows.zero_index + 1] - rows.points[:, rows.zero_index]
-    first_gap = first_gap[np.isfinite(first_gap)]
+    # so skipping the rare windows without one (t_0 is their last point)
+    # is unbiased.
+    after_zero = [pts[pts >= 0.0] for pts in split_rows(rows.counts, rows.points)]
+    first_gap = np.array([pts[1] - pts[0] for pts in after_zero if len(pts) > 1])
     from scipy.stats import poisson
 
     kmax = counts.max()
@@ -175,7 +179,7 @@ def test_window_extension_preserves_points():
     sampler = rn.StationaryWindowSampler(dist.Exponential(1.0), stream(13))
     small = sampler.initial(4.0)
     big = sampler.extend(small, 16.0)
-    assert big.c == 16.0
+    assert big.c == 16.0 and big.counts.tolist() == [len(big.points)]
     inner = np.isin(small.points, big.points)
     assert inner.all()
     assert big.points[0] < -16.0 and big.points[-1] > 16.0
@@ -195,6 +199,8 @@ def test_window_csv_format():
     assert 0 in ks and -1 in ks
     pts = [float(line.split(",")[1]) for line in lines[1:]]
     assert np.allclose(np.diff(pts), 2.0)
+    # Index 0 is the first point >= 0.
+    assert pts[ks.index(-1)] < 0.0 <= pts[ks.index(0)]
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -203,24 +209,23 @@ def test_window_determinism(seed):
     a = rn.build_stationary_window(dist.Gamma(2.0, 0.5), 5.0, stream(seed))
     b = rn.build_stationary_window(dist.Gamma(2.0, 0.5), 5.0, stream(seed))
     assert np.array_equal(a.points, b.points)
-    assert a.zero_index == b.zero_index and a.xi0 == b.xi0 and a.u == b.u
+    assert np.array_equal(a.counts, b.counts) and a.xi0 == b.xi0 and a.u == b.u
 
 
 def test_count_in_closed_interval():
     rows = rn.build_stationary_window(dist.PointMass(1.0), 3.0, stream(15), size=1)
-    p0 = rows.points[0, rows.zero_index]
+    p0 = point(rows, 0)
     assert rows.count_in(p0, p0).tolist() == [1]
     assert rows.count_in(p0 + 1e-12, p0 + 0.5).tolist() == [0]
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.7, -1.3])
 def test_row_counts_equal_single_window_counts(shift):
-    # Each row counts as its finite points alone would, one at a time:
-    # padding never counts.
+    # Each row counts as its points alone would, one at a time.
     rows = rn.build_stationary_window(dist.Gamma(2.0, 0.5), 4.0, stream(16), size=30)
     counts = rows.count_in(-1.0, 2.0, shift=shift)
-    for pts, count in zip(rows.points, counts):
-        assert count == sum(-1.0 <= p - shift <= 2.0 for p in pts[np.isfinite(pts)].tolist())
+    for pts, count in zip(split_rows(rows.counts, rows.points), counts):
+        assert count == sum(-1.0 <= p - shift <= 2.0 for p in pts.tolist())
 
 
 # ------------------------------------------------------- batched builders
@@ -336,26 +341,22 @@ def test_increments_drawn_stay_close_to_the_sums_kept(monkeypatch, law, shape):
 
 
 def assert_window_rows(rows, c):
-    assert rows.points.shape[0] == len(rows.xi0) == len(rows.u)
-    z = rows.zero_index
-    for i, pts in enumerate(rows.points):
-        finite = pts[np.isfinite(pts)]
-        left = np.count_nonzero(np.isneginf(pts))
-        assert np.all(np.isneginf(pts[:left])) and np.all(np.isposinf(pts[left + len(finite):]))
-        assert np.all(np.diff(finite) > 0.0)
-        assert np.count_nonzero(finite < -c) == 1 and finite[0] < -c
-        assert np.count_nonzero(finite > c) == 1 and finite[-1] > c
-        assert pts[z - 1] < 0.0 <= pts[z]
-        assert pts[z] - pts[z - 1] == rows.xi0[i]
+    assert len(rows.counts) == len(rows.xi0) == len(rows.u)
+    assert rows.counts.sum() == len(rows.points) and np.all(np.isfinite(rows.points))
+    for pts, xi0 in zip(split_rows(rows.counts, rows.points), rows.xi0):
+        assert np.all(np.diff(pts) > 0.0)
+        assert np.count_nonzero(pts < -c) == 1 and pts[0] < -c
+        assert np.count_nonzero(pts > c) == 1 and pts[-1] > c
+        z = np.count_nonzero(pts < 0.0)
+        assert 0 < z < len(pts) and pts[z] - pts[z - 1] == xi0
 
 
 def assert_forward_rows(real, horizon):
-    for epochs, overshoot_epoch in zip(real.epochs, real.overshoot_epoch):
-        finite = epochs[np.isfinite(epochs)]
-        assert np.all(np.isposinf(epochs[len(finite):]))
-        assert finite[0] == 0.0 and np.all(finite <= horizon)
-        assert np.all(np.diff(finite) > 0.0)
-        assert overshoot_epoch > horizon and overshoot_epoch > finite[-1]
+    assert real.counts.sum() == len(real.epochs)
+    for epochs, overshoot_epoch in zip(split_rows(real.counts, real.epochs), real.overshoot_epoch):
+        assert epochs[0] == 0.0 and np.all(epochs <= horizon)
+        assert np.all(np.diff(epochs) > 0.0)
+        assert overshoot_epoch > horizon and overshoot_epoch > epochs[-1]
 
 
 @given(
@@ -368,13 +369,36 @@ def assert_forward_rows(real, horizon):
 @settings(max_examples=120, deadline=None)
 def test_batched_rows_keep_the_single_row_invariants(law, c, horizon, k, seed):
     rows = rn.build_stationary_window(law, c, stream(seed), size=k)
-    assert rows.points.shape[0] == k and rows.c == c
+    assert len(rows.counts) == k and rows.c == c
     assert_window_rows(rows, c)
     real = rn.simulate_forward(law, horizon, stream(seed), size=k)
-    assert real.epochs.shape[0] == k and real.overshoot_epoch.shape == (k,)
+    assert len(real.counts) == k and real.overshoot_epoch.shape == (k,)
     assert_forward_rows(real, horizon)
     assert np.array_equal(real.overshoot, real.overshoot_epoch - horizon)
-    assert np.array_equal(real.count, np.count_nonzero(np.isfinite(real.epochs), axis=1))
+
+
+@pytest.mark.parametrize("law", [BURSTY, dist.LogNormal(0.0, 1.0)], ids=lambda l: type(l).__name__)
+def test_ragged_rows_are_the_replayed_rows_in_row_major_order(law):
+    # Row i is the next counts[i] points of the flat array, exactly the
+    # points that replaying the rounds builds for it alone.
+    mu, sd = _moments(law)
+    k, horizon, c = 30, 20.0, 10.0
+    real = rn.simulate_forward(law, horizon, stream(35), size=k)
+    runs = replayed_increments_until(law, stream(35), np.zeros(k), horizon, mu, sd)
+    assert real.counts.tolist() == [len(run) for run in runs]
+    assert real.epochs.tobytes() == np.concatenate([np.append(0.0, run[:-1]) for run in runs]).tobytes()
+    assert real.overshoot_epoch.tobytes() == np.array([run[-1] for run in runs]).tobytes()
+
+    window = rn.build_stationary_window(law, c, stream(36), size=k)
+    rng = stream(36)
+    s0, xi0, _ = dist.sample_stationary_delay(law, rng, size=k)
+    s_minus1 = s0 - xi0
+    fwd = replayed_increments_until(law, rng, s0, c, mu, sd)
+    bwd = replayed_increments_until(law, rng, -s_minus1, c, mu, sd)
+    rows = [np.concatenate([-b[::-1], [lo, hi], f]) for b, lo, hi, f in zip(bwd, s_minus1, s0, fwd)]
+    assert window.counts.tolist() == [len(row) for row in rows]
+    assert window.counts.min() < window.counts.max()
+    assert window.points.tobytes() == np.concatenate(rows).tobytes()
 
 
 def test_batched_rows_draw_from_the_generator_without_spawning():
@@ -397,9 +421,9 @@ def test_batched_forward_rows_equal_single_runs_without_top_up():
     assert len(recorded.sizes) == 1
     batch = rn.simulate_forward(law, 30.0, stream(33), size=5)
     rng = stream(33)
-    for epochs, overshoot_epoch in zip(batch.epochs, batch.overshoot_epoch):
+    for epochs, overshoot_epoch in zip(split_rows(batch.counts, batch.epochs), batch.overshoot_epoch):
         single = rn.simulate_forward(law, 30.0, rng, size=1)
-        assert epochs[np.isfinite(epochs)].tobytes() == single.epochs[0].tobytes()
+        assert epochs.tobytes() == single.epochs.tobytes()
         assert overshoot_epoch == single.overshoot_epoch[0]
 
 
