@@ -6,6 +6,14 @@ process, and statistically verify the convergence-to-stationarity and
 integrability claims at desk scale.
 """
 
+import os
+
+# Threaded BLAS products round differently from one-thread ones, so the bytes
+# of a run depend on these: set them (not setdefault) before numpy loads.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
+os.environ["MKL_NUM_THREADS"] = "1"
+
 from .distributions import (
     Exponential,
     FiniteDiscrete,

@@ -31,13 +31,15 @@ __all__ = [
 # (with a note in the result).
 ENERGY_EXACT_ROWS = 20_000
 
-# Distances are streamed in blocks of about this many entries, each block
-# filled one cache-sized tile at a time.  An energy test holds one block and
-# two float buffers of labelling tiles, plus one tile's integer label draws.
-# When the k x k distances fit one block, a tile holds max(k, DISTANCE_TILE
-# // k) labellings, so neither buffer is larger than the distance matrix or
-# one distance tile; otherwise all P + 1 labellings form one tile.
-ENERGY_BLOCK_ENTRIES = 2**24
+# Distances are streamed in blocks of about this many entries (16 MB; the
+# k x k distances fit one block up to k = 1448), each block filled one
+# cache-sized tile at a time.  An energy test holds one block and two float
+# buffers of labelling tiles, plus one tile's integer label draws.  When the
+# k x k distances fit one block, a tile holds max(k, DISTANCE_TILE // k)
+# labellings, so neither buffer is larger than the distance matrix or one
+# distance tile; otherwise all P + 1 labellings form one tile, and the
+# second buffer holds one block of rows of it.
+ENERGY_BLOCK_ENTRIES = 2**21
 DISTANCE_TILE = 2**15
 
 # A permutation test stops at the labelling whose statistic is the
@@ -233,6 +235,33 @@ def _count_tiles(observed, w, n_permutations, rng, width):
         yield lo, tile
 
 
+def _half_matrix_sums(uniq, w, counts, dist):
+    """Per-labelling ``c' D c`` and the row sums ``D w``, from half of ``D``.
+
+    ``D`` is the distance matrix of the distinct rows ``uniq``, ``c`` each
+    column of ``counts`` and ``w`` the multiplicities.  ``D`` is symmetric,
+    so each block of ``len(dist)`` rows is filled only against its own rows
+    and those after it: the quadratic form is the diagonal block's plus
+    twice the off-diagonal part's, and the off-diagonal part's transpose
+    gives the later rows' sums over the block.  One buffer of ``len(dist)``
+    rows holds both of a block's products with ``counts``.
+    """
+    k, block = len(uniq), len(dist)
+    s_aa = np.zeros(counts.shape[1])
+    row_sums = np.zeros(k)
+    prod = np.empty((block, counts.shape[1]))
+    for start in range(0, k, block):
+        end = min(start + block, k)
+        size = end - start
+        dblk = _euclidean_into(dist[:size, : k - start], uniq[start:end], uniq[start:])
+        own, rest, out = counts[start:end], dblk[:, size:], prod[:size]
+        row_sums[start:end] += dblk @ w[start:]
+        row_sums[end:] += rest.T @ w[start:end]
+        s_aa += np.einsum("ip,ip->p", own, np.matmul(dblk[:, :size], own, out=out))
+        s_aa += 2.0 * np.einsum("ip,ip->p", own, np.matmul(rest, counts[end:], out=out))
+    return s_aa, row_sums
+
+
 def energy_distance(a_matrix, b_matrix, n_permutations, rng):
     """Two-sample energy statistic with a sequential permutation p-value.
 
@@ -264,7 +293,8 @@ def energy_distance(a_matrix, b_matrix, n_permutations, rng):
     rule applies when the whole ``k x k`` matrix fits in one block, so its
     distances are computed once for every tile (and a few distinct rows do
     not make thousands of tiles); otherwise all ``P + 1`` labellings form
-    one tile, and the blocks are computed once for it.
+    one tile, and the blocks are computed once for it, over half of the
+    symmetric distance matrix (``_half_matrix_sums``).
     """
     a = _as_matrix(a_matrix)
     b = _as_matrix(b_matrix)
@@ -300,26 +330,19 @@ def energy_distance(a_matrix, b_matrix, n_permutations, rng):
     )
     w = w.astype(float)
 
-    # Per tile, streamed distances between distinct rows give D @ counts
-    # (and D @ w on the first tile) in one shared block buffer, and from
-    # them the tile's statistics.  Distances are computed on the first tile
-    # only: either one block holds them all, or the first tile is the only
-    # one.
-    row_sums = np.empty(k)
+    # Distances are computed once: one block holds them all and every tile
+    # reuses them, or the blocks are streamed for the first tile, the only one.
     dist = np.empty((min(block, k), k))
     reached = 0
     for lo, counts in tiles:
-        dx = np.empty_like(counts)
-        for start in range(0, k, block):
-            rows = uniq[start : start + block]
-            dblk = dist[: len(rows)]
+        if block < k:
+            s_aa, row_sums = _half_matrix_sums(uniq, w, counts, dist)
+        else:
             if lo == 0:
-                _euclidean_into(dblk, rows, uniq)
-                row_sums[start : start + block] = dblk @ w
-            np.matmul(dblk, counts, out=dx[start : start + block])
+                row_sums = _euclidean_into(dist, uniq, uniq) @ w
+            s_aa = np.einsum("ip,ip->p", counts, dist @ counts)
         if lo == 0:
             grand = float(w @ row_sums)
-        s_aa = np.einsum("ip,ip->p", counts, dx)
         r = counts.T @ row_sums
         s_ab = r - s_aa
         s_bb = grand - 2.0 * r + s_aa

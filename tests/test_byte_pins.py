@@ -98,18 +98,21 @@ def test_dri_bytes_are_pinned(spec, shape):
 
 # Energy permutation tests on 149 distinct Poisson rows (of 6000) at 2999
 # and 200 labellings, on 500 distinct continuous rows (numpy's "count"
-# hypergeometric method, since k >= n), and on the Poisson rows with the
-# distances streamed in 3-row blocks.  Every one stops early (the Poisson
+# hypergeometric method, since k >= n), on the Poisson rows with the
+# distances streamed in 3-row blocks, and on 250 distinct rows with the
+# second sample shifted by 0.02.  The shifted test runs all 200 labellings
+# (one exceedance, p = 2/201); every other one stops early (the Poisson
 # tests at their 16th labelling, so both counts of labellings pin the same
 # bytes).
-ENERGY_SHAPES = {"poisson-2999": 2999, "poisson-200": 200, "continuous": 199, "blocks": 200}
+ENERGY_SHAPES = {"poisson-2999": 2999, "poisson-200": 200, "continuous": 199, "blocks": 200, "shifted": 200}
 ENERGY_SEED = 31
 
 ENERGY_DIGESTS = {
     "poisson-2999": "b7eab7f4f3a94d8cba49b2f0fb4a5a969be73101feb27aa490b92fc554441f0e",
     "poisson-200": "b7eab7f4f3a94d8cba49b2f0fb4a5a969be73101feb27aa490b92fc554441f0e",
     "continuous": "d6bf22fc3faef1b70dd6330ab2998bcab35ea1821825cbed38e5e2d503f1a57d",
-    "blocks": "50a556c9c08b04c7c6535818e675808f0edec0a387774e33743f16ec1db62f59",
+    "blocks": "547dd9ba496604e47f06cf3680b3cc3181730aac96047ea57a7e39f1bbc99a66",
+    "shifted": "ffc9321c87e666409424368e85d4e74959ba296d01baca82642186c9cb70448f",
 }
 
 
@@ -123,6 +126,8 @@ def test_energy_bytes_are_pinned(shape, monkeypatch):
         data = stream(ENERGY_SEED)
         a, b = data.poisson(1.0, size=(3000, 3)), data.poisson(1.0, size=(3000, 3))
         rng = stream(ENERGY_SEED + 1)
+    if shape == "shifted":
+        b = b + 0.02
     if shape == "blocks":
         monkeypatch.setattr(stats, "ENERGY_BLOCK_ENTRIES", 3 * 149)
     result = stats.energy_distance(a, b, ENERGY_SHAPES[shape], rng)

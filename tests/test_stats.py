@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,6 +395,35 @@ def test_energy_distance_allocates_little_beyond_the_draws(monkeypatch, one_tile
     else:
         assert widths == [max(k, rs.DISTANCE_TILE // k)] and widths[0] < n_permutations
         assert peak < k * n_permutations * 8
+
+
+_THREADS_SCRIPT = """\
+import json
+from dataclasses import asdict
+from renewal_immigration.stats import energy_distance
+from renewal_immigration.streams import stream
+data = stream(51)
+a = data.normal(size=(600, 3))
+b = data.normal(size=(600, 3)) + 0.05
+print(json.dumps(asdict(energy_distance(a, b, 199, stream(52)))))
+"""
+
+
+def test_energy_bytes_do_not_depend_on_the_blas_thread_count():
+    # k = 1200 distinct rows: a distance matrix large enough for OpenBLAS to
+    # split its products over threads, which changes their rounding.  Each
+    # fresh interpreter imports the package before numpy, as every entry
+    # point does.
+    src = str(Path(rs.__file__).parents[1])
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT], capture_output=True, text=True, env=env, timeout=120, check=True
+        )
+        results.append(json.loads(run.stdout))
+    assert results[0] == results[1]
 
 
 def test_energy_permutation_null_calibration():
