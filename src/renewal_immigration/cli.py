@@ -12,7 +12,7 @@ lists.  JSON is strict: a non-finite float (an infinite bound, say) is
 written as ``null``.
 
 Exit codes: 0 pass, 1 usage/config error, 2 statistical rejection or
-truncation failure, 3 inconclusive / hypothesis warning.
+truncation failure, 3 dri criteria disagree / hypothesis warning.
 """
 
 import argparse
@@ -165,9 +165,10 @@ def cmd_dri(config, fields, args):
         code = EXIT_REJECT
         explanation = "both criteria show divergent evidence"
     else:
+        # The path criterion dominates the mean one: only the mean converges.
         code = EXIT_WARN
         explanation = (
-            f"criteria disagree or are inconclusive (mean: {verdicts[0]}, path: {verdicts[1]}); "
+            f"criteria disagree (mean: {verdicts[0]}, path: {verdicts[1]}); "
             "a mean-convergent, path-divergent kernel fades in probability but not pathwise"
         )
     combined = {"mean_verdict": verdicts[0], "path_verdict": verdicts[1], "explanation": explanation}
@@ -260,8 +261,8 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonAbsorbedPathError as exc:
-        # A kernel path outran its jump budget: the expected absorption
-        # time may be infinite, which is a hypothesis warning, not a crash.
+        # A birth-death path outran its jump budget: ``max_jumps`` was too
+        # small for the chain, which is a hypothesis warning, not a crash.
         error = {"error": "non_absorbed_path", "message": str(exc)}
         code, files, summary = EXIT_WARN, {f"{args.command}_error.json": _json_text(error)}, {"error": error["error"]}
     for name, text in files.items():

@@ -1,21 +1,23 @@
 """Numerical verification of the limit theory's hypotheses and claims.
 
-Two summability diagnostics estimate whether the kernel fades fast enough
-for the process to converge to stationarity:
+Two summability criteria decide whether the kernel fades fast enough for
+the process to converge to stationarity:
 
 * the mean criterion sums ``sup over [k, k+1)`` of ``E[|X(t)| ^ 1]``;
 * the path criterion sums ``E[sup over [k, k+1) of |X| ^ 1]``.
 
 The path criterion dominates the mean criterion pointwise; kernels exist
 (see :class:`~renewal_immigration.kernels.SpikeTrain`) where the mean
-criterion converges while every path keeps hitting 1.  Verdicts are
-evidence from finite sums and tail fits, never proofs: a report states the
-per-unit terms, their partial sums, and the rule that fired.
+criterion converges while every path keeps hitting 1.  Each verdict is
+exact: the kernel bounds each criterion's remainder past ``k_max`` from
+its own tail (``unit_remainders``), and the criterion converges exactly
+when that bound is finite.  A report states the bound, and Monte Carlo
+estimates of the per-unit terms and their partial sums.
 
 The convergence harness compares transient and stationary fdd samples with
 per-coordinate KS tests (Bonferroni) plus a joint energy-distance
 permutation test, after warning about violated hypotheses (lattice
-interarrival laws, divergent-looking kernels).  Point-process checks
+interarrival laws, a divergent mean criterion).  Point-process checks
 (intensity, overshoot, shift invariance, Laplace functionals) validate the
 stationary window construction itself.  Every check returns a frozen
 dataclass; :mod:`.cli` writes its fields as the JSON report.
@@ -32,12 +34,11 @@ from .kernels import sample_path
 from .process import fdd_sample
 from .renewal import ROW_BLOCK_POINTS, build_stationary_window, point_rows, row_blocks, simulate_forward
 from .stats import TestResult, chi2_sf, energy_distance, ks_one_sample, ks_two_sample
-from .streams import ENERGY, PRECHECK, stream
+from .streams import ENERGY, stream
 
 __all__ = [
     "CONVERGENT_EVIDENCE",
     "DIVERGENT_EVIDENCE",
-    "INCONCLUSIVE",
     "DriReport",
     "ComparisonReport",
     "IntervalIntensity",
@@ -59,21 +60,16 @@ __all__ = [
 
 CONVERGENT_EVIDENCE = "ConvergentEvidence"
 DIVERGENT_EVIDENCE = "DivergentEvidence"
-INCONCLUSIVE = "Inconclusive"
 
-# Verdict thresholds.  Divergence: partial sums growing at least this fast
-# per log k over the second half.  Convergence: extrapolated tail mass below
-# this fraction of the partial sum.  Geometric fits are trusted only below
-# the ratio cap; power fits only use terms estimated with enough hits.
-DIVERGENT_LOG_SLOPE = 0.5
-CONVERGENT_RESIDUAL_FRACTION = 1e-3
-GEOMETRIC_RATIO_CAP = 0.99
-MIN_FIT_POINTS = 4
-POWER_FIT_MIN_HITS = 4.0
 
 @dataclass(frozen=True)
 class DriReport:
-    """Per-unit-interval estimates of a summability criterion."""
+    """A summability criterion's exact verdict and Monte Carlo per-unit terms.
+
+    ``residual_estimate`` is the kernel's rigorous bound on the terms' sum
+    from ``k_max`` on; the verdict is whether it is finite.  ``terms`` and
+    ``partial_sums``, from ``n_mc`` paths, cross-check the path samplers.
+    """
 
     criterion: str
     terms: np.ndarray
@@ -81,80 +77,13 @@ class DriReport:
     verdict: str
     k_max: int
     n_mc: int
-    slope: float
     residual_estimate: float
-    note: str = ""
 
 
-def _fit_line(x, y):
-    """Least-squares slope/intercept plus mean squared residual."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    mse = float(np.mean((y - (slope * x + intercept)) ** 2))
-    return float(slope), float(intercept), mse
-
-
-def _residual_estimate(terms, n_mc):
-    """Extrapolated mass beyond the computed horizon, with a fit note.
-
-    Tries a geometric fit on the tail window and a power-law fit on the
-    reliably-estimated terms; returns the smaller extrapolation.  Infinite
-    when no decay model fits.
-    """
-    k_max = len(terms)
-    mid = k_max // 2
-    best = math.inf
-    note = "no tail fit"
-    tail_idx = np.arange(mid, k_max)
-    tail = terms[mid:]
-    pos = tail > 0
-    if np.count_nonzero(pos) >= MIN_FIT_POINTS:
-        slope, intercept, _ = _fit_line(tail_idx[pos], np.log(tail[pos]))
-        ratio = math.exp(slope)
-        if ratio < GEOMETRIC_RATIO_CAP:
-            w_end = math.exp(intercept + slope * k_max)
-            best = w_end / (1.0 - ratio)
-            note = f"geometric tail fit, ratio {ratio:.4g}"
-    ks = np.arange(1, k_max)
-    body = terms[1:]
-    reliable = body >= POWER_FIT_MIN_HITS / max(n_mc, 1)
-    reliable &= body > 0
-    if np.count_nonzero(reliable) >= MIN_FIT_POINTS:
-        slope, intercept, _ = _fit_line(np.log(ks[reliable]), np.log(body[reliable]))
-        p = -slope
-        if p > 1.0:
-            w_end = math.exp(intercept + slope * math.log(k_max))
-            cand = w_end * k_max / (p - 1.0)
-            if cand < best:
-                best = cand
-                note = f"power tail fit, exponent {p:.4g}"
-    return best, note
-
-
-def _verdict(terms, n_mc):
-    k_max = len(terms)
-    partials = np.cumsum(terms)
-    mid = max(k_max // 2, 1)
-    if k_max > 1:
-        slope = (partials[-1] - partials[mid - 1]) / (math.log(k_max) - math.log(mid))
-    else:
-        slope = 0.0
-    if slope >= DIVERGENT_LOG_SLOPE:
-        return DIVERGENT_EVIDENCE, partials, slope, math.inf, "partial sums grow log-linearly"
-    if np.all(terms[mid:] == 0.0):
-        return CONVERGENT_EVIDENCE, partials, slope, 0.0, "tail terms vanish"
-    residual, note = _residual_estimate(terms, n_mc)
-    threshold = CONVERGENT_RESIDUAL_FRACTION * max(partials[-1], 0.0)
-    if residual <= threshold:
-        return CONVERGENT_EVIDENCE, partials, slope, residual, note
-    return INCONCLUSIVE, partials, slope, residual, note
-
-
-def _dri_report(criterion, terms, n_mc):
-    """The ``criterion`` report of per-unit ``terms`` estimated from ``n_mc`` paths."""
-    verdict, partials, slope, residual, note = _verdict(terms, n_mc)
-    return DriReport(criterion, terms, partials, verdict, len(terms), n_mc, slope, residual, note)
+def _dri_report(criterion, terms, n_mc, remainder):
+    """The ``criterion`` report of ``terms`` from ``n_mc`` paths and the kernel's ``remainder`` bound past them."""
+    verdict = CONVERGENT_EVIDENCE if math.isfinite(remainder) else DIVERGENT_EVIDENCE
+    return DriReport(criterion, terms, np.cumsum(terms), verdict, len(terms), n_mc, remainder)
 
 
 def _capped_path_mean(spec, n_mc, width, terms, rng):
@@ -187,7 +116,7 @@ def dri_mean_check(spec, k_max, grid_per_unit, n_mc, rng):
     ts = np.arange(k_max * grid_per_unit) / grid_per_unit
     g_hat = _capped_path_mean(spec, n_mc, len(ts), lambda paths: np.abs(paths.values(ts)), rng)
     terms = g_hat.reshape(k_max, grid_per_unit).max(axis=1)
-    return _dri_report("mean", terms, n_mc)
+    return _dri_report("mean", terms, n_mc, spec.unit_remainders(k_max)[0])
 
 
 def dri_path_check(spec, k_max, n_mc, rng):
@@ -195,7 +124,7 @@ def dri_path_check(spec, k_max, n_mc, rng):
     if k_max < 1 or n_mc < 1:
         raise KernelError("need k_max >= 1 and n_mc >= 1")
     terms = _capped_path_mean(spec, n_mc, k_max, lambda paths: paths.unit_sups(k_max), rng)
-    return _dri_report("path", terms, n_mc)
+    return _dri_report("path", terms, n_mc, spec.unit_remainders(k_max)[1])
 
 
 @dataclass(frozen=True)
@@ -312,22 +241,10 @@ def lattice_warnings(law):
     return ["interarrival law is lattice; the limit theory assumes nonlattice laws"] if is_lattice(law) else []
 
 
-def _hypothesis_warnings(law, spec, seed):
+def _hypothesis_warnings(law, spec):
     warnings = lattice_warnings(law)
-    if math.isfinite(spec.support_end()):
-        # Compact support integrates trivially; no pre-check needed.
-        return warnings
-    try:
-        quick = dri_mean_check(spec, k_max=40, grid_per_unit=4, n_mc=400, rng=stream(seed, PRECHECK, 0))
-        if quick.verdict == DIVERGENT_EVIDENCE:
-            warnings.append(
-                "mean summability pre-check looks divergent; the stationary limit may not exist"
-            )
-    except NonAbsorbedPathError:
-        warnings.append(
-            "kernel paths exhausted their jump budget in the pre-check; "
-            "expected absorption time may be infinite"
-        )
+    if math.isinf(spec.unit_remainders(1)[0]):
+        warnings.append("mean summability criterion diverges; the stationary limit may not exist")
     return warnings
 
 
@@ -336,12 +253,12 @@ def convergence_test(
 ):
     """Test transient fdd vectors against the stationary ones at each ``t``.
 
-    Hypothesis problems (lattice law, divergent-looking kernel, stationary
+    Hypothesis problems (lattice law, divergent mean criterion, stationary
     truncation failure) are reported, not fatal: a truncation failure turns
     every report into a ``hypothesis_violation`` decision, matching the
     regime where the stationary series diverges.
     """
-    warnings = _hypothesis_warnings(law, spec, seed)
+    warnings = _hypothesis_warnings(law, spec)
     u = np.asarray(u_grid, dtype=float)
     try:
         stationary = fdd_sample(law, spec, "stationary", u, n_replicates, seed=seed, tol=tol)

@@ -17,8 +17,9 @@ class NonAbsorbedPathError(RuntimeError):
     """A birth-death path exhausted its jump budget before hitting 0.
 
     Carries the partial path so callers can inspect how far the simulation
-    got.  Frequent occurrences signal that the expected absorption time may
-    be infinite for the configured rates.
+    got.  Every death rate is positive, so a chain capped at ``state_cap``
+    has a phase-type absorption time with a finite mean: the error means
+    that the jump budget ``max_jumps`` was too small for the rates.
     """
 
     def __init__(self, message, partial_path):

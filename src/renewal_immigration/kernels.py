@@ -19,11 +19,16 @@ at arbitrary real times in O(log jumps).  Variants:
 
 Each spec class owns its behaviour: its config tag ``kind``,
 ``sample(rng, size)``, ``support_end()`` (time after which every path
-is 0, or ``inf``) and ``tail_bound(cut, mu)``.  For unbounded support only,
-``tail_bound`` bounds the expected stationary mass missed from points
-beyond ``cut`` when interarrivals have mean ``mu``.  By Campbell's formula
-that mass is ``int_cut^inf E|X(s)| ds / mu``, so the bound depends on the
-kernel, ``cut`` and ``mu`` alone and nothing has to be drawn to find it.
+is 0, or ``inf``), ``tail_bound(cut, mu)`` and ``unit_remainders(k)``.
+For ``k >= 1``, ``unit_remainders`` bounds the sums over ``j >= k`` of the
+mean and path summability terms (see :mod:`.diagnostics`) from above,
+``inf`` exactly when a sum diverges; each term is at most 1, and at most
+the kernel's tail integrated over the unit before it.  For unbounded
+support only, ``tail_bound`` bounds the expected stationary mass missed
+from points beyond ``cut`` when interarrivals have mean ``mu``.  By
+Campbell's formula that mass is ``int_cut^inf E|X(s)| ds / mu``, so the
+bound depends on the kernel, ``cut`` and ``mu`` alone and nothing has to
+be drawn to find it.
 For an indicator it is ``eta.tail_mean(cut) / mu``, formed directly as
 ``E[(eta - cut)^+]`` rather than as a difference of two means, so it
 does not cancel to 0 however small the tail is.
@@ -96,6 +101,14 @@ def _eta_is_zero(eta):
     return lo == 0.0 and hi == 0.0
 
 
+def _mean_abs(eta):
+    """``E|eta|``, or an upper bound on it.  The signed mark laws are all
+    bounded, so their largest ``|value|`` stands in for it."""
+    lo, hi = eta.support()
+    return eta.mean() if lo >= 0 else max(abs(lo), abs(hi))
+
+
+
 # --------------------------------------------------------------------------
 # Specs
 
@@ -152,6 +165,12 @@ class DeterministicTable:
             "table does not vanish at infinity, so the stationary series diverges", bound=math.inf
         )
 
+    def unit_remainders(self, k):
+        # Every term is at most 1, and the terms from ceil(end) on are 0.
+        end = self.support_end()
+        bound = float(max(math.ceil(end) - k, 0)) if math.isfinite(end) else math.inf
+        return bound, bound
+
 
 @dataclass(frozen=True)
 class Indicator:
@@ -181,6 +200,11 @@ class Indicator:
             )
         return float(eta.tail_mean(cut)) / mu
 
+    def unit_remainders(self, k):
+        # Both terms are P(eta > j) <= int_{j-1}^j P(eta > x) dx.
+        bound = float(self.eta.tail_mean(k - 1))
+        return bound, bound
+
 
 @dataclass(frozen=True)
 class ScaledExpDecay:
@@ -203,15 +227,28 @@ class ScaledExpDecay:
         return 0.0 if _eta_is_zero(self.eta) else math.inf
 
     def tail_bound(self, cut, mu):
-        # E|eta| int_cut^inf exp(-decay s) ds / mu.  The signed mark laws are
-        # all bounded, so their largest |value| stands in for E|eta|.
-        lo, hi = self.eta.support()
-        mean_abs = self.eta.mean() if lo >= 0 else max(abs(lo), abs(hi))
+        # E|eta| int_cut^inf exp(-decay s) ds / mu.
+        mean_abs = _mean_abs(self.eta)
         if math.isinf(mean_abs):
             raise TruncationError(
                 "mark |eta| has infinite mean, so the expected missed mass is infinite", bound=math.inf
             )
         return mean_abs * math.exp(-self.decay * cut) / (self.decay * mu)
+
+    def unit_remainders(self, k):
+        # Both terms are E[min(|eta| c, 1)] with c = exp(-decay j), at most
+        # E|eta| c.  Pareto(alpha <= 1) is the one mark law with an infinite
+        # mean.  Its term is at most (xm c)^alpha / (1 - alpha) for alpha < 1,
+        # and E[(c eta)^(1/2)] = 2 (xm c)^(1/2) for alpha = 1: both read
+        # (xm c)^b / (1 - b).
+        mean_abs = _mean_abs(self.eta)
+        if math.isfinite(mean_abs):
+            bound = mean_abs * math.exp(-self.decay * k) / -math.expm1(-self.decay)
+        else:
+            b = self.eta.alpha if self.eta.alpha < 1.0 else 0.5
+            rate = b * self.decay
+            bound = self.eta.xm**b * math.exp(-rate * k) / ((1.0 - b) * -math.expm1(-rate))
+        return bound, bound
 
 
 @dataclass(frozen=True)
@@ -237,6 +274,9 @@ class ScaledTable:
             "scaled table does not vanish at infinity, so the stationary series diverges a.s.",
             bound=math.inf,
         )
+
+    # The table's rule, read with this spec's own support end.
+    unit_remainders = DeterministicTable.unit_remainders
 
 
 @dataclass(frozen=True)
@@ -295,7 +335,7 @@ class BirthDeath:
             lowest = rows == row[0]
             raise NonAbsorbedPathError(
                 f"birth-death path not absorbed within {self.max_jumps} jumps "
-                "(expected absorption time may be infinite)",
+                "(the jump budget max_jumps is too small)",
                 BirthDeathPath(self.initial, np.array([self.max_jumps]), times[lowest], states[lowest]),
             )
         order = np.argsort(rows, kind="stable")
@@ -307,6 +347,12 @@ class BirthDeath:
     def tail_bound(self, cut, mu):
         # The phase-type integrated tail of the absorption time.
         return self.state_cap / mu * birth_death_tail_integral(self, cut)
+
+    def unit_remainders(self, k):
+        # Both terms are P(tau > j) <= int_{j-1}^j P(tau > x) dx for the
+        # absorption time tau.
+        bound = birth_death_tail_integral(self, k - 1)
+        return bound, bound
 
 
 @dataclass(frozen=True)
@@ -326,6 +372,11 @@ class SpikeTrain:
         if cut <= 1.0:
             return math.inf
         return 1.0 / (mu * (cut - 1.0))
+
+    def unit_remainders(self, k):
+        # The mean terms are 1 / (j^2 + 1) <= int_{j-1}^j dx / (x^2 + 1);
+        # every path hits 1 in every unit from j = 1 on.
+        return math.pi / 2.0 - math.atan(k - 1), math.inf
 
 
 KernelSpec = DeterministicTable | Indicator | ScaledExpDecay | ScaledTable | BirthDeath | SpikeTrain

@@ -12,7 +12,8 @@ batch per chunk of points and adds the terms point by point.  The
 birth-death oracle steps each chain in Python lists from the same array
 draws as the batched sampler, and evaluates it with ``np.searchsorted``.
 The increment oracles build renewal sums row by row, from the package's
-width rule, and must match the batched rows draw for draw.
+width rule, and must match the batched rows draw for draw.  The capped
+birth-death generator is an mpmath matrix, for 60-digit ``expm`` oracles.
 """
 
 import heapq
@@ -200,6 +201,22 @@ def chain_unit_sups(initial, times, states, k_max):
         if t < k_max:
             sups[int(t)] = max(sups[int(t)], float(state))
     return sups
+
+
+def mp_birth_death_generator(spec):
+    """The generator of ``spec``'s chain on its transient states 1..cap, as an mpmath matrix."""
+    import mpmath as mp
+
+    cap = spec.state_cap
+    gen = mp.matrix(cap, cap)
+    for i in range(cap):
+        birth = spec.birth_rates[i] if i < cap - 1 else 0.0
+        gen[i, i] = -(birth + spec.death_rates[i])
+        if i < cap - 1:
+            gen[i, i + 1] = birth
+        if i > 0:
+            gen[i, i - 1] = spec.death_rates[i]
+    return gen
 
 
 def single_row_increments_until(law, rng, start, target, mu, sd):

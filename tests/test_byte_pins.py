@@ -65,24 +65,25 @@ def test_fdd_bytes_are_pinned(spec, mode):
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[(name, mode)]
 
 
-# dri reports at the converge pre-check's shape and at one whose mean grid
-# is drawn in 60 chunks of paths: (k_max, grid_per_unit, n_mc).
+# dri reports at the shape of converge's retired Monte Carlo pre-check and
+# at one whose mean grid is drawn in 60 chunks of paths: (k_max,
+# grid_per_unit, n_mc).
 DRI_SHAPES = {"precheck": (40, 4, 400), "chunked": (800, 8, 300)}
 DRI_SEED = 23
 
 DRI_DIGESTS = {
-    ("DeterministicTable", "chunked"): "5d03141a7976ea2da7fcd0cf7c2dad0ddee550234ac150fe4307797ec471cab1",
-    ("DeterministicTable", "precheck"): "ce771be37199e49f4bcf563f2fbefd33aa27cf42e59e6342e6469a3b1a8e3113",
-    ("Indicator", "chunked"): "ea7fcb357a8edb23a2f1d89b87c31e4929fa2e022df9a31b4b229f4a6c783897",
-    ("Indicator", "precheck"): "37d84ba1c4157eedf4f044c23e6877e6371b5cf39caeeee1046e804d471b9974",
-    ("ScaledExpDecay", "chunked"): "b300b2da0460724f55e1576116daf634b960ebad870892081c0f74bdcd5ffc10",
-    ("ScaledExpDecay", "precheck"): "9f26a70e418bc336b772ea37842f7e6b66eeaf1d5350da5036824dec0fe18e94",
-    ("ScaledTable", "chunked"): "eb5ebd54cc7d9f46cd971eb38e663c5b897e51ffa2debd0af53d8dc15ae1e2a1",
-    ("ScaledTable", "precheck"): "ea179cab5279bd3eeab20cbac6c0b7bbde3e42c44fccb11243539a292e65b263",
-    ("BirthDeath", "chunked"): "864beaccac3cae0f70be0184a9393cc543b466b759055f584de0aac12e9483f1",
-    ("BirthDeath", "precheck"): "5c1091a4ce73d8d1d867d854073cfbe8c9191be170bc6212ccc457c3a40e4ab3",
-    ("SpikeTrain", "chunked"): "4241db67a7ed32ab4936df6e87db9bdaf4798c70d9d57842bd4fd9a577f5ea3b",
-    ("SpikeTrain", "precheck"): "ad2a3facf6ad08bb8f4979e60e33a7df8a634a2dd884a52744f9243562b28e41",
+    ("DeterministicTable", "chunked"): "8ba3aca152764d0c0829f9526cbc0ac159ce73984ace26384bd75eb88b6966ca",
+    ("DeterministicTable", "precheck"): "951aa65e874e1e15bb9ece160b193dac88db9e75863242ecbc19bec48ef4103d",
+    ("Indicator", "chunked"): "3b71e351cd0180c75d3138cb845ffbf6f4b2b3edd3cda79341f10f811d7cc6d2",
+    ("Indicator", "precheck"): "e94535388a69739590b5f7a0cc2f4c12df104984ed5fcda1d3b9c86a9238d56e",
+    ("ScaledExpDecay", "chunked"): "22b7689bf7c428e05c64e13d7c03990fc325b6eb4bea06b47c6d2a55b9b167b7",
+    ("ScaledExpDecay", "precheck"): "3ba00fb50fc3e8dde703bb59d215612023335cd3ebadd34de3214e6d70b41c85",
+    ("ScaledTable", "chunked"): "56c46f3205809e0834cec0169f44a63308fb99a474f9392d9910fa87690ebdcf",
+    ("ScaledTable", "precheck"): "ef361012bbd91f5532db7c0dcf6f5f44edc41fd06220071cb9d891a33cf7ffcf",
+    ("BirthDeath", "chunked"): "012f112d8291e5bbc3eb37eabe6f61c6fd1890967ebcc1ef00f85dd77ac2cf4f",
+    ("BirthDeath", "precheck"): "b30c67a958c10171955724319a4a8b5ea4c5cc873078b0610807b49d152ec79a",
+    ("SpikeTrain", "chunked"): "8e951191310613bc060364e28992f201020154c62f81d7a6d40c68220b5ae83a",
+    ("SpikeTrain", "precheck"): "2128c4dcffd321a55b0d2cc0a196439aa2020fd2984d3b02f4f6af9848f46a58",
 }
 
 
@@ -188,24 +189,24 @@ CLI_DIGESTS = {
     "converge-truncation": (
         3,
         {
-            "report_000.json": "3f1f5a75cc9a3a6f067a726618db1a28a61280ecf7ad71f5f1832c5121fa4e60",
-            "report_001.json": "0b224334d619bc4f028929597cf427749521d7a7f57af501b5bb30265f5a0bf3",
+            "report_000.json": "72832acb34b89b733111675fbc2d6c01f3c13419d3ce4f5ee176348a1fe8d04d",
+            "report_001.json": "7f4015a6502289bdf5cb816249c1f66ba81b35fd4a9c078016f93b5abec54d37",
             "summary.csv": "921c2fec67e8125e1b9239bef3db49195ef033d047861afb1ea1830b48406eb8",
         },
     ),
     "dri": (
         0,
         {
-            "dri_mean.json": "c0e3db90639b70132666ead42b95cf9cb17dadcb139a72f256e1131287affb36",
-            "dri_path.json": "f5c279bddbbd54b30cfbe0886fed7e5eeaaf987136f4ecd3a37e7becf4feb721",
+            "dri_mean.json": "c20c6225febd984d8da3daf2bfbe11ac9af33fbed97e6b0a8baadb3251f8505d",
+            "dri_path.json": "acc7e8feef71cf020ce1fc5fc427b8dd1c3c25c767d867fe26f761bfd6e675c6",
             "dri_summary.json": "0a9688983795373537f68e4648a683c73bae6548f98ffc4d09efaaefcb89016e",
         },
     ),
     "dri-pareto": (
         2,
         {
-            "dri_mean.json": "0fb0ec37e2a8eb9a5992694cbcc8a14c567fcf8559f2470d19ecbf0158e0744f",
-            "dri_path.json": "a7ebcff92c9ac91bdf05145cfb36373d89546aa76a746ed10683face3702689a",
+            "dri_mean.json": "bf0765d3e762aa3f8fa984c1ddf4144aaf15345d9304b109893e45e35a7b6dfb",
+            "dri_path.json": "b4ac43ca9557e6995fb6030b3cb644c312e29d836b5a0b8cfb4b8f5e59c05d65",
             "dri_summary.json": "26c94cfac83601b5b45403c0ac604c664d6e5b0f8e19cf4ed075d84d2aba4b3a",
         },
     ),
@@ -255,7 +256,8 @@ def test_cli_output_bytes_are_pinned(case, tmp_path, capsys):
 
 # Every case above, and ``simulate`` and ``stationary --dump-window`` runs
 # that pass, that fail truncation, and that end in a birth-death path never
-# absorbed within its jump budget (births 1000 times faster than deaths).
+# absorbed within its jump budget (births 1000 times faster than deaths),
+# the last in ``converge`` too.  Each exits with its code and no traceback.
 _NON_ABSORBED = {"kind": "birth_death", "initial": 1, "birth_rates": [1000.0, 0.0], "death_rates": [0.01, 0.01],
                  "state_cap": 2, "max_jumps": 50}
 SUMMARY_RUNS = CLI_RUNS | {
@@ -264,8 +266,14 @@ SUMMARY_RUNS = CLI_RUNS | {
     "stationary-truncation": ("stationary", {"kernel": _PARETO_08_INDICATOR, "u_grid": [0.0], "n_replicates": 20}),
     "stationary-non-absorbed": ("stationary", {"kernel": _NON_ABSORBED, "u_grid": [0.0], "n_replicates": 20,
                                                "tol": 1e30}),
+    "converge-non-absorbed": ("converge", {"kernel": _NON_ABSORBED, "t_list": [1.0], "u_grid": [0.0],
+                                           "n_replicates": 20, "tol": 1e30}),
 }
 SUMMARY_ERRORS = {"stationary-truncation": "truncation", "stationary-non-absorbed": "non_absorbed_path"}
+SUMMARY_EXITS = {case: pinned[0] for case, pinned in CLI_DIGESTS.items()} | {
+    "simulate": 0, "stationary": 0, "stationary-truncation": 2, "stationary-non-absorbed": 3,
+    "converge-non-absorbed": 3,
+}
 
 
 @pytest.mark.parametrize("case", sorted(SUMMARY_RUNS))
@@ -276,6 +284,9 @@ def test_summary_outputs_are_the_files_on_disk(case, tmp_path, capsys):
     out = tmp_path / "out"
     flags = ["--dump-window"] if command == "stationary" else []
     code = main([command, str(cfg), "--out-dir", str(out)] + flags)
-    summary = json.loads(capsys.readouterr().out)
-    assert (summary["exit"], summary.get("error")) == (code, SUMMARY_ERRORS.get(case))
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    summary = json.loads(captured.out)
+    assert (summary["exit"], summary.get("error")) == (SUMMARY_EXITS[case], SUMMARY_ERRORS.get(case))
+    assert code == SUMMARY_EXITS[case]
     assert sorted(summary["outputs"]) == sorted(path.name for path in out.iterdir())

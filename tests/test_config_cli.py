@@ -260,7 +260,7 @@ class WorkLedger:
 
     def _dri(self, n_mc, points, k_max):
         self.add(n_mc, points)
-        return dg.DriReport("mean", np.zeros(1), np.zeros(1), dg.CONVERGENT_EVIDENCE, k_max, n_mc, 0.0, 0.0)
+        return dg.DriReport("mean", np.zeros(1), np.zeros(1), dg.CONVERGENT_EVIDENCE, k_max, n_mc, 0.0)
 
     def dri_mean_check(self, spec, k_max, grid_per_unit, n_mc, rng):
         return self._dri(n_mc, k_max * grid_per_unit, k_max)
@@ -708,7 +708,7 @@ JSON_RUNS = [
     ("converge", {"t_list": [1.0], "u_grid": [0.0], "n_replicates": 200, "n_permutations": 19}),
     ("converge", {"kernel": {"kind": "indicator", "eta": PARETO_08}, "t_list": [1.0], "u_grid": [0.0],
                   "n_replicates": 20}),
-    # No tail fit: the mean and path reports' residual estimates.
+    # Divergent criteria: the mean and path reports' remainder bounds.
     ("dri", {"kernel": {"kind": "indicator", "eta": PARETO_08}, "dri": {"k_max": 40, "grid_per_unit": 2, "n_mc": 100}}),
     ("pointprocess", {"pointprocess": {"n_windows": 100, "n_realizations": 100, "laplace": {"n_mc": 100}}}),
 ]

@@ -10,9 +10,9 @@ from renewal_immigration import diagnostics as dg
 from renewal_immigration import distributions as dist
 from renewal_immigration import kernels as kn
 from renewal_immigration import renewal as rn
-from renewal_immigration.streams import stream
+from renewal_immigration.streams import DRI_MEAN, DRI_PATH, stream
 
-from oracles import replayed_increments_until
+from oracles import mp_birth_death_generator, replayed_increments_until
 from test_renewal import assert_forward_rows, assert_window_rows, split_rows
 
 EXP_LAW = dist.Exponential(1.0)
@@ -92,6 +92,90 @@ def test_dri_path_dominates_mean_paired():
         mean_report = dg.dri_mean_check(spec, 20, 8, 500, stream(8))
         path_report = dg.dri_path_check(spec, 20, 500, stream(8))
         assert np.all(path_report.terms >= mean_report.terms - 1e-12)
+
+
+# Heavy tails that fade slowly but converge: pulse means 21 and 6, and
+# exp-decay terms 2 e^{-j/10} - e^{-j/5}, which sum to 15.5.
+HEAVY_CONVERGENT = {
+    "pareto-1.05-pulse": kn.Indicator(dist.Pareto(1.05, 1.0)),
+    "pareto-1.2-pulse": kn.Indicator(dist.Pareto(1.2, 1.0)),
+    "pareto-0.5-exp-decay": kn.ScaledExpDecay(dist.Pareto(0.5, 1.0), 0.2),
+}
+
+
+@pytest.mark.parametrize("name", HEAVY_CONVERGENT)
+def test_dri_heavy_convergent_tails_converge_at_the_defaults(name):
+    # The dri defaults and the dri streams of seed 3.
+    spec = HEAVY_CONVERGENT[name]
+    mean_report = dg.dri_mean_check(spec, 50, 8, 2000, stream(3, DRI_MEAN, 0))
+    path_report = dg.dri_path_check(spec, 50, 2000, stream(3, DRI_PATH, 0))
+    assert mean_report.verdict == path_report.verdict == dg.CONVERGENT_EVIDENCE
+
+
+def test_dri_pareto_105_pulse_path_converges_at_a_long_horizon():
+    report = dg.dri_path_check(HEAVY_CONVERGENT["pareto-1.05-pulse"], 2000, 2000, stream(3, DRI_PATH, 0))
+    assert report.verdict == dg.CONVERGENT_EVIDENCE
+
+
+def test_converge_on_a_convergent_heavy_pulse_has_no_summability_warning():
+    reports = dg.convergence_test(EXP_LAW, HEAVY_CONVERGENT["pareto-1.05-pulse"], [1.0], [0.0], 20, 0.01, 3)
+    assert not [w for report in reports for w in report.warnings if "summability" in w]
+
+
+def _bd_remainder(spec, k):
+    """``sum_{j >= k} P(tau > j) = alpha e^{G k} (I - e^G)^{-1} 1`` with 60 digits."""
+    import mpmath as mp
+
+    gen = mp_birth_death_generator(spec)
+    ones = mp.matrix([1] * spec.state_cap)
+    return (mp.expm(gen * k) * mp.lu_solve(mp.eye(spec.state_cap) - mp.expm(gen), ones))[spec.initial - 1]
+
+
+BIRTH_DEATH = kn.BirthDeath(initial=1, birth_rates=(0.5, 0.5, 0.5, 0.0), death_rates=(1.0,) * 4, state_cap=4)
+# Exact sums over j >= k of each kernel's terms, and the criteria they are
+# the terms of (both, or only the mean one).
+EXACT_REMAINDERS = {
+    "exp-pulse": (MM_INF, lambda mp, k: mp.exp(-k) / (1 - mp.exp(-1)), "both"),
+    "pareto-1.5-pulse": (kn.Indicator(dist.Pareto(1.5, 1.0)), lambda mp, k: mp.zeta(1.5, k), "both"),
+    "exp-decay": (kn.ScaledExpDecay(dist.PointMass(1.0), 1.0), lambda mp, k: mp.exp(-k) / (1 - mp.exp(-1)), "both"),
+    "pareto-0.5-exp-decay": (
+        HEAVY_CONVERGENT["pareto-0.5-exp-decay"],
+        lambda mp, k: 2 * mp.exp(-k / mp.mpf(10)) / (1 - mp.exp(-1 / mp.mpf(10)))
+        - mp.exp(-k / mp.mpf(5)) / (1 - mp.exp(-1 / mp.mpf(5))),
+        "both",
+    ),
+    "spike-train": (kn.SpikeTrain(), lambda mp, k: mp.nsum(lambda j: 1 / (j * j + 1), [k, mp.inf]), "mean"),
+    "birth-death": (BIRTH_DEATH, lambda mp, k: _bd_remainder(BIRTH_DEATH, k), "both"),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_REMAINDERS)
+def test_dri_remainder_bounds_the_exact_remainder(name):
+    # The exp-decay bound with unit marks is the sum itself, so every bound
+    # may sit below its sum by float rounding (1e-13 relative, as in the
+    # birth-death tail integral's test), and by nothing more.
+    import mpmath as mp
+
+    spec, remainder, criteria = EXACT_REMAINDERS[name]
+    for k_max in (1, 2, 5, 20, 50):
+        reports = [dg.dri_mean_check(spec, k_max, 2, 1, stream(10))]
+        if criteria == "both":
+            reports.append(dg.dri_path_check(spec, k_max, 1, stream(11)))
+        with mp.workdps(60):
+            exact = remainder(mp, k_max)
+            for report in reports:
+                assert mp.mpf(report.residual_estimate) >= exact * (1 - mp.mpf(1e-13)), (report.criterion, k_max)
+                if name == "exp-pulse":
+                    # Not vacuous: within a factor e of the sum.
+                    assert mp.mpf(report.residual_estimate) <= mp.e * exact
+
+
+def test_dri_table_remainder_counts_the_units_left_in_its_support():
+    # Support [0, 4), k_max 2: the units [2, 3) and [3, 4) are still ahead.
+    table = kn.DeterministicTable((0.0, 4.0), (1.0, 0.0))
+    for report in (dg.dri_mean_check(table, 2, 2, 1, stream(12)), dg.dri_path_check(table, 2, 1, stream(13))):
+        assert 2.0 <= report.residual_estimate < math.inf
+        assert report.verdict == dg.CONVERGENT_EVIDENCE
 
 
 def test_laplace_zero_function_is_one():

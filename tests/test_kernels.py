@@ -10,7 +10,7 @@ from renewal_immigration import kernels as kn
 from renewal_immigration.errors import KernelError, NonAbsorbedPathError
 from renewal_immigration.streams import stream
 
-from oracles import chain_unit_sups, chain_values, stepped_birth_death
+from oracles import chain_unit_sups, chain_values, mp_birth_death_generator, stepped_birth_death
 
 TABLE_1_ON_01 = kn.DeterministicTable((0.0, 1.0), (1.0, 0.0))
 TABLE_STEPS = kn.DeterministicTable((0.0, 1.0, 2.5, 4.0), (2.0, -1.0, 0.5, 0.0))
@@ -156,14 +156,7 @@ def test_birth_death_tail_integral_bounds_the_tail_at_the_exact_cut():
     spec = kn.BirthDeath(initial=1, birth_rates=(0.5, 0.5, 0.5, 0.0), death_rates=(1.0,) * 4, state_cap=4)
     lo = 20.0 / 3.0
     with mp.workdps(60):
-        gen = mp.matrix(4, 4)
-        for i in range(4):
-            birth = spec.birth_rates[i]
-            gen[i, i] = -(birth + spec.death_rates[i])
-            if i < 3:
-                gen[i, i + 1] = birth
-            if i > 0:
-                gen[i, i - 1] = spec.death_rates[i]
+        gen = mp_birth_death_generator(spec)
         exact = -mp.lu_solve(gen, mp.expm(gen * mp.mpf(lo)) * mp.matrix([1] * 4))[spec.initial - 1]
     assert kn.birth_death_tail_integral(spec, lo) >= float(exact) * (1.0 - 1e-13)
 

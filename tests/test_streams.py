@@ -61,7 +61,7 @@ RUNS = {
 TAGS = {
     "simulate": {sm.TRANSIENT_BLOCK},
     "stationary": {sm.DUMP_WINDOW, sm.STATIONARY_BLOCK},
-    "converge": {sm.PRECHECK, sm.STATIONARY_BLOCK, sm.TRANSIENT_BLOCK, sm.ENERGY},
+    "converge": {sm.STATIONARY_BLOCK, sm.TRANSIENT_BLOCK, sm.ENERGY},
     "dri": {sm.DRI_MEAN, sm.DRI_PATH},
     "pointprocess": {sm.INTENSITY, sm.OVERSHOOT, sm.SHIFT, sm.LAPLACE},
 }
