@@ -40,7 +40,7 @@ from .kernels import (
     kernel_to_config,
     sample_path,
 )
-from .process import FddSample, ProcessSample, eval_stationary, eval_transient, fdd_sample, stationary_half_width
+from .process import FddSample, eval_stationary, eval_transient, fdd_sample, stationary_half_width
 from .renewal import (
     RenewalRealization,
     StationaryWindow,

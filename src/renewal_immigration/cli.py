@@ -108,7 +108,7 @@ def cmd_stationary(config, fields, args):
     dumped = {}
     if args.dump_window:
         dumped["window.csv"] = window_to_csv(
-            build_stationary_window(config.law, fields.c, stream(config.seed, DUMP_WINDOW, 0))
+            build_stationary_window(config.law, fields.c, stream(config.seed, DUMP_WINDOW, 0), size=1)
         )
     try:
         sample = fdd_sample(

@@ -11,8 +11,9 @@ The path criterion dominates the mean criterion pointwise; kernels exist
 criterion converges while every path keeps hitting 1.  Each verdict is
 exact: the kernel bounds each criterion's remainder past ``k_max`` from
 its own tail (``unit_remainders``), and the criterion converges exactly
-when that bound is finite.  A report states the bound, and Monte Carlo
-estimates of the per-unit terms and their partial sums.
+when that bound is finite.  A report states the bound, rounded up so that
+it holds in floats, and Monte Carlo estimates of the per-unit terms and
+their partial sums.
 
 The convergence harness compares transient and stationary fdd samples with
 per-coordinate KS tests (Bonferroni) plus a joint energy-distance
@@ -80,8 +81,29 @@ class DriReport:
     residual_estimate: float
 
 
-def _dri_report(criterion, terms, n_mc, remainder):
-    """The ``criterion`` report of ``terms`` from ``n_mc`` paths and the kernel's ``remainder`` bound past them."""
+# Relative widening of a float-computed remainder: above the worst relative
+# error of any ``tail_mean`` against 60-digit mpmath (1.3e-10, Gamma(40, 7)).
+_REMAINDER_WIDENING = 2.0**-30
+
+
+def _upper_remainder(spec, criterion, k):
+    """``spec``'s bound on the ``criterion`` sum past ``k``, rounded up so that it holds in floats.
+
+    The float value is widened by ``_REMAINDER_WIDENING`` and one ulp.  A
+    kernel with unbounded support has a positive remainder, so one that
+    underflows reads the smallest positive float; an exact 0 (a table past
+    its support end, say) stays 0.
+    """
+    mean, path = spec.unit_remainders(k)
+    remainder = path if criterion == "path" else mean
+    if remainder == 0.0:
+        return math.ulp(0.0) if math.isinf(spec.support_end()) else 0.0
+    return math.nextafter(remainder * (1.0 + _REMAINDER_WIDENING), math.inf)
+
+
+def _dri_report(criterion, terms, n_mc, spec):
+    """The ``criterion`` report of ``terms`` from ``n_mc`` paths of ``spec``, with its bound past them."""
+    remainder = _upper_remainder(spec, criterion, len(terms))
     verdict = CONVERGENT_EVIDENCE if math.isfinite(remainder) else DIVERGENT_EVIDENCE
     return DriReport(criterion, terms, np.cumsum(terms), verdict, len(terms), n_mc, remainder)
 
@@ -116,7 +138,7 @@ def dri_mean_check(spec, k_max, grid_per_unit, n_mc, rng):
     ts = np.arange(k_max * grid_per_unit) / grid_per_unit
     g_hat = _capped_path_mean(spec, n_mc, len(ts), lambda paths: np.abs(paths.values(ts)), rng)
     terms = g_hat.reshape(k_max, grid_per_unit).max(axis=1)
-    return _dri_report("mean", terms, n_mc, spec.unit_remainders(k_max)[0])
+    return _dri_report("mean", terms, n_mc, spec)
 
 
 def dri_path_check(spec, k_max, n_mc, rng):
@@ -124,7 +146,7 @@ def dri_path_check(spec, k_max, n_mc, rng):
     if k_max < 1 or n_mc < 1:
         raise KernelError("need k_max >= 1 and n_mc >= 1")
     terms = _capped_path_mean(spec, n_mc, k_max, lambda paths: paths.unit_sups(k_max), rng)
-    return _dri_report("path", terms, n_mc, spec.unit_remainders(k_max)[1])
+    return _dri_report("path", terms, n_mc, spec)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,12 @@ The same family classes serve two roles:
 * mark laws for scaled kernels (``eta``): may be signed, may have an atom
   at 0, and may be heavy-tailed (:class:`Pareto`).
 
-Beyond plain sampling, interarrival laws expose the two derived objects a
-stationary renewal construction needs: the size-biased law of the interval
-straddling a uniform time point, and the integrated-tail law of the
-stationary delay / limiting overshoot.
+Every draw is a batch: ``sample(rng, size)`` and ``size_biased_sample(rng,
+size)`` return an array of shape ``size``, which they require, and draw as
+that many draws of ``size=1`` would.  Beyond plain sampling, interarrival
+laws expose the two derived objects a stationary renewal construction
+needs: the size-biased law of the interval straddling a uniform time point,
+and the integrated-tail law of the stationary delay / limiting overshoot.
 
 Every law has one tail method, ``tail_mean(x) = E[(X - x)^+]`` for
 ``x >= 0``, in closed form and not as ``E[X] - E[min(X, x)]``, which
@@ -116,14 +118,14 @@ class Exponential:
     def support(self):
         return 0.0, math.inf
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.exponential(1.0 / self.rate, size=size)
 
     def tail_mean(self, x):
         """``E[(X - x)^+]`` for ``x >= 0``."""
         return np.exp(-self.rate * np.asarray(x, dtype=float)) / self.rate
 
-    def size_biased_sample(self, rng, size=None):
+    def size_biased_sample(self, rng, size):
         # x * rate * e^{-rate x} / mean is a Gamma(2, 1/rate) density.
         return rng.gamma(2.0, 1.0 / self.rate, size=size)
 
@@ -150,7 +152,7 @@ class Gamma:
     def support(self):
         return 0.0, math.inf
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.gamma(self.shape, self.scale, size=size)
 
     def tail_mean(self, x):
@@ -166,7 +168,7 @@ class Gamma:
         out = self.scale * (self.shape * gammaincc(self.shape + 1.0, y) - y * gammaincc(self.shape, y))
         return np.where(x < math.inf, out, 0.0)
 
-    def size_biased_sample(self, rng, size=None):
+    def size_biased_sample(self, rng, size):
         # Size-biasing a Gamma(k, theta) bumps the shape by one.
         return rng.gamma(self.shape + 1.0, self.scale, size=size)
 
@@ -193,7 +195,7 @@ class Uniform:
     def support(self):
         return self.lo, self.hi
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.uniform(self.lo, self.hi, size=size)
 
     def tail_mean(self, x):
@@ -201,7 +203,7 @@ class Uniform:
         inside = np.maximum(self.hi - x, 0.0) ** 2 / (2.0 * (self.hi - self.lo))
         return np.where(x <= self.lo, self.mean() - x, inside)
 
-    def size_biased_sample(self, rng, size=None):
+    def size_biased_sample(self, rng, size):
         # Inverse transform of the density x / (mean * (hi - lo)) on [lo, hi].
         u = rng.uniform(size=size)
         return np.sqrt(self.lo**2 + u * (self.hi**2 - self.lo**2))
@@ -229,7 +231,7 @@ class LogNormal:
     def support(self):
         return 0.0, math.inf
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.lognormal(self.mu, self.sigma, size=size)
 
     def tail_mean(self, x):
@@ -251,7 +253,7 @@ class LogNormal:
         out = np.where(z < 30.0, near, x_phi * (_mills(far - sigma) - _mills(far)))
         return np.where(x < math.inf, out, 0.0)
 
-    def size_biased_sample(self, rng, size=None):
+    def size_biased_sample(self, rng, size):
         # x * lognormal(mu, sigma) density / mean is lognormal(mu + sigma^2, sigma).
         return rng.lognormal(self.mu + self.sigma**2, self.sigma, size=size)
 
@@ -277,17 +279,13 @@ class PointMass:
     def support(self):
         return self.value, self.value
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.value
+    def sample(self, rng, size):
         return np.full(size, self.value)
 
     def tail_mean(self, x):
         return np.maximum(self.value - np.asarray(x, dtype=float), 0.0)
 
-    def size_biased_sample(self, rng, size=None):
-        if size is None:
-            return self.value
+    def size_biased_sample(self, rng, size):
         return np.full(size, self.value)
 
 
@@ -331,7 +329,7 @@ class FiniteDiscrete:
         vals, _ = self._sorted
         return float(vals[0]), float(vals[-1])
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         vals, probs = self._sorted
         return rng.choice(vals, size=size, p=probs)
 
@@ -339,7 +337,7 @@ class FiniteDiscrete:
         vals, probs = self._sorted
         return np.maximum(vals - np.asarray(x, dtype=float)[..., None], 0.0) @ probs
 
-    def size_biased_sample(self, rng, size=None):
+    def size_biased_sample(self, rng, size):
         vals, probs = self._sorted
         w = vals * probs
         return rng.choice(vals, size=size, p=w / w.sum())
@@ -375,9 +373,7 @@ class Pareto:
     def support(self):
         return self.xm, math.inf
 
-    def sample(self, rng, size=None):
-        # numpy's power for one draw too: a Python float ``**`` differs from
-        # it in the last ulp, and a batched draw must equal single draws.
+    def sample(self, rng, size):
         u = rng.uniform(size=size)
         return self.xm * np.power(1.0 - u, -1.0 / self.alpha)
 
@@ -389,7 +385,7 @@ class Pareto:
             return np.full(x.shape, math.inf)
         return np.where(x <= xm, self.mean() - x, xm * (xm / np.maximum(x, xm)) ** (a - 1.0) / (a - 1.0))
 
-    def size_biased_sample(self, rng, size=None):
+    def size_biased_sample(self, rng, size):
         raise LawError("pareto is a mark law; size-biased sampling is an interarrival operation")
 
 
@@ -421,19 +417,15 @@ def check_interarrival(law):
     return law
 
 
-def sample_stationary_delay(law, rng, size=None):
-    """Draw ``(s0, xi0, u)``: the stationary delay and the pair that built it.
+def sample_stationary_delay(law, rng, size):
+    """Draw ``size`` triples ``(s0, xi0, u)``: stationary delays and the pairs that built them.
 
-    ``xi0`` is a size-biased draw, ``u`` uniform on [0, 1), and
+    ``xi0`` holds size-biased draws, ``u`` uniforms on [0, 1), and
     ``s0 = u * xi0`` follows the integrated-tail law (the limiting overshoot).
-    The pair is returned so the matching undershoot ``(1 - u) * xi0`` can be
-    reconstructed.
+    The pairs are returned so the matching undershoots ``(1 - u) * xi0`` can
+    be reconstructed.  All three are arrays of shape ``size``.
     """
     check_interarrival(law)
-    if size is None:
-        xi0 = float(law.size_biased_sample(rng))
-        u = float(rng.uniform())
-        return u * xi0, xi0, u
     xi0 = np.asarray(law.size_biased_sample(rng, size=size), dtype=float)
     u = rng.uniform(size=size)
     return u * xi0, xi0, u

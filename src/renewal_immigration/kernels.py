@@ -83,11 +83,6 @@ __all__ = [
 # Helpers
 
 
-def _marks(draws, size):
-    """``size`` marks as a ``(size, 1)`` column."""
-    return np.reshape(draws, (size, 1))
-
-
 def _check_mark(eta):
     """Reject a mark law whose mean overflows a float; an infinite mean is allowed."""
     try:
@@ -186,7 +181,7 @@ class Indicator:
             raise KernelError("indicator pulse length law must be nonnegative")
 
     def sample(self, rng, size):
-        return IndicatorPath(_marks(self.eta.sample(rng, size=size), size))
+        return IndicatorPath(self.eta.sample(rng, size=(size, 1)))
 
     def support_end(self):
         return self.eta.support()[1]
@@ -221,7 +216,7 @@ class ScaledExpDecay:
             raise KernelError("decay rate must be positive and finite")
 
     def sample(self, rng, size):
-        return ExpDecayPath(_marks(self.eta.sample(rng, size=size), size), self.decay)
+        return ExpDecayPath(self.eta.sample(rng, size=(size, 1)), self.decay)
 
     def support_end(self):
         return 0.0 if _eta_is_zero(self.eta) else math.inf
@@ -264,7 +259,7 @@ class ScaledTable:
         _check_mark(self.eta)
 
     def sample(self, rng, size):
-        return TablePath(self.table, _marks(self.eta.sample(rng, size=size), size))
+        return TablePath(self.table, self.eta.sample(rng, size=(size, 1)))
 
     def support_end(self):
         return self.table.support_end() if not _eta_is_zero(self.eta) else 0.0
@@ -362,7 +357,7 @@ class SpikeTrain:
     kind: ClassVar[str] = "spike_train"
 
     def sample(self, rng, size):
-        return SpikePath(_marks(rng.uniform(size=size), size))
+        return SpikePath(rng.uniform(size=(size, 1)))
 
     def support_end(self):
         return math.inf
@@ -375,8 +370,9 @@ class SpikeTrain:
 
     def unit_remainders(self, k):
         # The mean terms are 1 / (j^2 + 1) <= int_{j-1}^j dx / (x^2 + 1);
-        # every path hits 1 in every unit from j = 1 on.
-        return math.pi / 2.0 - math.atan(k - 1), math.inf
+        # every path hits 1 in every unit from j = 1 on.  The integral
+        # pi/2 - atan(k - 1) is formed as atan2(1, k - 1), which does not cancel.
+        return math.atan2(1.0, k - 1), math.inf
 
 
 KernelSpec = DeterministicTable | Indicator | ScaledExpDecay | ScaledTable | BirthDeath | SpikeTrain

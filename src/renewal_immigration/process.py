@@ -37,26 +37,11 @@ from .kernels import kernel_to_config, sample_path
 from .renewal import StationaryWindowSampler, point_rows, row_blocks, simulate_forward
 from .streams import STATIONARY_BLOCK, TRANSIENT_BLOCK, stream
 
-__all__ = ["ProcessSample", "FddSample", "eval_transient", "eval_stationary", "fdd_sample", "first_half_width",
-           "stationary_half_width"]
+__all__ = ["FddSample", "eval_transient", "eval_stationary", "fdd_sample", "first_half_width", "stationary_half_width"]
 
 # Points evaluated per (points x grid) array, which bounds the temporary
 # for windows with very many points.
 SUPERPOSE_BLOCK = 4096
-
-
-@dataclass(frozen=True, eq=False)
-class ProcessSample:
-    """Values on a u-grid: a block's replicates as ``(k, g)`` rows.
-
-    ``c_used`` is the stationary windows' half-width.
-    """
-
-    u_grid: np.ndarray
-    values: np.ndarray
-    kind: str
-    t: float | None = None
-    c_used: float | None = None
 
 
 def _validate_grid(u_grid):
@@ -113,7 +98,7 @@ def eval_transient(law, spec, t, u_grid, rng, size):
         # Epochs whose path is 0 on the whole shifted grid draw no path.
         keep = t + u[0] - real.epochs < spec.support_end()
         values = _superpose(spec, point_rows(real.counts)[keep], real.epochs[keep], t + u, size, rng)
-    return ProcessSample(u_grid=u, values=values, kind="transient", t=float(t))
+    return FddSample(u_grid=u, values=values, kind="transient", t=float(t))
 
 
 def first_half_width(support_end, u, mu):
@@ -173,22 +158,24 @@ def eval_stationary(law, spec, u_grid, c, rng, size):
     # reach the grid.
     keep = (np.abs(pts) <= c) & (pts >= -u[-1]) & (pts < spec.support_end() - u[0])
     values = _superpose(spec, point_rows(window.counts)[keep], -pts[keep], u, size, rng)
-    return ProcessSample(u_grid=u, values=values, kind="stationary", c_used=c)
+    return FddSample(u_grid=u, values=values, kind="stationary", c_used=c)
 
 
 @dataclass(frozen=True, eq=False)
 class FddSample:
-    """Replicated finite-dimensional samples, one row per replicate.
+    """Replicated finite-dimensional samples on a u-grid, one row per replicate.
 
     A stationary run draws every replicate's window at one half-width
     ``c_used``.  ``truncation_bound`` bounds the expected mass missed beyond
-    it, and is present exactly when the kernel support is unbounded.
+    it, and is present exactly when the kernel support is unbounded.  A
+    block from :func:`eval_transient` or :func:`eval_stationary` leaves
+    ``seed``, ``tol`` and ``truncation_bound`` ``None``.
     """
 
     u_grid: np.ndarray
     values: np.ndarray
     kind: str
-    seed: int
+    seed: int | None = None
     t: float | None = None
     tol: float | None = None
     c_used: float | None = None

@@ -20,14 +20,13 @@ independent point sets held as per-row ``counts`` and one flat array of
 points, rows in order and each row's points in order (the layout of a
 birth-death path's jumps); :func:`point_rows` gives each point's row.  A
 forward run's rows hold its epochs, next to a ``(k,)`` vector of overshoot
-epochs.  Rows draw everything from the generator handed in; no child
-streams are spawned.  Windows come from :class:`StationaryWindowSampler`,
-which also builds the one-row window ``stationary --dump-window`` writes
-(``size=None``).  That window draws its forward and backward increments
-from two spawned child streams, so that
-:meth:`StationaryWindowSampler.extend` can grow each half-axis later
-without re-drawing what exists; nothing in the package extends windows,
-and the benchmark's tracer wraps ``extend`` by name.
+epochs.  :func:`simulate_forward` and the window functions require ``size``,
+and every row, the one-row window ``stationary --dump-window`` writes
+included, draws everything from the generator handed in; no child streams
+are spawned.  Windows come from :class:`StationaryWindowSampler`, whose
+:meth:`~StationaryWindowSampler.extend` grows a one-row window from the
+same generator; nothing in the package extends windows, and the
+benchmark's tracer wraps ``extend`` by name.
 
 Increments come in rounds: each gives every row still at or below its
 target the same number of draws (:func:`_round_width`), until every row
@@ -193,20 +192,17 @@ class StationaryWindow:
 
 
 class StationaryWindowSampler:
-    """Builds stationary windows: ``size`` rows drawn together, or one (``size=None``).
+    """Builds ``size`` stationary windows, drawn together from one generator.
 
     The constructor draws the straddling intervals and their splits, and
     :meth:`initial` the increments out to ``[-c, c]``, forward then
-    backward.  Rows draw everything from the generator handed in.  The
-    one-row window of ``size=None`` draws its forward and backward
-    increments from two child streams, so that :meth:`extend` can grow each
-    half-axis later without re-drawing what exists.
+    backward.
     """
 
-    def __init__(self, law, rng, size=None):
+    def __init__(self, law, rng, size):
         self.law = law
         self._mu, self._sd = _moments(law)
-        s0, xi0, u = (np.atleast_1d(v) for v in sample_stationary_delay(law, rng, size=size))
+        s0, xi0, u = sample_stationary_delay(law, rng, size=size)
         self._s0 = s0
         self._s_minus1 = s0 - xi0
         # Recompute so the straddling-gap identity t_0 - t_{-1} == xi0 is
@@ -214,14 +210,14 @@ class StationaryWindowSampler:
         # will evaluate).
         self.xi0 = s0 - self._s_minus1
         self.u = u
-        self._fwd, self._bwd = rng.spawn(2) if size is None else (rng, rng)
+        self._rng = rng
 
     def initial(self, c):
         """The windows over ``[-c, c]``."""
         if c <= 0:
             raise LawError(f"window half-width must be positive, got {c}")
-        fwd, fwd_kept = _draw_increments_until(self.law, self._fwd, self._s0, c, self._mu, self._sd)
-        bwd, bwd_kept = _draw_increments_until(self.law, self._bwd, -self._s_minus1, c, self._mu, self._sd)
+        fwd, fwd_kept = _draw_increments_until(self.law, self._rng, self._s0, c, self._mu, self._sd)
+        bwd, bwd_kept = _draw_increments_until(self.law, self._rng, -self._s_minus1, c, self._mu, self._sd)
         # Column 0 of each half is its start, so ``t_{-1}`` and ``t_0`` meet
         # in the middle; negation is exact.  Boolean indexing keeps the
         # finite points in row-major order.
@@ -229,27 +225,27 @@ class StationaryWindowSampler:
         counts = bwd_kept + fwd_kept + 2
         return StationaryWindow(counts=counts, points=points[np.isfinite(points)], c=float(c), xi0=self.xi0, u=self.u)
 
-    def _draw(self, rng, start, target):
-        sums, _ = _draw_increments_until(self.law, rng, [start], target, self._mu, self._sd)
+    def _draw(self, start, target):
+        sums, _ = _draw_increments_until(self.law, self._rng, [start], target, self._mu, self._sd)
         return sums[0, 1:]
 
     def extend(self, window, c):
-        """Grow a one-row window built by this sampler (``size=None``) out to a larger ``c``."""
+        """Grow a one-row window built by this sampler out to a larger ``c``, forward then backward."""
         if c <= window.c:
             return window
         points = window.points
         if points[-1] <= c:
-            points = np.concatenate([points, self._draw(self._fwd, points[-1], c)])
+            points = np.concatenate([points, self._draw(points[-1], c)])
         if -points[0] <= c:
-            points = np.concatenate([-self._draw(self._bwd, -points[0], c)[::-1], points])
+            points = np.concatenate([-self._draw(-points[0], c)[::-1], points])
         return StationaryWindow(counts=np.array([len(points)]), points=points, c=float(c), xi0=window.xi0, u=window.u)
 
 
-def build_stationary_window(law, c, rng, size=None):
-    """Draw stationary renewal windows covering ``[-c, c]``: ``size`` rows, or one.
+def build_stationary_window(law, c, rng, size):
+    """Draw ``size`` stationary renewal windows covering ``[-c, c]``.
 
-    ``size=k`` draws the ``k`` straddling intervals and splits first, then
-    the forward and the backward increments of all rows.
+    It draws the ``size`` straddling intervals and splits first, then the
+    forward and the backward increments of all rows.
     """
     return StationaryWindowSampler(law, rng, size).initial(c)
 

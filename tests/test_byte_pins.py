@@ -74,16 +74,16 @@ DRI_SEED = 23
 DRI_DIGESTS = {
     ("DeterministicTable", "chunked"): "8ba3aca152764d0c0829f9526cbc0ac159ce73984ace26384bd75eb88b6966ca",
     ("DeterministicTable", "precheck"): "951aa65e874e1e15bb9ece160b193dac88db9e75863242ecbc19bec48ef4103d",
-    ("Indicator", "chunked"): "3b71e351cd0180c75d3138cb845ffbf6f4b2b3edd3cda79341f10f811d7cc6d2",
-    ("Indicator", "precheck"): "e94535388a69739590b5f7a0cc2f4c12df104984ed5fcda1d3b9c86a9238d56e",
-    ("ScaledExpDecay", "chunked"): "22b7689bf7c428e05c64e13d7c03990fc325b6eb4bea06b47c6d2a55b9b167b7",
-    ("ScaledExpDecay", "precheck"): "3ba00fb50fc3e8dde703bb59d215612023335cd3ebadd34de3214e6d70b41c85",
+    ("Indicator", "chunked"): "642993d2b1aae95131cafb6c79f64c8a3d615068671b5af463fb7f40428dabce",
+    ("Indicator", "precheck"): "adddbf74577bacb2851478f50c4a4bbaf3b9f083ee74b7cd19caa4654f0c2e4b",
+    ("ScaledExpDecay", "chunked"): "1a0ba88cbb86b419259945661cfe5bee5bfb473bcbe03b0ab8c755deae4df0a7",
+    ("ScaledExpDecay", "precheck"): "bbdc5c7d626a91a7689058ba3c644df772c2f92470a4734bf92df21a66338195",
     ("ScaledTable", "chunked"): "56c46f3205809e0834cec0169f44a63308fb99a474f9392d9910fa87690ebdcf",
     ("ScaledTable", "precheck"): "ef361012bbd91f5532db7c0dcf6f5f44edc41fd06220071cb9d891a33cf7ffcf",
-    ("BirthDeath", "chunked"): "012f112d8291e5bbc3eb37eabe6f61c6fd1890967ebcc1ef00f85dd77ac2cf4f",
-    ("BirthDeath", "precheck"): "b30c67a958c10171955724319a4a8b5ea4c5cc873078b0610807b49d152ec79a",
-    ("SpikeTrain", "chunked"): "8e951191310613bc060364e28992f201020154c62f81d7a6d40c68220b5ae83a",
-    ("SpikeTrain", "precheck"): "2128c4dcffd321a55b0d2cc0a196439aa2020fd2984d3b02f4f6af9848f46a58",
+    ("BirthDeath", "chunked"): "b896431a8d3cfce4fd965f466795104783e2a5034d710d1f305711f954ed511e",
+    ("BirthDeath", "precheck"): "bb270e8bb6dc87749ee73398030bd1505e653d2189ae1be71cbc7f21aaf48b38",
+    ("SpikeTrain", "chunked"): "b96f727ec80ac548e83ab1a033edc62c5c87d1b808c011cf167adc1cfc8b93f9",
+    ("SpikeTrain", "precheck"): "5889c6e5973761dc4d7318e293c03423471410915e7bb35f746db0fb394efee4",
 }
 
 
@@ -197,8 +197,8 @@ CLI_DIGESTS = {
     "dri": (
         0,
         {
-            "dri_mean.json": "c20c6225febd984d8da3daf2bfbe11ac9af33fbed97e6b0a8baadb3251f8505d",
-            "dri_path.json": "acc7e8feef71cf020ce1fc5fc427b8dd1c3c25c767d867fe26f761bfd6e675c6",
+            "dri_mean.json": "91de418d68e177ffc697c38eccf66594573ff3d6f43b04b1f816a0b15a77a104",
+            "dri_path.json": "898fc5b101e9fb462cecdfaf11102c775d4907237c3f2a894e74893c9d23f702",
             "dri_summary.json": "0a9688983795373537f68e4648a683c73bae6548f98ffc4d09efaaefcb89016e",
         },
     ),
@@ -233,7 +233,7 @@ CLI_DIGESTS = {
         {
             "matrix.csv": "d86cc500490265935888ce738b73e29351ad1b440dfa87a646d5d7c37e4f344f",
             "metadata.json": "c7e82a0118ac417e21a5a17c513a7406cf244d7416b08f4447f4571e79449e2c",
-            "window.csv": "6980a321f0ec9f8af0412d0ab497eb7feec847c4273923c6777ef06afe02043c",
+            "window.csv": "a9b90e626d9ca3d00d9e03555038c57603f7d19b521f8243945d4fab5a5f27ee",
         },
     ),
 }

@@ -16,12 +16,14 @@ from hypothesis import given, settings, strategies as st
 
 import renewal_immigration
 from renewal_immigration import cli, config, stats
+from renewal_immigration import distributions as dist
 from renewal_immigration import diagnostics as dg
 from renewal_immigration.cli import main
 from renewal_immigration.config import load_config, parse_config
 from renewal_immigration.errors import ConfigError, TruncationError
 from renewal_immigration.process import stationary_half_width
-from renewal_immigration.renewal import build_stationary_window
+from renewal_immigration.renewal import build_stationary_window, window_to_csv
+from renewal_immigration.streams import DUMP_WINDOW, stream
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -285,9 +287,9 @@ class WorkLedger:
         self.add(n_mc, 2.0 * dg.laplace_half_width(law, h) / law.mean())
         return dg.LaplaceComparison(1.0, 1.0, 0.1, 0.1, t, n_mc, False)
 
-    def build_stationary_window(self, law, c, rng):
-        self.add(1, 2.0 * c / law.mean())
-        return build_stationary_window(law, law.mean(), rng)
+    def build_stationary_window(self, law, c, rng, size):
+        self.add(size, 2.0 * c / law.mean())
+        return build_stationary_window(law, law.mean(), rng, size=size)
 
 
 JUNK = st.one_of(
@@ -454,6 +456,18 @@ def test_stationary_window_dump_point_mass(tmp_path):
     assert lines[0] == "index,point"
     pts = np.array([float(line.split(",")[1]) for line in lines[1:]])
     assert np.allclose(np.diff(pts), 2.0, atol=1e-12)
+
+
+def test_dumped_window_is_a_one_row_block_of_its_stream(tmp_path):
+    # ``--dump-window`` writes the one-row window drawn from the
+    # DUMP_WINDOW stream itself, as every other window is drawn.
+    law, c, seed = dist.Gamma(0.5, 2.0), 12.0, 19
+    cfg = write_config(tmp_path, base_config(law=dist.law_to_config(law), seed=seed, u_grid=[0.0], n_replicates=5,
+                                             c=c))
+    out = tmp_path / "out"
+    assert main(["stationary", cfg, "--out-dir", str(out), "--dump-window"]) == 0
+    window = build_stationary_window(law, c, stream(seed, DUMP_WINDOW, 0), size=1)
+    assert (out / "window.csv").read_text() == window_to_csv(window)
 
 
 def test_stationary_truncation_failure_exits_2(tmp_path):

@@ -151,9 +151,8 @@ EXACT_REMAINDERS = {
 
 @pytest.mark.parametrize("name", EXACT_REMAINDERS)
 def test_dri_remainder_bounds_the_exact_remainder(name):
-    # The exp-decay bound with unit marks is the sum itself, so every bound
-    # may sit below its sum by float rounding (1e-13 relative, as in the
-    # birth-death tail integral's test), and by nothing more.
+    # The exp-decay bound with unit marks is the sum itself; the reported
+    # bound is rounded up, so it holds in floats too.
     import mpmath as mp
 
     spec, remainder, criteria = EXACT_REMAINDERS[name]
@@ -164,10 +163,53 @@ def test_dri_remainder_bounds_the_exact_remainder(name):
         with mp.workdps(60):
             exact = remainder(mp, k_max)
             for report in reports:
-                assert mp.mpf(report.residual_estimate) >= exact * (1 - mp.mpf(1e-13)), (report.criterion, k_max)
+                assert mp.mpf(report.residual_estimate) >= exact, (report.criterion, k_max)
                 if name == "exp-pulse":
                     # Not vacuous: within a factor e of the sum.
                     assert mp.mpf(report.residual_estimate) <= mp.e * exact
+
+
+def _bd_tail_integral(spec, lo):
+    """``int_lo^inf P(tau > x) dx = alpha e^{G lo} (-G)^{-1} 1`` with 60 digits."""
+    import mpmath as mp
+
+    gen = mp_birth_death_generator(spec)
+    return -mp.lu_solve(gen, mp.expm(gen * lo) * mp.matrix([1] * spec.state_cap))[spec.initial - 1]
+
+
+# Each kernel's mean bound past k, in exact arithmetic: the value that
+# ``unit_remainders(k)[0]`` rounds.
+FLOAT_REMAINDERS = {
+    "exp-decay-20": (kn.ScaledExpDecay(dist.PointMass(1.0), 1.0), 20, lambda mp, k: mp.exp(-k) / (1 - mp.exp(-1))),
+    "exp-pulse-800": (MM_INF, 800, lambda mp, k: mp.exp(1 - k)),
+    "spike-train-1e6": (kn.SpikeTrain(), 10**6, lambda mp, k: mp.atan(1 / mp.mpf(k - 1))),
+    "spike-train-1e8": (kn.SpikeTrain(), 10**8, lambda mp, k: mp.atan(1 / mp.mpf(k - 1))),
+    "spike-train-1e10": (kn.SpikeTrain(), 10**10, lambda mp, k: mp.atan(1 / mp.mpf(k - 1))),
+    "birth-death-20": (BIRTH_DEATH, 20, lambda mp, k: _bd_tail_integral(BIRTH_DEATH, k - 1)),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_REMAINDERS)
+def test_reported_remainder_holds_in_floats(name):
+    # At or above the exact bound, and above it by at most 1e-8 relative, or
+    # by the smallest positive float where the exact bound is below it
+    # (e^-799 for the exponential pulse, which the float tail rounds to 0).
+    import mpmath as mp
+
+    spec, k, exact_bound = FLOAT_REMAINDERS[name]
+    bound = dg._upper_remainder(spec, "mean", k)
+    with mp.workdps(60):
+        exact = exact_bound(mp, k)
+        assert exact <= mp.mpf(bound) <= max(exact * (1 + mp.mpf(1e-8)), mp.mpf(math.ulp(0.0)))
+    if name == "exp-pulse-800":
+        assert 0.0 < dg.dri_path_check(spec, k, 1, stream(14)).residual_estimate == bound
+
+
+def test_exact_zero_remainders_stay_zero():
+    # Past the support end of a bounded kernel every term is 0.
+    for spec in (ZERO_KERNEL, kn.Indicator(dist.Uniform(0.0, 1.0)), kn.ScaledExpDecay(dist.PointMass(0.0), 1.0)):
+        for criterion in ("mean", "path"):
+            assert dg._upper_remainder(spec, criterion, 5) == 0.0
 
 
 def test_dri_table_remainder_counts_the_units_left_in_its_support():
@@ -345,7 +387,7 @@ class _CountingLogNormal(dist.LogNormal):
 
     draws = []
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         type(self).draws.append(size)
         return super().sample(rng, size=size)
 

@@ -49,7 +49,7 @@ def test_mean_examples():
 
 def test_point_mass_sampling_is_constant():
     rng = stream(0)
-    assert dist.PointMass(5.0).sample(rng) == 5.0
+    assert dist.PointMass(5.0).sample(rng, size=1).tolist() == [5.0]
     assert np.all(dist.PointMass(5.0).sample(rng, size=10) == 5.0)
 
 
@@ -66,7 +66,7 @@ def test_uniform_sample_variance():
 def test_size_biased_point_mass_identity():
     rng = stream(3)
     for _ in range(10):
-        assert dist.PointMass(5.0).size_biased_sample(rng) == 5.0
+        assert dist.PointMass(5.0).size_biased_sample(rng, size=1).tolist() == [5.0]
 
 
 def test_size_biased_exponential_mean_matches_quadrature():
@@ -121,9 +121,10 @@ def test_stationary_delay_mean_matches_tail_quadrature(law):
 @given(st.integers(min_value=0, max_value=10**6), st.sampled_from(INTERARRIVAL_LAWS))
 @settings(max_examples=60, deadline=None)
 def test_split_identity_near_exact(seed, law):
-    s0, xi0, u = dist.sample_stationary_delay(law, stream(seed))
-    assert 0.0 <= s0 <= xi0
-    assert s0 + (1.0 - u) * xi0 == pytest.approx(xi0, rel=4e-16, abs=0.0)
+    s0, xi0, u = dist.sample_stationary_delay(law, stream(seed), size=1)
+    assert s0.shape == xi0.shape == u.shape == (1,)
+    assert 0.0 <= s0[0] <= xi0[0]
+    assert s0[0] + (1.0 - u[0]) * xi0[0] == pytest.approx(xi0[0], rel=4e-16, abs=0.0)
 
 
 def test_overshoot_undershoot_same_distribution():
@@ -267,11 +268,11 @@ ALL_FAMILIES = [
 
 @pytest.mark.parametrize("law", ALL_FAMILIES, ids=lambda law: type(law).__name__)
 def test_batched_draw_equals_single_draws(law):
-    # Batched kernel paths rely on this: one draw of size k is k single draws.
+    # Batched kernel paths rely on this: one draw of size k is k draws of size 1.
     k = 2000
     rng, ref_rng = stream(5), stream(5)
     batched = np.asarray(law.sample(rng, size=k), dtype=float)
-    singles = np.array([law.sample(ref_rng) for _ in range(k)], dtype=float)
+    singles = np.concatenate([law.sample(ref_rng, size=1) for _ in range(k)]).astype(float)
     assert batched.tobytes() == singles.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 

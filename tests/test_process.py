@@ -161,7 +161,7 @@ def test_nonnegative_kernels_give_nonnegative_values():
 
 def test_truncation_monotone_in_c_pathwise():
     # Same window, same paths: enlarging c can only add nonnegative terms.
-    sampler = StationaryWindowSampler(EXP_LAW, stream(15))
+    sampler = StationaryWindowSampler(EXP_LAW, stream(15), size=1)
     window = sampler.initial(64.0)
     eta_rng = stream(16)
     pts = window.points

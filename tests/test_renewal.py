@@ -95,7 +95,7 @@ def test_tied_points_are_kept_and_counted():
         # between them, tied or not, is counted.
         assert np.count_nonzero(pts < -c) == 1 and np.count_nonzero(pts > c) == 1
         assert n_inside == len(pts) - 2
-    window = rn.build_stationary_window(BURSTY, c, stream(43))
+    window = rn.build_stationary_window(BURSTY, c, stream(43), size=1)
     assert window.counts.tolist() == [len(window.points)]
     assert np.any(np.diff(window.points) == 0.0)
     assert point(window, -1) < 0.0 <= point(window, 0)
@@ -109,7 +109,7 @@ def test_overshoot_matches_integrated_tail():
 
 
 def test_window_point_mass_exact_grid():
-    window = rn.build_stationary_window(dist.PointMass(2.0), 3.0, stream(6))
+    window = rn.build_stationary_window(dist.PointMass(2.0), 3.0, stream(6), size=1)
     gaps = np.diff(window.points)
     assert np.allclose(gaps, 2.0, atol=1e-12)
     assert 0.0 <= point(window, 0) < 2.0
@@ -125,7 +125,7 @@ def test_window_point_mass_exact_grid():
 def test_window_invariants(law):
     rng = stream(7)
     for _ in range(200):
-        window = rn.build_stationary_window(law, 5.0, rng)
+        window = rn.build_stationary_window(law, 5.0, rng, size=1)
         # Index convention and the exact straddling-gap identity.
         assert point(window, -1) < 0.0 <= point(window, 0)
         assert point(window, 0) - point(window, -1) == window.xi0[0]
@@ -176,7 +176,7 @@ def test_shift_count_equidistribution():
 
 
 def test_window_extension_preserves_points():
-    sampler = rn.StationaryWindowSampler(dist.Exponential(1.0), stream(13))
+    sampler = rn.StationaryWindowSampler(dist.Exponential(1.0), stream(13), size=1)
     small = sampler.initial(4.0)
     big = sampler.extend(small, 16.0)
     assert big.c == 16.0 and big.counts.tolist() == [len(big.points)]
@@ -190,7 +190,7 @@ def test_window_extension_preserves_points():
 
 
 def test_window_csv_format():
-    window = rn.build_stationary_window(dist.PointMass(2.0), 3.0, stream(14))
+    window = rn.build_stationary_window(dist.PointMass(2.0), 3.0, stream(14), size=1)
     text = rn.window_to_csv(window)
     lines = text.strip().split("\n")
     assert lines[0] == "index,point"
@@ -206,8 +206,8 @@ def test_window_csv_format():
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=25, deadline=None)
 def test_window_determinism(seed):
-    a = rn.build_stationary_window(dist.Gamma(2.0, 0.5), 5.0, stream(seed))
-    b = rn.build_stationary_window(dist.Gamma(2.0, 0.5), 5.0, stream(seed))
+    a = rn.build_stationary_window(dist.Gamma(2.0, 0.5), 5.0, stream(seed), size=1)
+    b = rn.build_stationary_window(dist.Gamma(2.0, 0.5), 5.0, stream(seed), size=1)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.counts, b.counts) and a.xi0 == b.xi0 and a.u == b.u
 
@@ -243,7 +243,7 @@ class _RecordedSample:
         self.law = law
         self.sizes = []
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         self.sizes.append(size)
         return self.law.sample(rng, size=size)
 
@@ -406,8 +406,8 @@ def test_batched_rows_draw_from_the_generator_without_spawning():
     rn.build_stationary_window(dist.Gamma(2.0, 0.5), 5.0, rng, size=4)
     rn.simulate_forward(dist.Gamma(2.0, 0.5), 5.0, rng, size=4)
     assert rng.bit_generator.seed_seq.n_children_spawned == 0
-    rn.build_stationary_window(dist.Gamma(2.0, 0.5), 5.0, rng)
-    assert rng.bit_generator.seed_seq.n_children_spawned == 2
+    rn.build_stationary_window(dist.Gamma(2.0, 0.5), 5.0, rng, size=1)
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
 
 def test_batched_forward_rows_equal_single_runs_without_top_up():
