@@ -141,6 +141,8 @@ def test_energy_bytes_are_pinned(shape, monkeypatch):
 # report type the CLI serializes, a lattice warning from converge and from
 # pointprocess, a truncation failure that turns every converge report into
 # a ``hypothesis_violation``, and non-finite floats written as ``null``.
+# ``simulate`` pins a transient ``matrix.csv`` and ``metadata.json`` over
+# three row blocks (32, 32 and 16 rows at t = 1000);
 # ``stationary-dump-window`` pins ``window.csv`` for a gamma law with many
 # tied points; ``pointprocess-non-dyadic`` uses a test function whose
 # values do not add exactly, so the Laplace fields show the order in which
@@ -164,6 +166,7 @@ CLI_RUNS = {
     "pointprocess-non-dyadic": ("pointprocess", {"law": {"family": "gamma", "shape": 2.0, "scale": 0.5},
                                                  "pointprocess": _SMALL_POINTPROCESS | {"laplace": {
                                                      "n_mc": 200, "h": _NON_DYADIC_H}}}),
+    "simulate": ("simulate", {"t": 1000.0, "u_grid": [0.0, 1.0], "n_replicates": 80}),
     "stationary-dump-window": ("stationary", {"law": {"family": "gamma", "shape": 0.1, "scale": 10.0},
                                               "u_grid": [0.0, 1.0], "n_replicates": 20, "c": 40.0}),
     "dri": ("dri", {"dri": {"k_max": 40, "grid_per_unit": 2, "n_mc": 50}}),
@@ -228,6 +231,13 @@ CLI_DIGESTS = {
             "pointprocess.json": "b1804074d9e2e747a6a2c2f976ee79430c6cc2ff7d179b13e884fbd98ba9b247",
         },
     ),
+    "simulate": (
+        0,
+        {
+            "matrix.csv": "fc88ef6d1490db854ddf755bd345b887410be1ae6151ca543930df8ad1e8b426",
+            "metadata.json": "f00dd2146571d5947bee53919b3cd7de6a930b9318f8836050d9a6a96bc16853",
+        },
+    ),
     "stationary-dump-window": (
         0,
         {
@@ -254,14 +264,13 @@ def test_cli_output_bytes_are_pinned(case, tmp_path, capsys):
     assert (code, digests) == CLI_DIGESTS[case]
 
 
-# Every case above, and ``simulate`` and ``stationary --dump-window`` runs
-# that pass, that fail truncation, and that end in a birth-death path never
-# absorbed within its jump budget (births 1000 times faster than deaths),
-# the last in ``converge`` too.  Each exits with its code and no traceback.
+# Every case above, and ``stationary --dump-window`` runs that pass, that
+# fail truncation, and that end in a birth-death path never absorbed within
+# its jump budget (births 1000 times faster than deaths), the last in
+# ``converge`` too.  Each exits with its code and no traceback.
 _NON_ABSORBED = {"kind": "birth_death", "initial": 1, "birth_rates": [1000.0, 0.0], "death_rates": [0.01, 0.01],
                  "state_cap": 2, "max_jumps": 50}
 SUMMARY_RUNS = CLI_RUNS | {
-    "simulate": ("simulate", {"t": 5.0, "u_grid": [0.0, 1.0], "n_replicates": 20}),
     "stationary": ("stationary", {"u_grid": [0.0, 1.0], "n_replicates": 20}),
     "stationary-truncation": ("stationary", {"kernel": _PARETO_08_INDICATOR, "u_grid": [0.0], "n_replicates": 20}),
     "stationary-non-absorbed": ("stationary", {"kernel": _NON_ABSORBED, "u_grid": [0.0], "n_replicates": 20,
@@ -271,7 +280,7 @@ SUMMARY_RUNS = CLI_RUNS | {
 }
 SUMMARY_ERRORS = {"stationary-truncation": "truncation", "stationary-non-absorbed": "non_absorbed_path"}
 SUMMARY_EXITS = {case: pinned[0] for case, pinned in CLI_DIGESTS.items()} | {
-    "simulate": 0, "stationary": 0, "stationary-truncation": 2, "stationary-non-absorbed": 3,
+    "stationary": 0, "stationary-truncation": 2, "stationary-non-absorbed": 3,
     "converge-non-absorbed": 3,
 }
 
