@@ -41,13 +41,7 @@ from .kernels import (
     sample_path,
 )
 from .process import FddSample, eval_stationary, eval_transient, fdd_sample, stationary_half_width
-from .renewal import (
-    RenewalRealization,
-    StationaryWindow,
-    build_stationary_window,
-    simulate_forward,
-    window_to_csv,
-)
+from .renewal import RenewalRealization, StationaryWindow, build_stationary_window, simulate_forward
 from .stats import TestResult, chisq_gof_counts, energy_distance, ks_one_sample, ks_two_sample
 from .streams import stream
 

@@ -5,13 +5,15 @@ nothing and returns its exit code, its files as ``{name: text}`` and its
 summary fields.  Once it returns, :func:`main` writes each file atomically,
 in order, and prints one JSON summary whose ``outputs`` are exactly those
 files.  Reruns produce byte-identical artifacts (sorted JSON keys,
-17-significant-digit CSV floats, no wall-clock anywhere).  A JSON report is
-its result's fields: this module is the one place that turns a result
-dataclass into JSON, with its field names as keys and arrays and tuples as
-lists.  JSON is strict: a non-finite float (an infinite bound, say) is
-written as ``null``.
+17-significant-digit CSV floats, no wall-clock anywhere).  This module is
+the one place that renders files: every CSV (the fdd ``matrix.csv``, the
+``--dump-window`` ``window.csv`` and converge's ``summary.csv``) goes
+through :func:`_csv`, and every JSON file through :func:`_json_text`.  A
+JSON report is its result's fields, with its field names as keys and
+arrays and tuples as lists.  JSON is strict: a non-finite float (an
+infinite bound, say) is written as ``null``.
 
-Exit codes: 0 pass, 1 usage/config error, 2 statistical rejection or
+Exit codes: 0 pass, 1 usage/config/output error, 2 statistical rejection or
 truncation failure, 3 dri criteria disagree / hypothesis warning.
 """
 
@@ -38,9 +40,11 @@ from .diagnostics import (
     overshoot_check,
     shift_invariance_check,
 )
+from .distributions import law_to_config
 from .errors import ConfigError, NonAbsorbedPathError, TruncationError
+from .kernels import kernel_to_config
 from .process import fdd_sample
-from .renewal import build_stationary_window, window_to_csv
+from .renewal import build_stationary_window
 from .streams import DRI_MEAN, DRI_PATH, DUMP_WINDOW, INTENSITY, LAPLACE, OVERSHOOT, SHIFT, stream
 
 __all__ = ["main", "cmd_simulate", "cmd_stationary", "cmd_converge", "cmd_dri", "cmd_pointprocess"]
@@ -55,6 +59,15 @@ INTENSITY_Z_LIMIT = 4.0
 
 def _fmt(x):
     return f"{x:.17g}"
+
+
+def _csv(header, rows):
+    """CSV text: the header, then one line per row.  A cell that is a string
+    is written as it is, ``None`` as an empty cell and a number by :func:`_fmt`."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(x if isinstance(x, str) else "" if x is None else _fmt(x) for x in row))
+    return "\n".join(lines) + "\n"
 
 
 def _strict(obj):
@@ -90,26 +103,39 @@ def _log(verbose, message):
         print(message, file=sys.stderr)
 
 
-def _sample_files(config, sample):
-    meta = sample.metadata(config.law, config.kernel)
-    meta["schema"] = SCHEMA_VERSION
-    return {"matrix.csv": sample.to_csv(), "metadata.json": _json_text(meta)}
+def _sample_files(config, sample, mode, **run):
+    """``matrix.csv`` and ``metadata.json`` of an fdd sample; ``run`` is the command's ``t`` or ``tol``."""
+    meta = run | {
+        "schema": SCHEMA_VERSION,
+        "law": law_to_config(config.law),
+        "kernel": kernel_to_config(config.kernel),
+        "mode": mode,
+        "seed": config.seed,
+        "n_replicates": len(sample.values),
+        "u_grid": sample.u_grid,
+    }
+    if mode == "stationary":
+        meta["c_used"] = sample.c_used
+        if sample.truncation_bound is not None:
+            meta["truncation_bound_max"] = sample.truncation_bound
+    header = [f"u={_fmt(v)}" for v in sample.u_grid.tolist()]
+    return {"matrix.csv": _csv(header, sample.values.tolist()), "metadata.json": _json_text(meta)}
 
 
 def cmd_simulate(config, fields, args):
-    sample = fdd_sample(
-        config.law, config.kernel, "transient", fields.u_grid, fields.n_replicates, seed=config.seed, t=fields.t
-    )
-    return EXIT_PASS, _sample_files(config, sample), {"rows": fields.n_replicates, "cols": len(fields.u_grid)}
+    u_grid, n, t = fields.u_grid, fields.n_replicates, fields.t
+    sample = fdd_sample(config.law, config.kernel, "transient", u_grid, n, seed=config.seed, t=t)
+    return EXIT_PASS, _sample_files(config, sample, "transient", t=t), {"rows": n, "cols": len(u_grid)}
 
 
 def cmd_stationary(config, fields, args):
     u_grid, n, tol = fields.u_grid, fields.n_replicates, fields.tol
     dumped = {}
     if args.dump_window:
-        dumped["window.csv"] = window_to_csv(
-            build_stationary_window(config.law, fields.c, stream(config.seed, DUMP_WINDOW, 0), size=1)
-        )
+        window = build_stationary_window(config.law, fields.c, stream(config.seed, DUMP_WINDOW, 0), size=1)
+        # Index 0 is the first point >= 0, so the negative points count the indices below it.
+        first = -np.count_nonzero(window.points < 0)
+        dumped["window.csv"] = _csv(["index", "point"], enumerate(window.points.tolist(), start=first))
     try:
         sample = fdd_sample(
             config.law, config.kernel, "stationary", u_grid, n, seed=config.seed, tol=tol, c_max=fields.c_max
@@ -123,7 +149,7 @@ def cmd_stationary(config, fields, args):
             "tol": tol,
         }
         return EXIT_REJECT, dumped | {"truncation_report.json": _json_text(report)}, {"error": "truncation"}
-    return EXIT_PASS, _sample_files(config, sample) | dumped, {"rows": n, "cols": len(u_grid)}
+    return EXIT_PASS, _sample_files(config, sample, "stationary", tol=tol) | dumped, {"rows": n, "cols": len(u_grid)}
 
 
 def cmd_converge(config, fields, args):
@@ -133,16 +159,12 @@ def cmd_converge(config, fields, args):
         n_permutations=fields.n_permutations, tol=fields.tol,
     )
     files = {f"report_{i:03d}.json": _json_text(report) for i, report in enumerate(reports)}
-    header = ["t"] + [f"ks_p_u={_fmt(v)}" for v in u_grid] + ["energy_p", "decision"]
-    lines = [",".join(header)]
-    for report in reports:
-        cells = [_fmt(report.t)]
-        ks = list(report.ks_p_values) or [None] * len(u_grid)
-        cells.extend("" if p is None else _fmt(p) for p in ks)
-        cells.append("" if report.energy_p_value is None else _fmt(report.energy_p_value))
-        cells.append(report.decision)
-        lines.append(",".join(cells))
-    files["summary.csv"] = "\n".join(lines) + "\n"
+    header = ["t", *(f"ks_p_u={_fmt(v)}" for v in u_grid), "energy_p", "decision"]
+    rows = [
+        [report.t, *(report.ks_p_values or [None] * len(u_grid)), report.energy_p_value, report.decision]
+        for report in reports
+    ]
+    files["summary.csv"] = _csv(header, rows)
     warned = any(report.warnings or report.decision == "hypothesis_violation" for report in reports)
     if warned:
         code = EXIT_WARN
@@ -248,6 +270,16 @@ def build_parser():
     return parser
 
 
+def _run(command, config, fields, args):
+    try:
+        return _COMMANDS[command](config, fields, args)
+    except NonAbsorbedPathError as exc:
+        # A birth-death path outran its jump budget: ``max_jumps`` was too
+        # small for the chain, which is a hypothesis warning, not a crash.
+        error = {"error": "non_absorbed_path", "message": str(exc)}
+        return EXIT_WARN, {f"{command}_error.json": _json_text(error)}, {"error": error["error"]}
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -256,17 +288,16 @@ def main(argv=None):
         out_dir.mkdir(parents=True, exist_ok=True)
         _log(args.verbose, f"running {args.command} with seed {config.seed}")
         fields = command_fields(args.command, config)
-        code, files, summary = _COMMANDS[args.command](config, fields, args)
+        code, files, summary = _run(args.command, config, fields, args)
+        for name, text in files.items():
+            _write_atomic(out_dir / name, text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NonAbsorbedPathError as exc:
-        # A birth-death path outran its jump budget: ``max_jumps`` was too
-        # small for the chain, which is a hypothesis warning, not a crash.
-        error = {"error": "non_absorbed_path", "message": str(exc)}
-        code, files, summary = EXIT_WARN, {f"{args.command}_error.json": _json_text(error)}, {"error": error["error"]}
-    for name, text in files.items():
-        _write_atomic(out_dir / name, text)
+    except OSError as exc:
+        # ``--out-dir`` names a file, or a directory that cannot be made or written.
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(json.dumps({"command": args.command, **summary, "outputs": list(files), "exit": code}, sort_keys=True))
     return code
 

@@ -499,8 +499,14 @@ def number(value, name, error):
 
 
 def integer(value, name, error):
-    """``value`` as an int; raises ``error`` unless it is an integral finite JSON number."""
+    """``value`` as an int; raises ``error`` unless it is an integral finite JSON number.
+
+    An int comes back unchanged: through a float, seeds above 2**53 would
+    lose digits and share streams.
+    """
     x = number(value, name, error)
+    if isinstance(value, int):
+        return value
     if x != int(x):
         raise error(f"{name}: must be an integer, got {value!r}")
     return int(x)

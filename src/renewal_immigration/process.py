@@ -24,6 +24,10 @@ ragged rows of flat points, then the paths of the points that can reach
 the grid with one :func:`~renewal_immigration.kernels.sample_path` call
 per chunk of ``SUPERPOSE_BLOCK`` points, and sums each row over its own
 points.
+
+The module returns draws only: an :class:`FddSample` holds the grid, the
+matrix, ``c_used`` and ``truncation_bound``, and :mod:`.cli` renders the
+files.
 """
 
 import math
@@ -31,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import check_interarrival, law_to_config
+from .distributions import check_interarrival
 from .errors import LawError, TruncationError
-from .kernels import kernel_to_config, sample_path
+from .kernels import sample_path
 from .renewal import StationaryWindowSampler, point_rows, row_blocks, simulate_forward
 from .streams import STATIONARY_BLOCK, TRANSIENT_BLOCK, stream
 
@@ -98,7 +102,7 @@ def eval_transient(law, spec, t, u_grid, rng, size):
         # Epochs whose path is 0 on the whole shifted grid draw no path.
         keep = t + u[0] - real.epochs < spec.support_end()
         values = _superpose(spec, point_rows(real.counts)[keep], real.epochs[keep], t + u, size, rng)
-    return FddSample(u_grid=u, values=values, kind="transient", t=float(t))
+    return FddSample(u_grid=u, values=values)
 
 
 def first_half_width(support_end, u, mu):
@@ -158,7 +162,7 @@ def eval_stationary(law, spec, u_grid, c, rng, size):
     # reach the grid.
     keep = (np.abs(pts) <= c) & (pts >= -u[-1]) & (pts < spec.support_end() - u[0])
     values = _superpose(spec, point_rows(window.counts)[keep], -pts[keep], u, size, rng)
-    return FddSample(u_grid=u, values=values, kind="stationary", c_used=c)
+    return FddSample(u_grid=u, values=values, c_used=c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,43 +172,14 @@ class FddSample:
     A stationary run draws every replicate's window at one half-width
     ``c_used``.  ``truncation_bound`` bounds the expected mass missed beyond
     it, and is present exactly when the kernel support is unbounded.  A
-    block from :func:`eval_transient` or :func:`eval_stationary` leaves
-    ``seed``, ``tol`` and ``truncation_bound`` ``None``.
+    transient sample has neither, and a block from :func:`eval_stationary`
+    no bound.
     """
 
     u_grid: np.ndarray
     values: np.ndarray
-    kind: str
-    seed: int | None = None
-    t: float | None = None
-    tol: float | None = None
     c_used: float | None = None
     truncation_bound: float | None = None
-
-    def to_csv(self):
-        header = ",".join(f"u={v:.17g}" for v in self.u_grid)
-        lines = [header]
-        for row in self.values:
-            lines.append(",".join(f"{x:.17g}" for x in row))
-        return "\n".join(lines) + "\n"
-
-    def metadata(self, law, spec):
-        meta = {
-            "law": law_to_config(law),
-            "kernel": kernel_to_config(spec),
-            "mode": self.kind,
-            "seed": self.seed,
-            "n_replicates": int(self.values.shape[0]),
-            "u_grid": [float(v) for v in self.u_grid],
-        }
-        if self.kind == "transient":
-            meta["t"] = self.t
-        else:
-            meta["tol"] = self.tol
-            meta["c_used"] = self.c_used
-            if self.truncation_bound is not None:
-                meta["truncation_bound_max"] = self.truncation_bound
-        return meta
 
 
 def fdd_sample(law, spec, mode, u_grid, n_replicates, seed, t=None, tol=1e-6, c_max=None, sample=0):
@@ -239,13 +214,4 @@ def fdd_sample(law, spec, mode, u_grid, n_replicates, seed, t=None, tol=1e-6, c_
             values[lo:hi] = eval_transient(law, spec, t, u, rng, size=hi - lo).values
         else:
             values[lo:hi] = eval_stationary(law, spec, u, c, rng, size=hi - lo).values
-    return FddSample(
-        u_grid=u,
-        values=values,
-        kind=mode,
-        seed=seed,
-        t=None if t is None else float(t),
-        tol=tol if mode == "stationary" else None,
-        c_used=c,
-        truncation_bound=bound,
-    )
+    return FddSample(u_grid=u, values=values, c_used=c, truncation_bound=bound)

@@ -26,7 +26,8 @@ included, draws everything from the generator handed in; no child streams
 are spawned.  Windows come from :class:`StationaryWindowSampler`, whose
 :meth:`~StationaryWindowSampler.extend` grows a one-row window from the
 same generator; nothing in the package extends windows, and the
-benchmark's tracer wraps ``extend`` by name.
+benchmark's tracer wraps ``extend`` by name.  The module renders no
+files: :mod:`.cli` writes the ``--dump-window`` window.
 
 Increments come in rounds: each gives every row still at or below its
 target the same number of draws (:func:`_round_width`), until every row
@@ -56,7 +57,6 @@ __all__ = [
     "build_stationary_window",
     "point_rows",
     "row_blocks",
-    "window_to_csv",
 ]
 
 # Expected points per block of rows.  The rounds of :func:`_round_width`
@@ -260,13 +260,3 @@ def row_blocks(n_rows, law, span):
     for lo in range(0, n_rows, step):
         yield lo, min(lo + step, n_rows)
 
-
-def window_to_csv(window):
-    """Render a one-row window as ``index,point`` CSV text (17 significant digits).
-
-    Index 0 is the first point >= 0, so the negative points count the indices below it.
-    """
-    lines = ["index,point"]
-    for k, p in enumerate(window.points.tolist(), start=-np.count_nonzero(window.points < 0)):
-        lines.append(f"{k},{p:.17g}")
-    return "\n".join(lines) + "\n"

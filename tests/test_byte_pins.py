@@ -1,8 +1,10 @@
 """Byte pins: fixed-seed fdd matrices and dri reports of every kernel kind,
 energy tests, and the files the CLI writes.
 
-Each fdd digest is the sha256 of ``fdd_sample(...).to_csv()`` followed by
-the sorted-key JSON of its metadata, at 20 replicates, in both modes.  Each
+Each fdd digest is the sha256 of the ``matrix.csv`` the CLI renders for
+``fdd_sample(...)`` followed by the sorted-key JSON of its
+``metadata.json`` without the ``schema`` key, at 20 replicates, in both
+modes.  Each
 dri digest is the sha256 of the sorted-key JSON of the mean and the path
 reports' fields (``asdict``, arrays as lists), at two shapes.  A refactor
 that keeps the ``(config, seed) -> bytes`` contract leaves every digest
@@ -21,7 +23,8 @@ import pytest
 
 from renewal_immigration import distributions as dist
 from renewal_immigration import stats
-from renewal_immigration.cli import main
+from renewal_immigration.cli import _sample_files, main
+from renewal_immigration.config import ExperimentConfig
 from renewal_immigration.diagnostics import dri_mean_check, dri_path_check
 from renewal_immigration.process import fdd_sample
 from renewal_immigration.streams import stream
@@ -61,7 +64,11 @@ def test_fdd_bytes_are_pinned(spec, mode):
         LAW, spec, mode, U_GRID, N_REPLICATES, seed=SEED,
         t=T if mode == "transient" else None, tol=TOL.get(name, 1e-6),
     )
-    text = sample.to_csv() + json.dumps(sample.metadata(LAW, spec), sort_keys=True)
+    run = {"t": T} if mode == "transient" else {"tol": TOL.get(name, 1e-6)}
+    files = _sample_files(ExperimentConfig(LAW, spec, SEED, {}), sample, mode, **run)
+    meta = json.loads(files["metadata.json"])
+    del meta["schema"]
+    text = files["matrix.csv"] + json.dumps(meta, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[(name, mode)]
 
 

@@ -22,7 +22,7 @@ from renewal_immigration.cli import main
 from renewal_immigration.config import load_config, parse_config
 from renewal_immigration.errors import ConfigError, TruncationError
 from renewal_immigration.process import stationary_half_width
-from renewal_immigration.renewal import build_stationary_window, window_to_csv
+from renewal_immigration.renewal import build_stationary_window
 from renewal_immigration.streams import DUMP_WINDOW, stream
 
 
@@ -248,7 +248,8 @@ class WorkLedger:
             # The window every replicate draws; raises, as the run does, when tol is out of reach.
             span = 2.0 * stationary_half_width(law, spec, u_grid, tol, c_max)[0]
         self.add(n, span / mu)
-        return SimpleNamespace(to_csv=lambda: "", metadata=lambda law, spec: {})
+        return SimpleNamespace(u_grid=np.asarray(u_grid), values=np.zeros((0, len(u_grid))), c_used=None,
+                               truncation_bound=None)
 
     def convergence_test(self, law, spec, t_list, u_grid, n, alpha, seed, n_permutations, tol):
         try:
@@ -407,6 +408,32 @@ def test_simulate_reruns_byte_identical(tmp_path, capsys):
     assert len(stdout_lines) == 1
 
 
+def test_seeds_above_2_to_the_53_keep_every_digit(tmp_path, capsys):
+    # Through a float, 2**53 + 1 reads as 2**53 and 10**30 as 10**30 + 19884624838656.
+    for seed in (2**53 + 1, 10**30):
+        assert parse_config(base_config(seed=seed)).seed == seed
+    matrices = []
+    for seed in (2**53, 2**53 + 1):
+        cfg = write_config(tmp_path, base_config(seed=seed, t=5.0, u_grid=[0.0, 1.0], n_replicates=20))
+        out = tmp_path / str(seed)
+        assert main(["simulate", cfg, "--out-dir", str(out)]) == 0
+        assert json.loads((out / "metadata.json").read_text())["seed"] == seed
+        matrices.append((out / "matrix.csv").read_text())
+    assert matrices[0] != matrices[1]
+
+
+@pytest.mark.parametrize("out_dir", ["taken", "taken/out", "dir"])
+def test_unwritable_out_dir_exits_1_without_traceback(tmp_path, capsys, out_dir):
+    # ``taken`` is a file, and ``dir`` holds a directory where matrix.csv goes.
+    cfg = write_config(tmp_path, base_config(t=1.0, u_grid=[0.0], n_replicates=5))
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "dir" / "matrix.csv").mkdir(parents=True)
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path / out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("output error: ") and "Traceback" not in captured.err
+    assert captured.out == "" and (tmp_path / "taken").read_text() == ""
+
+
 def test_simulate_rejects_negative_replicates(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config(t=1.0, u_grid=[0.0], n_replicates=-5))
     assert main(["simulate", cfg, "--out-dir", str(tmp_path / "x")]) == 1
@@ -466,8 +493,12 @@ def test_dumped_window_is_a_one_row_block_of_its_stream(tmp_path):
                                              c=c))
     out = tmp_path / "out"
     assert main(["stationary", cfg, "--out-dir", str(out), "--dump-window"]) == 0
-    window = build_stationary_window(law, c, stream(seed, DUMP_WINDOW, 0), size=1)
-    assert (out / "window.csv").read_text() == window_to_csv(window)
+    points = build_stationary_window(law, c, stream(seed, DUMP_WINDOW, 0), size=1).points
+    rows = [line.split(",") for line in (out / "window.csv").read_text().splitlines()]
+    assert rows[0] == ["index", "point"]
+    # Every point, at 17 significant digits, numbered so that index 0 is the first point >= 0.
+    first = -int(np.count_nonzero(points < 0))
+    assert rows[1:] == [[str(first + i), f"{p:.17g}"] for i, p in enumerate(points.tolist())]
 
 
 def test_stationary_truncation_failure_exits_2(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from renewal_immigration import distributions as dist
 from renewal_immigration import kernels as kn
 from renewal_immigration import process as pr
+from renewal_immigration.cli import _sample_files
+from renewal_immigration.config import ExperimentConfig
 from renewal_immigration.errors import LawError, TruncationError
 from renewal_immigration import renewal as rn
 from renewal_immigration.renewal import StationaryWindowSampler, build_stationary_window, simulate_forward
@@ -255,18 +258,19 @@ def test_bursty_law_reaches_tol_at_a_half_width_fixed_per_run():
     c, bound = pr.stationary_half_width(law, spec, [0.0], 1e-6)
     assert c == 320.0 and bound == 10.0 * math.exp(-32.0)
     sample = pr.fdd_sample(law, spec, "stationary", [0.0], 20, seed=26)
-    meta = sample.metadata(law, spec)
+    files = _sample_files(ExperimentConfig(law, spec, 26, {}), sample, "stationary", tol=1e-6)
+    meta = json.loads(files["metadata.json"])
     assert meta["c_used"] == 320.0 and meta["truncation_bound_max"] == bound
     assert np.all(sample.values > 0.0)
 
 
 def test_fdd_csv_and_metadata():
     sample = pr.fdd_sample(EXP_LAW, MM_INF, "stationary", [0.0, 7.0], 5, seed=25)
-    text = sample.to_csv()
-    lines = text.strip().split("\n")
+    files = _sample_files(ExperimentConfig(EXP_LAW, MM_INF, 25, {}), sample, "stationary", tol=1e-6)
+    lines = files["matrix.csv"].strip().split("\n")
     assert lines[0] == "u=0,u=7"
     assert len(lines) == 6
-    meta = sample.metadata(EXP_LAW, MM_INF)
+    meta = json.loads(files["metadata.json"])
     assert meta["mode"] == "stationary"
     assert meta["law"] == {"family": "exponential", "rate": 1.0}
     assert meta["c_used"] == sample.c_used > 0

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from renewal_immigration import distributions as dist
 from renewal_immigration import renewal as rn
+from renewal_immigration.cli import main
 from renewal_immigration.errors import LawError
 from renewal_immigration.stats import chisq_gof_counts, ks_one_sample, ks_two_sample
 from renewal_immigration.streams import stream
@@ -189,10 +191,16 @@ def test_window_extension_preserves_points():
     assert sampler.extend(big, 10.0) is big
 
 
-def test_window_csv_format():
-    window = rn.build_stationary_window(dist.PointMass(2.0), 3.0, stream(14), size=1)
-    text = rn.window_to_csv(window)
-    lines = text.strip().split("\n")
+def test_window_csv_format(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "schema": 1, "seed": 14, "law": {"family": "point_mass", "value": 2.0},
+        "kernel": {"kind": "deterministic_table", "breakpoints": [0.0], "values": [0.0]},
+        "u_grid": [0.0], "n_replicates": 5, "c": 3.0,
+    }))
+    out = tmp_path / "out"
+    assert main(["stationary", str(cfg), "--out-dir", str(out), "--dump-window"]) == 0
+    lines = (out / "window.csv").read_text().strip().split("\n")
     assert lines[0] == "index,point"
     ks = [int(line.split(",")[0]) for line in lines[1:]]
     assert ks == sorted(ks)
