@@ -31,14 +31,12 @@ __all__ = [
 # (with a note in the result).
 ENERGY_EXACT_ROWS = 20_000
 
-# Distances are streamed in blocks of about this many entries (16 MB; the
-# k x k distances fit one block up to k = 1448), each block filled one
-# cache-sized tile at a time.  An energy test holds one block and two float
-# buffers of labelling tiles, plus one tile's integer label draws.  When the
-# k x k distances fit one block, a tile holds max(k, DISTANCE_TILE // k)
-# labellings, so neither buffer is larger than the distance matrix or one
-# distance tile; otherwise all P + 1 labellings form one tile, and the
-# second buffer holds one block of rows of it.
+# Distances are streamed in blocks of about this many entries (16 MB), each
+# block filled one cache-sized tile at a time, over half of the symmetric
+# matrix.  An energy test holds one block and two float buffers of
+# max(k, DISTANCE_TILE // k) labellings, so neither buffer is larger than
+# the distance matrix or one distance tile, plus one tile's integer label
+# draws; each tile of labellings streams its own blocks.
 ENERGY_BLOCK_ENTRIES = 2**21
 DISTANCE_TILE = 2**15
 
@@ -168,21 +166,18 @@ def _as_matrix(x):
 def _euclidean_into(out, a, b):
     """Fill ``out`` with the Euclidean distances between the rows of ``a`` and ``b``.
 
-    Squared differences are summed in column order, as ``cdist`` sums them, so
-    the bytes are ``cdist(a, b)``'s; one tile of ``DISTANCE_TILE`` entries at a time.
+    Squared differences are summed in column order onto zeros, as ``cdist``
+    sums them (``0.0 + d^2`` is exact), so the bytes are ``cdist(a, b)``'s;
+    one tile of ``DISTANCE_TILE`` entries at a time.
     """
-    if a.shape[1] == 0:
-        out.fill(0.0)  # no coordinates: every row is at distance 0
-        return out
     a_cols, b_cols = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
     step = max(1, DISTANCE_TILE // out.shape[1])
     scratch = np.empty((min(step, len(out)), out.shape[1]))
     for lo in range(0, len(out), step):
         tile = out[lo : lo + step]
         diff = scratch[: len(tile)]
-        np.subtract(a_cols[0, lo : lo + step, None], b_cols[0], out=tile)
-        np.multiply(tile, tile, out=tile)
-        for x, y in zip(a_cols[1:, lo : lo + step], b_cols[1:]):
+        tile.fill(0.0)
+        for x, y in zip(a_cols[:, lo : lo + step], b_cols):
             np.subtract(x[:, None], y, out=diff)
             np.multiply(diff, diff, out=diff)
             tile += diff
@@ -243,8 +238,9 @@ def _half_matrix_sums(uniq, w, counts, dist):
     so each block of ``len(dist)`` rows is filled only against its own rows
     and those after it: the quadratic form is the diagonal block's plus
     twice the off-diagonal part's, and the off-diagonal part's transpose
-    gives the later rows' sums over the block.  One buffer of ``len(dist)``
-    rows holds both of a block's products with ``counts``.
+    gives the later rows' sums over the block (a block of all ``k`` rows
+    has no off-diagonal part).  One buffer of ``len(dist)`` rows holds both
+    of a block's products with ``counts``.
     """
     k, block = len(uniq), len(dist)
     s_aa = np.zeros(counts.shape[1])
@@ -289,12 +285,10 @@ def energy_distance(a_matrix, b_matrix, n_permutations, rng):
     most ``ENERGY_BLOCK_ENTRIES`` entries and two float tile buffers (counts
     and distance-weighted counts) of ``max(k, DISTANCE_TILE // k)``
     labellings each, no larger than the distance matrix or one distance
-    tile, plus one tile's integer draws while the tile is formed.  That tile
-    rule applies when the whole ``k x k`` matrix fits in one block, so its
-    distances are computed once for every tile (and a few distinct rows do
-    not make thousands of tiles); otherwise all ``P + 1`` labellings form
-    one tile, and the blocks are computed once for it, over half of the
-    symmetric distance matrix (``_half_matrix_sums``).
+    tile, plus one tile's integer draws while the tile is formed.  Each tile
+    streams its own blocks over half of the symmetric distance matrix
+    (``_half_matrix_sums``): over ``d`` coordinates, recomputing the
+    distances costs about ``3 d / width`` of the tile's matrix products.
     """
     a = _as_matrix(a_matrix)
     b = _as_matrix(b_matrix)
@@ -320,27 +314,12 @@ def energy_distance(a_matrix, b_matrix, n_permutations, rng):
     # Labelling 0 is observed, the rest are permutations; w holds the
     # multiplicities.
     w = np.bincount(inv, minlength=k)
-    block = max(1, int(ENERGY_BLOCK_ENTRIES // k))
-    tiles = _count_tiles(
-        np.bincount(inv[:n], minlength=k),
-        w,
-        n_permutations,
-        rng,
-        max(k, DISTANCE_TILE // k) if block >= k else n_permutations + 1,
-    )
+    tiles = _count_tiles(np.bincount(inv[:n], minlength=k), w, n_permutations, rng, max(k, DISTANCE_TILE // k))
     w = w.astype(float)
-
-    # Distances are computed once: one block holds them all and every tile
-    # reuses them, or the blocks are streamed for the first tile, the only one.
-    dist = np.empty((min(block, k), k))
+    dist = np.empty((min(max(1, ENERGY_BLOCK_ENTRIES // k), k), k))
     reached = 0
     for lo, counts in tiles:
-        if block < k:
-            s_aa, row_sums = _half_matrix_sums(uniq, w, counts, dist)
-        else:
-            if lo == 0:
-                row_sums = _euclidean_into(dist, uniq, uniq) @ w
-            s_aa = np.einsum("ip,ip->p", counts, dist @ counts)
+        s_aa, row_sums = _half_matrix_sums(uniq, w, counts, dist)
         if lo == 0:
             grand = float(w @ row_sums)
         r = counts.T @ row_sums

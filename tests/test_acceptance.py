@@ -240,7 +240,7 @@ def test_ac11_null_calibration():
     for trial in range(trials):
         a = pr.fdd_sample(EXP_LAW, MM_INF, "stationary", u_grid, n, seed=(313, trial, 0))
         b = pr.fdd_sample(EXP_LAW, MM_INF, "stationary", u_grid, n, seed=(313, trial, 1))
-        rep = dg.compare_fdd_samples(a.values, b.values, u_grid, alpha, 200, stream((314, trial)))
+        rep = dg.compare_fdd_samples(a.values, b.values, u_grid, alpha, 200, stream(314, trial))
         rejections += rep.decision == "reject"
     rate = rejections / trials
     limit = alpha + 3.0 * math.sqrt(alpha * (1.0 - alpha) / trials)

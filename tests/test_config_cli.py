@@ -432,6 +432,7 @@ def test_unwritable_out_dir_exits_1_without_traceback(tmp_path, capsys, out_dir)
     captured = capsys.readouterr()
     assert captured.err.startswith("output error: ") and "Traceback" not in captured.err
     assert captured.out == "" and (tmp_path / "taken").read_text() == ""
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_simulate_rejects_negative_replicates(tmp_path, capsys):

@@ -339,7 +339,7 @@ def test_compare_fdd_null_calibration_light():
     for trial in range(trials):
         a = fdd_sample(EXP_LAW, MM_INF, "stationary", [0.0, 1.0], 300, seed=(17, trial, 0))
         b = fdd_sample(EXP_LAW, MM_INF, "stationary", [0.0, 1.0], 300, seed=(17, trial, 1))
-        rep = dg.compare_fdd_samples(a.values, b.values, [0.0, 1.0], 0.05, 99, stream((18, trial)))
+        rep = dg.compare_fdd_samples(a.values, b.values, [0.0, 1.0], 0.05, 99, stream(18, trial))
         rejections += rep.decision == "reject"
     assert rejections / trials <= 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / trials)
 

@@ -258,8 +258,8 @@ def test_distances_over_several_tiles_equal_cdist(monkeypatch, tile):
 @pytest.mark.parametrize("draw", [_poisson_rows, _normal_rows])
 def test_energy_distance_over_several_blocks(monkeypatch, draw):
     # One distance buffer refilled block by block, the last block ragged,
-    # with all 100 labellings in one tile, gives the statistic and p-value
-    # of one resident block under tiles of k labellings.
+    # gives the statistic and p-value of one block of all k rows, in tiles
+    # of k labellings either way.
     data = stream(16)
     a, b = draw(data, 40), draw(data, 30) + 0.2
     widths = _tile_widths(monkeypatch, 2**10)
@@ -268,7 +268,7 @@ def test_energy_distance_over_several_blocks(monkeypatch, draw):
     assert k % 3  # 3-row blocks leave a ragged last block
     monkeypatch.setattr(rs, "ENERGY_BLOCK_ENTRIES", 3 * k)
     several = rs.energy_distance(a, b, 99, stream(17))
-    assert widths == [k, 100] and k < 100
+    assert widths == [k, k] and k < 100
     assert several.p_value == one.p_value
     assert several.statistic == pytest.approx(one.statistic, rel=1e-12)
 
@@ -287,19 +287,21 @@ def test_energy_distance_on_one_distinct_row(monkeypatch, distance_tile):
 
 def test_energy_tiles_with_count_method_match_dense_label_loop(monkeypatch):
     # 60 distinct continuous rows against n = 30 draws with numpy's "count"
-    # method; 200 labellings make tiles of 60, 60, 60 and 20.  "count" draws
-    # depend on how many one call makes, so the oracle draws 60 per call too;
-    # the test stops in the third tile.
+    # method; 200 labellings make tiles of 60, 60, 60 and 20, in one block
+    # and over 3-row blocks alike.  "count" draws depend on how many one
+    # call makes, so the oracle draws 60 per call too; the test stops in the
+    # third tile.
     data = stream(24)
     a, b = data.normal(size=(30, 2)), data.normal(size=(30, 2)) + 0.5
     widths = _tile_widths(monkeypatch, 2**10)
-    ours, ref = stream(25), stream(25)
-    res = rs.energy_distance(a, b, 199, ours)
-    statistic, p_value, labellings = dense_energy_permutation(a, b, 199, rs.EXCEEDANCES, ref, width=60)
-    assert widths == [60]
-    assert (res.p_value, res.labellings) == (p_value, labellings)
+    statistic, p_value, labellings = dense_energy_permutation(a, b, 199, rs.EXCEEDANCES, stream(25), width=60)
     assert 120 < labellings < 180
-    assert res.statistic == pytest.approx(statistic, rel=1e-10)
+    for entries in (rs.ENERGY_BLOCK_ENTRIES, 3 * 60):
+        monkeypatch.setattr(rs, "ENERGY_BLOCK_ENTRIES", entries)
+        res = rs.energy_distance(a, b, 199, stream(25))
+        assert (res.p_value, res.labellings) == (p_value, labellings)
+        assert res.statistic == pytest.approx(statistic, rel=1e-10)
+    assert widths == [60, 60]
 
 
 @pytest.mark.parametrize("width", [1, 7, 219, 3000])
@@ -367,19 +369,17 @@ def test_distinct_rows_merge_signed_zeros_as_numpy_unique():
     assert _distances(rows, rows).tobytes() == _distances(expected, expected).tobytes()
 
 
-@pytest.mark.parametrize("one_tile", [False, True], ids=["tiles", "one-tile"])
-def test_energy_distance_allocates_little_beyond_the_draws(monkeypatch, one_tile):
+@pytest.mark.parametrize("several_blocks", [False, True], ids=["tiles", "several-blocks"])
+def test_energy_distance_allocates_little_beyond_the_draws(monkeypatch, several_blocks):
     # About 200 distinct integer rows, samples one apart so that all 2999
-    # labellings run.  In tiles of k labellings, each tile's label
-    # draws are made as the tile is formed, so the call never holds an
-    # array of k * P entries.  In one tile over several blocks, the draws
-    # are released before the distance-weighted counts are allocated, so at
-    # most two such arrays are live at once.
+    # labellings run, in one distance block or in several.  In tiles of k
+    # labellings, each tile's label draws are made as the tile is formed,
+    # so the call never holds an array of k * P entries.
     data = stream(41)
     a, b = data.poisson(1.0, size=(3000, 3)), data.poisson(1.0, size=(3000, 3)) + 1.0
     k = len(np.unique(np.vstack([a, b]), axis=0))
     n_permutations = 2999
-    if one_tile:
+    if several_blocks:
         monkeypatch.setattr(rs, "ENERGY_BLOCK_ENTRIES", k * k - 1)
     widths = _tile_widths(monkeypatch)
     tracemalloc.start()
@@ -389,12 +389,8 @@ def test_energy_distance_allocates_little_beyond_the_draws(monkeypatch, one_tile
     finally:
         tracemalloc.stop()
     assert res.labellings == n_permutations
-    if one_tile:
-        assert widths == [n_permutations + 1]
-        assert peak <= 2.5 * k * n_permutations * 8
-    else:
-        assert widths == [max(k, rs.DISTANCE_TILE // k)] and widths[0] < n_permutations
-        assert peak < k * n_permutations * 8
+    assert widths == [max(k, rs.DISTANCE_TILE // k)] and widths[0] < n_permutations
+    assert peak < k * n_permutations * 8
 
 
 _THREADS_SCRIPT = """\
@@ -433,7 +429,7 @@ def test_energy_permutation_null_calibration():
     trials = 200
     rejections = 0
     for trial in range(trials):
-        rng = stream((10, trial))
+        rng = stream(10, trial)
         a = rng.normal(size=(30, 2))
         b = rng.normal(size=(30, 2))
         res = rs.energy_distance(a, b, 99, rng)
@@ -449,7 +445,7 @@ def test_sequential_p_value_null_calibration():
     trials = 200
     p_values, labellings = [], []
     for trial in range(trials):
-        rng = stream((49, trial))
+        rng = stream(49, trial)
         a = rng.poisson(1.0, size=(100, 3))
         b = rng.poisson(1.0, size=(100, 3))
         res = rs.energy_distance(a, b, 199, rng)
