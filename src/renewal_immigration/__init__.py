@@ -40,9 +40,9 @@ from .kernels import (
     kernel_to_config,
     sample_path,
 )
-from .process import FddSample, eval_stationary, eval_transient, fdd_sample, stationary_half_width
+from .process import FddSample, fdd_sample
 from .renewal import RenewalRealization, StationaryWindow, build_stationary_window, simulate_forward
-from .stats import TestResult, chisq_gof_counts, energy_distance, ks_one_sample, ks_two_sample
+from .stats import TestResult, energy_distance, ks_one_sample, ks_two_sample
 from .streams import stream
 
 __version__ = "0.1.0"

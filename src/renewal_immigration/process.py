@@ -41,7 +41,7 @@ from .kernels import sample_path
 from .renewal import StationaryWindowSampler, point_rows, row_blocks, simulate_forward
 from .streams import STATIONARY_BLOCK, TRANSIENT_BLOCK, stream
 
-__all__ = ["FddSample", "eval_transient", "eval_stationary", "fdd_sample", "first_half_width", "stationary_half_width"]
+__all__ = ["FddSample", "fdd_sample", "first_half_width"]
 
 # Points evaluated per (points x grid) array, which bounds the temporary
 # for windows with very many points.
@@ -90,12 +90,9 @@ def eval_transient(law, spec, t, u_grid, rng, size):
     """``size`` replicates of ``(Y(t + u))_u``: exact sums over epochs.
 
     The replicates are the rows of one ``(size, g)`` array, from one
-    batched forward run.
+    batched forward run; :func:`fdd_sample` has validated the inputs.
     """
-    check_interarrival(law)
-    if t < 0:
-        raise LawError(f"transient time must be >= 0, got {t}")
-    u = _validate_grid(u_grid)
+    u = np.asarray(u_grid, dtype=float)
     values = np.zeros((size, len(u)))
     if t + u[-1] >= 0:
         real = simulate_forward(law, t + u[-1], rng, size=size)
@@ -122,12 +119,10 @@ def stationary_half_width(law, spec, u_grid, tol, c_max=None):
     kernel's ``tail_bound`` drops below ``tol``.  Raises
     :class:`TruncationError` when that needs ``c`` above ``c_max``
     (default ``max(512, 8 c)`` for the first ``c``), or when the kernel's
-    expected missed mass is infinite.
+    expected missed mass is infinite.  :func:`fdd_sample` or :mod:`.config`
+    has validated the inputs.
     """
-    check_interarrival(law)
-    if not tol > 0:
-        raise LawError(f"tolerance must be positive, got {tol}")
-    u = _validate_grid(u_grid)
+    u = np.asarray(u_grid, dtype=float)
     mu = law.mean()
     support_end = spec.support_end()
     c = float(first_half_width(support_end, u, mu))
@@ -153,9 +148,10 @@ def eval_stationary(law, spec, u_grid, c, rng, size):
 
     The replicates are the rows of one ``(size, g)`` array, from ``size``
     windows of half-width ``c`` drawn together.
-    :func:`stationary_half_width` gives the ``c`` that meets a tolerance.
+    :func:`stationary_half_width` gives the ``c`` that meets a tolerance,
+    and :func:`fdd_sample` has validated the inputs.
     """
-    u = _validate_grid(u_grid)
+    u = np.asarray(u_grid, dtype=float)
     window = StationaryWindowSampler(law, rng, size=size).initial(c)
     pts = window.points
     # Sentinels, points left of -max(u) and points past the support cannot
@@ -182,25 +178,30 @@ class FddSample:
     truncation_bound: float | None = None
 
 
-def fdd_sample(law, spec, mode, u_grid, n_replicates, seed, t=None, tol=1e-6, c_max=None, sample=0):
+def fdd_sample(law, spec, mode, u_grid, n_replicates, seed, t=None, tol=1e-6, c_max=None, sample=0, key=()):
     """Independent replicates of the fdd vector, drawn in blocks of rows.
 
+    It checks ``n_replicates``, the mode, the law, the grid, ``t >= 0``
+    (transient) and ``tol > 0`` (stationary); the block evaluators do not.
     Blocks come from :func:`~renewal_immigration.renewal.row_blocks`: each
     holds about ``ROW_BLOCK_POINTS`` expected points, over rows of ``2 c``
     (stationary) or ``t + max(u)`` (transient) time.  Block ``b`` draws
-    from the stream keyed by ``(seed, mode tag, (sample, b))``, so the
-    matrix is reproducible and does not depend on evaluation order; the
-    ``sample`` index tells apart the fdd samples of one run.  A stationary
-    run fixes its half-width with :func:`stationary_half_width` before the
-    first draw, so a run that cannot reach ``tol`` raises
-    :class:`TruncationError` having drawn nothing.
+    from ``stream(seed, *key, mode tag, sample, b)``, so the matrix is
+    reproducible and does not depend on evaluation order; ``sample`` tells
+    apart the fdd samples of one run, and the integer tuple ``key`` runs
+    that share a seed.  A stationary run fixes its half-width with
+    :func:`stationary_half_width` before the first draw, so a run that
+    cannot reach ``tol`` raises :class:`TruncationError` having drawn
+    nothing.
     """
     if n_replicates < 1:
         raise LawError("n_replicates must be >= 1")
     if mode not in ("transient", "stationary"):
         raise LawError(f"mode must be 'transient' or 'stationary', got {mode!r}")
-    if mode == "transient" and t is None:
-        raise LawError("transient mode needs the evaluation time t")
+    if mode == "transient" and (t is None or t < 0):
+        raise LawError(f"transient mode needs an evaluation time t >= 0, got {t}")
+    if mode == "stationary" and not tol > 0:
+        raise LawError(f"tolerance must be positive, got {tol}")
     check_interarrival(law)
     u = _validate_grid(u_grid)
     c = bound = None
@@ -209,7 +210,7 @@ def fdd_sample(law, spec, mode, u_grid, n_replicates, seed, t=None, tol=1e-6, c_
     values = np.empty((n_replicates, len(u)))
     span, tag = (2.0 * c, STATIONARY_BLOCK) if mode == "stationary" else (t + u[-1], TRANSIENT_BLOCK)
     for b, (lo, hi) in enumerate(row_blocks(n_replicates, law, span)):
-        rng = stream(seed, tag, sample, b)
+        rng = stream(seed, *key, tag, sample, b)
         if mode == "transient":
             values[lo:hi] = eval_transient(law, spec, t, u, rng, size=hi - lo).values
         else:

@@ -90,8 +90,7 @@ class RenewalRealization:
 
 
 def _moments(law):
-    """Validate an interarrival law; return its mean and standard deviation."""
-    check_interarrival(law)
+    """The mean and standard deviation of an interarrival law its caller has checked."""
     mu = law.mean()
     return mu, math.sqrt(max(law.second_moment() - mu**2, 0.0))
 
@@ -156,7 +155,7 @@ def simulate_forward(law, horizon, rng, size):
     The sequences are the rows of one realization.  The first epoch beyond
     the horizon is retained separately for overshoot diagnostics.
     """
-    mu, sd = _moments(law)
+    mu, sd = _moments(check_interarrival(law))
     if horizon < 0:
         raise LawError(f"horizon must be >= 0, got {horizon}")
     sums, kept = _draw_increments_until(law, rng, np.zeros(size), horizon, mu, sd)
@@ -201,8 +200,9 @@ class StationaryWindowSampler:
 
     def __init__(self, law, rng, size):
         self.law = law
-        self._mu, self._sd = _moments(law)
+        # The delay draw checks the law; the moments draw nothing.
         s0, xi0, u = sample_stationary_delay(law, rng, size=size)
+        self._mu, self._sd = _moments(law)
         self._s0 = s0
         self._s_minus1 = s0 - xi0
         # Recompute so the straddling-gap identity t_0 - t_{-1} == xi0 is

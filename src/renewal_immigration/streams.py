@@ -4,8 +4,10 @@ Every stochastic operation in the package takes an explicit
 ``numpy.random.Generator``.  Each one the package derives comes from a key
 ``(seed, purpose tag, index)``: one tag per call site that derives streams
 (below), and an index that tells apart the streams of one call site.  For
-fdd blocks the index is the pair ``(sample, block)``.  Results are thus
-independent of execution order and reproducible bit-for-bit from the key.
+fdd blocks the index is the pair ``(sample, block)``, and the ``key`` of
+:func:`~renewal_immigration.process.fdd_sample` comes before the tag.
+Results are thus independent of execution order and reproducible
+bit-for-bit from the key.
 """
 
 import numpy as np
@@ -25,14 +27,11 @@ def stream(seed, *key):
     """Return a fresh generator for ``seed`` and an integer key path.
 
     ``stream(seed)`` is the root stream; ``stream(seed, i)`` and
-    ``stream(seed, i, j)`` are statistically independent children.  A tuple
-    seed is the head of the path: ``stream((s, i), j)`` is
-    ``stream(s, i, j)``.  The seed is an integer >= 0, the key entries
-    integers in ``[0, 2**32)``.  The same path always yields the same
-    stream, and different paths different streams.
+    ``stream(seed, i, j)`` are statistically independent children.  The
+    seed is an integer >= 0, the key entries integers in ``[0, 2**32)``.
+    The same path always yields the same stream, and different paths
+    different streams.
     """
-    if isinstance(seed, tuple):
-        seed, key = seed[0], seed[1:] + key
     if not all(0 <= k < 2**32 for k in key):
         raise ValueError(f"stream key entries must be integers in [0, 2**32), got {key}")
     # SeedSequence pads the seed's 32-bit words with zeros to its pool size

@@ -14,13 +14,18 @@ draws as the batched sampler, and evaluates it with ``np.searchsorted``.
 The increment oracles build renewal sums row by row, from the package's
 width rule, and must match the batched rows draw for draw.  The capped
 birth-death generator is an mpmath matrix, for 60-digit ``expm`` oracles.
+The chi-square goodness-of-fit test on binned counts is the tests' check of
+integer marginals; it pools small bins and takes its p-value from the
+package's ``stats.chi2_sf``.
 """
 
 import heapq
+import math
 
 import numpy as np
 
 from renewal_immigration.renewal import _round_width
+from renewal_immigration.stats import TestResult, chi2_sf
 
 
 def busy_servers_event_driven(sample_interarrival, sample_service, t_obs, rng):
@@ -268,3 +273,44 @@ def replayed_increments_until(law, rng, starts, target, mu, sd):
         row = np.array(row, dtype=float)
         out.append(row[: int(np.searchsorted(row, target, side="right")) + 1])
     return out
+
+
+def chisq_gof_counts(observed_counts, expected_probs, min_expected=5.0):
+    """Pearson chi-square GOF on binned counts.
+
+    Bins whose expected count falls below ``min_expected`` are pooled into a
+    single tail bin before the statistic is formed.  An impossible bin
+    (zero probability, positive count) yields ``statistic = inf`` and
+    p-value 0.
+    """
+    obs = np.asarray(observed_counts, dtype=float)
+    probs = np.asarray(expected_probs, dtype=float)
+    if obs.shape != probs.shape or obs.ndim != 1:
+        raise ValueError("observed counts and expected probs must be matching 1-D arrays")
+    if np.any(obs < 0) or np.any(probs < 0):
+        raise ValueError("counts and probabilities must be nonnegative")
+    if abs(probs.sum() - 1.0) > 1e-9:
+        raise ValueError(f"expected probabilities must sum to 1, got {probs.sum()!r}")
+    n = float(obs.sum())
+    expected = n * probs
+    pool = expected < min_expected
+    obs_bins = list(obs[~pool])
+    exp_bins = list(expected[~pool])
+    if pool.any():
+        obs_bins.append(float(obs[pool].sum()))
+        exp_bins.append(float(expected[pool].sum()))
+    if len(obs_bins) < 2:
+        raise ValueError("all mass pooled into one bin; the test is undefined")
+    obs_bins = np.array(obs_bins)
+    exp_bins = np.array(exp_bins)
+    impossible = (exp_bins == 0.0) & (obs_bins > 0.0)
+    if impossible.any():
+        stat = math.inf
+        p = 0.0
+    else:
+        ok = exp_bins > 0.0
+        stat = float(np.sum((obs_bins[ok] - exp_bins[ok]) ** 2 / exp_bins[ok]))
+        p = chi2_sf(len(obs_bins) - 1, stat)
+    return TestResult(
+        statistic=stat, p_value=p, n=int(n), m=None, method="chisq_gof", note=f"bins={len(obs_bins)}"
+    )

@@ -20,10 +20,10 @@ from renewal_immigration import distributions as dist
 from renewal_immigration import kernels as kn
 from renewal_immigration import process as pr
 from renewal_immigration.cli import main
-from renewal_immigration.stats import chisq_gof_counts, ks_two_sample
+from renewal_immigration.stats import ks_two_sample
 from renewal_immigration.streams import stream
 
-from oracles import busy_servers_event_driven
+from oracles import busy_servers_event_driven, chisq_gof_counts
 
 EXP_LAW = dist.Exponential(1.0)
 MM_INF = kn.Indicator(dist.Exponential(1.0))
@@ -178,8 +178,8 @@ def test_ac9_stationarity_of_marginals():
     for tag, (spec, label) in enumerate(
         [(MM_INF, "indicator"), (kn.ScaledExpDecay(dist.Exponential(1.0), 1.0), "expdecay")]
     ):
-        at0 = pr.fdd_sample(EXP_LAW, spec, "stationary", [0.0], n, seed=(311, tag, 0))
-        at7 = pr.fdd_sample(EXP_LAW, spec, "stationary", [0.0, 7.0], n, seed=(311, tag, 7))
+        at0 = pr.fdd_sample(EXP_LAW, spec, "stationary", [0.0], n, seed=311, key=(tag, 0))
+        at7 = pr.fdd_sample(EXP_LAW, spec, "stationary", [0.0, 7.0], n, seed=311, key=(tag, 7))
         res = ks_two_sample(at0.values[:, 0], at7.values[:, 1])
         assert res.p_value > 0.01, label
         ps[label] = res.p_value
@@ -238,8 +238,8 @@ def test_ac11_null_calibration():
     u_grid = [0.0, 1.0, 5.0]
     rejections = 0
     for trial in range(trials):
-        a = pr.fdd_sample(EXP_LAW, MM_INF, "stationary", u_grid, n, seed=(313, trial, 0))
-        b = pr.fdd_sample(EXP_LAW, MM_INF, "stationary", u_grid, n, seed=(313, trial, 1))
+        a = pr.fdd_sample(EXP_LAW, MM_INF, "stationary", u_grid, n, seed=313, key=(trial, 0))
+        b = pr.fdd_sample(EXP_LAW, MM_INF, "stationary", u_grid, n, seed=313, key=(trial, 1))
         rep = dg.compare_fdd_samples(a.values, b.values, u_grid, alpha, 200, stream(314, trial))
         rejections += rep.decision == "reject"
     rate = rejections / trials

@@ -26,6 +26,7 @@ from renewal_immigration import stats
 from renewal_immigration.cli import _sample_files, main
 from renewal_immigration.config import ExperimentConfig
 from renewal_immigration.diagnostics import dri_mean_check, dri_path_check
+from renewal_immigration.kernels import Indicator
 from renewal_immigration.process import fdd_sample
 from renewal_immigration.streams import stream
 
@@ -70,6 +71,25 @@ def test_fdd_bytes_are_pinned(spec, mode):
     del meta["schema"]
     text = files["matrix.csv"] + json.dumps(meta, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[(name, mode)]
+
+
+# fdd samples drawn under a key, as the acceptance tests draw theirs: the
+# sha256 of the matrix bytes and the JSON of ``[c_used, truncation_bound]``.
+# The transient run (t = 1000) makes blocks of 32, 32 and 16 rows, the
+# stationary one (c = 22) blocks of 744, 744 and 112.
+KEYED_RUNS = {"transient": (80, 1000.0), "stationary": (1600, None)}
+KEYED_DIGESTS = {
+    "transient": "3589b29134e46d29b3a5fc54ff9a14a56ece1626c6ebb86dc82c288e1ee39d0f",
+    "stationary": "84aa36ecd07737641c1e1e71eb6f84f456d744d4963cf4d6d209c6f108997e26",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(KEYED_RUNS))
+def test_keyed_fdd_bytes_are_pinned(mode):
+    n, t = KEYED_RUNS[mode]
+    sample = fdd_sample(LAW, Indicator(LAW), mode, [0.0, 1.0], n, seed=313, key=(0, 0), t=t)
+    text = sample.values.tobytes() + json.dumps([sample.c_used, sample.truncation_bound]).encode()
+    assert hashlib.sha256(text).hexdigest() == KEYED_DIGESTS[mode]
 
 
 # dri reports at the shape of converge's retired Monte Carlo pre-check and

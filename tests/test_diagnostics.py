@@ -337,8 +337,8 @@ def test_compare_fdd_null_calibration_light():
     rejections = 0
     trials = 40
     for trial in range(trials):
-        a = fdd_sample(EXP_LAW, MM_INF, "stationary", [0.0, 1.0], 300, seed=(17, trial, 0))
-        b = fdd_sample(EXP_LAW, MM_INF, "stationary", [0.0, 1.0], 300, seed=(17, trial, 1))
+        a = fdd_sample(EXP_LAW, MM_INF, "stationary", [0.0, 1.0], 300, seed=17, key=(trial, 0))
+        b = fdd_sample(EXP_LAW, MM_INF, "stationary", [0.0, 1.0], 300, seed=17, key=(trial, 1))
         rep = dg.compare_fdd_samples(a.values, b.values, [0.0, 1.0], 0.05, 99, stream(18, trial))
         rejections += rep.decision == "reject"
     assert rejections / trials <= 0.05 + 3.0 * math.sqrt(0.05 * 0.95 / trials)

@@ -17,7 +17,7 @@ from renewal_immigration.renewal import StationaryWindowSampler, build_stationar
 from renewal_immigration.stats import ks_two_sample
 from renewal_immigration.streams import STATIONARY_BLOCK, TRANSIENT_BLOCK, stream
 
-from oracles import busy_servers_event_driven, chunked_superpose, per_path_superpose
+from oracles import busy_servers_event_driven, chisq_gof_counts, chunked_superpose, per_path_superpose
 from test_kernels import ALL_SPECS, TABLE_STEPS
 from test_renewal import split_rows
 
@@ -103,7 +103,6 @@ def test_stationary_campbell_mean_two_u_values():
 
 
 def test_stationary_mminf_poisson_marginal():
-    from renewal_immigration.stats import chisq_gof_counts
     from scipy.stats import poisson
 
     sample = pr.fdd_sample(EXP_LAW, MM_INF, "stationary", [0.0], 2 * 10**4, seed=10)
@@ -141,15 +140,14 @@ def test_fdd_validation():
     with pytest.raises(LawError):
         pr.fdd_sample(EXP_LAW, MM_INF, "transient", [0.0], 1, seed=1)  # t missing
     with pytest.raises(LawError):
-        pr.eval_transient(EXP_LAW, MM_INF, 1.0, [0.0, 0.0], stream(1), size=1)  # not increasing
+        pr.fdd_sample(EXP_LAW, MM_INF, "transient", [0.0], 1, seed=1, t=-1.0)
     with pytest.raises(LawError):
-        pr.eval_stationary(EXP_LAW, MM_INF, [0.0, np.nan], 12.0, stream(1), size=1)
-    with pytest.raises(LawError):
-        pr.stationary_half_width(EXP_LAW, MM_INF, [0.0, np.nan], 1e-6)
-    with pytest.raises(LawError):
-        pr.stationary_half_width(EXP_LAW, MM_INF, [0.0], 0.0)
-    with pytest.raises(LawError):
-        pr.eval_transient(EXP_LAW, MM_INF, 1.0, [0.0, np.inf], stream(1), size=1)
+        pr.fdd_sample(EXP_LAW, MM_INF, "stationary", [0.0], 1, seed=1, tol=0.0)
+    # Not increasing, not finite: the block evaluators trust the grid.
+    for grid in ([0.0, 0.0], [0.0, np.nan], [0.0, np.inf]):
+        for mode in ("transient", "stationary"):
+            with pytest.raises(LawError):
+                pr.fdd_sample(EXP_LAW, MM_INF, mode, grid, 1, seed=1, t=1.0)
 
 
 def test_nonnegative_kernels_give_nonnegative_values():
@@ -404,8 +402,8 @@ def block_points(law, spec, mode, u, c, rng, k, t):
 def test_fdd_rows_are_per_point_sums_over_their_block(spec, mode, monkeypatch):
     monkeypatch.setattr(rn, "ROW_BLOCK_POINTS", BLOCK_POINTS)
     # At t = 4 a transient row spans 4.5, so blocks of 4 rows (5 if rows spanned t alone).
-    law, n, t, seed, sample = dist.Gamma(2.0, 0.5), 23, 4.0, 31, 2
-    fdd = pr.fdd_sample(law, spec, mode, BLOCK_U, n, seed=seed, t=t, sample=sample)
+    law, n, t, seed, key, sample = dist.Gamma(2.0, 0.5), 23, 4.0, 31, (4, 9), 2
+    fdd = pr.fdd_sample(law, spec, mode, BLOCK_U, n, seed=seed, t=t, sample=sample, key=key)
     c = fdd.c_used
     span = 2.0 * c if mode == "stationary" else t + BLOCK_U[-1]
     blocks = list(rn.row_blocks(n, law, span))
@@ -414,14 +412,14 @@ def test_fdd_rows_are_per_point_sums_over_their_block(spec, mode, monkeypatch):
     grid = t + BLOCK_U if mode == "transient" else BLOCK_U
     empty = 0
     for b, (lo, hi) in enumerate(blocks):
-        rng = stream(seed, tag, sample, b)
+        rng = stream(seed, *key, tag, sample, b)
         if mode == "transient":
             got = pr.eval_transient(law, spec, t, BLOCK_U, rng, size=hi - lo).values
         else:
             got = pr.eval_stationary(law, spec, BLOCK_U, c, rng, size=hi - lo).values
         assert got.tobytes() == fdd.values[lo:hi].tobytes()
         # The block's paths follow its windows or forward runs, row by row.
-        ref_rng = stream(seed, tag, sample, b)
+        ref_rng = stream(seed, *key, tag, sample, b)
         for row, shifts in zip(got, block_points(law, spec, mode, BLOCK_U, c, ref_rng, hi - lo, t)):
             assert row.tobytes() == per_path_superpose(spec, shifts, grid, ref_rng).tobytes()
             if len(shifts) == 0:
@@ -430,6 +428,29 @@ def test_fdd_rows_are_per_point_sums_over_their_block(spec, mode, monkeypatch):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
     if spec is BOUNDED_PULSE:
         assert empty > 0
+
+
+@pytest.mark.parametrize("mode", ["transient", "stationary"])
+def test_fdd_validates_once_whatever_the_blocks(mode, monkeypatch):
+    monkeypatch.setattr(rn, "ROW_BLOCK_POINTS", BLOCK_POINTS)
+    calls = []
+
+    def counting(name):
+        inner = getattr(pr, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+
+        return wrapper
+
+    for name in ("_validate_grid", "check_interarrival"):
+        monkeypatch.setattr(pr, name, counting(name))
+    law, n, t = dist.Gamma(2.0, 0.5), 23, 4.0
+    fdd = pr.fdd_sample(law, MM_INF, mode, BLOCK_U, n, seed=31, t=t)
+    span = 2.0 * fdd.c_used if mode == "stationary" else t + BLOCK_U[-1]
+    assert len(list(rn.row_blocks(n, law, span))) >= 3
+    assert sorted(calls) == ["_validate_grid", "check_interarrival"]
 
 
 def test_ragged_points_reach_paths_in_row_major_order(monkeypatch):

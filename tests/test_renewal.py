@@ -10,10 +10,10 @@ from renewal_immigration import distributions as dist
 from renewal_immigration import renewal as rn
 from renewal_immigration.cli import main
 from renewal_immigration.errors import LawError
-from renewal_immigration.stats import chisq_gof_counts, ks_one_sample, ks_two_sample
+from renewal_immigration.stats import ks_one_sample, ks_two_sample
 from renewal_immigration.streams import stream
 
-from oracles import replayed_increments_until, single_row_increments_until
+from oracles import chisq_gof_counts, replayed_increments_until, single_row_increments_until
 
 LAWS = [
     dist.Exponential(1.0),
@@ -442,3 +442,24 @@ def test_batched_builders_reject_bad_arguments():
         rn.simulate_forward(dist.Exponential(1.0), -1.0, stream(34), size=3)
     with pytest.raises(LawError):
         rn.simulate_forward(dist.Pareto(2.0, 1.0), 1.0, stream(34), size=3)
+    # The window sampler checks the law before its first draw.
+    rng = stream(34)
+    before = rng.bit_generator.state
+    with pytest.raises(LawError):
+        rn.build_stationary_window(dist.Pareto(2.0, 1.0), 1.0, rng, size=3)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("build", [rn.build_stationary_window, rn.simulate_forward], ids=lambda f: f.__name__)
+def test_each_builder_call_checks_its_law_once(build, monkeypatch):
+    law, checked, inner = dist.Gamma(2.0, 0.5), [], dist.check_interarrival
+
+    def check_interarrival(law):
+        checked.append(law)
+        return inner(law)
+
+    # Windows reach the check through distributions, forward runs through renewal.
+    for module in (dist, rn):
+        monkeypatch.setattr(module, "check_interarrival", check_interarrival)
+    build(law, 5.0, stream(35), size=4)
+    assert checked == [law]

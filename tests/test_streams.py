@@ -23,9 +23,10 @@ def padded(seed, *key):
 
 # (path a, path b): the same entropy for ``padded`` once SeedSequence pads it with zeros.
 ALIASED = [
-    # A tuple seed read as one multi-word entropy value.
-    (((7, 0),), (7,)),
-    (((7, 0), 3), (7, 3)),
+    # A five-word seed whose padding zeros and top word read as a narrow seed and its key.
+    ((5 + 3 * 2**128,), (5, 3)),
+    # A six-word seed whose top two words read as a two-entry key.
+    ((2**96 + 5 + 3 * 2**128 + 4 * 2**160,), (2**96 + 5, 3, 4)),
     # A seed wider than the pool whose top word reads as a key entry.
     ((2**96 + 5 + 3 * 2**128,), (2**96 + 5, 3)),
 ]
@@ -37,8 +38,10 @@ def test_zero_padded_paths_get_distinct_streams(a, b):
     assert state(stream(*a)) != state(stream(*b))
 
 
-def test_tuple_seed_is_the_head_of_the_path():
-    assert state(stream((7, 0), 3)) == state(stream(7, 0, 3))
+def test_integer_seed_heads_the_path():
+    # The seed is one integer; a caller's key goes into the path.
+    with pytest.raises(TypeError):
+        stream((7, 0), 3)
     # Seeds up to four words keep SeedSequence's own derivation.
     assert state(stream(12, 4, 5)) == state(padded(12, 4, 5))
 
