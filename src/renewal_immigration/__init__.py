@@ -24,8 +24,6 @@ from .distributions import (
     Uniform,
     integrated_tail_cdf,
     is_lattice,
-    law_from_config,
-    law_to_config,
     sample_stationary_delay,
 )
 from .errors import ConfigError, KernelError, LawError, NonAbsorbedPathError, TruncationError
@@ -36,8 +34,6 @@ from .kernels import (
     ScaledExpDecay,
     ScaledTable,
     SpikeTrain,
-    kernel_from_config,
-    kernel_to_config,
     sample_path,
 )
 from .process import FddSample, fdd_sample

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SCHEMA_VERSION, command_fields, load_config
+from .config import SCHEMA_VERSION, command_fields, load_config, to_config
 from .diagnostics import (
     CONVERGENT_EVIDENCE,
     DIVERGENT_EVIDENCE,
@@ -40,9 +40,7 @@ from .diagnostics import (
     overshoot_check,
     shift_invariance_check,
 )
-from .distributions import law_to_config
 from .errors import ConfigError, NonAbsorbedPathError, TruncationError
-from .kernels import kernel_to_config
 from .process import fdd_sample
 from .renewal import build_stationary_window
 from .streams import DRI_MEAN, DRI_PATH, DUMP_WINDOW, INTENSITY, LAPLACE, OVERSHOOT, SHIFT, stream
@@ -111,8 +109,8 @@ def _sample_files(config, sample, mode, **run):
     """``matrix.csv`` and ``metadata.json`` of an fdd sample; ``run`` is the command's ``t`` or ``tol``."""
     meta = run | {
         "schema": SCHEMA_VERSION,
-        "law": law_to_config(config.law),
-        "kernel": kernel_to_config(config.kernel),
+        "law": to_config(config.law),
+        "kernel": to_config(config.kernel),
         "mode": mode,
         "seed": config.seed,
         "n_replicates": len(sample.values),

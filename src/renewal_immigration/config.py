@@ -17,23 +17,34 @@ with their type, bound and default, in :data:`COMMANDS` (the README's
 and checks the run's work budget before anything is drawn.  A missing field
 takes its default and a field without one is required; an explicit ``null``
 is rejected like any other value of the wrong type.
+
+This module is the one owner of the config form of laws and kernel specs.
+A law or spec is a dataclass named by its tag (a law's ``family``, a
+spec's ``kind``), and its config is the tag plus one key per field, read
+by the field's annotated type (``float``, ``int``, a ``tuple`` of floats,
+a law or a nested spec; a finite-discrete law's ``atoms`` are
+``[value, probability]`` pairs).  :func:`law_from_config` and
+:func:`kernel_from_config` read that form and :func:`to_config` writes it.
 """
 
 import json
 import math
 import operator
-from dataclasses import dataclass
+import sys
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import partial
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, get_args
 
 from .diagnostics import intensity_half_width, laplace_half_width, shift_half_width
-from .distributions import Law, integer, is_finite_number, law_from_config, number, numbers
+from .distributions import Law, check_interarrival
 from .errors import ConfigError, KernelError, LawError, TruncationError
-from .kernels import DeterministicTable, KernelSpec, kernel_from_config
+from .kernels import DeterministicTable, KernelSpec
 from .process import first_half_width, stationary_half_width
+from .stats import ENERGY_EXACT_ROWS
 
-__all__ = ["COMMANDS", "ExperimentConfig", "Field", "command_fields", "load_config", "parse_config"]
+__all__ = ["COMMANDS", "ExperimentConfig", "Field", "command_fields", "load_config", "parse_config",
+           "law_from_config", "kernel_from_config", "to_config"]
 
 SCHEMA_VERSION = 1
 
@@ -44,6 +55,13 @@ SCHEMA_VERSION = 1
 # config among the tests, scripts and benchmark draws about 1.3e6.
 MAX_ROW_POINTS = 10**6
 MAX_RUN_POINTS = 2 * 10**7
+# Work budget of converge's energy tests, which the points do not count: a
+# test that rejects runs all n_permutations + 1 labellings, each about k^2
+# products over its k <= min(2 n_replicates, ENERGY_EXACT_ROWS) distinct rows
+# (0.2 ns a product on one Xeon core).  Summed over t_list, the largest
+# config among the tests, scripts and benchmark (the convergence script's
+# defaults) forms about 2.4e11.
+MAX_ENERGY_PRODUCTS = 10**12
 
 _ABSENT = object()  # a field missing from the config, or without a default
 _BOUNDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
@@ -103,7 +121,41 @@ def _read(raw, field, mu, values):
 
 
 # --------------------------------------------------------------------------
-# Field types
+# Field types.  The first four are shared by laws, kernels and experiment
+# configs; each caller passes the error type it raises.
+
+
+def is_finite_number(value):
+    """Whether ``value`` is a JSON number (an int or float, not a bool) with a finite float value."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def number(value, name, error):
+    """``value`` as a float; raises ``error`` unless it is a finite JSON number."""
+    if not is_finite_number(value):
+        raise error(f"{name}: must be a finite number, got {value!r}")
+    return float(value)
+
+
+def integer(value, name, error):
+    """``value`` as an int; raises ``error`` unless it is an integral finite JSON number.
+
+    An int comes back unchanged: through a float, seeds above 2**53 would
+    lose digits and share streams.
+    """
+    x = number(value, name, error)
+    if isinstance(value, int):
+        return value
+    if x != int(x):
+        raise error(f"{name}: must be an integer, got {value!r}")
+    return int(x)
+
+
+def numbers(value, name, error):
+    """``value`` as a tuple of floats; raises ``error`` unless it is a list of finite JSON numbers."""
+    if type(value) not in (list, tuple) or not all(map(is_finite_number, value)):
+        raise error(f"{name}: must be a list of finite numbers, got {value!r}")
+    return tuple(float(v) for v in value)
 
 
 _number = partial(number, error=ConfigError)
@@ -134,9 +186,93 @@ def _intervals(node, path):
     return [(float(a), float(b)) for a, b in node]
 
 
+# --------------------------------------------------------------------------
+# Laws and kernel specs
+
+
+_FAMILIES = {cls.family: cls for cls in get_args(Law)}
+_KINDS = {cls.kind: cls for cls in get_args(KernelSpec)}
+
+
+def _atoms(atoms, name, error):
+    if type(atoms) not in (list, tuple) or not all(type(a) in (list, tuple) and len(a) == 2 for a in atoms):
+        raise error(f"{name}: must be a list of [value, probability] pairs, got {atoms!r}")
+    return tuple((number(v, "atom value", error), number(p, "atom probability", error)) for v, p in atoms)
+
+
+def _field_value(f, value, error):
+    """One field of a law or kernel config, parsed by the field's annotated type."""
+    if f.name == "atoms":
+        return _atoms(value, f.name, error)
+    parse = {float: number, int: integer, tuple: numbers}.get(f.type)
+    if parse is not None:
+        return parse(value, f.name, error)
+    if f.type is Law:
+        return law_from_config(value)
+    spec = kernel_from_config(value)
+    if not isinstance(spec, f.type):
+        raise KernelError(f"{f.name}: must be a {f.type.kind!r} kernel, got {spec.kind!r}")
+    return spec
+
+
+def _from_config(config, noun, tag, classes, error):
+    """The dataclass that ``config[tag]`` names, built from the fields ``config`` gives.
+
+    A config that is not a dict with the tag, an unknown tag, a key that is
+    no field of the class, a missing field without a default and a field
+    value :func:`_field_value` cannot parse all raise ``error``, as does the
+    class itself for values it rejects; a nested law raises :class:`LawError`.
+    """
+    if not isinstance(config, dict) or tag not in config:
+        raise error(f"{noun} config must be a dict with a {tag!r} key")
+    name = config[tag]
+    try:
+        cls = classes[name]
+    except (KeyError, TypeError):
+        raise error(f"unknown {noun} {tag} {name!r}") from None
+    body = {k: v for k, v in config.items() if k != tag}
+    unknown = sorted(set(body) - {f.name for f in fields(cls)})
+    if unknown:
+        raise error(f"{noun} config for {tag} {name!r} has unknown keys {unknown}")
+    missing = [f.name for f in fields(cls) if f.name not in body and f.default is MISSING]
+    if missing:
+        raise error(f"{noun} config for {tag} {name!r} is malformed: missing {missing}")
+    return cls(**{f.name: _field_value(f, body[f.name], error) for f in fields(cls) if f.name in body})
+
+
+def law_from_config(config):
+    """Build a law from its config; raises :class:`LawError` on any malformed field.
+
+    It checks the law in its own right only; a config's ``law`` must also
+    pass :func:`~renewal_immigration.distributions.check_interarrival`.
+    """
+    return _from_config(config, "law", "family", _FAMILIES, LawError)
+
+
+def kernel_from_config(config):
+    """Build a kernel spec from its config; raises :class:`KernelError` on any malformed field."""
+    return _from_config(config, "kernel", "kind", _KINDS, KernelError)
+
+
+def _config_value(value):
+    if isinstance(value, tuple):
+        return [_config_value(v) for v in value]
+    return to_config(value) if is_dataclass(value) else value
+
+
+def to_config(spec):
+    """The config of a law or kernel spec: its ``family`` or ``kind``, then every field.
+
+    Tuples become lists, a finite-discrete law's atom pairs included, and
+    a nested law or spec becomes its config.
+    """
+    tag = "family" if isinstance(spec, Law) else "kind"
+    return {tag: getattr(spec, tag)} | {f.name: _config_value(getattr(spec, f.name)) for f in fields(spec)}
+
+
 def _law(node, path):
     try:
-        return law_from_config(node, interarrival=True)
+        return check_interarrival(law_from_config(node))
     except LawError as exc:
         _fail(path, str(exc))
 
@@ -263,6 +399,17 @@ def _check_budget(rows):
         _fail(max(work)[1], f"the run would draw about {total:.3g} expected points, above the budget {MAX_RUN_POINTS}")
 
 
+def _check_energy(v):
+    k = min(2 * v.n_replicates, ENERGY_EXACT_ROWS)
+    # In floats: an int count near 1e308 times k^2 could not be formatted.
+    products = len(v.t_list) * (v.n_permutations + 1.0) * k * k
+    if products > MAX_ENERGY_PRODUCTS:
+        _fail(
+            "n_permutations",
+            f"the energy tests could form about {products:.3g} products, above the budget {MAX_ENERGY_PRODUCTS}",
+        )
+
+
 def parse_config(raw):
     """Validate the common fields and build the law/kernel objects."""
     if not isinstance(raw, dict):
@@ -282,7 +429,8 @@ def command_fields(command, config):
     Returns the values as attributes named by their paths below the
     command's own object, dots as underscores (``pointprocess.laplace.t``
     is ``laplace_t``).  Raises :class:`ConfigError` before any draw when a
-    field is malformed or one row or the whole run would exceed its budget.
+    field is malformed, or when one row, the whole run or converge's energy
+    tests would exceed their budget.
     """
     fields, rows = COMMANDS[command]
     mu = config.law.mean()
@@ -292,6 +440,8 @@ def command_fields(command, config):
         values[name] = _read(config.raw, field, mu, values)
     values = SimpleNamespace(**values)
     _check_budget(rows(values, config.law, config.kernel))
+    if command == "converge":
+        _check_energy(values)
     return values
 
 

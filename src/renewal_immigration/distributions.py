@@ -23,16 +23,15 @@ read from it.
 Normal (hence log-normal) tails are computed with ``math.erfc``; only the
 gamma tail imports ``scipy.special``, when called.
 
-Laws serialize to flat dicts, e.g. ``{"family": "exponential", "rate": 1.0}``;
-see :func:`law_from_config`.
+A law's config form, e.g. ``{"family": "exponential", "rate": 1.0}``, is
+read and written by :mod:`.config` alone.
 """
 
 import math
-import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import ClassVar, get_args
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,13 +52,6 @@ __all__ = [
     "normal_cdf",
     "is_lattice",
     "lattice_span",
-    "is_finite_number",
-    "number",
-    "integer",
-    "numbers",
-    "config_fields",
-    "law_to_config",
-    "law_from_config",
 ]
 
 # Atoms are treated as rational (hence lattice-detectable) only up to this
@@ -477,95 +469,3 @@ def lattice_span(law):
 
 def is_lattice(law):
     return lattice_span(law) is not None
-
-
-_FAMILIES = {cls.family: cls for cls in get_args(Law)}
-
-
-def is_finite_number(value):
-    """Whether ``value`` is a JSON number (an int or float, not a bool) with a finite float value."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-
-
-# Config field parsers shared by laws, kernels and experiment configs; each
-# caller passes the error type it raises.
-
-
-def number(value, name, error):
-    """``value`` as a float; raises ``error`` unless it is a finite JSON number."""
-    if not is_finite_number(value):
-        raise error(f"{name}: must be a finite number, got {value!r}")
-    return float(value)
-
-
-def integer(value, name, error):
-    """``value`` as an int; raises ``error`` unless it is an integral finite JSON number.
-
-    An int comes back unchanged: through a float, seeds above 2**53 would
-    lose digits and share streams.
-    """
-    x = number(value, name, error)
-    if isinstance(value, int):
-        return value
-    if x != int(x):
-        raise error(f"{name}: must be an integer, got {value!r}")
-    return int(x)
-
-
-def numbers(value, name, error):
-    """``value`` as a tuple of floats; raises ``error`` unless it is a list of finite JSON numbers."""
-    if type(value) not in (list, tuple) or not all(map(is_finite_number, value)):
-        raise error(f"{name}: must be a list of finite numbers, got {value!r}")
-    return tuple(float(v) for v in value)
-
-
-def law_to_config(law):
-    """Serialize a law to its flat config dict."""
-    body = {f.name: getattr(law, f.name) for f in fields(law)}
-    if "atoms" in body:
-        body["atoms"] = [[v, p] for v, p in law.atoms]
-    return {"family": law.family, **body}
-
-
-def config_fields(config, noun, tag, classes, error):
-    """The class that ``config[tag]`` names, and ``(field, value)`` for each field ``config`` gives.
-
-    Laws and kernel specs are dataclasses named by a tag (``family`` or
-    ``kind``).  A config that is not a dict with the tag, an unknown tag, a
-    key that is no field of the class and a missing field without a default
-    all raise ``error``.
-    """
-    if not isinstance(config, dict) or tag not in config:
-        raise error(f"{noun} config must be a dict with a {tag!r} key")
-    name = config[tag]
-    try:
-        cls = classes[name]
-    except (KeyError, TypeError):
-        raise error(f"unknown {noun} {tag} {name!r}") from None
-    body = {k: v for k, v in config.items() if k != tag}
-    unknown = sorted(set(body) - {f.name for f in fields(cls)})
-    if unknown:
-        raise error(f"{noun} config for {tag} {name!r} has unknown keys {unknown}")
-    missing = [f.name for f in fields(cls) if f.name not in body and f.default is MISSING]
-    if missing:
-        raise error(f"{noun} config for {tag} {name!r} is malformed: missing {missing}")
-    return cls, [(f, body[f.name]) for f in fields(cls) if f.name in body]
-
-
-def _atoms(atoms, name, error):
-    if type(atoms) not in (list, tuple) or not all(type(a) in (list, tuple) and len(a) == 2 for a in atoms):
-        raise error(f"{name}: must be a list of [value, probability] pairs, got {atoms!r}")
-    return tuple((number(v, "atom value", error), number(p, "atom probability", error)) for v, p in atoms)
-
-
-def law_from_config(config, interarrival=False):
-    """Build a law from a config dict; optionally enforce the interarrival role.
-
-    Every numeric field must be a finite JSON number (not a bool or a
-    string); anything else raises :class:`LawError`.
-    """
-    cls, items = config_fields(config, "law", "family", _FAMILIES, LawError)
-    law = cls(**{f.name: (number if f.type is float else _atoms)(value, f.name, LawError) for f, value in items})
-    if interarrival:
-        check_interarrival(law)
-    return law

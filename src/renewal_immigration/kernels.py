@@ -37,11 +37,9 @@ expected missed mass is infinite.  A mark law ``eta`` may have an
 infinite mean but not one that overflows a float: such a spec raises
 :class:`~renewal_immigration.errors.KernelError` when it is built.
 
-A spec's config is ``kind`` plus one key per dataclass field, read by the
-field's annotated type (``float``, ``int``, a ``tuple`` of floats, a
-:data:`~renewal_immigration.distributions.Law` or a nested spec), as laws
-are read by theirs.  A new kind is one such class added to
-:data:`KernelSpec`, which ``_KINDS`` is built from.
+A spec's config form, ``kind`` plus one key per dataclass field, is read
+and written by :mod:`.config` alone.  A new kind is one such class added
+to :data:`KernelSpec`.
 
 ``sample(rng, size=k)`` draws ``k`` paths as one batched path.  It has
 two methods, each with one result row per path: ``values(ts)`` at times
@@ -56,13 +54,13 @@ for the holding times and one for the moves, so its draws depend on
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar, get_args
+from typing import ClassVar
 
 import numpy as np
 
-from .distributions import Law, config_fields, integer, law_from_config, law_to_config, number, numbers
+from .distributions import Law
 from .errors import KernelError, NonAbsorbedPathError, TruncationError
 
 __all__ = [
@@ -75,8 +73,6 @@ __all__ = [
     "KernelSpec",
     "sample_path",
     "birth_death_tail_integral",
-    "kernel_to_config",
-    "kernel_from_config",
 ]
 
 # --------------------------------------------------------------------------
@@ -377,8 +373,6 @@ class SpikeTrain:
 
 KernelSpec = DeterministicTable | Indicator | ScaledExpDecay | ScaledTable | BirthDeath | SpikeTrain
 
-_KINDS = {cls.kind: cls for cls in get_args(KernelSpec)}
-
 
 # --------------------------------------------------------------------------
 # Path samples
@@ -540,41 +534,3 @@ def birth_death_tail_integral(spec, lo):
     y = expm(gen * max(float(lo), 0.0)) @ np.ones(len(gen))
     z = np.linalg.solve(gen, y)
     return max(float(-z[spec.initial - 1]), 0.0)
-
-
-# --------------------------------------------------------------------------
-# Config round-trip
-
-
-def kernel_to_config(spec):
-    """Serialize a kernel spec: its ``kind`` and every field, tuples as lists."""
-    config = {"kind": spec.kind}
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if f.type is tuple:
-            value = list(value)
-        elif f.type is Law:
-            value = law_to_config(value)
-        elif f.type not in (float, int):
-            value = kernel_to_config(value)
-        config[f.name] = value
-    return config
-
-
-def _field_value(f, value):
-    """One field of a kernel config, parsed by the field's annotated type."""
-    parse = {float: number, int: integer, tuple: numbers}.get(f.type)
-    if parse is not None:
-        return parse(value, f.name, KernelError)
-    if f.type is Law:
-        return law_from_config(value)
-    spec = kernel_from_config(value)
-    if not isinstance(spec, f.type):
-        raise KernelError(f"{f.name}: must be a {f.type.kind!r} kernel, got {spec.kind!r}")
-    return spec
-
-
-def kernel_from_config(config):
-    """Build a kernel spec; unknown keys and non-numeric fields are errors."""
-    cls, items = config_fields(config, "kernel", "kind", _KINDS, KernelError)
-    return cls(**{f.name: _field_value(f, value) for f, value in items})

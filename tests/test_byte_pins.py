@@ -326,3 +326,56 @@ def test_summary_outputs_are_the_files_on_disk(case, tmp_path, capsys):
     assert (summary["exit"], summary.get("error")) == (SUMMARY_EXITS[case], SUMMARY_ERRORS.get(case))
     assert code == SUMMARY_EXITS[case]
     assert sorted(summary["outputs"]) == sorted(path.name for path in out.iterdir())
+
+
+# The ``metadata.json`` of a small ``simulate`` run for every law family as
+# the interarrival law (Pareto as an indicator's mark) and for every kernel
+# kind, with an Exp(1) law.  It holds the law and the kernel as the CLI
+# writes them back, so these pins fix the config form of each: integral
+# JSON numbers in float fields come back as floats, integer fields as ints,
+# atoms as [value, probability] lists, and a nested table as its own config.
+_TABLE = {"kind": "deterministic_table", "breakpoints": [0, 1, 2.5], "values": [2, -1.0, 0]}
+METADATA_RUNS = {
+    "exponential": {"law": {"family": "exponential", "rate": 2}},
+    "gamma": {"law": {"family": "gamma", "shape": 2.0, "scale": 0.5}},
+    "uniform": {"law": {"family": "uniform", "lo": 0.5, "hi": 1.5}},
+    "lognormal": {"law": {"family": "lognormal", "mu": -0.25, "sigma": 0.5}},
+    "point_mass": {"law": {"family": "point_mass", "value": 1}},
+    "finite_discrete": {"law": {"family": "finite_discrete", "atoms": [[0.5, 0.25], [1, 0.75]]}},
+    "pareto": {"kernel": {"kind": "indicator", "eta": {"family": "pareto", "alpha": 1.5, "xm": 0.5}}},
+    "deterministic_table": {"kernel": _TABLE},
+    "indicator": {"kernel": {"kind": "indicator", "eta": {"family": "uniform", "lo": 0, "hi": 2}}},
+    "scaled_exp_decay": {"kernel": {"kind": "scaled_exp_decay", "eta": {"family": "uniform", "lo": -1, "hi": 2},
+                                    "decay": 0.7}},
+    "scaled_table": {"kernel": {"kind": "scaled_table", "eta": {"family": "exponential", "rate": 2.0},
+                                "table": _TABLE}},
+    "birth_death": {"kernel": {"kind": "birth_death", "initial": 2, "birth_rates": [0.5, 0.5, 0],
+                               "death_rates": [1, 1.0, 1], "state_cap": 3, "max_jumps": 1000}},
+    "spike_train": {"kernel": {"kind": "spike_train"}},
+}
+METADATA_DIGESTS = {
+    "birth_death": "3423d91bede544c484fad3a1dcf6089c81177d23bd2afc3f71b09ffedf62b418",
+    "deterministic_table": "6cc0cd336e5bc18fcd57625da40f93218041cf7e8f63df5ef6e31c2c6bd244f4",
+    "exponential": "1503c2d0e03ce28e439c347a61f8a42acd1cd9b23cf67fe44e1ef2f93051dd82",
+    "finite_discrete": "42f6963a98569d93c55da522e25f45af3465be6afb3636056642fb2d2a33eb2f",
+    "gamma": "ede595f97f7a10f8438e58faa94997f89adf5f3a7e8b4af343e22304a839ae9c",
+    "indicator": "147152d9a68cf38819fc9c0090b09edab37dfb70d0e16aa15ee9803c9d05c857",
+    "lognormal": "1c4194e067f871bd5f5b20239c4de2b11b5a65fd38e4bf52eb3b0c9048e2a059",
+    "pareto": "73abbb7dfbedd500f9b82dbb35ba79e8856ce4acdd0cb556c969f52b7ab33131",
+    "point_mass": "3f408bdab35d7735285d9504addfec2eb6e37f6c8a9d5599de9ccfebc7e8e3a0",
+    "scaled_exp_decay": "ce16552f17ecb02d83ee9e4cefe84b503a1a735277a325bb9774bc1889455ec1",
+    "scaled_table": "c228cef0c61963d1a4b29755bedc1fa5c14ada1f65b3a0382c6cac708d59ce53",
+    "spike_train": "755a8031af52078edb2ebeb2768498de3e6d03fc0734e08207b0bf82383f3f56",
+    "uniform": "8d9f54f733647e632c2895e989150d71ad37d777eaf44d033781b277167edecd",
+}
+
+
+@pytest.mark.parametrize("case", sorted(METADATA_RUNS))
+def test_simulate_metadata_is_pinned(case, tmp_path, capsys):
+    run = {"schema": 1, "seed": 5, "law": _EXPONENTIAL, "kernel": _INDICATOR, "t": 3.0, "u_grid": [0.0, 1.0],
+           "n_replicates": 5}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(run | METADATA_RUNS[case]))
+    assert main(["simulate", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert hashlib.sha256((tmp_path / "out" / "metadata.json").read_bytes()).hexdigest() == METADATA_DIGESTS[case]

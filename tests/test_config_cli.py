@@ -202,6 +202,11 @@ DRAWS = [
         # The tail bound 1/(c - 1) reaches 1e-9 at c = 10 * 2^27, a window of 2.7e9 points.
         ("stationary", {"kernel": {"kind": "spike_train"}, "u_grid": [0.0], "n_replicates": 5, "tol": 1e-9,
                         "c_max": 1e12}, "tol"),
+        # Few renewal points, but a rejecting energy test would run every one of 10^12 labellings.
+        ("converge", {"t_list": [0.05], "u_grid": [0.0, 1.0], "n_replicates": 200, "n_permutations": 10**12},
+         "n_permutations"),
+        ("converge", {"t_list": [1.0], "u_grid": [0.0], "n_replicates": 10**4, "n_permutations": 1e300},
+         "n_permutations"),
     ],
 )
 def test_work_budget_exits_1_before_any_draw(tmp_path, capsys, monkeypatch, command, fields, path):
@@ -490,7 +495,7 @@ def test_dumped_window_is_a_one_row_block_of_its_stream(tmp_path):
     # ``--dump-window`` writes the one-row window drawn from the
     # DUMP_WINDOW stream itself, as every other window is drawn.
     law, c, seed = dist.Gamma(0.5, 2.0), 12.0, 19
-    cfg = write_config(tmp_path, base_config(law=dist.law_to_config(law), seed=seed, u_grid=[0.0], n_replicates=5,
+    cfg = write_config(tmp_path, base_config(law=config.to_config(law), seed=seed, u_grid=[0.0], n_replicates=5,
                                              c=c))
     out = tmp_path / "out"
     assert main(["stationary", cfg, "--out-dir", str(out), "--dump-window"]) == 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from renewal_immigration import distributions as dist
 from renewal_immigration import kernels as kn
+from renewal_immigration.config import kernel_from_config, to_config
 from renewal_immigration.errors import KernelError, NonAbsorbedPathError
 from renewal_immigration.streams import stream
 
@@ -299,11 +300,11 @@ def test_spec_support_end():
 
 def test_kernel_config_round_trip():
     for spec in ALL_SPECS:
-        assert kn.kernel_from_config(kn.kernel_to_config(spec)) == spec
+        assert kernel_from_config(to_config(spec)) == spec
     with pytest.raises(KernelError):
-        kn.kernel_from_config({"kind": "mystery"})
+        kernel_from_config({"kind": "mystery"})
     with pytest.raises(KernelError):
-        kn.kernel_from_config({"kind": "indicator"})
+        kernel_from_config({"kind": "indicator"})
     table = {"kind": "deterministic_table", "breakpoints": [0.0, 1.0], "values": [1.0, 0.0]}
     bad = [
         {"kind": "indicator", "eta": {"family": "exponential", "rate": 1.0}, "typo": 5},
@@ -320,7 +321,7 @@ def test_kernel_config_round_trip():
     ]
     for config in bad:
         with pytest.raises(KernelError):
-            kn.kernel_from_config(config)
+            kernel_from_config(config)
 
 
 @given(st.integers(min_value=0, max_value=10**6))

@@ -482,3 +482,46 @@ def test_ragged_points_reach_paths_in_row_major_order(monkeypatch):
     kept = [p[(np.abs(p) <= c) & (p >= -u[-1])] for p in split_rows(window.counts, window.points)]
     assert sizes == [sum(map(len, kept))]
     assert np.array_equal(got, [table.value(u[None, :] + p[:, None]).sum(axis=0) for p in kept])
+
+
+# Time doubling: every length of a run doubled -- the interarrival law's
+# time scale, the kernel's (pulse lengths and table breakpoints doubled,
+# decay and birth-death rates halved), the grid and t.  Scaling by 2 is
+# exact in floats, so every epoch, window and path time doubles exactly and
+# every comparison keeps its outcome: the same seed draws the same matrix,
+# over several row blocks, at a doubled half-width and the same truncation
+# bound (a mass, not a length).  LogNormal is left out, since doubling it
+# adds ln 2 to mu, which is not exact in floats.
+DOUBLED_RUNS = {
+    "gamma-indicator": lambda s: (dist.Gamma(2.0, 0.5 * s), kn.Indicator(dist.Gamma(1.5, 0.8 * s))),
+    "uniform-scaled_table": lambda s: (
+        dist.Uniform(0.5 * s, 1.5 * s),
+        kn.ScaledTable(
+            dist.Exponential(1.0), kn.DeterministicTable((0.0, s, 2.5 * s, 40.0 * s), (2.0, -1.0, 0.5, 0.0))
+        ),
+    ),
+    "exponential-exp_decay": lambda s: (dist.Exponential(1.0 / s), kn.ScaledExpDecay(dist.Uniform(-1.0, 2.0), 0.7 / s)),
+    "gamma-birth_death": lambda s: (
+        dist.Gamma(2.0, 0.5 * s),
+        kn.BirthDeath(initial=2, birth_rates=(0.5 / s, 0.5 / s, 0.0), death_rates=(1.0 / s,) * 3, state_cap=3),
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["transient", "stationary"])
+@pytest.mark.parametrize("case", sorted(DOUBLED_RUNS))
+@given(seed=st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=3, deadline=None)
+def test_doubling_every_length_doubles_the_run(case, mode, seed):
+    n, u, t = 3000, np.array([0.0, 0.5, 2.0]), 30.0
+    single, double = (
+        pr.fdd_sample(*DOUBLED_RUNS[case](s), mode, s * u, n, seed=seed, t=s * t if mode == "transient" else None)
+        for s in (1.0, 2.0)
+    )
+    span = 2.0 * single.c_used if mode == "stationary" else t + u[-1]
+    assert len(list(rn.row_blocks(n, DOUBLED_RUNS[case](1.0)[0], span))) >= 3
+    assert np.count_nonzero(single.values) > 0
+    assert single.values.tobytes() == double.values.tobytes()
+    if mode == "stationary":
+        assert double.c_used == 2.0 * single.c_used
+        assert double.truncation_bound == single.truncation_bound
