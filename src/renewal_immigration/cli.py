@@ -286,10 +286,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         _log(args.verbose, f"running {args.command} with seed {config.seed}")
         fields = command_fields(args.command, config)
+        # Only a config that passed every check gets an output directory.
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         code, files, summary = _run(args.command, config, fields, args)
         for name, text in files.items():
             _write_atomic(out_dir / name, text)

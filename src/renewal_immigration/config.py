@@ -51,8 +51,10 @@ SCHEMA_VERSION = 1
 # Work budget in expected renewal points.  A row (one forward run, one
 # stationary window or one dri sample) is drawn whole, so it may hold at most
 # MAX_ROW_POINTS.  A run may draw at most MAX_RUN_POINTS in all, counting
-# rows x (1 + points per row) over every kind of row it draws; the largest
-# config among the tests, scripts and benchmark draws about 1.3e6.
+# rows x (1 + points per row) over every kind of row it draws, times
+# len(u_grid) for the fdd rows, whose points are each evaluated on the
+# whole grid; the largest fixed config among the tests, scripts, CI and
+# benchmark (the convergence script's defaults) counts about 2.6e6.
 MAX_ROW_POINTS = 10**6
 MAX_RUN_POINTS = 2 * 10**7
 # Work budget of converge's energy tests, which the points do not count: a
@@ -293,7 +295,9 @@ def _laplace_h(node, path):
 
 # --------------------------------------------------------------------------
 # The schema: each command's fields, and the rows its run draws as
-# ``(rows path, rows, row path, expected points per row)``.
+# ``(rows path, rows, row path, expected points per row, grid points)``,
+# the last the number of grid points each of a row's points is evaluated
+# at: len(u_grid) for fdd rows, 1 for the others.
 
 
 def _run(end, law):
@@ -311,19 +315,19 @@ def _stationary_row(v, law, kernel, c_max=None):
     try:
         c, _ = stationary_half_width(law, kernel, v.u_grid, v.tol, c_max)
     except TruncationError:
-        return "n_replicates", v.n_replicates, "tol", 0.0  # the run fails before its first draw
+        return "n_replicates", v.n_replicates, "tol", 0.0, 1  # the run fails before its first draw
     grown = c > first_half_width(kernel.support_end(), v.u_grid, law.mean())
-    return "n_replicates", v.n_replicates, "tol" if grown else "u_grid", _window(c, law)
+    return "n_replicates", v.n_replicates, "tol" if grown else "u_grid", _window(c, law), len(v.u_grid)
 
 
 def _pointprocess_rows(v, law, kernel):
     windows, runs, laplace = "pointprocess.n_windows", "pointprocess.n_realizations", "pointprocess.laplace.n_mc"
     return [
-        (windows, v.n_windows, "pointprocess.intervals", _window(intensity_half_width(law, v.intervals), law)),
-        (windows, v.n_windows, "pointprocess.shift", _window(shift_half_width(law, v.shift, v.intervals[0]), law)),
-        (runs, v.n_realizations, "pointprocess.horizon", _run(v.horizon, law)),
-        (laplace, v.laplace_n_mc, "pointprocess.laplace.t", _run(v.laplace_t, law)),
-        (laplace, v.laplace_n_mc, "pointprocess.laplace.h", _window(laplace_half_width(law, v.laplace_h), law)),
+        (windows, v.n_windows, "pointprocess.intervals", _window(intensity_half_width(law, v.intervals), law), 1),
+        (windows, v.n_windows, "pointprocess.shift", _window(shift_half_width(law, v.shift, v.intervals[0]), law), 1),
+        (runs, v.n_realizations, "pointprocess.horizon", _run(v.horizon, law), 1),
+        (laplace, v.laplace_n_mc, "pointprocess.laplace.t", _run(v.laplace_t, law), 1),
+        (laplace, v.laplace_n_mc, "pointprocess.laplace.h", _window(laplace_half_width(law, v.laplace_h), law), 1),
     ]
 
 
@@ -336,7 +340,7 @@ _REPLICATES = Field("n_replicates", _integer, (">=", 1))
 COMMANDS = {
     "simulate": (
         (Field("t", _number, (">=", 0.0)), Field("u_grid", _grid), _REPLICATES),
-        lambda v, law, kernel: [("n_replicates", v.n_replicates, "t", _run(v.t + v.u_grid[-1], law))],
+        lambda v, law, kernel: [("n_replicates", v.n_replicates, "t", _run(v.t + v.u_grid[-1], law), len(v.u_grid))],
     ),
     "stationary": (
         (
@@ -346,7 +350,7 @@ COMMANDS = {
             Field("c_max", _number, _POSITIVE, None),
             Field("c", _number, _POSITIVE, lambda mu, v: 10.0 * mu),
         ),
-        lambda v, law, kernel: [_stationary_row(v, law, kernel, v.c_max), ("c", 1, "c", _window(v.c, law))],
+        lambda v, law, kernel: [_stationary_row(v, law, kernel, v.c_max), ("c", 1, "c", _window(v.c, law), 1)],
     ),
     "converge": (
         (
@@ -358,7 +362,7 @@ COMMANDS = {
             Field("n_permutations", _integer, (">=", 19), 200),
         ),
         lambda v, law, kernel: [_stationary_row(v, law, kernel)]
-        + [("n_replicates", v.n_replicates, "t_list", _run(t + v.u_grid[-1], law)) for t in v.t_list],
+        + [("n_replicates", v.n_replicates, "t_list", _run(t + v.u_grid[-1], law), len(v.u_grid)) for t in v.t_list],
     ),
     "dri": (
         (
@@ -368,8 +372,8 @@ COMMANDS = {
         ),
         # The mean criterion's grid, then the path criterion's unit intervals.
         lambda v, law, kernel: [
-            ("dri.n_mc", v.n_mc, "dri.k_max", float(v.k_max) * v.grid_per_unit),
-            ("dri.n_mc", v.n_mc, "dri.k_max", v.k_max),
+            ("dri.n_mc", v.n_mc, "dri.k_max", float(v.k_max) * v.grid_per_unit, 1),
+            ("dri.n_mc", v.n_mc, "dri.k_max", v.k_max, 1),
         ],
     ),
     "pointprocess": (
@@ -390,13 +394,17 @@ COMMANDS = {
 
 
 def _check_budget(rows):
-    for _, _, path, points in rows:
+    for _, _, path, points, _ in rows:
         if points > MAX_ROW_POINTS:
             _fail(path, f"one row would hold about {points:.3g} expected points, above the row budget {MAX_ROW_POINTS}")
-    work = [(n * (1.0 + points), path) for path, n, _, points in rows]
+    work = [(n * (1.0 + points) * grid, path) for path, n, _, points, grid in rows]
     total = sum(w for w, _ in work)
     if total > MAX_RUN_POINTS:
-        _fail(max(work)[1], f"the run would draw about {total:.3g} expected points, above the budget {MAX_RUN_POINTS}")
+        _fail(
+            max(work)[1],
+            f"the run would draw about {total:.3g} expected points, counted once per grid point where they are "
+            f"evaluated, above the budget {MAX_RUN_POINTS}",
+        )
 
 
 def _check_energy(v):

@@ -165,12 +165,16 @@ class LaplaceComparison:
 def _exp_neg_h_sums(h, x, counts):
     """``exp(-sum h(x))`` per row of ragged rows holding ``counts`` of the points ``x`` each.
 
-    One ``np.bincount`` adds each row's terms one at a time in point order,
-    as ``_superpose`` does, so a row's sum does not depend on the other
-    rows.  ``exp`` is ``math.exp`` per value, which numpy's vectorised exp
-    can differ from in the last ulp.
+    ``h`` is evaluated only on the points in ``[0, h.support_end())``: a
+    table is 0 before its first breakpoint, which is ``>= 0``, and from its
+    support's end on, and adding a zero to a row's sum keeps its bits.  One
+    ``np.bincount`` adds each row's terms one at a time in point order, as
+    ``_superpose`` does, so a row's sum does not depend on the other rows.
+    ``exp`` is ``math.exp`` per value, which numpy's vectorised exp can
+    differ from in the last ulp.
     """
-    sums = np.bincount(point_rows(counts), h.value(x), minlength=len(counts))
+    inside = (x >= 0.0) & (x < h.support_end())
+    sums = np.bincount(point_rows(counts)[inside], h.value(x[inside]), minlength=len(counts))
     return np.array([math.exp(-s) for s in sums.tolist()])
 
 

@@ -33,8 +33,11 @@ Increments come in rounds: each gives every row still at or below its
 target the same number of draws (:func:`_round_width`), until every row
 is past it.  That rule decides how the generator is consumed, so it is
 part of the ``(config, seed) -> bytes`` contract, as the row blocks are.
-The rounds fill arrays as wide as the longest row, and each builder
-compacts its result into ragged rows once.
+Each round keeps only the sums its rows take, up to each row's first sum
+past the target, and the builders assemble ragged rows from the rounds
+directly (:func:`_ragged`): no array is as wide as the longest row, so a
+block's arrays stay near its points and draws even for bursty laws whose
+rows need many rounds.
 
 Callers that draw many rows do so in blocks (:func:`row_blocks`) of about
 ``ROW_BLOCK_POINTS`` expected points each, which bounds a block's arrays
@@ -60,8 +63,9 @@ __all__ = [
 ]
 
 # Expected points per block of rows.  The rounds of :func:`_round_width`
-# draw about 1.1 to 1.4 increments per sum kept, into arrays as wide as
-# the block's longest row.
+# draw about 1.1 to 1.4 increments per sum kept, and a block's arrays hold
+# its draws and points, a few bytes each, plus one first-round slab of
+# rows x the first round's width.
 ROW_BLOCK_POINTS = 2**15
 
 
@@ -107,46 +111,109 @@ def _round_width(remaining, mu, sd):
     return int(m + 0.5 * sd / mu * math.sqrt(m) + 1.0)
 
 
-def _draw_increments_until(law, rng, starts, target, mu, sd):
-    """Row-wise sums ``starts[i] + xi_1 + ...`` until strictly past ``target``.
+def _draw_rounds(law, rng, starts, target, mu, sd):
+    """Row-wise sums ``starts[i] + xi_1 + ...`` until strictly past ``target``, in rounds.
 
-    Returns ``(sums, kept)``.  Row ``i`` of ``sums`` holds its start, its
-    sums ``<= target`` (nondecreasing, with ties kept), then the first sum
-    past the target, then ``+inf`` padding; ``kept[i]`` is the column of
-    that last sum, which is 0 for a row that starts past the target.
-    Increments come in rounds of ``(active rows, n)`` blocks, with ``n``
-    from :func:`_round_width` at the mean distance of the active rows to
-    the target; each top-up round draws only for the rows still
-    ``<= target``.  One row consumes the generator exactly as rounds of
-    ``n`` single draws would.
+    Returns ``(starts, counts, rounds, ends)``.  Row ``i`` holds
+    ``counts[i]`` values ``<= target``, nondecreasing with ties kept: its
+    start, unless the start is past the target, then its sums.
+    ``ends[i]`` is its first value past the target: its first sum past it,
+    or its start.  Each round is ``(rows, col, sums, take)``: the
+    ``(len(rows), n)`` sums drawn for the rows still ``<= target``, the
+    first of which is column ``col`` of its row (the start is column 0),
+    and the mask of those ``<= target``.  ``n`` comes from
+    :func:`_round_width` at the mean distance of the rows to the target.
+    One row consumes the generator exactly as rounds of ``n`` single
+    draws would.
     """
     starts = np.asarray(starts, dtype=float)
-    kept = np.zeros(len(starts), dtype=np.intp)
-    rounds = []
-    active = np.flatnonzero(starts <= target)
+    counts = (starts <= target).astype(np.intp)
+    ends = starts.copy()
+    active = np.flatnonzero(counts)
     last = starts[active]
-    col = 0
+    rounds = []
+    col = 1
     while len(active):
         n = _round_width(target - last.mean(), mu, sd)
-        block = np.cumsum(law.sample(rng, size=(len(active), n)), axis=1)
-        block += last[:, None]
-        past = block > target
-        # Sums never decrease along a row, so everything after a row's
-        # first sum past the target is padding.
-        np.copyto(block[:, 1:], np.inf, where=past[:, :-1])
-        rounds.append((active, block))
-        # A finished row's first sum past the target is its last one kept.
-        done = past[:, -1]
-        kept[active[done]] = col + 1 + np.argmax(past, axis=1)[done]
+        sums = law.sample(rng, size=(len(active), n))
+        np.cumsum(sums, axis=1, out=sums)
+        sums += last[:, None]
+        # Sums never decrease along a row: a row is done at its first sum
+        # past the target, and takes the sums before it.
+        take = sums <= target
+        more = take[:, -1]
+        done = np.flatnonzero(~more)
+        first_past = np.argmin(take, axis=1)[done]
+        counts[active[done]] = col + first_past
+        ends[active[done]] = sums[done, first_past]
+        rounds.append((active, col, sums, take))
         col += n
-        active, last = active[~done], block[~done, -1]
-    sums = np.full((len(starts), kept.max(initial=0) + 1), np.inf)
-    sums[:, 0] = starts
-    col = 1
-    for rows, block in rounds:
-        sums[rows, col : col + block.shape[1]] = block[:, : sums.shape[1] - col]
-        col += block.shape[1]
-    return sums, kept
+        active, last = active[more], sums[more, -1]
+    return starts, counts, rounds, ends
+
+
+def _ragged(halves, with_ends=True):
+    """Ragged rows ``(counts, values)`` of halves drawn by :func:`_draw_rounds`.
+
+    ``halves`` holds ``(draw, mirrored)`` pairs, and row ``i`` is row ``i``
+    of each half in turn: the half's values ``<= target``, then its end if
+    ``with_ends``.  A mirrored half is reversed and negated (negation is
+    exact), so its end comes first; its sums are negated in place.
+
+    The first rounds of all halves fill one slab, each half's columns led
+    by its starts, and one boolean mask gathers it in row-major order; the
+    top-up rounds' sums, a minority, are placed by index.
+    """
+    counts = sum(draw[1] + with_ends for draw, _ in halves)
+    widths = [1 + (rounds[0][2].shape[1] if rounds else 0) for (_, _, rounds, _), _ in halves]
+    slab = np.empty((len(counts), sum(widths)))
+    take = np.zeros(slab.shape, dtype=bool)
+    at, later = [], []
+    lo = 0
+    base = np.cumsum(counts) - counts  # the position of each row's current half
+    for ((starts, half_counts, rounds, _), mirrored), width in zip(halves, widths):
+        step = -1 if mirrored else 1
+        slab_half = slab[:, lo : lo + width][:, ::step]
+        take_half = take[:, lo : lo + width][:, ::step]
+        slab_half[:, 0] = -starts if mirrored else starts
+        # A row that starts past the target ends at its start.
+        take_half[:, 0] = True if with_ends else half_counts > 0
+        # Column j of a row of the half lands at origin + step * j.
+        origin = base + half_counts + with_ends - 1 if mirrored else base
+        for i, (rows, col, sums, row_take) in enumerate(rounds):
+            if with_ends:
+                # Each row also takes its end, its first sum past the target.
+                row_take = np.concatenate([np.ones((len(rows), 1), dtype=bool), row_take[:, :-1]], axis=1)
+            if mirrored:
+                np.negative(sums, out=sums)
+            if i == 0:
+                slab_half[rows, 1:] = sums
+                take_half[rows, 1:] = row_take
+            else:
+                at.append((origin[rows, None] + step * (col + np.arange(sums.shape[1])))[row_take])
+                later.append(sums[row_take])
+        base += half_counts + with_ends
+        lo += width
+    if not at:
+        return counts, slab[take]
+    at = np.concatenate(at)
+    values = np.empty(counts.sum())
+    by_index = np.zeros(len(values), dtype=bool)
+    by_index[at] = True
+    values[~by_index] = slab[take]
+    values[at] = np.concatenate(later)
+    return counts, values
+
+
+def _draw_increments_until(law, rng, starts, target, mu, sd):
+    """Row-wise sums ``starts[i] + xi_1 + ...`` until strictly past ``target``, as ragged rows.
+
+    Returns ``(counts, values)``: row ``i`` is the next ``counts[i]``
+    entries of ``values``, namely its start, its sums ``<= target``
+    (nondecreasing, with ties kept), then its first sum past the target.
+    A row that starts past the target holds its start alone.
+    """
+    return _ragged([(_draw_rounds(law, rng, starts, target, mu, sd), False)])
 
 
 def simulate_forward(law, horizon, rng, size):
@@ -158,11 +225,9 @@ def simulate_forward(law, horizon, rng, size):
     mu, sd = _moments(check_interarrival(law))
     if horizon < 0:
         raise LawError(f"horizon must be >= 0, got {horizon}")
-    sums, kept = _draw_increments_until(law, rng, np.zeros(size), horizon, mu, sd)
-    # Column ``kept`` holds each row's overshooter, after its epochs.
-    epochs = sums[np.arange(sums.shape[1]) < kept[:, None]]
-    overshoot_epoch = sums[np.arange(size), kept]
-    return RenewalRealization(counts=kept, epochs=epochs, horizon=float(horizon), overshoot_epoch=overshoot_epoch)
+    draw = _draw_rounds(law, rng, np.zeros(size), horizon, mu, sd)
+    counts, epochs = _ragged([(draw, False)], with_ends=False)
+    return RenewalRealization(counts=counts, epochs=epochs, horizon=float(horizon), overshoot_epoch=draw[3])
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,18 +281,15 @@ class StationaryWindowSampler:
         """The windows over ``[-c, c]``."""
         if c <= 0:
             raise LawError(f"window half-width must be positive, got {c}")
-        fwd, fwd_kept = _draw_increments_until(self.law, self._rng, self._s0, c, self._mu, self._sd)
-        bwd, bwd_kept = _draw_increments_until(self.law, self._rng, -self._s_minus1, c, self._mu, self._sd)
-        # Column 0 of each half is its start, so ``t_{-1}`` and ``t_0`` meet
-        # in the middle; negation is exact.  Boolean indexing keeps the
-        # finite points in row-major order.
-        points = np.hstack([-bwd[:, ::-1], fwd])
-        counts = bwd_kept + fwd_kept + 2
-        return StationaryWindow(counts=counts, points=points[np.isfinite(points)], c=float(c), xi0=self.xi0, u=self.u)
+        fwd = _draw_rounds(self.law, self._rng, self._s0, c, self._mu, self._sd)
+        bwd = _draw_rounds(self.law, self._rng, -self._s_minus1, c, self._mu, self._sd)
+        # Row i is its backward half, mirrored, then its forward half: the
+        # starts t_{-1} and t_0 meet in the middle.
+        counts, points = _ragged([(bwd, True), (fwd, False)])
+        return StationaryWindow(counts=counts, points=points, c=float(c), xi0=self.xi0, u=self.u)
 
     def _draw(self, start, target):
-        sums, _ = _draw_increments_until(self.law, self._rng, [start], target, self._mu, self._sd)
-        return sums[0, 1:]
+        return _draw_increments_until(self.law, self._rng, [start], target, self._mu, self._sd)[1][1:]
 
     def extend(self, window, c):
         """Grow a one-row window built by this sampler out to a larger ``c``, forward then backward."""

@@ -207,6 +207,9 @@ DRAWS = [
          "n_permutations"),
         ("converge", {"t_list": [1.0], "u_grid": [0.0], "n_replicates": 10**4, "n_permutations": 1e300},
          "n_permutations"),
+        # About 2 points a row, but each row's points are evaluated on a grid of 10^5 points.
+        ("simulate", {"t": 0.0, "u_grid": np.linspace(0.0, 1.0, 10**5).tolist(), "n_replicates": 10**4},
+         "n_replicates"),
     ],
 )
 def test_work_budget_exits_1_before_any_draw(tmp_path, capsys, monkeypatch, command, fields, path):
@@ -450,6 +453,21 @@ def test_simulate_requires_sorted_grid(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config(t=1.0, u_grid=[1.0, 0.0], n_replicates=5))
     assert main(["simulate", cfg, "--out-dir", str(tmp_path / "x")]) == 1
     assert "u_grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        ("converge", {"t_list": [0.05], "u_grid": [0.0, 1.0], "n_replicates": 200, "n_permutations": 10**12}),
+        ("simulate", {"t": 1.0, "u_grid": [0.0], "n_replicates": 0}),
+    ],
+    ids=["energy_budget", "no_replicates"],
+)
+def test_refused_config_leaves_no_out_dir(tmp_path, capsys, command, fields):
+    cfg = write_config(tmp_path, base_config(**fields))
+    assert main([command, cfg, "--out-dir", str(tmp_path / "out" / "run")]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
 
 
 # ----------------------------------------------------------------- stationary

@@ -301,6 +301,47 @@ def test_laplace_row_sums_add_in_point_order_bit_for_bit(law):
         assert dg._exp_neg_h_sums(h, x, counts).tobytes() == np.array(single).tobytes()
 
 
+class _CountedTable:
+    """A test function that counts the points it is evaluated at."""
+
+    def __init__(self, table):
+        self.table, self.evaluated = table, 0
+
+    def value(self, x):
+        self.evaluated += len(x)
+        return self.table.value(x)
+
+    def support_end(self):
+        return self.table.support_end()
+
+
+# Tables that end in 0.0 and in -0.0 (both end the support), one with a
+# first breakpoint past 0, and one that is 0 everywhere.
+SUPPORT_TABLES = {
+    "non_dyadic": lambda mu: _non_dyadic_h(mu),
+    "ends_in_minus_zero": lambda mu: kn.DeterministicTable((0.0, mu, 3.0 * mu), (0.3, 0.1, -0.0)),
+    "starts_late": lambda mu: kn.DeterministicTable((0.5 * mu, 2.0 * mu), (0.7, 0.0)),
+    "zero": lambda mu: kn.DeterministicTable((0.0,), (0.0,)),
+}
+
+
+@pytest.mark.parametrize("table", sorted(SUPPORT_TABLES))
+def test_laplace_row_sums_evaluate_h_on_its_support_only(table):
+    # Skipping the points outside [0, support_end) keeps every row's sum
+    # bit for bit: each equals its row summed alone over all its points.
+    law = dist.LogNormal(0.0, 1.0)
+    mu = law.mean()
+    h = SUPPORT_TABLES[table](mu)
+    t = 60.0 * mu
+    real = rn.simulate_forward(law, t, stream(5), size=50)
+    window = rn.build_stationary_window(law, 8.0 * mu, stream(6), size=50)
+    for x, counts in ((t - real.epochs, real.counts), (window.points, window.counts)):
+        counted = _CountedTable(h)
+        single = [_exp_neg_sum_in_order(h.value(row)) for row in split_rows(counts, x)]
+        assert dg._exp_neg_h_sums(counted, x, counts).tobytes() == np.array(single).tobytes()
+        assert counted.evaluated == np.count_nonzero((x >= 0.0) & (x < h.support_end())) < len(x)
+
+
 def test_convergence_zero_kernel_trivially_non_rejecting():
     reports = dg.convergence_test(EXP_LAW, ZERO_KERNEL, [2.0], [0.0, 1.0], 200, 0.01, 13)
     assert reports[0].decision == "non_reject"

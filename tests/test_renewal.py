@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,11 +270,11 @@ def test_row_wise_increments_match_single_row_oracle(law, case):
     mu, sd = _moments(law)
     rng_row, rng_oracle = stream(30), stream(30)
     recorded = _RecordedSample(law)
-    sums, kept = rn._draw_increments_until(recorded, rng_row, [start], target, factor * mu, sd)
+    counts, values = rn._draw_increments_until(recorded, rng_row, [start], target, factor * mu, sd)
     expected = single_row_increments_until(law, rng_oracle, start, target, factor * mu, sd)
-    assert sums.shape == (1, 1 + len(expected)) and kept.tolist() == [len(expected)]
-    assert sums[0, 0] == start
-    assert sums[0, 1:].tobytes() == expected.tobytes()
+    assert len(values) == 1 + len(expected) and counts.tolist() == [1 + len(expected)]
+    assert values[0] == start
+    assert values[1:].tobytes() == expected.tobytes()
     assert rng_row.bit_generator.state == rng_oracle.bit_generator.state
     if case == "top_up":
         assert len(recorded.sizes) > 1
@@ -282,16 +283,16 @@ def test_row_wise_increments_match_single_row_oracle(law, case):
 def test_row_wise_increments_pad_each_row_after_its_overshooter():
     law = dist.Exponential(1.0)
     starts = [0.0, 3.0, 12.0, 9.5]
-    sums, kept = rn._draw_increments_until(law, stream(31), starts, 10.0, 2.0, 1.0)  # mean overstated: top-ups
-    for start, row, last in zip(starts, sums, kept):
-        finite = row[np.isfinite(row)]
-        assert np.all(np.isposinf(row[len(finite):]))
-        assert finite[0] == start and len(finite) == last + 1
+    counts, values = rn._draw_increments_until(law, stream(31), starts, 10.0, 2.0, 1.0)  # mean overstated: top-ups
+    # Ragged rows hold no padding: each row ends at its overshooter.
+    assert len(counts) == len(starts) and counts.sum() == len(values) and np.all(np.isfinite(values))
+    for start, row in zip(starts, split_rows(counts, values)):
+        assert row[0] == start
         if start > 10.0:
-            assert last == 0
+            assert len(row) == 1
             continue
-        assert np.all(finite[:-1] <= 10.0) and finite[-1] > 10.0
-        assert np.all(np.diff(finite) > 0.0)
+        assert np.all(row[:-1] <= 10.0) and row[-1] > 10.0
+        assert np.all(np.diff(row) > 0.0)
 
 
 def test_batched_rows_equal_replayed_rounds():
@@ -302,14 +303,13 @@ def test_batched_rows_equal_replayed_rounds():
     starts = np.array([0.0, 2.5, 7.9, 11.0, 0.4, 9.99, 5.0])
     rng_rows, rng_oracle = stream(32), stream(32)
     recorded = _RecordedSample(law)
-    sums, kept = rn._draw_increments_until(recorded, rng_rows, starts, 10.0, mu, sd)
+    counts, values = rn._draw_increments_until(recorded, rng_rows, starts, 10.0, mu, sd)
     expected = replayed_increments_until(law, rng_oracle, starts, 10.0, mu, sd)
     assert len(recorded.sizes) > 2
-    assert sums.shape == (len(starts), 1 + max(len(e) for e in expected))
-    for row, last, start, want in zip(sums, kept, starts, expected):
-        assert last == len(want) and row[0] == start
-        assert row[1 : 1 + last].tobytes() == want.tobytes()
-        assert np.all(np.isposinf(row[1 + last :]))
+    assert len(counts) == len(starts) and counts.sum() == len(values)
+    for row, count, start, want in zip(split_rows(counts, values), counts, starts, expected):
+        assert count == 1 + len(want) and row[0] == start
+        assert row[1:].tobytes() == want.tobytes()
     assert rng_rows.bit_generator.state == rng_oracle.bit_generator.state
 
 
@@ -326,15 +326,17 @@ MAX_ROUNDS_PER_CALL = 12
 @pytest.mark.parametrize("law", [dist.LogNormal(0.0, 1.0), dist.Exponential(1.0)], ids=lambda l: type(l).__name__)
 def test_increments_drawn_stay_close_to_the_sums_kept(monkeypatch, law, shape):
     calls = []
-    real = rn._draw_increments_until
+    real = rn._draw_rounds
 
     def recorded(law, rng, starts, target, mu, sd):
         rec = _RecordedSample(law)
-        sums, kept = real(rec, rng, starts, target, mu, sd)
-        calls.append((rec.sizes, int(kept.sum())))
-        return sums, kept
+        draw = real(rec, rng, starts, target, mu, sd)
+        # A row keeps its sums <= target and its first one past: as many
+        # as its values <= target, its start included.
+        calls.append((rec.sizes, int(draw[1].sum())))
+        return draw
 
-    monkeypatch.setattr(rn, "_draw_increments_until", recorded)
+    monkeypatch.setattr(rn, "_draw_rounds", recorded)
     span, rng = DRAW_SHAPES[shape] * law.mean(), stream(51)
     if shape.startswith("forward"):
         for lo, hi in rn.row_blocks(10**4, law, span):
@@ -346,6 +348,35 @@ def test_increments_drawn_stay_close_to_the_sums_kept(monkeypatch, law, shape):
     kept = sum(k for _, k in calls)
     assert drawn <= MAX_DRAWN_PER_KEPT * kept
     assert max(len(sizes) for sizes, _ in calls) <= MAX_ROUNDS_PER_CALL
+
+
+def test_bursty_windows_hold_their_points_not_rows_times_the_longest_row():
+    # Gamma(0.02, 50) windows at c = the mean hold about 4 points a row, but
+    # their rows need up to dozens of rounds, so a matrix of rows x the
+    # longest row is mostly padding.  The bound counts the arrays of ragged
+    # rounds.  Every start is >= 0, so no round is wider than n, and a half
+    # row draws at most n - 1 sums past its end: at most P + 2 k (n - 1)
+    # sums for P points in k rows.
+    law = dist.Gamma(0.02, 50.0)
+    k, c = 10**4, law.mean()
+    n = rn._round_width(c, *_moments(law))
+    tracemalloc.start()
+    try:
+        window = rn.build_stationary_window(law, c, stream(37), size=k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    points = len(window.points)
+    drawn = points + 2 * k * (n - 1)
+    bound = (
+        17 * drawn  # each sum drawn: 8 bytes, its 1-byte mask and at most one 8-byte row index
+        + 9 * k * n  # one round's passing arrays: its mask with the ends and its top-up positions
+        + 9 * k * (2 + 2 * n)  # the first-round slab of both halves and its mask
+        + 50 * points  # the gathered slab, the output, its mask, and the positions and values placed by index
+        + 160 * k  # per-row vectors: delays, counts, ends, offsets
+    )
+    assert points < 5 * k
+    assert peak < bound
 
 
 def assert_window_rows(rows, c):
