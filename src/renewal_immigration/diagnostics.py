@@ -33,7 +33,7 @@ from .distributions import integrated_tail_cdf, is_lattice
 from .errors import KernelError, NonAbsorbedPathError, TruncationError
 from .kernels import sample_path
 from .process import fdd_sample
-from .renewal import ROW_BLOCK_POINTS, build_stationary_window, point_rows, row_blocks, simulate_forward
+from .renewal import ROW_BLOCK_POINTS, build_stationary_window, row_blocks, simulate_forward
 from .stats import TestResult, chi2_sf, energy_distance, ks_one_sample, ks_two_sample
 from .streams import ENERGY, stream
 
@@ -165,16 +165,17 @@ class LaplaceComparison:
 def _exp_neg_h_sums(h, x, counts):
     """``exp(-sum h(x))`` per row of ragged rows holding ``counts`` of the points ``x`` each.
 
-    ``h`` is evaluated only on the points in ``[0, h.support_end())``: a
-    table is 0 before its first breakpoint, which is ``>= 0``, and from its
-    support's end on, and adding a zero to a row's sum keeps its bits.  One
-    ``np.bincount`` adds each row's terms one at a time in point order, as
-    ``_superpose`` does, so a row's sum does not depend on the other rows.
-    ``exp`` is ``math.exp`` per value, which numpy's vectorised exp can
-    differ from in the last ulp.
+    ``h`` is evaluated, and a row index built, only for the points in
+    ``[0, h.support_end())``: a table is 0 before its first breakpoint,
+    which is ``>= 0``, and from its support's end on, and adding a zero to a
+    row's sum keeps its bits.  One ``np.bincount`` adds each row's terms one
+    at a time in point order, as ``_superpose`` does, so a row's sum does
+    not depend on the other rows.  ``exp`` is ``math.exp`` per value, which
+    numpy's vectorised exp can differ from in the last ulp.
     """
     inside = (x >= 0.0) & (x < h.support_end())
-    sums = np.bincount(point_rows(counts)[inside], h.value(x[inside]), minlength=len(counts))
+    rows = np.searchsorted(np.cumsum(counts), np.flatnonzero(inside), side="right")
+    sums = np.bincount(rows, h.value(x[inside]), minlength=len(counts))
     return np.array([math.exp(-s) for s in sums.tolist()])
 
 
@@ -383,9 +384,15 @@ class OvershootReport:
 def overshoot_check(law, horizon, n_realizations, rng):
     """KS of forward-simulation overshoots against the integrated-tail CDF."""
     mu = law.mean()
+    # The limiting overshoot's mean E[xi^2] / (2 mu) is many means for a
+    # bursty law; the horizon should be 20 times the larger of the two.
+    threshold = 20.0 * max(mu, law.second_moment() / (2.0 * mu))
     warning = None
-    if horizon < 20.0 * mu:
-        warning = f"horizon {horizon:g} is below 20 means ({20 * mu:g}); overshoots may be biased"
+    if horizon < threshold:
+        warning = (
+            f"horizon {horizon:g} is below {threshold:g}, 20 times the larger of the mean and the "
+            "limiting overshoot's mean E[xi^2] / (2 mean); overshoots may be biased"
+        )
     overshoots = np.empty(n_realizations)
     for lo, hi in row_blocks(n_realizations, law, horizon):
         overshoots[lo:hi] = simulate_forward(law, horizon, rng, size=hi - lo).overshoot

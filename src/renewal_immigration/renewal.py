@@ -34,10 +34,10 @@ target the same number of draws (:func:`_round_width`), until every row
 is past it.  That rule decides how the generator is consumed, so it is
 part of the ``(config, seed) -> bytes`` contract, as the row blocks are.
 Each round keeps only the sums its rows take, up to each row's first sum
-past the target, and the builders assemble ragged rows from the rounds
-directly (:func:`_ragged`): no array is as wide as the longest row, so a
-block's arrays stay near its points and draws even for bursty laws whose
-rows need many rounds.
+past the target, and the builders write each kept value once, straight
+to its place in the ragged rows (:func:`_ragged`): no array is as wide as
+the longest row, so a block's arrays stay near its points and draws even
+for bursty laws whose rows need many rounds.
 
 Callers that draw many rows do so in blocks (:func:`row_blocks`) of about
 ``ROW_BLOCK_POINTS`` expected points each, which bounds a block's arrays
@@ -64,8 +64,7 @@ __all__ = [
 
 # Expected points per block of rows.  The rounds of :func:`_round_width`
 # draw about 1.1 to 1.4 increments per sum kept, and a block's arrays hold
-# its draws and points, a few bytes each, plus one first-round slab of
-# rows x the first round's width.
+# its draws and points, a few bytes each, plus one round's positions.
 ROW_BLOCK_POINTS = 2**15
 
 
@@ -158,62 +157,30 @@ def _ragged(halves, with_ends=True):
     ``halves`` holds ``(draw, mirrored)`` pairs, and row ``i`` is row ``i``
     of each half in turn: the half's values ``<= target``, then its end if
     ``with_ends``.  A mirrored half is reversed and negated (negation is
-    exact), so its end comes first; its sums are negated in place.
+    exact), so its end comes first.
 
-    The first rounds of all halves fill one slab, each half's columns led
-    by its starts, and one boolean mask gathers it in row-major order; the
-    top-up rounds' sums, a minority, are placed by index.
+    Every value is written once, straight to its place: column ``j`` of a
+    row of a half (its start is column 0) lands at the row's origin plus
+    ``j``, or minus ``j`` when mirrored, and each round places the sums its
+    mask takes.
     """
     counts = sum(draw[1] + with_ends for draw, _ in halves)
-    widths = [1 + (rounds[0][2].shape[1] if rounds else 0) for (_, _, rounds, _), _ in halves]
-    slab = np.empty((len(counts), sum(widths)))
-    take = np.zeros(slab.shape, dtype=bool)
-    at, later = [], []
-    lo = 0
+    values = np.empty(counts.sum())
     base = np.cumsum(counts) - counts  # the position of each row's current half
-    for ((starts, half_counts, rounds, _), mirrored), width in zip(halves, widths):
-        step = -1 if mirrored else 1
-        slab_half = slab[:, lo : lo + width][:, ::step]
-        take_half = take[:, lo : lo + width][:, ::step]
-        slab_half[:, 0] = -starts if mirrored else starts
-        # A row that starts past the target ends at its start.
-        take_half[:, 0] = True if with_ends else half_counts > 0
-        # Column j of a row of the half lands at origin + step * j.
+    for (starts, half_counts, rounds, _), mirrored in halves:
+        sign = -1 if mirrored else 1
         origin = base + half_counts + with_ends - 1 if mirrored else base
-        for i, (rows, col, sums, row_take) in enumerate(rounds):
+        # A row that starts past the target ends at its start.
+        kept = slice(None) if with_ends else half_counts > 0
+        values[origin[kept]] = -starts[kept] if mirrored else starts[kept]
+        for rows, col, sums, take in rounds:
             if with_ends:
                 # Each row also takes its end, its first sum past the target.
-                row_take = np.concatenate([np.ones((len(rows), 1), dtype=bool), row_take[:, :-1]], axis=1)
-            if mirrored:
-                np.negative(sums, out=sums)
-            if i == 0:
-                slab_half[rows, 1:] = sums
-                take_half[rows, 1:] = row_take
-            else:
-                at.append((origin[rows, None] + step * (col + np.arange(sums.shape[1])))[row_take])
-                later.append(sums[row_take])
+                take = np.concatenate([np.ones((len(rows), 1), dtype=bool), take[:, :-1]], axis=1)
+            at = origin[rows, None] + sign * (col + np.arange(sums.shape[1]))
+            values[at[take]] = -sums[take] if mirrored else sums[take]
         base += half_counts + with_ends
-        lo += width
-    if not at:
-        return counts, slab[take]
-    at = np.concatenate(at)
-    values = np.empty(counts.sum())
-    by_index = np.zeros(len(values), dtype=bool)
-    by_index[at] = True
-    values[~by_index] = slab[take]
-    values[at] = np.concatenate(later)
     return counts, values
-
-
-def _draw_increments_until(law, rng, starts, target, mu, sd):
-    """Row-wise sums ``starts[i] + xi_1 + ...`` until strictly past ``target``, as ragged rows.
-
-    Returns ``(counts, values)``: row ``i`` is the next ``counts[i]``
-    entries of ``values``, namely its start, its sums ``<= target``
-    (nondecreasing, with ties kept), then its first sum past the target.
-    A row that starts past the target holds its start alone.
-    """
-    return _ragged([(_draw_rounds(law, rng, starts, target, mu, sd), False)])
 
 
 def simulate_forward(law, horizon, rng, size):
@@ -289,7 +256,7 @@ class StationaryWindowSampler:
         return StationaryWindow(counts=counts, points=points, c=float(c), xi0=self.xi0, u=self.u)
 
     def _draw(self, start, target):
-        return _draw_increments_until(self.law, self._rng, [start], target, self._mu, self._sd)[1][1:]
+        return _ragged([(_draw_rounds(self.law, self._rng, [start], target, self._mu, self._sd), False)])[1][1:]
 
     def extend(self, window, c):
         """Grow a one-row window built by this sampler out to a larger ``c``, forward then backward."""

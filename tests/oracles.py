@@ -227,12 +227,12 @@ def mp_birth_death_generator(spec):
 def single_row_increments_until(law, rng, start, target, mu, sd):
     """Cumulative sums ``start + xi_1 + ...`` until strictly past ``target``.
 
-    The reference for one row of ``renewal._draw_increments_until``, whose
-    ragged row is ``start`` followed by these sums: the scalar-start
-    helper, drawing ``law.sample(rng, size=n)`` rounds with ``n`` from the
-    package's one width rule, ``renewal._round_width``, and trimming after
-    the first sum past the target.  Empty when ``start`` is already past
-    the target.
+    The reference for one row that ``renewal._ragged`` assembles from
+    ``renewal._draw_rounds``, its start followed by these sums: the
+    scalar-start helper, drawing ``law.sample(rng, size=n)`` rounds with
+    ``n`` from the package's one width rule, ``renewal._round_width``, and
+    trimming after the first sum past the target.  Empty when ``start`` is
+    already past the target.
     """
     if start > target:
         return np.empty(0)
@@ -251,12 +251,12 @@ def single_row_increments_until(law, rng, start, target, mu, sd):
 def replayed_increments_until(law, rng, starts, target, mu, sd):
     """Per row, the sums ``starts[i] + xi_1 + ...`` until strictly past ``target``.
 
-    The reference for the ragged rows of ``renewal._draw_increments_until``,
-    each its start followed by these sums: it replays the batched rounds
-    (one ``(active rows, n)`` draw per round, ``n`` from
-    ``renewal._round_width`` at the mean distance of the active rows to the
-    target), then builds each row on its own: a Python list per row,
-    extended round by round and trimmed after its first sum past the
+    The reference for the ragged rows that ``renewal._ragged`` assembles
+    from ``renewal._draw_rounds``, each its start followed by these sums: it
+    replays the batched rounds (one ``(active rows, n)`` draw per round,
+    ``n`` from ``renewal._round_width`` at the mean distance of the active
+    rows to the target), then builds each row on its own: a Python list per
+    row, extended round by round and trimmed after its first sum past the
     target.  Returns a list of 1-D arrays; a row that starts past the
     target is empty.
     """

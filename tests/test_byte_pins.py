@@ -174,7 +174,9 @@ def test_energy_bytes_are_pinned(shape, monkeypatch):
 # tied points; ``pointprocess-non-dyadic`` uses a test function whose
 # values do not add exactly, so the Laplace fields show the order in which
 # each row's terms are summed (with the default ``h`` every sum is a small
-# integer).
+# integer); ``pointprocess-bursty`` runs all four checks on Gamma(0.02, 50),
+# whose rows hold many tied points and need many top-up rounds, at a
+# horizon past the overshoot warning's 510 means.
 _EXPONENTIAL = {"family": "exponential", "rate": 1.0}
 _INDICATOR = {"kind": "indicator", "eta": _EXPONENTIAL}
 _PARETO_08_INDICATOR = {"kind": "indicator", "eta": {"family": "pareto", "alpha": 0.8, "xm": 1.0}}
@@ -188,6 +190,8 @@ CLI_RUNS = {
     "converge-truncation": ("converge", {"kernel": _PARETO_08_INDICATOR, "t_list": [1.0, 5.0],
                                          "u_grid": [0.0], "n_replicates": 20}),
     "pointprocess": ("pointprocess", {"pointprocess": _SMALL_POINTPROCESS}),
+    "pointprocess-bursty": ("pointprocess", {"law": {"family": "gamma", "shape": 0.02, "scale": 50.0},
+                                             "pointprocess": _SMALL_POINTPROCESS | {"horizon": 600.0}}),
     "pointprocess-lattice": ("pointprocess", {"law": {"family": "point_mass", "value": 1.0},
                                               "pointprocess": _SMALL_POINTPROCESS | {"horizon": 10.5}}),
     "pointprocess-non-dyadic": ("pointprocess", {"law": {"family": "gamma", "shape": 2.0, "scale": 0.5},
@@ -246,10 +250,16 @@ CLI_DIGESTS = {
             "pointprocess.json": "24836c65562478125eaa28bf87372f9e47ef3357fb95a81a8e2a058801ad3f8d",
         },
     ),
+    "pointprocess-bursty": (
+        0,
+        {
+            "pointprocess.json": "121c4cc3b32cf81d3a0922a5d235b763a7323fe3bc4620f39c6e3c69cc26377a",
+        },
+    ),
     "pointprocess-lattice": (
         3,
         {
-            "pointprocess.json": "485718a49084e246edde4cc9d2cdd7b4337ab6295d9c30fb447c535a4650e7d3",
+            "pointprocess.json": "2a0e926efb07eb994dc90b9710978e0a3e726a80d6b7b89d20d9b56a7dccdac3",
         },
     ),
     "pointprocess-non-dyadic": (

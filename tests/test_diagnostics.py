@@ -418,6 +418,26 @@ def test_overshoot_check_point_mass_lattice_flag():
     assert report.horizon_warning is not None  # 10.5 < 20 means
 
 
+# The horizon must reach 20 of the limiting overshoot's mean
+# E[xi^2] / (2 mu) as well as 20 means: 510 means for Gamma(0.02, 50),
+# 27.2 means for LogNormal(0, 1).
+HORIZON_WARNINGS = {
+    "bursty-50": (dist.Gamma(0.02, 50.0), 50.0, "horizon 50 is below 510, "),
+    "bursty-600": (dist.Gamma(0.02, 50.0), 600.0, None),
+    "lognormal-50": (dist.LogNormal(0.0, 1.0), 50.0 * math.exp(0.5), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HORIZON_WARNINGS))
+def test_overshoot_horizon_warning_follows_the_limiting_overshoot_mean(case):
+    law, horizon, prefix = HORIZON_WARNINGS[case]
+    warning = dg.overshoot_check(law, horizon, 20, stream(25)).horizon_warning
+    if prefix is None:
+        assert warning is None
+    else:
+        assert warning is not None and warning.startswith(prefix)
+
+
 def test_shift_invariance_check():
     res = dg.shift_invariance_check(EXP_LAW, 0.25, (0.0, 1.0), 2 * 10**4, stream(24))
     assert res.p_value > 0.01

@@ -270,7 +270,7 @@ def test_row_wise_increments_match_single_row_oracle(law, case):
     mu, sd = _moments(law)
     rng_row, rng_oracle = stream(30), stream(30)
     recorded = _RecordedSample(law)
-    counts, values = rn._draw_increments_until(recorded, rng_row, [start], target, factor * mu, sd)
+    counts, values = rn._ragged([(rn._draw_rounds(recorded, rng_row, [start], target, factor * mu, sd), False)])
     expected = single_row_increments_until(law, rng_oracle, start, target, factor * mu, sd)
     assert len(values) == 1 + len(expected) and counts.tolist() == [1 + len(expected)]
     assert values[0] == start
@@ -283,7 +283,8 @@ def test_row_wise_increments_match_single_row_oracle(law, case):
 def test_row_wise_increments_pad_each_row_after_its_overshooter():
     law = dist.Exponential(1.0)
     starts = [0.0, 3.0, 12.0, 9.5]
-    counts, values = rn._draw_increments_until(law, stream(31), starts, 10.0, 2.0, 1.0)  # mean overstated: top-ups
+    # The mean is overstated, so top-up rounds follow.
+    counts, values = rn._ragged([(rn._draw_rounds(law, stream(31), starts, 10.0, 2.0, 1.0), False)])
     # Ragged rows hold no padding: each row ends at its overshooter.
     assert len(counts) == len(starts) and counts.sum() == len(values) and np.all(np.isfinite(values))
     for start, row in zip(starts, split_rows(counts, values)):
@@ -303,7 +304,7 @@ def test_batched_rows_equal_replayed_rounds():
     starts = np.array([0.0, 2.5, 7.9, 11.0, 0.4, 9.99, 5.0])
     rng_rows, rng_oracle = stream(32), stream(32)
     recorded = _RecordedSample(law)
-    counts, values = rn._draw_increments_until(recorded, rng_rows, starts, 10.0, mu, sd)
+    counts, values = rn._ragged([(rn._draw_rounds(recorded, rng_rows, starts, 10.0, mu, sd), False)])
     expected = replayed_increments_until(law, rng_oracle, starts, 10.0, mu, sd)
     assert len(recorded.sizes) > 2
     assert len(counts) == len(starts) and counts.sum() == len(values)
@@ -369,11 +370,10 @@ def test_bursty_windows_hold_their_points_not_rows_times_the_longest_row():
     points = len(window.points)
     drawn = points + 2 * k * (n - 1)
     bound = (
-        17 * drawn  # each sum drawn: 8 bytes, its 1-byte mask and at most one 8-byte row index
-        + 9 * k * n  # one round's passing arrays: its mask with the ends and its top-up positions
-        + 9 * k * (2 + 2 * n)  # the first-round slab of both halves and its mask
-        + 50 * points  # the gathered slab, the output, its mask, and the positions and values placed by index
-        + 160 * k  # per-row vectors: delays, counts, ends, offsets
+        9 * drawn  # each sum drawn: 8 bytes and its 1-byte mask, every round held until placed
+        + 9 * k * n  # one round's passing arrays: its positions and its mask with the ends
+        + 24 * points  # the output, and one round's positions and values its mask takes
+        + 160 * k  # per-row vectors: delays, counts, ends, origins
     )
     assert points < 5 * k
     assert peak < bound
@@ -416,28 +416,38 @@ def test_batched_rows_keep_the_single_row_invariants(law, c, horizon, k, seed):
     assert np.array_equal(real.overshoot, real.overshoot_epoch - horizon)
 
 
+# (horizon, c): rows of many rounds, and rows so short that every
+# LogNormal(0, 1) window half starts past c and draws no round.
+RAGGED_SPANS = [(20.0, 10.0), (0.3, 0.05)]
+
+
 @pytest.mark.parametrize("law", [BURSTY, dist.LogNormal(0.0, 1.0)], ids=lambda l: type(l).__name__)
 def test_ragged_rows_are_the_replayed_rows_in_row_major_order(law):
     # Row i is the next counts[i] points of the flat array, exactly the
     # points that replaying the rounds builds for it alone.
     mu, sd = _moments(law)
-    k, horizon, c = 30, 20.0, 10.0
-    real = rn.simulate_forward(law, horizon, stream(35), size=k)
-    runs = replayed_increments_until(law, stream(35), np.zeros(k), horizon, mu, sd)
-    assert real.counts.tolist() == [len(run) for run in runs]
-    assert real.epochs.tobytes() == np.concatenate([np.append(0.0, run[:-1]) for run in runs]).tobytes()
-    assert real.overshoot_epoch.tobytes() == np.array([run[-1] for run in runs]).tobytes()
+    k = 30
+    for horizon, c in RAGGED_SPANS:
+        real = rn.simulate_forward(law, horizon, stream(35), size=k)
+        runs = replayed_increments_until(law, stream(35), np.zeros(k), horizon, mu, sd)
+        assert real.counts.tolist() == [len(run) for run in runs]
+        assert real.epochs.tobytes() == np.concatenate([np.append(0.0, run[:-1]) for run in runs]).tobytes()
+        assert real.overshoot_epoch.tobytes() == np.array([run[-1] for run in runs]).tobytes()
 
-    window = rn.build_stationary_window(law, c, stream(36), size=k)
-    rng = stream(36)
-    s0, xi0, _ = dist.sample_stationary_delay(law, rng, size=k)
-    s_minus1 = s0 - xi0
-    fwd = replayed_increments_until(law, rng, s0, c, mu, sd)
-    bwd = replayed_increments_until(law, rng, -s_minus1, c, mu, sd)
-    rows = [np.concatenate([-b[::-1], [lo, hi], f]) for b, lo, hi, f in zip(bwd, s_minus1, s0, fwd)]
-    assert window.counts.tolist() == [len(row) for row in rows]
-    assert window.counts.min() < window.counts.max()
-    assert window.points.tobytes() == np.concatenate(rows).tobytes()
+        window = rn.build_stationary_window(law, c, stream(36), size=k)
+        rng = stream(36)
+        s0, xi0, _ = dist.sample_stationary_delay(law, rng, size=k)
+        s_minus1 = s0 - xi0
+        fwd = replayed_increments_until(law, rng, s0, c, mu, sd)
+        bwd = replayed_increments_until(law, rng, -s_minus1, c, mu, sd)
+        rows = [np.concatenate([-b[::-1], [lo, hi], f]) for b, lo, hi, f in zip(bwd, s_minus1, s0, fwd)]
+        assert window.counts.tolist() == [len(row) for row in rows]
+        if c > 1.0:
+            assert window.counts.min() < window.counts.max()
+        else:
+            # A row whose halves both start past c holds its two starts alone.
+            assert window.counts.min() == 2
+        assert window.points.tobytes() == np.concatenate(rows).tobytes()
 
 
 def test_batched_rows_draw_from_the_generator_without_spawning():
@@ -456,7 +466,7 @@ def test_batched_forward_rows_equal_single_runs_without_top_up():
     law = dist.Uniform(0.9, 1.1)
     recorded = _RecordedSample(law)
     mu, sd = _moments(law)
-    rn._draw_increments_until(recorded, stream(33), np.zeros(5), 30.0, mu, sd)
+    rn._draw_rounds(recorded, stream(33), np.zeros(5), 30.0, mu, sd)
     assert len(recorded.sizes) == 1
     batch = rn.simulate_forward(law, 30.0, stream(33), size=5)
     rng = stream(33)
