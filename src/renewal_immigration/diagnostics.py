@@ -31,7 +31,7 @@ import numpy as np
 
 from .distributions import integrated_tail_cdf, is_lattice
 from .errors import KernelError, NonAbsorbedPathError, TruncationError
-from .kernels import sample_path
+from .kernels import sample_path, unit_interval_sups
 from .process import fdd_sample
 from .renewal import ROW_BLOCK_POINTS, build_stationary_window, row_blocks, simulate_forward
 from .stats import TestResult, chi2_sf, energy_distance, ks_one_sample, ks_two_sample
@@ -145,7 +145,7 @@ def dri_path_check(spec, k_max, n_mc, rng):
     """Estimate ``E[sup over [k, k+1) of |X| ^ 1]`` from exact path sups."""
     if k_max < 1 or n_mc < 1:
         raise KernelError("need k_max >= 1 and n_mc >= 1")
-    terms = _capped_path_mean(spec, n_mc, k_max, lambda paths: paths.unit_sups(k_max), rng)
+    terms = _capped_path_mean(spec, n_mc, k_max, lambda paths: unit_interval_sups(paths, k_max), rng)
     return _dri_report("path", terms, n_mc, spec)
 
 

@@ -351,6 +351,10 @@ class Pareto:
     def __post_init__(self):
         if not (self.alpha > 0 and self.xm > 0):
             raise LawError("pareto requires alpha > 0 and xm > 0")
+        # The largest draw, at the largest uniform 1 - 2^-53, must be a float.
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self._draw(1.0 - 2.0**-53)):
+                raise LawError("pareto's largest draw overflows a float (alpha too small or xm too large)")
 
     def mean(self):
         if self.alpha <= 1.0:
@@ -366,7 +370,9 @@ class Pareto:
         return self.xm, math.inf
 
     def sample(self, rng, size):
-        u = rng.uniform(size=size)
+        return self._draw(rng.uniform(size=size))
+
+    def _draw(self, u):
         return self.xm * np.power(1.0 - u, -1.0 / self.alpha)
 
     def tail_mean(self, x):

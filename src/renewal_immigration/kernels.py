@@ -41,16 +41,17 @@ A spec's config form, ``kind`` plus one key per dataclass field, is read
 and written by :mod:`.config` alone.  A new kind is one such class added
 to :data:`KernelSpec`.
 
-``sample(rng, size=k)`` draws ``k`` paths as one batched path.  It has
-two methods, each with one result row per path: ``values(ts)`` at times
-that broadcast against a ``(k, 1)`` column (a shared ``(g,)`` grid or a
-``(k, g)`` array), and ``unit_sups(k_max)``, the exact sups of ``|X|``
-over ``[j, j + 1)`` for ``j < k_max`` as a ``(k, k_max)`` array.  A
-mark kernel's batch holds a ``(k, 1)`` column of marks and uses the same
-random draws, in the same order, as ``k`` calls with ``size=1``.  A
-birth-death batch steps all its chains at once, one array draw per step
-for the holding times and one for the moves, so its draws depend on
-``k``; it holds their jumps as ragged rows.
+``sample(rng, size=k)`` draws ``k`` paths as one batched path.  Its
+``values(ts)`` has one row per path, at times that broadcast against a
+``(k, 1)`` column (a shared ``(g,)`` grid or a ``(k, g)`` array).  Its
+``jumps(horizon)`` lists each path's jumps in ``[0, horizon)`` as ragged
+rows ``(counts, times, after)``, each time with the value right after it;
+``|X|`` is constant or decreasing between them, so one rule,
+:func:`unit_interval_sups`, reads exact sups over unit intervals off
+them.  A mark kernel's batch holds a ``(k, 1)`` column of marks and uses
+the same random draws, in the same order, as ``k`` calls with
+``size=1``.  A birth-death batch steps all its chains at once, so its
+draws depend on ``k``.
 """
 
 import math
@@ -72,6 +73,7 @@ __all__ = [
     "SpikeTrain",
     "KernelSpec",
     "sample_path",
+    "unit_interval_sups",
     "birth_death_tail_integral",
 ]
 
@@ -378,19 +380,11 @@ KernelSpec = DeterministicTable | Indicator | ScaledExpDecay | ScaledTable | Bir
 # Path samples
 
 
-def _step_unit_sups(breaks, vals, k_max):
-    """Per-unit-interval sups of |step function| for k = 0..k_max-1."""
-    sups = np.zeros(k_max)
-    edges = list(breaks) + [math.inf]
-    for i, v in enumerate(vals):
-        if v == 0.0:
-            continue
-        s, e = edges[i], edges[i + 1]
-        k_lo = max(0, int(math.floor(s)))
-        k_hi = k_max - 1 if math.isinf(e) else min(k_max - 1, int(math.ceil(e)) - 1)
-        if k_hi >= k_lo:
-            sups[k_lo : k_hi + 1] = np.maximum(sups[k_lo : k_hi + 1], abs(v))
-    return sups
+def _listed(times, after, keep, horizon):
+    """Ragged rows of the ``(k, m)`` broadcasts of ``times`` and ``after``: the entries ``keep`` holds before ``horizon``."""
+    times, after = np.broadcast_arrays(times, after)
+    keep = keep & (times < horizon)
+    return keep.sum(axis=1), times[keep], after[keep]
 
 
 @dataclass(frozen=True)
@@ -403,8 +397,8 @@ class TablePath:
     def values(self, ts):
         return self.scale * self.table.value(np.asarray(ts, dtype=float))
 
-    def unit_sups(self, k_max):
-        return np.abs(self.scale) * _step_unit_sups(self.table.breakpoints, self.table.values, k_max)
+    def jumps(self, horizon):
+        return _listed(np.array(self.table.breakpoints), self.scale * np.array(self.table.values), True, horizon)
 
 
 @dataclass(frozen=True)
@@ -417,8 +411,9 @@ class IndicatorPath:
         ts = np.asarray(ts, dtype=float)
         return ((ts >= 0.0) & (ts < self.eta)).astype(float)
 
-    def unit_sups(self, k_max):
-        return (np.arange(k_max) < self.eta).astype(float)
+    def jumps(self, horizon):
+        # Up to 1 at 0, down to 0 at eta; an empty pulse lists neither.
+        return _listed(np.hstack([np.zeros_like(self.eta), self.eta]), np.array([1.0, 0.0]), self.eta > 0.0, horizon)
 
 
 @dataclass(frozen=True)
@@ -432,8 +427,8 @@ class ExpDecayPath:
         ts = np.asarray(ts, dtype=float)
         return np.where(ts >= 0.0, self.eta * np.exp(-self.decay * np.maximum(ts, 0.0)), 0.0)
 
-    def unit_sups(self, k_max):
-        return np.abs(self.eta) * np.exp(-self.decay * np.arange(k_max))
+    def jumps(self, horizon):
+        return _listed(np.zeros_like(self.eta), self.eta, True, horizon)
 
 
 @dataclass(frozen=True)
@@ -449,8 +444,14 @@ class SpikePath:
         hit = (ts >= 1.0) & (x < self.eta) & (x * (k * k + 1.0) >= k * k * self.eta)
         return hit.astype(float)
 
-    def unit_sups(self, k_max):
-        return ((self.eta > 0.0) & (np.arange(k_max) >= 1)).astype(float)
+    def jumps(self, horizon):
+        # Each pulse's start, kept in its unit though it rounds, then its end: the first t with t - k >= eta.
+        k = np.arange(1.0, horizon)
+        start = np.minimum(k + k * k * self.eta / (k * k + 1.0), np.nextafter(k + 1.0, 0.0))
+        end = k + self.eta  # end - k is exact: step up one spacing of k where k + eta rounded down
+        end += (end - k < self.eta) * np.spacing(k)
+        times = np.dstack((start, end)).reshape(len(self.eta), -1)
+        return _listed(times, np.tile([1.0, 0.0], len(k)), self.eta > 0.0, horizon)
 
 
 @dataclass(frozen=True)
@@ -482,14 +483,10 @@ class BirthDeathPath:
             lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
         return np.where(ts >= 0.0, np.where(lo > starts, self.states[lo - 1], self.initial), 0.0)
 
-    def unit_sups(self, k_max):
-        # The value at each j, raised by the states entered in [j, j + 1).
-        sups = self.values(np.arange(k_max, dtype=float))
-        unit = np.floor(self.times)
+    def jumps(self, horizon):
+        inside = self.times < horizon
         rows = np.repeat(np.arange(len(self.counts)), self.counts)
-        inside = unit < k_max
-        np.maximum.at(sups, (rows[inside], unit[inside].astype(np.intp)), self.states[inside])
-        return sups
+        return np.bincount(rows[inside], minlength=len(self.counts)), self.times[inside], self.states[inside]
 
 
 # --------------------------------------------------------------------------
@@ -504,6 +501,14 @@ def sample_path(spec, rng, size):
     ``size`` one-row calls would.
     """
     return spec.sample(rng, size=size)
+
+
+def unit_interval_sups(path, k_max):
+    """Exact sups of ``|X|`` over ``[j, j + 1)``, ``j < k_max``: ``|X(j)|``, raised by the jumps listed inside."""
+    counts, times, after = path.jumps(k_max)
+    sups = np.abs(path.values(np.arange(k_max, dtype=float))).ravel()  # flat, for ufunc.at's fast path
+    np.maximum.at(sups, np.repeat(np.arange(len(counts)) * k_max, counts) + times.astype(np.intp), np.abs(after))
+    return sups.reshape(len(counts), k_max)
 
 
 @lru_cache(maxsize=32)

@@ -134,6 +134,8 @@ BAD_TABLE = {"kind": "deterministic_table", "breakpoints": [0.0], "values": ["a"
         ("simulate", {"law": {"family": "uniform", "lo": 0, "hi": 1e308}}, "law"),
         ("stationary", {"kernel": {"kind": "scaled_exp_decay", "eta": {"family": "lognormal", "mu": 0, "sigma": 1e200},
                                    "decay": 1.0}, "u_grid": [0.0], "n_replicates": 5}, "kernel"),
+        ("dri", {"kernel": {"kind": "scaled_exp_decay", "eta": {"family": "pareto", "alpha": 0.01, "xm": 1.0},
+                            "decay": 20.0}, "seed": 3}, "kernel"),
     ],
 )
 def test_malformed_fields_exit_1_without_traceback(tmp_path, capsys, command, fields, path):

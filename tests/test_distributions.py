@@ -223,6 +223,21 @@ def test_family_parameter_validation():
         dist.Pareto(0.0, 1.0)
 
 
+def test_pareto_rejects_parameters_whose_largest_draw_overflows():
+    # The largest uniform is 1 - 2^-53, so the largest draw is about
+    # xm 2^(53 / alpha): past the largest float for alpha < 53/1024 (at
+    # xm = 1) or xm above about 1.9e300 (at alpha = 2).
+    class LargestUniform:
+        def uniform(self, size):
+            return np.full(size, 1.0 - 2.0**-53)
+
+    for alpha, xm in [(0.01, 1.0), (0.05, 1.0), (2.0, 1e302)]:
+        with pytest.raises(LawError, match="overflows"):
+            dist.Pareto(alpha, xm)
+    for alpha, xm in [(0.06, 1.0), (2.0, 1e300), (0.5, 1.0)]:
+        assert np.all(np.isfinite(dist.Pareto(alpha, xm).sample(LargestUniform(), size=3)))
+
+
 def test_eta_laws_allow_signed_and_heavy_tails():
     eta = law_from_config({"family": "uniform", "lo": -1.0, "hi": 1.0})
     assert eta.support() == (-1.0, 1.0)

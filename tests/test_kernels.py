@@ -25,6 +25,18 @@ ALL_SPECS = [
     kn.SpikeTrain(),
 ]
 
+# Inputs beyond ALL_SPECS for the jump lists and unit sups: indicator rows
+# with eta = 0 among others, whose pulses are empty, and a table scaled by
+# marks of both signs, whose jumps inside units raise |X| to a value of
+# either sign.
+EDGE_SPECS = [
+    pytest.param(kn.Indicator(dist.FiniteDiscrete(((0.0, 0.5), (2.5, 0.5)))), id="IndicatorEmptyPulses"),
+    pytest.param(
+        kn.ScaledTable(dist.Uniform(-2.0, 1.0), kn.DeterministicTable((0.5, 1.5, 2.5), (1.0, -2.0, 0.5))),
+        id="ScaledTableSignedMarks",
+    ),
+]
+
 
 def test_table_eval_semantics():
     path = kn.sample_path(TABLE_STEPS, stream(0), size=1)
@@ -167,10 +179,41 @@ def test_spike_train_geometry():
     # Pulse in [k + 0.5 k^2/(k^2+1), k + 0.5); none before k=1.
     lo1 = 1.0 + 0.5 * 1.0 / 2.0
     assert path.values([0.4, lo1, lo1 - 1e-9, 1.4999, 1.5]).tolist() == [[0.0, 1.0, 0.0, 1.0, 0.0]]
-    assert path.unit_sups(6).tolist() == [[0.0, 1.0, 1.0, 1.0, 1.0, 1.0]]
+    assert kn.unit_interval_sups(path, 6).tolist() == [[0.0, 1.0, 1.0, 1.0, 1.0, 1.0]]
     # A zero mark gives empty pulses: that row's sups are 0 wherever the other's hit.
     rows = kn.SpikePath(np.array([[0.0], [0.5]]))
-    assert rows.unit_sups(3).tolist() == [[0.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
+    assert kn.unit_interval_sups(rows, 3).tolist() == [[0.0, 0.0, 0.0], [0.0, 1.0, 1.0]]
+
+
+def test_spike_sups_hold_where_pulse_starts_round_to_the_next_unit():
+    # From k = 2^18 with eta = 1 - 2^-53, k + k^2 eta / (k^2 + 1) rounds to
+    # k + 1 (in 37 856 of the first 3e5 units); the pulse still hits 1 in
+    # unit k, so every unit from 1 on reads 1.
+    paths = kn.SpikePath(np.array([[1.0 - 2.0**-53], [0.5], [0.0]]))
+    sups = kn.unit_interval_sups(paths, 300_000)
+    assert np.all(sups[:2, 1:] == 1.0) and np.all(sups[:2, 0] == 0.0)
+    assert np.all(sups[2] == 0.0)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + EDGE_SPECS, ids=lambda s: type(s).__name__)
+def test_jumps_list_nondecreasing_times_and_the_values_after_them(spec):
+    k, horizon = 12, 3.5
+    path = kn.sample_path(spec, stream(16), size=k)
+    counts, times, after = path.jumps(horizon)
+    assert counts.shape == (k,) and counts.sum() == len(times) == len(after)
+    ends = np.cumsum(counts)
+    assert all(np.all(np.diff(row) >= 0.0) for row in np.split(times, ends[:-1]))
+    assert np.all((times >= 0.0) & (times < horizon))
+    # Each listed time's value.  A spike pulse's start is rounded, so its
+    # value is read at the pulse's midpoint.
+    at = times.copy()
+    if isinstance(path, kn.SpikePath):
+        unit, eta, start = np.floor(times), np.repeat(path.eta[:, 0], counts), after == 1.0
+        at[start] = (unit + eta * (unit**2 + 0.5) / (unit**2 + 1.0))[start]
+    rows, slots = np.repeat(np.arange(k), counts), np.arange(len(times)) - np.repeat(ends - counts, counts)
+    grid = np.full((k, counts.max()), -1.0)
+    grid[rows, slots] = at
+    assert path.values(grid)[rows, slots].tobytes() == after.astype(float).tobytes()
 
 
 def test_spike_train_brute_force_scan():
@@ -234,7 +277,7 @@ def change_points(path, k_max):
     return np.empty((k, 0))
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("spec", ALL_SPECS + EDGE_SPECS, ids=lambda s: type(s).__name__)
 def test_unit_sups_match_interval_sups(spec):
     # A right-continuous path that is piecewise constant, or monotone in
     # |X| between its change points, has its sup over [j, j + 1) at j or at
@@ -244,7 +287,7 @@ def test_unit_sups_match_interval_sups(spec):
     ts = np.concatenate([np.broadcast_to(np.arange(k_max, dtype=float), (k, k_max)), change_points(path, k_max)], axis=1)
     vals, units = np.abs(path.values(ts)), np.floor(ts)
     want = np.array([[vals[i, units[i] == j].max() for j in range(k_max)] for i in range(k)])
-    assert path.unit_sups(k_max).tobytes() == want.tobytes()
+    assert kn.unit_interval_sups(path, k_max).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
@@ -263,10 +306,10 @@ def test_batch_equals_one_row_batches(spec):
     else:
         rows = [kn.sample_path(spec, rng_rows, size=1) for _ in range(k)]
         want_values = np.concatenate([row.values(ts) for row in rows])
-        want_sups = np.concatenate([row.unit_sups(12) for row in rows])
+        want_sups = np.concatenate([kn.unit_interval_sups(row, 12) for row in rows])
     assert rng_batch.bit_generator.state == rng_rows.bit_generator.state
     assert batch.values(ts).tobytes() == want_values.tobytes()
-    assert batch.unit_sups(12).tobytes() == want_sups.tobytes()
+    assert kn.unit_interval_sups(batch, 12).tobytes() == want_sups.tobytes()
 
 
 def test_birth_death_values_equal_per_row_searchsorted():
