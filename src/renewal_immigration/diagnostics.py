@@ -33,7 +33,7 @@ from .distributions import integrated_tail_cdf, is_lattice
 from .errors import KernelError, NonAbsorbedPathError, TruncationError
 from .kernels import sample_path, unit_interval_sups
 from .process import fdd_sample
-from .renewal import ROW_BLOCK_POINTS, build_stationary_window, row_blocks, simulate_forward
+from .renewal import ROW_BLOCK_POINTS, build_stationary_window, read_interval, row_blocks, simulate_forward
 from .stats import TestResult, chi2_sf, energy_distance, ks_one_sample, ks_two_sample
 from .streams import ENERGY, stream
 
@@ -171,7 +171,9 @@ def _exp_neg_h_sums(h, x, counts):
     row's sum keeps its bits.  One ``np.bincount`` adds each row's terms one
     at a time in point order, as ``_superpose`` does, so a row's sum does
     not depend on the other rows.  ``exp`` is ``math.exp`` per value, which
-    numpy's vectorised exp can differ from in the last ulp.
+    numpy's vectorised exp can differ from in the last ulp.  The rows may
+    hold only the points that map into the support (the builders' ``within``
+    interval): the sums do not change.
     """
     inside = (x >= 0.0) & (x < h.support_end())
     rows = np.searchsorted(np.cumsum(counts), np.flatnonzero(inside), side="right")
@@ -190,16 +192,17 @@ def laplace_functional_compare(law, h, t, n_mc, rng):
         raise KernelError("test function h must be nonnegative")
     if math.isinf(h.support_end()):
         raise KernelError("test function h must have compact support")
+    # The sums read the points x = t - S, and x = S*, in [0, support_end).
+    end = h.support_end()
     transient = np.empty(n_mc)
     for lo, hi in row_blocks(n_mc, law, t):
-        real = simulate_forward(law, t, rng, size=hi - lo)
+        real = simulate_forward(law, t, rng, size=hi - lo, within=read_interval(-end, 0.0, t))
         transient[lo:hi] = _exp_neg_h_sums(h, t - real.epochs, real.counts)
     c = laplace_half_width(law, h)
     stationary = np.empty(n_mc)
     for lo, hi in row_blocks(n_mc, law, 2.0 * c):
-        # Sentinels lie outside [-c, c] which contains the support of h,
-        # so summing over every window point is exact.
-        window = build_stationary_window(law, c, rng, size=hi - lo)
+        # [-c, c] contains the support of h, so the sums are exact.
+        window = build_stationary_window(law, c, rng, size=hi - lo, within=read_interval(0.0, end))
         stationary[lo:hi] = _exp_neg_h_sums(h, window.points, window.counts)
     z99 = 2.5758293035489004
     return LaplaceComparison(
@@ -355,8 +358,9 @@ def intensity_check(law, intervals, n_windows, rng):
     # Running sums of the integer counts and their squares are exact.
     sums = [0] * len(intervals)
     squares = [0] * len(intervals)
+    within = read_interval(min(a for a, _ in intervals), max(b for _, b in intervals))
     for lo, hi in row_blocks(n_windows, law, 2.0 * c):
-        window = build_stationary_window(law, c, rng, size=hi - lo)
+        window = build_stationary_window(law, c, rng, size=hi - lo, within=within)
         for j, (a, b) in enumerate(intervals):
             cnt = window.count_in(a, b)
             sums[j] += int(cnt.sum())
@@ -395,7 +399,8 @@ def overshoot_check(law, horizon, n_realizations, rng):
         )
     overshoots = np.empty(n_realizations)
     for lo, hi in row_blocks(n_realizations, law, horizon):
-        overshoots[lo:hi] = simulate_forward(law, horizon, rng, size=hi - lo).overshoot
+        # The check reads the overshoots alone: the empty interval keeps no epoch.
+        overshoots[lo:hi] = simulate_forward(law, horizon, rng, size=hi - lo, within=(math.inf, -math.inf)).overshoot
     return OvershootReport(
         ks=ks_one_sample(overshoots, lambda x: integrated_tail_cdf(law, x)),
         horizon=float(horizon),
@@ -416,8 +421,9 @@ def shift_invariance_check(law, shift, interval, n_windows, rng):
 
     def counts(t):
         out = np.empty(n_each, dtype=int)
+        within = read_interval(a, b, t)
         for lo, hi in row_blocks(n_each, law, 2.0 * c):
-            out[lo:hi] = build_stationary_window(law, c, rng, size=hi - lo).count_in(a, b, shift=t)
+            out[lo:hi] = build_stationary_window(law, c, rng, size=hi - lo, within=within).count_in(a, b, shift=t)
         return out
 
     base = counts(0.0)

@@ -21,7 +21,8 @@ cancels, so it keeps its relative accuracy far out in the tail.  The
 integrated-tail CDF and the indicator kernel's truncation bound are both
 read from it.
 Normal (hence log-normal) tails are computed with ``math.erfc``; only the
-gamma tail imports ``scipy.special``, when called.
+gamma tail imports ``scipy.special``, when called, and only the lattice
+span of a finite discrete law imports ``fractions``.
 
 A law's config form, e.g. ``{"family": "exponential", "rate": 1.0}``, is
 read and written by :mod:`.config` alone.
@@ -29,7 +30,6 @@ read and written by :mod:`.config` alone.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, reduce
 from typing import ClassVar
 
@@ -444,6 +444,8 @@ def integrated_tail_cdf(law, x):
 
 
 def _rational(value):
+    from fractions import Fraction
+
     frac = Fraction(value).limit_denominator(LATTICE_MAX_DENOMINATOR)
     if abs(float(frac) - value) <= _LATTICE_ATOL * max(1.0, abs(value)):
         return frac
@@ -459,6 +461,8 @@ def lattice_span(law):
     if isinstance(law, PointMass):
         return abs(law.value) if law.value != 0 else None
     if isinstance(law, FiniteDiscrete):
+        from fractions import Fraction
+
         fracs = []
         for v, _ in law.atoms:
             f = _rational(v)

@@ -445,13 +445,29 @@ class SpikePath:
         return hit.astype(float)
 
     def jumps(self, horizon):
-        # Each pulse's start, kept in its unit though it rounds, then its end: the first t with t - k >= eta.
+        # Each pulse's start, kept in its unit though it rounds, then its end: the first t with t - k >= eta,
+        # written in place, in turn.  Rows with eta = 0 never pulse, and are not built.
+        pulsing = self.eta[:, 0] > 0.0
+        eta = self.eta[pulsing]
         k = np.arange(1.0, horizon)
-        start = np.minimum(k + k * k * self.eta / (k * k + 1.0), np.nextafter(k + 1.0, 0.0))
-        end = k + self.eta  # end - k is exact: step up one spacing of k where k + eta rounded down
-        end += (end - k < self.eta) * np.spacing(k)
-        times = np.dstack((start, end)).reshape(len(self.eta), -1)
-        return _listed(times, np.tile([1.0, 0.0], len(k)), self.eta > 0.0, horizon)
+        times = np.empty((len(eta), len(k), 2))
+        start, end = times[..., 0], times[..., 1]
+        np.multiply(k * k, eta, out=start)  # k + k^2 eta / (k^2 + 1), as (k * k * eta) / (k * k + 1) + k
+        start /= k * k + 1.0
+        start += k
+        np.minimum(start, np.nextafter(k + 1.0, 0.0), out=start)
+        np.add(k, eta, out=end)  # end - k is exact: step up one spacing of k where k + eta rounded down
+        end += (end - k < eta) * np.spacing(k)
+        times = times.reshape(len(eta), -1)
+        after = np.zeros(times.shape)
+        after[:, ::2] = 1.0
+        counts = np.zeros(len(self.eta), dtype=np.intp)
+        if times.max(initial=-np.inf) < horizon:
+            # Every time is listed: no mask to gather through.
+            counts[pulsing] = times.shape[1]
+            return counts, times.ravel(), after.ravel()
+        counts[pulsing], times, after = _listed(times, after, True, horizon)
+        return counts, times, after
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,10 @@ before its first draw.
 
 Replicates come in blocks of rows; one replicate is a one-row block.  A
 block draws its forward runs or windows with one ``size=k`` call, as
-ragged rows of flat points, then the paths of the points that can reach
-the grid with one :func:`~renewal_immigration.kernels.sample_path` call
-per chunk of ``SUPERPOSE_BLOCK`` points, and sums each row over its own
-points.
+ragged rows of flat points that hold only the points that can reach the
+grid, then their paths with one
+:func:`~renewal_immigration.kernels.sample_path` call per chunk of
+``SUPERPOSE_BLOCK`` points, and sums each row over its own points.
 
 The module returns draws only: an :class:`FddSample` holds the grid, the
 matrix, ``c_used`` and ``truncation_bound``, and :mod:`.cli` renders the
@@ -38,7 +38,7 @@ import numpy as np
 from .distributions import check_interarrival
 from .errors import LawError, TruncationError
 from .kernels import sample_path
-from .renewal import StationaryWindowSampler, point_rows, row_blocks, simulate_forward
+from .renewal import StationaryWindowSampler, point_rows, read_interval, row_blocks, simulate_forward
 from .streams import STATIONARY_BLOCK, TRANSIENT_BLOCK, stream
 
 __all__ = ["FddSample", "fdd_sample", "first_half_width"]
@@ -95,8 +95,10 @@ def eval_transient(law, spec, t, u_grid, rng, size):
     u = np.asarray(u_grid, dtype=float)
     values = np.zeros((size, len(u)))
     if t + u[-1] >= 0:
-        real = simulate_forward(law, t + u[-1], rng, size=size)
-        # Epochs whose path is 0 on the whole shifted grid draw no path.
+        # Epochs whose path is 0 on the whole shifted grid, S with
+        # t + u[0] - S >= support_end, are neither kept nor draw a path.
+        within = read_interval(-spec.support_end(), math.inf, t + u[0])
+        real = simulate_forward(law, t + u[-1], rng, size=size, within=within)
         keep = t + u[0] - real.epochs < spec.support_end()
         values = _superpose(spec, point_rows(real.counts)[keep], real.epochs[keep], t + u, size, rng)
     return FddSample(u_grid=u, values=values)
@@ -152,10 +154,11 @@ def eval_stationary(law, spec, u_grid, c, rng, size):
     and :func:`fdd_sample` has validated the inputs.
     """
     u = np.asarray(u_grid, dtype=float)
-    window = StationaryWindowSampler(law, rng, size=size).initial(c)
-    pts = window.points
     # Sentinels, points left of -max(u) and points past the support cannot
-    # reach the grid.
+    # reach the grid, and are not kept.
+    within = read_interval(-u[-1], min(c, spec.support_end() - u[0]))
+    window = StationaryWindowSampler(law, rng, size=size).initial(c, within)
+    pts = window.points
     keep = (np.abs(pts) <= c) & (pts >= -u[-1]) & (pts < spec.support_end() - u[0])
     values = _superpose(spec, point_rows(window.counts)[keep], -pts[keep], u, size, rng)
     return FddSample(u_grid=u, values=values, c_used=c)

@@ -29,15 +29,26 @@ same generator; nothing in the package extends windows, and the
 benchmark's tracer wraps ``extend`` by name.  The module renders no
 files: :mod:`.cli` writes the ``--dump-window`` window.
 
+Both builders take ``within``, the closed interval of values their
+caller reads (by default every value, sentinels included), and a row holds
+only its values in it; overshoot epochs, ``xi0`` and ``u`` stay whole.
+:func:`read_interval` gives the interval of a caller that reads ``v -
+shift`` in ``[lo, hi]``, widened by a few ulps, so the caller's own mask
+picks the same values from the kept ones as from every value.
+
 Increments come in rounds: each gives every row still at or below its
 target the same number of draws (:func:`_round_width`), until every row
 is past it.  That rule decides how the generator is consumed, so it is
-part of the ``(config, seed) -> bytes`` contract, as the row blocks are.
-Each round keeps only the sums its rows take, up to each row's first sum
-past the target, and the builders write each kept value once, straight
-to its place in the ragged rows (:func:`_ragged`): no array is as wide as
-the longest row, so a block's arrays stay near its points and draws even
-for bursty laws whose rows need many rounds.
+part of the ``(config, seed) -> bytes`` contract, as the row blocks are;
+``within`` changes what is kept, never what is drawn.  A call holds one
+round of draws and what it keeps: each round keeps the values its rows
+take (up to each row's first sum past the target) that lie in
+``within``, and is dropped before the next.  The builders then write each
+kept value once, straight to its place in the ragged rows
+(:func:`_ragged`), building positions for the kept values alone: no array
+is as wide as the longest row, so a block's arrays stay near its kept
+points and one round's draws even for bursty laws whose rows need many
+rounds.
 
 Callers that draw many rows do so in blocks (:func:`row_blocks`) of about
 ``ROW_BLOCK_POINTS`` expected points each, which bounds a block's arrays
@@ -59,13 +70,17 @@ __all__ = [
     "simulate_forward",
     "build_stationary_window",
     "point_rows",
+    "read_interval",
     "row_blocks",
 ]
 
 # Expected points per block of rows.  The rounds of :func:`_round_width`
-# draw about 1.1 to 1.4 increments per sum kept, and a block's arrays hold
-# its draws and points, a few bytes each, plus one round's positions.
+# draw about 1.1 to 1.4 increments per sum taken, and a block holds one
+# round of draws and the points it keeps, a few bytes each.
 ROW_BLOCK_POINTS = 2**15
+
+# The builders' default ``within`` interval: every value, sentinels included.
+EVERY_VALUE = (-math.inf, math.inf)
 
 
 def point_rows(counts):
@@ -77,7 +92,8 @@ def point_rows(counts):
 class RenewalRealization:
     """Forward epochs ``S_0 = 0 <= S_1 <= ... <= horizon`` plus the overshooter, per row.
 
-    Row ``i`` holds the next ``counts[i]`` entries of ``epochs``.
+    Row ``i`` holds the next ``counts[i]`` entries of ``epochs``: all its
+    epochs, or those in the ``within`` interval it was built with.
     ``overshoot_epoch[i]`` is its first epoch past the horizon, and
     ``overshoot_epoch - horizon`` the overshoot at the horizon.
     """
@@ -110,28 +126,64 @@ def _round_width(remaining, mu, sd):
     return int(m + 0.5 * sd / mu * math.sqrt(m) + 1.0)
 
 
-def _draw_rounds(law, rng, starts, target, mu, sd):
+def read_interval(lo, hi, shift=0.0):
+    """The ``within`` interval of a caller that reads the values ``v`` with ``v - shift`` in ``[lo, hi]``.
+
+    It is ``[lo + shift, hi + shift]`` widened at each end by 4 ulps of the
+    largest finite of ``|lo|``, ``|hi|`` and ``|shift|``: float subtraction
+    is monotone, so every value whose ``v - shift``, rounded, lies in
+    ``[lo, hi]`` lies inside, and the caller's own mask picks the same
+    values from the kept ones as from every value.
+    """
+    pad = 4.0 * math.ulp(max((abs(x) for x in (lo, hi, shift) if math.isfinite(x)), default=0.0))
+    return lo + shift - pad, hi + shift + pad
+
+
+def _draw_rounds(law, rng, starts, target, mu, sd, within=EVERY_VALUE, with_ends=True):
     """Row-wise sums ``starts[i] + xi_1 + ...`` until strictly past ``target``, in rounds.
 
-    Returns ``(starts, counts, rounds, ends)``.  Row ``i`` holds
-    ``counts[i]`` values ``<= target``, nondecreasing with ties kept: its
-    start, unless the start is past the target, then its sums.
-    ``ends[i]`` is its first value past the target: its first sum past it,
-    or its start.  Each round is ``(rows, col, sums, take)``: the
-    ``(len(rows), n)`` sums drawn for the rows still ``<= target``, the
-    first of which is column ``col`` of its row (the start is column 0),
-    and the mask of those ``<= target``.  ``n`` comes from
-    :func:`_round_width` at the mean distance of the rows to the target.
-    One row consumes the generator exactly as rounds of ``n`` single
-    draws would.
+    Row ``i``'s values are its start, unless the start is past the target,
+    then its sums ``<= target``, nondecreasing with ties kept, then, if
+    ``with_ends``, its end: its first value past the target (its first sum
+    past it, or its start).  Returns ``(kept, pieces, ends)``.  Only the
+    values in the closed interval ``within`` are kept, ``kept[i]`` of row
+    ``i``; ``ends`` holds every row's end.  Each piece ``(rows, first, n,
+    values)`` holds what one round keeps: the rows that keep ``n > 0`` of
+    its values, the index of the first of them among their row's kept
+    values, and the values, row by row.  A round is dropped once its rows
+    are updated, so a call holds one round and what it keeps.
+
+    Each round draws ``(len(rows), n)`` sums for the rows still ``<=
+    target``, ``n`` from :func:`_round_width` at their mean distance to the
+    target.  One row consumes the generator exactly as rounds of ``n``
+    single draws would; ``within`` changes what is kept, not what is drawn.
     """
+    lo, hi = within
     starts = np.asarray(starts, dtype=float)
-    counts = (starts <= target).astype(np.intp)
     ends = starts.copy()
-    active = np.flatnonzero(counts)
+    kept = np.zeros(len(starts), dtype=np.intp)
+    pieces = []
+
+    def keep(rows, values, take):
+        # The values of ``rows`` that ``take`` marks ``<= target``, each row's
+        # end too if ``with_ends``, and in ``within``: one run of each row.
+        if lo > hi:
+            return
+        if with_ends:
+            take = np.concatenate([np.ones((len(rows), 1), dtype=bool), take[:, :-1]], axis=1)
+        if lo > -math.inf:
+            take = take & (values >= lo)
+        if hi < math.inf:
+            take = take & (values <= hi)
+        n = np.count_nonzero(take, axis=1)
+        some = n > 0
+        if some.any():
+            pieces.append((rows[some], kept[rows[some]], n[some], values[take]))
+            kept[rows] += n
+
+    keep(np.arange(len(starts)), starts[:, None], starts[:, None] <= target)
+    active = np.flatnonzero(starts <= target)
     last = starts[active]
-    rounds = []
-    col = 1
     while len(active):
         n = _round_width(target - last.mean(), mu, sd)
         sums = law.sample(rng, size=(len(active), n))
@@ -142,59 +194,52 @@ def _draw_rounds(law, rng, starts, target, mu, sd):
         take = sums <= target
         more = take[:, -1]
         done = np.flatnonzero(~more)
-        first_past = np.argmin(take, axis=1)[done]
-        counts[active[done]] = col + first_past
-        ends[active[done]] = sums[done, first_past]
-        rounds.append((active, col, sums, take))
-        col += n
+        ends[active[done]] = sums[done, np.argmin(take[done], axis=1)]
+        keep(active, sums, take)
         active, last = active[more], sums[more, -1]
-    return starts, counts, rounds, ends
+    return kept, pieces, ends
 
 
-def _ragged(halves, with_ends=True):
+def _ragged(halves):
     """Ragged rows ``(counts, values)`` of halves drawn by :func:`_draw_rounds`.
 
     ``halves`` holds ``(draw, mirrored)`` pairs, and row ``i`` is row ``i``
-    of each half in turn: the half's values ``<= target``, then its end if
-    ``with_ends``.  A mirrored half is reversed and negated (negation is
-    exact), so its end comes first.
+    of each half in turn: the half's kept values.  A mirrored half is
+    reversed and negated (negation is exact).
 
-    Every value is written once, straight to its place: column ``j`` of a
-    row of a half (its start is column 0) lands at the row's origin plus
-    ``j``, or minus ``j`` when mirrored, and each round places the sums its
-    mask takes.
+    Every value is written once, straight to its place: a row's ``j``-th
+    kept value of a half lands at the row's origin plus ``j``, or minus
+    ``j`` when mirrored, and positions are built for the kept values alone.
     """
-    counts = sum(draw[1] + with_ends for draw, _ in halves)
+    counts = sum(kept for (kept, _, _), _ in halves)
     values = np.empty(counts.sum())
     base = np.cumsum(counts) - counts  # the position of each row's current half
-    for (starts, half_counts, rounds, _), mirrored in halves:
+    for (kept, pieces, _), mirrored in halves:
         sign = -1 if mirrored else 1
-        origin = base + half_counts + with_ends - 1 if mirrored else base
-        # A row that starts past the target ends at its start.
-        kept = slice(None) if with_ends else half_counts > 0
-        values[origin[kept]] = -starts[kept] if mirrored else starts[kept]
-        for rows, col, sums, take in rounds:
-            if with_ends:
-                # Each row also takes its end, its first sum past the target.
-                take = np.concatenate([np.ones((len(rows), 1), dtype=bool), take[:, :-1]], axis=1)
-            at = origin[rows, None] + sign * (col + np.arange(sums.shape[1]))
-            values[at[take]] = -sums[take] if mirrored else sums[take]
-        base += half_counts + with_ends
+        origin = base + kept - 1 if mirrored else base
+        for rows, first, n, piece in pieces:
+            # Value m of the piece is value first + m - (the values of the
+            # piece's rows before its row) of its row.
+            at = np.repeat(origin[rows] + sign * (first - (np.cumsum(n) - n)), n) + sign * np.arange(len(piece))
+            values[at] = -piece if mirrored else piece
+        base += kept
     return counts, values
 
 
-def simulate_forward(law, horizon, rng, size):
+def simulate_forward(law, horizon, rng, size, within=EVERY_VALUE):
     """Simulate ``size`` zero-delayed renewal sequences on ``[0, horizon]``.
 
-    The sequences are the rows of one realization.  The first epoch beyond
-    the horizon is retained separately for overshoot diagnostics.
+    The sequences are the rows of one realization, each holding its epochs
+    in the closed interval ``within`` (by default all of them).  The first
+    epoch beyond the horizon is retained separately for overshoot
+    diagnostics, whatever ``within`` keeps.
     """
     mu, sd = _moments(check_interarrival(law))
     if horizon < 0:
         raise LawError(f"horizon must be >= 0, got {horizon}")
-    draw = _draw_rounds(law, rng, np.zeros(size), horizon, mu, sd)
-    counts, epochs = _ragged([(draw, False)], with_ends=False)
-    return RenewalRealization(counts=counts, epochs=epochs, horizon=float(horizon), overshoot_epoch=draw[3])
+    draw = _draw_rounds(law, rng, np.zeros(size), horizon, mu, sd, within, with_ends=False)
+    counts, epochs = _ragged([(draw, False)])
+    return RenewalRealization(counts=counts, epochs=epochs, horizon=float(horizon), overshoot_epoch=draw[2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,8 +250,9 @@ class StationaryWindow:
     nondecreasing.  The point just before a row's first point >= 0 is
     strictly negative, and the row's outermost points lie strictly outside
     ``[-c, c]`` (sentinels), so every point inside the window has both
-    neighbours present.  ``xi0`` and ``u`` hold each row's size-biased
-    straddling interval and its uniform split.
+    neighbours present.  A window built with a ``within`` interval holds
+    only the points in it, so neither holds there.  ``xi0`` and ``u`` hold
+    each row's size-biased straddling interval and its uniform split.
     """
 
     counts: np.ndarray
@@ -244,12 +290,14 @@ class StationaryWindowSampler:
         self.u = u
         self._rng = rng
 
-    def initial(self, c):
-        """The windows over ``[-c, c]``."""
+    def initial(self, c, within=EVERY_VALUE):
+        """The windows over ``[-c, c]``, each row holding its points in the closed interval ``within``."""
         if c <= 0:
             raise LawError(f"window half-width must be positive, got {c}")
-        fwd = _draw_rounds(self.law, self._rng, self._s0, c, self._mu, self._sd)
-        bwd = _draw_rounds(self.law, self._rng, -self._s_minus1, c, self._mu, self._sd)
+        lo, hi = within
+        fwd = _draw_rounds(self.law, self._rng, self._s0, c, self._mu, self._sd, within)
+        # The backward half draws the negated points.
+        bwd = _draw_rounds(self.law, self._rng, -self._s_minus1, c, self._mu, self._sd, (-hi, -lo))
         # Row i is its backward half, mirrored, then its forward half: the
         # starts t_{-1} and t_0 meet in the middle.
         counts, points = _ragged([(bwd, True), (fwd, False)])
@@ -259,7 +307,7 @@ class StationaryWindowSampler:
         return _ragged([(_draw_rounds(self.law, self._rng, [start], target, self._mu, self._sd), False)])[1][1:]
 
     def extend(self, window, c):
-        """Grow a one-row window built by this sampler out to a larger ``c``, forward then backward."""
+        """Grow a one-row window built by this sampler, with every point kept, out to a larger ``c``."""
         if c <= window.c:
             return window
         points = window.points
@@ -270,13 +318,14 @@ class StationaryWindowSampler:
         return StationaryWindow(counts=np.array([len(points)]), points=points, c=float(c), xi0=window.xi0, u=window.u)
 
 
-def build_stationary_window(law, c, rng, size):
+def build_stationary_window(law, c, rng, size, within=EVERY_VALUE):
     """Draw ``size`` stationary renewal windows covering ``[-c, c]``.
 
     It draws the ``size`` straddling intervals and splits first, then the
-    forward and the backward increments of all rows.
+    forward and the backward increments of all rows.  Each row holds its
+    points in the closed interval ``within`` (by default all of them).
     """
-    return StationaryWindowSampler(law, rng, size).initial(c)
+    return StationaryWindowSampler(law, rng, size).initial(c, within)
 
 
 def row_blocks(n_rows, law, span):

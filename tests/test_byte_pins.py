@@ -176,12 +176,20 @@ def test_energy_bytes_are_pinned(shape, monkeypatch):
 # each row's terms are summed (with the default ``h`` every sum is a small
 # integer); ``pointprocess-bursty`` runs all four checks on Gamma(0.02, 50),
 # whose rows hold many tied points and need many top-up rounds, at a
-# horizon past the overshoot warning's 510 means.
+# horizon past the overshoot warning's 510 means.  The transient runs
+# keep only the epochs that can reach the grid, so these pin that pruning
+# at long horizons over several row blocks: ``simulate-bounded-200`` and
+# ``-300`` (Uniform(0, 2) pulses, blocks of 163 and 108 rows) and
+# ``converge-table`` (a bounded table at t = 200, blocks of 163 rows).
+# ``pointprocess-two-sided`` reads intensity intervals on both sides of 0
+# and a negative shift, so the windows it keeps straddle the origin.
 _EXPONENTIAL = {"family": "exponential", "rate": 1.0}
 _INDICATOR = {"kind": "indicator", "eta": _EXPONENTIAL}
 _PARETO_08_INDICATOR = {"kind": "indicator", "eta": {"family": "pareto", "alpha": 0.8, "xm": 1.0}}
 _SMALL_POINTPROCESS = {"n_windows": 200, "n_realizations": 200, "laplace": {"n_mc": 200}}
 _NON_DYADIC_H = {"kind": "deterministic_table", "breakpoints": [0.0, 1.0, 2.0, 3.0, 5.0], "values": [0.1, 0.3, 0.2, 0.7, 0.0]}
+_UNIFORM_PULSES = {"kind": "indicator", "eta": {"family": "uniform", "lo": 0.0, "hi": 2.0}}
+_BOUNDED_TABLE = {"kind": "deterministic_table", "breakpoints": [0, 1, 2.5], "values": [2, -1.0, 0]}
 CLI_RUNS = {
     "converge": ("converge", {"t_list": [1.0, 5.0], "u_grid": [0.0, 1.0], "n_replicates": 200,
                               "n_permutations": 19}),
@@ -197,7 +205,15 @@ CLI_RUNS = {
     "pointprocess-non-dyadic": ("pointprocess", {"law": {"family": "gamma", "shape": 2.0, "scale": 0.5},
                                                  "pointprocess": _SMALL_POINTPROCESS | {"laplace": {
                                                      "n_mc": 200, "h": _NON_DYADIC_H}}}),
+    "pointprocess-two-sided": ("pointprocess", {"pointprocess": _SMALL_POINTPROCESS | {
+        "intervals": [[0.0, 5.0], [-2.0, 1.0]], "shift": -1.5}}),
     "simulate": ("simulate", {"t": 1000.0, "u_grid": [0.0, 1.0], "n_replicates": 80}),
+    "simulate-bounded-200": ("simulate", {"kernel": _UNIFORM_PULSES, "t": 200.0, "u_grid": [0.0, 1.0],
+                                          "n_replicates": 600}),
+    "simulate-bounded-300": ("simulate", {"kernel": _UNIFORM_PULSES, "t": 300.0, "u_grid": [0.0, 1.0],
+                                          "n_replicates": 600}),
+    "converge-table": ("converge", {"kernel": _BOUNDED_TABLE, "t_list": [1.0, 200.0], "u_grid": [0.0, 1.0],
+                                    "n_replicates": 400, "n_permutations": 19}),
     "stationary-dump-window": ("stationary", {"law": {"family": "gamma", "shape": 0.1, "scale": 10.0},
                                               "u_grid": [0.0, 1.0], "n_replicates": 20, "c": 40.0}),
     "dri": ("dri", {"dri": {"k_max": 40, "grid_per_unit": 2, "n_mc": 50}}),
@@ -226,6 +242,14 @@ CLI_DIGESTS = {
             "report_000.json": "72832acb34b89b733111675fbc2d6c01f3c13419d3ce4f5ee176348a1fe8d04d",
             "report_001.json": "7f4015a6502289bdf5cb816249c1f66ba81b35fd4a9c078016f93b5abec54d37",
             "summary.csv": "921c2fec67e8125e1b9239bef3db49195ef033d047861afb1ea1830b48406eb8",
+        },
+    ),
+    "converge-table": (
+        0,
+        {
+            "report_000.json": "dd8b46e117d9016799be0f097a92fbdadd9c1640b1253e2ea6be4696b694f062",
+            "report_001.json": "29d15c7e5b35ca399c3e4d55c5d9c7d42c62371cc0d2cd896d580c48c7471c8c",
+            "summary.csv": "3b8afb3c42a01ade02e587174d9777bb4d8a71fcc7aa43e02f881233799a8362",
         },
     ),
     "dri": (
@@ -266,6 +290,26 @@ CLI_DIGESTS = {
         0,
         {
             "pointprocess.json": "b1804074d9e2e747a6a2c2f976ee79430c6cc2ff7d179b13e884fbd98ba9b247",
+        },
+    ),
+    "pointprocess-two-sided": (
+        0,
+        {
+            "pointprocess.json": "239254f324713b4378e07a973b5bbfba05223598c620b5024f258b96aa583152",
+        },
+    ),
+    "simulate-bounded-200": (
+        0,
+        {
+            "matrix.csv": "ca7f2f17af214f974cba25acf0b7513fa28d39ef73630bf09bd03f92bb8a002e",
+            "metadata.json": "a67425b310c05858dce0e1c23491130a91a8bb49f42ac60ad5a65e2a5ef3d7a4",
+        },
+    ),
+    "simulate-bounded-300": (
+        0,
+        {
+            "matrix.csv": "12cbd39b2211690b00557788340729be8ad64bed8736123b20a30b7ee5a91f6e",
+            "metadata.json": "7cd466c1ebeb1d834afb46eeaf27200f3c8c787555842dad2ff42b02218ded38",
         },
     ),
     "simulate": (

@@ -13,7 +13,7 @@ from renewal_immigration import renewal as rn
 from renewal_immigration.streams import DRI_MEAN, DRI_PATH, stream
 
 from oracles import mp_birth_death_generator, replayed_increments_until
-from test_renewal import assert_forward_rows, assert_window_rows, split_rows
+from test_renewal import assert_forward_rows, assert_restricted, assert_window_rows, generator_at, split_rows
 
 EXP_LAW = dist.Exponential(1.0)
 MM_INF = kn.Indicator(dist.Exponential(1.0))
@@ -454,14 +454,22 @@ class _CountingLogNormal(dist.LogNormal):
 
 
 def _point_process_run(monkeypatch, law, rng_seed):
-    """The four point-process checks with every batched draw recorded."""
+    """The four point-process checks with every batched draw recorded.
+
+    Each record is ``(rows, full rows, within)``: the rows a check drew, the
+    full rows replayed from the generator's state before the draw, and the
+    interval the check read.
+    """
     drawn = {"build_stationary_window": [], "simulate_forward": []}
     for name, out in drawn.items():
         real = getattr(rn, name)
 
-        def spy(*args, real=real, out=out, **kwargs):
-            result = real(*args, **kwargs)
-            out.append(result)
+        def spy(law, span, rng, size, within=rn.EVERY_VALUE, real=real, out=out):
+            state = rng.bit_generator.state
+            result = real(law, span, rng, size=size, within=within)
+            recorded = len(law.draws)
+            out.append((result, real(law, span, generator_at(state), size=size), within))
+            del law.draws[recorded:]  # the replay's draws are not the check's
             return result
 
         monkeypatch.setattr(dg, name, spy)
@@ -495,14 +503,17 @@ def test_point_process_checks_in_blocks_of_one_to_three_rows(monkeypatch, top_up
     assert reports == rerun_reports
     windows, forwards = drawn["build_stationary_window"], drawn["simulate_forward"]
     assert len(windows) > 20 and len(forwards) > 20
-    for rows, again in zip(windows, rerun_drawn["build_stationary_window"]):
+    for (rows, full, within), (again, _, _) in zip(windows, rerun_drawn["build_stationary_window"]):
         assert 1 <= len(rows.counts) <= 3
         assert np.array_equal(rows.counts, again.counts) and np.array_equal(rows.points, again.points)
-        assert_window_rows(rows, rows.c)
-    for real, again in zip(forwards, rerun_drawn["simulate_forward"]):
+        assert_window_rows(full, full.c)
+        assert_restricted(rows.counts, rows.points, full.counts, full.points, within)
+    for (real, full, within), (again, _, _) in zip(forwards, rerun_drawn["simulate_forward"]):
         assert 1 <= len(real.counts) <= 3
         assert np.array_equal(real.counts, again.counts) and np.array_equal(real.epochs, again.epochs)
-        assert_forward_rows(real, real.horizon)
+        assert_forward_rows(full, full.horizon)
+        assert_restricted(real.counts, real.epochs, full.counts, full.epochs, within)
+        assert real.overshoot_epoch.tobytes() == full.overshoot_epoch.tobytes()
     # Each window draws at most one round per side, each forward run one
     # round, unless some row needed a top-up.
     if top_up:

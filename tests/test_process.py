@@ -525,3 +525,35 @@ def test_doubling_every_length_doubles_the_run(case, mode, seed):
     if mode == "stationary":
         assert double.c_used == 2.0 * single.c_used
         assert double.truncation_bound == single.truncation_bound
+
+
+# Doubling the mark law doubles every path value exactly: an Exponential
+# draw is its scale times a standard draw, and 1 / (rate / 2) is exactly
+# 2 / rate, so the same generator draws twice the marks.  Multiplying by 2
+# is exact in floats (no term here is near the subnormals), so every sum,
+# added in the same order, doubles too.  Exp decay's stationary half-width
+# follows the mark mean, so both stationary runs share one ``c``.
+DOUBLED_MARKS = {
+    "scaled_exp_decay": lambda rate: kn.ScaledExpDecay(dist.Exponential(rate), 0.7),
+    "scaled_table": lambda rate: kn.ScaledTable(
+        dist.Exponential(rate), kn.DeterministicTable((0.0, 1.0, 2.5), (2.0, -1.0, 0.0))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOUBLED_MARKS))
+@given(seed=st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=3, deadline=None)
+def test_doubling_the_marks_doubles_the_run(case, seed):
+    law, u, t, n, rate = dist.Gamma(2.0, 0.5), np.array([0.0, 0.5, 2.0]), 30.0, 1000, 1.3
+    single, double = (
+        pr.fdd_sample(law, DOUBLED_MARKS[case](r), "transient", u, n, seed=seed, t=t) for r in (rate, rate / 2.0)
+    )
+    assert np.count_nonzero(single.values) > 0
+    assert double.values.tobytes() == (2.0 * single.values).tobytes()
+    c = pr.stationary_half_width(law, DOUBLED_MARKS[case](rate), u, 1e-6)[0]
+    single, double = (
+        pr.eval_stationary(law, DOUBLED_MARKS[case](r), u, c, stream(seed), size=n) for r in (rate, rate / 2.0)
+    )
+    assert np.count_nonzero(single.values) > 0
+    assert double.values.tobytes() == (2.0 * single.values).tobytes()

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from renewal_immigration import distributions as dist
@@ -329,12 +329,14 @@ def test_increments_drawn_stay_close_to_the_sums_kept(monkeypatch, law, shape):
     calls = []
     real = rn._draw_rounds
 
-    def recorded(law, rng, starts, target, mu, sd):
+    def recorded(law, rng, starts, target, mu, sd, *args, **kwargs):
         rec = _RecordedSample(law)
-        draw = real(rec, rng, starts, target, mu, sd)
+        draw = real(rec, rng, starts, target, mu, sd, *args, **kwargs)
         # A row keeps its sums <= target and its first one past: as many
-        # as its values <= target, its start included.
-        calls.append((rec.sizes, int(draw[1].sum())))
+        # as its values <= target, its start included.  The builders keep
+        # every value here, so these are the kept values <= target.
+        kept = np.concatenate([values for *_, values in draw[1]])
+        calls.append((rec.sizes, int(np.count_nonzero(kept <= target))))
         return draw
 
     monkeypatch.setattr(rn, "_draw_rounds", recorded)
@@ -379,6 +381,26 @@ def test_bursty_windows_hold_their_points_not_rows_times_the_longest_row():
     assert peak < bound
 
 
+def test_forward_runs_that_keep_nothing_hold_one_round():
+    # The overshoot check keeps no epoch.  The first round is the widest
+    # (every row starts at 0, the farthest from the target), and a call
+    # that keeps nothing holds one round at a time: its draws (8 bytes an
+    # entry), its mask (1 byte) and the finished rows' copy of it (at most
+    # 1 byte), plus per-row vectors.  Keeping every epoch, as the builders
+    # did for every caller, needs more than twice that.
+    law = dist.LogNormal(0.0, 1.0)
+    k, horizon, rng = 2000, 50.0 * law.mean(), stream(38)
+    n = rn._round_width(horizon, *_moments(law))
+    tracemalloc.start()
+    try:
+        real = rn.simulate_forward(law, horizon, rng, size=k, within=(math.inf, -math.inf))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(real.epochs) == 0 and real.counts.tolist() == [0] * k
+    assert peak < 10 * k * n + 160 * k
+
+
 def assert_window_rows(rows, c):
     assert len(rows.counts) == len(rows.xi0) == len(rows.u)
     assert rows.counts.sum() == len(rows.points) and np.all(np.isfinite(rows.points))
@@ -388,6 +410,21 @@ def assert_window_rows(rows, c):
         assert np.count_nonzero(pts > c) == 1 and pts[-1] > c
         z = np.count_nonzero(pts < 0.0)
         assert 0 < z < len(pts) and pts[z] - pts[z - 1] == xi0
+
+
+def generator_at(state):
+    """A fresh generator whose bit generator is at ``state``, to replay draws."""
+    rng = np.random.Generator(getattr(np.random, state["bit_generator"])())
+    rng.bit_generator.state = state
+    return rng
+
+
+def assert_restricted(counts, values, full_counts, full_values, within):
+    """Each row of ``(counts, values)`` is the same row of the full rows restricted to ``within``, bit for bit."""
+    lo, hi = within
+    assert len(counts) == len(full_counts) and counts.sum() == len(values)
+    for row, full in zip(split_rows(counts, values), split_rows(full_counts, full_values)):
+        assert row.tobytes() == full[(full >= lo) & (full <= hi)].tobytes()
 
 
 def assert_forward_rows(real, horizon):
@@ -414,6 +451,56 @@ def test_batched_rows_keep_the_single_row_invariants(law, c, horizon, k, seed):
     assert len(real.counts) == k and real.overshoot_epoch.shape == (k,)
     assert_forward_rows(real, horizon)
     assert np.array_equal(real.overshoot, real.overshoot_epoch - horizon)
+
+
+ENDS = st.one_of(st.floats(min_value=-50.0, max_value=50.0), st.sampled_from([-math.inf, math.inf]))
+
+
+@given(
+    law=st.sampled_from(LAWS),
+    c=st.floats(min_value=0.05, max_value=40.0),
+    horizon=st.floats(min_value=0.0, max_value=40.0),
+    k=st.integers(min_value=1, max_value=6),
+    within=st.tuples(ENDS, ENDS),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=150, deadline=None)
+def test_rows_within_an_interval_are_the_full_rows_restricted(law, c, horizon, k, within, seed):
+    # Intervals with lo > hi are empty.  What is kept never changes what
+    # is drawn: both calls leave the generator in the same state.
+    rng_full, rng_part = stream(seed), stream(seed)
+    full = rn.build_stationary_window(law, c, rng_full, size=k)
+    part = rn.build_stationary_window(law, c, rng_part, size=k, within=within)
+    assert_restricted(part.counts, part.points, full.counts, full.points, within)
+    assert part.xi0.tobytes() == full.xi0.tobytes() and part.u.tobytes() == full.u.tobytes()
+    assert rng_part.bit_generator.state == rng_full.bit_generator.state
+    full = rn.simulate_forward(law, horizon, rng_full, size=k)
+    part = rn.simulate_forward(law, horizon, rng_part, size=k, within=within)
+    assert_restricted(part.counts, part.epochs, full.counts, full.epochs, within)
+    assert part.overshoot_epoch.tobytes() == full.overshoot_epoch.tobytes()
+    assert rng_part.bit_generator.state == rng_full.bit_generator.state
+
+
+@given(
+    v=st.floats(min_value=-1e6, max_value=1e6),
+    lo=st.floats(min_value=-1e6, max_value=1e6),
+    width=st.floats(min_value=0.0, max_value=1e6),
+    shift=st.floats(min_value=-1e6, max_value=1e6),
+)
+# v - shift = 1e17 - 3 rounds to lo = 1e17, but v lies below lo + shift = 0.
+@example(v=-3.0, lo=1e17, width=0.0, shift=-1e17)
+@settings(max_examples=300, deadline=None)
+def test_read_interval_holds_every_value_read(v, lo, width, shift):
+    # A value whose rounded v - shift lies in [lo, hi] lies in the interval,
+    # and so does one just at either rounded end.
+    hi = lo + width
+    a, b = rn.read_interval(lo, hi, shift)
+    for x in (v, lo + shift, hi + shift):
+        if lo <= x - shift <= hi:
+            assert a <= x <= b
+    a, b = rn.read_interval(-hi, math.inf, shift)
+    if shift - v < hi:
+        assert a <= v and b == math.inf
 
 
 # (horizon, c): rows of many rounds, and rows so short that every
