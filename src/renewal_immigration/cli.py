@@ -8,7 +8,8 @@ files.  Reruns produce byte-identical artifacts (sorted JSON keys,
 17-significant-digit CSV floats, no wall-clock anywhere).  This module is
 the one place that renders files: every CSV (the fdd ``matrix.csv``, the
 ``--dump-window`` ``window.csv`` and converge's ``summary.csv``) goes
-through :func:`_csv`, and every JSON file through :func:`_json_text`.  A
+through :func:`_csv`, row by row, so a matrix is never held as Python
+floats all at once, and every JSON file through :func:`_json_text`.  A
 JSON report is its result's fields, with its field names as keys and
 arrays and tuples as lists.  JSON is strict: a non-finite float (an
 infinite bound, say) is written as ``null``.
@@ -121,7 +122,7 @@ def _sample_files(config, sample, mode, **run):
         if sample.truncation_bound is not None:
             meta["truncation_bound_max"] = sample.truncation_bound
     header = [f"u={_fmt(v)}" for v in sample.u_grid.tolist()]
-    return {"matrix.csv": _csv(header, sample.values.tolist()), "metadata.json": _json_text(meta)}
+    return {"matrix.csv": _csv(header, (row.tolist() for row in sample.values)), "metadata.json": _json_text(meta)}
 
 
 def cmd_simulate(config, fields, args):

@@ -63,7 +63,7 @@ CONVERGENT_EVIDENCE = "ConvergentEvidence"
 DIVERGENT_EVIDENCE = "DivergentEvidence"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriReport:
     """A summability criterion's exact verdict and Monte Carlo per-unit terms.
 
@@ -171,14 +171,15 @@ def _exp_neg_h_sums(h, x, counts):
     row's sum keeps its bits.  One ``np.bincount`` adds each row's terms one
     at a time in point order, as ``_superpose`` does, so a row's sum does
     not depend on the other rows.  ``exp`` is ``math.exp`` per value, which
-    numpy's vectorised exp can differ from in the last ulp.  The rows may
+    numpy's vectorised exp can differ from in the last ulp, mapped straight
+    into a float array, with no list of Python floats between.  The rows may
     hold only the points that map into the support (the builders' ``within``
     interval): the sums do not change.
     """
     inside = (x >= 0.0) & (x < h.support_end())
     rows = np.searchsorted(np.cumsum(counts), np.flatnonzero(inside), side="right")
     sums = np.bincount(rows, h.value(x[inside]), minlength=len(counts))
-    return np.array([math.exp(-s) for s in sums.tolist()])
+    return np.fromiter(map(math.exp, np.negative(sums)), float, len(sums))
 
 
 def laplace_functional_compare(law, h, t, n_mc, rng):

@@ -20,9 +20,10 @@ Every law has one tail method, ``tail_mean(x) = E[(X - x)^+]`` for
 cancels, so it keeps its relative accuracy far out in the tail.  The
 integrated-tail CDF and the indicator kernel's truncation bound are both
 read from it.
-Normal (hence log-normal) tails are computed with ``math.erfc``; only the
-gamma tail imports ``scipy.special``, when called, and only the lattice
-span of a finite discrete law imports ``fractions``.
+Normal (hence log-normal) tails are computed with ``math.erfc``, one value
+at a time into a float array, so no array of Python floats is ever built;
+only the gamma tail imports ``scipy.special``, when called, and only the
+lattice span of a finite discrete law imports ``fractions``.
 
 A law's config form, e.g. ``{"family": "exponential", "rate": 1.0}``, is
 read and written by :mod:`.config` alone.
@@ -62,16 +63,16 @@ __all__ = [
 LATTICE_MAX_DENOMINATOR = 10**6
 _LATTICE_ATOL = 4e-15
 
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
 def normal_cdf(z):
     """Standard normal CDF, ``erfc(-z / sqrt 2) / 2`` element-wise, as float64.
 
     The argument is scaled by the rounded ``1 / sqrt 2`` as ``scipy.special.ndtr``
-    scales it, so both see the same ``erfc`` argument.
+    scales it, so both see the same ``erfc`` argument.  ``math.erfc`` is
+    mapped over it one value at a time, straight into a float array of its
+    shape (0-d in, 0-d out); NaN and infinities pass through.
     """
-    return 0.5 * np.asarray(_erfc(np.asarray(z, dtype=float) * -math.sqrt(0.5)), dtype=float)
+    w = np.asarray(z, dtype=float) * -math.sqrt(0.5)
+    return 0.5 * np.fromiter(map(math.erfc, w.ravel()), float, w.size).reshape(w.shape)
 
 
 def _mills(w):
@@ -231,18 +232,22 @@ class LogNormal:
         # x = 0 the clamped log makes it m exactly.  Past z = 30, before
         # Phi(-z) goes subnormal, the same difference is taken as
         # x phi(z) (R(z - sigma) - R(z)) with R the Mills ratio, and
-        # x phi(z) is 0 where z^2 overflows.  It is 0 at x = inf, where x is
-        # capped at the largest float so that no inf * 0 term arises; z
-        # itself overflows for a subnormal sigma, and is capped there too.
+        # x phi(z) is 0 where z^2 overflows; that form is evaluated only on
+        # the entries that take it, and written over theirs.  It is 0 at
+        # x = inf, where x is capped at the largest float so that no inf * 0
+        # term arises; z itself overflows for a subnormal sigma, and is
+        # capped there too.
         x = np.asarray(x, dtype=float)
         top = np.minimum(x, np.finfo(float).max)
         mu, sigma = self.mu, self.sigma
         with np.errstate(over="ignore"):
             z = (np.log(np.maximum(top, np.finfo(float).tiny)) - mu) / sigma
-            far = np.clip(z, 30.0, np.finfo(float).max)
+        out = np.asarray(self.mean() * normal_cdf(sigma - z) - top * normal_cdf(-z))
+        at = z >= 30.0
+        with np.errstate(over="ignore"):
+            far = np.minimum(z[at], np.finfo(float).max)
             x_phi = np.exp(mu + sigma * far - 0.5 * far**2) / math.sqrt(2.0 * math.pi)
-        near = self.mean() * normal_cdf(sigma - z) - top * normal_cdf(-z)
-        out = np.where(z < 30.0, near, x_phi * (_mills(far - sigma) - _mills(far)))
+        out[at] = x_phi * (_mills(far - sigma) - _mills(far))
         return np.where(x < math.inf, out, 0.0)
 
     def size_biased_sample(self, rng, size):

@@ -387,7 +387,7 @@ def _listed(times, after, keep, horizon):
     return keep.sum(axis=1), times[keep], after[keep]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TablePath:
     """Realizations of a (possibly scaled) deterministic table, one scale per row."""
 
@@ -401,7 +401,7 @@ class TablePath:
         return _listed(np.array(self.table.breakpoints), self.scale * np.array(self.table.values), True, horizon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndicatorPath:
     """Pulses: row ``i`` is 1 on [0, eta[i]), 0 elsewhere."""
 
@@ -416,7 +416,7 @@ class IndicatorPath:
         return _listed(np.hstack([np.zeros_like(self.eta), self.eta]), np.array([1.0, 0.0]), self.eta > 0.0, horizon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpDecayPath:
     """Row ``i`` is eta[i] * exp(-decay t) on t >= 0."""
 
@@ -431,7 +431,7 @@ class ExpDecayPath:
         return _listed(np.zeros_like(self.eta), self.eta, True, horizon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpikePath:
     """Row ``i`` pulses in [k + k^2 eta[i]/(k^2+1), k + eta[i]) for every k >= 1."""
 
@@ -470,7 +470,7 @@ class SpikePath:
         return counts, times, after
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BirthDeathPath:
     """Chains started at ``initial``, their jumps as ragged rows.
 

@@ -88,7 +88,7 @@ def point_rows(counts):
     return np.repeat(np.arange(len(counts)), counts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RenewalRealization:
     """Forward epochs ``S_0 = 0 <= S_1 <= ... <= horizon`` plus the overshooter, per row.
 

@@ -16,7 +16,10 @@ width rule, and must match the batched rows draw for draw.  The capped
 birth-death generator is an mpmath matrix, for 60-digit ``expm`` oracles.
 The chi-square goodness-of-fit test on binned counts is the tests' check of
 integer marginals; it pools small bins and takes its p-value from the
-package's ``stats.chi2_sf``.
+package's ``stats.chi2_sf``.  The normal CDF oracle calls ``math.erfc`` on
+one Python float at a time, and the log-normal tail oracle evaluates both
+of its branches on every entry and picks one with ``np.where``: the
+package must equal both bit for bit.
 """
 
 import heapq
@@ -316,3 +319,37 @@ def chisq_gof_counts(observed_counts, expected_probs, min_expected=5.0):
     return TestResult(
         statistic=stat, p_value=p, n=int(n), m=None, method="chisq_gof", note=f"bins={len(obs_bins)}"
     )
+
+
+def erfc_normal_cdf(z):
+    """``0.5 * erfc(-z / sqrt 2)`` per element, on Python floats, in the shape of ``z``."""
+    z = np.asarray(z, dtype=float)
+    return np.array([0.5 * math.erfc(v * -math.sqrt(0.5)) for v in z.ravel().tolist()]).reshape(z.shape)
+
+
+def _mills_both_branches(w):
+    """Mills ratio ``Phi(-w) / phi(w)``: erfc below 20, twelve continued-fraction levels from 20 on."""
+    near, far = np.minimum(w, 20.0), np.maximum(w, 20.0)
+    t = far
+    for k in range(12, 0, -1):
+        t = far + k / t
+    return np.where(w < 20.0, erfc_normal_cdf(-near) * math.sqrt(2.0 * math.pi) * np.exp(0.5 * near**2), 1.0 / t)
+
+
+def two_branch_lognormal_tail_mean(law, x):
+    """``E[(X - x)^+]`` of a log-normal law, both forms on every entry, the far one taken from z = 30.
+
+    Near: ``m Phi(sigma - z) - x Phi(-z)``; far: ``x phi(z) (R(z - sigma) - R(z))``
+    with ``R`` the Mills ratio.  0 at ``x = inf``; ``x`` and ``z`` are capped
+    at the largest float.
+    """
+    x = np.asarray(x, dtype=float)
+    top = np.minimum(x, np.finfo(float).max)
+    mu, sigma = law.mu, law.sigma
+    with np.errstate(over="ignore"):
+        z = (np.log(np.maximum(top, np.finfo(float).tiny)) - mu) / sigma
+        far = np.clip(z, 30.0, np.finfo(float).max)
+        x_phi = np.exp(mu + sigma * far - 0.5 * far**2) / math.sqrt(2.0 * math.pi)
+    near = law.mean() * erfc_normal_cdf(sigma - z) - top * erfc_normal_cdf(-z)
+    out = np.where(z < 30.0, near, x_phi * (_mills_both_branches(far - sigma) - _mills_both_branches(far)))
+    return np.where(x < math.inf, out, 0.0)

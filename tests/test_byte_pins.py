@@ -183,11 +183,16 @@ def test_energy_bytes_are_pinned(shape, monkeypatch):
 # ``converge-table`` (a bounded table at t = 200, blocks of 163 rows).
 # ``pointprocess-two-sided`` reads intensity intervals on both sides of 0
 # and a negative shift, so the windows it keeps straddle the origin.
+# ``stationary-far-lognormal`` and ``dri-far-lognormal`` take LogNormal(0,
+# 0.1) pulses' tail mean past z = (ln x) / 0.1 = 30, where its far form
+# takes over: the stationary run stops at c = 25 (z = 32.2) with a bound of
+# 9.86e-229, and the dri remainder is read at 21 (z = 30.4).
 _EXPONENTIAL = {"family": "exponential", "rate": 1.0}
 _INDICATOR = {"kind": "indicator", "eta": _EXPONENTIAL}
 _PARETO_08_INDICATOR = {"kind": "indicator", "eta": {"family": "pareto", "alpha": 0.8, "xm": 1.0}}
 _SMALL_POINTPROCESS = {"n_windows": 200, "n_realizations": 200, "laplace": {"n_mc": 200}}
 _NON_DYADIC_H = {"kind": "deterministic_table", "breakpoints": [0.0, 1.0, 2.0, 3.0, 5.0], "values": [0.1, 0.3, 0.2, 0.7, 0.0]}
+_NARROW_LOGNORMAL_INDICATOR = {"kind": "indicator", "eta": {"family": "lognormal", "mu": 0.0, "sigma": 0.1}}
 _UNIFORM_PULSES = {"kind": "indicator", "eta": {"family": "uniform", "lo": 0.0, "hi": 2.0}}
 _BOUNDED_TABLE = {"kind": "deterministic_table", "breakpoints": [0, 1, 2.5], "values": [2, -1.0, 0]}
 CLI_RUNS = {
@@ -216,7 +221,10 @@ CLI_RUNS = {
                                     "n_replicates": 400, "n_permutations": 19}),
     "stationary-dump-window": ("stationary", {"law": {"family": "gamma", "shape": 0.1, "scale": 10.0},
                                               "u_grid": [0.0, 1.0], "n_replicates": 20, "c": 40.0}),
+    "stationary-far-lognormal": ("stationary", {"seed": 11, "kernel": _NARROW_LOGNORMAL_INDICATOR,
+                                                "u_grid": [0.0, 15.0], "n_replicates": 200}),
     "dri": ("dri", {"dri": {"k_max": 40, "grid_per_unit": 2, "n_mc": 50}}),
+    "dri-far-lognormal": ("dri", {"seed": 11, "kernel": _NARROW_LOGNORMAL_INDICATOR, "dri": {"k_max": 22}}),
     "dri-pareto": ("dri", {"kernel": _PARETO_08_INDICATOR, "dri": {"k_max": 40, "grid_per_unit": 2, "n_mc": 100}}),
 }
 
@@ -257,6 +265,14 @@ CLI_DIGESTS = {
         {
             "dri_mean.json": "91de418d68e177ffc697c38eccf66594573ff3d6f43b04b1f816a0b15a77a104",
             "dri_path.json": "898fc5b101e9fb462cecdfaf11102c775d4907237c3f2a894e74893c9d23f702",
+            "dri_summary.json": "0a9688983795373537f68e4648a683c73bae6548f98ffc4d09efaaefcb89016e",
+        },
+    ),
+    "dri-far-lognormal": (
+        0,
+        {
+            "dri_mean.json": "cd65c4e578cdcb13264df2b04fa74180bccd9b44cad88e155dfbc783af0c71e1",
+            "dri_path.json": "ebf477f59dd48bec7ae1aef1de68a590599e6edc8eb8d26fb9c3dcb60471a611",
             "dri_summary.json": "0a9688983795373537f68e4648a683c73bae6548f98ffc4d09efaaefcb89016e",
         },
     ),
@@ -317,6 +333,13 @@ CLI_DIGESTS = {
         {
             "matrix.csv": "fc88ef6d1490db854ddf755bd345b887410be1ae6151ca543930df8ad1e8b426",
             "metadata.json": "f00dd2146571d5947bee53919b3cd7de6a930b9318f8836050d9a6a96bc16853",
+        },
+    ),
+    "stationary-far-lognormal": (
+        0,
+        {
+            "matrix.csv": "21b559e5e1fd3765d38f95301f015729450961c68197a16855e3bb6c71c4e684",
+            "metadata.json": "d90534ba35acbee6ab0d18d4c1899ad5717115e9e77bb38fe4d7e6389f1d2663",
         },
     ),
     "stationary-dump-window": (

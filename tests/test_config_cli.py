@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,10 +19,11 @@ import renewal_immigration
 from renewal_immigration import cli, config, stats
 from renewal_immigration import distributions as dist
 from renewal_immigration import diagnostics as dg
+from renewal_immigration import kernels
 from renewal_immigration.cli import main
-from renewal_immigration.config import load_config, parse_config
+from renewal_immigration.config import ExperimentConfig, load_config, parse_config
 from renewal_immigration.errors import ConfigError, TruncationError
-from renewal_immigration.process import stationary_half_width
+from renewal_immigration.process import FddSample, stationary_half_width
 from renewal_immigration.renewal import build_stationary_window
 from renewal_immigration.streams import DUMP_WINDOW, stream
 
@@ -879,3 +881,24 @@ def test_csv_floats_use_17_significant_digits(tmp_path):
         assert "," not in line
         value = float(line)
         assert f"{value:.17g}" == line
+
+
+def test_matrix_csv_is_rendered_row_by_row():
+    # A 10^5 x 10 matrix of counts, as an indicator kernel's simulate run
+    # writes them.  Rendering holds the lines (each its text, a 49-byte
+    # string header and an 8-byte list slot, with up to 1/8 more slots), the
+    # joined text and that text with its last newline: 3 texts and 64 bytes
+    # a row.  The matrix as Python floats would be 32 bytes a value (a
+    # 24-byte float and its list slot) more.
+    n, g = 10**5, 10
+    sample = FddSample(u_grid=np.arange(float(g)), values=stream(43).poisson(3.0, (n, g)).astype(float))
+    law, kernel = dist.Exponential(1.0), kernels.Indicator(dist.Exponential(1.0))
+    tracemalloc.start()
+    try:
+        files = cli._sample_files(ExperimentConfig(law, kernel, 1, {}), sample, "transient", t=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = files["matrix.csv"]
+    assert text.count("\n") == n + 1
+    assert peak < 3 * len(text) + 64 * n + 2**16

@@ -13,6 +13,7 @@ from renewal_immigration import renewal as rn
 from renewal_immigration.streams import DRI_MEAN, DRI_PATH, stream
 
 from oracles import mp_birth_death_generator, replayed_increments_until
+from test_distributions import PEAK_N, PEAK_SLACK, traced_peak
 from test_renewal import assert_forward_rows, assert_restricted, assert_window_rows, generator_at, split_rows
 
 EXP_LAW = dist.Exponential(1.0)
@@ -299,6 +300,18 @@ def test_laplace_row_sums_add_in_point_order_bit_for_bit(law):
         assert counts.min() < counts.max()
         single = [_exp_neg_sum_in_order(h.value(row)) for row in split_rows(counts, x)]
         assert dg._exp_neg_h_sums(h, x, counts).tobytes() == np.array(single).tobytes()
+
+
+def test_laplace_row_sums_hold_no_python_floats():
+    # n rows of one point each, all in h's support.  At the end: the row
+    # indices, the support mask (n bytes), the sums, their negatives and
+    # the exps streamed into their array: 4 1/8 float arrays of n.  (While
+    # h is evaluated, the row indices, the mask, the points in the support,
+    # their table indices and their values: as many.)
+    h = kn.DeterministicTable((0.0, 1.0, 2.0), (1.0, 0.5, 0.0))
+    x = np.linspace(0.0, 1.999, PEAK_N)
+    peak = traced_peak(dg._exp_neg_h_sums, h, x, np.ones(PEAK_N, dtype=np.intp))
+    assert peak < (4 + 1 / 8) * 8 * PEAK_N + PEAK_SLACK
 
 
 class _CountedTable:

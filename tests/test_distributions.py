@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from renewal_immigration.config import law_from_config, to_config
 from renewal_immigration.errors import LawError
 from renewal_immigration.streams import stream
 
-from oracles import chisq_gof_counts
+from oracles import chisq_gof_counts, erfc_normal_cdf, two_branch_lognormal_tail_mean
 
 
 def _scipy_law(law):
@@ -336,6 +337,88 @@ def test_normal_cdf_matches_ndtr():
     edges = dist.normal_cdf([-np.inf, -0.0, 0.0, np.inf, np.nan])
     assert edges[:4].tolist() == [0.0, 0.5, 0.5, 1.0] and np.isnan(edges[4])
     assert dist.normal_cdf(1.0).shape == ()
+
+
+def test_normal_cdf_is_erfc_per_value_bit_for_bit():
+    # Every value is 0.5 * math.erfc(z * -sqrt(0.5)) on one Python float,
+    # in the shape it came in, 0-d included, with signed zeros, infinities
+    # and NaN passed through.
+    edges = [-0.0, 0.0, -np.inf, np.inf, np.nan]
+    line = np.concatenate([np.linspace(-40.0, 40.0, 4001), edges])
+    for z in (line, line[:4000].reshape(80, 50), np.float64(-37.5), np.array(0.25), 1.0, -0.0, np.nan):
+        got, want = dist.normal_cdf(z), erfc_normal_cdf(z)
+        assert np.shape(got) == np.shape(z) and np.asarray(got).dtype == np.float64
+        assert np.asarray(got).tobytes() == want.tobytes()
+
+
+def traced_peak(fn, *args):
+    """The largest traced allocation above the start while ``fn(*args)`` runs, after one warm-up call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Peaks at n = 10^5, in float64 arrays of n (8n bytes), counted from the
+# temporaries alive at once, plus 64 KiB for fixed-size objects.  No array
+# is turned into Python floats, each of which would cost three more bytes
+# per byte of the array it came from.
+PEAK_N = 10**5
+PEAK_SLACK = 2**16
+
+
+def test_normal_cdf_holds_three_float_arrays():
+    # The scaled argument, the erfc values streamed into their array, and
+    # their halves.
+    assert traced_peak(dist.normal_cdf, np.linspace(-40.0, 40.0, PEAK_N)) < 3 * 8 * PEAK_N + PEAK_SLACK
+
+
+def test_lognormal_integrated_tail_cdf_holds_seven_float_arrays():
+    # Inside tail_mean, at the second normal_cdf call: x capped, z, the first
+    # term, -z and normal_cdf's three.  Every x here has z < 30, so the far
+    # form is evaluated on no entry.
+    law = dist.LogNormal(0.0, 1.0)
+    peak = traced_peak(dist.integrated_tail_cdf, law, np.linspace(0.0, 50.0, PEAK_N))
+    assert peak < 7 * 8 * PEAK_N + PEAK_SLACK
+
+
+# Log-normal tails around z = (ln x - mu) / sigma = 30, where the far form
+# takes over, and far on both sides of it; a subnormal sigma, where z
+# overflows for every x but 1.
+TAIL_GRID_Z = np.concatenate([np.linspace(-40.0, 60.0, 2001), [30.0]])
+
+
+@pytest.mark.parametrize(
+    "law", [dist.LogNormal(0.0, 0.1), dist.LogNormal(-1.0, 2.0), dist.LogNormal(1.5, 1.0)], ids=repr
+)
+def test_lognormal_tail_mean_is_the_two_branch_formula_bit_for_bit(law):
+    at_30 = math.exp(law.mu + 30.0 * law.sigma)
+    xs = np.concatenate([
+        np.exp(law.mu + law.sigma * TAIL_GRID_Z),
+        [np.nextafter(at_30, 0.0), at_30, np.nextafter(at_30, math.inf)],
+        np.geomspace(1e-300, 1e300, 601),
+        [0.0, -0.0, math.inf, np.finfo(float).max],
+    ])
+    z = (np.log(np.maximum(xs, TINY)) - law.mu) / law.sigma
+    assert np.any(z < 30.0) and np.any((z >= 30.0) & (xs < math.inf))
+    assert np.asarray(law.tail_mean(xs)).tobytes() == two_branch_lognormal_tail_mean(law, xs).tobytes()
+    rows = xs[: len(xs) // 2 * 2].reshape(-1, 2)
+    assert law.tail_mean(rows).shape == rows.shape
+    assert law.tail_mean(rows).tobytes() == two_branch_lognormal_tail_mean(law, rows).tobytes()
+    for x in (0.0, at_30, 2.0 * at_30, math.inf):
+        got = law.tail_mean(x)
+        assert np.shape(got) == () and np.asarray(got).tobytes() == two_branch_lognormal_tail_mean(law, x).tobytes()
+
+
+def test_lognormal_tail_mean_with_a_subnormal_sigma_is_the_two_branch_formula_bit_for_bit():
+    law = dist.LogNormal(0.0, 5e-324)
+    xs = np.array([0.0, 0.5, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 2.0, 1e300, math.inf])
+    assert np.asarray(law.tail_mean(xs)).tobytes() == two_branch_lognormal_tail_mean(law, xs).tobytes()
+    for x in xs.tolist():
+        assert np.asarray(law.tail_mean(x)).tobytes() == two_branch_lognormal_tail_mean(law, x).tobytes()
 
 
 LOGNORMALS = [dist.LogNormal(0.0, 0.5), dist.LogNormal(-1.0, 2.0), dist.LogNormal(1.5, 1.0)]

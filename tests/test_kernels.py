@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renewal_immigration import distributions as dist
+from renewal_immigration import diagnostics as dg
 from renewal_immigration import kernels as kn
+from renewal_immigration import renewal as rn
 from renewal_immigration.config import kernel_from_config, to_config
 from renewal_immigration.errors import KernelError, NonAbsorbedPathError
 from renewal_immigration.streams import stream
@@ -37,6 +39,22 @@ EDGE_SPECS = [
     ),
 ]
 
+
+# Results that hold arrays compare and hash by identity: field-wise == would
+# compare arrays, whose truth value is ambiguous, and a field-wise hash
+# cannot hash them.  Each is built twice from equal arrays.
+ARRAY_RESULTS = {type(spec).__name__: (lambda spec=spec: spec.sample(stream(9), 4)) for spec in ALL_SPECS} | {
+    "RenewalRealization": lambda: rn.simulate_forward(dist.Exponential(1.0), 5.0, stream(9), size=4),
+    "DriReport": lambda: dg.DriReport("mean", np.ones(3), np.arange(3.0), dg.CONVERGENT_EVIDENCE, 3, 10, 0.5),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_RESULTS.values(), ids=ARRAY_RESULTS)
+def test_results_holding_arrays_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert type(a) is type(b) and a is not b
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b}) == 2
 
 def test_table_eval_semantics():
     path = kn.sample_path(TABLE_STEPS, stream(0), size=1)
