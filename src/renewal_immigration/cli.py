@@ -66,7 +66,9 @@ def _csv(header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(x if isinstance(x, str) else "" if x is None else _fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    # The empty last line ends the text with a newline without copying it again.
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _strict(obj):

@@ -31,11 +31,12 @@ import json
 import math
 import operator
 import sys
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from functools import partial
 from types import SimpleNamespace
 from typing import Callable, get_args
 
+from ._records import Record
 from .diagnostics import intensity_half_width, laplace_half_width, shift_half_width
 from .distributions import Law, check_interarrival
 from .errors import ConfigError, KernelError, LawError, TruncationError
@@ -69,16 +70,16 @@ _ABSENT = object()  # a field missing from the config, or without a default
 _BOUNDS = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
+    """A config's law, kernel and seed, and its JSON object, from which each command reads its own fields."""
+
     law: Law
     kernel: KernelSpec
     seed: int
     raw: dict
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Record):
     """One config field: its dotted path, ``parse(node, path)``, bound and default.
 
     ``bound`` alternates operators and limits, e.g. ``(">", 0.0, "<=", 0.5)``;

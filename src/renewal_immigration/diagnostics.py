@@ -21,14 +21,16 @@ permutation test, after warning about violated hypotheses (lattice
 interarrival laws, a divergent mean criterion).  Point-process checks
 (intensity, overshoot, shift invariance, Laplace functionals) validate the
 stationary window construction itself.  Every check returns a frozen
-dataclass; :mod:`.cli` writes its fields as the JSON report.
+record, a dataclass (:mod:`._records`); :mod:`.cli` writes its fields as the
+JSON report.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
+from ._records import Record
 from .distributions import integrated_tail_cdf, is_lattice
 from .errors import KernelError, NonAbsorbedPathError, TruncationError
 from .kernels import sample_path, unit_interval_sups
@@ -63,8 +65,7 @@ CONVERGENT_EVIDENCE = "ConvergentEvidence"
 DIVERGENT_EVIDENCE = "DivergentEvidence"
 
 
-@dataclass(frozen=True, eq=False)
-class DriReport:
+class DriReport(Record, eq=False):
     """A summability criterion's exact verdict and Monte Carlo per-unit terms.
 
     ``residual_estimate`` is the kernel's rigorous bound on the terms' sum
@@ -149,8 +150,7 @@ def dri_path_check(spec, k_max, n_mc, rng):
     return _dri_report("path", terms, n_mc, spec)
 
 
-@dataclass(frozen=True)
-class LaplaceComparison:
+class LaplaceComparison(Record):
     """Monte Carlo Laplace functionals of the aged and stationary point sets."""
 
     transient_estimate: float
@@ -217,8 +217,7 @@ def laplace_functional_compare(law, h, t, n_mc, rng):
     )
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Record):
     """Two-sample comparison of fdd matrices at one transient time."""
 
     t: float | None
@@ -327,8 +326,9 @@ def convergence_test(
     return reports
 
 
-@dataclass(frozen=True)
-class IntervalIntensity:
+class IntervalIntensity(Record):
+    """Mean point count of stationary windows in one interval, against ``length / mean``."""
+
     interval: tuple
     empirical_mean: float
     expected_mean: float
@@ -378,8 +378,9 @@ def intensity_check(law, intervals, n_windows, rng):
     return out
 
 
-@dataclass(frozen=True)
-class OvershootReport:
+class OvershootReport(Record):
+    """KS of the overshoots past ``horizon`` against the integrated-tail CDF, with its warnings."""
+
     ks: TestResult
     horizon: float
     lattice_warning: bool

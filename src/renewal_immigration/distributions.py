@@ -30,12 +30,12 @@ read and written by :mod:`.config` alone.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import ClassVar
 
 import numpy as np
 
+from ._records import Record
 from .errors import LawError
 
 __all__ = [
@@ -90,8 +90,7 @@ def _mills(w):
     return np.where(w < 20.0, normal_cdf(-near) * math.sqrt(2.0 * math.pi) * np.exp(0.5 * near**2), 1.0 / t)
 
 
-@dataclass(frozen=True)
-class Exponential:
+class Exponential(Record):
     """Exponential law with the given rate (mean ``1/rate``)."""
 
     family: ClassVar[str] = "exponential"
@@ -123,8 +122,7 @@ class Exponential:
         return rng.gamma(2.0, 1.0 / self.rate, size=size)
 
 
-@dataclass(frozen=True)
-class Gamma:
+class Gamma(Record):
     """Gamma law with shape ``k`` and scale ``theta`` (mean ``k*theta``)."""
 
     family: ClassVar[str] = "gamma"
@@ -166,8 +164,7 @@ class Gamma:
         return rng.gamma(self.shape + 1.0, self.scale, size=size)
 
 
-@dataclass(frozen=True)
-class Uniform:
+class Uniform(Record):
     """Uniform law on [lo, hi]; lo may be negative only in the mark role."""
 
     family: ClassVar[str] = "uniform"
@@ -202,8 +199,7 @@ class Uniform:
         return np.sqrt(self.lo**2 + u * (self.hi**2 - self.lo**2))
 
 
-@dataclass(frozen=True)
-class LogNormal:
+class LogNormal(Record):
     """Log-normal law: log X ~ Normal(mu, sigma^2)."""
 
     family: ClassVar[str] = "lognormal"
@@ -255,8 +251,7 @@ class LogNormal:
         return rng.lognormal(self.mu + self.sigma**2, self.sigma, size=size)
 
 
-@dataclass(frozen=True)
-class PointMass:
+class PointMass(Record):
     """Degenerate law at a single value.  Lattice by definition."""
 
     family: ClassVar[str] = "point_mass"
@@ -286,8 +281,7 @@ class PointMass:
         return np.full(size, self.value)
 
 
-@dataclass(frozen=True)
-class FiniteDiscrete:
+class FiniteDiscrete(Record):
     """Law on finitely many atoms, given as ``((value, prob), ...)``."""
 
     family: ClassVar[str] = "finite_discrete"
@@ -340,8 +334,7 @@ class FiniteDiscrete:
         return rng.choice(vals, size=size, p=w / w.sum())
 
 
-@dataclass(frozen=True)
-class Pareto:
+class Pareto(Record):
     """Pareto law with tail index ``alpha`` and minimum ``xm``.
 
     Mark role only: with ``alpha <= 1`` the mean is infinite, which is

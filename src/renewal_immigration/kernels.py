@@ -55,12 +55,12 @@ draws depend on ``k``.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
 
+from ._records import Record
 from .distributions import Law
 from .errors import KernelError, NonAbsorbedPathError, TruncationError
 
@@ -106,8 +106,7 @@ def _mean_abs(eta):
 # Specs
 
 
-@dataclass(frozen=True)
-class DeterministicTable:
+class DeterministicTable(Record):
     """Step function: ``values[i]`` on ``[breakpoints[i], breakpoints[i+1])``.
 
     The last value extends to infinity; the function is 0 before the first
@@ -165,8 +164,7 @@ class DeterministicTable:
         return bound, bound
 
 
-@dataclass(frozen=True)
-class Indicator:
+class Indicator(Record):
     """``X(t) = 1`` on ``[0, eta)``, 0 elsewhere; ``eta`` drawn per path."""
 
     kind: ClassVar[str] = "indicator"
@@ -199,8 +197,7 @@ class Indicator:
         return bound, bound
 
 
-@dataclass(frozen=True)
-class ScaledExpDecay:
+class ScaledExpDecay(Record):
     """``X(t) = eta * exp(-decay * t)`` on ``t >= 0``."""
 
     kind: ClassVar[str] = "scaled_exp_decay"
@@ -244,8 +241,7 @@ class ScaledExpDecay:
         return bound, bound
 
 
-@dataclass(frozen=True)
-class ScaledTable:
+class ScaledTable(Record):
     """``X(t) = eta * table(t)`` with a fresh ``eta`` per path."""
 
     kind: ClassVar[str] = "scaled_table"
@@ -272,8 +268,7 @@ class ScaledTable:
     unit_remainders = DeterministicTable.unit_remainders
 
 
-@dataclass(frozen=True)
-class BirthDeath:
+class BirthDeath(Record):
     """Birth-death chain started at ``initial``, absorbed at 0.
 
     ``birth_rates[i-1]`` / ``death_rates[i-1]`` are the rates out of state
@@ -348,8 +343,7 @@ class BirthDeath:
         return bound, bound
 
 
-@dataclass(frozen=True)
-class SpikeTrain:
+class SpikeTrain(Record):
     """Unit pulses with quadratically shrinking width, one per ``[k, k+1)``."""
 
     kind: ClassVar[str] = "spike_train"
@@ -387,8 +381,7 @@ def _listed(times, after, keep, horizon):
     return keep.sum(axis=1), times[keep], after[keep]
 
 
-@dataclass(frozen=True, eq=False)
-class TablePath:
+class TablePath(Record, eq=False):
     """Realizations of a (possibly scaled) deterministic table, one scale per row."""
 
     table: DeterministicTable
@@ -401,8 +394,7 @@ class TablePath:
         return _listed(np.array(self.table.breakpoints), self.scale * np.array(self.table.values), True, horizon)
 
 
-@dataclass(frozen=True, eq=False)
-class IndicatorPath:
+class IndicatorPath(Record, eq=False):
     """Pulses: row ``i`` is 1 on [0, eta[i]), 0 elsewhere."""
 
     eta: np.ndarray
@@ -416,8 +408,7 @@ class IndicatorPath:
         return _listed(np.hstack([np.zeros_like(self.eta), self.eta]), np.array([1.0, 0.0]), self.eta > 0.0, horizon)
 
 
-@dataclass(frozen=True, eq=False)
-class ExpDecayPath:
+class ExpDecayPath(Record, eq=False):
     """Row ``i`` is eta[i] * exp(-decay t) on t >= 0."""
 
     eta: np.ndarray
@@ -431,8 +422,7 @@ class ExpDecayPath:
         return _listed(np.zeros_like(self.eta), self.eta, True, horizon)
 
 
-@dataclass(frozen=True, eq=False)
-class SpikePath:
+class SpikePath(Record, eq=False):
     """Row ``i`` pulses in [k + k^2 eta[i]/(k^2+1), k + eta[i]) for every k >= 1."""
 
     eta: np.ndarray
@@ -470,8 +460,7 @@ class SpikePath:
         return counts, times, after
 
 
-@dataclass(frozen=True, eq=False)
-class BirthDeathPath:
+class BirthDeathPath(Record, eq=False):
     """Chains started at ``initial``, their jumps as ragged rows.
 
     Row ``i`` jumps ``counts[i]`` times; its jump times and post-jump

@@ -31,10 +31,10 @@ files.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import Record
 from .distributions import check_interarrival
 from .errors import LawError, TruncationError
 from .kernels import sample_path
@@ -164,8 +164,7 @@ def eval_stationary(law, spec, u_grid, c, rng, size):
     return FddSample(u_grid=u, values=values, c_used=c)
 
 
-@dataclass(frozen=True, eq=False)
-class FddSample:
+class FddSample(Record, eq=False):
     """Replicated finite-dimensional samples on a u-grid, one row per replicate.
 
     A stationary run draws every replicate's window at one half-width

@@ -56,10 +56,10 @@ whatever the number of rows.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import Record
 from .distributions import check_interarrival, sample_stationary_delay
 from .errors import LawError
 
@@ -88,8 +88,7 @@ def point_rows(counts):
     return np.repeat(np.arange(len(counts)), counts)
 
 
-@dataclass(frozen=True, eq=False)
-class RenewalRealization:
+class RenewalRealization(Record, eq=False):
     """Forward epochs ``S_0 = 0 <= S_1 <= ... <= horizon`` plus the overshooter, per row.
 
     Row ``i`` holds the next ``counts[i]`` entries of ``epochs``: all its
@@ -242,8 +241,7 @@ def simulate_forward(law, horizon, rng, size, within=EVERY_VALUE):
     return RenewalRealization(counts=counts, epochs=epochs, horizon=float(horizon), overshoot_epoch=draw[2])
 
 
-@dataclass(frozen=True, eq=False)
-class StationaryWindow:
+class StationaryWindow(Record, eq=False):
     """Points of stationary renewal windows covering ``[-c, c]``, one window per row.
 
     Row ``i`` holds the next ``counts[i]`` entries of ``points``,

@@ -11,9 +11,11 @@ scipy.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
+
+from ._records import Record
 
 __all__ = [
     "TestResult",
@@ -44,8 +46,12 @@ DISTANCE_TILE = 2**15
 EXCEEDANCES = 10
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(Record):
+    """A test's statistic and p-value, its sample sizes (``m`` is ``None`` for one sample) and method.
+
+    ``note`` says how the test departed from its plain form, if it did.
+    """
+
     statistic: float
     p_value: float
     n: int
@@ -54,7 +60,6 @@ class TestResult:
     note: str = ""
 
 
-@dataclass(frozen=True)
 class PermutationResult(TestResult):
     """A permutation test's result and the number of permuted labellings it ran."""
 

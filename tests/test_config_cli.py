@@ -902,3 +902,19 @@ def test_matrix_csv_is_rendered_row_by_row():
     text = files["matrix.csv"]
     assert text.count("\n") == n + 1
     assert peak < 3 * len(text) + 64 * n + 2**16
+
+
+def test_csv_peaks_at_its_lines_and_one_joined_text():
+    # A 10^5 x 10 float matrix is about 19 MB of text.  Its lines, each a
+    # string of about 200 bytes with a 49-byte header and a list slot, come
+    # to about 1.3 texts; the joined text is one more.  A second full copy
+    # for the final newline would reach 3.3 texts.
+    rows = stream(44).random((10**5, 10))
+    tracemalloc.start()
+    try:
+        text = cli._csv([f"u={j}" for j in range(10)], (row.tolist() for row in rows))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.endswith("\n") and text.count("\n") == 10**5 + 1
+    assert peak < 2.5 * len(text) + 2**16
