@@ -34,12 +34,13 @@ ENERGY_EXACT_ROWS = 20_000
 
 # Distances are streamed in blocks of about this many entries (16 MB), each
 # block filled one cache-sized tile at a time, over half of the symmetric
-# matrix.  An energy test holds one block and two float buffers of
-# max(k, DISTANCE_TILE // k) labellings, so neither buffer is larger than
-# the distance matrix or one distance tile, plus one tile's integer label
-# draws; each tile of labellings streams its own blocks.
+# matrix.  A block that holds every distinct row (k <= 1448) is filled once
+# per test and its "marginals" labellings come RESIDENT_TILE at a time;
+# other tiles hold max(k, DISTANCE_TILE // k) labellings, no more entries
+# than the distance matrix or one distance tile.
 ENERGY_BLOCK_ENTRIES = 2**21
 DISTANCE_TILE = 2**15
+RESIDENT_TILE = 32
 
 # A permutation test stops at the labelling whose statistic is the
 # EXCEEDANCES-th to reach the observed one (Besag & Clifford 1991).
@@ -207,7 +208,7 @@ def _distinct_rows(z):
     return ranked[new], inv
 
 
-def _count_tiles(observed, w, n_permutations, rng, width):
+def _count_tiles(observed, w, n_permutations, rng, width, method):
     """Float label counts per distinct row, ``width`` labellings per tile.
 
     Yields ``(lo, tile)`` with ``tile`` a contiguous ``(k, width)`` array
@@ -215,14 +216,12 @@ def _count_tiles(observed, w, n_permutations, rng, width):
     is ``observed``, labelling ``p >= 1`` the label counts of a uniform
     ``n``-subset of the pooled rows (``n = observed.sum()``, ``w`` the
     multiplicities).  Those are multivariate hypergeometric, drawn from
-    ``rng`` as each tile is formed, by the cheaper of numpy's two methods:
-    "marginals" costs O(k) per labelling, "count" O(n).  Draws by
+    ``rng`` by numpy's ``method`` as each tile is formed.  Draws by
     "marginals" split over tiles equal one call's; draws by "count" depend on
     how many one call makes, since it reshuffles one pooled array from draw
     to draw, but consume the stream alike.  Tiles left unread are not drawn.
     """
     k, n = len(w), int(observed.sum())
-    method = "marginals" if k < n else "count"
     total = n_permutations + 1
     for lo in range(0, total, width):
         hi = min(lo + width, total)
@@ -234,29 +233,42 @@ def _count_tiles(observed, w, n_permutations, rng, width):
         yield lo, tile
 
 
-def _half_matrix_sums(uniq, w, counts, dist):
-    """Per-labelling ``c' D c`` and the row sums ``D w``, from half of ``D``.
+def _distance_blocks(uniq, dist):
+    """Half of the distance matrix of the distinct rows ``uniq``, ``len(dist)`` rows at a time.
 
-    ``D`` is the distance matrix of the distinct rows ``uniq``, ``c`` each
-    column of ``counts`` and ``w`` the multiplicities.  ``D`` is symmetric,
-    so each block of ``len(dist)`` rows is filled only against its own rows
-    and those after it: the quadratic form is the diagonal block's plus
+    Yields ``(start, block)``, ``block`` a view of ``dist`` holding the
+    distances from the block's rows, ``start`` on, to themselves and to every
+    later row.  Each block overwrites the one before it.
+    """
+    k, size = len(uniq), len(dist)
+    for start in range(0, k, size):
+        end = min(start + size, k)
+        yield start, _euclidean_into(dist[: end - start, : k - start], uniq[start:end], uniq[start:])
+
+
+def _half_matrix_sums(blocks, counts, w=None):
+    """Per-labelling ``c' D c``, and the row sums ``D w`` if ``w`` is given, from half of ``D``.
+
+    ``D`` is the symmetric distance matrix of the distinct rows, given as
+    ``_distance_blocks`` yields it, ``c`` each column of ``counts`` and ``w``
+    the multiplicities.  The quadratic form is each diagonal block's plus
     twice the off-diagonal part's, and the off-diagonal part's transpose
     gives the later rows' sums over the block (a block of all ``k`` rows
-    has no off-diagonal part).  One buffer of ``len(dist)`` rows holds both
-    of a block's products with ``counts``.
+    has no off-diagonal part, and its empty products add +0).  One buffer
+    of one block's rows holds both of a block's products with ``counts``.
     """
-    k, block = len(uniq), len(dist)
     s_aa = np.zeros(counts.shape[1])
-    row_sums = np.zeros(k)
-    prod = np.empty((block, counts.shape[1]))
-    for start in range(0, k, block):
-        end = min(start + block, k)
-        size = end - start
-        dblk = _euclidean_into(dist[:size, : k - start], uniq[start:end], uniq[start:])
+    row_sums = None if w is None else np.zeros(len(w))
+    prod = None
+    for start, dblk in blocks:
+        size = len(dblk)
+        end = start + size
+        if prod is None:
+            prod = np.empty((size, counts.shape[1]))
         own, rest, out = counts[start:end], dblk[:, size:], prod[:size]
-        row_sums[start:end] += dblk @ w[start:]
-        row_sums[end:] += rest.T @ w[start:end]
+        if w is not None:
+            row_sums[start:end] += dblk @ w[start:]
+            row_sums[end:] += rest.T @ w[start:end]
         s_aa += np.einsum("ip,ip->p", own, np.matmul(dblk[:, :size], own, out=out))
         s_aa += 2.0 * np.einsum("ip,ip->p", own, np.matmul(rest, counts[end:], out=out))
     return s_aa, row_sums
@@ -286,13 +298,14 @@ def energy_distance(a_matrix, b_matrix, n_permutations, rng):
     it are not drawn.  ``labellings`` in the result is how many were run.
 
     Memory: with ``k`` distinct rows the call holds one distance block of at
-    most ``ENERGY_BLOCK_ENTRIES`` entries and two float tile buffers (counts
-    and distance-weighted counts) of ``max(k, DISTANCE_TILE // k)``
-    labellings each, no larger than the distance matrix or one distance
-    tile, plus one tile's integer draws while the tile is formed.  Each tile
-    streams its own blocks over half of the symmetric distance matrix
-    (``_half_matrix_sums``): over ``d`` coordinates, recomputing the
-    distances costs about ``3 d / width`` of the tile's matrix products.
+    most ``ENERGY_BLOCK_ENTRIES`` entries, two float tile buffers (counts and
+    distance-weighted counts) and one tile's integer draws while the tile is
+    formed.  A block of all ``k`` rows (``k <= 1448``) is filled once per
+    test, and "marginals" tiles over it hold ``RESIDENT_TILE`` labellings.
+    Other tiles hold ``max(k, DISTANCE_TILE // k)``, no more entries than the
+    distance matrix or one distance tile, and past 1448 rows each streams its
+    own blocks (``_half_matrix_sums``): over ``d`` coordinates, recomputing
+    the distances costs about ``3 d / width`` of the tile's matrix products.
     """
     a = _as_matrix(a_matrix)
     b = _as_matrix(b_matrix)
@@ -316,16 +329,25 @@ def energy_distance(a_matrix, b_matrix, n_permutations, rng):
     k = len(uniq)
 
     # Labelling 0 is observed, the rest are permutations; w holds the
-    # multiplicities.
+    # multiplicities.  numpy's "marginals" draws cost O(k) per labelling,
+    # "count" draws O(n); only "marginals" draws are alike at any tile width.
     w = np.bincount(inv, minlength=k)
-    tiles = _count_tiles(np.bincount(inv[:n], minlength=k), w, n_permutations, rng, max(k, DISTANCE_TILE // k))
-    w = w.astype(float)
     dist = np.empty((min(max(1, ENERGY_BLOCK_ENTRIES // k), k), k))
+    method = "marginals" if k < n else "count"
+    resident = len(dist) == k
+    width = RESIDENT_TILE if resident and method == "marginals" else max(k, DISTANCE_TILE // k)
+    tiles = _count_tiles(np.bincount(inv[:n], minlength=k), w, n_permutations, rng, width, method)
+    del inv  # the tiles read counts, not the row index
+    w = w.astype(float)
+    filled = list(_distance_blocks(uniq, dist)) if resident else None
     reached = 0
     for lo, counts in tiles:
-        s_aa, row_sums = _half_matrix_sums(uniq, w, counts, dist)
+        blocks = filled or _distance_blocks(uniq, dist)
         if lo == 0:
+            s_aa, row_sums = _half_matrix_sums(blocks, counts, w)
             grand = float(w @ row_sums)
+        else:
+            s_aa = _half_matrix_sums(blocks, counts)[0]
         r = counts.T @ row_sums
         s_ab = r - s_aa
         s_bb = grand - 2.0 * r + s_aa

@@ -131,8 +131,14 @@ def test_dri_bytes_are_pinned(spec, shape):
 # second sample shifted by 0.02.  The shifted test runs all 200 labellings
 # (one exceedance, p = 2/201); every other one stops early (the Poisson
 # tests at their 16th labelling, so both counts of labellings pin the same
-# bytes).
-ENERGY_SHAPES = {"poisson-2999": 2999, "poisson-200": 200, "continuous": 199, "blocks": 200, "shifted": 200}
+# bytes).  Two more run every labelling over one resident distance block:
+# the shifted rows at 999 labellings (three exceedances, p = 4/1000), and
+# 200 distinct continuous rows of 100 + 100, drawn by "count", with the
+# second sample shifted by 0.25 (one exceedance, p = 2/1000).
+ENERGY_SHAPES = {
+    "poisson-2999": 2999, "poisson-200": 200, "continuous": 199, "blocks": 200, "shifted": 200, "shifted-999": 999,
+    "count-tiles": 999,
+}
 ENERGY_SEED = 31
 
 ENERGY_DIGESTS = {
@@ -141,6 +147,8 @@ ENERGY_DIGESTS = {
     "continuous": "d6bf22fc3faef1b70dd6330ab2998bcab35ea1821825cbed38e5e2d503f1a57d",
     "blocks": "547dd9ba496604e47f06cf3680b3cc3181730aac96047ea57a7e39f1bbc99a66",
     "shifted": "ffc9321c87e666409424368e85d4e74959ba296d01baca82642186c9cb70448f",
+    "shifted-999": "2e80f5e21e3651a2dbc3fe4b33c6d2b961b9044737ed0e856746c0fbd7c11e88",
+    "count-tiles": "94f47972c41aae86e4bdacb230897134c5873736dcebc872e075741704250c79",
 }
 
 
@@ -150,11 +158,15 @@ def test_energy_bytes_are_pinned(shape, monkeypatch):
         data = stream(ENERGY_SEED + 2)
         a, b = data.normal(size=(300, 3)), data.normal(size=(200, 3)) + 0.1
         rng = stream(ENERGY_SEED + 3)
+    elif shape == "count-tiles":
+        data = stream(ENERGY_SEED + 2)
+        a, b = data.normal(size=(100, 3)), data.normal(size=(100, 3)) + 0.25
+        rng = stream(ENERGY_SEED + 3)
     else:
         data = stream(ENERGY_SEED)
         a, b = data.poisson(1.0, size=(3000, 3)), data.poisson(1.0, size=(3000, 3))
         rng = stream(ENERGY_SEED + 1)
-    if shape == "shifted":
+    if shape.startswith("shifted"):
         b = b + 0.02
     if shape == "blocks":
         monkeypatch.setattr(stats, "ENERGY_BLOCK_ENTRIES", 3 * 149)
@@ -181,6 +193,10 @@ def test_energy_bytes_are_pinned(shape, monkeypatch):
 # at long horizons over several row blocks: ``simulate-bounded-200`` and
 # ``-300`` (Uniform(0, 2) pulses, blocks of 163 and 108 rows) and
 # ``converge-table`` (a bounded table at t = 200, blocks of 163 rows).
+# ``converge-bench`` is the benchmark's M/G/inf converge at bench size
+# (3000 replicates, 2999 labellings): its energy tests have about 150
+# distinct rows, so one distance block holds each, and stop at labellings
+# 334 and 28 (p = 10/334 and 10/28), the first well past its first tile.
 # ``pointprocess-two-sided`` reads intensity intervals on both sides of 0
 # and a negative shift, so the windows it keeps straddle the origin.
 # ``stationary-far-lognormal`` and ``dri-far-lognormal`` take LogNormal(0,
@@ -217,6 +233,8 @@ CLI_RUNS = {
                                           "n_replicates": 600}),
     "simulate-bounded-300": ("simulate", {"kernel": _UNIFORM_PULSES, "t": 300.0, "u_grid": [0.0, 1.0],
                                           "n_replicates": 600}),
+    "converge-bench": ("converge", {"seed": 8, "t_list": [1.0, 30.0], "u_grid": [0.0, 1.0, 5.0], "alpha": 0.01,
+                                    "n_replicates": 3000, "n_permutations": 2999}),
     "converge-table": ("converge", {"kernel": _BOUNDED_TABLE, "t_list": [1.0, 200.0], "u_grid": [0.0, 1.0],
                                     "n_replicates": 400, "n_permutations": 19}),
     "stationary-dump-window": ("stationary", {"law": {"family": "gamma", "shape": 0.1, "scale": 10.0},
@@ -250,6 +268,14 @@ CLI_DIGESTS = {
             "report_000.json": "72832acb34b89b733111675fbc2d6c01f3c13419d3ce4f5ee176348a1fe8d04d",
             "report_001.json": "7f4015a6502289bdf5cb816249c1f66ba81b35fd4a9c078016f93b5abec54d37",
             "summary.csv": "921c2fec67e8125e1b9239bef3db49195ef033d047861afb1ea1830b48406eb8",
+        },
+    ),
+    "converge-bench": (
+        0,
+        {
+            "report_000.json": "312bef198b6fc3dd9cf2e8fd66fa7da6baeee33fddfaa6b92c223ae43a1f5ec6",
+            "report_001.json": "0c6e3073f3ef105c9f59490f239dbf25a5e3a88718a9293ccf477a4cc3845725",
+            "summary.csv": "509bdcd7d57fec611493795b2ca428dc7541c3862f7932c22f4d99b5e21cb512",
         },
     ),
     "converge-table": (

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -24,7 +25,7 @@ from renewal_immigration.cli import main
 from renewal_immigration.config import ExperimentConfig, load_config, parse_config
 from renewal_immigration.errors import ConfigError, TruncationError
 from renewal_immigration.process import FddSample, stationary_half_width
-from renewal_immigration.renewal import build_stationary_window
+from renewal_immigration.renewal import build_stationary_window, point_rows
 from renewal_immigration.streams import DUMP_WINDOW, stream
 
 
@@ -43,6 +44,9 @@ def base_config(**extra):
     }
     cfg.update(extra)
     return cfg
+
+
+SMALL_POINTPROCESS = {"n_windows": 200, "n_realizations": 200, "laplace": {"n_mc": 200}}
 
 
 def hash_tree(root):
@@ -553,6 +557,52 @@ def test_stationary_truncation_failure_exits_2(tmp_path):
     assert not (out / "matrix.csv").exists()
 
 
+def test_pointprocess_exits_2_when_a_check_fails_without_a_warning(tmp_path, capsys, monkeypatch):
+    # Windows that lose every other point hold about half the points per
+    # unit length that the renewal rate promises, so the intensity check
+    # fails.  The law is exponential and the horizon the default, so no
+    # warning accounts for the failure and the run rejects.
+    build = dg.build_stationary_window
+
+    def thinned(*args, **kwargs):
+        window = build(*args, **kwargs)
+        keep = np.arange(len(window.points)) % 2 == 0
+        counts = np.bincount(point_rows(window.counts)[keep], minlength=len(window.counts))
+        return dataclasses.replace(window, counts=counts, points=window.points[keep])
+
+    monkeypatch.setattr(dg, "build_stationary_window", thinned)
+    cfg = write_config(tmp_path, base_config(pointprocess=SMALL_POINTPROCESS))
+    out = tmp_path / "out"
+    assert main(["pointprocess", cfg, "--out-dir", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "pointprocess.json").read_text())
+    assert report["intensity_pass"] is False
+    assert report["warnings"] == []
+
+
+VERBOSE_RUNS = {
+    "simulate": {"t": 5.0, "u_grid": [0.0, 1.0], "n_replicates": 20},
+    "stationary": {"u_grid": [0.0, 1.0], "n_replicates": 20},
+    "converge": {"t_list": [1.0], "u_grid": [0.0, 1.0], "n_replicates": 50, "n_permutations": 19},
+    "dri": {"dri": {"k_max": 40, "grid_per_unit": 2, "n_mc": 50}},
+    "pointprocess": {"pointprocess": SMALL_POINTPROCESS},
+}
+
+
+@pytest.mark.parametrize("command", VERBOSE_RUNS)
+def test_verbose_logs_the_run_to_stderr_and_leaves_its_outputs_alone(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, base_config(**VERBOSE_RUNS[command]))
+    runs = []
+    for flags in ([], ["-v"]):
+        out = tmp_path / f"out{len(flags)}"
+        code = main([command, cfg, "--out-dir", str(out), *flags])
+        captured = capsys.readouterr()
+        runs.append((code, captured.out, hash_tree(out), captured.err))
+    (code, stdout, files, err), (v_code, v_stdout, v_files, v_err) = runs
+    assert (v_code, v_stdout, v_files) == (code, stdout, files)
+    assert v_err == f"running {command} with seed 7\n" + err
+
+
 BURSTY_LAW = {"family": "gamma", "shape": 0.1, "scale": 10.0}
 EXP_DECAY_KERNEL = {"kind": "scaled_exp_decay", "eta": {"family": "point_mass", "value": 1.0}, "decay": 0.1}
 
@@ -645,9 +695,6 @@ def _loaded_modules(prefix, argv=None, exit_code=0):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120, check=True
     )
     return json.loads(result.stdout.strip().splitlines()[-1])
-
-
-SMALL_POINTPROCESS = {"n_windows": 200, "n_realizations": 200, "laplace": {"n_mc": 200}}
 
 
 def test_converge_with_exponential_law_never_imports_scipy_stats(tmp_path):

@@ -152,19 +152,27 @@ def _normal_rows(rng, n):
 
 
 def _tile_widths(monkeypatch, distance_tile=None):
-    # Records the labellings per tile; a small DISTANCE_TILE makes the tiles
-    # k labellings wide, so small samples span several.
+    # Records the labellings of each tile drawn; a small DISTANCE_TILE makes
+    # "count" and streamed tiles k labellings wide, so small samples span
+    # several.
     if distance_tile is not None:
         monkeypatch.setattr(rs, "DISTANCE_TILE", distance_tile)
     widths = []
     count_tiles = rs._count_tiles
 
-    def recording(observed, w, n_permutations, rng, width):
-        widths.append(width)
-        return count_tiles(observed, w, n_permutations, rng, width)
+    def recording(*args):
+        for lo, tile in count_tiles(*args):
+            widths.append(tile.shape[1])
+            yield lo, tile
 
     monkeypatch.setattr(rs, "_count_tiles", recording)
     return widths
+
+
+def _drawn(labellings, width, n_permutations):
+    # The tiles of `width` up to the one holding the last labelling run.
+    total = n_permutations + 1
+    return [min(width, total - lo) for lo in range(0, labellings + 1, width)]
 
 
 @pytest.mark.parametrize("draw", [_poisson_rows, _normal_rows])
@@ -172,11 +180,12 @@ def _tile_widths(monkeypatch, distance_tile=None):
 def test_energy_distance_matches_dense_label_loop(draw, shift, monkeypatch):
     # Same generator stream, same drawn label counts: equal sequential
     # p-values and labellings run, and a statistic equal up to float64
-    # summation order.  With 2^10-entry distance tiles, the 76 distinct
-    # Poisson rows without a shift take the 100 labellings in tiles of 76
-    # and 24; the others fit one tile.  Without a shift the tests stop
-    # early; the shifted ones reject, run all 99 and leave the stream where
-    # the oracle's one call leaves it.
+    # summation order.  The Poisson rows (k < n, "marginals") take the 100
+    # labellings in tiles of 32 over one resident distance block; the 500
+    # distinct continuous rows ("count") take them in one tile of at most
+    # k.  Without a shift the tests stop early, and no tile past the
+    # stopping labelling is drawn; the shifted ones reject, run all 99 and
+    # leave the stream where the oracle's one call leaves it.
     data = stream(11)
     a = draw(data, 300)
     b = draw(data, 200) + shift
@@ -184,7 +193,8 @@ def test_energy_distance_matches_dense_label_loop(draw, shift, monkeypatch):
     ours, ref = stream(12), stream(12)
     res = rs.energy_distance(a, b, 99, ours)
     statistic, p_value, labellings = dense_energy_permutation(a, b, 99, rs.EXCEEDANCES, ref)
-    assert widths == [len(np.unique(np.vstack([a, b]), axis=0))]
+    k = len(np.unique(np.vstack([a, b]), axis=0))
+    assert widths == _drawn(labellings, rs.RESIDENT_TILE if k < len(a) else k, 99)
     assert (res.p_value, res.labellings) == (p_value, labellings)
     assert res.statistic == pytest.approx(statistic, rel=1e-10)
     assert (labellings == 99) == (shift > 0)
@@ -258,8 +268,9 @@ def test_distances_over_several_tiles_equal_cdist(monkeypatch, tile):
 @pytest.mark.parametrize("draw", [_poisson_rows, _normal_rows])
 def test_energy_distance_over_several_blocks(monkeypatch, draw):
     # One distance buffer refilled block by block, the last block ragged,
-    # gives the statistic and p-value of one block of all k rows, in tiles
-    # of k labellings either way.
+    # gives the statistic and p-value of one block of all k rows.  Streamed
+    # tiles hold max(k, 2^10 // k) labellings; over the resident block, the
+    # Poisson rows' "marginals" tiles hold 32.
     data = stream(16)
     a, b = draw(data, 40), draw(data, 30) + 0.2
     widths = _tile_widths(monkeypatch, 2**10)
@@ -268,19 +279,25 @@ def test_energy_distance_over_several_blocks(monkeypatch, draw):
     assert k % 3  # 3-row blocks leave a ragged last block
     monkeypatch.setattr(rs, "ENERGY_BLOCK_ENTRIES", 3 * k)
     several = rs.energy_distance(a, b, 99, stream(17))
-    assert widths == [k, k] and k < 100
+    streamed = max(k, 2**10 // k)
+    resident = rs.RESIDENT_TILE if k < len(a) else streamed
+    assert widths == _drawn(one.labellings, resident, 99) + _drawn(several.labellings, streamed, 99)
+    assert streamed < 100
     assert several.p_value == one.p_value
     assert several.statistic == pytest.approx(one.statistic, rel=1e-12)
 
 
-@pytest.mark.parametrize("distance_tile", [1, None])
-def test_energy_distance_on_one_distinct_row(monkeypatch, distance_tile):
-    # k = 1: every statistic is 0, whether every labelling is its own tile
-    # or, by default, one tile holds DISTANCE_TILE of them.
+@pytest.mark.parametrize("resident_tile", [1, None])
+def test_energy_distance_on_one_distinct_row(monkeypatch, resident_tile):
+    # k = 1: every statistic is 0 and reaches the observed one, so the test
+    # stops at labelling 10, whether every labelling is its own tile or, by
+    # default, one tile holds RESIDENT_TILE of them.
     rows = np.full((40, 2), 3.0)
-    widths = _tile_widths(monkeypatch, distance_tile)
+    if resident_tile is not None:
+        monkeypatch.setattr(rs, "RESIDENT_TILE", resident_tile)
+    widths = _tile_widths(monkeypatch)
     res = rs.energy_distance(rows[:25], rows[25:], 99, stream(23))
-    assert widths == [1 if distance_tile else rs.DISTANCE_TILE]
+    assert widths == ([1] * 11 if resident_tile else [rs.RESIDENT_TILE])
     assert res.statistic == 0.0
     assert res.p_value == 1.0
 
@@ -290,7 +307,7 @@ def test_energy_tiles_with_count_method_match_dense_label_loop(monkeypatch):
     # method; 200 labellings make tiles of 60, 60, 60 and 20, in one block
     # and over 3-row blocks alike.  "count" draws depend on how many one
     # call makes, so the oracle draws 60 per call too; the test stops in the
-    # third tile.
+    # third tile, and no fourth is drawn.
     data = stream(24)
     a, b = data.normal(size=(30, 2)), data.normal(size=(30, 2)) + 0.5
     widths = _tile_widths(monkeypatch, 2**10)
@@ -301,10 +318,10 @@ def test_energy_tiles_with_count_method_match_dense_label_loop(monkeypatch):
         res = rs.energy_distance(a, b, 199, stream(25))
         assert (res.p_value, res.labellings) == (p_value, labellings)
         assert res.statistic == pytest.approx(statistic, rel=1e-10)
-    assert widths == [60, 60]
+    assert widths == [60, 60, 60] * 2
 
 
-@pytest.mark.parametrize("width", [1, 7, 219, 3000])
+@pytest.mark.parametrize("width", [1, 7, rs.RESIDENT_TILE, 219, 3000])
 def test_marginals_draws_split_at_tile_widths_equal_one_call(width):
     # The energy statistic, and every p-value of a test that runs all its
     # labellings, keep their bytes across tile widths only because numpy's
@@ -315,7 +332,7 @@ def test_marginals_draws_split_at_tile_widths_equal_one_call(width):
     one_call = stream(46)
     drawn = one_call.multivariate_hypergeometric(w, 3000, size=2999, method="marginals")
     tiled = stream(46)
-    tiles = [tile for _, tile in rs._count_tiles(observed, w, 2999, tiled, width)]
+    tiles = [tile for _, tile in rs._count_tiles(observed, w, 2999, tiled, width, "marginals")]
     counts = np.hstack(tiles)
     assert [tile.shape[1] for tile in tiles[:-1]] == [width] * (len(tiles) - 1)
     assert counts[:, 0].tobytes() == observed.astype(float).tobytes()
@@ -325,13 +342,13 @@ def test_marginals_draws_split_at_tile_widths_equal_one_call(width):
 
 def test_energy_distance_runs_every_labelling_when_it_rejects(monkeypatch):
     # Samples one apart in every coordinate: no permuted labelling reaches
-    # the observed statistic, so all 999 labellings run, over several tiles,
-    # and p = 1/(P+1).
+    # the observed statistic, so all 999 labellings run, over 32 tiles of
+    # the resident block, and p = 1/(P+1).
     data = stream(47)
     a, b = data.poisson(1.0, size=(300, 3)), data.poisson(1.0, size=(200, 3)) + 1.0
     widths = _tile_widths(monkeypatch)
     res = rs.energy_distance(a, b, 999, stream(48))
-    assert widths[0] < 1000
+    assert widths == [rs.RESIDENT_TILE] * 31 + [8]
     assert (res.p_value, res.labellings) == (1 / 1000, 999)
 
 
@@ -372,9 +389,9 @@ def test_distinct_rows_merge_signed_zeros_as_numpy_unique():
 @pytest.mark.parametrize("several_blocks", [False, True], ids=["tiles", "several-blocks"])
 def test_energy_distance_allocates_little_beyond_the_draws(monkeypatch, several_blocks):
     # About 200 distinct integer rows, samples one apart so that all 2999
-    # labellings run, in one distance block or in several.  In tiles of k
-    # labellings, each tile's label draws are made as the tile is formed,
-    # so the call never holds an array of k * P entries.
+    # labellings run, in one distance block or in several.  Each tile's
+    # label draws are made as the tile is formed, so the call never holds an
+    # array of k * P entries.
     data = stream(41)
     a, b = data.poisson(1.0, size=(3000, 3)), data.poisson(1.0, size=(3000, 3)) + 1.0
     k = len(np.unique(np.vstack([a, b]), axis=0))
@@ -389,8 +406,65 @@ def test_energy_distance_allocates_little_beyond_the_draws(monkeypatch, several_
     finally:
         tracemalloc.stop()
     assert res.labellings == n_permutations
-    assert widths == [max(k, rs.DISTANCE_TILE // k)] and widths[0] < n_permutations
+    width = max(k, rs.DISTANCE_TILE // k) if several_blocks else rs.RESIDENT_TILE
+    assert widths == _drawn(n_permutations, width, n_permutations) and width < n_permutations
     assert peak < k * n_permutations * 8
+
+
+def test_resident_energy_test_holds_its_block_and_tiles_of_32():
+    # The rows above, as floats so that no input is copied.  A resident test
+    # holds its distance block, filled one distance tile at a time through
+    # numpy's ufunc buffers (two of np.getbufsize() elements); once the block
+    # is full, those are freed and the labellings need two float tiles of
+    # RESIDENT_TILE labellings (counts and distance-weighted counts, or the
+    # last tile and the next) and one tile's integer draws.  64 KiB covers
+    # the rest: the distinct rows, their counts and the result.
+    data = stream(41)
+    a = data.poisson(1.0, size=(3000, 3)).astype(float)
+    b = data.poisson(1.0, size=(3000, 3)) + 1.0
+    k = len(np.unique(np.vstack([a, b]), axis=0))
+    block = 8 * k * k
+    filling = 8 * min(rs.DISTANCE_TILE // k, k) * k + 2 * 8 * np.getbufsize()
+    labellings = 3 * 8 * rs.RESIDENT_TILE * k
+    tracemalloc.start()
+    try:
+        res = rs.energy_distance(a, b, 2999, stream(42))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.labellings == 2999 and k * k <= rs.ENERGY_BLOCK_ENTRIES
+    assert peak < block + max(filling, labellings) + 64 * 1024
+
+
+@pytest.mark.parametrize("case", ["marginals", "count", "streamed"])
+def test_resident_energy_test_fills_its_block_once(monkeypatch, case):
+    # Rejecting tests that run all 999 labellings over several tiles.  One
+    # block of all k rows is filled once, whichever hypergeometric method
+    # draws the labellings ("count" for continuous rows, k >= n); blocks of
+    # 3 rows are filled again for every tile.
+    data = stream(47)
+    if case == "count":
+        a, b = data.normal(size=(100, 3)), data.normal(size=(100, 3)) + 1.0
+    else:
+        a, b = data.poisson(1.0, size=(300, 3)), data.poisson(1.0, size=(200, 3)) + 1.0
+    k = len(np.unique(np.vstack([a, b]), axis=0))
+    if case == "streamed":
+        monkeypatch.setattr(rs, "ENERGY_BLOCK_ENTRIES", 3 * k)
+    fills = []
+    fill = rs._euclidean_into
+
+    def counting(out, x, y):
+        fills.append(out.shape)
+        return fill(out, x, y)
+
+    monkeypatch.setattr(rs, "_euclidean_into", counting)
+    widths = _tile_widths(monkeypatch)
+    res = rs.energy_distance(a, b, 999, stream(48))
+    assert (res.p_value, res.labellings) == (1 / 1000, 999) and len(widths) > 1
+    if case == "streamed":
+        assert len(fills) == len(widths) * -(-k // 3)
+    else:
+        assert fills == [(k, k)]
 
 
 _THREADS_SCRIPT = """\
