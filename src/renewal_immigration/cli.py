@@ -15,7 +15,8 @@ arrays and tuples as lists.  JSON is strict: a non-finite float (an
 infinite bound, say) is written as ``null``.
 
 Exit codes: 0 pass, 1 usage/config/output error, 2 statistical rejection or
-truncation failure, 3 dri criteria disagree / hypothesis warning.
+truncation failure, 3 dri criteria disagree / hypothesis warning /
+non-absorbed path; one rule, :func:`_exit_code`, turns verdicts into codes.
 """
 
 import argparse
@@ -30,7 +31,6 @@ import numpy as np
 
 from .config import SCHEMA_VERSION, command_fields, load_config, to_config
 from .diagnostics import (
-    CONVERGENT_EVIDENCE,
     DIVERGENT_EVIDENCE,
     convergence_test,
     dri_mean_check,
@@ -46,7 +46,7 @@ from .process import fdd_sample
 from .renewal import build_stationary_window
 from .streams import DRI_MEAN, DRI_PATH, DUMP_WINDOW, INTENSITY, LAPLACE, OVERSHOOT, SHIFT, stream
 
-__all__ = ["main", "cmd_simulate", "cmd_stationary", "cmd_converge", "cmd_dri", "cmd_pointprocess"]
+__all__ = ["main"]
 
 EXIT_PASS = 0
 EXIT_CONFIG = 1
@@ -103,9 +103,9 @@ def _write_atomic(path, text):
         raise
 
 
-def _log(verbose, message):
-    if verbose:
-        print(message, file=sys.stderr)
+def _exit_code(warned, rejected):
+    """The one outcome rule of every verdict: a warning exits 3, else a rejection 2, else 0."""
+    return EXIT_WARN if warned else EXIT_REJECT if rejected else EXIT_PASS
 
 
 def _sample_files(config, sample, mode, **run):
@@ -171,12 +171,7 @@ def cmd_converge(config, fields, args):
     ]
     files["summary.csv"] = _csv(header, rows)
     warned = any(report.warnings or report.decision == "hypothesis_violation" for report in reports)
-    if warned:
-        code = EXIT_WARN
-    elif reports[-1].decision == "reject":
-        code = EXIT_REJECT
-    else:
-        code = EXIT_PASS
+    code = _exit_code(warned, reports[-1].decision == "reject")
     return code, files, {"decisions": [report.decision for report in reports]}
 
 
@@ -185,19 +180,17 @@ def cmd_dri(config, fields, args):
     mean_report = dri_mean_check(config.kernel, k_max, fields.grid_per_unit, n_mc, stream(config.seed, DRI_MEAN, 0))
     path_report = dri_path_check(config.kernel, k_max, n_mc, stream(config.seed, DRI_PATH, 0))
     verdicts = (mean_report.verdict, path_report.verdict)
-    if all(v == CONVERGENT_EVIDENCE for v in verdicts):
-        code = EXIT_PASS
-        explanation = "both criteria show convergent evidence"
-    elif all(v == DIVERGENT_EVIDENCE for v in verdicts):
-        code = EXIT_REJECT
-        explanation = "both criteria show divergent evidence"
-    else:
+    disagree = verdicts[0] != verdicts[1]
+    diverge = all(v == DIVERGENT_EVIDENCE for v in verdicts)
+    code = _exit_code(disagree, diverge)
+    if disagree:
         # The path criterion dominates the mean one: only the mean converges.
-        code = EXIT_WARN
         explanation = (
             f"criteria disagree (mean: {verdicts[0]}, path: {verdicts[1]}); "
             "a mean-convergent, path-divergent kernel fades in probability but not pathwise"
         )
+    else:
+        explanation = f"both criteria show {'divergent' if diverge else 'convergent'} evidence"
     combined = {"mean_verdict": verdicts[0], "path_verdict": verdicts[1], "explanation": explanation}
     files = {
         "dri_mean.json": _json_text(mean_report),
@@ -237,12 +230,7 @@ def cmd_pointprocess(config, fields, args):
         "alpha": alpha,
         "warnings": warnings,
     } | {f"{name}_pass": passed for name, passed in passes.items()}
-    if warnings:
-        code = EXIT_WARN
-    elif not all(passes.values()):
-        code = EXIT_REJECT
-    else:
-        code = EXIT_PASS
+    code = _exit_code(warnings, not all(passes.values()))
     return code, {"pointprocess.json": _json_text(payload)}, {"passes": passes}
 
 
@@ -279,8 +267,8 @@ def _run(command, config, fields, args):
     try:
         return _COMMANDS[command](config, fields, args)
     except NonAbsorbedPathError as exc:
-        # A birth-death path outran its jump budget: ``max_jumps`` was too
-        # small for the chain, which is a hypothesis warning, not a crash.
+        # A birth-death path outran its jump budget (``max_jumps`` too small
+        # for the chain): any command warns, with this report alone.
         error = {"error": "non_absorbed_path", "message": str(exc)}
         return EXIT_WARN, {f"{command}_error.json": _json_text(error)}, {"error": error["error"]}
 
@@ -289,7 +277,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        _log(args.verbose, f"running {args.command} with seed {config.seed}")
+        if args.verbose:
+            print(f"running {args.command} with seed {config.seed}", file=sys.stderr)
         fields = command_fields(args.command, config)
         # Only a config that passed every check gets an output directory.
         out_dir = Path(args.out_dir)

@@ -54,16 +54,16 @@ SCHEMA_VERSION = 1
 # MAX_ROW_POINTS.  A run may draw at most MAX_RUN_POINTS in all, counting
 # rows x (1 + points per row) over every kind of row it draws, times
 # len(u_grid) for the fdd rows, whose points are each evaluated on the
-# whole grid; the largest fixed config among the tests, scripts, CI and
-# benchmark (the convergence script's defaults) counts about 2.6e6.
+# whole grid; the largest fixed config among the tests, CI and benchmark
+# (CI's simulate of 10^5 replicates on 10 grid points) counts about 1.5e7.
 MAX_ROW_POINTS = 10**6
 MAX_RUN_POINTS = 2 * 10**7
 # Work budget of converge's energy tests, which the points do not count: a
 # test that rejects runs all n_permutations + 1 labellings, each about k^2
 # products over its k <= min(2 n_replicates, ENERGY_EXACT_ROWS) distinct rows
 # (0.2 ns a product on one Xeon core).  Summed over t_list, the largest
-# config among the tests, scripts and benchmark (the convergence script's
-# defaults) forms about 2.4e11.
+# config among the tests, CI and benchmark (the benchmark's converge-mginf,
+# 3000 replicates and 2999 labellings) forms about 2.2e11.
 MAX_ENERGY_PRODUCTS = 10**12
 
 _ABSENT = object()  # a field missing from the config, or without a default

@@ -32,7 +32,7 @@ import numpy as np
 
 from ._records import Record
 from .distributions import integrated_tail_cdf, is_lattice
-from .errors import KernelError, NonAbsorbedPathError, TruncationError
+from .errors import KernelError, TruncationError
 from .kernels import sample_path, unit_interval_sups
 from .process import fdd_sample
 from .renewal import ROW_BLOCK_POINTS, build_stationary_window, read_interval, row_blocks, simulate_forward
@@ -286,13 +286,16 @@ def convergence_test(
     Hypothesis problems (lattice law, divergent mean criterion, stationary
     truncation failure) are reported, not fatal: a truncation failure turns
     every report into a ``hypothesis_violation`` decision, matching the
-    regime where the stationary series diverges.
+    regime where the stationary series diverges.  A birth-death chain not
+    absorbed within its jump budget breaks no hypothesis of the paper, so its
+    :class:`~renewal_immigration.errors.NonAbsorbedPathError` propagates, in
+    the stationary sample as in the transient ones.
     """
     warnings = _hypothesis_warnings(law, spec)
     u = np.asarray(u_grid, dtype=float)
     try:
         stationary = fdd_sample(law, spec, "stationary", u, n_replicates, seed=seed, tol=tol)
-    except (TruncationError, NonAbsorbedPathError) as exc:
+    except TruncationError as exc:
         warnings = warnings + [f"stationary evaluation failed: {exc}"]
         return [
             ComparisonReport(

@@ -408,7 +408,8 @@ SUMMARY_RUNS = CLI_RUNS | {
     "converge-non-absorbed": ("converge", {"kernel": _NON_ABSORBED, "t_list": [1.0], "u_grid": [0.0],
                                            "n_replicates": 20, "tol": 1e30}),
 }
-SUMMARY_ERRORS = {"stationary-truncation": "truncation", "stationary-non-absorbed": "non_absorbed_path"}
+SUMMARY_ERRORS = {"stationary-truncation": "truncation", "stationary-non-absorbed": "non_absorbed_path",
+                  "converge-non-absorbed": "non_absorbed_path"}
 SUMMARY_EXITS = {case: pinned[0] for case, pinned in CLI_DIGESTS.items()} | {
     "stationary": 0, "stationary-truncation": 2, "stationary-non-absorbed": 3,
     "converge-non-absorbed": 3,

@@ -384,16 +384,17 @@ def test_any_config_exits_0_to_3_within_the_work_budget(case):
     assert ledger.total <= config.MAX_RUN_POINTS
 
 
-@pytest.mark.parametrize("command", ["simulate", "stationary", "dri"])
+@pytest.mark.parametrize("command", ["simulate", "stationary", "converge", "dri"])
 def test_non_absorbed_path_exits_3_with_report(tmp_path, capsys, command):
     # Two states, one jump allowed: the first jump lands on 1, never on 0.
     kernel = {"kind": "birth_death", "initial": 2, "birth_rates": [1.0, 0.0], "death_rates": [1.0, 1.0],
               "state_cap": 2, "max_jumps": 1}
-    cfg = write_config(tmp_path, base_config(kernel=kernel, t=5.0, u_grid=[0.0], n_replicates=20))
+    cfg = write_config(tmp_path, base_config(kernel=kernel, t=5.0, t_list=[5.0], u_grid=[0.0], n_replicates=20))
     out = tmp_path / "out"
     assert main([command, cfg, "--out-dir", str(out)]) == 3
     summary = json.loads(capsys.readouterr().out)
     assert summary["error"] == "non_absorbed_path" and summary["exit"] == 3
+    assert [path.name for path in out.iterdir()] == [f"{command}_error.json"]
     payload = json.loads((out / f"{command}_error.json").read_text())
     assert payload["error"] == "non_absorbed_path" and "absorbed" in payload["message"]
 
@@ -724,6 +725,13 @@ def test_cli_import_loads_no_scipy():
     assert _loaded_modules("scipy") == []
 
 
+def test_package_binds_os_privately():
+    # The package needs ``os`` only to pin BLAS to one thread before numpy
+    # loads; the module must not become one of its public names.
+    assert "os" not in [name for name in dir(renewal_immigration) if not name.startswith("_")]
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
 # Exponential law, indicator kernel: nothing needs a scipy function.
 NUMPY_ONLY_RUNS = {
     "converge": {"t_list": [1.0], "u_grid": [0.0, 1.0], "n_replicates": 50, "n_permutations": 19},
@@ -897,6 +905,53 @@ def test_pointprocess_lattice_law_warns(tmp_path):
     assert main(["pointprocess", cfg, "--out-dir", str(out)]) == 3
     payload = json.loads((out / "pointprocess.json").read_text())
     assert any("lattice" in w for w in payload["warnings"])
+
+
+# Time doubling: every length of a pointprocess run doubled -- the law's
+# time scale, the intervals, the shift, the horizon, laplace.t and the
+# breakpoints of laplace.h (the defaults follow the mean).  Scaling by 2 is
+# exact in floats, so every count, overshoot and Laplace sum keeps its bits
+# and so does every statistic; only the reported lengths double, exactly:
+# the interval ends, laplace.t and overshoot.horizon.  LogNormal is left
+# out, since doubling it adds ln 2 to mu, which is not exact in floats.
+DOUBLED_LAWS = {
+    "exponential": lambda s: {"family": "exponential", "rate": 1.0 / s},
+    "gamma": lambda s: {"family": "gamma", "shape": 2.0, "scale": 0.5 * s},
+    "uniform": lambda s: {"family": "uniform", "lo": 0.5 * s, "hi": 1.5 * s},
+}
+DOUBLED_LENGTHS = {
+    "defaults": lambda s: {},
+    "explicit": lambda s: {
+        "intervals": [[-3.0 * s, 2.0 * s], [0.5 * s, 7.25 * s]],
+        "shift": 1.5 * s,
+        "horizon": 40.0 * s,
+        "laplace": {
+            "t": 30.0 * s,
+            "h": {"kind": "deterministic_table", "breakpoints": [0.0, 0.5 * s, 1.75 * s], "values": [1.0, 0.25, 0.0]},
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("lengths", sorted(DOUBLED_LENGTHS))
+@pytest.mark.parametrize("law", sorted(DOUBLED_LAWS))
+def test_doubling_every_length_doubles_only_the_pointprocess_lengths(tmp_path, capsys, law, lengths):
+    runs = []
+    for s in (1.0, 2.0):
+        fields = DOUBLED_LENGTHS[lengths](s)
+        fields |= {"n_windows": 2000, "n_realizations": 2000, "laplace": fields.get("laplace", {}) | {"n_mc": 2000}}
+        cfg = write_config(tmp_path, base_config(law=DOUBLED_LAWS[law](s), seed=5, pointprocess=fields), name=f"{s}.json")
+        out = tmp_path / f"out-{s}"
+        code = main(["pointprocess", cfg, "--out-dir", str(out)])
+        runs.append((code, json.loads((out / "pointprocess.json").read_text())))
+    (single_code, single), (double_code, double) = runs
+    assert "Traceback" not in capsys.readouterr().err
+    for report in double["intensity"]:
+        report["interval"] = [end / 2.0 for end in report["interval"]]
+    double["laplace"]["t"] /= 2.0
+    double["overshoot"]["horizon"] /= 2.0
+    assert double_code == single_code
+    assert json.dumps(double, sort_keys=True) == json.dumps(single, sort_keys=True)
 
 
 def test_unknown_command_rejected(tmp_path):
