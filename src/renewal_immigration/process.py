@@ -23,7 +23,10 @@ block draws its forward runs or windows with one ``size=k`` call, as
 ragged rows of flat points that hold only the points that can reach the
 grid, then their paths with one
 :func:`~renewal_immigration.kernels.sample_path` call per chunk of
-``SUPERPOSE_BLOCK`` points, and sums each row over its own points.
+``SUPERPOSE_BLOCK`` points, and sums each row over its own points.  The
+rows are read where the builders put them: no per-point row index is
+built, and the points are copied only when a point within a few ulps of
+the read interval's ends must be dropped.
 
 The module returns draws only: an :class:`FddSample` holds the grid, the
 matrix, ``c_used`` and ``truncation_bound``, and :mod:`.cli` renders the
@@ -38,7 +41,7 @@ from ._records import Record
 from .distributions import check_interarrival
 from .errors import LawError, TruncationError
 from .kernels import sample_path
-from .renewal import StationaryWindowSampler, point_rows, read_interval, row_blocks, simulate_forward
+from .renewal import StationaryWindowSampler, read_interval, row_blocks, simulate_forward
 from .streams import STATIONARY_BLOCK, TRANSIENT_BLOCK, stream
 
 __all__ = ["FddSample", "fdd_sample", "first_half_width"]
@@ -59,31 +62,46 @@ def _validate_grid(u_grid):
     return u
 
 
-def _superpose(spec, row, shifts, grid, k, rng):
-    """Per row ``i < k``, ``sum_j X_j(grid - shifts[j])`` over the points ``j`` with ``row[j] == i``.
+def _superpose(spec, counts, shifts, grid, rng):
+    """Per row ``i``, ``sum_j X_j(grid - shifts[j])`` over its ``counts[i]`` points.
 
-    Points come row-major (``row`` is nondecreasing), and each draws one
-    fresh path.  Paths are drawn and evaluated in chunks of
-    ``SUPERPOSE_BLOCK`` points, one batched draw per chunk, so at most a
-    chunk of paths is held.  Every kernel but the birth-death chain draws
-    as one call for all points would (see :mod:`.kernels`); birth-death
-    draws depend on the chunk sizes.  Each grid column of a chunk is summed
+    Points come as ragged rows: row ``i`` holds the next ``counts[i]``
+    shifts, and each point draws one fresh path.  Paths are drawn and
+    evaluated in chunks of ``SUPERPOSE_BLOCK`` points, one batched draw per
+    chunk, so at most a chunk of paths is held.  Every kernel but the
+    birth-death chain draws as one call for all points would (see
+    :mod:`.kernels`); birth-death draws depend on the chunk sizes.  A
+    chunk finds its points' rows from the rows' ends, so no per-point row
+    index is held beyond a chunk.  Each grid column of a chunk is summed
     per row by one ``np.bincount``, which adds its weights one at a time in
     index order; a row the chunk touches restarts from its running sum, so
     every row adds its terms in point order, as a per-point loop would
     (pairwise summation would not).  Rows with no point stay 0.
     """
-    values = np.zeros((k, len(grid)))
+    ends = np.cumsum(counts)
+    values = np.zeros((len(counts), len(grid)))
     for lo in range(0, len(shifts), SUPERPOSE_BLOCK):
-        block = slice(lo, lo + SUPERPOSE_BLOCK)
-        paths = sample_path(spec, rng, size=len(shifts[block]))
-        terms = paths.values(grid[None, :] - shifts[block, None])
-        rows = slice(row[block][0], row[block][-1] + 1)
-        index = np.concatenate([np.arange(rows.stop - rows.start), row[block] - rows.start])
+        hi = min(lo + SUPERPOSE_BLOCK, len(shifts))
+        paths = sample_path(spec, rng, size=hi - lo)
+        terms = paths.values(grid[None, :] - shifts[lo:hi, None])
+        # The rows the chunk touches, and each one's points in it.
+        first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
+        rows = slice(first, last + 1)
+        local = np.arange(last + 1 - first)
+        index = np.concatenate([local, np.repeat(local, np.diff(np.minimum(ends[rows], hi) - lo, prepend=0))])
         for j in range(len(grid)):
             weights = np.concatenate([values[rows, j], terms[:, j]])
-            values[rows, j] = np.bincount(index, weights, minlength=rows.stop - rows.start)
+            values[rows, j] = np.bincount(index, weights, minlength=len(local))
     return values
+
+
+def _kept(counts, values, keep):
+    """Ragged rows ``(counts, values)`` where ``keep`` holds: themselves, uncopied, if it holds everywhere."""
+    if keep.all():
+        return counts, values
+    kept = np.concatenate([[0], np.cumsum(keep)])
+    ends = np.cumsum(counts)
+    return kept[ends] - kept[ends - counts], values[keep]
 
 
 def eval_transient(law, spec, t, u_grid, rng, size):
@@ -99,8 +117,8 @@ def eval_transient(law, spec, t, u_grid, rng, size):
         # t + u[0] - S >= support_end, are neither kept nor draw a path.
         within = read_interval(-spec.support_end(), math.inf, t + u[0])
         real = simulate_forward(law, t + u[-1], rng, size=size, within=within)
-        keep = t + u[0] - real.epochs < spec.support_end()
-        values = _superpose(spec, point_rows(real.counts)[keep], real.epochs[keep], t + u, size, rng)
+        counts, epochs = _kept(real.counts, real.epochs, t + u[0] - real.epochs < spec.support_end())
+        values = _superpose(spec, counts, epochs, t + u, rng)
     return FddSample(u_grid=u, values=values)
 
 
@@ -159,8 +177,10 @@ def eval_stationary(law, spec, u_grid, c, rng, size):
     within = read_interval(-u[-1], min(c, spec.support_end() - u[0]))
     window = StationaryWindowSampler(law, rng, size=size).initial(c, within)
     pts = window.points
-    keep = (np.abs(pts) <= c) & (pts >= -u[-1]) & (pts < spec.support_end() - u[0])
-    values = _superpose(spec, point_rows(window.counts)[keep], -pts[keep], u, size, rng)
+    # |p| <= c is read as -c <= p <= c, and the shifts overwrite the points.
+    keep = (pts >= max(-c, -u[-1])) & (pts <= c) & (pts < spec.support_end() - u[0])
+    counts, pts = _kept(window.counts, pts, keep)
+    values = _superpose(spec, counts, np.negative(pts, out=pts), u, rng)
     return FddSample(u_grid=u, values=values, c_used=c)
 
 

@@ -45,10 +45,10 @@ round of draws and what it keeps: each round keeps the values its rows
 take (up to each row's first sum past the target) that lie in
 ``within``, and is dropped before the next.  The builders then write each
 kept value once, straight to its place in the ragged rows
-(:func:`_ragged`), building positions for the kept values alone: no array
-is as wide as the longest row, so a block's arrays stay near its kept
-points and one round's draws even for bursty laws whose rows need many
-rounds.
+(:func:`_ragged`), through one index array per round, built in place for
+the round's kept values alone: no array is as wide as the longest row, so
+a block's arrays stay near its kept points and one round's draws even for
+bursty laws whose rows need many rounds.
 
 Callers that draw many rows do so in blocks (:func:`row_blocks`) of about
 ``ROW_BLOCK_POINTS`` expected points each, which bounds a block's arrays
@@ -204,11 +204,13 @@ def _ragged(halves):
 
     ``halves`` holds ``(draw, mirrored)`` pairs, and row ``i`` is row ``i``
     of each half in turn: the half's kept values.  A mirrored half is
-    reversed and negated (negation is exact).
+    reversed and negated (negation is exact), its pieces negated in place.
 
     Every value is written once, straight to its place: a row's ``j``-th
     kept value of a half lands at the row's origin plus ``j``, or minus
-    ``j`` when mirrored, and positions are built for the kept values alone.
+    ``j`` when mirrored.  A piece's places are one index array, built in
+    place as the running sum of its steps, from per-row vectors of the
+    piece's rows alone.
     """
     counts = sum(kept for (kept, _, _), _ in halves)
     values = np.empty(counts.sum())
@@ -217,10 +219,22 @@ def _ragged(halves):
         sign = -1 if mirrored else 1
         origin = base + kept - 1 if mirrored else base
         for rows, first, n, piece in pieces:
-            # Value m of the piece is value first + m - (the values of the
-            # piece's rows before its row) of its row.
-            at = np.repeat(origin[rows] + sign * (first - (np.cumsum(n) - n)), n) + sign * np.arange(len(piece))
-            values[at] = -piece if mirrored else piece
+            # Value m of the piece, in its row i, lands at lead[i] + sign * m:
+            # lead is the row's origin plus sign * (first - the piece's values
+            # before row i).  The places are the running sum of their steps:
+            # sign, and lead[i] - lead[i - 1] + sign at row i's first value.
+            ends = np.cumsum(n)
+            lead = first - ends
+            lead += n
+            lead *= sign
+            lead += origin[rows]
+            lead[1:] -= lead[:-1]  # numpy reads the overlapping operand unchanged
+            lead[1:] += sign
+            at = np.full(len(piece), sign, dtype=np.intp)
+            at[0] = lead[0]
+            at[ends[:-1]] = lead[1:]
+            np.cumsum(at, out=at)
+            values[at] = np.negative(piece, out=piece) if mirrored else piece
         base += kept
     return counts, values
 

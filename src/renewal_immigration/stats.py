@@ -173,7 +173,8 @@ def _euclidean_into(out, a, b):
 
     Squared differences are summed in column order onto zeros, as ``cdist``
     sums them (``0.0 + d^2`` is exact), so the bytes are ``cdist(a, b)``'s;
-    one tile of ``DISTANCE_TILE`` entries at a time.
+    one tile of ``DISTANCE_TILE`` entries at a time.  Each row's differences
+    are a scalar minus a row, which numpy runs without its ufunc buffers.
     """
     a_cols, b_cols = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
     step = max(1, DISTANCE_TILE // out.shape[1])
@@ -183,7 +184,8 @@ def _euclidean_into(out, a, b):
         diff = scratch[: len(tile)]
         tile.fill(0.0)
         for x, y in zip(a_cols[:, lo : lo + step], b_cols):
-            np.subtract(x[:, None], y, out=diff)
+            for x_i, row in zip(x, diff):
+                np.subtract(x_i, y, out=row)
             np.multiply(diff, diff, out=diff)
             tile += diff
         np.sqrt(tile, out=tile)

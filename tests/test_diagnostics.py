@@ -70,6 +70,40 @@ def test_dri_indicator_exponential_terms_and_agreement():
         assert abs(report_p.terms[k] - target) < 4.0 * se
 
 
+# dRi terms with closed forms, in both criteria: a pulse of length eta is 1
+# at the left end k of its unit exactly when its sup over [k, k + 1) is, so
+# both terms are P(eta > k); a Pareto(alpha, xm) length has P(eta > k) =
+# min((xm / k)^alpha, 1).  Each Monte Carlo term is a proportion of n_mc
+# paths, so it lies within 5 binomial standard errors of its p, and a p of
+# 1 is met exactly.
+DRI_PULSES = {
+    "exponential": (kn.Indicator(dist.Exponential(0.5)), lambda k: math.exp(-0.5 * k)),
+    "pareto": (kn.Indicator(dist.Pareto(1.5, 2.0)), lambda k: min((2.0 / k) ** 1.5, 1.0) if k else 1.0),
+}
+
+
+@pytest.mark.parametrize("name", DRI_PULSES)
+def test_dri_pulse_terms_are_binomial_around_their_closed_form(name):
+    spec, tail = DRI_PULSES[name]
+    k_max, n_mc = 12, 4000
+    for report in (dg.dri_mean_check(spec, k_max, 4, n_mc, stream(15)), dg.dri_path_check(spec, k_max, n_mc, stream(16))):
+        for k, term in enumerate(report.terms):
+            p = tail(k)
+            assert abs(term - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n_mc), (report.criterion, k, term, p)
+
+
+@pytest.mark.parametrize("mark, decay", [(3.0, 0.5), (0.7, 1.3), (5.0, 0.05)])
+def test_dri_exp_decay_terms_with_a_point_mass_mark_are_exact(mark, decay):
+    # The one path is the law, and min(m e^{-decay k}, 1) is its value at k
+    # and its sup over [k, k + 1): exact, evaluated with numpy's exp as the
+    # path is (libm's exp differs from it in the last bit at some k).  A
+    # mean over more paths would round.
+    spec, k_max = kn.ScaledExpDecay(dist.PointMass(mark), decay), 200
+    want = np.minimum(mark * np.exp(-decay * np.arange(k_max, dtype=float)), 1.0)
+    for report in (dg.dri_mean_check(spec, k_max, 4, 1, stream(17)), dg.dri_path_check(spec, k_max, 1, stream(18))):
+        assert report.terms.tobytes() == want.tobytes(), report.criterion
+
+
 def test_dri_table_path_terms_exact():
     table = kn.DeterministicTable((0.0, 4.0), (1.0, 0.0))
     report = dg.dri_path_check(table, 8, 3, stream(6))

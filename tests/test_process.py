@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,7 +332,11 @@ def spec_id(spec):
 
 
 def superpose_cases():
-    """``(name, row, shifts, grid, k, block)``; the last case spans three blocks and four rows."""
+    """``(name, row, shifts, grid, k, block)``; ``blocks`` spans three blocks and four rows.
+
+    The ``edges`` cases have empty rows first, last and where a chunk
+    ends, and rows that chunks of 3 and 7 split.
+    """
     shifts = np.sort(stream(40).uniform(-3.0, 8.0, size=25))
     # Rows 0..3 in order, some of them possibly empty; row 4 is always empty.
     rows = np.sort(stream(41).integers(0, 4, size=25))
@@ -343,6 +348,11 @@ def superpose_cases():
     yield "one_shift", one[:1], shifts[:1], GRID, 1, block
     yield "one_point_grid", rows, shifts, GRID[3:4], 5, block
     yield "blocks", rows[:11], shifts[:11], GRID, 5, 4
+    # Row ends 0 2 2 3 3 3 7 7 10 11 11: chunks of 3 end at 3, 6 and 9,
+    # chunks of 7 at 7.
+    edges = np.repeat(np.arange(11), [0, 2, 0, 1, 0, 0, 4, 0, 3, 1, 0])
+    for block in (1, 3, 7):
+        yield f"edges_{block}", edges, shifts[:11], GRID, 11, block
 
 
 def per_row_superpose(spec, row, shifts, grid, k, rng):
@@ -357,7 +367,7 @@ def test_superpose_matches_per_path_loop(spec, monkeypatch):
     for seed, (name, row, shifts, grid, k, block) in enumerate(superpose_cases()):
         monkeypatch.setattr(pr, "SUPERPOSE_BLOCK", block)
         rng, ref_rng = stream(50 + seed), stream(50 + seed)
-        got = pr._superpose(spec, row, shifts, grid, k, rng)
+        got = pr._superpose(spec, np.bincount(row, minlength=k), shifts, grid, rng)
         if isinstance(spec, kn.BirthDeath):
             want = chunked_superpose(spec, row, shifts, grid, k, ref_rng, block)
         else:
@@ -374,7 +384,7 @@ def test_superpose_keeps_sign_of_underflowed_terms():
         for shifts, row in ((np.array([-3000.0]), [0]), (np.array([-3000.0, -2500.0, -0.5]), [0, 1, 1])):
             row = np.array(row)
             rng, ref_rng = stream(60 + seed), stream(60 + seed)
-            got = pr._superpose(spec, row, shifts, GRID, 2, rng)
+            got = pr._superpose(spec, np.bincount(row, minlength=2), shifts, GRID, rng)
             want = per_row_superpose(spec, row, shifts, GRID, 2, ref_rng)
             assert got.tobytes() == want.tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -428,6 +438,44 @@ def test_fdd_rows_are_per_point_sums_over_their_block(spec, mode, monkeypatch):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
     if spec is BOUNDED_PULSE:
         assert empty > 0
+
+
+def test_transient_rows_drop_the_epochs_on_their_read_interval_edge():
+    # Integer epochs read at t = 10 by pulses shorter than 1: the read
+    # interval keeps the epochs at 9 (one support length back) and 10, and
+    # the strict support end drops each 9, so rows keep fewer epochs than
+    # they hold.  Each row sums its kept epochs' paths, drawn in order.
+    law, spec, t, k = dist.FiniteDiscrete(((1.0, 0.5), (2.0, 0.5))), kn.Indicator(dist.Uniform(0.0, 1.0)), 10.0, 40
+    u = np.array([0.0, 0.25, 0.5])
+    within = rn.read_interval(-spec.support_end(), math.inf, t + u[0])
+    held = simulate_forward(law, t + u[-1], stream(81), size=k, within=within).epochs
+    assert np.count_nonzero(held == t - 1.0) > 5 and np.count_nonzero(held == t) > 5
+    rng, ref_rng = stream(81), stream(81)
+    got = pr.eval_transient(law, spec, t, u, rng, size=k).values
+    for row, shifts in zip(got, block_points(law, spec, "transient", u, None, ref_rng, k, t)):
+        assert row.tobytes() == per_path_superpose(spec, shifts, t + u, ref_rng).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert 0.0 < got.sum() < k * len(u)
+
+
+def test_transient_block_holds_four_floats_per_kept_epoch():
+    # The t = 30 block of the benchmark's M/G/inf converge run: 936 rows of
+    # Exp(1) epochs to t + 5, Exp(1) pulses, so every epoch is kept.  The
+    # ragged build holds the epochs, the rounds' kept pieces and one piece's
+    # places, about three floats an epoch; the evaluation then reads the
+    # rows in place, and its chunks of paths hold less.  64 KiB covers the
+    # per-row vectors.
+    u, t, k = np.array([0.0, 1.0, 5.0]), 30.0, 936
+    assert next(rn.row_blocks(3000, EXP_LAW, t + u[-1])) == (0, k)
+    kept = len(simulate_forward(EXP_LAW, t + u[-1], stream(5), size=k).epochs)
+    assert kept > 30 * k
+    tracemalloc.start()
+    try:
+        pr.eval_transient(EXP_LAW, MM_INF, t, u, stream(5), size=k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * kept + 64 * 1024
 
 
 @pytest.mark.parametrize("mode", ["transient", "stationary"])

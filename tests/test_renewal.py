@@ -537,6 +537,37 @@ def test_ragged_rows_are_the_replayed_rows_in_row_major_order(law):
         assert window.points.tobytes() == np.concatenate(rows).tobytes()
 
 
+def test_ragged_places_mirrored_rounds_and_rows_that_keep_nothing_in_a_round():
+    # The mean handed to the rounds is overstated twentyfold, so each row
+    # takes many rounds of a draw or two.  A row keeps only its values in
+    # its half's interval: row 0 of each half keeps nothing in its first
+    # round, then keeps values in later ones.  Each row is its mirrored
+    # half, reversed and negated, then its forward half.
+    law = dist.Exponential(1.0)
+    mu, sd = _moments(law)
+    target, fwd_within, bwd_within = 10.0, (3.0, 7.0), (2.0, 8.0)
+    fwd_starts = np.array([0.0, 0.5, 2.0, 6.5, 9.0, 12.0])
+    bwd_starts = np.array([0.0, 4.0, 1.0, 11.0, 7.5, 0.2])
+    rng, ref_rng = stream(39), stream(39)
+    fwd = rn._draw_rounds(law, rng, fwd_starts, target, 20.0 * mu, sd, fwd_within)
+    bwd = rn._draw_rounds(law, rng, bwd_starts, target, 20.0 * mu, sd, bwd_within)
+    for kept, pieces, _ in (fwd, bwd):
+        assert len(pieces) > 4 and sum(len(rows) > 1 for rows, *_ in pieces[1:]) > 2
+        assert 0 not in pieces[1][0] and any(0 in rows for rows, *_ in pieces[2:])
+    counts, values = rn._ragged([(bwd, True), (fwd, False)])
+
+    def restricted(starts, within):
+        runs = replayed_increments_until(law, ref_rng, starts, target, 20.0 * mu, sd)
+        rows = [np.append(start, run) for start, run in zip(starts, runs)]
+        return [row[(row >= within[0]) & (row <= within[1])] for row in rows]
+
+    fwd_rows = restricted(fwd_starts, fwd_within)
+    rows = [np.concatenate([-b[::-1], f]) for b, f in zip(restricted(bwd_starts, bwd_within), fwd_rows)]
+    assert counts.tolist() == [len(row) for row in rows]
+    assert values.tobytes() == np.concatenate(rows).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_batched_rows_draw_from_the_generator_without_spawning():
     rng = stream(32)
     rn.build_stationary_window(dist.Gamma(2.0, 0.5), 5.0, rng, size=4)

@@ -413,9 +413,8 @@ def test_energy_distance_allocates_little_beyond_the_draws(monkeypatch, several_
 
 def test_resident_energy_test_holds_its_block_and_tiles_of_32():
     # The rows above, as floats so that no input is copied.  A resident test
-    # holds its distance block, filled one distance tile at a time through
-    # numpy's ufunc buffers (two of np.getbufsize() elements); once the block
-    # is full, those are freed and the labellings need two float tiles of
+    # holds its distance block, filled one distance tile at a time; once the
+    # block is full, the tile is freed and the labellings need two float tiles of
     # RESIDENT_TILE labellings (counts and distance-weighted counts, or the
     # last tile and the next) and one tile's integer draws.  64 KiB covers
     # the rest: the distinct rows, their counts and the result.
@@ -424,7 +423,7 @@ def test_resident_energy_test_holds_its_block_and_tiles_of_32():
     b = data.poisson(1.0, size=(3000, 3)) + 1.0
     k = len(np.unique(np.vstack([a, b]), axis=0))
     block = 8 * k * k
-    filling = 8 * min(rs.DISTANCE_TILE // k, k) * k + 2 * 8 * np.getbufsize()
+    filling = 8 * min(rs.DISTANCE_TILE // k, k) * k
     labellings = 3 * 8 * rs.RESIDENT_TILE * k
     tracemalloc.start()
     try:
@@ -434,6 +433,27 @@ def test_resident_energy_test_holds_its_block_and_tiles_of_32():
         tracemalloc.stop()
     assert res.labellings == 2999 and k * k <= rs.ENERGY_BLOCK_ENTRIES
     assert peak < block + max(filling, labellings) + 64 * 1024
+
+
+def test_distance_fill_holds_its_block_and_one_tile():
+    # The 202 distinct rows above.  Filling their block holds the block, one
+    # distance tile and the rows' column copies, with no ufunc buffers (two
+    # of np.getbufsize() doubles per broadcast subtract).  64 KiB covers the
+    # column copies and the loop's views.
+    data = stream(41)
+    a = data.poisson(1.0, size=(3000, 3)).astype(float)
+    b = data.poisson(1.0, size=(3000, 3)) + 1.0
+    uniq = rs._distinct_rows(np.vstack([a, b]))[0]
+    k = len(uniq)
+    dist = rs._euclidean_into(np.empty((k, k)), uniq, uniq)
+    assert k == 202 and dist.tobytes() == cdist(uniq, uniq).tobytes()
+    tracemalloc.start()
+    try:
+        rs._euclidean_into(np.empty((k, k)), uniq, uniq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * k * k + 8 * rs.DISTANCE_TILE + 64 * 1024
 
 
 @pytest.mark.parametrize("case", ["marginals", "count", "streamed"])
