@@ -435,8 +435,9 @@ class SpikePath(Record, eq=False):
         return hit.astype(float)
 
     def jumps(self, horizon):
-        # Each pulse's start, kept in its unit though it rounds, then its end: the first t with t - k >= eta,
-        # written in place, in turn.  Rows with eta = 0 never pulse, and are not built.
+        # Each pulse's start, the first t at which ``values`` reads 1 (kept in its unit though it rounds), then
+        # its end, the first t with t - k >= eta, written in place, in turn.  Rows with eta = 0 never pulse, and
+        # are not built.
         pulsing = self.eta[:, 0] > 0.0
         eta = self.eta[pulsing]
         k = np.arange(1.0, horizon)
@@ -445,6 +446,10 @@ class SpikePath(Record, eq=False):
         np.multiply(k * k, eta, out=start)  # k + k^2 eta / (k^2 + 1), as (k * k * eta) / (k * k + 1) + k
         start /= k * k + 1.0
         start += k
+        # Step up one spacing of k where the rounded start fails values' test (t - k) (k^2 + 1) >= k^2 eta.
+        np.subtract(start, k, out=end)
+        end *= k * k + 1.0
+        start += (end < k * k * eta) * np.spacing(k)
         np.minimum(start, np.nextafter(k + 1.0, 0.0), out=start)
         np.add(k, eta, out=end)  # end - k is exact: step up one spacing of k where k + eta rounded down
         end += (end - k < eta) * np.spacing(k)

@@ -146,7 +146,8 @@ def _draw_rounds(law, rng, starts, target, mu, sd, within=EVERY_VALUE, with_ends
     ``with_ends``, its end: its first value past the target (its first sum
     past it, or its start).  Returns ``(kept, pieces, ends)``.  Only the
     values in the closed interval ``within`` are kept, ``kept[i]`` of row
-    ``i``; ``ends`` holds every row's end.  Each piece ``(rows, first, n,
+    ``i``; ``ends`` holds every row's end, or is None if ``with_ends``, as
+    no caller of such rows reads it.  Each piece ``(rows, first, n,
     values)`` holds what one round keeps: the rows that keep ``n > 0`` of
     its values, the index of the first of them among their row's kept
     values, and the values, row by row.  A round is dropped once its rows
@@ -159,7 +160,7 @@ def _draw_rounds(law, rng, starts, target, mu, sd, within=EVERY_VALUE, with_ends
     """
     lo, hi = within
     starts = np.asarray(starts, dtype=float)
-    ends = starts.copy()
+    ends = None if with_ends else starts.copy()
     kept = np.zeros(len(starts), dtype=np.intp)
     pieces = []
 
@@ -192,8 +193,9 @@ def _draw_rounds(law, rng, starts, target, mu, sd, within=EVERY_VALUE, with_ends
         # past the target, and takes the sums before it.
         take = sums <= target
         more = take[:, -1]
-        done = np.flatnonzero(~more)
-        ends[active[done]] = sums[done, np.argmin(take[done], axis=1)]
+        if ends is not None:
+            done = np.flatnonzero(~more)
+            ends[active[done]] = sums[done, np.argmin(take[done], axis=1)]
         keep(active, sums, take)
         active, last = active[more], sums[more, -1]
     return kept, pieces, ends

@@ -690,12 +690,16 @@ def _loaded_modules(prefix, argv=None, exit_code=0):
     if argv is not None:
         script += f"assert main({argv!r}) == {exit_code}\n"
     script += f"print(json.dumps(sorted(m for m in sys.modules if m == {prefix!r} or m.startswith({prefix + '.'!r}))))\n"
+    return json.loads(_fresh_python(script).stdout.strip().splitlines()[-1])
+
+
+def _fresh_python(script):
+    """The completed ``python -c script`` of a fresh interpreter that imports the package from this tree."""
     src = str(Path(renewal_immigration.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120, check=True
     )
-    return json.loads(result.stdout.strip().splitlines()[-1])
 
 
 def test_converge_with_exponential_law_never_imports_scipy_stats(tmp_path):
@@ -779,6 +783,58 @@ def test_closed_form_tail_runs_load_no_scipy(tmp_path, case):
     command, extra = CLOSED_FORM_TAIL_RUNS[case]
     cfg = write_config(tmp_path, base_config(**extra))
     assert _loaded_modules("scipy", [command, cfg, "--out-dir", str(tmp_path / "out")]) == []
+
+
+# Every command on a config that needs no scipy, which loads OpenSSL itself.
+SCIPY_FREE_RUNS = NUMPY_ONLY_RUNS | {"pointprocess": {"pointprocess": SMALL_POINTPROCESS}}
+
+
+def _fresh_run(tmp_path, command, first=""):
+    """Run ``command`` on its ``SCIPY_FREE_RUNS`` config in a fresh interpreter that runs ``first`` before.
+
+    Returns the run's exit code, stdout, stderr and output tree hash,
+    whether ``_hashlib`` was loaded when it ended, and, from an ``import
+    hashlib`` made after it, ``algorithms_available`` and whether that
+    loaded ``_hashlib``.
+    """
+    name = "hashlib-first" if first else "fresh"
+    cfg = write_config(tmp_path, base_config(**SCIPY_FREE_RUNS[command]), name=f"{name}.json")
+    out, probe = tmp_path / name, tmp_path / f"{name}.probe.json"
+    result = _fresh_python(
+        f"{first}\n"
+        "import json, sys\n"
+        "from renewal_immigration.cli import main\n"
+        f"code = main({[command, cfg, '--out-dir', str(out)]!r})\n"
+        "loaded = '_hashlib' in sys.modules\n"
+        "import hashlib\n"
+        f"open({str(probe)!r}, 'w').write(json.dumps("
+        "[code, loaded, sorted(hashlib.algorithms_available), '_hashlib' in sys.modules]))\n"
+    )
+    code, loaded, algorithms, openssl = json.loads(probe.read_text())
+    return SimpleNamespace(
+        code=code, stdout=result.stdout, stderr=result.stderr, tree=hash_tree(out), loaded=loaded,
+        algorithms=algorithms, openssl=openssl,
+    )
+
+
+@pytest.mark.parametrize("command", SCIPY_FREE_RUNS)
+def test_runs_never_load_openssl(tmp_path, command):
+    # numpy.random imports secrets, whose hmac loads OpenSSL's _hashlib;
+    # streams imports it with _hashlib hidden, then lets hashlib go, so a
+    # later import is the OpenSSL-backed module of a fresh interpreter.
+    fresh = _fresh_python("import hashlib, json; print(json.dumps(sorted(hashlib.algorithms_available)))")
+    run = _fresh_run(tmp_path, command)
+    assert (run.code, run.stderr, run.loaded) == (0, "", False)
+    assert (run.algorithms, run.openssl) == (json.loads(fresh.stdout), True)
+
+
+@pytest.mark.parametrize("command", ["converge", "pointprocess"])
+def test_runs_write_the_same_bytes_with_openssl_loaded_first(tmp_path, command):
+    # With hashlib loaded first, numpy.random is imported as it stands.
+    masked, plain = _fresh_run(tmp_path, command), _fresh_run(tmp_path, command, first="import hashlib")
+    assert plain.loaded and not masked.loaded
+    outcome = lambda run: (run.code, run.stdout, run.stderr, run.tree)  # noqa: E731
+    assert outcome(masked) == outcome(plain)
 
 
 # ----------------------------------------------------------------- dri

@@ -222,16 +222,31 @@ def test_jumps_list_nondecreasing_times_and_the_values_after_them(spec):
     ends = np.cumsum(counts)
     assert all(np.all(np.diff(row) >= 0.0) for row in np.split(times, ends[:-1]))
     assert np.all((times >= 0.0) & (times < horizon))
-    # Each listed time's value.  A spike pulse's start is rounded, so its
-    # value is read at the pulse's midpoint.
-    at = times.copy()
-    if isinstance(path, kn.SpikePath):
-        unit, eta, start = np.floor(times), np.repeat(path.eta[:, 0], counts), after == 1.0
-        at[start] = (unit + eta * (unit**2 + 0.5) / (unit**2 + 1.0))[start]
+    # Each listed time's value.
     rows, slots = np.repeat(np.arange(k), counts), np.arange(len(times)) - np.repeat(ends - counts, counts)
     grid = np.full((k, counts.max()), -1.0)
-    grid[rows, slots] = at
+    grid[rows, slots] = times
     assert path.values(grid)[rows, slots].tobytes() == after.astype(float).tobytes()
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + EDGE_SPECS, ids=lambda s: type(s).__name__)
+def test_values_change_at_each_listed_jump_and_not_one_float_before(spec):
+    # Both views describe one path: at each listed time ``values`` reads
+    # the listed after-value, and one float before it, it does not.  A spike
+    # pulse in unit k is eta / (k^2 + 1) wide, at least 2^-10 / 2^28 below
+    # unit 2^14, wider than the float spacing there (2^-39), so each holds a
+    # float; the first of them is the listed start.
+    k, horizon = 8, 2.0**14
+    path = kn.sample_path(spec, stream(17), size=k)
+    if isinstance(path, kn.SpikePath):
+        assert path.eta.min() >= 2.0**-10
+    counts, times, after = path.jumps(horizon)
+    ends = np.cumsum(counts)
+    rows, slots = np.repeat(np.arange(k), counts), np.arange(len(times)) - np.repeat(ends - counts, counts)
+    grid = np.full((k, counts.max()), -1.0)
+    for ts, equal in [(times, True), (np.nextafter(times, -np.inf), False)]:
+        grid[rows, slots] = ts
+        assert np.all((path.values(grid)[rows, slots] == after) == equal)
 
 
 def test_spike_train_brute_force_scan():

@@ -1,5 +1,8 @@
 """Stream derivation: every key path gives its own stream."""
 
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -94,3 +97,13 @@ def test_one_run_derives_pairwise_distinct_streams(tmp_path, monkeypatch, comman
     assert all(len(key) == (4 if key[1] in BLOCK_TAGS else 3) for key in keys)
     if command in ("simulate", "stationary"):
         assert sum(key[1] in BLOCK_TAGS for key in keys) >= 3
+
+
+def test_numpy_random_import_leaves_a_loaded_hashlib_alone():
+    # hashlib is loaded here (hypothesis and this module import it), so the
+    # import must not hide _hashlib or drop hashlib and hmac: every module
+    # stays, the same object, whether or not numpy.random was loaded yet.
+    before = dict(sys.modules)
+    sm._import_random()
+    assert all(sys.modules.get(name) is module for name, module in before.items())
+    assert sys.modules["hashlib"] is hashlib and "numpy.random" in sys.modules
